@@ -79,9 +79,24 @@ class RTreeExtension(GiSTExtension):
         return growth + 1e-9 * enlarged.volume()
 
     def node_bounds(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked footprint ``lo``/``hi`` matrices, memoized on the node."""
-        return node.cached("rect_bounds", lambda: _stack_bounds(
-            self.footprints(node.preds())))
+        """Stacked footprint ``lo``/``hi`` matrices, memoized on the node.
+
+        A block-decoded node's matrices are column slices of its page
+        body (:meth:`block_bounds`); no predicate object is built.
+        """
+        def build() -> Tuple[np.ndarray, np.ndarray]:
+            block = node.pred_block()
+            if block is not None:
+                return self.block_bounds(block)
+            return _stack_bounds(self.footprints(node.preds()))
+        return node.cached("rect_bounds", build)
+
+    def block_bounds(self, block: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Footprint ``lo``/``hi`` columns of a stacked predicate block
+        in this AM's codec layout (the MBR leads; subclasses whose
+        footprint is derived override)."""
+        return block[:, :self.dim], block[:, self.dim:2 * self.dim]
 
     def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         lo, hi = self.node_bounds(node)

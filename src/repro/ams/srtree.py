@@ -124,16 +124,24 @@ class SRTreeExtension(GiSTExtension):
     def penalty(self, pred: SRPred, key: np.ndarray) -> float:
         return float(np.linalg.norm(pred.sphere.center - key))
 
-    def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:
-        params = node.cache.get("sr_params")
-        if params is None:
+    def _sr_params(self, node: Node) -> Tuple[np.ndarray, ...]:
+        """Stacked ``(lo, hi, centers, radii)``, memoized on the node;
+        column slices of the page body when it was block-decoded."""
+        def build() -> Tuple[np.ndarray, ...]:
+            block = node.pred_block()
+            if block is not None:
+                d = self.dim
+                return (block[:, :d], block[:, d:2 * d],
+                        block[:, 2 * d:3 * d], block[:, 3 * d])
             preds = node.preds()
-            params = (np.stack([p.rect.lo for p in preds]),
-                      np.stack([p.rect.hi for p in preds]),
-                      np.stack([p.sphere.center for p in preds]),
-                      np.array([p.sphere.radius for p in preds]))
-            node.cache["sr_params"] = params
-        centers = params[2]
+            return (np.stack([p.rect.lo for p in preds]),
+                    np.stack([p.rect.hi for p in preds]),
+                    np.stack([p.sphere.center for p in preds]),
+                    np.array([p.sphere.radius for p in preds]))
+        return node.cached("sr_params", build)
+
+    def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:
+        centers = self._sr_params(node)[2]
         return np.sqrt(((centers - q) ** 2).sum(axis=1))
 
     def pick_split(self, entries: List, level: int,
@@ -156,15 +164,7 @@ class SRTreeExtension(GiSTExtension):
         return max(pred.rect.min_dist(q), pred.sphere.min_dist(q))
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
-        params = node.cache.get("sr_params")
-        if params is None:
-            preds = node.preds()
-            params = (np.stack([p.rect.lo for p in preds]),
-                      np.stack([p.rect.hi for p in preds]),
-                      np.stack([p.sphere.center for p in preds]),
-                      np.array([p.sphere.radius for p in preds]))
-            node.cache["sr_params"] = params
-        lo, hi, centers, radii = params
+        lo, hi, centers, radii = self._sr_params(node)
         return np.maximum(min_dists_to_rects(q, lo, hi),
                           min_dists_to_spheres(q, centers, radii))
 

@@ -67,14 +67,20 @@ class SSTreeExtension(GiSTExtension):
         # SS-tree routes to the subtree with the closest centroid.
         return float(np.linalg.norm(pred.center - key))
 
-    def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:
-        params = node.cache.get("sphere_params")
-        if params is None:
+    def _sphere_params(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(centers, radii)``, memoized on the node; column
+        slices of the page body when the node was block-decoded."""
+        def build() -> Tuple[np.ndarray, np.ndarray]:
+            block = node.pred_block()
+            if block is not None:
+                return block[:, :self.dim], block[:, self.dim]
             preds = node.preds()
-            params = (np.stack([s.center for s in preds]),
-                      np.array([s.radius for s in preds]))
-            node.cache["sphere_params"] = params
-        centers, _ = params
+            return (np.stack([s.center for s in preds]),
+                    np.array([s.radius for s in preds]))
+        return node.cached("sphere_params", build)
+
+    def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:
+        centers, _ = self._sphere_params(node)
         return np.sqrt(((centers - q) ** 2).sum(axis=1))
 
     def pick_split(self, entries: List, level: int,
@@ -97,13 +103,7 @@ class SSTreeExtension(GiSTExtension):
         return pred.min_dist(q)
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
-        params = node.cache.get("sphere_params")
-        if params is None:
-            preds = node.preds()
-            params = (np.stack([s.center for s in preds]),
-                      np.array([s.radius for s in preds]))
-            node.cache["sphere_params"] = params
-        return min_dists_to_spheres(q, *params)
+        return min_dists_to_spheres(q, *self._sphere_params(node))
 
     # -- storage --------------------------------------------------------------------
 

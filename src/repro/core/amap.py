@@ -227,6 +227,11 @@ class AMapExtension(RTreeExtension):
     def footprint(self, pred: MapPred) -> Rect:
         return pred.mbr()
 
+    def block_bounds(self, block: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        lo1, hi1, lo2, hi2 = np.hsplit(block, 4)
+        return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
+
     # -- algebra ---------------------------------------------------------------
 
     def consistent(self, pred: MapPred, query_rect) -> bool:
@@ -277,6 +282,10 @@ class AMapExtension(RTreeExtension):
 
     def _dual_bounds(self, node: Node):
         def build():
+            block = node.pred_block()
+            if block is not None:
+                # the codec's layout: r1.lo, r1.hi, r2.lo, r2.hi
+                return tuple(np.hsplit(block, 4))
             preds = node.preds()
             return (np.stack([p.r1.lo for p in preds]),
                     np.stack([p.r1.hi for p in preds]),

@@ -195,6 +195,9 @@ class JBExtension(RTreeExtension):
         entry ``i`` owning the slice ``offsets[i]:offsets[i+1]``.
         """
         def build():
+            block = node.pred_block()
+            if block is not None:
+                return self._bite_pack_from_block(block)
             preds = node.preds()
             counts = np.array([len(p.bites) for p in preds],
                               dtype=np.intp)
@@ -209,6 +212,26 @@ class JBExtension(RTreeExtension):
             blow = np.stack([b.low_side for p in preds for b in p.bites])
             return blo, bhi, blow, counts, offsets
         return node.cached("jb_bites", build)
+
+    def _bite_pack_from_block(self, block: np.ndarray):
+        """:meth:`bite_pack` straight from a stacked predicate block.
+
+        The array form of what the codec's ``decode`` does per bite —
+        anchor each stored slot at its MBR corner, span corner and
+        inner point, drop zero-volume bites — so the pack equals the
+        one stacked from decoded predicates bit for bit, in the same
+        entry-major slot order.
+        """
+        lo, hi = self.block_bounds(block)
+        masks, inners = self.pred_codec().bite_slots(block)
+        at_hi = (masks[:, :, None] >> np.arange(self.dim) & 1).astype(bool)
+        corners = np.where(at_hi, hi[:, None, :], lo[:, None, :])
+        blo = np.minimum(corners, inners)
+        bhi = np.maximum(corners, inners)
+        keep = (masks >= 0) & ~np.any(bhi <= blo, axis=-1)
+        counts = keep.sum(axis=1).astype(np.intp)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        return blo[keep], bhi[keep], ~at_hi[keep], counts, offsets
 
     def refine_dists_node(self, node: Node, queries: np.ndarray,
                           dists: np.ndarray) -> np.ndarray:

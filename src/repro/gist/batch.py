@@ -47,7 +47,7 @@ import numpy as np
 from repro.gist.nn import _update_tau
 
 #: heap item kinds; never compared — (dist, counter) keys are unique.
-_SINGLE = 0    # payload (pred, page_id, level, refined)
+_SINGLE = 0    # payload (page_id, level): the root, or a refined entry
 _NODE_RUN = 1  # payload (run, pos)
 _LEAF_RUN = 2  # payload (run, pos)
 
@@ -88,8 +88,7 @@ class _QueryState:
         self.q = q
         # The root item consumes counter 0, exactly like the sequential
         # search's first next(counter).
-        self.heap: list = [(0.0, 0, _SINGLE, (None, root_id, height - 1,
-                                              True))]
+        self.heap: list = [(0.0, 0, _SINGLE, (root_id, height - 1))]
         self.results: List[Tuple[float, int]] = []
         self.topk = np.empty(0, dtype=np.float64)
         self.tau: Optional[float] = None
@@ -228,25 +227,27 @@ def _advance(state: _QueryState, ext: Any, k: int) -> Optional[Tuple[int, int]]:
                                          _NODE_RUN, (run, nxt)))
             else:
                 heapq.heappop(heap)
-            entry = run.node.entries[run.sel[pos]]
-            pred = entry.pred
-            page_id = entry.child
+            node = run.node
+            index = int(run.sel[pos])
+            page_id = int(node.child_array()[index])
             level = run.level
             refined = run.refined
             tight = None if run.tights is None else run.tights[pos]
         else:
             heapq.heappop(heap)
-            pred, page_id, level, refined = payload
-            tight = None
+            page_id, level = payload
+            refined = True
 
         if not refined:
             if tight is None or tight != tight:     # NaN: not screened
-                tight = ext.refine_dist(pred, q, dist)
+                # Only here does the entry's predicate object exist: a
+                # block-decoded parent builds it on this first request.
+                tight = ext.refine_dist(node.pred_at(index), q, dist)
             if state.tau is not None and tight >= state.tau:
                 continue
             if heap and tight > heap[0][0]:
                 heapq.heappush(heap, (float(tight), state.next_counter,
-                                      _SINGLE, (pred, page_id, level, True)))
+                                      _SINGLE, (page_id, level)))
                 state.next_counter += 1
                 continue
 

@@ -57,10 +57,14 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
     counter = itertools.count()
 
     # Heap items: (dist, tiebreak, kind, payload, refined)
-    #   kind _NODE:  payload = (pred_or_None, page_id, level)
+    #   kind _NODE:  payload = (parent_node_or_None, entry_index,
+    #                           page_id, level)
     #   kind _POINT: payload = rid
+    # A node item names its predicate by (parent, index) rather than
+    # holding it: on a block-decoded parent the predicate object is
+    # built only if the refinement below asks for it.
     heap = [(0.0, next(counter), _NODE,
-             (None, tree.root_id, tree.height - 1), True)]
+             (None, 0, tree.root_id, tree.height - 1), True)]
     results: List[Tuple[float, int]] = []
     # Provisional k-th candidate distance; None until k points are known.
     topk = np.empty(0, dtype=np.float64)
@@ -73,9 +77,9 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
             results.append((dist, payload))
             continue
 
-        pred, page_id, level = payload
-        if not refined and ext.has_refinement and pred is not None:
-            tight = ext.refine_dist(pred, query, dist)
+        parent, index, page_id, level = payload
+        if not refined:
+            tight = ext.refine_dist(parent.pred_at(index), query, dist)
             if tau is not None and tight >= tau:
                 continue
             if heap and tight > heap[0][0]:
@@ -84,11 +88,9 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
                 continue
 
         node = tree._read_query(page_id, level)
-        if node is None:
+        if node is None or not len(node):
             continue
         if node.is_leaf:
-            if not node.entries:
-                continue
             keys = node.keys_array()
             half = node.key_halfwidths()
             if half is None:
@@ -104,27 +106,25 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
                 diff = np.abs(keys - query) - half
                 np.maximum(diff, 0.0, out=diff)
                 dists = np.sqrt((diff * diff).sum(axis=1))
-            kept = np.nonzero(dists < tau)[0] if tau is not None \
-                else range(len(dists))
-            entries = node.entries
-            for i in kept:
-                heapq.heappush(
-                    heap, (float(dists[i]), next(counter), _POINT,
-                           entries[i].rid, True))
-            tau, topk = _update_tau(topk, dists[kept] if tau is not None
-                                    else dists, k)
+            rids = node.rid_array()
+            if tau is not None:
+                kept = np.nonzero(dists < tau)[0]
+                dists, rids = dists[kept], rids[kept]
+            for d, rid in zip(dists.tolist(), rids.tolist()):
+                heapq.heappush(heap, (d, next(counter), _POINT, rid, True))
+            tau, topk = _update_tau(topk, dists, k)
         else:
             dists = ext.min_dists_node(node, query)
             lazy = ext.has_refinement
-            kept = np.nonzero(dists < tau)[0] if tau is not None \
+            kept = np.nonzero(dists < tau)[0].tolist() if tau is not None \
                 else range(len(dists))
-            entries = node.entries
+            children = node.children()
+            dists = dists.tolist()
             child_level = node.level - 1
             for i in kept:
                 heapq.heappush(
-                    heap, (float(dists[i]), next(counter), _NODE,
-                           (entries[i].pred, entries[i].child, child_level),
-                           not lazy))
+                    heap, (dists[i], next(counter), _NODE,
+                           (node, i, children[i], child_level), not lazy))
 
     return results
 

@@ -19,13 +19,15 @@ class Node:
     through the mutator methods so the cache is invalidated.
     """
 
-    __slots__ = ("page_id", "level", "_entries", "cache")
+    __slots__ = ("page_id", "level", "_entries", "_pred_codec", "cache")
 
     def __init__(self, page_id: int, level: int, entries: Optional[List] = None) -> None:
         self.page_id = page_id
         self.level = level
         self._entries: Optional[List] = \
             list(entries) if entries is not None else []
+        #: decodes one row of a block-decoded inner node's predicates.
+        self._pred_codec: Any = None
         self.cache: dict = {}
 
     @classmethod
@@ -46,12 +48,38 @@ class Node:
         node.cache["rids"] = rids
         return node
 
+    @classmethod
+    def inner_from_block(cls, page_id: int, level: int, block: np.ndarray,
+                         children: np.ndarray, pred_codec: Any) -> "Node":
+        """An inner node backed by its page body, entry objects deferred.
+
+        ``block`` is the ``(n, numbers)`` float64 matrix of the stored
+        predicates and ``children`` the ``(n,)`` int64 child page ids,
+        both views over the page image
+        (:meth:`~repro.storage.codecs.IndexEntryCodec.decode_block`).
+        Extensions slice their stacked geometry straight out of
+        :meth:`pred_block`; a predicate object is built — by
+        ``pred_codec.decode`` on its row — only when :meth:`pred_at`
+        or :attr:`entries` asks for it.
+        """
+        node = cls(page_id, level)
+        node._entries = None
+        node._pred_codec = pred_codec
+        node.cache["block"] = block
+        node.cache["children"] = children
+        return node
+
     @property
     def entries(self) -> List:
         if self._entries is None:
-            self._entries = [LeafEntry(k, int(r)) for k, r
-                             in zip(self.keys_array(),
-                                    self.cache["rids"])]
+            if self.level == 0:
+                self._entries = [LeafEntry(k, int(r)) for k, r
+                                 in zip(self.keys_array(),
+                                        self.cache["rids"])]
+            else:
+                self._entries = [
+                    IndexEntry(self.pred_at(i), child) for i, child
+                    in enumerate(self.cache["children"].tolist())]
         return self._entries
 
     @entries.setter
@@ -64,7 +92,8 @@ class Node:
 
     def __len__(self) -> int:
         if self._entries is None:
-            return len(self.cache["keys"])
+            return len(self.cache["rids" if self.level == 0
+                                  else "children"])
         return len(self._entries)
 
     # -- mutation (cache-invalidating) --------------------------------------
@@ -176,10 +205,46 @@ class Node:
             raise ValueError("preds is only defined for internal nodes")
         return [e.pred for e in self.entries]
 
-    def children(self) -> List[int]:
+    def pred_block(self) -> Optional[np.ndarray]:
+        """The stored predicates as one ``(n, numbers)`` float64 matrix.
+
+        Non-None only for an inner node decoded by
+        :meth:`inner_from_block` and not mutated since; columns follow
+        the extension's predicate codec layout.
+        """
+        return self.cache.get("block")
+
+    def pred_at(self, index: int) -> Any:
+        """Entry ``index``'s predicate (inner nodes only).
+
+        On a block-decoded node this builds — once — just that entry's
+        predicate object; the search calls it for the few entries whose
+        bound it refines, not for every entry it ranks.
+        """
+        if self._entries is not None:
+            return self._entries[index].pred
+        built = self.cache.setdefault("preds", {})
+        pred = built.get(index)
+        if pred is None:
+            pred = self._pred_codec.decode(
+                self.cache["block"][index].tobytes())
+            built[index] = pred
+        return pred
+
+    def child_array(self) -> np.ndarray:
+        """Stacked ``(n,)`` int64 array of child page ids (inner only)."""
         if self.is_leaf:
-            raise ValueError("children is only defined for internal nodes")
-        return [e.child for e in self.entries]
+            raise ValueError("child_array is only defined for internal "
+                             "nodes")
+        cached = self.cache.get("children")
+        if cached is None:
+            cached = np.fromiter((e.child for e in self.entries),
+                                 dtype=np.int64, count=len(self.entries))
+            self.cache["children"] = cached
+        return cached
+
+    def children(self) -> List[int]:
+        return self.child_array().tolist()
 
     def find_child_index(self, child: int) -> int:
         for i, e in enumerate(self.entries):
@@ -189,4 +254,4 @@ class Node:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"inner(level={self.level})"
-        return f"Node(page={self.page_id}, {kind}, entries={len(self.entries)})"
+        return f"Node(page={self.page_id}, {kind}, entries={len(self)})"

@@ -292,7 +292,7 @@ class GiST:
         while node.level > target_level:
             best = int(np.argmin(self.ext.penalties_node(node, key)))
             path.append((node, best))
-            node = self._peek(node.entries[best].child)
+            node = self._peek(int(node.child_array()[best]))
         path.append((node, -1))
         return path
 
@@ -363,37 +363,38 @@ class GiST:
         for node, child_idx in reversed(path):
             if child_idx < 0:
                 continue
-            entry = node.entries[child_idx]
+            # One entry's predicate, not node.entries: most inserts stop
+            # here, and a block-decoded node then builds no other.
+            pred = node.pred_at(child_idx)
+            child_id = int(node.child_array()[child_idx])
             if not child_changed:
                 if changed is not None:
-                    if all(self.ext.covers_pred(entry.pred, cp)
-                           for cp in changed):
+                    if all(self.ext.covers_pred(pred, cp) for cp in changed):
                         return
                 elif (routing_key is not None
-                        and self.ext.contains(entry.pred, routing_key)):
+                        and self.ext.contains(pred, routing_key)):
                     return
             new_pred = None
             if self.incremental_adjust:
                 if child_changed:
-                    new_pred = self.ext.adjust_pred_cover(entry.pred,
-                                                          child_pred)
+                    new_pred = self.ext.adjust_pred_cover(pred, child_pred)
                 elif changed is not None:
-                    new_pred = entry.pred
+                    new_pred = pred
                     for cp in changed:
                         new_pred = self.ext.adjust_pred_cover(new_pred, cp)
                         if new_pred is None:
                             break
                 elif routing_key is not None:
-                    new_pred = self.ext.adjust_pred_insert(entry.pred,
+                    new_pred = self.ext.adjust_pred_insert(pred,
                                                            routing_key)
-                if new_pred is entry.pred:
+                if new_pred is pred:
                     # Already covers what changed below; by containment,
                     # every ancestor does too.
                     return
             if new_pred is None:
-                child = self._peek(entry.child)
+                child = self._peek(child_id)
                 new_pred = self.ext.pred_for_node(child)
-            node.replace_entry(child_idx, IndexEntry(new_pred, entry.child))
+            node.replace_entry(child_idx, IndexEntry(new_pred, child_id))
             self.store.write(node)
             child_changed = True
             child_pred = new_pred

@@ -229,7 +229,7 @@ class ShardServer:
                     bounds = self.tree.ext.min_dists_node_multi(
                         node, vecs[idx])
                     best = np.argmin(bounds, axis=1)
-                    children = [entry.child for entry in node.entries]
+                    children = node.children()
                     for choice in np.unique(best):
                         child = children[int(choice)]
                         nxt.setdefault(child, []).append(

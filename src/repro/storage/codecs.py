@@ -35,12 +35,40 @@ class Codec:
         raise NotImplementedError
 
     def decode(self, data: bytes, /) -> Any:
+        """Inverse of :meth:`encode`.  Arrays in the result are
+        read-only views of ``data`` — callers pass an immutable
+        ``bytes`` holding just this value, so there is nothing to copy
+        out of and nothing the views could outlive."""
         raise NotImplementedError
+
+    def block_error(self, block: np.ndarray, /) -> Optional[Tuple[int, str]]:
+        """What :meth:`decode` would reject in a stacked block of values.
+
+        ``block`` is an ``(n, numbers)`` float64 matrix, one encoded
+        value per row (an inner page body without its child column).
+        Returns the first offending ``(row, reason)``, or None when
+        every row decodes — the whole-page form of the checks the
+        value constructors make one object at a time.
+        """
+        return None
 
     @property
     def numbers(self) -> int:
         """Size expressed in the paper's 'numbers stored' unit."""
         return self.size // NUMBER_SIZE
+
+
+def _first_row(bad: np.ndarray, reason: str) -> Optional[Tuple[int, str]]:
+    """``(first True row of bad, reason)``, or None when none is."""
+    rows = bad.any(axis=1) if bad.ndim == 2 else bad
+    return (int(rows.argmax()), reason) if rows.any() else None
+
+
+def _earliest(*errors: Optional[Tuple[int, str]]
+              ) -> Optional[Tuple[int, str]]:
+    """The lowest-row error of several parts' ``block_error`` results."""
+    found = [e for e in errors if e is not None]
+    return min(found) if found else None
 
 
 class VectorCodec(Codec):
@@ -57,7 +85,7 @@ class VectorCodec(Codec):
         return arr.tobytes()
 
     def decode(self, data: bytes) -> np.ndarray:
-        return np.frombuffer(data, dtype="<f8", count=self.dim).copy()
+        return np.frombuffer(data, dtype="<f8", count=self.dim)
 
 
 class RectCodec(Codec):
@@ -73,7 +101,12 @@ class RectCodec(Codec):
 
     def decode(self, data: bytes) -> Rect:
         flat = np.frombuffer(data, dtype="<f8", count=2 * self.dim)
-        return Rect(flat[:self.dim].copy(), flat[self.dim:].copy())
+        return Rect(flat[:self.dim], flat[self.dim:])
+
+    def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
+        return _first_row(
+            block[:, :self.dim] > block[:, self.dim:2 * self.dim],
+            "degenerate rect: lo exceeds hi")
 
 
 class SphereCodec(Codec):
@@ -89,7 +122,10 @@ class SphereCodec(Codec):
 
     def decode(self, data: bytes) -> Sphere:
         flat = np.frombuffer(data, dtype="<f8", count=self.dim + 1)
-        return Sphere(flat[:self.dim].copy(), float(flat[self.dim]))
+        return Sphere(flat[:self.dim], float(flat[self.dim]))
+
+    def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
+        return _first_row(block[:, self.dim] < 0, "negative radius")
 
 
 class RectSphereCodec(Codec):
@@ -110,6 +146,11 @@ class RectSphereCodec(Codec):
         sphere = self._sphere.decode(data[self._rect.size:])
         return rect, sphere
 
+    def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
+        split = self._rect.numbers
+        return _earliest(self._rect.block_error(block[:, :split]),
+                         self._sphere.block_error(block[:, split:]))
+
 
 class DualRectCodec(Codec):
     """MAP predicate: two MBRs, ``4 * dim`` numbers (Table 3, MAP row)."""
@@ -127,6 +168,11 @@ class DualRectCodec(Codec):
         r1 = self._rect.decode(data[:self._rect.size])
         r2 = self._rect.decode(data[self._rect.size:])
         return r1, r2
+
+    def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
+        split = self._rect.numbers
+        return _earliest(self._rect.block_error(block[:, :split]),
+                         self._rect.block_error(block[:, split:]))
 
 
 class JBCodec(Codec):
@@ -160,10 +206,26 @@ class JBCodec(Codec):
         inners = flat.reshape(self.corners, self.dim)
         bites: List[Bite] = []
         for mask in range(self.corners):
-            bite = Bite(mask, rect.corner(mask), inners[mask].copy())
+            bite = Bite(mask, rect.corner(mask), inners[mask])
             if not bite.is_empty():
                 bites.append(bite)
         return BittenRect(rect, bites)
+
+    def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
+        return self._rect.block_error(block)
+
+    def bite_slots(self, block: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every stored bite slot of a stacked predicate block.
+
+        Returns ``(masks, inners)``: ``(n, slots)`` int64 corner masks
+        (-1 marks an unused slot) and the ``(n, slots, dim)`` inner
+        points, slots in the order :meth:`decode` walks them.
+        """
+        n = len(block)
+        masks = np.broadcast_to(np.arange(self.corners), (n, self.corners))
+        return masks, block[:, 2 * self.dim:].reshape(
+            n, self.corners, self.dim)
 
 
 class XJBCodec(Codec):
@@ -204,12 +266,32 @@ class XJBCodec(Codec):
             if mask >= 0:
                 inner = np.frombuffer(
                     data, dtype="<f8", count=self.dim,
-                    offset=offset + NUMBER_SIZE).copy()
+                    offset=offset + NUMBER_SIZE)
                 bite = Bite(int(mask), rect.corner(int(mask)), inner)
                 if not bite.is_empty():
                     bites.append(bite)
             offset += slot
         return BittenRect(rect, bites)
+
+    def _slots(self, block: np.ndarray) -> np.ndarray:
+        """The ``(n, x, 1 + dim)`` (corner id, inner point) slots."""
+        return block[:, 2 * self.dim:].reshape(len(block), self.x,
+                                               self.dim + 1)
+
+    def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
+        return _earliest(
+            self._rect.block_error(block),
+            _first_row(self._slots(block)[:, :, 0] >= 1 << self.dim,
+                       "bite corner id out of range"))
+
+    def bite_slots(self, block: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """See :meth:`JBCodec.bite_slots`; slots with a negative stored
+        corner id come back as mask -1."""
+        slots = self._slots(block)
+        stored = slots[:, :, 0]
+        masks = np.where(stored >= 0, stored, -1.0).astype(np.int64)
+        return masks, slots[:, :, 1:]
 
 
 class LeafEntryCodec(Codec):
@@ -487,6 +569,38 @@ class IndexEntryCodec(Codec):
         child = struct.unpack_from("<q", data, self.pred_codec.size)[0]
         return pred, child
 
+    def decode_block(self, body: Any,
+                     count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A whole inner page body as stacked arrays, zero-copy.
+
+        ``body`` is any buffer holding ``count`` packed entries.
+        Returns the ``(count, numbers)`` float64 predicate matrix —
+        columns in the predicate codec's layout — and the ``(count,)``
+        int64 child ids, both *views* over ``body``: no predicate
+        object is built.  Raises :class:`PageCorruptError` naming the
+        page offset of the first entry that is cut short, holds a
+        non-finite number, or that :meth:`decode` would reject.
+        """
+        per = self.numbers
+        held = memoryview(body).nbytes // self.size
+        if held < count:
+            raise PageCorruptError(
+                f"undecodable entry at offset "
+                f"{PAGE_HEADER_SIZE + held * self.size}: body ends "
+                f"inside entry {held} of {count}")
+        preds = np.frombuffer(body, dtype="<f8", count=count * per) \
+            .reshape(count, per)[:, :-1]
+        children = np.frombuffer(body, dtype="<i8", count=count * per) \
+            .reshape(count, per)[:, -1]
+        error = _first_row(~np.isfinite(preds), "non-finite number") \
+            or self.pred_codec.block_error(preds)
+        if error is not None:
+            row, reason = error
+            raise PageCorruptError(
+                f"undecodable entry at offset "
+                f"{PAGE_HEADER_SIZE + row * self.size}: {reason}")
+        return preds, children
+
 
 class NodeCodec:
     """Serializes whole nodes into fixed-size page images.
@@ -596,7 +710,7 @@ class NodeCodec:
             if not isinstance(keys, np.ndarray):
                 keys = keys.dequantize()
             entries.extend(
-                (keys[i].copy(), int(rids[i])) for i in range(count))
+                (keys[i], int(rids[i])) for i in range(count))
             return page_id, level, entries
         offset = PAGE_HEADER_SIZE
         try:

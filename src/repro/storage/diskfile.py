@@ -27,12 +27,11 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.gist.entry import IndexEntry
 from repro.gist.node import Node
 from repro.storage.codecs import NodeCodec
 from repro.storage.errors import (PageCorruptError, PageMissingError,
                                   TransientIOError)
-from repro.storage.integrity import verify_images, verify_view
+from repro.storage.integrity import verify_image, verify_images
 from repro.storage.page import PAGE_HEADER_SIZE
 from repro.storage.pagefile import AccessListener, PageStats
 from repro.storage.retry import RetryPolicy, call_with_retry
@@ -213,17 +212,18 @@ class FilePageFile:
                          verified: bool = False) -> Node:
         """Decode a page image (any buffer) into a :class:`Node`.
 
-        Zero-copy: leaf bodies go through
+        Zero-copy at both levels: a leaf body goes through
         :meth:`LeafEntryCodec.decode_block` into a lazy
-        :meth:`Node.leaf_from_arrays` — the key matrix and rid vector
-        are views over ``image``, and per-entry objects only
-        materialize if something walks ``node.entries``.  Inner nodes
-        decode predicate by predicate as before (predicates copy out of
-        the buffer by construction).  ``verified=True`` skips the seal
-        check when a stacked :func:`verify_images` pass already ran.
+        :meth:`Node.leaf_from_arrays`, an inner body through
+        :meth:`IndexEntryCodec.decode_block` into a lazy
+        :meth:`Node.inner_from_block` — key, rid, predicate and child
+        arrays are views over ``image``, and per-entry objects only
+        materialize if something asks for one (``node.pred_at``) or
+        walks ``node.entries``.  ``verified=True`` skips the seal check
+        when a stacked :func:`verify_images` pass already ran.
         """
         if not verified and self.codec.checksums:
-            verify_view(image, path=self.path, page_id=page_id)
+            verify_image(image, path=self.path, page_id=page_id)
         pid, level, count = struct.unpack_from("<qii", image, 0)
         if pid == -1:
             raise PageMissingError("slot was freed", path=self.path,
@@ -241,25 +241,16 @@ class FilePageFile:
                 f"(level {level}, {codec.size}-byte entries)",
                 path=self.path, page_id=page_id)
         body = image[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + nbytes]
-        if level == 0:
-            try:
-                keys, rids = codec.decode_block(body, count)
-            except PageCorruptError as exc:
-                raise PageCorruptError(str(exc), path=self.path,
-                                       page_id=page_id) from None
-            return Node.leaf_from_arrays(page_id, keys, rids)
-        entries: List[IndexEntry] = []
-        offset = 0
         try:
-            for _ in range(count):
-                pred, child = codec.decode(body[offset:offset + codec.size])
-                entries.append(IndexEntry(pred, child))
-                offset += codec.size
-        except (struct.error, ValueError) as exc:
-            raise PageCorruptError(
-                f"undecodable entry at offset {PAGE_HEADER_SIZE + offset}: "
-                f"{exc}", path=self.path, page_id=page_id) from None
-        return Node(page_id, level, entries)
+            if level == 0:
+                keys, rids = codec.decode_block(body, count)
+                return Node.leaf_from_arrays(page_id, keys, rids)
+            preds, children = codec.decode_block(body, count)
+        except PageCorruptError as exc:
+            raise PageCorruptError(str(exc), path=self.path,
+                                   page_id=page_id) from None
+        return Node.inner_from_block(page_id, level, preds, children,
+                                     codec.pred_codec)
 
     def _read_image(self, page_id: int) -> Node:
         image = (self._read_view(page_id) if self.mmap_mode
@@ -360,18 +351,16 @@ class FilePageFile:
                 return
             images = np.frombuffer(data, dtype=np.uint8,
                                    count=full * ps).reshape(full, ps)
-        batch_verified = self.codec.checksums and len(run) > 1
-        bad = verify_images(images) if batch_verified else None
-        for i, pid in enumerate(run):
+        faults = verify_images(images) if self.codec.checksums \
+            else [None] * len(run)
+        for pid, image, fault in zip(run, images, faults):
+            if fault is not None:
+                outcomes[pid] = PageCorruptError(fault, path=self.path,
+                                                 page_id=pid)
+                continue
             try:
-                if bad is not None and bad[i]:
-                    # Re-run the scalar check for the exact per-page
-                    # error message the sequential path raises.
-                    verify_view(images[i], path=self.path, page_id=pid)
-                    raise PageCorruptError("checksum mismatch",
-                                           path=self.path, page_id=pid)
-                outcomes[pid] = self._node_from_image(
-                    pid, images[i], verified=batch_verified)
+                outcomes[pid] = self._node_from_image(pid, image,
+                                                      verified=True)
             except (PageMissingError, PageCorruptError) as exc:
                 outcomes[pid] = exc
 

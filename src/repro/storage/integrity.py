@@ -33,7 +33,7 @@ legally present that state because ``FORMAT_EPOCH`` is nonzero.
 from __future__ import annotations
 
 import struct
-from typing import Any, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,165 +50,200 @@ _CHECKSUM = struct.Struct("<II")
 
 # -- CRC32C (Castagnoli) ----------------------------------------------------
 #
-# Table-driven, reflected, polynomial 0x1EDC6F41 (reversed 0x82F63B78) —
-# the variant used by iSCSI, ext4 metadata, and LevelDB/RocksDB blocks.
+# Reflected, polynomial 0x1EDC6F41 (reversed 0x82F63B78) — the variant
+# used by iSCSI, ext4 metadata, and LevelDB/RocksDB blocks.
+#
+# The byte-serial recurrence ``s = T[(s ^ b) & 0xFF] ^ (s >> 8)`` is
+# linear over GF(2): the register after a buffer is the xor of what
+# each byte alone would leave behind, and a zero byte leaves nothing.
+# So instead of walking the bytes, the kernel *gathers* every byte's
+# contribution from a table indexed by (distance to the end of its
+# 256-byte chunk, byte value), xor-reduces each chunk, and carries the
+# chunk partials forward with a table that advances a register over 256
+# zero bytes.  8,192 Python-level steps per 8 KB page become 32.
 
 _POLY = 0x82F63B78
+_CHUNK = 256
+_MASK = 0xFFFFFFFF
 
 
-def _make_table() -> Tuple[int, ...]:
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
+def _make_tables() -> Tuple[np.ndarray, List[List[int]]]:
+    byte = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        byte = np.where(byte & 1, (byte >> 1) ^ _POLY, byte >> 1) \
+            .astype(np.uint32)
+    # position[j, b]: the register left by byte b followed by
+    # (_CHUNK - 1 - j) zero bytes, i.e. b's share of its chunk's CRC
+    # when it sits at offset j.  Row 255 is the classic byte table and
+    # each row above it advances the one below over one more zero byte.
+    position = np.empty((_CHUNK, 256), dtype=np.uint32)
+    position[_CHUNK - 1] = byte
+    for j in range(_CHUNK - 2, -1, -1):
+        below = position[j + 1]
+        position[j] = byte[below & 0xFF] ^ (below >> 8)
+    # A register byte k is consumed exactly like a data byte at offset
+    # k, so rows 0..3 also advance a register over one whole chunk.
+    advance = [position[k].tolist() for k in range(4)]
+    return position.reshape(-1), advance
 
 
-_TABLE = _make_table()
+#: (256 * 256,) uint32, 256 KB: byte contributions by chunk offset.
+#: Four 256-entry lists: one register byte each, advanced by one chunk.
+_POSITION, _ADVANCE = _make_tables()
+
+#: Bytes per gather.  Longer buffers chain passes through the seed;
+#: the bound keeps the offset table and the temporaries (12 bytes per
+#: input byte) small however large the input.
+_PASS_BYTES = 1 << 15
+#: ``position`` row offsets for a run of bytes, sliced so that the
+#: run's last byte lands on row 255 whatever the run's length.
+_ROW_OFFSETS = (np.arange(_PASS_BYTES + _CHUNK, dtype=np.intp)
+                & (_CHUNK - 1)) << 8
 
 
-def crc32c(data: Union[bytes, bytearray, memoryview],
-           crc: int = 0) -> int:
-    """CRC32C of ``data``; chainable via the ``crc`` seed."""
-    crc ^= 0xFFFFFFFF
-    table = _TABLE
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+def _registers(rows: np.ndarray, inits: List[int],
+               blank_seal: bool) -> List[int]:
+    """The raw CRC register of every row of an ``(n, width)`` uint8
+    array after starting from ``inits``; ``width <= _PASS_BYTES``.
+
+    ``blank_seal`` computes over the rows as if their checksum field
+    held zeros: the four gathered contributions are dropped, which is
+    what a zero byte contributes.  ``rows`` is only read.
+    """
+    n, width = rows.shape
+    pad = -width % _CHUNK
+    index = rows + _ROW_OFFSETS[pad:pad + width]
+    # A register is consumed by the next four bytes it meets: xor it
+    # into them and the run can start from an all-zero register (whose
+    # advance over the virtual left padding is free).  What a run
+    # shorter than four bytes leaves unconsumed shifts out below.
+    lead = min(4, width)
+    index[:, :lead] ^= np.array(inits, dtype="<u4").view(np.uint8) \
+        .reshape(n, 4)[:, :lead]
+    shares = _POSITION.take(index)
+    if blank_seal:
+        shares[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = 0
+    head = width % _CHUNK
+    partials = np.bitwise_xor.reduce(
+        shares[:, head:].reshape(n, -1, _CHUNK), axis=2)
+    if head:
+        partials = np.concatenate(
+            (np.bitwise_xor.reduce(shares[:, :head], axis=1)[:, None],
+             partials), axis=1)
+    a0, a1, a2, a3 = _ADVANCE
+    out = []
+    for init, row in zip(inits, partials.tolist()):
+        reg = 0
+        for partial in row:
+            reg = (a0[reg & 0xFF] ^ a1[(reg >> 8) & 0xFF]
+                   ^ a2[(reg >> 16) & 0xFF] ^ a3[reg >> 24] ^ partial)
+        out.append(reg ^ (init >> (8 * width)))
+    return out
 
 
-_NP_TABLE = np.array(_TABLE, dtype=np.uint32)
-
-
-def crc32c_many(blocks: np.ndarray) -> np.ndarray:
+def crc32c_many(blocks: np.ndarray, crc: int = 0, *,
+                blank_seal: bool = False) -> np.ndarray:
     """CRC32C of many equal-length byte blocks at once.
 
-    ``blocks`` is an ``(n, size)`` uint8 array; returns an ``(n,)``
-    uint32 array equal element-wise to :func:`crc32c` of each row.  The
-    CRC recurrence is inherently serial in the *byte* direction, so this
-    runs it column by column with all rows advancing in lockstep — the
-    per-byte Python cost is paid ``size`` times instead of ``n * size``
-    times, which is what makes sealing a whole bulk-loaded level at a
-    time cheap.
+    ``blocks`` is an ``(n, size)`` uint8 array — any strides, read-only
+    is fine, it is never copied whole or written; returns an ``(n,)``
+    uint32 array, each element the CRC32C of one row continued from the
+    seed ``crc``.  With ``blank_seal`` the page-header checksum field
+    (bytes ``[16, 20)``) counts as zeros whatever it holds.
     """
-    blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
-    if blocks.ndim != 2:
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 2 or blocks.dtype != np.uint8:
         raise ValueError("blocks must be a 2-D (n, size) uint8 array")
-    crc = np.full(len(blocks), 0xFFFFFFFF, dtype=np.uint32)
-    for col in blocks.T:
-        crc = _NP_TABLE[(crc ^ col) & 0xFF] ^ (crc >> np.uint32(8))
-    return crc ^ np.uint32(0xFFFFFFFF)
+    n, size = blocks.shape
+    if blank_seal and size < CHECKSUM_OFFSET + 8:
+        raise ValueError(f"rows of {size} bytes cannot hold a seal")
+    out = np.empty(n, dtype=np.uint32)
+    width = min(size, _PASS_BYTES)
+    step = max(1, _PASS_BYTES // max(width, 1))
+    for lo in range(0, n, step):
+        regs = [crc ^ _MASK] * min(step, n - lo)
+        for at in range(0, size, _PASS_BYTES):
+            regs = _registers(blocks[lo:lo + step, at:at + _PASS_BYTES],
+                              regs, blank_seal and at == 0)
+        out[lo:lo + step] = regs
+    return out ^ np.uint32(_MASK)
+
+
+def _as_rows(data: Any) -> np.ndarray:
+    """One buffer (or uint8 array) as a ``(1, size)`` uint8 view."""
+    row = data if isinstance(data, np.ndarray) \
+        else np.frombuffer(data, dtype=np.uint8)
+    return row.reshape(1, -1)
+
+
+def crc32c(data: Any, crc: int = 0) -> int:
+    """CRC32C of ``data``; chainable via the ``crc`` seed.
+
+    ``data`` is anything exposing bytes — ``bytes``, ``bytearray``, a
+    memoryview or mmap slice, a uint8 array (read-only and strided
+    included): the one-row case of :func:`crc32c_many`.
+    """
+    return int(crc32c_many(_as_rows(data), crc)[0])
 
 
 # -- sealing and verification ----------------------------------------------
-
-def _blanked(image: bytes) -> bytes:
-    """The image with the 4 CRC bytes zeroed (what the CRC covers)."""
-    return (image[:CHECKSUM_OFFSET] + b"\x00\x00\x00\x00"
-            + image[CHECKSUM_OFFSET + 4:])
-
-
-def seal_image(image: bytes, epoch: int = FORMAT_EPOCH) -> bytes:
-    """Return ``image`` with (crc, epoch) spliced into its header."""
-    stamped = (image[:CHECKSUM_OFFSET]
-               + _CHECKSUM.pack(0, epoch)
-               + image[CHECKSUM_OFFSET + 8:])
-    crc = crc32c(_blanked(stamped))
-    return (stamped[:CHECKSUM_OFFSET]
-            + struct.pack("<I", crc)
-            + stamped[CHECKSUM_OFFSET + 4:])
 
 
 def seal_images(images: np.ndarray, epoch: int = FORMAT_EPOCH) -> np.ndarray:
     """Seal an ``(n, page_size)`` array of page images in place.
 
-    Row ``i`` afterwards equals ``seal_image(row_i_bytes)`` — same
-    stamped epoch, same CRC bytes — with the checksums computed by one
-    :func:`crc32c_many` pass instead of ``n`` scalar CRC loops.
+    Stamps ``epoch`` into every row's header, then the CRC32C of the
+    row with its checksum field counted as zeros.
     """
-    images[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = 0
     images[:, CHECKSUM_OFFSET + 4:CHECKSUM_OFFSET + 8] = np.frombuffer(
         struct.pack("<I", epoch), dtype=np.uint8)
-    crcs = crc32c_many(images)
+    crcs = crc32c_many(images, blank_seal=True)
     images[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = (
         crcs.astype("<u4").view(np.uint8).reshape(-1, 4))
     return images
 
 
-def verify_images(images: np.ndarray) -> np.ndarray:
-    """Seal check for an ``(n, page_size)`` image array; no mutation.
-
-    Returns an ``(n,)`` bool array: True where the stored CRC32C does
-    not match the image contents (a corrupt page).  Unsealed rows
-    (crc == epoch == 0) are reported clean, matching
-    :func:`verify_image`.  The checksum field is *virtually* zeroed —
-    the CRC recurrence substitutes zero bytes for those four columns —
-    so the input may be a read-only view (e.g. straight over an mmap)
-    and is never copied or written.
-    """
-    if images.ndim != 2:
-        raise ValueError("images must be a 2-D (n, size) uint8 array")
-    n, size = images.shape
-    if size < CHECKSUM_OFFSET + 8:
-        raise ValueError(f"rows of {size} bytes cannot hold a seal")
-    crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
-    zero = np.zeros(n, dtype=np.uint32)
-    for col in range(size):
-        byte = zero if CHECKSUM_OFFSET <= col < CHECKSUM_OFFSET + 4 \
-            else images[:, col]
-        crc = _NP_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> np.uint32(8))
-    crc ^= np.uint32(0xFFFFFFFF)
-    seals = np.ascontiguousarray(
-        images[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 8]).view("<u4")
-    stored, epochs = seals[:, 0], seals[:, 1]
-    unsealed = (stored == 0) & (epochs == 0)
-    return (crc != stored) & ~unsealed
+def seal_image(image: bytes, epoch: int = FORMAT_EPOCH) -> bytes:
+    """Return ``image`` with (crc, epoch) spliced into its header."""
+    return seal_images(_as_rows(bytearray(image)), epoch).tobytes()
 
 
-def verify_view(image: Any, *, path: Optional[str] = None,
-                page_id: Optional[int] = None) -> int:
-    """:func:`verify_image` for a zero-copy buffer (memoryview/bytes).
-
-    Chains the CRC over the segments around the checksum field instead
-    of materializing a blanked copy, so an mmap-backed page is verified
-    without ever copying its 4 KiB image.
-    """
-    crc, epoch = _CHECKSUM.unpack_from(image, CHECKSUM_OFFSET)
-    if crc == 0 and epoch == 0:
-        return 0
-    # A memoryview iterates as plain ints whatever the buffer is
-    # (bytes, mmap slice, uint8 array row), which the scalar CRC needs.
-    buf = memoryview(image)
-    actual = crc32c(buf[:CHECKSUM_OFFSET])
-    actual = crc32c(b"\x00\x00\x00\x00", actual)
-    actual = crc32c(buf[CHECKSUM_OFFSET + 4:], actual)
-    if actual != crc:
-        raise PageCorruptError(
-            f"checksum mismatch: stored {crc:#010x}, computed "
-            f"{actual:#010x} (epoch {epoch})", path=path, page_id=page_id)
-    return epoch
-
-
-def stored_seal(image: bytes) -> Tuple[int, int]:
+def stored_seal(image: Any) -> Tuple[int, int]:
     """The (crc, epoch) pair stored in a page image's header."""
     return _CHECKSUM.unpack_from(image, CHECKSUM_OFFSET)
 
 
-def verify_image(image: bytes, *, path: Optional[str] = None,
+def verify_images(images: np.ndarray) -> List[Optional[str]]:
+    """Seal check for an ``(n, page_size)`` image array; no mutation.
+
+    Returns one item per row: None where the stored CRC32C matches the
+    image contents, else what is wrong — the message of the
+    :class:`PageCorruptError` the caller raises (or quarantines) for
+    that page.  Unsealed rows (crc == epoch == 0, i.e. written before
+    checksums existed) pass.  The checksum field is zeroed *virtually*,
+    so the input may be a read-only view straight over an mmap.
+    """
+    computed = crc32c_many(images, blank_seal=True).tolist()
+    seals = np.ascontiguousarray(
+        images[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 8]).view("<u4").tolist()
+    return [None if stored == actual or (stored == 0 and epoch == 0)
+            else (f"checksum mismatch: stored {stored:#010x}, computed "
+                  f"{actual:#010x} (epoch {epoch})")
+            for (stored, epoch), actual in zip(seals, computed)]
+
+
+def verify_image(image: Any, *, path: Optional[str] = None,
                  page_id: Optional[int] = None) -> int:
     """Check a page image's seal; returns its epoch (0 = unsealed).
 
-    Raises :class:`PageCorruptError` on mismatch.  Unsealed images
-    (crc == epoch == 0, i.e. written before checksums existed) pass.
+    ``image`` is any buffer holding the whole page — bytes, an mmap
+    slice, a row of a stacked image array — and is never copied: this
+    is the one-row case of :func:`verify_images`.  Raises
+    :class:`PageCorruptError` on mismatch.
     """
-    crc, epoch = stored_seal(image)
-    if crc == 0 and epoch == 0:
-        return 0
-    actual = crc32c(_blanked(image))
-    if actual != crc:
-        raise PageCorruptError(
-            f"checksum mismatch: stored {crc:#010x}, computed "
-            f"{actual:#010x} (epoch {epoch})", path=path, page_id=page_id)
-    return epoch
+    rows = _as_rows(image)
+    fault = verify_images(rows)[0]
+    if fault is not None:
+        raise PageCorruptError(fault, path=path, page_id=page_id)
+    epoch = rows[0, CHECKSUM_OFFSET + 4:CHECKSUM_OFFSET + 8]
+    return int.from_bytes(epoch.tobytes(), "little")

@@ -73,7 +73,7 @@ def _seal_record(lsn: int, txn: int, rtype: int, page_id: int,
                  payload: bytes) -> bytes:
     header = _RECORD.pack(_RECORD_MAGIC, lsn, txn, rtype, page_id,
                           len(payload), 0)
-    crc = crc32c(payload, crc32c(header))
+    crc = crc32c(header + payload)
     return _RECORD.pack(_RECORD_MAGIC, lsn, txn, rtype, page_id,
                         len(payload), crc) + payload
 
@@ -131,7 +131,7 @@ def scan_wal(path: str) -> WALScan:
             break
         payload = raw[offset + _RECORD.size:end]
         header = _RECORD.pack(magic, lsn, txn, rtype, page_id, plen, 0)
-        if crc32c(payload, crc32c(header)) != crc:
+        if crc32c(header + payload) != crc:
             break
         if rtype == REC_PAGE and plen == page_size and page_id >= 1:
             open_txns.setdefault(txn, []).append((page_id, payload))

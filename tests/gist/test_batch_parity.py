@@ -144,3 +144,79 @@ class TestQuarantineParity:
         assert bat_tree._quarantined == seq_tree._quarantined == {victim}
         assert (bat_tree.store.stats.reads_by_level
                 == seq_tree.store.stats.reads_by_level)
+
+
+class TestNodeFormParity:
+    """One index, three kinds of node object — eagerly built in memory,
+    eagerly decoded by ``load_tree``, lazily block-decoded off a page
+    file (pread and mmap) — and nothing a query or treecheck can observe
+    tells them apart, for every family."""
+
+    K = 10
+
+    @staticmethod
+    def _observe(tree, queries, k):
+        """(sequential traces, batched traces, treecheck verdict)."""
+        from repro.analysis.treecheck import check_tree
+
+        def flat(profile):
+            return [(t.results, t.leaf_accesses, t.inner_accesses)
+                    for t in profile.traces]
+        report = check_tree(tree)
+        return (flat(profile_workload(tree, queries, k)),
+                flat(profile_workload_batched(tree, queries, k,
+                                              block_size=7)),
+                (report.clean, [v.code for v in report.violations]))
+
+    @staticmethod
+    def _paged(path, method, mmap_mode, root_id, height, size):
+        store = FilePageFile.for_extension(
+            path, make_ext(method, 3), page_size=_page_size(method),
+            mmap_mode=mmap_mode)
+        tree = GiST(make_ext(method, 3), store=store,
+                    page_size=_page_size(method))
+        tree.adopt(store.peek(root_id), height, size)
+        return tree
+
+    def test_same_traces_results_and_verdict(self, tmp_path, any_method,
+                                             clustered_points, queries):
+        from repro.gist.persist import load_tree, save_tree
+        method = any_method
+        eager = bulk_load(make_ext(method, 3), clustered_points,
+                          page_size=_page_size(method))
+        built = str(tmp_path / "built.pages")
+        with FilePageFile.for_extension(
+                built, make_ext(method, 3),
+                page_size=_page_size(method)) as store:
+            on_file = bulk_load(make_ext(method, 3), clustered_points,
+                                page_size=_page_size(method), store=store)
+            facts = (on_file.root_id, on_file.height, on_file.size)
+        # The file build allocates page ids in the memory build's
+        # order, so even the page ids in the traces must agree.
+        want = self._observe(eager, queries, self.K)
+        assert want[2] == (True, [])
+        assert want[0] == want[1]
+        for mmap_mode in (False, True):
+            lazy = self._paged(built, method, mmap_mode, *facts)
+            assert lazy._peek(lazy.root_id)._entries is None
+            assert self._observe(lazy, queries, self.K) == want
+            lazy.store.close()
+
+        # save_tree renumbers pages into slots: load_tree'd and lazy
+        # trees over the *saved* file share ids with each other ...
+        saved = str(tmp_path / "saved.gist")
+        save_tree(eager, saved)
+        loaded = load_tree(path=saved)
+        slots = self._observe(loaded, queries, self.K)
+        for mmap_mode in (False, True):
+            lazy = self._paged(saved, method, mmap_mode, loaded.root_id,
+                               loaded.height, loaded.size)
+            assert self._observe(lazy, queries, self.K) == slots
+            lazy.store.close()
+        # ... and with the memory build everything but the numbering.
+        assert slots[2] == want[2]
+        for (res, leaves, inners), (res0, leaves0, inners0) \
+                in zip(slots[0], want[0]):
+            assert res == res0
+            assert (len(leaves), len(inners)) \
+                == (len(leaves0), len(inners0))

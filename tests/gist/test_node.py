@@ -144,3 +144,54 @@ class TestLazyLeaf:
         node = _leaf(4)
         assert node.rid_array().tolist() == [0, 1, 2, 3]
         assert node.rid_array().dtype == np.int64
+
+
+class TestLazyInner:
+    """`Node.inner_from_block`: block-backed inner nodes defer predicate
+    objects, one at a time."""
+
+    def _lazy(self):
+        from repro.storage.codecs import IndexEntryCodec, RectCodec
+        eager = _inner(4)
+        codec = IndexEntryCodec(RectCodec(2))
+        body = b"".join(codec.encode(tuple(e)) for e in eager.entries)
+        block, children = codec.decode_block(body, len(eager))
+        node = Node.inner_from_block(2, 1, block, children,
+                                     codec.pred_codec)
+        return node, eager
+
+    def test_len_children_and_block_without_materializing(self):
+        node, eager = self._lazy()
+        assert len(node) == len(eager)
+        assert node.children() == eager.children()
+        assert node.child_array().dtype == np.int64
+        assert node.pred_block().shape == (4, 4)
+        assert node._entries is None and "preds" not in node.cache
+
+    def test_pred_at_builds_only_the_entry_asked_for(self):
+        node, eager = self._lazy()
+        pred = node.pred_at(2)
+        assert pred == eager.entries[2].pred
+        assert node.pred_at(2) is pred
+        assert list(node.cache["preds"]) == [2]
+        assert node._entries is None
+
+    def test_entries_materialize_equal_to_eager_and_reuse_preds(self):
+        node, eager = self._lazy()
+        pred = node.pred_at(0)
+        assert [tuple(e) for e in node.entries] \
+            == [tuple(e) for e in eager.entries]
+        assert node.entries[0].pred is pred
+        assert node.pred_at(3) is node.entries[3].pred
+
+    def test_mutation_drops_the_block(self):
+        node, eager = self._lazy()
+        node.add_entry(IndexEntry(Rect([8.0, 0.0], [9.0, 1.0]), 99))
+        assert node.pred_block() is None and node.cache == {}
+        assert node.children() == eager.children() + [99]
+
+    def test_eager_nodes_answer_the_same_accessors(self):
+        eager = _inner(3)
+        assert eager.pred_block() is None
+        assert eager.pred_at(1) is eager.entries[1].pred
+        assert eager.child_array().tolist() == [10, 11, 12]

@@ -3,8 +3,8 @@
 The bulk-load pipeline writes whole levels at once — block-encoded leaf
 bodies, one batched CRC pass, contiguous multi-page writes.  Every stage
 is contractually byte-identical to its scalar counterpart; these tests
-pin the contract at each layer: CRC, sealing, page encoding, and the
-store's :meth:`write_many`.
+pin the contract for page encoding and the store's :meth:`write_many`
+(CRC and sealing are held to their oracle in ``test_integrity``).
 """
 
 import numpy as np
@@ -15,8 +15,6 @@ from repro.gist.node import Node
 from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec, NodeCodec,
                                   RectCodec)
 from repro.storage.diskfile import FilePageFile
-from repro.storage.integrity import (crc32c, crc32c_many, seal_image,
-                                     seal_images)
 from repro.storage.pagefile import MemoryPageFile
 from repro.geometry import Rect
 
@@ -48,36 +46,6 @@ def _inner_nodes(rng, count, start_id, entries_per=5):
             entries.append(IndexEntry(Rect(lo, lo + 1.0), 100 + j))
         nodes.append(Node(start_id + i, 1, entries))
     return nodes
-
-
-class TestCrc32cMany:
-    def test_matches_scalar_crc_row_by_row(self):
-        rng = np.random.default_rng(0)
-        blocks = rng.integers(0, 256, size=(17, 301), dtype=np.uint8)
-        many = crc32c_many(blocks)
-        for row, crc in zip(blocks, many):
-            assert int(crc) == crc32c(row.tobytes())
-
-    def test_single_row_and_single_byte(self):
-        assert crc32c_many(np.array([[0x61]], dtype=np.uint8))[0] \
-            == crc32c(b"a")
-
-    def test_zero_rows(self):
-        assert len(crc32c_many(np.empty((0, 8), dtype=np.uint8))) == 0
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            crc32c_many(np.zeros(8, dtype=np.uint8))
-
-
-class TestSealImages:
-    def test_matches_scalar_seal_per_row(self):
-        rng = np.random.default_rng(1)
-        images = rng.integers(0, 256, size=(9, PAGE_SIZE), dtype=np.uint8)
-        scalar = [seal_image(row.tobytes()) for row in images]
-        sealed = seal_images(images.copy())
-        for row, ref in zip(sealed, scalar):
-            assert row.tobytes() == ref
 
 
 class TestEncodePages:

@@ -1,0 +1,170 @@
+"""Golden on-disk format: every byte the storage stack writes is pinned.
+
+The digests below were taken on the commit *before* the CRC32C gather
+kernel and the block-decoded inner nodes landed (PR 11, 2897acd), by
+running :func:`build_all` against that commit's ``src/``.  Checksums
+are part of every page image, WAL record and superblock trailer, so a
+kernel that computed one bit differently — or any accidental change to
+the page, record or superblock layout — changes a digest.  Because the
+files rebuilt here are byte-identical to the ones that commit wrote,
+passing ``repro fsck --deep`` and ``repro recover`` on them is passing
+on files written by it.
+"""
+
+import hashlib
+import shutil
+
+import numpy as np
+import pytest
+
+from repro.bulk import bulk_load
+from repro.cli import main
+from repro.core.api import make_extension
+from repro.gist.mutable import MutableTree
+from repro.gist.persist import save_tree
+from repro.storage.codecs import make_leaf_codec
+from repro.storage.diskfile import FilePageFile
+
+FAMILIES = ("rtree", "sstree", "srtree", "jb", "xjb", "amap")
+CODECS = ("f64", "sq8")
+DIM, PAGE, N = 3, 1024, 700
+
+GOLDEN = {
+    "pages/amap-f64":
+        "8b78c8d598879adbf4b068b854d60159af9b3f1cef8021940245009279dd60d6",
+    "pages/amap-sq8":
+        "e9226d609ad4e31cfe0f2503cc8a17b3a3beef62e22d3c4bc20d3b3db666aedc",
+    "pages/jb-f64":
+        "bc713a7e9d0a424d58cba40a359d262898b8615a215f1848fe3750e0d23c6608",
+    "pages/jb-sq8":
+        "2ea6f3ddcb4c6bef8fed33425e50a0a1913c135ac3f1b1b2f71a75b00d6ab828",
+    "pages/rtree-f64":
+        "d0e239ae72436141ba75ef732e923ac1553e23beb71f68836e467423afc9baff",
+    "pages/rtree-sq8":
+        "760aa3d046012a14bb59c53cbf1aad6a6d895d45286ddb5c441197c3d3a1f312",
+    "pages/srtree-f64":
+        "4a0b7ee47fe820b14afdd5b096277b8de2b9aa7c0ff9f6d309af035131550d94",
+    "pages/srtree-sq8":
+        "a9b403eb912848725cf1f051c747ba0ed7038125794dcf5f89473af14bb0b32a",
+    "pages/sstree-f64":
+        "cd21498ff8cb41819e38620f38a00675e10c768283050408f34859b09adabeda",
+    "pages/sstree-sq8":
+        "85bdb8151696ced1c0fad668a79ee9ed1692aa58300707c46e3a464c615aaf2c",
+    "pages/xjb-f64":
+        "df6ac37c2774d5c4798da8c17953e0d3e0c7f68d6681d6af8ff9eb236ae513e8",
+    "pages/xjb-sq8":
+        "deb6848f9bdc20c71bffa4a255504fbf152f29f0d38060ce59f30a715ae5b2db",
+    "saved/amap-f64":
+        "39dfce8317dfad59790ecd6f5ca82d321b44e31b7628744fc60363ddfaa445fe",
+    "saved/amap-sq8":
+        "b8062a84d85030164207960d686589eca33d871ae93ba83c8bf3b1897e376168",
+    "saved/jb-f64":
+        "200f170b14acda622cc9d0bceb7470703256ead657736ea2d6b80d0c783768a7",
+    "saved/jb-sq8":
+        "5d7ee0e16e686995556152cfa2e8eefcc396de013a3d290510cbf3b30bebc776",
+    "saved/rtree-f64":
+        "8f70672635c6b4f88d5a89506a4b3b8c27ef7dcec7fcd198acb4489390bec701",
+    "saved/rtree-sq8":
+        "7a5a8c3dc7a5b692a5d25a34e88c8b8c77a68edcfa02afa7eb78e8a38624425a",
+    "saved/srtree-f64":
+        "35c89de8d6e9ce3f313a27cbf684e253b53e31faada8e225ef61b4682c75ede9",
+    "saved/srtree-sq8":
+        "ea62fb4fd3ada4e9030e462dcbe756f507ac09c19a910b97fae56a8c84af20ad",
+    "saved/sstree-f64":
+        "f53d169071f952254d5599c79bba1b01fe6fbfb2e93aec3428db733dd6d16974",
+    "saved/sstree-sq8":
+        "77394faea33a1452f7e91efc312a99e474685a4e9c6f749321efbf67d3c6cbfb",
+    "saved/xjb-f64":
+        "ca38cb9977845d9db20ec67eee5d1a2be54b1e1f0bb87a33a4d8156e0d97b25e",
+    "saved/xjb-sq8":
+        "c3a5f9ae2b3f434b1fba3b6602fc3801d72410c2f5774a2c1d57a01f1afeedb0",
+    "superblock":
+        "8b37a0b8fb71258d236f9f82d86a204e620576ccfb4217599465a8a3f61d59f1",
+    "wal/data":
+        "ad53b749478ded3d359dd58407bde3e473c9be63954c314c71dcf268239ad543",
+    "wal/segment":
+        "4be5c70f8ae64617233b8d133af8d34640f5b1f280187a299ae2f32f646a13b9",
+}
+
+
+def _sha(path, length=-1):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read(length)).hexdigest()
+
+
+def _vectors():
+    return np.random.default_rng(20000301).random((N, DIM))
+
+
+def build_all(out):
+    """Write every pinned artefact under ``out``; name -> sha256."""
+    digests = {}
+    for family in FAMILIES:
+        for codec in CODECS:
+            # the batched write path: write_many + seal_images
+            paged = str(out / f"{family}-{codec}.pages")
+            ext = make_extension(family, DIM)
+            with FilePageFile.for_extension(paged, ext, page_size=PAGE,
+                                            leaf_codec=codec) as store:
+                bulk_load(ext, _vectors(), page_size=PAGE, store=store,
+                          leaf_codec=make_leaf_codec(codec, DIM))
+                store.flush()
+            digests[f"pages/{family}-{codec}"] = _sha(paged)
+            # the page-at-a-time path: save_tree + seal_image
+            saved = str(out / f"{family}-{codec}.gist")
+            ext = make_extension(family, DIM)
+            save_tree(bulk_load(ext, _vectors(), page_size=PAGE,
+                                leaf_codec=make_leaf_codec(codec, DIM)),
+                      saved)
+            digests[f"saved/{family}-{codec}"] = _sha(saved)
+    digests["superblock"] = _sha(str(out / "xjb-f64.gist"), PAGE)
+
+    # one WAL segment after three commits, and the data file under it
+    mutated = str(out / "mutated.gist")
+    shutil.copy(str(out / "xjb-f64.gist"), mutated)
+    keys = np.random.default_rng(5).random((3, DIM))
+    with MutableTree.open(mutated) as tree:
+        tree.insert(keys[0], 10_000)
+        tree.insert(keys[1], 10_001)
+        tree.delete(_vectors()[17], 17)
+    digests["wal/segment"] = _sha(mutated + ".wal")
+    digests["wal/data"] = _sha(mutated)
+    return digests
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    return out, build_all(out)
+
+
+def test_every_artefact_is_byte_identical_to_the_parents(built):
+    _, digests = built
+    assert sorted(digests) == sorted(GOLDEN)
+    changed = {name: digest for name, digest in digests.items()
+               if digest != GOLDEN[name]}
+    assert not changed
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_deep_fsck_passes_on_the_pinned_files(built, family, codec,
+                                              capsys):
+    out, _ = built
+    assert main(["fsck", str(out / f"{family}-{codec}.gist"),
+                 "--deep"]) == 0
+    assert "deep verdict : clean" in capsys.readouterr().out
+
+
+def test_recover_replays_the_pinned_wal_segment(built, tmp_path, capsys):
+    """A crash after the third commit's fsync but before any page was
+    applied: the pre-mutation data file beside the pinned log.  Replay
+    must rebuild exactly the pinned post-mutation file."""
+    out, _ = built
+    crashed = str(tmp_path / "crashed.gist")
+    shutil.copy(str(out / "xjb-f64.gist"), crashed)
+    shutil.copy(str(out / "mutated.gist.wal"), crashed + ".wal")
+    assert main(["recover", crashed]) == 0
+    assert "transactions : 3 replayed" in capsys.readouterr().out
+    assert _sha(crashed) == GOLDEN["wal/data"]
+    assert main(["fsck", crashed, "--deep"]) == 0

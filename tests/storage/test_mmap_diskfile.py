@@ -79,8 +79,8 @@ def _nodes_equal(a, b):
         assert np.array_equal(a.keys_array(), b.keys_array())
         assert np.array_equal(a.rid_array(), b.rid_array())
     else:
-        for ea, eb in zip(a.entries, b.entries):
-            assert ea.child == eb.child
+        assert np.array_equal(a.pred_block(), b.pred_block())
+        assert a.children() == b.children()
 
 
 @pytest.fixture(scope="module")
@@ -105,10 +105,11 @@ class TestReadIdentity:
         assert results[True] == results[False]
         assert levels[True] == levels[False]
 
-    def test_decoded_nodes_match_pread(self, tmp_path, points):
-        path, *facts = _build_file(tmp_path, "rtree", points)
-        with _open(path, "rtree", 3, False) as pread, \
-                _open(path, "rtree", 3, True) as mapped:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_decoded_nodes_match_pread(self, tmp_path, method, points):
+        path, *facts = _build_file(tmp_path, method, points)
+        with _open(path, method, 3, False) as pread, \
+                _open(path, method, 3, True) as mapped:
             for pid in sorted(pread.page_ids()):
                 _nodes_equal(pread.read(pid), mapped.read(pid))
 
@@ -181,6 +182,30 @@ class TestFaultParity:
                     store.read_many([victim])
         assert errors[True] == errors[False]
 
+    @pytest.mark.parametrize("mmap_mode", [False, True])
+    def test_corrupt_page_inside_a_run_reads_like_a_single_page(
+            self, tmp_path, points, mmap_mode):
+        """One verification path: a damaged page met in the middle of a
+        contiguous run raises the very text a lone read raises, after
+        the pages before it were counted; its neighbours decode."""
+        path, *facts = _build_file(tmp_path, "rtree", points)
+        with _open(path, "rtree", 3, mmap_mode) as store:
+            run = sorted(store.page_ids())[2:7]
+            victim = run[2]
+            FaultyPageFile(store).corrupt_page(victim, bit=500 * 8)
+            with pytest.raises(PageCorruptError) as solo:
+                store.read(victim)
+            assert "stored 0x" in str(solo.value) \
+                and "computed 0x" in str(solo.value) \
+                and f"page {victim}" in str(solo.value)
+            store.stats.reset()
+            with pytest.raises(PageCorruptError) as in_run:
+                store.read_many(run)
+            assert str(in_run.value) == str(solo.value)
+            assert store.stats.reads == 2
+            for pair in (run[:2], run[3:]):
+                assert [n.page_id for n in store.read_many(pair)] == pair
+
     def test_quarantine_report_matches_pread(self, tmp_path, points):
         """A corrupt leaf under quarantine degrades the mmap tree
         exactly as it degrades the pread tree: same pruned page, same
@@ -230,3 +255,175 @@ class TestFaultParity:
         assert bat_tree._quarantined == seq_tree._quarantined == {victim}
         assert (bat_tree.store.stats.reads_by_level
                 == seq_tree.store.stats.reads_by_level)
+
+
+def _inner_pages(store):
+    return [pid for pid in sorted(store.page_ids())
+            if not store.peek(pid).is_leaf]
+
+
+class TestLazyInnerNode:
+    """Inner pages decode as one block: geometry is sliced from the page
+    body, predicate objects appear one at a time and only on request."""
+
+    @pytest.mark.parametrize("mmap_mode", [False, True])
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_block_geometry_equals_geometry_stacked_from_predicates(
+            self, tmp_path, method, mmap_mode, points):
+        """Every array an extension caches on a node — bounds, sphere
+        and dual-rect parameters, the JB bite pack — and every kernel
+        fed by them is bit-identical whether sliced out of the block or
+        stacked from decoded predicate objects."""
+        from repro.gist.node import Node
+        path, *facts = _build_file(tmp_path, method, points)
+        ext = make_ext(method, 3)
+        queries = points[::300]
+        with _open(path, method, 3, mmap_mode) as store:
+            pages = _inner_pages(store)
+            assert pages
+            for pid in pages:
+                lazy = store.read(pid)
+                assert lazy._entries is None
+                eager = Node(pid, lazy.level, store.read(pid).entries)
+                assert eager.pred_block() is None
+                for q in queries:
+                    assert np.array_equal(ext.min_dists_node(lazy, q),
+                                          ext.min_dists_node(eager, q))
+                    assert np.array_equal(ext.penalties_node(lazy, q),
+                                          ext.penalties_node(eager, q))
+                cheap = ext.min_dists_node_multi(lazy, queries)
+                assert np.array_equal(
+                    cheap, ext.min_dists_node_multi(eager, queries))
+                assert np.array_equal(
+                    ext.refine_dists_node(lazy, queries, cheap),
+                    ext.refine_dists_node(eager, queries, cheap),
+                    equal_nan=True)
+                assert lazy._entries is None        # still no objects
+                assert sorted(lazy.cache) == sorted(
+                    set(eager.cache) | {"block", "children"})
+                for key in set(eager.cache) - {"children"}:
+                    for a, b in zip(lazy.cache[key], eager.cache[key]):
+                        assert np.array_equal(a, b), key
+
+    def test_predicates_materialize_one_at_a_time(self, tmp_path, points):
+        path, *facts = _build_file(tmp_path, "xjb", points)
+        with _open(path, "xjb", 3, True) as store:
+            node = store.read(_inner_pages(store)[0])
+            reference = store.read(node.page_id).entries
+            assert len(node) == len(reference)
+            pred = node.pred_at(1)
+            assert node.pred_at(1) is pred          # built once
+            assert node._entries is None
+            assert list(node.cache["preds"]) == [1]
+            codec = store.codec.index_codec.pred_codec
+            assert codec.encode(pred) == codec.encode(reference[1].pred)
+            assert node.children() == [e.child for e in reference]
+            assert node._entries is None
+            # walking the entries reuses what pred_at already built
+            assert node.entries[1].pred is pred
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_mutation_materializes_entries_and_drops_the_block(
+            self, tmp_path, method):
+        """MutableTree insert/delete through lazily decoded inner nodes:
+        a node that changes gets real entries, loses its block arrays,
+        and the tree stays sound and queryable."""
+        from repro.analysis.treecheck import check_tree
+        from repro.gist.mutable import MutableTree
+        from repro.gist.persist import save_tree
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(400, 3))
+        path = str(tmp_path / "m.gist")
+        save_tree(bulk_load(make_ext(method, 3), base,
+                            page_size=_page_size(method)), path)
+        fresh = rng.normal(size=(40, 3)) * 3.0      # widens predicates
+        with MutableTree.open(path, extension=make_ext(method, 3)) as mt:
+            root = mt.tree._peek(mt.tree.root_id)
+            assert not root.is_leaf and root._entries is None
+            assert root.pred_block() is not None
+            for i, key in enumerate(fresh):
+                mt.insert(key, 10_000 + i)
+            for i in range(0, 40, 2):
+                assert mt.delete(fresh[i], 10_000 + i)
+            for i in range(0, 60, 3):
+                assert mt.delete(base[i], i)
+            report = check_tree(mt.tree, check_fill=False)
+            assert report.clean, report.render()
+            keep = np.ones(len(base), dtype=bool)
+            keep[0:60:3] = False
+            alive = np.concatenate([base[keep], fresh[1::2]])
+            for q in alive[::37]:
+                got = [d for d, _ in mt.tree.knn(q, 8)]
+                want = np.sort(np.sqrt(((alive - q) ** 2).sum(axis=1)))[:8]
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_mutators_clear_the_block_arrays(self, tmp_path, points):
+        from repro.gist.entry import IndexEntry
+        path, *facts = _build_file(tmp_path, "rtree", points)
+        with _open(path, "rtree", 3, False) as store:
+            pid = _inner_pages(store)[0]
+            for mutate in (
+                    lambda n: n.replace_entry(
+                        0, IndexEntry(n.pred_at(0), 777)),
+                    lambda n: n.add_entry(IndexEntry(n.pred_at(0), 777)),
+                    lambda n: n.remove_entry_at(0)):
+                node = store.read(pid)
+                before = len(node)
+                children = node.children()
+                mutate(node)
+                assert node.cache == {} and node.pred_block() is None
+                assert node._entries is not None
+                assert abs(len(node) - before) <= 1
+                assert set(node.children()) - set(children) <= {777}
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_damaged_inner_body_names_the_entry_offset(self, tmp_path,
+                                                       method, points):
+        """Damage the checksum cannot see (the page is resealed): a NaN
+        in an entry, a value its constructor rejects, a body cut short
+        — all typed errors naming the first bad entry's page offset."""
+        import struct
+        from repro.storage.integrity import seal_image
+        from repro.storage.page import PAGE_HEADER_SIZE
+        path, *facts = _build_file(tmp_path, method, points)
+        with _open(path, method, 3, False) as store:
+            pid = _inner_pages(store)[0]
+            size = store.codec.index_codec.size
+            image = store._read_raw(pid)
+            count = struct.unpack_from("<i", image, 12)[0]
+            assert count >= 2
+            second = PAGE_HEADER_SIZE + size
+
+            def reread(damaged):
+                store._write_raw(pid, seal_image(bytes(damaged)))
+                store.flush()
+                return store.read(pid)
+
+            poisoned = bytearray(image)
+            struct.pack_into("<d", poisoned, second + 8, float("nan"))
+            with pytest.raises(PageCorruptError) as err:
+                reread(poisoned)
+            assert f"page {pid}: undecodable entry at offset {second}: " \
+                "non-finite number" in str(err.value)
+            assert path in str(err.value)
+
+            # first number of every family's predicate is a rect low
+            # bound or a center; the number after the rect/center block
+            # is a high bound or a radius — push it below.
+            invalid = bytearray(image)
+            if method == "sstree":
+                struct.pack_into("<d", invalid, second + 3 * 8, -1.0)
+            else:
+                struct.pack_into("<d", invalid, second + 3 * 8, -1e9)
+            with pytest.raises(PageCorruptError,
+                               match=f"undecodable entry at offset "
+                                     f"{second}: "):
+                reread(invalid)
+
+            body = image[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + count * size]
+            with pytest.raises(PageCorruptError) as err:
+                store.codec.index_codec.decode_block(body[:-5], count)
+            last = PAGE_HEADER_SIZE + (count - 1) * size
+            assert f"undecodable entry at offset {last}: body ends " \
+                f"inside entry {count - 1} of {count}" in str(err.value)
+            reread(image)                           # and back to sound
