@@ -18,6 +18,78 @@ from repro.constants import DEFAULT_PAGE_SIZE, NUMBER_SIZE
 from repro.storage.iomodel import DiskModel
 from repro.storage.page import entries_per_page
 
+#: bytes the scan's ``(Q, chunk)`` float64 work buffers occupy together,
+#: small enough that a chunk's accumulate passes stay in a core's L2
+#: (0.5 to 2 MB scan equally fast; 4 MB is 1.4x slower, 8 MB 2x).
+_WORK_BYTES = 2 << 20
+
+#: the survivor pool is compacted when it passes this many times Q * k.
+_POOL_FACTOR = 4
+
+#: Up to three neighboring doubles share one ``sqrt``, so a row just
+#: above the k-th *squared* distance can tie the k-th *distance* and
+#: win on position.  The running bound therefore keeps 8 ulps of slack;
+#: the final cut is made on the ``sqrt`` values themselves.
+_BOUND_SLACK = 1.0 + 2.0 ** -49
+
+
+def _sum_plan(dim: int) -> Tuple[List[Tuple[int, int, int]], int]:
+    """The order in which ``.sum(axis=-1)`` adds ``dim`` contiguous terms.
+
+    Returns ``(steps, registers)``.  A step ``(j, dst, -1)`` loads term
+    ``j`` (for the scan, dimension ``j``'s squared difference) into
+    register ``dst``; ``(-1, dst, src)`` adds register ``src`` into
+    ``dst``; the total ends in register 0.  This mirrors
+    numpy's pairwise summation — left to right under 8 terms, eight
+    interleaved lanes combined as a tree up to 128, halves beyond —
+    so accumulating the scan one dimension at a time rounds exactly as
+    the row-at-a-time expression ``((v - q) ** 2).sum(axis=-1)`` does.
+    """
+    steps: List[Tuple[int, int, int]] = []
+    free: List[int] = []
+    registers = 0
+
+    def alloc() -> int:
+        nonlocal registers
+        if free:
+            return free.pop()
+        registers += 1
+        return registers - 1
+
+    def add_terms(lo: int, hi: int, lanes: List[int], tmp: int) -> None:
+        for j in range(lo, hi):
+            steps.append((j, tmp, -1))
+            steps.append((-1, lanes[(j - lo) % len(lanes)], tmp))
+
+    def build(lo: int, hi: int, out: int) -> None:
+        n = hi - lo
+        if n > 128:
+            half = n // 2 - (n // 2) % 8
+            build(lo, lo + half, out)
+            right = alloc()
+            build(lo + half, hi, right)
+            steps.append((-1, out, right))
+            free.append(right)
+            return
+        width = 8 if n >= 8 else 1
+        lanes = [out] + [alloc() for _ in range(width - 1)]
+        tmp = alloc()
+        for j, lane in enumerate(lanes):
+            steps.append((lo + j, lane, -1))
+        tail = hi - n % width
+        add_terms(lo + width, tail, lanes, tmp)
+        if width == 8:
+            for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6),
+                         (0, 4)):
+                steps.append((-1, lanes[a], lanes[b]))
+        add_terms(tail, hi, [out], tmp)
+        free.extend(lanes[1:])
+        free.append(tmp)
+
+    if dim:
+        build(0, dim, alloc())
+    return steps, max(registers, 1)
+
 
 class FlatFile:
     """Vectors in sequential pages; every query scans all of them."""
@@ -28,6 +100,8 @@ class FlatFile:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D (n, dim) array")
+        if not np.isfinite(vectors).all():
+            raise ValueError("vectors must be finite (no NaN or inf)")
         self.vectors = vectors
         self.rids = np.asarray(
             rids if rids is not None else np.arange(len(vectors)),
@@ -39,6 +113,10 @@ class FlatFile:
         self.entries_per_page = entries_per_page(page_size, entry)
         #: pages scanned so far (sequential reads)
         self.pages_read = 0
+        # What the scan walks: one contiguous row per dimension, copied
+        # here once so no call ever strides through ``vectors``.
+        self._columns = np.ascontiguousarray(vectors.T)
+        self._steps, self._registers = _sum_plan(vectors.shape[1])
 
     @property
     def num_pages(self) -> int:
@@ -46,53 +124,23 @@ class FlatFile:
                                 / self.entries_per_page))
 
     def knn(self, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
-        """Exact k-NN by scanning every page."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self.pages_read += self.num_pages
-        if len(self.vectors) == 0:
-            return []
+        """Exact k-NN by scanning every page: a block of one query."""
         query = np.asarray(query, dtype=np.float64)
-        d = np.sqrt(((self.vectors - query) ** 2).sum(axis=1))
-        order = np.argsort(d, kind="stable")[:k]
-        return [(float(d[i]), int(self.rids[i])) for i in order]
-
-    @staticmethod
-    def _topk_rows(d: np.ndarray, k: int) -> List[np.ndarray]:
-        """Per-row top-k *positions* in stable-argsort order.
-
-        Bit-identical to ``np.argsort(d, kind="stable")[:, :k]`` but
-        O(n) per row instead of O(n log n): ``argpartition`` finds the
-        k-th distance, and only the positions at or under that bound —
-        already in ascending position order from ``flatnonzero``, which
-        is exactly the stable tie order — get a real sort.
-        """
-        n = d.shape[1]
-        if k >= n:
-            return list(np.argsort(d, kind="stable", axis=-1))
-        bounds = np.partition(d, k - 1, axis=-1)[:, k - 1]
-        rows: List[np.ndarray] = []
-        for qi in range(d.shape[0]):
-            cand = np.flatnonzero(d[qi] <= bounds[qi])
-            rows.append(cand[np.argsort(d[qi, cand],
-                                        kind="stable")][:k])
-        return rows
+        if query.ndim != 1:
+            raise ValueError("query must be a 1-D (dim,) vector")
+        return self.knn_batch(query[None, :], k)[0]
 
     def knn_batch(self, queries, k: int) -> List[List[Tuple[float, int]]]:
         """k-NN for a block of queries off one shared scan.
 
         One sequential pass serves the whole block (``pages_read``
         grows by ``num_pages`` once, the physical scan the planner
-        prices), and the distance kernel is a single ``(Q, n)``
-        matrix.  Row for row bit-identical to :meth:`knn`: the same
-        subtract/square/sum/sqrt expression per query and the same
-        stable argsort tie order.
+        prices).  Each row lists ``(distance, rid)`` by ascending
+        distance, ties by position in the file.
         """
-        d = self._scan_block(queries, k)
-        if d is None:
-            return [[] for _ in range(len(np.atleast_2d(queries)))]
-        return [[(float(d[qi, i]), int(self.rids[i])) for i in order]
-                for qi, order in enumerate(self._topk_rows(d, k))]
+        dists, rids = self._scan(queries, k)
+        return [list(zip(d, r))
+                for d, r in zip(dists.tolist(), rids.tolist())]
 
     def knn_batch_arrays(self, queries,
                          k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -104,30 +152,92 @@ class FlatFile:
         materializing a tuple per hit — a shard worker answers a
         scan-routed block straight into its reply buffers.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        out_d = np.full((len(queries), k), np.inf, dtype=np.float64)
-        out_r = np.full((len(queries), k), -1, dtype=np.int64)
-        d = self._scan_block(queries, k)
-        if d is None:
-            return out_d, out_r
-        for qi, order in enumerate(self._topk_rows(d, k)):
-            out_d[qi, :len(order)] = d[qi, order]
-            out_r[qi, :len(order)] = self.rids[order]
+        dists, rids = self._scan(queries, k)
+        found = dists.shape[1]
+        if found == k:
+            return dists, rids
+        out_d = np.full((len(dists), k), np.inf, dtype=np.float64)
+        out_r = np.full((len(dists), k), -1, dtype=np.int64)
+        out_d[:, :found] = dists
+        out_r[:, :found] = rids
         return out_d, out_r
 
-    def _scan_block(self, queries, k: int) -> Optional[np.ndarray]:
-        """The shared scan: one ``(Q, n)`` distance matrix, or None
-        when there is nothing to scan."""
+    def _check_queries(self, queries, k: int) -> np.ndarray:
+        """The one ingress check: a finite ``(Q, dim)`` float64 block."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2:
             raise ValueError("queries must be a 2-D (q, dim) array")
+        if queries.shape[1] != self.vectors.shape[1]:
+            raise ValueError(
+                f"queries have {queries.shape[1]} dimensions, "
+                f"the file has {self.vectors.shape[1]}")
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must be finite (no NaN or inf)")
+        return queries
+
+    def _scan(self, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The scan kernel: ``(Q, min(k, n))`` distances and rids.
+
+        Walks the column-major copy in chunks small enough that the
+        ``(Q, chunk)`` work buffers stay cache-resident, accumulates
+        the squared distance one dimension at a time in the order
+        :func:`_sum_plan` fixes, and keeps only the entries at or under
+        each query's running k-th squared distance.  Survivors stay in
+        scan order — by chunk, then query, then position — so a stable
+        sort on distance leaves ties in position order.
+        """
+        queries = self._check_queries(queries, k)
         self.pages_read += self.num_pages
-        if len(self.vectors) == 0 or len(queries) == 0:
-            return None
-        return np.sqrt(((self.vectors[None, :, :]
-                         - queries[:, None, :]) ** 2).sum(axis=-1))
+        n, num_q = len(self.vectors), len(queries)
+        chunk = max(1, _WORK_BYTES // (8 * self._registers * max(num_q, 1)))
+        # zeros, not empty: a zero-width file has no step to write them
+        work = np.zeros((self._registers, num_q, min(chunk, n)))
+        under = np.empty(work.shape[1:], dtype=bool)
+        query_cols = queries.T[:, :, None]
+        bound = np.full(num_q, np.inf)
+        # survivors, as (query, position, squared distance) pieces
+        pool = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp),
+                 np.empty(0))]
+        held = 0
+        limit = _POOL_FACTOR * num_q * k
+        for start in range(0, n, chunk):
+            cols = self._columns[:, start:start + chunk]
+            regs = work[:, :, :cols.shape[1]]
+            for j, dst, src in self._steps:
+                if j >= 0:
+                    np.subtract(cols[j], query_cols[j], out=regs[dst])
+                    np.multiply(regs[dst], regs[dst], out=regs[dst])
+                else:
+                    np.add(regs[dst], regs[src], out=regs[dst])
+            mask = under[:, :cols.shape[1]]
+            np.less_equal(regs[0], bound[:, None], out=mask)
+            # flat indices: nonzero is several times faster on 1-D
+            hits = np.flatnonzero(mask.ravel())
+            hit_q, hit_col = np.divmod(hits, cols.shape[1])
+            pool.append((hit_q, hit_col + start, regs[0].ravel()[hits]))
+            held += len(hits)
+            if held <= limit:
+                continue
+            pool_q, pool_pos, pool_sq = map(np.concatenate, zip(*pool))
+            # Tighten each bound to the k-th smallest its query holds.
+            order = np.argsort(pool_q)
+            grouped = pool_sq[order]
+            first = np.searchsorted(pool_q[order], np.arange(num_q + 1))
+            for qi in np.flatnonzero(np.diff(first) >= k):
+                mine = grouped[first[qi]:first[qi + 1]]
+                bound[qi] = np.partition(mine, k - 1)[k - 1] * _BOUND_SLACK
+            keep = pool_sq <= bound[pool_q]
+            pool = [(pool_q[keep], pool_pos[keep], pool_sq[keep])]
+            held = int(keep.sum())
+            limit = max(limit, 2 * held)
+        pool_q, pool_pos, pool_sq = map(np.concatenate, zip(*pool))
+        pool_d = np.sqrt(pool_sq)
+        order = np.lexsort((pool_d, pool_q))
+        first = np.searchsorted(pool_q[order], np.arange(num_q))
+        best = order[first[:, None] + np.arange(min(k, n))]
+        return pool_d[best], self.rids[pool_pos[best]]
 
     def scan_time_ms(self, model: Optional[DiskModel] = None) -> float:
         """Modeled wall time of one full scan."""
