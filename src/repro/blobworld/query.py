@@ -217,9 +217,9 @@ class BlobworldEngine:
         :meth:`am_query` of the same query blob.
 
         Stage one routes the whole block through
-        :func:`~repro.gist.batch.knn_search_batch` (shared traversal,
-        per-page decode once per block, bulk page reads); stage two
-        re-ranks every candidate list with one full-dimension distance
+        :func:`~repro.gist.batch.knn_search_batch` (per-page decode
+        once per block); stage two re-ranks every candidate list with
+        one full-dimension distance
         kernel and the vectorized image-aggregation kernel.  ``profile``
         (a :class:`~repro.amdb.profiler.ServeProfile`, duck-typed as
         ``add(stage, seconds)``) receives per-stage wall time split into
@@ -344,8 +344,8 @@ class BlobworldEngine:
 
         Section 3's workload "consists of nearest neighbor queries that
         retrieve 200 images each"; the incremental cursor
-        (:mod:`repro.gist.cursor`) pulls exactly as many blobs as that
-        needs.
+        (:func:`repro.gist.nn.nn_cursor`) pulls exactly as many blobs
+        as that needs.
         """
         query_vec = self.corpus.reduced(dims)[query_blob]
         image_ids = self.corpus.image_ids

@@ -182,8 +182,9 @@ class GiSTExtension:
         """:meth:`min_dists_node` for a ``(q, dim)`` query block.
 
         Returns a ``(q, n)`` matrix whose rows must be bit-identical to
-        per-query :meth:`min_dists_node` calls — the batch engine's
-        exactness guarantee depends on it.  The default evaluates row by
+        per-query :meth:`min_dists_node` calls — callers mix the two
+        freely (the serving read-ahead ranks a block with this one, the
+        k-NN kernel then ranks each query alone).  The default evaluates row by
         row; extensions with stacked geometry caches override this with
         a single kernel.
         """

@@ -1,145 +1,238 @@
-"""Best-first nearest-neighbor search (Hjaltason & Samet).
+"""Best-first nearest-neighbor search (Hjaltason & Samet): one kernel.
 
 Nearest-neighbor queries behave like expanding-sphere range queries
-(paper section 5, Figure 9): the search maintains a priority queue of
-tree entries keyed by a lower bound on their distance to the query point
-and expands them in nondecreasing order.  Because every extension's
-``min_dist`` is a true lower bound, the k-th result is exact.
+(paper section 5, Figure 9): the search keeps a priority queue of tree
+entries keyed by a lower bound on their distance to the query point and
+expands them in nondecreasing order.  Every extension's ``min_dist`` is
+a true lower bound, so the k-th result is exact.
 
-Lazy refinement
----------------
-JB/XJB predicates have a cheap bound (plain MBR distance) and a tighter,
-costlier one (bite-aware distance).  Entries are enqueued with the cheap
-bound; when an entry surfaces at the front of the queue it is refined
-once and re-queued if the tighter bound no longer wins.  A node is read
-(costing an I/O) only if its *refined* bound is smaller than everything
-else outstanding — exactly the set of nodes an eager tight-bound search
-would read, so the access counts the profiler sees reflect the tight
-predicate.
+:func:`best_first` is the only such traversal in this package:
+``GiST.knn`` collects it, ``GiST.nn_cursor`` is the same generator with
+no ``k``, :func:`repro.gist.batch.knn_search_batch` runs it per query
+over a table of nodes the block already decoded, and
+:func:`sphere_search`, the fixed-radius query, shares its leaf distance
+function and bite screen.  It reproduces ``tests/gist/oracle.py`` (one
+heap holding points beside nodes) in results and counted access order;
+DESIGN.md section 7 has the argument.  In short:
 
-Candidate pruning
------------------
-The search tracks the k-th smallest *point* distance seen so far (the
-provisional answer radius ``tau``).  Entries whose lower bound reaches
-``tau`` are never enqueued, and refined entries whose tight bound
-reaches ``tau`` are dropped instead of re-queued.  This is invisible to
-the search's observable behaviour: every pruned item ranks behind at
-least k already-enqueued point candidates (all with smaller tie-break
-counters), so it could never surface before the k-th result pops — the
-results, the node reads, and even the heap-front values the refinement
-test sees are all unchanged (see DESIGN.md, "Batched query engine", for
-the argument).
+- The heap holds node entries only.  Leaf candidates wait in arrays
+  kept in ``(distance, push counter)`` order, and before the node item
+  at the heap front is popped every waiting candidate with a smaller
+  key is emitted.  A quantized leaf's cell lower bounds may undercut
+  the bound of a node already popped; such late candidates just sort to
+  the front and leave at the next check.
+- JB/XJB entries are enqueued with the cheap MBR bound and refined when
+  they surface, re-queued if the tight bound no longer wins — so only
+  nodes an eager tight-bound search would read are read.  One
+  ``refine_dists_node`` screen per expanded inner node precomputes most
+  tight bounds; the scalar ``refine_dist`` runs for the NaN cells only.
+- Once ``k`` candidates are known, nothing whose bound reaches the k-th
+  distance ``tau`` is enqueued: it ranks behind ``k`` candidates with
+  smaller counters and could not surface before the search ends.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Any, List, Optional, Tuple
+import math
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-_NODE = 0
-_POINT = 1
+#: one result, as every spelling of the search returns it
+Hit = Tuple[float, int]
+
+#: a counted node read by (page id, expected level); None if quarantined
+ReadNode = Callable[[int, int], Optional[Any]]
 
 
-def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
-    """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``.
-
-    Node reads go through the tree's counting read path.
-    """
+def check_queries(tree: Any, queries: Any, ndim: int, k: int = 1) -> np.ndarray:
+    """The one ingress check: ``k > 0`` and a finite float64 ``(dim,)``
+    query (``ndim`` 1) or ``(Q, dim)`` block (``ndim`` 2)."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != ndim or queries.shape[-1] != tree.ext.dim:
+        want = ("(dim,)", "(Q, dim)")[ndim - 1]
+        raise ValueError(f"expected {want} with dim = {tree.ext.dim}, "
+                         f"got shape {queries.shape}")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite (no NaN or inf)")
+    return queries
+
+
+def leaf_dists(node: Any, q: np.ndarray) -> np.ndarray:
+    """Distance from ``q`` to every key of a non-empty leaf.
+
+    Exact on float64 leaves.  On a quantized leaf the keys are cell
+    centers and the original lies within ``half`` per axis: shrinking
+    each coordinate delta by it gives the VA-file cell lower bound,
+    which never overestimates, so ranking by it keeps every true
+    neighbor a candidate (the rerank stage restores exact order).
+    """
+    keys = node.keys_array()
+    half = node.key_halfwidths()
+    if half is None:
+        return np.sqrt(((keys - q) ** 2).sum(axis=1))
+    diff = np.abs(keys - q) - half
+    np.maximum(diff, 0.0, out=diff)
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def _entry_bounds(ext: Any, node: Any, q: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Cheap and tight bounds of an inner node's entries; a tight bound
+    the extension's screen did not resolve is NaN."""
+    dists = ext.min_dists_node(node, q)
+    if not ext.has_refinement:
+        return dists, dists
+    return dists, ext.refine_dists_node(node, q[None], dists[None])[0]
+
+
+def best_first(tree: Any, q: np.ndarray, k: Optional[int],
+               read: ReadNode) -> Iterator[Hit]:
+    """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
+
+    ``q`` is a checked ``(dim,)`` query; ``k`` of None never stops
+    early.  Every node comes from ``read``, and none is read before the
+    results that precede it have been yielded.
+    """
     if tree.root_id is None:
-        return []
-    query = np.asarray(query, dtype=np.float64)
+        return
     ext = tree.ext
-    counter = itertools.count()
+    # (bound, counter, page_id, level, parent, index, tight); an item
+    # with no parent is already refined.
+    heap: List[tuple] = [(0.0, 0, tree.root_id, tree.height - 1, None, 0, 0.0)]
+    counter = 1
+    cand_d = np.empty(0, dtype=np.float64)
+    cand_c = cand_r = np.empty(0, dtype=np.int64)
+    first = math.inf                # cand_d[0]; inf while nothing waits
+    need = math.inf if k is None else k     # results still owed
+    topk = cand_d                   # the k smallest distances seen, sorted
+    tau: Optional[float] = None     # the k-th of them, once there are k
 
-    # Heap items: (dist, tiebreak, kind, payload, refined)
-    #   kind _NODE:  payload = (parent_node_or_None, entry_index,
-    #                           page_id, level)
-    #   kind _POINT: payload = rid
-    # A node item names its predicate by (parent, index) rather than
-    # holding it: on a block-decoded parent the predicate object is
-    # built only if the refinement below asks for it.
-    heap = [(0.0, next(counter), _NODE,
-             (None, 0, tree.root_id, tree.height - 1), True)]
-    results: List[Tuple[float, int]] = []
-    # Provisional k-th candidate distance; None until k points are known.
-    topk = np.empty(0, dtype=np.float64)
-    tau: Optional[float] = None
+    while True:
+        if not heap:
+            ready = len(cand_d)
+        elif first > heap[0][0]:
+            ready = 0
+        else:
+            bound, tick = heap[0][0], heap[0][1]
+            ready = int(cand_d.searchsorted(bound, "left"))
+            ties = int(cand_d.searchsorted(bound, "right"))
+            if ties > ready:
+                ready += int(cand_c[ready:ties].searchsorted(tick))
+        if ready:
+            ready = min(ready, need)
+            yield from zip(cand_d[:ready].tolist(), cand_r[:ready].tolist())
+            cand_d, cand_c, cand_r = \
+                cand_d[ready:], cand_c[ready:], cand_r[ready:]
+            first = float(cand_d[0]) if len(cand_d) else math.inf
+            need -= ready
+        if not heap or need == 0:
+            return
 
-    while heap and len(results) < k:
-        dist, _, kind, payload, refined = heapq.heappop(heap)
-
-        if kind == _POINT:
-            results.append((dist, payload))
-            continue
-
-        parent, index, page_id, level = payload
-        if not refined:
-            tight = ext.refine_dist(parent.pred_at(index), query, dist)
+        bound, _, page_id, level, parent, index, tight = heapq.heappop(heap)
+        if parent is not None:
+            if tight != tight:      # NaN: the screen left it to the scalar
+                tight = ext.refine_dist(parent.pred_at(index), q, bound)
             if tau is not None and tight >= tau:
                 continue
-            if heap and tight > heap[0][0]:
-                heapq.heappush(
-                    heap, (tight, next(counter), _NODE, payload, True))
+            if tight > first or (heap and tight > heap[0][0]):
+                heapq.heappush(heap, (float(tight), counter, page_id, level,
+                                      None, 0, 0.0))
+                counter += 1
                 continue
 
-        node = tree._read_query(page_id, level)
+        node = read(page_id, level)
         if node is None or not len(node):
             continue
         if node.is_leaf:
-            keys = node.keys_array()
-            half = node.key_halfwidths()
-            if half is None:
-                dists = np.sqrt(((keys - query) ** 2).sum(axis=1))
-            else:
-                # Quantized leaf: keys are cell centers, the original
-                # key lies within `half` per axis.  Shrinking each
-                # coordinate delta by the half width gives the VA-file
-                # cell lower bound — it can only underestimate the true
-                # distance, so ranking by it keeps every true neighbor
-                # in the candidate set (the rerank stage restores exact
-                # order).
-                diff = np.abs(keys - query) - half
-                np.maximum(diff, 0.0, out=diff)
-                dists = np.sqrt((diff * diff).sum(axis=1))
-            rids = node.rid_array()
+            dists, rids = leaf_dists(node, q), node.rid_array()
             if tau is not None:
-                kept = np.nonzero(dists < tau)[0]
+                kept = (dists < tau).nonzero()[0]
                 dists, rids = dists[kept], rids[kept]
-            for d, rid in zip(dists.tolist(), rids.tolist()):
-                heapq.heappush(heap, (d, next(counter), _POINT, rid, True))
-            tau, topk = _update_tau(topk, dists, k)
+            # Counters only grow, so a stable sort on distance alone
+            # leaves the merged arrays in (distance, counter) order.
+            cand_d = np.concatenate((cand_d, dists))
+            order = cand_d.argsort(kind="stable")
+            cand_d = cand_d[order]
+            cand_c = np.concatenate(
+                (cand_c, np.arange(counter, counter + len(dists))))[order]
+            cand_r = np.concatenate((cand_r, rids))[order]
+            counter += len(dists)
+            first = float(cand_d[0]) if len(cand_d) else math.inf
+            if k is not None:
+                topk = np.sort(np.concatenate((topk, dists)))[:k]
+                if len(topk) == k:
+                    tau = float(topk[-1])
         else:
-            dists = ext.min_dists_node(node, query)
-            lazy = ext.has_refinement
-            kept = np.nonzero(dists < tau)[0].tolist() if tau is not None \
-                else range(len(dists))
-            children = node.children()
-            dists = dists.tolist()
-            child_level = node.level - 1
+            dists, tights = _entry_bounds(ext, node, q)
+            kept = range(len(dists)) if tau is None \
+                else (dists < tau).nonzero()[0].tolist()
+            bounds, children = dists.tolist(), node.children()
+            hints = bounds if tights is dists else tights.tolist()
+            owner = None if tights is dists else node
             for i in kept:
-                heapq.heappush(
-                    heap, (dists[i], next(counter), _NODE,
-                           (node, i, children[i], child_level), not lazy))
-
-    return results
+                heapq.heappush(heap, (bounds[i], counter, children[i],
+                                      node.level - 1, owner, i, hints[i]))
+                counter += 1
 
 
-def _update_tau(topk: np.ndarray, dists: np.ndarray,
-                k: int) -> Tuple[Optional[float], np.ndarray]:
-    """Fold freshly seen point distances into the running k smallest.
+def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Hit]:
+    """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``,
+    read through the tree's counting path."""
+    query = check_queries(tree, query, 1, k)
+    return list(best_first(tree, query, k, tree._read_query))
 
-    Returns the new provisional k-th distance (None while fewer than
-    ``k`` candidates have been seen) and the updated sorted array.  The
-    batch engine performs the identical update so both searches prune
-    with the same thresholds at the same moments.
+
+def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
+    """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
+
+    ``knn`` needs k fixed up front, but Blobworld's real contract is
+    "retrieve the nearest blobs until 200 distinct *images* have been
+    seen" (paper section 3).  The cursor is :func:`best_first` with no
+    ``k``: the consumer decides when to stop, and page accesses accrue
+    only as far as it is advanced.  A prefix equals the ``knn`` of that
+    length unless a refined bound ties ``tau`` exactly (DESIGN.md
+    section 7).
     """
-    if len(dists):
-        topk = np.sort(np.concatenate((topk, dists)))[:k]
-    if len(topk) == k:
-        return float(topk[-1]), topk
-    return None, topk
+    query = check_queries(tree, query, 1)
+    return best_first(tree, query, None, tree._read_query)
+
+
+def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
+    """All stored keys within ``radius`` of ``center``, as (dist, rid).
+
+    The fixed-radius form of the query (paper section 5: NN queries
+    are "in essence asking expanding sphere queries"): a subtree can
+    hold matches only if the extension's lower bound does not exceed
+    the radius.  Leaves go through :func:`leaf_dists`, so on a quantized
+    tree both the distances and the membership test are the cell lower
+    bounds ``knn`` reports.
+    """
+    center = check_queries(tree, center, 1)
+    if tree.root_id is None:
+        return []
+    ext = tree.ext
+    results: List[Hit] = []
+    stack = [(tree.root_id, tree.height - 1)]
+    while stack:
+        node = tree._read_query(*stack.pop())
+        if node is None or not len(node):
+            continue
+        if node.is_leaf:
+            dists = leaf_dists(node, center)
+            inside = np.flatnonzero(dists <= radius)
+            results.extend(zip(dists[inside].tolist(),
+                               node.rid_array()[inside].tolist()))
+            continue
+        dists, tights = _entry_bounds(ext, node, center)
+        children = node.children()
+        for i in np.flatnonzero(dists <= radius).tolist():
+            tight = tights[i]
+            if tight != tight:
+                tight = ext.refine_dist(node.pred_at(i), center, dists[i])
+            if tight <= radius:
+                stack.append((children[i], node.level - 1))
+    return results

@@ -142,7 +142,7 @@ class QueryPlanner:
         leaves = math.ceil(num_blobs / self._avg_leaf_entries)
         per_query = (height - 1) + leaves * self.config.overscan
         est = math.ceil(num_queries * per_query)
-        # The batch engine dedupes page reads within a block, so the
+        # knn_search_batch reads each page once per block, so the
         # batch can never read more distinct pages than the tree holds.
         return min(est, max(self._num_pages, 1))
 

@@ -14,7 +14,7 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.gist.degrade import DegradationReport
 from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
-from repro.gist.nn import knn_search
+from repro.gist.nn import knn_search, nn_cursor, sphere_search
 from repro.storage.codecs import IndexEntryCodec, LeafEntryCodec
 from repro.storage.errors import PageCorruptError
 from repro.storage.page import entries_per_page, page_payload
@@ -129,30 +129,6 @@ class GiST:
             self._quarantine(page_id, level, exc)
             return None
 
-    def _read_query_many(
-            self, requests: Sequence[Tuple[int, Optional[int]]]
-            ) -> Dict[int, Optional[Node]]:
-        """Bulk :meth:`_read_query`: ``{page_id: node-or-None}``.
-
-        ``requests`` pairs each page id with its expected level.  In
-        quarantine mode every page goes through the scalar path, so
-        corrupt pages are pruned and recorded in the
-        :class:`DegradationReport` exactly as a sequential run would;
-        in strict mode the whole set is gathered with one
-        ``store.read_many`` call (contiguous slot runs, batched CRC),
-        which raises on the first failing page in request order just
-        like the equivalent read loop.
-        """
-        requests = list(requests)
-        if self.quarantine_enabled:
-            return {pid: self._read_query(pid, level)
-                    for pid, level in requests}
-        read_many = getattr(self.store, "read_many", None)
-        if read_many is None or len(requests) < 2:
-            return {pid: self._read(pid) for pid, _ in requests}
-        pids = [pid for pid, _ in requests]
-        return dict(zip(pids, read_many(pids)))
-
     def _quarantine(self, page_id: int, level: Optional[int], exc: Any) -> None:
         self._quarantined.add(page_id)
         self.degradation.record(page_id, level, exc,
@@ -212,31 +188,21 @@ class GiST:
                   ) -> List[List[Tuple[float, int]]]:
         """:meth:`knn` for a whole ``(Q, dim)`` query block at once.
 
-        Shares one traversal frontier across the block — each node is
-        fetched and decoded at most once — while returning results (and
-        counting page accesses) bit-identically to per-query
+        Each node is fetched and decoded at most once per block, while
+        results (and counted page accesses) are those of per-query
         :meth:`knn` calls; see :func:`repro.gist.batch.knn_search_batch`.
         """
         from repro.gist.batch import knn_search_batch
         return knn_search_batch(self, queries, k, block_size=block_size)
 
-    def nn_cursor(self, query: np.ndarray) -> Any:
+    def nn_cursor(self, query: np.ndarray) -> Iterator[Tuple[float, int]]:
         """Incremental nearest-neighbor iterator; see
-        :func:`repro.gist.cursor.nn_cursor`."""
-        from repro.gist.cursor import nn_cursor
+        :func:`repro.gist.nn.nn_cursor`."""
         return nn_cursor(self, query)
 
     def sphere_search(self, center: np.ndarray, radius: float) -> List[Tuple[float, int]]:
         """All keys within ``radius`` of ``center`` as (distance, rid)."""
-        from repro.gist.expanding import sphere_search
         return sphere_search(self, center, radius)
-
-    def knn_expanding(self, query: np.ndarray, k: int, **options: Any
-                      ) -> List[Tuple[float, int]]:
-        """Exact k-NN via the paper's expanding-sphere strategy
-        (section 5); see :func:`repro.gist.expanding.knn_expanding`."""
-        from repro.gist.expanding import knn_expanding
-        return knn_expanding(self, query, k, **options)
 
     # -- insertion -------------------------------------------------------------------
 

@@ -18,8 +18,9 @@ the canonical one cheaply: fetch ``k + 1`` hits; if the k-th and
 re-sort by ``(distance, rid)`` canonicalizes it.  Only a genuine
 boundary tie — equal distances straddling the cut — needs the exact
 tie ring, enumerated with a :meth:`sphere_search` at the boundary
-distance (the same leaf distance kernel as k-NN, so the floats match
-bit for bit).
+distance (the same leaf distance function as k-NN,
+:func:`repro.gist.nn.leaf_dists` — cell lower bounds on quantized
+leaves included — so the floats match bit for bit).
 """
 
 from __future__ import annotations

@@ -1,0 +1,159 @@
+"""Reference best-first k-NN: the point-in-heap loop, kept as the oracle.
+
+This is ``repro.gist.nn.knn_search`` as it stood before the traversals
+in ``src/repro/gist/`` were folded into one kernel, moved here verbatim:
+every leaf point is a heap item beside the node entries, one shared
+counter breaks ties, and pushes are pruned at the provisional k-th
+distance.  The kernel in :mod:`repro.gist.nn` must reproduce its result
+lists and its counted access order bit for bit; nothing under ``src/``
+imports this module.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from typing import Any, List, Optional, Tuple
+
+import numpy as np
+
+_NODE = 0
+_POINT = 1
+
+
+def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
+    """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``.
+
+    Node reads go through the tree's counting read path.
+    """
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    if tree.root_id is None:
+        return []
+    query = np.asarray(query, dtype=np.float64)
+    ext = tree.ext
+    counter = itertools.count()
+
+    # Heap items: (dist, tiebreak, kind, payload, refined)
+    #   kind _NODE:  payload = (parent_node_or_None, entry_index,
+    #                           page_id, level)
+    #   kind _POINT: payload = rid
+    # A node item names its predicate by (parent, index) rather than
+    # holding it: on a block-decoded parent the predicate object is
+    # built only if the refinement below asks for it.
+    heap = [(0.0, next(counter), _NODE,
+             (None, 0, tree.root_id, tree.height - 1), True)]
+    results: List[Tuple[float, int]] = []
+    # Provisional k-th candidate distance; None until k points are known.
+    topk = np.empty(0, dtype=np.float64)
+    tau: Optional[float] = None
+
+    while heap and len(results) < k:
+        dist, _, kind, payload, refined = heapq.heappop(heap)
+
+        if kind == _POINT:
+            results.append((dist, payload))
+            continue
+
+        parent, index, page_id, level = payload
+        if not refined:
+            tight = ext.refine_dist(parent.pred_at(index), query, dist)
+            if tau is not None and tight >= tau:
+                continue
+            if heap and tight > heap[0][0]:
+                heapq.heappush(
+                    heap, (tight, next(counter), _NODE, payload, True))
+                continue
+
+        node = tree._read_query(page_id, level)
+        if node is None or not len(node):
+            continue
+        if node.is_leaf:
+            keys = node.keys_array()
+            half = node.key_halfwidths()
+            if half is None:
+                dists = np.sqrt(((keys - query) ** 2).sum(axis=1))
+            else:
+                # Quantized leaf: keys are cell centers, the original
+                # key lies within `half` per axis.  Shrinking each
+                # coordinate delta by the half width gives the VA-file
+                # cell lower bound — it can only underestimate the true
+                # distance, so ranking by it keeps every true neighbor
+                # in the candidate set (the rerank stage restores exact
+                # order).
+                diff = np.abs(keys - query) - half
+                np.maximum(diff, 0.0, out=diff)
+                dists = np.sqrt((diff * diff).sum(axis=1))
+            rids = node.rid_array()
+            if tau is not None:
+                kept = np.nonzero(dists < tau)[0]
+                dists, rids = dists[kept], rids[kept]
+            for d, rid in zip(dists.tolist(), rids.tolist()):
+                heapq.heappush(heap, (d, next(counter), _POINT, rid, True))
+            tau, topk = _update_tau(topk, dists, k)
+        else:
+            dists = ext.min_dists_node(node, query)
+            lazy = ext.has_refinement
+            kept = np.nonzero(dists < tau)[0].tolist() if tau is not None \
+                else range(len(dists))
+            children = node.children()
+            dists = dists.tolist()
+            child_level = node.level - 1
+            for i in kept:
+                heapq.heappush(
+                    heap, (dists[i], next(counter), _NODE,
+                           (node, i, children[i], child_level), not lazy))
+
+    return results
+
+
+def _update_tau(topk: np.ndarray, dists: np.ndarray,
+                k: int) -> Tuple[Optional[float], np.ndarray]:
+    """Fold freshly seen point distances into the running k smallest.
+
+    Returns the new provisional k-th distance (None while fewer than
+    ``k`` candidates have been seen) and the updated sorted array.  The
+    kernel in :mod:`repro.gist.nn` performs the identical update so
+    both searches prune with the same thresholds at the same moments.
+    """
+    if len(dists):
+        topk = np.sort(np.concatenate((topk, dists)))[:k]
+    if len(topk) == k:
+        return float(topk[-1]), topk
+    return None, topk
+
+
+# -- what the tests that compare against the oracle share ---------------------
+
+def traced(tree: Any, run: Any) -> Tuple[Any, List[Tuple[int, int]]]:
+    """``run()``'s value and the ``(page_id, level)`` accesses the tree's
+    store counted while it ran, in order."""
+    seen: List[Tuple[int, int]] = []
+
+    def listener(page_id: int, level: int) -> None:
+        seen.append((page_id, level))
+
+    tree.store.add_listener(listener)
+    try:
+        value = run()
+    finally:
+        tree.store.remove_listener(listener)
+    return value, seen
+
+
+def paged_tree(ext: Any, points: np.ndarray, path: str, page_size: int,
+               codec: str = "f64", **store_options: Any) -> Any:
+    """``points`` bulk-loaded into the page file ``path``.
+
+    Every node the tree then reads is decoded from its page: inner nodes
+    come back block-decoded, and with ``codec="sq8"`` leaves come back
+    as quantized reconstructions with half widths — an in-memory build
+    keeps the exact float64 keys and would test neither.
+    """
+    from repro.bulk import bulk_load
+    from repro.storage import FilePageFile
+    store = FilePageFile.for_extension(path, ext, page_size=page_size,
+                                       leaf_codec=codec, **store_options)
+    tree = bulk_load(ext, points, page_size=page_size, store=store)
+    store.flush()
+    return tree

@@ -1,23 +1,32 @@
-"""Batched kNN engine: bit-identical to the sequential search.
+"""The one k-NN kernel against the reference loop, bit for bit.
 
-The contract of :func:`repro.gist.batch.knn_search_batch` is exactness,
-not approximation — same result lists (distances, rids, tie order) and
-same per-query counted accesses in the same order as ``tree.knn``, for
-every access method and any block size.  These tests hold it to that
-across the five AMs the paper compares, including the lazily refined
-JB/XJB family whose bite-aware bounds take a separate vectorized path.
+``tests/gist/oracle.py`` holds the point-in-heap best-first search the
+package used to ship.  Every spelling of the kernel in
+:mod:`repro.gist.nn` — ``tree.knn``, ``knn_search_batch`` at any block
+size, and a prefix of ``tree.nn_cursor`` — must return its result lists
+(distances, rids, tie order) and book its counted accesses in the same
+per-query order: the amdb loss metrics consume the traces, so
+"approximately the same" would silently change every downstream
+number.  These tests hold it to that across the AMs the paper compares,
+including the lazily refined JB/XJB family whose bite-aware bounds go
+through the vectorized screen, in strict and quarantine mode, on eager
+and block-decoded nodes, on exact and quantized leaves.
 """
+
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from repro.amdb import profile_workload, profile_workload_batched
+from repro.amdb import profile_workload_batched
 from repro.bulk import bulk_load
 from repro.gist import GiST, knn_search_batch
 from repro.storage import FilePageFile
 from repro.storage.faults import FaultyPageFile
 
 from tests.conftest import make_ext
+from tests.gist.oracle import knn_search as oracle_knn
+from tests.gist.oracle import paged_tree, traced
 
 METHODS = ["rtree", "rstar", "amap", "jb", "xjb"]
 #: JB-family predicates are large (an MBR plus per-bite boxes), so they
@@ -50,12 +59,44 @@ def queries(clustered_points):
     return np.concatenate([foci, strays])
 
 
+def _traces(tree, queries, search):
+    """Per query: ``search(q)``'s (results, leaf accesses, inner accesses)."""
+    out = []
+    for q in queries:
+        results, seen = traced(tree, lambda: search(q))
+        out.append((results, [p for p, lvl in seen if lvl == 0],
+                    [p for p, lvl in seen if lvl > 0]))
+    return out
+
+
+def oracle_traces(tree, queries, k):
+    return _traces(tree, queries, lambda q: oracle_knn(tree, q, k))
+
+
+def kernel_traces(tree, queries, k, block_size=7):
+    """The oracle's triples from each spelling of the kernel; the batch
+    ones come from its own ``on_access`` attribution."""
+    batch = profile_workload_batched(tree, queries, k,
+                                     block_size=block_size)
+    return {
+        "knn": _traces(tree, queries, lambda q: tree.knn(q, k)),
+        "knn_batch": [(t.results, t.leaf_accesses, t.inner_accesses)
+                      for t in batch.traces],
+        "nn_cursor": _traces(
+            tree, queries, lambda q: list(islice(tree.nn_cursor(q), k))),
+    }
+
+
 class TestResultParity:
     @pytest.mark.parametrize("block_size", [1, 7, None])
     def test_bit_identical_results(self, tree, queries, block_size):
-        expected = [tree.knn(q, 10) for q in queries]
-        got = knn_search_batch(tree, queries, 10, block_size=block_size)
-        assert got == expected  # floats, rids, and tie order, exactly
+        expected = [oracle_knn(tree, q, 10) for q in queries]
+        # floats, rids, and tie order, exactly
+        assert knn_search_batch(tree, queries, 10,
+                                block_size=block_size) == expected
+        assert [tree.knn(q, 10) for q in queries] == expected
+        assert [list(islice(tree.nn_cursor(q), 10))
+                for q in queries] == expected
 
     def test_matches_brute_force_distances(self, tree, queries,
                                            clustered_points):
@@ -68,9 +109,11 @@ class TestResultParity:
 
     def test_k_larger_than_tree(self, tree, queries, clustered_points):
         n = len(clustered_points)
-        got = knn_search_batch(tree, queries[:5], n + 10)
-        assert [len(r) for r in got] == [n] * 5
-        assert got == [tree.knn(q, n + 10) for q in queries[:5]]
+        expected = [oracle_knn(tree, q, n + 10) for q in queries[:5]]
+        assert [len(r) for r in expected] == [n] * 5
+        assert knn_search_batch(tree, queries[:5], n + 10) == expected
+        assert [tree.knn(q, n + 10) for q in queries[:5]] == expected
+        assert [list(tree.nn_cursor(q)) for q in queries[:5]] == expected
 
     def test_empty_tree(self, method):
         tree = GiST(make_ext(method, 3), page_size=_page_size(method))
@@ -89,61 +132,62 @@ class TestAccessParity:
     @pytest.mark.parametrize("block_size", [1, 7, None])
     def test_per_query_access_lists_match(self, tree, queries,
                                           block_size):
-        """Every query books the same counted reads, in the same order,
-        as its solo run — the amdb loss metrics depend on this."""
-        seq = profile_workload(tree, queries, 10)
-        bat = profile_workload_batched(tree, queries, 10,
-                                       block_size=block_size)
-        for ts, tb in zip(seq.traces, bat.traces):
-            assert tb.qid == ts.qid
-            assert tb.results == ts.results
-            assert tb.leaf_accesses == ts.leaf_accesses
-            assert tb.inner_accesses == ts.inner_accesses
+        """Every query books the oracle's counted reads, in the oracle's
+        order — the amdb loss metrics depend on this."""
+        want = oracle_traces(tree, queries, 10)
+        for spelling, got in kernel_traces(tree, queries, 10,
+                                           block_size).items():
+            assert got == want, spelling
 
     def test_store_counters_match_sequential_totals(self, method,
                                                     clustered_points,
                                                     queries):
-        seq_tree = bulk_load(make_ext(method, 3), clustered_points,
+        def fresh():
+            return bulk_load(make_ext(method, 3), clustered_points,
                              page_size=_page_size(method))
-        bat_tree = bulk_load(make_ext(method, 3), clustered_points,
-                             page_size=_page_size(method))
+        oracle_tree, knn_tree, batch_tree, cursor_tree = (
+            fresh() for _ in range(4))
         for q in queries:
-            seq_tree.knn(q, 10)
-        knn_search_batch(bat_tree, queries, 10)
-        assert (bat_tree.store.stats.reads_by_level
-                == seq_tree.store.stats.reads_by_level)
+            oracle_knn(oracle_tree, q, 10)
+            knn_tree.knn(q, 10)
+            list(islice(cursor_tree.nn_cursor(q), 10))
+        knn_search_batch(batch_tree, queries, 10)
+        want = oracle_tree.store.stats.reads_by_level
+        assert want
+        for t in (knn_tree, batch_tree, cursor_tree):
+            assert t.store.stats.reads_by_level == want
 
 
 class TestQuarantineParity:
-    def _disk_tree(self, tmp_path, name, points):
-        ext = make_ext("rtree", 3)
-        store = FilePageFile.for_extension(str(tmp_path / name), ext,
-                                           page_size=2048)
-        return bulk_load(ext, points, page_size=2048, store=store)
-
     def test_degraded_results_match_sequential(self, tmp_path,
                                                clustered_points,
                                                queries):
-        """Same page corrupted in two identical trees: the batched
-        engine prunes the same subtree and returns the same degraded
-        answers, with the same uncounted skip for repeat visitors."""
-        seq_tree = self._disk_tree(tmp_path, "seq.pages",
-                                   clustered_points)
-        bat_tree = self._disk_tree(tmp_path, "bat.pages",
-                                   clustered_points)
-        victim = [n.page_id for n in seq_tree.iter_nodes()
-                  if n.is_leaf][3]
-        for t in (seq_tree, bat_tree):
-            FaultyPageFile(t.store).corrupt_page(victim, bit=500 * 8)
-            t.enable_quarantine()
+        """Same page corrupted in identical trees: the kernel prunes the
+        subtree the oracle prunes and returns the same degraded answers,
+        with the same uncounted skip for repeat visitors."""
+        for codec in ("f64", "sq8"):
+            ref, knn_tree, batch_tree, cursor_tree = trees = [
+                paged_tree(make_ext("rtree", 3), clustered_points,
+                           str(tmp_path / f"{name}-{codec}.pages"), 2048,
+                           codec)
+                for name in ("oracle", "knn", "batch", "cursor")]
+            victim = [n.page_id for n in ref.iter_nodes()
+                      if n.is_leaf][3]
+            for t in trees:
+                FaultyPageFile(t.store).corrupt_page(victim, bit=500 * 8)
+                t.enable_quarantine()
 
-        expected = [seq_tree.knn(q, 10) for q in queries]
-        got = knn_search_batch(bat_tree, queries, 10, block_size=7)
-
-        assert got == expected
-        assert bat_tree._quarantined == seq_tree._quarantined == {victim}
-        assert (bat_tree.store.stats.reads_by_level
-                == seq_tree.store.stats.reads_by_level)
+            expected = [oracle_knn(ref, q, 10) for q in queries]
+            assert [knn_tree.knn(q, 10) for q in queries] == expected
+            assert knn_search_batch(batch_tree, queries, 10,
+                                    block_size=7) == expected
+            assert [list(islice(cursor_tree.nn_cursor(q), 10))
+                    for q in queries] == expected
+            for t in trees:
+                assert t._quarantined == {victim}
+                assert (t.store.stats.reads_by_level
+                        == ref.store.stats.reads_by_level)
+                t.store.close()
 
 
 class TestNodeFormParity:
@@ -156,23 +200,22 @@ class TestNodeFormParity:
 
     @staticmethod
     def _observe(tree, queries, k):
-        """(sequential traces, batched traces, treecheck verdict)."""
+        """(oracle traces, treecheck verdict), once every spelling of
+        the kernel has reproduced those traces on this tree."""
         from repro.analysis.treecheck import check_tree
 
-        def flat(profile):
-            return [(t.results, t.leaf_accesses, t.inner_accesses)
-                    for t in profile.traces]
         report = check_tree(tree)
-        return (flat(profile_workload(tree, queries, k)),
-                flat(profile_workload_batched(tree, queries, k,
-                                              block_size=7)),
-                (report.clean, [v.code for v in report.violations]))
+        want = oracle_traces(tree, queries, k)
+        for spelling, got in kernel_traces(tree, queries, k).items():
+            assert got == want, spelling
+        return want, (report.clean, [v.code for v in report.violations])
 
     @staticmethod
-    def _paged(path, method, mmap_mode, root_id, height, size):
+    def _paged(path, method, mmap_mode, root_id, height, size,
+               codec="f64"):
         store = FilePageFile.for_extension(
             path, make_ext(method, 3), page_size=_page_size(method),
-            mmap_mode=mmap_mode)
+            leaf_codec=codec, mmap_mode=mmap_mode)
         tree = GiST(make_ext(method, 3), store=store,
                     page_size=_page_size(method))
         tree.adopt(store.peek(root_id), height, size)
@@ -185,17 +228,14 @@ class TestNodeFormParity:
         eager = bulk_load(make_ext(method, 3), clustered_points,
                           page_size=_page_size(method))
         built = str(tmp_path / "built.pages")
-        with FilePageFile.for_extension(
-                built, make_ext(method, 3),
-                page_size=_page_size(method)) as store:
-            on_file = bulk_load(make_ext(method, 3), clustered_points,
-                                page_size=_page_size(method), store=store)
-            facts = (on_file.root_id, on_file.height, on_file.size)
+        on_file = paged_tree(make_ext(method, 3), clustered_points,
+                             built, _page_size(method))
+        facts = (on_file.root_id, on_file.height, on_file.size)
+        on_file.store.close()
         # The file build allocates page ids in the memory build's
         # order, so even the page ids in the traces must agree.
         want = self._observe(eager, queries, self.K)
-        assert want[2] == (True, [])
-        assert want[0] == want[1]
+        assert want[1] == (True, [])
         for mmap_mode in (False, True):
             lazy = self._paged(built, method, mmap_mode, *facts)
             assert lazy._peek(lazy.root_id)._entries is None
@@ -214,9 +254,22 @@ class TestNodeFormParity:
             assert self._observe(lazy, queries, self.K) == slots
             lazy.store.close()
         # ... and with the memory build everything but the numbering.
-        assert slots[2] == want[2]
+        assert slots[1] == want[1]
         for (res, leaves, inners), (res0, leaves0, inners0) \
                 in zip(slots[0], want[0]):
             assert res == res0
             assert (len(leaves), len(inners)) \
                 == (len(leaves0), len(inners0))
+
+        # Quantized leaves: the kernel ranks by the oracle's cell lower
+        # bounds, late candidates included, on every node form.
+        quantized = str(tmp_path / "sq8.pages")
+        on_file = paged_tree(make_ext(method, 3), clustered_points,
+                             quantized, _page_size(method), "sq8")
+        facts = (on_file.root_id, on_file.height, on_file.size)
+        lossy = self._observe(on_file, queries, self.K)
+        on_file.store.close()
+        assert lossy[0] != want[0]
+        lazy = self._paged(quantized, method, True, *facts, codec="sq8")
+        assert self._observe(lazy, queries, self.K) == lossy
+        lazy.store.close()

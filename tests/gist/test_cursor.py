@@ -1,12 +1,14 @@
-"""Incremental NN cursors and stop-predicate collection."""
+"""Incremental NN cursors: the k-NN kernel with ``k`` unbounded."""
+
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
-from repro.gist.cursor import knn_until, nn_cursor
 
 from tests.conftest import make_ext
+from tests.gist.oracle import paged_tree
 
 
 class TestCursorOrder:
@@ -58,26 +60,20 @@ class TestCursorOrder:
         assert shallow <= tree.height + 2
 
 
-class TestKnnUntil:
-    def test_stop_after_fixed_count(self, clustered_points):
-        pts = clustered_points
-        tree = bulk_load(make_ext("rtree", 3), pts, page_size=4096)
-        out = knn_until(tree, pts[5], lambda res: len(res) >= 17)
-        assert len(out) == 17
-
-    def test_stop_on_distance_threshold(self, clustered_points):
-        pts = clustered_points
-        tree = bulk_load(make_ext("rtree", 3), pts, page_size=4096)
-        out = knn_until(tree, pts[5],
-                        lambda res: res[-1][0] > 1.0)
-        assert out[-1][0] > 1.0
-        assert all(d <= out[-1][0] for d, _ in out)
-
-    def test_never_firing_predicate_exhausts(self, clustered_points):
-        pts = clustered_points[:100]
-        tree = bulk_load(make_ext("rtree", 3), pts, page_size=2048)
-        out = knn_until(tree, np.zeros(3), lambda res: False)
-        assert len(out) == 100
+class TestCursorIsKnn:
+    @pytest.mark.parametrize("codec", ["f64", "sq8"])
+    def test_any_prefix_is_the_knn_of_that_length(
+            self, any_method, codec, clustered_points, tmp_path):
+        """Distances, rids and tie order — on quantized leaves too,
+        where both rank by the cell lower bound, not the cell center."""
+        tree = paged_tree(make_ext(any_method, 3), clustered_points,
+                          str(tmp_path / "t.pages"), 4096, codec)
+        rng = np.random.default_rng(5)
+        for q in np.concatenate([clustered_points[::450],
+                                 rng.normal(size=(2, 3)) * 5.0]):
+            for k in (1, 25, 300):
+                assert list(islice(tree.nn_cursor(q), k)) == tree.knn(q, k)
+        tree.store.close()
 
 
 class TestImageCountQueries:
@@ -106,3 +102,26 @@ class TestImageCountQueries:
                                    top_images=25)
         # The image-contract query covers at least as many images.
         assert len(by_images) >= len(by_blobs)
+
+    def test_am_query_images_on_quantized_tree(self, tmp_path):
+        """The cursor pulls blobs in ``knn`` order on sq8 leaves as
+        well, so the image contract sees the candidates ``knn`` ranks
+        first."""
+        from repro.blobworld import BlobworldEngine, build_corpus
+        from repro.core.api import make_extension
+        corpus = build_corpus(2000, 320, seed=0)
+        engine = BlobworldEngine(corpus)
+        tree = paged_tree(make_extension("rtree", 5), corpus.reduced(5),
+                          str(tmp_path / "sq8.pages"), 4096, "sq8")
+        images = engine.am_query_images(tree, 7, num_images=30, dims=5,
+                                        top_images=30)
+        seen, candidates = set(), []
+        for _, rid in tree.knn(corpus.reduced(5)[7], tree.size):
+            candidates.append(rid)
+            seen.add(int(corpus.image_ids[rid]))
+            if len(seen) >= 30:
+                break
+        assert images == engine.rerank(
+            7, np.array(candidates, dtype=np.intp), 30)
+        assert len(images) == 30
+        tree.store.close()

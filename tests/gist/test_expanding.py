@@ -1,11 +1,11 @@
-"""Sphere range search and the expanding-sphere NN strategy."""
+"""Sphere range search: the fixed-radius form of the k-NN traversal."""
 
 import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
 
-from tests.conftest import brute_knn, make_ext
+from tests.conftest import make_ext
 
 
 class TestSphereSearch:
@@ -37,60 +37,3 @@ class TestSphereSearch:
     def test_empty_tree(self):
         tree = bulk_load(make_ext("rtree", 2), np.empty((0, 2)))
         assert tree.sphere_search(np.zeros(2), 10.0) == []
-
-
-class TestExpandingKnn:
-    def test_matches_best_first(self, any_method, clustered_points):
-        pts = clustered_points
-        tree = bulk_load(make_ext(any_method, 3), pts, page_size=4096)
-        for q in pts[::613]:
-            best_first = set(r for _, r in tree.knn(q, 25))
-            expanding = set(r for _, r in tree.knn_expanding(q, 25))
-            d = np.sqrt(((pts - q) ** 2).sum(axis=1))
-            dk = np.sort(d)[24]
-            for rid in best_first ^ expanding:
-                assert d[rid] == pytest.approx(dk)
-
-    def test_costs_more_ios_than_best_first(self, clustered_points):
-        """The reason amdb-era NN overshoots: rounds re-read pages."""
-        pts = clustered_points
-        tree = bulk_load(make_ext("rtree", 3), pts, page_size=4096)
-        q = pts[3]
-        tree.store.stats.reset()
-        tree.knn(q, 40)
-        best_first_ios = tree.store.stats.reads
-        tree.store.stats.reset()
-        tree.knn_expanding(q, 40)
-        expanding_ios = tree.store.stats.reads
-        assert expanding_ios >= best_first_ios
-
-    def test_small_initial_radius_still_exact(self, clustered_points):
-        pts = clustered_points
-        tree = bulk_load(make_ext("rtree", 3), pts, page_size=4096)
-        q = pts[9]
-        res = tree.knn_expanding(q, 10, initial_radius=1e-6)
-        want, dk = brute_knn(pts, q, 10)
-        d = np.sqrt(((pts - q) ** 2).sum(axis=1))
-        for rid in set(r for _, r in res) ^ want:
-            assert d[rid] == pytest.approx(dk)
-
-    def test_k_larger_than_tree(self, clustered_points):
-        pts = clustered_points[:30]
-        tree = bulk_load(make_ext("rtree", 3), pts, page_size=4096)
-        res = tree.knn_expanding(np.zeros(3), 100)
-        assert len(res) == 30
-
-    def test_invalid_parameters(self, clustered_points):
-        tree = bulk_load(make_ext("rtree", 3), clustered_points[:50],
-                         page_size=4096)
-        with pytest.raises(ValueError):
-            tree.knn_expanding(np.zeros(3), 0)
-        with pytest.raises(ValueError):
-            tree.knn_expanding(np.zeros(3), 5, growth=1.0)
-
-    def test_round_budget_exhaustion(self, clustered_points):
-        tree = bulk_load(make_ext("rtree", 3), clustered_points[:50],
-                         page_size=4096)
-        with pytest.raises(RuntimeError):
-            tree.knn_expanding(np.zeros(3), 10, initial_radius=1e-12,
-                               growth=1.0001, max_rounds=3)

@@ -83,6 +83,52 @@ class TestEdgeCases:
         assert all(d == 0.0 for d, _ in res)
 
 
+class TestIngress:
+    """One check guards every spelling of the search: a NaN query used
+    to return ``(nan, rid)`` rows whose rids depended on the spelling,
+    and a 4-D query on a 5-D tree died inside a numpy broadcast."""
+
+    SPELLINGS = {
+        "knn": lambda tree, q: tree.knn(q, 5),
+        "knn_batch": lambda tree, q: tree.knn_batch(q[None], 5),
+        "nn_cursor": lambda tree, q: tree.nn_cursor(q),
+        "sphere_search": lambda tree, q: tree.sphere_search(q, 1.0),
+    }
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        rng = np.random.default_rng(3)
+        return bulk_load(make_ext("rtree", 5), rng.normal(size=(300, 5)),
+                         page_size=2048)
+
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    @pytest.mark.parametrize("bad", [
+        np.full(5, np.nan), np.array([0.0, np.inf, 0.0, 0.0, 0.0]),
+        np.zeros(4), np.zeros(6), np.zeros((2, 5))],
+        ids=["nan", "inf", "4d", "6d", "one-axis-too-many"])
+    def test_malformed_query_is_a_value_error(self, tree, spelling, bad):
+        with pytest.raises(ValueError):
+            self.SPELLINGS[spelling](tree, bad)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_must_be_positive(self, tree, k):
+        with pytest.raises(ValueError):
+            tree.knn(np.zeros(5), k)
+        with pytest.raises(ValueError):
+            tree.knn_batch(np.zeros((2, 5)), k)
+
+    def test_check_runs_before_an_empty_tree_answers(self):
+        empty = bulk_load(make_ext("rtree", 5), np.empty((0, 5)))
+        for search in self.SPELLINGS.values():
+            with pytest.raises(ValueError):
+                search(empty, np.full(5, np.nan))
+
+    def test_well_formed_input_is_converted_not_rejected(self, tree):
+        q = [0, 1, 0, -1, 0]            # a list of ints
+        assert tree.knn(q, 5) == tree.knn(np.array(q, dtype=float), 5)
+        assert tree.knn_batch(np.empty((0, 5)), 5) == []
+
+
 class TestLazyRefinement:
     def test_refinement_matches_eager_results(self, clustered_points):
         """Lazy bite refinement must not change the result set."""

@@ -17,6 +17,7 @@ from repro.bulk import bulk_load
 from repro.serving.partials import (canonical_knn_batch, merge_topk,
                                     pack_partials, unpack_hits)
 from tests.conftest import make_ext
+from tests.gist.oracle import paged_tree
 
 
 def packed(rows, width):
@@ -104,6 +105,32 @@ class TestCanonicalAnswers:
         (hits,) = canonical_knn_batch(tree, query, len(tied_vectors))
         assert len(hits) == len(tied_vectors)
         assert hits == sorted(hits)
+
+
+    @pytest.mark.parametrize("codec", ["f64", "sq8"])
+    def test_boundary_tie_ring_uses_the_knn_distances(self, codec,
+                                                      tmp_path):
+        """A tie straddling the cut is resolved with ``sphere_search``
+        at the boundary distance ``knn`` reported — on quantized leaves
+        a cell lower bound, so the ring has to be measured in lower
+        bounds as well or it comes back short.
+
+        A 3 x 3 grid holding ~165 copies of each point: every query sits
+        on more copies of itself than ``k``, spread over several leaves,
+        so each cut falls inside the ring at distance zero."""
+        rng = np.random.default_rng(13)
+        coarse = rng.integers(0, 3, size=(1500, 2)).astype(np.float64)
+        queries = np.array([[x, y] for x in range(3) for y in range(3)],
+                           dtype=np.float64)
+        tree = paged_tree(make_ext("rtree", 2), coarse,
+                          str(tmp_path / "coarse.pages"), 1024, codec)
+        assert len(list(tree.leaf_nodes())) > 4
+        for k in (3, 16, 40):
+            for hits in tree.knn_batch(queries, k + 1):
+                assert hits[k][0] == hits[k - 1][0] == 0.0
+            assert canonical_knn_batch(tree, queries, k) == [
+                sorted(tree.knn(q, len(coarse)))[:k] for q in queries]
+        tree.store.close()
 
 
 class TestShardedMergeParity:
