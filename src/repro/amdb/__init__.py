@@ -20,7 +20,7 @@ optimal_clustering` computes the idealized placement;
 """
 
 from repro.amdb.profiler import (BuildProfile, QueryTrace, WorkloadProfile,
-                                 profile_workload, profile_workload_batched)
+                                 profile_workload)
 from repro.amdb.partition import optimal_clustering, Clustering
 from repro.amdb.metrics import LossReport, compute_losses
 from repro.amdb.report import format_loss_table, format_comparison
@@ -35,7 +35,6 @@ __all__ = [
     "QueryTrace",
     "WorkloadProfile",
     "profile_workload",
-    "profile_workload_batched",
     "optimal_clustering",
     "Clustering",
     "LossReport",

@@ -8,7 +8,7 @@ reads are uncounted by design; see :mod:`repro.gist.tree`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -151,10 +151,9 @@ def latency_percentiles(samples: Sequence[float]) -> Dict[str, float]:
     """Tail-latency summary of per-request wall times (seconds in,
     milliseconds out).
 
-    Returns ``p50_ms`` / ``p95_ms`` / ``p99_ms`` — the percentiles the
-    serving benchmarks compare sharded against unsharded tails with —
-    or an empty dict when no samples were recorded, so JSON consumers
-    can tell "not measured" from "zero".
+    Returns ``p50_ms`` / ``p95_ms`` / ``p99_ms``, or an empty dict when
+    no samples were recorded, so JSON consumers can tell "not measured"
+    from "zero".
     """
     if not len(samples):
         return {}
@@ -163,86 +162,6 @@ def latency_percentiles(samples: Sequence[float]) -> Dict[str, float]:
     return {"p50_ms": round(float(p50), 3),
             "p95_ms": round(float(p95), 3),
             "p99_ms": round(float(p99), 3)}
-
-
-@dataclass
-class ServeProfile:
-    """Per-stage telemetry for one serving (two-stage query) run.
-
-    Filled by :meth:`~repro.blobworld.query.BlobworldEngine.
-    am_query_batch` when a profile object is passed in.  Stages:
-    ``traversal`` (index search excluding storage time),
-    ``read_decode`` (page fetch + CRC verify + decode, measured inside
-    the store's counted read paths), ``rerank`` (full-dimension
-    distances and their stable sort), ``aggregation`` (the image
-    ranking kernel).  Cache counters are snapshotted from the engine's
-    result cache by the caller via :meth:`note_cache`.
-    """
-
-    tree_name: str = ""
-    store_mode: str = ""
-    queries: int = 0
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-    total_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: batches the planner routed to the index / to the flat scan
-    plans_tree: int = 0
-    plans_scan: int = 0
-    #: planner page estimates vs pages the batches actually read
-    est_pages: int = 0
-    actual_pages: int = 0
-    #: per-request wall times (seconds) when the caller serves the
-    #: stream in request blocks rather than one monolithic batch
-    latencies: List[float] = field(default_factory=list)
-
-    def add(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = \
-            self.stage_seconds.get(stage, 0.0) + seconds
-
-    def record_latency(self, seconds: float) -> None:
-        self.latencies.append(seconds)
-
-    def note_plan(self, plan, actual_pages: int = 0) -> None:
-        """Record one routing decision (a
-        :class:`~repro.gist.planner.Plan`) and the pages the chosen
-        execution then read."""
-        if plan.choice == "scan":
-            self.plans_scan += 1
-            self.est_pages += plan.est_scan_pages
-        else:
-            self.plans_tree += 1
-            self.est_pages += plan.est_tree_pages
-        self.actual_pages += int(actual_pages)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        accesses = self.cache_hits + self.cache_misses
-        return self.cache_hits / accesses if accesses else 0.0
-
-    def note_cache(self, stats) -> None:
-        """Record a cache's counters (a
-        :class:`~repro.blobworld.cache.CacheStats`)."""
-        self.cache_hits = stats.hits
-        self.cache_misses = stats.misses
-
-    def as_dict(self) -> Dict:
-        """JSON-ready form (string keys, plain floats)."""
-        return {
-            "tree": self.tree_name,
-            "store_mode": self.store_mode,
-            "queries": self.queries,
-            "total_seconds": self.total_seconds,
-            "stage_seconds": {k: float(v)
-                              for k, v in sorted(self.stage_seconds.items())},
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "plans": {"tree": self.plans_tree, "scan": self.plans_scan},
-            "est_pages": self.est_pages,
-            "actual_pages": self.actual_pages,
-            "latency_ms": latency_percentiles(self.latencies),
-        }
 
 
 @dataclass
@@ -387,58 +306,9 @@ def profile_workload(tree, queries: Sequence[np.ndarray],
                            **_tree_facts(tree))
 
 
-def profile_workload_batched(tree, queries: Sequence[np.ndarray], k: int,
-                             block_size: Optional[int] = None,
-                             ) -> WorkloadProfile:
-    """Like :func:`profile_workload`, through the batched engine.
-
-    Runs the whole workload via
-    :func:`~repro.gist.batch.knn_search_batch` and attributes accesses
-    with its ``on_access`` callback rather than a store listener — a
-    listener cannot tell interleaved queries apart, the callback carries
-    the owning query id.  The resulting profile is identical, trace for
-    trace, to the sequential one: same results, same access lists in the
-    same per-query order.
-    """
-    traces = trace_queries_batched(tree, queries, k, block_size=block_size)
-    return WorkloadProfile(tree_name=tree.ext.name, k=k, traces=traces,
-                           **_tree_facts(tree))
-
-
-def trace_queries_batched(tree, queries: Sequence[np.ndarray], k: int,
-                          block_size: Optional[int] = None,
-                          qid0: int = 0) -> List[QueryTrace]:
-    """Per-query traces for ``queries`` via the batched engine.
-
-    The tree-facts-free core of :func:`profile_workload_batched`;
-    ``qid0`` offsets the trace qids so parallel workers profiling
-    contiguous shards of one workload produce globally numbered traces.
-    """
-    from repro.gist.batch import knn_search_batch
-
-    if len(queries) == 0:
-        return []
-    qarr = np.asarray(queries, dtype=np.float64)
-    traces = [QueryTrace(qid=qid0 + i, query=qarr[i])
-              for i in range(len(qarr))]
-
-    def on_access(qid: int, page_id: int, level: int) -> None:
-        trace = traces[qid]
-        if level == 0:
-            trace.leaf_accesses.append(page_id)
-        else:
-            trace.inner_accesses.append(page_id)
-
-    results = knn_search_batch(tree, qarr, k, block_size=block_size,
-                               on_access=on_access)
-    for trace, result in zip(traces, results):
-        trace.results = result
-    return traces
-
-
 def _tree_facts(tree) -> Dict:
     """The tree-shape fields of :class:`WorkloadProfile`, by one
-    uncounted walk (shared by the sequential and batched profilers)."""
+    uncounted walk."""
     rid_to_leaf: Dict[int, int] = {}
     leaf_utilization: Dict[int, float] = {}
     leaf_sizes: Dict[int, int] = {}

@@ -67,7 +67,7 @@ from repro.analysis.dataflow import (CallGraph, ForwardAnalysis,
 #: packages whose structure must be a pure function of (data, seed).
 _DETERMINISM_SCOPE = ("bulk/", "gist/", "geometry/")
 #: files hosting fork-parallel worker plumbing.
-_FORK_SCOPE = ("bulk/loader.py", "workload/runner.py")
+_FORK_SCOPE = ("bulk/loader.py",)
 #: the zero-copy serving hot path.
 _SERVING_SCOPE = ("blobworld/query.py", "storage/diskfile.py",
                   "storage/codecs.py")

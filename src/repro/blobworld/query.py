@@ -211,7 +211,6 @@ class BlobworldEngine:
     def am_query_batch(self, tree, query_blobs: Sequence[int],
                        num_blobs: int, dims: int,
                        top_images: Optional[int] = None,
-                       block_size: Optional[int] = None,
                        profile=None, planner=None) -> List[List[int]]:
         """A block of two-stage queries, each bit-identical to
         :meth:`am_query` of the same query blob.
@@ -221,8 +220,8 @@ class BlobworldEngine:
         once per block); stage two re-ranks every candidate list with
         one full-dimension distance
         kernel and the vectorized image-aggregation kernel.  ``profile``
-        (a :class:`~repro.amdb.profiler.ServeProfile`, duck-typed as
-        ``add(stage, seconds)``) receives per-stage wall time split into
+        (duck-typed: ``add(stage, seconds)`` and ``note_plan(plan,
+        actual_pages)``) receives per-stage wall time split into
         traversal / read_decode / rerank / aggregation.
 
         ``planner`` (a :class:`~repro.gist.planner.QueryPlanner`)
@@ -275,7 +274,7 @@ class BlobworldEngine:
                                       flat.pages_read - pages_before)
             else:
                 hits_list = self._tree_stage(tree, query_vecs, num_blobs,
-                                             block_size, profile, plan)
+                                             profile, plan)
             candidate_lists = [
                 np.fromiter((rid for _, rid in hits), dtype=np.intp,
                             count=len(hits))
@@ -300,7 +299,7 @@ class BlobworldEngine:
         return results
 
     def _tree_stage(self, tree, query_vecs, num_blobs: int,
-                    block_size, profile, plan) -> List:
+                    profile, plan) -> List:
         """Stage one over the index, instrumented.
 
         Lossy (quantized) indexes are asked for overscanned candidate
@@ -322,8 +321,7 @@ class BlobworldEngine:
         restore, read_seconds = _instrument_reads(tree.store, profile)
         t0 = time.perf_counter()
         try:
-            hits_list = knn_search_batch(tree, query_vecs, num_blobs,
-                                         block_size=block_size)
+            hits_list = knn_search_batch(tree, query_vecs, num_blobs)
         finally:
             restore()
             if listening:

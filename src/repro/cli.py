@@ -133,7 +133,8 @@ def _cmd_serve(args) -> int:
     corpus = load_corpus(args.corpus)
     rng = np.random.default_rng(args.seed)
     pool = rng.choice(corpus.num_blobs,
-                      size=max(1, args.stream // 4), replace=False)
+                      size=min(corpus.num_blobs, max(1, args.stream // 4)),
+                      replace=False)
     stream = [int(b) for b in rng.choice(pool, size=args.stream)]
     profile = ShardServeProfile(method=args.method, codec=args.codec,
                                 num_shards=args.shards,
@@ -178,123 +179,6 @@ def _cmd_serve(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.workload.bench import format_bench, run_bench
-
-    if args.shard:
-        from repro.workload.bench import (format_shard_bench,
-                                          run_shard_bench)
-        result = run_shard_bench(num_blobs=args.blobs,
-                                 num_queries=args.queries,
-                                 num_candidates=args.k,
-                                 method=args.methods[0],
-                                 dims=args.dims,
-                                 page_size=args.page_size,
-                                 shards_list=tuple(args.shards_list),
-                                 transports=tuple(args.transports),
-                                 windows=tuple(args.windows),
-                                 request_size=args.request_size,
-                                 cache_size=args.cache_size,
-                                 seed=args.seed)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result, fh, indent=2)
-                fh.write("\n")
-        print(format_shard_bench(result))
-        ok = True
-        if not result["parity_ok"]:
-            print("PARITY MISMATCH: sharded scatter-gather diverged "
-                  "from the unsharded baseline", file=sys.stderr)
-            ok = False
-        if not result["degraded_ok"]:
-            print("DEGRADED-MODE FAILURE: killing one worker did not "
-                  "yield a degraded answer (or leaked shm segments)",
-                  file=sys.stderr)
-            ok = False
-        if not result.get("zero_copy_ok", True):
-            print("ZERO-COPY FAILURE: an shm scaling row pickled "
-                  "hot-path bytes", file=sys.stderr)
-            ok = False
-        return 0 if ok else 1
-
-    if args.serve and args.codec == "sq8":
-        from repro.workload.bench import (format_quantized_bench,
-                                          run_quantized_bench)
-        result = run_quantized_bench(num_blobs=args.blobs,
-                                     num_queries=args.queries,
-                                     num_candidates=args.k,
-                                     methods=args.methods, dims=args.dims,
-                                     page_size=args.page_size,
-                                     block_size=args.block_size,
-                                     seed=args.seed)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result, fh, indent=2)
-                fh.write("\n")
-        print(format_quantized_bench(result))
-        if not result["parity_ok"]:
-            print("PARITY MISMATCH: quantized serving diverged from the "
-                  "f64 results after rerank", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.serve:
-        from repro.workload.bench import format_serve_bench, run_serve_bench
-        result = run_serve_bench(num_blobs=args.blobs,
-                                 num_queries=args.queries,
-                                 num_candidates=args.k,
-                                 methods=args.methods, dims=args.dims,
-                                 page_size=args.page_size,
-                                 cache_size=args.cache_size,
-                                 block_size=args.block_size,
-                                 seed=args.seed)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result, fh, indent=2)
-                fh.write("\n")
-        print(format_serve_bench(result))
-        if not result["parity_ok"]:
-            print("PARITY MISMATCH: serving pipeline diverged from "
-                  "sequential results", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.build:
-        from repro.workload.bench import format_build_bench, run_build_bench
-        result = run_build_bench(num_blobs=args.blobs,
-                                 methods=args.methods, dims=args.dims,
-                                 page_size=args.page_size,
-                                 workers=args.workers, seed=args.seed)
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(result, fh, indent=2)
-                fh.write("\n")
-        print(format_build_bench(result))
-        if not result["identity_ok"]:
-            print("BUILD IDENTITY MISMATCH: parallel build diverged "
-                  "from the sequential page file", file=sys.stderr)
-            return 1
-        return 0
-
-    result = run_bench(num_blobs=args.blobs, num_queries=args.queries,
-                       k=args.k, methods=args.methods, dims=args.dims,
-                       page_size=args.page_size, batch=args.batch,
-                       workers=args.workers, block_size=args.block_size,
-                       seed=args.seed)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-    print(format_bench(result))
-    if args.batch and not result["parity_ok"]:
-        print("PARITY MISMATCH: batched engine diverged from "
-              "sequential results", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -501,64 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true",
                    help="emit results as CSV")
     p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser(
-        "bench", help="sequential vs batched query throughput")
-    p.add_argument("--methods", nargs="+", default=["rtree", "xjb"],
-                   choices=["rtree", "rstar", "sstree", "srtree",
-                            "amap", "xjb", "jb"])
-    p.add_argument("--blobs", type=int, default=20_000)
-    p.add_argument("--queries", type=int, default=2_000)
-    p.add_argument("--k", type=int, default=NEIGHBORS_PER_QUERY)
-    p.add_argument("--dims", type=int, default=INDEX_DIMENSIONS)
-    p.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
-    p.add_argument("--batch", action="store_true",
-                   help="also run the batched engine and verify parity")
-    p.add_argument("--build", action="store_true",
-                   help="benchmark index *builds* instead of queries: "
-                        "legacy loader vs the parallel pipeline, with a "
-                        "byte-identity check")
-    p.add_argument("--serve", action="store_true",
-                   help="benchmark the serving pipeline: sequential "
-                        "pread baseline vs batched mmap two-stage "
-                        "queries with a result cache, with a parity "
-                        "check")
-    p.add_argument("--shard", action="store_true",
-                   help="benchmark the sharded scatter-gather daemon: "
-                        "per-family parity at 2 shards, a shard x "
-                        "transport x window scaling matrix with tail "
-                        "latency and byte accounting, and a kill-one-"
-                        "worker degraded-mode + shm-leak check")
-    p.add_argument("--shards-list", type=int, nargs="+",
-                   default=[1, 2, 4],
-                   help="shard counts for the scaling phase "
-                        "(--shard only)")
-    p.add_argument("--transports", nargs="+",
-                   default=["framed", "shm"],
-                   choices=["framed", "shm"],
-                   help="transports for the scaling matrix; shm is "
-                        "skipped where unavailable (--shard only)")
-    p.add_argument("--windows", type=int, nargs="+", default=[1, 4],
-                   help="pipeline windows for the scaling matrix "
-                        "(--shard only)")
-    p.add_argument("--request-size", type=int, default=64,
-                   help="queries per request block (--shard only)")
-    p.add_argument("--cache-size", type=int, default=4096,
-                   help="query-result cache capacity (--serve only)")
-    p.add_argument("--codec", default="f64", choices=["f64", "sq8"],
-                   help="leaf-page codec axis: with --serve, sq8 "
-                        "benchmarks quantized leaves against f64 "
-                        "(leaf reads, latency, post-rerank parity, "
-                        "planner routing)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (batched queries or "
-                        "parallel build)")
-    p.add_argument("--block-size", type=int, default=None,
-                   help="queries per shared traversal block")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="also write the result dict as JSON")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "serve", help="run the sharded serving daemon over a stream")

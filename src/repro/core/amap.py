@@ -60,19 +60,44 @@ class MapPred:
         return f"MapPred({self.r1!r}, {self.r2!r})"
 
 
+def _side_bounds(masks: np.ndarray, los: np.ndarray, his: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo1, hi1, lo2, hi2)``: per candidate row of ``masks``, the MBR
+    of the items it selects and of the items it leaves out.
+
+    Every candidate scored at once, as order statistics rather than
+    float reductions: a side's bound in dimension d is the *first* of
+    its items in d-sorted order, so after one argsort per dimension each
+    of the (candidates x dim) bounds is a boolean argmax plus a gather —
+    no per-candidate Python loop and no (candidates x items x dim) float
+    temporaries.  Picks elements, never computes, so the result is
+    bit-identical to a masked min/max reduction (the oracle in
+    ``tests/core/test_amap.py``).
+    """
+    C, dim = len(masks), los.shape[1]
+    lo1 = np.empty((C, dim))
+    hi1 = np.empty((C, dim))
+    lo2 = np.empty((C, dim))
+    hi2 = np.empty((C, dim))
+    for d in range(dim):
+        asc = np.argsort(los[:, d], kind="stable")
+        desc = np.argsort(-his[:, d], kind="stable")
+        lo_vals, hi_vals = los[asc, d], his[desc, d]
+        m_asc, m_desc = masks[:, asc], masks[:, desc]
+        lo1[:, d] = lo_vals[m_asc.argmax(axis=1)]
+        lo2[:, d] = lo_vals[(~m_asc).argmax(axis=1)]
+        hi1[:, d] = hi_vals[m_desc.argmax(axis=1)]
+        hi2[:, d] = hi_vals[(~m_desc).argmax(axis=1)]
+    return lo1, hi1, lo2, hi2
+
+
 def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
-                     rng: np.random.Generator,
-                     kernel: str = "orderstat") -> MapPred:
+                     rng: np.random.Generator) -> MapPred:
     """Minimum-total-volume pair of MBRs over random bipartitions.
 
     ``los``/``his`` give each item's own bounds (equal for points).  The
     all-in-one split (second rectangle empty) is always a candidate, so
     aMAP never does worse than the plain MBR on covered volume.
-
-    ``kernel`` selects how the candidates are scored: ``"orderstat"``
-    (default) or ``"reduce"``, the straightforward masked min/max
-    reduction kept as the bit-identical reference for parity tests and
-    legacy build benchmarking.
     """
     n = len(los)
     whole = Rect(los.min(axis=0), his.max(axis=0))
@@ -105,39 +130,7 @@ def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
     if len(masks) == 0:
         return best
 
-    if kernel == "reduce":
-        big = np.inf
-        lo1 = np.where(masks[:, :, None], los[None], big).min(axis=1)
-        hi1 = np.where(masks[:, :, None], his[None], -big).max(axis=1)
-        lo2 = np.where(masks[:, :, None], big, los[None]).min(axis=1)
-        hi2 = np.where(masks[:, :, None], -big, his[None]).max(axis=1)
-    elif kernel == "orderstat":
-        # Every candidate scored at once, as order statistics rather
-        # than float reductions: a side's bound in dimension d is the
-        # *first* of its items in d-sorted order, so after one argsort
-        # per dimension each of the (candidates x dim) bounds is a
-        # boolean argmax plus a gather — no per-candidate Python loop
-        # and no (candidates x items x dim) float temporaries.  Picks
-        # elements, never computes, so the result is bit-identical to
-        # the masked reduction above.
-        C = len(masks)
-        lo1 = np.empty((C, dim))
-        hi1 = np.empty((C, dim))
-        lo2 = np.empty((C, dim))
-        hi2 = np.empty((C, dim))
-        for d in range(dim):
-            asc = np.argsort(los[:, d], kind="stable")
-            desc = np.argsort(-his[:, d], kind="stable")
-            lo_vals, hi_vals = los[asc, d], his[desc, d]
-            m_asc, m_desc = masks[:, asc], masks[:, desc]
-            lo1[:, d] = lo_vals[m_asc.argmax(axis=1)]
-            lo2[:, d] = lo_vals[(~m_asc).argmax(axis=1)]
-            hi1[:, d] = hi_vals[m_desc.argmax(axis=1)]
-            hi2[:, d] = hi_vals[(~m_desc).argmax(axis=1)]
-    else:
-        raise ValueError(f"unknown bipartition kernel {kernel!r}; "
-                         "choose 'orderstat' or 'reduce'")
-
+    lo1, hi1, lo2, hi2 = _side_bounds(masks, los, his)
     vol1 = np.prod(hi1 - lo1, axis=1)
     vol2 = np.prod(hi2 - lo2, axis=1)
     inter = np.clip(np.minimum(hi1, hi2) - np.maximum(lo1, lo2), 0.0, None)
@@ -159,28 +152,23 @@ class AMapExtension(RTreeExtension):
     name = "amap"
 
     def __init__(self, dim: int, samples: int = AMAP_SAMPLES,
-                 seed: int = 0, bp_kernel: str = "orderstat"):
+                 seed: int = 0):
         super().__init__(dim)
         self.samples = samples
         self.seed = seed
-        #: candidate-scoring kernel (a speed knob only: both kernels
-        #: produce bit-identical predicates, so it is not persisted).
-        self.bp_kernel = bp_kernel
         self._rng = np.random.default_rng(seed)
 
     # -- predicate construction --------------------------------------------
 
     def pred_for_keys(self, keys: np.ndarray) -> MapPred:
         keys = np.asarray(keys, dtype=np.float64)
-        return best_bipartition(keys, keys, self.samples, self._rng,
-                                kernel=self.bp_kernel)
+        return best_bipartition(keys, keys, self.samples, self._rng)
 
     def pred_for_preds(self, preds: Sequence[MapPred]) -> MapPred:
         rects = self.footprints(preds)
         los = np.stack([r.lo for r in rects])
         his = np.stack([r.hi for r in rects])
-        return best_bipartition(los, his, self.samples, self._rng,
-                                kernel=self.bp_kernel)
+        return best_bipartition(los, his, self.samples, self._rng)
 
     # -- bulk-load construction hooks ---------------------------------------
     #
@@ -198,8 +186,7 @@ class AMapExtension(RTreeExtension):
                          token: Tuple[int, int]) -> MapPred:
         keys = np.asarray(keys, dtype=np.float64)
         return best_bipartition(keys, keys, self.samples,
-                                self._bulk_rng(token),
-                                kernel=self.bp_kernel)
+                                self._bulk_rng(token))
 
     def pred_for_preds_at(self, preds: Sequence[MapPred],
                           token: Tuple[int, int]) -> MapPred:
@@ -207,8 +194,7 @@ class AMapExtension(RTreeExtension):
         los = np.stack([r.lo for r in rects])
         his = np.stack([r.hi for r in rects])
         return best_bipartition(los, his, self.samples,
-                                self._bulk_rng(token),
-                                kernel=self.bp_kernel)
+                                self._bulk_rng(token))
 
     def pred_for_node_at(self, node: Node, token: Tuple[int, int]) -> MapPred:
         if node.is_leaf:
@@ -218,8 +204,7 @@ class AMapExtension(RTreeExtension):
         # inherit the matrices built here.
         los, his = self.node_bounds(node)
         return best_bipartition(los, his, self.samples,
-                                self._bulk_rng(token),
-                                kernel=self.bp_kernel)
+                                self._bulk_rng(token))
 
     def footprints(self, preds: Sequence[MapPred]) -> List[Rect]:
         return [p.mbr() for p in preds]

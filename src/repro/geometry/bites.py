@@ -614,15 +614,12 @@ def carve_bites(rect: Rect, points=None, rects: Sequence[Rect] = None,
     (:func:`_sweep_corner`), ``"both"`` keeps the larger bite per
     corner, and ``"probe"`` the workload-oriented set-cover construction
     of the paper's future-work objective (:func:`_probe_cover_bites`).
-    ``"sweep-scalar"`` carves the same bites as ``"sweep"`` through the
-    per-corner reference loop — kept so parity tests and build
-    benchmarks can compare the batched kernel against it.
     Returns the non-empty bites in corner-mask order; corners whose bite
     degenerated to zero volume are omitted.
     """
     if (points is None) == (rects is None):
         raise ValueError("pass exactly one of points= or rects=")
-    if method not in ("nibble", "sweep", "sweep-scalar", "both", "probe"):
+    if method not in ("nibble", "sweep", "both", "probe"):
         raise ValueError(f"unknown bite method {method!r}")
     if points is not None:
         obstacles = _PointObstacles(points)
@@ -651,7 +648,7 @@ def carve_bites(rect: Rect, points=None, rects: Sequence[Rect] = None,
             nib = _carve_corner(rect, mask, obstacles, max_steps)
             if nib is not None:
                 candidates.append(nib)
-        if method in ("sweep-scalar", "both"):
+        if method == "both":
             prox = _corner_proxies(rect, mask, obstacles)
             sw = _sweep_corner(rect, mask, prox)
             if sw is not None and not obstacles.blocked(sw):

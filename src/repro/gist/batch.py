@@ -11,7 +11,7 @@ the node, stacked geometry (:meth:`~repro.gist.node.Node.cached`) warm.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -20,26 +20,16 @@ from repro.gist.nn import Hit, best_first, check_queries
 #: queries sharing one node table; bounds how many decoded nodes it pins.
 DEFAULT_BLOCK_SIZE = 256
 
-#: called as ``on_access(qid, page_id, level)`` for every logical
-#: counted access, in each query's own access order.
-AccessCallback = Callable[[int, int, int], None]
 
-
-def knn_search_batch(tree: Any, queries: np.ndarray, k: int, block_size: Optional[int] = None,
-                     on_access: Optional[AccessCallback] = None,
-                     ) -> List[List[Hit]]:
+def knn_search_batch(tree: Any, queries: np.ndarray,
+                     k: int) -> List[List[Hit]]:
     """k-NN results for every query, bit-identical to ``tree.knn``.
 
     ``queries`` is a ``(Q, dim)`` array-like; the return value is one
-    result list per query, in query order.  ``block_size`` caps how many
-    queries share a node table (and so how long decoded nodes stay
-    pinned); ``on_access`` observes every counted node access with its
-    owning query id, which a store listener cannot supply.
+    result list per query, in query order.  Each run of
+    :data:`DEFAULT_BLOCK_SIZE` queries shares one node table.
     """
     queries = check_queries(tree, queries, 2, k)
-    size = block_size if block_size is not None else DEFAULT_BLOCK_SIZE
-    if size < 1:
-        raise ValueError(f"block_size must be positive, got {size}")
     #: page id -> decoded node, or None for a quarantined page.
     nodes: Dict[int, Optional[Any]] = {}
 
@@ -50,13 +40,11 @@ def knn_search_batch(tree: Any, queries: np.ndarray, k: int, block_size: Optiona
                 tree.store.record_access(page_id, node.level)
         else:
             node = nodes[page_id] = tree._read_query(page_id, level)
-        if node is not None and on_access is not None:
-            on_access(qid, page_id, node.level)
         return node
 
     results: List[List[Hit]] = []
     for qid, query in enumerate(queries):
-        if qid % size == 0:
+        if qid % DEFAULT_BLOCK_SIZE == 0:
             nodes.clear()
         results.append(list(best_first(tree, query, k, read)))
     return results

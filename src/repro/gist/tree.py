@@ -183,9 +183,8 @@ class GiST:
         """
         return knn_search(self, query, k)
 
-    def knn_batch(self, queries: np.ndarray, k: int,
-                  block_size: Optional[int] = None,
-                  ) -> List[List[Tuple[float, int]]]:
+    def knn_batch(self, queries: np.ndarray,
+                  k: int) -> List[List[Tuple[float, int]]]:
         """:meth:`knn` for a whole ``(Q, dim)`` query block at once.
 
         Each node is fetched and decoded at most once per block, while
@@ -193,7 +192,7 @@ class GiST:
         :meth:`knn` calls; see :func:`repro.gist.batch.knn_search_batch`.
         """
         from repro.gist.batch import knn_search_batch
-        return knn_search_batch(self, queries, k, block_size=block_size)
+        return knn_search_batch(self, queries, k)
 
     def nn_cursor(self, query: np.ndarray) -> Iterator[Tuple[float, int]]:
         """Incremental nearest-neighbor iterator; see

@@ -299,9 +299,8 @@ class ShardedService:
               window: Optional[int] = None) -> "ShardedService":
         """Fork the workers (or fall back to in-process shards).
 
-        A stopped service can be started again — the bench sweeps
-        transport x window combinations over one set of built trees
-        this way — and ``transport``/``window`` here override the
+        A stopped service can be started again over the same built
+        trees, and ``transport``/``window`` here override the
         constructor's choice for this incarnation.
         """
         if self._started:

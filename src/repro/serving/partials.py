@@ -25,7 +25,7 @@ leaves included — so the floats match bit for bit).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +33,8 @@ import numpy as np
 Hit = Tuple[float, int]
 
 
-def canonical_knn_batch(tree: Any, queries: np.ndarray, k: int,
-                        block_size: Optional[int] = None) -> List[List[Hit]]:
+def canonical_knn_batch(tree: Any, queries: np.ndarray,
+                        k: int) -> List[List[Hit]]:
     """Per-query top-``k`` of ``tree`` under the ``(distance, rid)``
     total order — the serving wire contract.
 
@@ -45,7 +45,7 @@ def canonical_knn_batch(tree: Any, queries: np.ndarray, k: int,
     queries = np.asarray(queries, dtype=np.float64)
     if len(queries) == 0:
         return []
-    raw = tree.knn_batch(queries, k + 1, block_size=block_size)
+    raw = tree.knn_batch(queries, k + 1)
     out: List[List[Hit]] = []
     for query, hits in zip(queries, raw):
         if len(hits) <= k:

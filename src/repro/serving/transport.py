@@ -15,8 +15,8 @@ the views are dead (after the merge has copied out of them).
 
 Every channel keeps honest byte counters — ``shm`` (array bytes through
 the ring), ``pickled`` (array bytes that went through pickle), and
-``control`` (everything else on the socket) — which is how the bench's
-zero-copy gate proves the hot path pickles nothing: in shm mode the
+``control`` (everything else on the socket) — which is how the daemon
+tests prove the hot path pickles nothing: in shm mode the
 ``pickled`` counter stays exactly zero unless a message overflowed its
 slot and took the sanctioned framed fallback.
 """

@@ -1,7 +1,7 @@
 """The shard worker: one forked process serving canonical partials.
 
-Work crosses the fork boundary the same way the parallel runner and
-bulk loader do it (see :mod:`repro.storage.fork`): the coordinator
+Work crosses the fork boundary the same way the parallel bulk loader
+does it (see :mod:`repro.storage.fork`): the coordinator
 stashes shared state in the module-global ``_FORK_STATE``, forks one
 child per shard, and each child finds its tree, socket, shm rings, and
 the reduced vector matrix in its copy-on-write copy.  The first thing a
@@ -114,8 +114,7 @@ class ShardServer:
     def _handle_knn(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         queries = np.asarray(msg["queries"], dtype=np.float64)
         k = int(msg["k"])
-        hits = canonical_knn_batch(self.tree, queries, k,
-                                   block_size=msg.get("block_size"))
+        hits = canonical_knn_batch(self.tree, queries, k)
         dists, rids = pack_partials(hits, k)
         return {"dists": dists, "rids": rids}
 
@@ -166,9 +165,7 @@ class ShardServer:
                 out_r[misses] = scan_r
             else:
                 self.plans_tree += 1
-                computed = canonical_knn_batch(
-                    self.tree, vecs, fetch,
-                    block_size=msg.get("block_size"))
+                computed = canonical_knn_batch(self.tree, vecs, fetch)
                 for i, hits in zip(misses, computed):
                     if hits:
                         pairs = np.asarray(hits, dtype=np.float64)

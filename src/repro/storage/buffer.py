@@ -221,7 +221,7 @@ class BufferPool:
 
     def resize(self, capacity_pages: int) -> None:
         """Change the frame budget in place, evicting LRU pages if it
-        shrinks (the batch runner sizes frames per worker this way)."""
+        shrinks."""
         if capacity_pages < 1:
             raise ValueError("buffer pool needs at least one frame")
         self.capacity = capacity_pages

@@ -1,13 +1,13 @@
 """Fork-pool plumbing shared by parallel execution paths.
 
-Both the parallel workload runner (:mod:`repro.workload.runner`) and the
-parallel bulk loader (:mod:`repro.bulk.loader`) follow the same pattern:
-stash shared state in a module global, fork one worker per contiguous
-shard (fork shares the state copy-on-write; a Pool argument would have
-to pickle trees and page files, which cannot be pickled), and merge the
-outcomes in shard order so results are deterministic regardless of which
-worker finished first.  The store-handling helpers here are the part
-both sides need verbatim.
+The parallel bulk loader (:mod:`repro.bulk.loader`) and the shard
+daemon (:mod:`repro.serving`) follow the same pattern: stash shared
+state in a module global, fork one worker per contiguous shard (fork
+shares the state copy-on-write; a Pool argument would have to pickle
+trees and page files, which cannot be pickled), and merge the outcomes
+in shard order so results are deterministic regardless of which worker
+finished first.  The store-handling helpers here are the part both
+sides need verbatim.
 """
 
 from __future__ import annotations

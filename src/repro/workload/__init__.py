@@ -7,24 +7,13 @@ average, be retrieved by several queries").
 """
 
 from repro.workload.generator import NNWorkload, make_workload
-from repro.workload.runner import (run_workload, run_workload_batched,
-                                   WorkloadResult)
-from repro.workload.bench import (format_bench, format_serve_bench,
-                                  format_shard_bench, run_bench,
-                                  run_serve_bench, run_shard_bench)
+from repro.workload.runner import run_workload, WorkloadResult
 from repro.workload.recall import recall, recall_curve, RecallPoint
 
 __all__ = [
     "NNWorkload",
     "make_workload",
     "run_workload",
-    "run_workload_batched",
-    "run_bench",
-    "format_bench",
-    "run_serve_bench",
-    "format_serve_bench",
-    "run_shard_bench",
-    "format_shard_bench",
     "WorkloadResult",
     "recall",
     "recall_curve",

@@ -130,8 +130,8 @@ def run_crash_trial(method: str, seed: int, workdir: str,
     bit-exact k-NN shadow comparison: the shadow mirrors one decode
     generation of reconstructions while the recovered file re-quantizes
     at every commit, so low digits legitimately drift.  Engine-level
-    post-rerank parity for sq8 is gated separately (the quantized
-    serving bench and the parity test suite).
+    post-rerank parity for sq8 is gated separately
+    (``tests/blobworld/test_quantized_parity.py``).
     """
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)

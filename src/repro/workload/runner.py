@@ -9,22 +9,16 @@ pages and the *measured* degraded recall against brute force.
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.amdb.metrics import LossReport, compute_losses
 from repro.amdb.partition import Clustering
-from repro.amdb.profiler import (WorkloadProfile, _tree_facts,
-                                 profile_workload, profile_workload_batched,
-                                 trace_queries_batched)
+from repro.amdb.profiler import WorkloadProfile, profile_workload
 from repro.constants import TARGET_UTILIZATION
 from repro.gist.degrade import DegradationReport
-from repro.storage.fork import (fork_available, reopen_files, shard_bounds,
-                                store_chain)
 from repro.workload.generator import NNWorkload
 
 
@@ -75,164 +69,6 @@ def run_workload(tree, workload: NNWorkload, vectors: np.ndarray,
         degradation.recall = _measured_recall(profile, workload.k, vectors)
     return WorkloadResult(profile=profile, report=report,
                           degradation=degradation)
-
-
-def run_workload_batched(tree, workload: NNWorkload, vectors: np.ndarray,
-                         clustering: Optional[Clustering] = None,
-                         target_utilization: float = TARGET_UTILIZATION,
-                         quarantine: bool = False,
-                         workers: int = 1,
-                         block_size: Optional[int] = None) -> WorkloadResult:
-    """:func:`run_workload` through the batched query engine.
-
-    The profile is bit-identical to the sequential runner's — same
-    results, same per-query access lists in the same order — because
-    :func:`~repro.gist.batch.knn_search_batch` reproduces the sequential
-    search exactly; only the execution cost changes (each page decoded
-    once per query block instead of once per visiting query).
-
-    ``workers > 1`` forks that many processes, each running the batched
-    engine over one contiguous shard of the queries, and merges
-    deterministically: traces come back in query order regardless of
-    which worker finished first, page-file counters absorb each worker's
-    deltas, and quarantined pages are unioned into the parent tree and
-    report.  Requires the ``fork`` start method (the tree is inherited,
-    not pickled); where it is unavailable the run degrades to in-process
-    execution with identical output.
-    """
-    degradation = tree.enable_quarantine() if quarantine else None
-    n = len(workload.queries)
-    if workers > 1 and n > 1 and _fork_available():
-        traces = _trace_parallel(tree, workload, min(workers, n), block_size)
-        profile = WorkloadProfile(tree_name=tree.ext.name, k=workload.k,
-                                  traces=traces, **_tree_facts(tree))
-    else:
-        profile = profile_workload_batched(tree, workload.queries,
-                                           workload.k, block_size=block_size)
-    report = compute_losses(
-        profile, keys=vectors, rids=list(range(len(vectors))),
-        clustering=clustering, target_utilization=target_utilization)
-    if degradation is not None:
-        degradation.recall = _measured_recall(profile, workload.k, vectors)
-    return WorkloadResult(profile=profile, report=report,
-                          degradation=degradation)
-
-
-#: kept as module attributes so tests can monkeypatch / import them.
-_fork_available = fork_available
-_shard_bounds = shard_bounds
-_store_chain = store_chain
-_reopen_files = reopen_files
-
-#: state the forked workers inherit (fork shares it copy-on-write; a
-#: Pool argument would have to pickle the tree, which page files can't).
-_FORK_STATE: Dict = {}
-
-
-def _trace_parallel(tree, workload: NNWorkload, workers: int,
-                    block_size: Optional[int]) -> List:
-    """Per-query traces via one forked worker per contiguous shard."""
-    global _FORK_STATE
-    bounds = _shard_bounds(len(workload.queries), workers)
-    # Workers reopen file-backed stores by path (see _reopen_files), so
-    # anything sitting in the parent's write buffer must hit the OS
-    # first or the children would read a stale file.
-    tree.store.flush()
-    _FORK_STATE = {"tree": tree, "queries": workload.queries,
-                   "k": workload.k, "block_size": block_size}
-    ctx = multiprocessing.get_context("fork")
-    try:
-        with ctx.Pool(processes=len(bounds)) as pool:
-            outcomes = pool.map(_worker_shard, bounds)
-    finally:
-        _FORK_STATE = {}
-
-    # Deterministic merge: pool.map returns outcomes in shard order (=
-    # query order) no matter which worker finished first.
-    traces: List = []
-    stats_objects = _chain_stats(tree.store)
-    for shard_traces, stats_deltas, quarantined in outcomes:
-        traces.extend(shard_traces)
-        for stats, delta in zip(stats_objects, stats_deltas):
-            _stats_apply(stats, delta)
-        for page in quarantined:
-            tree._quarantined.add(page.page_id)
-            if tree.degradation is not None:
-                tree.degradation.pages.setdefault(page.page_id, page)
-    return traces
-
-
-def _worker_shard(bounds: Tuple[int, int]):
-    """Forked worker body: trace one contiguous query shard.
-
-    Returns everything the parent needs to merge: the shard's traces
-    (globally numbered), per-layer counter deltas, and pages the shard
-    quarantined — the parent's copies of all three are untouched by the
-    child's copy-on-write memory.
-    """
-    start, stop = bounds
-    tree = _FORK_STATE["tree"]
-    _reopen_files(tree.store)
-    before = [_stats_snapshot(s) for s in _chain_stats(tree.store)]
-    seen_quarantined = set(tree.degradation.pages) \
-        if tree.degradation is not None else set()
-    traces = trace_queries_batched(
-        tree, _FORK_STATE["queries"][start:stop], _FORK_STATE["k"],
-        block_size=_FORK_STATE["block_size"], qid0=start)
-    deltas = [_stats_delta(_stats_snapshot(s), b)
-              for s, b in zip(_chain_stats(tree.store), before)]
-    quarantined = [p for pid, p in sorted(tree.degradation.pages.items())
-                   if pid not in seen_quarantined] \
-        if tree.degradation is not None else []
-    return traces, deltas, quarantined
-
-
-def _chain_stats(store) -> List:
-    """Distinct stats objects down the store chain, outermost first.
-
-    Deduplicated by identity: a wrapper whose ``stats`` property just
-    exposes its inner store's object contributes nothing new.
-    """
-    objs, seen = [], set()
-    for layer in _store_chain(store):
-        stats = getattr(layer, "stats", None)
-        if stats is not None and id(stats) not in seen:
-            seen.add(id(stats))
-            objs.append(stats)
-    return objs
-
-
-def _stats_snapshot(stats) -> Dict:
-    """The counter fields of a stats dataclass as plain values."""
-    out = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        out[f.name] = dict(value) if isinstance(value, dict) else value
-    return out
-
-
-def _stats_delta(after: Dict, before: Dict) -> Dict:
-    delta: Dict = {}
-    for name, value in after.items():
-        if isinstance(value, dict):
-            prev = before.get(name, {})
-            inc = {key: count - prev.get(key, 0)
-                   for key, count in value.items()
-                   if count - prev.get(key, 0)}
-            delta[name] = inc
-        else:
-            delta[name] = value - before.get(name, 0)
-    return delta
-
-
-def _stats_apply(stats, delta: Dict) -> None:
-    for name, value in delta.items():
-        current = getattr(stats, name)
-        if isinstance(value, dict):
-            for key, count in value.items():
-                current[key] = current.get(key, 0) + count
-        else:
-            setattr(stats, name, current + value)
 
 
 def _measured_recall(profile: WorkloadProfile, k: int,

@@ -1,7 +1,9 @@
 """REP201 + REP202 positive fixture: every fork-safety sin at once.
 
-The file name matters: the fork rules scope on ``workload/runner.py``
-exactly, so this fixture lints as that file.
+The path matters: the fork rules scope on ``bulk/loader.py`` exactly,
+which the negative fixture already occupies, so this one sits under a
+second ``fixtures/`` anchor (``module_relpath`` keys on the last one)
+and lints as that file too.
 """
 
 import multiprocessing
@@ -9,7 +11,7 @@ import multiprocessing
 _FORK_STATE = {}
 
 
-def run_workload(tree, queries, log_path):
+def build_levels(tree, queries, log_path):
     global _FORK_STATE
     # REP202: a live file handle captured into the fork state.
     _FORK_STATE = {"tree": tree, "log": open(log_path, "w")}

@@ -35,8 +35,8 @@ def lint_fixtures(*names):
 POSITIVE = [
     ("REP101", ["bulk/bad_wallclock.py"], 2),
     ("REP102", ["geometry/bad_rng.py"], 2),
-    ("REP201", ["workload/runner.py"], 1),
-    ("REP202", ["workload/runner.py"], 2),
+    ("REP201", ["fork_unsafe/fixtures/bulk/loader.py"], 1),
+    ("REP202", ["fork_unsafe/fixtures/bulk/loader.py"], 2),
     ("REP203", ["serving/bad_daemon.py"], 2),
     ("REP204", ["serving/bad_hotpath.py"], 2),
     ("REP104", ["gist/mutable.py"], 2),

@@ -7,12 +7,14 @@ against the exact in-memory reduced vectors, and the 218-D rerank runs
 on the same candidate set the float64 tree would produce.  These tests
 pin that end-to-end guarantee for every registered AM family, and keep
 it through the mutation paths: MutableTree insert/delete round trips
-and WAL crash recovery.
+and WAL crash recovery.  The last test routes blocks over a quantized
+page file through a real :class:`~repro.gist.planner.QueryPlanner`.
 """
 
 import numpy as np
 import pytest
 
+from repro.ams.flatfile import FlatFile
 from repro.analysis import deep_scrub
 from repro.blobworld import BlobworldEngine, build_corpus
 from repro.bulk import bulk_load
@@ -20,8 +22,10 @@ from repro.constants import INDEX_DIMENSIONS
 from repro.core.api import EXTENSIONS
 from repro.gist.mutable import MutableTree
 from repro.gist.persist import load_tree, save_tree
+from repro.gist.planner import QueryPlanner
 from repro.storage.codecs import make_leaf_codec
 from tests.conftest import make_ext
+from tests.gist.oracle import paged_tree
 
 METHODS = sorted(EXTENSIONS)  # all seven registered families
 K = 60
@@ -156,3 +160,46 @@ def test_parity_survives_crash_recovery(method, corpus, vectors, stream,
                          rids=survivors, page_size=PAGE)
     assert serve(corpus, recovered, stream) == serve(corpus, baseline,
                                                      stream)
+
+
+# ---------------------------------------------------------------------------
+# planner routing over a quantized page file
+# ---------------------------------------------------------------------------
+
+def test_planner_routes_blocks_over_sq8_tree(tmp_path):
+    """One query prices below the flat scan and descends the tree; the
+    whole stream as one block prices above it and scans.  Either way the
+    images are the unplanned tree answer (the rerank absorbs the scan's
+    tie order), and the profile hears one plan per block with the pages
+    it estimated and the pages the chosen route then read."""
+    corpus = build_corpus(num_blobs=2400, num_images=400, seed=29)
+    vectors = corpus.reduced(DIMS)
+    rng = np.random.default_rng(31)
+    stream = [int(b) for b in rng.choice(corpus.num_blobs, size=32,
+                                         replace=False)]
+    tree = paged_tree(make_ext("rtree", DIMS), vectors,
+                      str(tmp_path / "sq8.pages"), 2048, "sq8")
+    planner = QueryPlanner(tree, FlatFile(vectors, page_size=2048))
+    noted = []
+
+    class Profile:
+        def add(self, stage, seconds):
+            pass
+
+        def note_plan(self, plan, actual_pages):
+            noted.append((plan, actual_pages))
+
+    engine = BlobworldEngine(corpus)
+    reference = engine.am_query_batch(tree, stream, K, DIMS)
+    single = engine.am_query_batch(tree, stream[:1], K, DIMS,
+                                   profile=Profile(), planner=planner)
+    bulk = engine.am_query_batch(tree, stream, K, DIMS,
+                                 profile=Profile(), planner=planner)
+    tree.store.close()
+
+    assert [plan.choice for plan, _ in noted] == ["tree", "scan"]
+    assert single == reference[:1]
+    assert bulk == reference
+    (tree_plan, tree_pages), (scan_plan, scan_pages) = noted
+    assert tree_plan.est_tree_pages > 0 and tree_pages > 0
+    assert scan_plan.est_scan_pages > 0 and scan_pages > 0

@@ -10,14 +10,15 @@ vectorized re-ranking, and the result cache.
 import numpy as np
 import pytest
 
-from repro.amdb.profiler import ServeProfile
 from repro.blobworld import (BlobworldEngine, QueryResultCache,
                              build_corpus)
 from repro.blobworld.query import (_top_images_from_blobs,
                                    _top_images_from_blobs_ref)
 from repro.bulk import bulk_load
 from repro.constants import INDEX_DIMENSIONS
+from repro.storage import BufferPool, FilePageFile
 from tests.conftest import make_ext
+from tests.gist.oracle import traced
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,27 @@ def stream(corpus):
 
 
 class TestBatchParity:
+    @pytest.fixture(scope="class", params=["rtree", "xjb", "rtree-pread",
+                                           "xjb-mmap-pool"])
+    def tree(self, request, corpus, tmp_path_factory):
+        """The module's in-memory trees, plus the two ways a served index
+        reads a page file: pread, and mmap behind a buffer pool smaller
+        than the index."""
+        method, _, mode = request.param.partition("-")
+        ext = make_ext(method, INDEX_DIMENSIONS)
+        store = None
+        if mode:
+            path = tmp_path_factory.mktemp("serving") / "tree.pages"
+            store = FilePageFile.for_extension(
+                str(path), ext, page_size=4096,
+                mmap_mode=(mode == "mmap-pool"))
+            if mode == "mmap-pool":
+                store = BufferPool(store, capacity_pages=4)
+        yield bulk_load(ext, corpus.reduced(INDEX_DIMENSIONS),
+                        page_size=4096, store=store)
+        if store is not None:
+            store.close()
+
     def test_matches_sequential_cold(self, corpus, tree, stream):
         engine = BlobworldEngine(corpus)
         expected = [engine.am_query(tree, q, 60, INDEX_DIMENSIONS)
@@ -71,19 +93,24 @@ class TestBatchParity:
         cache = QueryResultCache(64)
         engine = BlobworldEngine(corpus, cache=cache)
         cold = engine.am_query_batch(tree, stream, 60, INDEX_DIMENSIONS)
-        reads_after_cold = tree.store.stats.reads
-        warm = engine.am_query_batch(tree, stream, 60, INDEX_DIMENSIONS)
+        warm, accesses = traced(tree, lambda: engine.am_query_batch(
+            tree, stream, 60, INDEX_DIMENSIONS))
         assert warm == cold
-        assert tree.store.stats.reads == reads_after_cold  # all cached
+        assert accesses == []  # all cached
 
     def test_profile_accounts_every_stage(self, corpus, tree, stream):
-        profile = ServeProfile(tree_name="t", store_mode="memory",
-                               queries=len(stream))
+        stage_seconds = {}
+
+        class Profile:
+            def add(self, stage, seconds):
+                stage_seconds[stage] = \
+                    stage_seconds.get(stage, 0.0) + seconds
+
         BlobworldEngine(corpus).am_query_batch(
-            tree, stream, 60, INDEX_DIMENSIONS, profile=profile)
-        assert set(profile.stage_seconds) == {
+            tree, stream, 60, INDEX_DIMENSIONS, profile=Profile())
+        assert set(stage_seconds) == {
             "traversal", "read_decode", "rerank", "aggregation"}
-        assert all(s >= 0 for s in profile.stage_seconds.values())
+        assert all(s >= 0 for s in stage_seconds.values())
 
     def test_empty_batch(self, corpus, tree):
         assert BlobworldEngine(corpus).am_query_batch(

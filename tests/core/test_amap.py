@@ -1,11 +1,14 @@
 """aMAP extension: dual-rectangle minimum-volume predicates (section 5.1)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core import amap as amap_mod
 from repro.core.amap import AMapExtension, MapPred, best_bipartition
 from repro.geometry import Rect
 
@@ -94,12 +97,28 @@ def _map_preds_equal(a, b):
                for ra, rb in zip(a, b))
 
 
+def _side_bounds_reduce(masks, los, his):
+    """The masked min/max reduction ``_side_bounds`` replaced."""
+    big = np.inf
+    lo1 = np.where(masks[:, :, None], los[None], big).min(axis=1)
+    hi1 = np.where(masks[:, :, None], his[None], -big).max(axis=1)
+    lo2 = np.where(masks[:, :, None], big, los[None]).min(axis=1)
+    hi2 = np.where(masks[:, :, None], -big, his[None]).max(axis=1)
+    return lo1, hi1, lo2, hi2
+
+
+def _reference(build):
+    """``build()`` with its candidates scored by the reduction."""
+    with mock.patch.object(amap_mod, "_side_bounds", _side_bounds_reduce):
+        return build()
+
+
 class TestBipartitionKernels:
     """The order-statistics kernel against the masked-reduce reference.
 
     Both evaluate the same sampled bipartitions with the same RNG
     stream, so the winning predicate must match to the bit — that
-    equality is what lets the fast kernel replace the reference in the
+    equality is what let the fast kernel replace the reference in the
     bulk-load pipeline without changing a single page byte.
     """
 
@@ -107,40 +126,24 @@ class TestBipartitionKernels:
     def test_kernels_bit_identical(self, n, dim):
         rng = np.random.default_rng(n * 10 + dim)
         pts = rng.normal(size=(n, dim))
-        fast = best_bipartition(pts, pts, 256, np.random.default_rng(9),
-                                kernel="orderstat")
-        ref = best_bipartition(pts, pts, 256, np.random.default_rng(9),
-                               kernel="reduce")
+        fast = best_bipartition(pts, pts, 256, np.random.default_rng(9))
+        ref = _reference(lambda: best_bipartition(
+            pts, pts, 256, np.random.default_rng(9)))
         assert _map_preds_equal(fast, ref)
 
     def test_kernels_bit_identical_on_rects(self):
         rng = np.random.default_rng(11)
         los = rng.normal(size=(25, 4))
         his = los + rng.uniform(0.1, 1.0, size=los.shape)
-        fast = best_bipartition(los, his, 128, np.random.default_rng(3),
-                                kernel="orderstat")
-        ref = best_bipartition(los, his, 128, np.random.default_rng(3),
-                               kernel="reduce")
+        fast = best_bipartition(los, his, 128, np.random.default_rng(3))
+        ref = _reference(lambda: best_bipartition(
+            los, his, 128, np.random.default_rng(3)))
         assert _map_preds_equal(fast, ref)
-
-    def test_unknown_kernel_rejected(self):
-        pts = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            best_bipartition(pts, pts, 16, np.random.default_rng(0),
-                             kernel="nope")
 
     def test_extension_kernel_choice_does_not_change_preds(self):
         rng = np.random.default_rng(13)
         keys = rng.normal(size=(60, 3))
-        fast = AMapExtension(3, samples=128, seed=5,
-                             bp_kernel="orderstat").pred_for_keys(keys)
-        ref = AMapExtension(3, samples=128, seed=5,
-                            bp_kernel="reduce").pred_for_keys(keys)
+        fast = AMapExtension(3, samples=128, seed=5).pred_for_keys(keys)
+        ref = _reference(lambda: AMapExtension(
+            3, samples=128, seed=5).pred_for_keys(keys))
         assert _map_preds_equal(fast, ref)
-
-    def test_kernel_choice_not_persisted_in_config(self):
-        """The kernel is a speed knob, not an index parameter: a tree
-        built with either must reload identically."""
-        fast = AMapExtension(3, bp_kernel="orderstat")
-        ref = AMapExtension(3, bp_kernel="reduce")
-        assert fast.config() == ref.config()

@@ -6,8 +6,9 @@ Three layers of equivalence, each exact (not approximate):
   :func:`_sweep_rows` (the expanded per-corner kernel) — bit identity;
 - :func:`bitten_rects_multi` against the scalar per-group
   :meth:`BittenRect.from_points` / :meth:`from_rect_bounds`;
-- the ``"sweep"`` carve method against its preserved ``"sweep-scalar"``
-  reference loop.
+- the ``"sweep"`` carve method against the per-corner reference loop
+  (:func:`_sweep_scalar` below, over the ``_corner_proxies`` +
+  ``_sweep_corner`` pair that ``"both"`` still runs).
 
 Bit identity is what makes the parallel bulk loader's byte-identical
 page files possible: any shard may carve any subset of groups.
@@ -21,6 +22,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.geometry import BittenRect, Rect, carve_bites
 from repro.geometry.bites import (_batched_sweep_bites, _corner_low_table,
+                                  _corner_proxies, _PointObstacles,
+                                  _RectObstacles, _sweep_corner,
                                   _sweep_corners, _sweep_rows,
                                   bitten_rects_multi)
 
@@ -130,6 +133,17 @@ class TestBatchedAgainstScalar:
         assert _bites_equal(batched.bites, scalar.bites)
 
 
+def _sweep_scalar(rect, obstacles):
+    """The sweep bites carved one corner at a time."""
+    bites = []
+    for mask in range(1 << rect.dim):
+        bite = _sweep_corner(rect, mask,
+                             _corner_proxies(rect, mask, obstacles))
+        if bite is not None and not obstacles.blocked(bite):
+            bites.append(bite)
+    return bites
+
+
 class TestSweepScalarReference:
     def test_sweep_equals_sweep_scalar(self):
         rng = np.random.default_rng(8)
@@ -137,7 +151,7 @@ class TestSweepScalarReference:
             pts = rng.normal(size=(n, 3))
             rect = Rect.from_points(pts)
             fast = carve_bites(rect, points=pts, method="sweep")
-            ref = carve_bites(rect, points=pts, method="sweep-scalar")
+            ref = _sweep_scalar(rect, _PointObstacles(pts))
             assert _bites_equal(fast, ref)
 
     def test_sweep_equals_sweep_scalar_on_rects(self):
@@ -146,5 +160,5 @@ class TestSweepScalarReference:
         rects = [Rect(c - 0.3, c + 0.3) for c in centers]
         outer = Rect.from_rects(rects)
         fast = carve_bites(outer, rects=rects, method="sweep")
-        ref = carve_bites(outer, rects=rects, method="sweep-scalar")
+        ref = _sweep_scalar(outer, _RectObstacles(rects))
         assert _bites_equal(fast, ref)

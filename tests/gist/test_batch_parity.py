@@ -2,10 +2,10 @@
 
 ``tests/gist/oracle.py`` holds the point-in-heap best-first search the
 package used to ship.  Every spelling of the kernel in
-:mod:`repro.gist.nn` — ``tree.knn``, ``knn_search_batch`` at any block
-size, and a prefix of ``tree.nn_cursor`` — must return its result lists
-(distances, rids, tie order) and book its counted accesses in the same
-per-query order: the amdb loss metrics consume the traces, so
+:mod:`repro.gist.nn` — ``tree.knn``, ``knn_search_batch`` at any node-
+table cap, and a prefix of ``tree.nn_cursor`` — must return its result
+lists (distances, rids, tie order) and book its counted accesses in the
+same per-query order: the amdb loss metrics consume the traces, so
 "approximately the same" would silently change every downstream
 number.  These tests hold it to that across the AMs the paper compares,
 including the lazily refined JB/XJB family whose bite-aware bounds go
@@ -18,9 +18,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from repro.amdb import profile_workload_batched
 from repro.bulk import bulk_load
 from repro.gist import GiST, knn_search_batch
+from repro.gist import batch as batch_mod
 from repro.storage import FilePageFile
 from repro.storage.faults import FaultyPageFile
 
@@ -60,40 +60,48 @@ def queries(clustered_points):
 
 
 def _traces(tree, queries, search):
-    """Per query: ``search(q)``'s (results, leaf accesses, inner accesses)."""
-    out = []
-    for q in queries:
-        results, seen = traced(tree, lambda: search(q))
-        out.append((results, [p for p, lvl in seen if lvl == 0],
-                    [p for p, lvl in seen if lvl > 0]))
-    return out
+    """Per query: ``search(q)``'s results and its counted ``(page_id,
+    level)`` accesses in order."""
+    return [traced(tree, lambda: search(q)) for q in queries]
 
 
 def oracle_traces(tree, queries, k):
     return _traces(tree, queries, lambda q: oracle_knn(tree, q, k))
 
 
-def kernel_traces(tree, queries, k, block_size=7):
-    """The oracle's triples from each spelling of the kernel; the batch
-    ones come from its own ``on_access`` attribution."""
-    batch = profile_workload_batched(tree, queries, k,
-                                     block_size=block_size)
+def kernel_traces(tree, queries, k):
+    """The oracle's pairs from the per-query spellings of the kernel."""
     return {
         "knn": _traces(tree, queries, lambda q: tree.knn(q, k)),
-        "knn_batch": [(t.results, t.leaf_accesses, t.inner_accesses)
-                      for t in batch.traces],
         "nn_cursor": _traces(
             tree, queries, lambda q: list(islice(tree.nn_cursor(q), k))),
     }
 
 
+def assert_batch_matches(tree, queries, k, want):
+    """``knn_search_batch`` returns the oracle's result lists, and the
+    store's listeners hear the oracle's per-query access lists
+    concatenated in query order (a listener has no query id to split
+    them by)."""
+    results, seen = traced(
+        tree, lambda: knn_search_batch(tree, queries, k))
+    assert results == [res for res, _ in want]
+    assert seen == [access for _, accesses in want for access in accesses]
+
+
+@pytest.fixture(params=[1, 7, None])
+def block_size(request, monkeypatch):
+    """The node-table cap: two small values and the shipped constant."""
+    if request.param is not None:
+        monkeypatch.setattr(batch_mod, "DEFAULT_BLOCK_SIZE", request.param)
+    return request.param
+
+
 class TestResultParity:
-    @pytest.mark.parametrize("block_size", [1, 7, None])
     def test_bit_identical_results(self, tree, queries, block_size):
         expected = [oracle_knn(tree, q, 10) for q in queries]
         # floats, rids, and tie order, exactly
-        assert knn_search_batch(tree, queries, 10,
-                                block_size=block_size) == expected
+        assert knn_search_batch(tree, queries, 10) == expected
         assert [tree.knn(q, 10) for q in queries] == expected
         assert [list(islice(tree.nn_cursor(q), 10))
                 for q in queries] == expected
@@ -124,20 +132,17 @@ class TestResultParity:
             knn_search_batch(tree, np.zeros((2, 3)), 0)
         with pytest.raises(ValueError):
             knn_search_batch(tree, np.zeros(3), 5)
-        with pytest.raises(ValueError):
-            knn_search_batch(tree, np.zeros((2, 3)), 5, block_size=0)
 
 
 class TestAccessParity:
-    @pytest.mark.parametrize("block_size", [1, 7, None])
     def test_per_query_access_lists_match(self, tree, queries,
                                           block_size):
         """Every query books the oracle's counted reads, in the oracle's
         order — the amdb loss metrics depend on this."""
         want = oracle_traces(tree, queries, 10)
-        for spelling, got in kernel_traces(tree, queries, 10,
-                                           block_size).items():
+        for spelling, got in kernel_traces(tree, queries, 10).items():
             assert got == want, spelling
+        assert_batch_matches(tree, queries, 10, want)
 
     def test_store_counters_match_sequential_totals(self, method,
                                                     clustered_points,
@@ -161,7 +166,7 @@ class TestAccessParity:
 class TestQuarantineParity:
     def test_degraded_results_match_sequential(self, tmp_path,
                                                clustered_points,
-                                               queries):
+                                               queries, monkeypatch):
         """Same page corrupted in identical trees: the kernel prunes the
         subtree the oracle prunes and returns the same degraded answers,
         with the same uncounted skip for repeat visitors."""
@@ -179,8 +184,8 @@ class TestQuarantineParity:
 
             expected = [oracle_knn(ref, q, 10) for q in queries]
             assert [knn_tree.knn(q, 10) for q in queries] == expected
-            assert knn_search_batch(batch_tree, queries, 10,
-                                    block_size=7) == expected
+            monkeypatch.setattr(batch_mod, "DEFAULT_BLOCK_SIZE", 7)
+            assert knn_search_batch(batch_tree, queries, 10) == expected
             assert [list(islice(cursor_tree.nn_cursor(q), 10))
                     for q in queries] == expected
             for t in trees:
@@ -208,6 +213,7 @@ class TestNodeFormParity:
         want = oracle_traces(tree, queries, k)
         for spelling, got in kernel_traces(tree, queries, k).items():
             assert got == want, spelling
+        assert_batch_matches(tree, queries, k, want)
         return want, (report.clean, [v.code for v in report.violations])
 
     @staticmethod
@@ -255,11 +261,9 @@ class TestNodeFormParity:
             lazy.store.close()
         # ... and with the memory build everything but the numbering.
         assert slots[1] == want[1]
-        for (res, leaves, inners), (res0, leaves0, inners0) \
-                in zip(slots[0], want[0]):
+        for (res, seen), (res0, seen0) in zip(slots[0], want[0]):
             assert res == res0
-            assert (len(leaves), len(inners)) \
-                == (len(leaves0), len(inners0))
+            assert [lvl for _, lvl in seen] == [lvl for _, lvl in seen0]
 
         # Quantized leaves: the kernel ranks by the oracle's cell lower
         # bounds, late candidates included, on every node form.

@@ -12,12 +12,14 @@ access traces of ``knn``, ``knn_batch`` and a cursor prefix with
 import tempfile
 from itertools import islice
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bulk import bulk_load
+from repro.gist import batch as batch_mod
 from repro.gist import knn_search_batch
 from repro.storage.codecs import IndexEntryCodec
 from repro.storage.page import page_payload
@@ -83,12 +85,14 @@ def test_kernel_matches_oracle(case):
             # bound in it may undercut the tie.
             assert hits == want_hits or (codec == "sq8"
                                          and seen != want_seen)
+        # a listener cannot split a block's accesses by query: the block
+        # books the oracle's per-query lists back to back
+        want_block = ([hits for hits, _ in want],
+                      [access for _, seen in want for access in seen])
         for block_size in (1, 7):
-            seen = [[] for _ in queries]
-            got = knn_search_batch(
-                tree, queries, k, block_size=block_size,
-                on_access=lambda qid, page, level:
-                    seen[qid].append((page, level)))
-            assert list(zip(got, seen)) == want
+            with mock.patch.object(batch_mod, "DEFAULT_BLOCK_SIZE",
+                                   block_size):
+                assert traced(tree, lambda: knn_search_batch(
+                    tree, queries, k)) == want_block
         if codec != "f64":
             tree.store.close()

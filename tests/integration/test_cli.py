@@ -130,3 +130,18 @@ class TestFsck:
         open(path, "wb").write(b"not an index at all")
         assert main(["fsck", path]) == 1
         assert "CORRUPT" in capsys.readouterr().out
+
+
+def test_serve(tmp_path):
+    """A stream longer than four times the corpus: the distinct-query
+    pool is clamped to the corpus instead of oversampling it."""
+    import json
+    corpus = str(tmp_path / "small.npz")
+    assert main(["corpus", corpus, "--blobs", "300", "--images", "50"]) == 0
+    report = tmp_path / "serve.json"
+    assert main(["serve", corpus, "--shards", "2", "--stream", "1300",
+                 "--page-size", "4096", "--json", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["queries"] == 1300
+    assert doc["latency_ms"]
+    assert sorted(doc["heartbeats"]) == ["0", "1"]

@@ -1,7 +1,8 @@
 """The sharded daemon end to end: parity, degradation, accounting.
 
 Everything here runs against a small corpus so the forked workers are
-cheap; the full-scale numbers live in ``benchmarks/bench_shard_serve``.
+cheap; the paper-scale numbers come from the measurement spine's
+``serve_unique`` and ``serve_repeat`` workloads (``benchmarks/spine``).
 Degraded-mode tests query *cold* blob ids on purpose — a cached answer
 never scatters, so a warm query cannot observe a dead shard.
 """
@@ -18,7 +19,8 @@ from repro.constants import INDEX_DIMENSIONS
 from repro.serving import ShardedService, canonical_knn_batch
 from repro.serving.registry import DEAD, LIVE
 from repro.storage.diskfile import FilePageFile
-from tests.conftest import make_ext
+from repro.storage.fork import fork_available
+from tests.conftest import ALL_METHODS, make_ext
 
 CANDIDATES = 40
 
@@ -72,6 +74,29 @@ class TestParity:
         with build_service(corpus, shards=2, method="xjb",
                            codec="sq8") as svc:
             assert svc.am_query_batch(stream, CANDIDATES) == expected
+
+    @pytest.mark.parametrize("family", ALL_METHODS)
+    def test_two_forked_shards_match_unsharded_family(self, corpus,
+                                                      tmp_path, family):
+        """The paper's invariant per AM family: two forked shards merge
+        to the unsharded tree's canonical k-NN, bit for bit, and serve
+        its image lists."""
+        vectors = corpus.reduced(INDEX_DIMENSIONS)
+        ext = make_ext(family, INDEX_DIMENSIONS)
+        store = FilePageFile.for_extension(
+            str(tmp_path / "ref.pages"), ext, page_size=4096)
+        ref_tree = bulk_load(ext, vectors, page_size=4096, store=store)
+        queries = vectors[::37]
+        stream = list(range(0, 600, 23))
+        want_knn = canonical_knn_batch(ref_tree, queries, CANDIDATES)
+        want_images = BlobworldEngine(corpus).am_query_batch(
+            ref_tree, stream, CANDIDATES, INDEX_DIMENSIONS)
+        store.close()
+        with build_service(corpus, shards=2, method=family,
+                           cache_size=0) as svc:
+            assert svc.inline is not fork_available()
+            assert svc.knn_batch(queries, CANDIDATES) == want_knn
+            assert svc.am_query_batch(stream, CANDIDATES) == want_images
 
     def test_single_shard_degenerate_case(self, corpus, reference):
         stream = list(range(0, 600, 41))

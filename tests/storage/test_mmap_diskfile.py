@@ -249,7 +249,7 @@ class TestFaultParity:
 
         queries = np.concatenate([points[::150], points[resident[:4]]])
         expected = [seq_tree.knn(q, 10) for q in queries]
-        got = knn_search_batch(bat_tree, queries, 10, block_size=7)
+        got = knn_search_batch(bat_tree, queries, 10)
 
         assert got == expected
         assert bat_tree._quarantined == seq_tree._quarantined == {victim}

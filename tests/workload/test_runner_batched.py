@@ -1,160 +1,27 @@
-"""The batched workload runner: same profile, merged deterministically.
+"""Contiguous shard bounds (:func:`repro.storage.fork.shard_bounds`).
 
-``run_workload_batched`` must hand back exactly what ``run_workload``
-would — traces, losses, store counters, quarantine reports — whether it
-runs in-process or fans queries out to forked workers.  Worker merge is
-the risky part: traces must come back in query order regardless of
-completion order, counter deltas must land once, and quarantined pages
-found by any worker must reach the parent tree.
+The bulk loader cuts a level's groups, and the shard daemon the corpus,
+into per-worker runs with it; both merge in shard order, so the runs
+must tile the range exactly.
 """
 
-import numpy as np
-import pytest
-
-from repro.bulk import bulk_load
-from repro.storage import BufferPool, FilePageFile
-from repro.storage.faults import FaultyPageFile
-from repro.workload import make_workload, run_workload, run_workload_batched
-from repro.workload import runner as runner_mod
-from repro.workload.runner import _shard_bounds
-
-from tests.conftest import make_ext
-
-
-@pytest.fixture(scope="module")
-def points():
-    rng = np.random.default_rng(31)
-    centers = rng.normal(size=(8, 3)) * 4
-    return np.concatenate(
-        [c + rng.normal(size=(120, 3)) * 0.5 for c in centers])
-
-
-@pytest.fixture(scope="module")
-def workload(points):
-    return make_workload(points, 40, k=10, seed=9)
-
-
-def _disk_tree(tmp_path, name, points, buffered=False):
-    ext = make_ext("rtree", 3)
-    store = FilePageFile.for_extension(str(tmp_path / name), ext,
-                                       page_size=2048)
-    if buffered:
-        store = BufferPool(store, capacity_pages=64)
-    return bulk_load(ext, points, page_size=2048, store=store)
-
-
-def _assert_profiles_equal(a, b):
-    assert a.num_queries == b.num_queries
-    for ta, tb in zip(a.traces, b.traces):
-        assert tb.qid == ta.qid
-        assert tb.results == ta.results
-        assert tb.leaf_accesses == ta.leaf_accesses
-        assert tb.inner_accesses == ta.inner_accesses
-    assert a.rid_to_leaf == b.rid_to_leaf
-    assert a.leaf_utilization == b.leaf_utilization
-
-
-class TestInProcess:
-    def test_matches_sequential_runner(self, tmp_path, points, workload):
-        seq = run_workload(_disk_tree(tmp_path, "a.pages", points),
-                           workload, points)
-        bat = run_workload_batched(_disk_tree(tmp_path, "b.pages", points),
-                                   workload, points, block_size=16)
-        _assert_profiles_equal(seq.profile, bat.profile)
-        assert bat.report.total_ios == seq.report.total_ios
-        assert bat.report.excess_coverage_leaf \
-            == seq.report.excess_coverage_leaf
-        assert bat.degradation is None
-
-    def test_memory_store_works_too(self, points, workload):
-        tree = bulk_load(make_ext("rtree", 3), points, page_size=2048)
-        seq_tree = bulk_load(make_ext("rtree", 3), points, page_size=2048)
-        seq = run_workload(seq_tree, workload, points)
-        bat = run_workload_batched(tree, workload, points)
-        _assert_profiles_equal(seq.profile, bat.profile)
-
-
-class TestForkedWorkers:
-    def test_parallel_merge_is_deterministic(self, tmp_path, points,
-                                             workload):
-        one = run_workload_batched(
-            _disk_tree(tmp_path, "w1.pages", points), workload, points,
-            workers=1, block_size=8)
-        many = run_workload_batched(
-            _disk_tree(tmp_path, "w3.pages", points), workload, points,
-            workers=3, block_size=8)
-        _assert_profiles_equal(one.profile, many.profile)
-
-    def test_store_counters_absorb_worker_deltas(self, tmp_path, points,
-                                                 workload):
-        t1 = _disk_tree(tmp_path, "c1.pages", points)
-        t3 = _disk_tree(tmp_path, "c3.pages", points)
-        run_workload_batched(t1, workload, points, workers=1)
-        run_workload_batched(t3, workload, points, workers=3)
-        assert t3.store.stats.reads == t1.store.stats.reads
-        assert t3.store.stats.reads_by_level \
-            == t1.store.stats.reads_by_level
-
-    def test_buffered_store_counters_merge(self, tmp_path, points,
-                                           workload):
-        tree = _disk_tree(tmp_path, "buf.pages", points, buffered=True)
-        result = run_workload_batched(tree, workload, points, workers=2)
-        # every counted access is either a pool hit or a pool miss
-        assert (tree.store.stats.hits + tree.store.stats.misses
-                == result.profile.total_ios)
-
-    def test_more_workers_than_queries(self, tmp_path, points):
-        small = make_workload(points, 3, k=5, seed=2)
-        tree = _disk_tree(tmp_path, "tiny.pages", points)
-        result = run_workload_batched(tree, small, points, workers=8)
-        assert result.profile.num_queries == 3
-
-    def test_falls_back_without_fork(self, tmp_path, points, workload,
-                                     monkeypatch):
-        monkeypatch.setattr(runner_mod, "_fork_available", lambda: False)
-        seq = run_workload(_disk_tree(tmp_path, "f1.pages", points),
-                           workload, points)
-        bat = run_workload_batched(
-            _disk_tree(tmp_path, "f2.pages", points), workload, points,
-            workers=4)
-        _assert_profiles_equal(seq.profile, bat.profile)
-
-    def test_degradation_merges_from_workers(self, tmp_path, points,
-                                             workload):
-        seq_tree = _disk_tree(tmp_path, "q1.pages", points)
-        bat_tree = _disk_tree(tmp_path, "q2.pages", points)
-        victim = [n.page_id for n in seq_tree.iter_nodes()
-                  if n.is_leaf][2]
-        for t in (seq_tree, bat_tree):
-            FaultyPageFile(t.store).corrupt_page(victim, bit=500 * 8)
-
-        seq = run_workload(seq_tree, workload, points, quarantine=True)
-        bat = run_workload_batched(bat_tree, workload, points,
-                                   quarantine=True, workers=3,
-                                   block_size=8)
-
-        _assert_profiles_equal(seq.profile, bat.profile)
-        assert bat.degradation is not None
-        assert set(bat.degradation.pages) \
-            == set(seq.degradation.pages) == {victim}
-        assert bat.degradation.recall == seq.degradation.recall
-        assert bat_tree._quarantined == {victim}
+from repro.storage.fork import shard_bounds
 
 
 class TestShardBounds:
     def test_even_split(self):
-        assert _shard_bounds(9, 3) == [(0, 3), (3, 6), (6, 9)]
+        assert shard_bounds(9, 3) == [(0, 3), (3, 6), (6, 9)]
 
     def test_uneven_split_front_loads_remainder(self):
-        assert _shard_bounds(10, 3) == [(0, 4), (4, 7), (7, 10)]
+        assert shard_bounds(10, 3) == [(0, 4), (4, 7), (7, 10)]
 
     def test_fewer_items_than_workers(self):
-        assert _shard_bounds(2, 5) == [(0, 1), (1, 2)]
+        assert shard_bounds(2, 5) == [(0, 1), (1, 2)]
 
     def test_bounds_cover_range_exactly(self):
         for n in (1, 7, 100):
             for w in (1, 3, 8):
-                bounds = _shard_bounds(n, w)
+                bounds = shard_bounds(n, w)
                 assert bounds[0][0] == 0 and bounds[-1][1] == n
                 for (_, e), (s, _) in zip(bounds, bounds[1:]):
                     assert e == s

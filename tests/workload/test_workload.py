@@ -5,6 +5,7 @@ import pytest
 
 from repro.blobworld import build_corpus
 from repro.bulk import bulk_load
+from repro.storage import BufferPool, FilePageFile
 from repro.workload import make_workload, recall_curve, run_workload
 
 from tests.conftest import make_ext
@@ -57,6 +58,29 @@ class TestRunner:
                              vecs)
         assert large.pages_touched_fraction \
             >= small.pages_touched_fraction
+
+    def test_buffer_pool_hits_are_counted_not_traced(self, corpus,
+                                                     tmp_path):
+        """Listeners sit under the pool: a bare page file traces every
+        node visit, a pooled one only the misses that reached it, and
+        the pool's hit counter holds the difference."""
+        vecs = corpus.reduced(3)
+        wl = make_workload(vecs, 8, k=20, seed=1)
+        plain = run_workload(
+            bulk_load(make_ext("rtree", 3), vecs, page_size=2048), wl, vecs)
+        ext = make_ext("rtree", 3)
+        pool = BufferPool(FilePageFile.for_extension(
+            str(tmp_path / "t.pages"), ext, page_size=2048),
+            capacity_pages=8)
+        buffered = run_workload(
+            bulk_load(ext, vecs, page_size=2048, store=pool), wl, vecs)
+        pool.close()
+        assert [t.results for t in buffered.profile.traces] \
+            == [t.results for t in plain.profile.traces]
+        assert pool.stats.hits > 0
+        assert buffered.profile.total_ios == pool.stats.misses
+        assert plain.profile.total_ios \
+            == pool.stats.hits + pool.stats.misses
 
 
 class TestRecallCurve:
