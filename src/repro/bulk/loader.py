@@ -97,6 +97,9 @@ def bulk_load(ext: GiSTExtension, keys: np.ndarray,
     machines).  Pass a :class:`~repro.amdb.profiler.BuildProfile` as
     ``profile`` to collect per-phase timings.
 
+    Keys must be finite: a NaN or infinite coordinate raises
+    ``ValueError`` before the store allocates a page.
+
     ``leaf_codec`` overrides the leaf-page encoding (e.g. a
     :class:`~repro.storage.codecs.QuantizedLeafCodec` packs 4-6x more
     entries per page); leaf capacity and chunk sizes follow it.
@@ -104,6 +107,10 @@ def bulk_load(ext: GiSTExtension, keys: np.ndarray,
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim != 2:
         raise ValueError("keys must be a 2-D (n, dim) array")
+    if not np.isfinite(keys).all():
+        # one NaN coordinate makes its leaf's MBR NaN, every min_dist to
+        # it compares false, and the leaf's other keys become unreachable
+        raise ValueError("keys must be finite (no NaN or inf)")
     n = len(keys)
     if rids is None:
         rids = range(n)

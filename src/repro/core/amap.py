@@ -60,6 +60,15 @@ class MapPred:
         return f"MapPred({self.r1!r}, {self.r2!r})"
 
 
+#: How far into each sort order :func:`_side_bounds` looks before a
+#: full-width scan.  A random bipartition has no item of a given side
+#: among the first r of an order with probability 2**-r (at 24: once or
+#: twice per 221,231-blob build); the rows that do miss are the axis
+#: sweeps, which select their items *in* sort order.  12 to 24 time
+#: alike, 48 costs 15 % more.  At most 255: a rank is a uint8.
+_HEAD = 24
+
+
 def _side_bounds(masks: np.ndarray, los: np.ndarray, his: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(lo1, hi1, lo2, hi2)``: per candidate row of ``masks``, the MBR
@@ -67,28 +76,45 @@ def _side_bounds(masks: np.ndarray, los: np.ndarray, his: np.ndarray
 
     Every candidate scored at once, as order statistics rather than
     float reductions: a side's bound in dimension d is the *first* of
-    its items in d-sorted order, so after one argsort per dimension each
-    of the (candidates x dim) bounds is a boolean argmax plus a gather —
-    no per-candidate Python loop and no (candidates x items x dim) float
-    temporaries.  Picks elements, never computes, so the result is
-    bit-identical to a masked min/max reduction (the oracle in
-    ``tests/core/test_amap.py``).
+    its items in d-sorted order.  With the masks transposed once to
+    item-major bytes, the first ``_HEAD`` items of all ``2 * dim`` sort
+    orders are one row gather; tagging each byte with its rank (255
+    where the item is on the other side) makes "first item of the side"
+    a ``uint8`` minimum over the head.  A row whose side has no item in
+    the head reduces to 255 and is scanned at full width — a fallback,
+    not a wider head, because those rows are the few axis sweeps and
+    every row would pay for the width.  Picks elements, never computes,
+    so the result is bit-identical to a masked min/max reduction (the
+    oracle in ``tests/core/test_amap.py``).
     """
-    C, dim = len(masks), los.shape[1]
-    lo1 = np.empty((C, dim))
-    hi1 = np.empty((C, dim))
-    lo2 = np.empty((C, dim))
-    hi2 = np.empty((C, dim))
-    for d in range(dim):
-        asc = np.argsort(los[:, d], kind="stable")
-        desc = np.argsort(-his[:, d], kind="stable")
-        lo_vals, hi_vals = los[asc, d], his[desc, d]
-        m_asc, m_desc = masks[:, asc], masks[:, desc]
-        lo1[:, d] = lo_vals[m_asc.argmax(axis=1)]
-        lo2[:, d] = lo_vals[(~m_asc).argmax(axis=1)]
-        hi1[:, d] = hi_vals[m_desc.argmax(axis=1)]
-        hi2[:, d] = hi_vals[(~m_desc).argmax(axis=1)]
-    return lo1, hi1, lo2, hi2
+    C, n = masks.shape
+    dim = los.shape[1]
+    head = min(_HEAD, n, 255)
+    asc = np.argsort(los, axis=0, kind="stable")
+    desc = np.argsort(-his, axis=0, kind="stable")
+    orders = np.concatenate((asc.T, desc.T))            # (2 * dim, n)
+    vals = np.concatenate((los[asc, np.arange(dim)].T,
+                           his[desc, np.arange(dim)].T))
+    # tags[s, j]: 0 where item j is on side s of a row (0 = selected,
+    # 1 = left out), 255 where it is on the other side.
+    flags = np.ascontiguousarray(masks.T).view(np.uint8)
+    tags = np.empty((2, n, C), dtype=np.uint8)
+    np.subtract(flags, 1, out=tags[0])
+    np.negative(flags, out=tags[1])
+    ranked = tags[:, orders[:, :head]]                  # (2, 2 * dim, head, C)
+    ranked |= np.arange(head, dtype=np.uint8)[:, None]
+    first = np.minimum.reduce(ranked, axis=2)
+    pick = first.astype(np.intp)
+    missed = np.flatnonzero(first == 255)
+    if len(missed):
+        side, k, c = np.unravel_index(missed, first.shape)
+        rows = masks[c] ^ side[:, None].astype(bool)
+        pick[side, k, c] = np.take_along_axis(rows, orders[k],
+                                              axis=1).argmax(axis=1)
+    pick += np.arange(2 * dim)[:, None] * n
+    bounds = vals.ravel()[pick]                         # (2, 2 * dim, C)
+    return (bounds[0, :dim].T, bounds[0, dim:].T,
+            bounds[1, :dim].T, bounds[1, dim:].T)
 
 
 def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
@@ -113,19 +139,18 @@ def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
     # includes axis-sweep bipartitions (cut the items sorted along each
     # dimension at a few quantiles) — still bipartitions, so still MAP.
     sweeps = []
-    centers = (los + his) / 2.0
+    orders = np.argsort((los + his) / 2.0, axis=0, kind="stable")
     for d in range(dim):
-        order = np.argsort(centers[:, d], kind="stable")
         for frac in (0.25, 0.5, 0.75):
             cut = int(n * frac)
             if 0 < cut < n:
                 mask = np.zeros(n, dtype=bool)
-                mask[order[:cut]] = True
+                mask[orders[:cut, d]] = True
                 sweeps.append(mask)
     if sweeps:
         masks = np.concatenate([masks, np.stack(sweeps)])
     # Discard degenerate all-true / all-false samples.
-    keep = masks.any(axis=1) & (~masks).any(axis=1)
+    keep = masks.any(axis=1) & ~masks.all(axis=1)
     masks = masks[keep]
     if len(masks) == 0:
         return best
@@ -138,7 +163,9 @@ def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
 
     i = int(np.argmin(total))
     if total[i] < best_vol:
-        best = MapPred(Rect(lo1[i], hi1[i]), Rect(lo2[i], hi2[i]))
+        # copies: a row view would pin every candidate's bounds
+        best = MapPred(Rect(lo1[i].copy(), hi1[i].copy()),
+                       Rect(lo2[i].copy(), hi2[i].copy()))
     return best
 
 

@@ -91,8 +91,7 @@ class JBExtension(RTreeExtension):
         preds: List = [None] * len(nodes)
         groups: dict = {}
         for i, node in enumerate(nodes):
-            groups.setdefault((node.is_leaf, len(node.entries)),
-                              []).append(i)
+            groups.setdefault((node.is_leaf, len(node)), []).append(i)
         for (leaf, _count), idxs in groups.items():
             if leaf:
                 data = {"points": np.stack(

@@ -61,6 +61,16 @@ class Bite:
         self.low_side = np.array(
             [not (corner_mask >> d & 1) for d in range(dim)], dtype=bool)
 
+    @classmethod
+    def _from_rows(cls, corner_mask: int, inner: np.ndarray, lo: np.ndarray,
+                   hi: np.ndarray, low_side: np.ndarray) -> "Bite":
+        """``__init__``'s bite from fields the batched carve holds."""
+        bite = cls.__new__(cls)
+        bite.corner_mask = corner_mask
+        bite.inner, bite.lo, bite.hi = inner, lo, hi
+        bite.low_side = low_side
+        return bite
+
     @property
     def dim(self) -> int:
         return self.inner.shape[0]
@@ -102,7 +112,8 @@ class _PointObstacles:
     """Nibbling obstacles given as an ``(n, dim)`` point array."""
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=np.float64)
+        points = np.asarray(points, dtype=np.float64)
+        self.points = self.los = self.his = points   # a rect with lo == hi
 
     def stop_values(self, d: int, low_side: bool, lo_d: float, hi_d: float,
                     max_steps: int) -> np.ndarray:
@@ -264,144 +275,124 @@ def _corner_low_table(dim: int) -> np.ndarray:
     return (masks >> np.arange(dim)[None, :] & 1) == 0
 
 
-def _sweep_rows(c: np.ndarray, extent: np.ndarray):
-    """Batched :func:`_sweep_corner` core over ``R`` independent corners.
-
-    ``c`` is an ``(R, n, dim)`` array of obstacle distances inward from
-    each row's corner; ``extent`` the ``(R, dim)`` box extents.  Returns
-    ``(best_s, best_vol)``: each row's best cut depths and its volume
-    (0.0 where no positive-volume cut exists).  Row ``r`` is
-    bit-identical to the scalar sweep on the same inputs: the per-row
-    stable argsort, prefix-minimum recurrence, volume products and
-    first-maximum tie-breaks are all the same float operations in the
-    same order, just laid out with a leading batch axis.
-    """
-    R, n, dim = c.shape
-    rows = np.arange(R)
-    best_vol = np.zeros(R)
-    best_s = np.zeros((R, dim))
-    for d in range(dim):
-        order = np.argsort(c[:, :, d], axis=1, kind="stable")
-        sorted_c = np.take_along_axis(c, order[:, :, None], axis=1)
-        clipped = np.minimum(sorted_c, extent[:, None, :])
-        # s[r, i]: cut after the first i obstacles — prefix minimum in
-        # every dimension except the sweep dimension d, which reaches
-        # obstacle i's own coordinate (the box extent at i == n).
-        s = np.empty((R, n + 1, dim))
-        s[:, 0] = extent
-        np.minimum.accumulate(clipped, axis=1, out=s[:, 1:])
-        s[:, :n, d] = clipped[:, :, d]
-        s[:, n, d] = extent[:, d]
-        vols = np.prod(np.clip(s, 0.0, None), axis=2)
-        i = np.argmax(vols, axis=1)
-        vd = vols[rows, i]
-        improve = vd > best_vol
-        best_vol[improve] = vd[improve]
-        best_s[improve] = s[improve, i[improve]]
-    return best_s, best_vol
-
-
 def _sweep_corners(a_low: np.ndarray, a_high: np.ndarray,
                    extent: np.ndarray, low: np.ndarray):
-    """:func:`_sweep_rows` factored over the ``2**dim`` corner lattice.
+    """:func:`_sweep_corner` for every corner of ``G`` boxes at once.
 
     ``a_low``/``a_high`` are the ``(G, n, dim)`` inward obstacle
-    distances measured from the low and high face of each group's box,
-    ``extent`` the ``(G, dim)`` box extents and ``low`` the
-    :func:`_corner_low_table`.  Returns ``(best_s, best_vol)`` shaped
-    ``(G, M, dim)`` / ``(G, M)`` — bit-identical to running
-    :func:`_sweep_rows` on the expanded per-corner distance rows.
+    distances from the low and high faces of each box, ``extent`` the
+    ``(G, dim)`` box extents, ``low`` the :func:`_corner_low_table`.
+    Returns ``(best_s, best_vol)`` shaped ``(G, M, dim)`` / ``(G, M)`` —
+    bit-identical to sweeping each corner's expanded distance row
+    (``_sweep_rows``, the oracle in ``tests/geometry/test_batched_sweep.py``).
 
-    The factoring: a corner's distance row is just a per-dimension pick
+    The factoring: a corner's distance row is a per-dimension pick
     between the shared ``a_low``/``a_high`` columns, and its stable sort
     order for sweep dimension ``d`` depends only on which face of ``d``
-    it sits on.  So per sweep dimension there are exactly two sort
-    orders and ``2 * 2 * dim`` distinct sorted/clipped/prefix-minimum
-    columns — not ``2**dim * dim`` — and the per-corner volume scans
-    assemble from those shared columns by indexing.  The expensive
-    stages (sort, gather, prefix ``minimum.accumulate``) shrink by
-    ``2**dim / 2``; only the volume products remain per-corner.
+    it sits on.  So per sweep dimension there are two sort orders, each
+    with ``2 * dim`` sorted/clipped/prefix-minimum columns shared by the
+    half of the corners on that face.  A corner's volume scan is the
+    product of its columns in dimension order, so corners that agree on
+    dimensions ``0..e`` share that prefix of the product: each step
+    doubles the partial products instead of starting 2**dim scans.
     """
     G, n, dim = a_low.shape
     M = low.shape[0]
-    K = 2 * dim
-    vsel = (~low).astype(np.intp)        # (M, dim): 0 = low face, 1 = high
-    # Interleaved value columns: column e*2 is a_low[:, :, e], column
-    # e*2+1 is a_high[:, :, e]; a second bank of K columns per sort
-    # order is appended after gathering.
-    stacked = np.empty((G, n, K))
-    stacked[:, :, 0::2] = a_low
-    stacked[:, :, 1::2] = a_high
-    ext2 = np.repeat(extent, 2, axis=1)  # (G, K) extents per column
-    col_of_dim = np.arange(dim) * 2
-    groups = np.arange(G)[:, None, None]
-    best_vol = np.zeros((G, M))
-    best_s = np.zeros((G, M, dim))
+    # Column 2 * e + v is dimension e seen from its low (v = 0) or high
+    # (v = 1) face; columns lead, so each step runs over (G, n) planes.
+    stacked = np.empty((2 * dim, G, n))
+    stacked[0::2] = a_low.transpose(2, 0, 1)
+    stacked[1::2] = a_high.transpose(2, 0, 1)
+    ext2 = np.repeat(extent.T, 2, axis=0)[:, :, None]
+    column = 2 * np.arange(dim) + ~low              # (M, dim)
+    combos = np.arange(M // 2)
+    rows = np.arange(G)[None, :, None]
+    best_vol = np.zeros((M, G))
+    best_s = np.zeros((M, G, dim))
     for d in range(dim):
-        # The two stable sort orders every corner shares: ascending
-        # distance in the sweep dimension from its low or high face.
-        # A corner's expanded row holds exactly these values in column
-        # d, so sorting the shared column gives the identical
-        # permutation (stable sort, same keys).
-        order0 = np.argsort(a_low[:, :, d], axis=1, kind="stable")
-        order1 = np.argsort(a_high[:, :, d], axis=1, kind="stable")
-        P = np.empty((G, n + 1, 2 * K))  # prefix minima, extent at j=0
-        C = np.empty((G, n, 2 * K))      # clipped sorted values
-        for o, order in ((0, order0), (1, order1)):
-            bank = slice(o * K, (o + 1) * K)
-            gathered = np.take_along_axis(stacked, order[:, :, None],
-                                          axis=1)
-            np.minimum(gathered, ext2[:, None, :], out=gathered)
-            C[:, :, bank] = gathered
-            P[:, 0, bank] = ext2
-            np.minimum.accumulate(gathered, axis=1, out=P[:, 1:, bank])
-        o_idx = vsel[:, d]               # (M,) sort bank per corner
-        # flat[m, e]: which shared column corner m reads for dim e.
-        flat = o_idx[:, None] * K + col_of_dim[None, :] + vsel
-        dflat = o_idx * K + d * 2 + o_idx
-        Pc = np.clip(P, 0.0, None)
-        # Sweep-dimension column: the clipped value itself at each cut,
-        # the full extent at the final cut (matching _sweep_rows).
-        Dc = np.empty((G, n + 1, M))
-        Dc[:, :n, :] = np.clip(C[:, :, dflat], 0.0, None)
-        Dc[:, n, :] = np.clip(extent[:, d], 0.0, None)[:, None]
-        # Volume scan: multiply the per-dimension columns in dimension
-        # order, exactly the product reduction _sweep_rows performs.
-        vols = None
-        for e in range(dim):
-            term = Dc if e == d else Pc[:, :, flat[:, e]]
-            vols = term if vols is None else np.multiply(vols, term,
-                                                         out=vols)
-        i = np.argmax(vols, axis=1)      # (G, M) first-maximum cuts
-        vd = np.take_along_axis(vols, i[:, None, :], axis=1)[:, 0, :]
-        improve = vd > best_vol
-        # Unclipped cut depths at the winning positions (small gathers).
-        s_at = P[groups, i[:, :, None], flat[None, :, :]]
-        d_un = np.concatenate(
-            [C[:, :, dflat],
-             np.broadcast_to(extent[:, d, None, None], (G, 1, M))],
-            axis=1)
-        s_at[:, :, d] = np.take_along_axis(d_un, i[:, None, :],
-                                           axis=1)[:, 0, :]
-        best_vol = np.where(improve, vd, best_vol)
-        best_s = np.where(improve[:, :, None], s_at, best_s)
-    return best_s, best_vol
+        for side in (0, 1):
+            own = 2 * d + side
+            # The corners on this face of d, ordered so that a later
+            # dimension's bit is the more significant one.
+            ids = ((combos >> d) << (d + 1) | side << d
+                   | combos & ((1 << d) - 1))
+            order = np.argsort(stacked[own], axis=1, kind="stable")
+            cuts = np.take_along_axis(stacked, order[None], axis=2)
+            np.minimum(cuts, ext2, out=cuts)
+            # s[c, g, i]: cut after the first i obstacles — the prefix
+            # minimum in every column except the sweep dimension's own,
+            # which reaches obstacle i itself (the extent at i == n).
+            s = np.empty((2 * dim, G, n + 1))
+            s[:, :, :1] = ext2
+            np.minimum.accumulate(cuts, axis=2, out=s[:, :, 1:])
+            s[own, :, :n] = cuts[own]
+            s[own, :, n] = extent[:, d]
+            depth = np.clip(s, 0.0, None)
+            vols = None
+            for e in range(dim):
+                term = depth[own:own + 1] if e == d else depth[2 * e:2 * e + 2]
+                vols = term if vols is None else (
+                    term[:, None] * vols[None]).reshape(-1, G, n + 1)
+            i = vols.argmax(axis=2)[:, :, None]     # first-maximum cuts
+            vd = np.take_along_axis(vols, i, axis=2)[:, :, 0]
+            improve = vd > best_vol[ids]
+            best_vol[ids] = np.where(improve, vd, best_vol[ids])
+            best_s[ids] = np.where(improve[:, :, None],
+                                   s[column[ids][:, None, :], rows, i],
+                                   best_s[ids])
+    return best_s.transpose(1, 0, 2), best_vol.T
+
+
+def _largest(vols: np.ndarray, valid: np.ndarray,
+             max_bites: Optional[int]) -> np.ndarray:
+    """``valid`` narrowed to the ``max_bites`` largest volumes per row.
+
+    The one bite-selection rule (XJB's "top X", section 5.3): rank by
+    volume, largest first, and among equal volumes the lower corner
+    mask first — a stable argsort of the negated volumes along the last
+    axis.  Invalid slots rank after every valid one.
+    """
+    if max_bites is None or max_bites >= vols.shape[-1]:
+        return valid
+    ranked = np.argsort(np.where(valid, -vols, np.inf), axis=-1,
+                        kind="stable")[..., :max_bites]
+    top = np.zeros_like(valid)
+    np.put_along_axis(top, ranked, True, axis=-1)
+    return top & valid
+
+
+def _blocked(obs_los: np.ndarray, obs_his: np.ndarray, blo: np.ndarray,
+             bhi: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Batched ``obstacles.blocked()``: ``(G, M)``, does any of box g's
+    ``(G, n, dim)`` obstacles meet its half-open corner-m bite?
+
+    A bite starts on its corner's own faces and no obstacle reaches
+    outside the box, so only the bite's inner face can part them: one
+    comparison per coordinate, against the obstacle bound that faces
+    the corner.
+    """
+    hit = np.ones(blo.shape[:2] + obs_los.shape[1:2], dtype=bool)
+    for d in range(low.shape[1]):
+        lows, highs = np.flatnonzero(low[:, d]), np.flatnonzero(~low[:, d])
+        hit[:, lows] &= obs_los[:, None, :, d] < bhi[:, lows, d, None]
+        hit[:, highs] &= obs_his[:, None, :, d] > blo[:, highs, d, None]
+    return hit.any(axis=2)
 
 
 def _batched_sweep_bites(lo: np.ndarray, hi: np.ndarray,
                          obs_los: np.ndarray, obs_his: np.ndarray,
-                         points_mode: bool) -> List[List[Bite]]:
+                         max_bites: Optional[int] = None
+                         ) -> List[List[Bite]]:
     """Best sweep bite at every corner of ``G`` boxes in one kernel.
 
     ``lo``/``hi`` are ``(G, dim)`` box bounds; ``obs_los``/``obs_his``
-    the ``(G, n, dim)`` obstacle bounds (the same array twice in points
-    mode).  Returns per-box bite lists in corner-mask order, each bite
-    bit-identical to the scalar ``_sweep_corner`` + ``blocked`` path, so
-    callers may batch any subset of boxes without changing results.
+    the ``(G, n, dim)`` obstacle bounds (one array twice for points),
+    every obstacle inside its box.  Returns per-box bite lists in
+    corner-mask order, the ``max_bites`` :func:`_largest` of each box;
+    every bite is bit-identical to the scalar ``_sweep_corner`` +
+    ``blocked`` path, so any subset of boxes may be batched.
     """
-    G, n, dim = obs_los.shape
-    M = 1 << dim
-    low = _corner_low_table(dim)
+    low = _corner_low_table(obs_los.shape[2])
     extent = hi - lo
     # Distance inward from each corner: on a low face the obstacle's
     # low bound blocks first, on a high face its high bound (the two
@@ -416,25 +407,15 @@ def _batched_sweep_bites(lo: np.ndarray, hi: np.ndarray,
     blo = np.minimum(corner, inner)
     bhi = np.maximum(corner, inner)
 
-    # Batched obstacles.blocked(): does any obstacle meet the half-open
-    # candidate bite?  Same comparison formulas as the scalar checks.
-    if points_mode:
-        pts = obs_los[:, None]
-        lo_ok = (pts >= blo[:, :, None]) & (pts < bhi[:, :, None])
-        hi_ok = (pts > blo[:, :, None]) & (pts <= bhi[:, :, None])
-    else:
-        lo_ok = ((obs_los[:, None] < bhi[:, :, None])
-                 & (obs_his[:, None] >= blo[:, :, None]))
-        hi_ok = ((obs_los[:, None] <= bhi[:, :, None])
-                 & (obs_his[:, None] > blo[:, :, None]))
-    hit = np.all(np.where(low[None, :, None, :], lo_ok, hi_ok), axis=3)
-    blocked = hit.any(axis=2)
-    empty = np.any(bhi <= blo, axis=2)
-    keep = (best_vol > 0.0) & ~empty & ~blocked
+    keep = ((best_vol > 0.0) & ~np.any(bhi <= blo, axis=2)
+            & ~_blocked(obs_los, obs_his, blo, bhi, low))
+    keep = _largest(np.prod(bhi - blo, axis=2), keep, max_bites)
 
-    return [[Bite(m, corner[g, m], inner[g, m])
-             for m in range(M) if keep[g, m]]
-            for g in range(G)]
+    masks = np.nonzero(keep)[1]
+    bites = [Bite._from_rows(m, i, lo_m, hi_m, low[m]) for m, i, lo_m, hi_m
+             in zip(masks.tolist(), inner[keep], blo[keep], bhi[keep])]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [bites[start:end] for start, end in zip([0] + ends, ends)]
 
 
 #: float budget per batched carve kernel (~16 MB of f8); groups larger
@@ -483,10 +464,9 @@ def bitten_rects_multi(*, points=None, rect_los=None, rect_his=None,
         g1 = min(G, g0 + chunk)
         bite_lists = _batched_sweep_bites(lo[g0:g1], hi[g0:g1],
                                           obs_los[g0:g1], obs_his[g0:g1],
-                                          points is not None)
-        for g, bites in zip(range(g0, g1), bite_lists):
-            out.append(BittenRect(Rect(lo[g], hi[g]),
-                                  _top_bites(bites, max_bites)))
+                                          max_bites)
+        out.extend(BittenRect(Rect(lo[g], hi[g]), bites)
+                   for g, bites in zip(range(g0, g1), bite_lists))
     return out
 
 
@@ -556,11 +536,8 @@ def _probe_cover_bites(rect: Rect, obstacles,
 
     corner_candidates = {}
     for mask in range(1 << dim):
-        corner = rect.corner(mask)
-        sign = np.array([1.0 if not (mask >> d & 1) else -1.0
-                         for d in range(dim)])
         prox = _corner_proxies(rect, mask, obstacles)
-        c = (prox - corner) * sign
+        corner, sign, _, c = _corner_coords(rect, mask, prox)
         candidates = []
         for order in orders:
             for frac in (0.0, 0.05, 0.25):
@@ -608,7 +585,8 @@ def carve_bites(rect: Rect, points=None, rects: Sequence[Rect] = None,
     """Carve the largest safe bite from every corner of ``rect``.
 
     Exactly one of ``points`` (an ``(n, dim)`` array) or ``rects`` (child
-    bounding rectangles) must be given.  ``method`` selects the
+    bounding rectangles) must be given, all of them inside ``rect`` (it
+    is their bounding box).  ``method`` selects the
     construction: ``"nibble"`` is the paper's Figure 13 round-robin
     heuristic, ``"sweep"`` the improved slab construction
     (:func:`_sweep_corner`), ``"both"`` keeps the larger bite per
@@ -632,14 +610,9 @@ def carve_bites(rect: Rect, points=None, rects: Sequence[Rect] = None,
     if method == "sweep":
         # All corners at once through the batched kernel (G = 1): no
         # per-corner Python loop on the default construction path.
-        points_mode = isinstance(obstacles, _PointObstacles)
-        if points_mode:
-            obs_los = obs_his = obstacles.points
-        else:
-            obs_los, obs_his = obstacles.los, obstacles.his
         return _batched_sweep_bites(rect.lo[None], rect.hi[None],
-                                    obs_los[None], obs_his[None],
-                                    points_mode)[0]
+                                    obstacles.los[None],
+                                    obstacles.his[None])[0]
 
     bites = []
     for mask in range(1 << rect.dim):
@@ -850,6 +823,6 @@ def _top_bites(bites: List[Bite], max_bites: Optional[int]) -> List[Bite]:
     """Keep the ``max_bites`` largest bites (all when ``None``)."""
     if max_bites is None or len(bites) <= max_bites:
         return list(bites)
-    ranked = sorted(bites, key=lambda b: b.volume(), reverse=True)
-    kept = set(id(b) for b in ranked[:max_bites])
-    return [b for b in bites if id(b) in kept]
+    vols = np.array([b.volume() for b in bites])
+    keep = _largest(vols, np.ones(len(bites), dtype=bool), max_bites)
+    return [b for b, kept in zip(bites, keep) if kept]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bulk import bulk_load, insertion_load
 from repro.gist import validate_tree
+from repro.storage.pagefile import MemoryPageFile
 
 from tests.conftest import brute_knn, make_ext
 
@@ -49,6 +50,20 @@ class TestBulkLoad:
     def test_rid_length_mismatch(self):
         with pytest.raises(ValueError):
             bulk_load(make_ext("rtree", 2), np.zeros((5, 2)), rids=[1, 2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "method", ["rtree", "sstree", "srtree", "jb", "xjb", "amap"])
+    def test_non_finite_key_rejected_before_any_page(self, method, bad):
+        """One NaN coordinate used to bulk-load silently and make its
+        leaf-mates unreachable (their leaf's MBR became NaN)."""
+        keys = np.random.default_rng(4).normal(size=(500, 3))
+        keys[123, 1] = bad
+        store = MemoryPageFile()
+        with pytest.raises(ValueError, match="finite"):
+            bulk_load(make_ext(method, 3), keys, page_size=4096,
+                      store=store)
+        assert len(store) == 0 and list(store.page_ids()) == []
 
     def test_single_point(self):
         tree = bulk_load(make_ext("rtree", 2), np.array([[1.0, 2.0]]))

@@ -3,7 +3,8 @@
 Three layers of equivalence, each exact (not approximate):
 
 - :func:`_sweep_corners` (the factored corner-lattice kernel) against
-  :func:`_sweep_rows` (the expanded per-corner kernel) — bit identity;
+  :func:`_sweep_rows` (the expanded per-corner kernel it replaced, kept
+  below as the oracle) — bit identity;
 - :func:`bitten_rects_multi` against the scalar per-group
   :meth:`BittenRect.from_points` / :meth:`from_rect_bounds`;
 - the ``"sweep"`` carve method against the per-corner reference loop
@@ -24,8 +25,45 @@ from repro.geometry import BittenRect, Rect, carve_bites
 from repro.geometry.bites import (_batched_sweep_bites, _corner_low_table,
                                   _corner_proxies, _PointObstacles,
                                   _RectObstacles, _sweep_corner,
-                                  _sweep_corners, _sweep_rows,
-                                  bitten_rects_multi)
+                                  _sweep_corners, bitten_rects_multi)
+
+
+def _sweep_rows(c: np.ndarray, extent: np.ndarray):
+    """The oracle for :func:`_sweep_corners`: :func:`_sweep_corner`'s core
+    over ``R`` independent corners, one expanded distance row each.
+
+    ``c`` is an ``(R, n, dim)`` array of obstacle distances inward from
+    each row's corner; ``extent`` the ``(R, dim)`` box extents.  Returns
+    ``(best_s, best_vol)``: each row's best cut depths and its volume
+    (0.0 where no positive-volume cut exists).  Row ``r`` is
+    bit-identical to the scalar sweep on the same inputs: the per-row
+    stable argsort, prefix-minimum recurrence, volume products and
+    first-maximum tie-breaks are all the same float operations in the
+    same order, just laid out with a leading batch axis.
+    """
+    R, n, dim = c.shape
+    rows = np.arange(R)
+    best_vol = np.zeros(R)
+    best_s = np.zeros((R, dim))
+    for d in range(dim):
+        order = np.argsort(c[:, :, d], axis=1, kind="stable")
+        sorted_c = np.take_along_axis(c, order[:, :, None], axis=1)
+        clipped = np.minimum(sorted_c, extent[:, None, :])
+        # s[r, i]: cut after the first i obstacles — prefix minimum in
+        # every dimension except the sweep dimension d, which reaches
+        # obstacle i's own coordinate (the box extent at i == n).
+        s = np.empty((R, n + 1, dim))
+        s[:, 0] = extent
+        np.minimum.accumulate(clipped, axis=1, out=s[:, 1:])
+        s[:, :n, d] = clipped[:, :, d]
+        s[:, n, d] = extent[:, d]
+        vols = np.prod(np.clip(s, 0.0, None), axis=2)
+        i = np.argmax(vols, axis=1)
+        vd = vols[rows, i]
+        improve = vd > best_vol
+        best_vol[improve] = vd[improve]
+        best_s[improve] = s[improve, i[improve]]
+    return best_s, best_vol
 
 
 def _bites_equal(a, b):

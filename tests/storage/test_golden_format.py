@@ -9,6 +9,13 @@ the page, record or superblock layout — changes a digest.  Because the
 files rebuilt here are byte-identical to the ones that commit wrote,
 passing ``repro fsck --deep`` and ``repro recover`` on them is passing
 on files written by it.
+
+The ``pages5d/*`` digests pin the paper's fan-out: 5-D keys on 8 KB
+pages make 170-entry leaves, wider than aMAP's head of each sort order
+and than XJB's bite budget, which the 700 3-D keys on 1 KB pages never
+are.  They were taken on the commit before the head-of-order aMAP
+scoring and the array-ranked bite carve landed (382ac24), by
+running :func:`build_wide` against that commit's ``src/``.
 """
 
 import hashlib
@@ -54,6 +61,12 @@ GOLDEN = {
         "df6ac37c2774d5c4798da8c17953e0d3e0c7f68d6681d6af8ff9eb236ae513e8",
     "pages/xjb-sq8":
         "deb6848f9bdc20c71bffa4a255504fbf152f29f0d38060ce59f30a715ae5b2db",
+    "pages5d/amap-f64":
+        "daa5a3be7a0212124e2b6ead64b8f128654640e4e60caf3a4903cc05f1d61cc8",
+    "pages5d/jb-f64":
+        "b58628cc92d1177a374f45885ca760e82565dddbbacc160eceaef083667dcce0",
+    "pages5d/xjb-f64":
+        "d1a7e6adca647ad96dbd275b3be1e1a4341c432b917e4379c07131c3d71b72ca",
     "saved/amap-f64":
         "39dfce8317dfad59790ecd6f5ca82d321b44e31b7628744fc60363ddfaa445fe",
     "saved/amap-sq8":
@@ -96,9 +109,24 @@ def _vectors():
     return np.random.default_rng(20000301).random((N, DIM))
 
 
+def build_wide(out):
+    """The bitten and dual-rectangle families at the paper's fan-out."""
+    keys = np.random.default_rng(20000302).random((4000, 5))
+    digests = {}
+    for family in ("amap", "jb", "xjb"):
+        paged = str(out / f"{family}-5d.pages")
+        ext = make_extension(family, 5)
+        with FilePageFile.for_extension(paged, ext, page_size=8192,
+                                        leaf_codec="f64") as store:
+            bulk_load(ext, keys, page_size=8192, store=store)
+            store.flush()
+        digests[f"pages5d/{family}-f64"] = _sha(paged)
+    return digests
+
+
 def build_all(out):
     """Write every pinned artefact under ``out``; name -> sha256."""
-    digests = {}
+    digests = build_wide(out)
     for family in FAMILIES:
         for codec in CODECS:
             # the batched write path: write_many + seal_images
