@@ -11,8 +11,6 @@ accesses, no AM hit more than 1 in 50 of its total pages at 221k blobs
 import json
 import math
 
-import numpy as np
-
 from repro.amdb import profile_workload
 from repro.core import build_index
 from repro.storage.iomodel import DiskModel
@@ -41,8 +39,6 @@ def test_scan_breakeven(vectors, workload, profile, benchmark):
     ]
     leaf_fractions = {}
     rows = {}
-    fills = []
-    overscans = []
     for m in METHODS:
         tree = build_index(vectors, m, page_size=profile.page_size)
         prof = profile_workload(tree, workload.queries, workload.k)
@@ -52,13 +48,6 @@ def test_scan_breakeven(vectors, workload, profile, benchmark):
         leaf_fractions[m] = leaf_frac
         index_ms = model.random_reads_ms(leaf_per_q)
         beats = index_ms < model.scan_ms(flat_pages)
-        fills.append(len(vectors) / (prof.num_leaves * tree.leaf_capacity))
-        # Measured overscan: leaf reads per query relative to the
-        # minimum number of leaves that could hold k survivors — the
-        # same ratio QueryPlanner applies to its tree-cost estimate.
-        avg_entries = len(vectors) / prof.num_leaves
-        floor_leaves = max(1.0, math.ceil(workload.k / avg_entries))
-        overscans.append(leaf_per_q / floor_leaves)
         rows[m] = {
             "leaf_ios_per_query": round(leaf_per_q, 3),
             "leaf_fraction": round(leaf_frac, 6),
@@ -76,9 +65,8 @@ def test_scan_breakeven(vectors, workload, profile, benchmark):
         "size (paper measured < 1 in 50 of total pages at 221k blobs)")
     emit("Scan break-even", "\n".join(lines))
 
-    # Archive the measurements plus planner defaults in the shape
-    # ``PlannerConfig.from_breakeven_json`` consumes, so serve runs can
-    # calibrate routing from this bench instead of hard-coded numbers.
+    # The paper-mode verdicts, archived.  The query planner prices
+    # measured milliseconds instead (gist/planner.py, EXPERIMENTS.md E10).
     doc = {
         "bench": "scan_breakeven",
         "config": {
@@ -89,17 +77,6 @@ def test_scan_breakeven(vectors, workload, profile, benchmark):
             "flat_pages": int(flat_pages),
         },
         "methods": rows,
-        "planner_defaults": {
-            "overscan": round(float(np.median(overscans)), 3),
-            "leaf_fill": round(float(np.mean(fills)), 3),
-            "scan_bias_ms": 0.0,
-            "model": {
-                "seek_ms": model.seek_ms,
-                "rotational_ms": model.rotational_ms,
-                "throughput_mb_s": model.throughput_mb_s,
-                "page_size": model.page_size,
-            },
-        },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_scan_breakeven.json").write_text(

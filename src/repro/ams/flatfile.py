@@ -23,6 +23,14 @@ from repro.storage.page import entries_per_page
 #: (0.5 to 2 MB scan equally fast; 4 MB is 1.4x slower, 8 MB 2x).
 _WORK_BYTES = 2 << 20
 
+#: queries one pass of the kernel serves.  The work buffers hold
+#: ``(Q, chunk)`` values, so a larger block means a narrower chunk and
+#: more per-chunk overhead per query: over 221,231 5-D rows (2-core
+#: x86 host) one pass of 64 to 256 queries costs ~2.0 ms a query, runs
+#: of 32 ~1.5.  Cutting blocks into runs keeps the cost per query flat
+#: in Q, which is what lets the planner price the scan linearly.
+QUERIES_PER_PASS = 32
+
 #: the survivor pool is compacted when it passes this many times Q * k.
 _POOL_FACTOR = 4
 
@@ -133,9 +141,10 @@ class FlatFile:
     def knn_batch(self, queries, k: int) -> List[List[Tuple[float, int]]]:
         """k-NN for a block of queries off one shared scan.
 
-        One sequential pass serves the whole block (``pages_read``
-        grows by ``num_pages`` once, the physical scan the planner
-        prices).  Each row lists ``(distance, rid)`` by ascending
+        One scan of the file serves the whole block (``pages_read``
+        grows by ``num_pages`` once: a page file would read each page
+        once and hand it to every run of :data:`QUERIES_PER_PASS`
+        queries).  Each row lists ``(distance, rid)`` by ascending
         distance, ties by position in the file.
         """
         dists, rids = self._scan(queries, k)
@@ -180,6 +189,23 @@ class FlatFile:
     def _scan(self, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """The scan kernel: ``(Q, min(k, n))`` distances and rids.
 
+        A row depends on its own query only, so the block is served in
+        runs of at most :data:`QUERIES_PER_PASS` queries and the runs'
+        rows stacked.
+        """
+        queries = self._check_queries(queries, k)
+        self.pages_read += self.num_pages
+        runs = [self._scan_run(queries[i:i + QUERIES_PER_PASS], k)
+                for i in range(0, max(len(queries), 1), QUERIES_PER_PASS)]
+        if len(runs) == 1:
+            return runs[0]
+        dists, rids = zip(*runs)
+        return np.concatenate(dists), np.concatenate(rids)
+
+    def _scan_run(self, queries: np.ndarray,
+                  k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One pass over the file for a run of checked queries.
+
         Walks the column-major copy in chunks small enough that the
         ``(Q, chunk)`` work buffers stay cache-resident, accumulates
         the squared distance one dimension at a time in the order
@@ -188,8 +214,6 @@ class FlatFile:
         scan order — by chunk, then query, then position — so a stable
         sort on distance leaves ties in position order.
         """
-        queries = self._check_queries(queries, k)
-        self.pages_read += self.num_pages
         n, num_q = len(self.vectors), len(queries)
         chunk = max(1, _WORK_BYTES // (8 * self._registers * max(num_q, 1)))
         # zeros, not empty: a zero-width file has no step to write them

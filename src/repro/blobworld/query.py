@@ -67,43 +67,6 @@ def _top_images_from_blobs(blob_indices: np.ndarray,
     return [int(i) for i in uniq[order[:top_images]]]
 
 
-def _instrument_reads(store, profile):
-    """Temporarily time a store's ``read``/``read_many`` paths.
-
-    Returns ``(restore, seconds)``: once the profiled call finishes and
-    ``restore()`` runs, ``seconds[0]`` holds the wall time spent inside
-    counted reads (I/O + decode + CRC).  A no-op of the same shape when
-    ``profile`` is None.
-    """
-    seconds = [0.0]
-    if profile is None:
-        return (lambda: None), seconds
-    originals = {}
-    for name in ("read", "read_many"):
-        method = getattr(store, name, None)
-        if method is None:
-            continue
-
-        def timed(*args, _method=method, **kwargs):
-            start = time.perf_counter()
-            try:
-                return _method(*args, **kwargs)
-            finally:
-                seconds[0] += time.perf_counter() - start
-
-        setattr(store, name, timed)
-        originals[name] = method
-
-    def restore():
-        for name, method in originals.items():
-            try:
-                delattr(store, name)
-            except AttributeError:
-                setattr(store, name, method)
-
-    return restore, seconds
-
-
 class BlobworldEngine:
     """Query execution over a :class:`BlobCorpus`.
 
@@ -222,7 +185,7 @@ class BlobworldEngine:
         kernel and the vectorized image-aggregation kernel.  ``profile``
         (duck-typed: ``add(stage, seconds)`` and ``note_plan(plan,
         actual_pages)``) receives per-stage wall time split into
-        traversal / read_decode / rerank / aggregation.
+        traversal (page reads included) or scan / rerank / aggregation.
 
         ``planner`` (a :class:`~repro.gist.planner.QueryPlanner`)
         cost-routes each miss batch: batches it prices below a flat
@@ -300,7 +263,8 @@ class BlobworldEngine:
 
     def _tree_stage(self, tree, query_vecs, num_blobs: int,
                     profile, plan) -> List:
-        """Stage one over the index, instrumented.
+        """Stage one over the index, timed as one ``traversal`` stage
+        (page reads, CRC and decode included).
 
         Lossy (quantized) indexes are asked for overscanned candidate
         lists; the caller refines them back to ``num_blobs`` exactly.
@@ -318,18 +282,14 @@ class BlobworldEngine:
             def _count(page_id: int, level: int) -> None:
                 pages[0] += 1
             tree.store.add_listener(_count)
-        restore, read_seconds = _instrument_reads(tree.store, profile)
         t0 = time.perf_counter()
         try:
             hits_list = knn_search_batch(tree, query_vecs, num_blobs)
         finally:
-            restore()
             if listening:
                 tree.store.remove_listener(_count)
         if profile is not None:
-            knn_seconds = time.perf_counter() - t0
-            profile.add("read_decode", read_seconds[0])
-            profile.add("traversal", knn_seconds - read_seconds[0])
+            profile.add("traversal", time.perf_counter() - t0)
             if plan is not None:
                 profile.note_plan(plan, pages[0])
         return hits_list

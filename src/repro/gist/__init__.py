@@ -19,7 +19,7 @@ from repro.gist.degrade import DegradationReport, QuarantinedPage
 from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.node import Node
 from repro.gist.extension import GiSTExtension
-from repro.gist.planner import Plan, PlannerConfig, QueryPlanner
+from repro.gist.planner import Plan, QueryPlanner
 from repro.gist.tree import GiST
 from repro.gist.validate import ScrubReport, scrub_file, validate_tree
 
@@ -36,6 +36,5 @@ __all__ = [
     "DegradationReport",
     "QuarantinedPage",
     "Plan",
-    "PlannerConfig",
     "QueryPlanner",
 ]

@@ -33,6 +33,14 @@ from repro.storage.pagefile import MemoryPageFile
 MIN_FILL = 0.4
 
 
+def _finite_key(key: Any) -> np.ndarray:
+    """The one ingress check for insert/delete keys: float64, finite."""
+    key = np.asarray(key, dtype=np.float64)
+    if not np.isfinite(key).all():
+        raise ValueError("keys must be finite (no NaN or inf)")
+    return key
+
+
 class GiST:
     """A height-balanced multi-way search tree specialized by an extension."""
 
@@ -206,8 +214,13 @@ class GiST:
     # -- insertion -------------------------------------------------------------------
 
     def insert(self, key: np.ndarray, rid: int) -> None:
-        """Add a ``(key, RID)`` pair (GiST INSERT template)."""
-        key = np.asarray(key, dtype=np.float64)
+        """Add a ``(key, RID)`` pair (GiST INSERT template).
+
+        A NaN or infinite coordinate raises ValueError before any page
+        is touched: no codec can store it, and a key no distance orders
+        would poison every later query.
+        """
+        key = _finite_key(key)
         self._insert_entry(LeafEntry(key, rid), target_level=0,
                            routing_key=key)
         self.size += 1
@@ -376,11 +389,12 @@ class GiST:
         families the reconstruction may even sit outside the predicate
         that routed the original.  RIDs are unique tree-wide, so when
         the predicate-guided descent comes up empty a lossy tree falls
-        back to locating the leaf by RID alone.
+        back to locating the leaf by RID alone.  A non-finite key
+        raises ValueError, as it does for :meth:`insert`.
         """
+        key = _finite_key(key)
         if self.root_id is None:
             return False
-        key = np.asarray(key, dtype=np.float64)
         path = self._find_leaf(self.root_id, key, rid, [])
         lossy = self.leaf_codec.lossy
         if path is None and lossy:

@@ -84,6 +84,16 @@ class TestKnnBatch:
         f.knn_batch(data[:40], 5)
         assert f.pages_read == f.num_pages  # not 40 passes
 
+    def test_large_block_is_served_in_runs(self, data):
+        f = FlatFile(data)
+        queries = data[::37][:flatfile.QUERIES_PER_PASS * 2 + 5]
+        with mock.patch.object(FlatFile, "_scan_run",
+                               side_effect=f._scan_run) as run:
+            got = f.knn_batch(queries, 7)
+        assert [len(c.args[0]) for c in run.call_args_list] == [
+            flatfile.QUERIES_PER_PASS, flatfile.QUERIES_PER_PASS, 5]
+        assert got == full_matrix_knn(data, queries, 7)
+
     def test_custom_rids_flow_through(self, data):
         f = FlatFile(data[:100], rids=list(range(500, 600)))
         [(_, rid), *_] = f.knn_batch(data[:1], 3)[0]
@@ -123,9 +133,10 @@ class TestKernelMatchesOracle:
            edge=st.integers(-1, 1), dim=st.integers(1, 8),
            num_q=st.integers(0, 5), k_small=st.integers(1, 4),
            k_near_n=st.one_of(st.none(), st.integers(-3, 3)),
-           custom_rids=st.booleans())
+           custom_rids=st.booleans(),
+           per_pass=st.sampled_from([1, 3, flatfile.QUERIES_PER_PASS]))
     def test_differential(self, seed, flavor, chunk, chunks, edge, dim,
-                          num_q, k_small, k_near_n, custom_rids):
+                          num_q, k_small, k_near_n, custom_rids, per_pass):
         rng = np.random.default_rng(seed)
         n = max(0, chunk * chunks + edge)
         points = make_points(rng, flavor, n, dim)
@@ -136,9 +147,12 @@ class TestKernelMatchesOracle:
             queries[::2] = points[rng.integers(0, n, size=len(queries[::2]))]
         k = k_small if k_near_n is None else max(1, n + k_near_n)
         # shrink the work buffers so a few rows span several chunks
-        # and the survivor pool compacts many times
-        work = 8 * flat._registers * max(num_q, 1) * chunk
-        with mock.patch.object(flatfile, "_WORK_BYTES", work):
+        # and the survivor pool compacts many times; a small run size
+        # cuts the block into several passes
+        run = max(min(num_q, per_pass), 1)
+        work = 8 * flat._registers * run * chunk
+        with mock.patch.object(flatfile, "_WORK_BYTES", work), \
+                mock.patch.object(flatfile, "QUERIES_PER_PASS", per_pass):
             assert_all_spellings_match(
                 flat, queries, k, full_matrix_knn(points, queries, k, rids))
 

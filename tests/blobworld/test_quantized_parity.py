@@ -23,6 +23,7 @@ from repro.core.api import EXTENSIONS
 from repro.gist.mutable import MutableTree
 from repro.gist.persist import load_tree, save_tree
 from repro.gist.planner import QueryPlanner
+from repro.storage.buffer import BufferPool
 from repro.storage.codecs import make_leaf_codec
 from tests.conftest import make_ext
 from tests.gist.oracle import paged_tree
@@ -171,15 +172,21 @@ def test_planner_routes_blocks_over_sq8_tree(tmp_path):
     whole stream as one block prices above it and scans.  Either way the
     images are the unplanned tree answer (the rerank absorbs the scan's
     tie order), and the profile hears one plan per block with the pages
-    it estimated and the pages the chosen route then read."""
-    corpus = build_corpus(num_blobs=2400, num_images=400, seed=29)
+    it estimated and the pages the chosen route then read.
+
+    20,000 blobs behind a pool that holds the whole index: a lone query
+    pays a full pass of the scan, which then costs more than the few
+    resident leaves a descent scores; shared by 32 queries the pass
+    costs less than 32 descents."""
+    corpus = build_corpus(num_blobs=20_000, num_images=3_300, seed=29)
     vectors = corpus.reduced(DIMS)
     rng = np.random.default_rng(31)
     stream = [int(b) for b in rng.choice(corpus.num_blobs, size=32,
                                          replace=False)]
     tree = paged_tree(make_ext("rtree", DIMS), vectors,
-                      str(tmp_path / "sq8.pages"), 2048, "sq8")
-    planner = QueryPlanner(tree, FlatFile(vectors, page_size=2048))
+                      str(tmp_path / "sq8.pages"), 8192, "sq8")
+    tree.store = BufferPool(tree.store, tree.num_nodes())
+    planner = QueryPlanner(tree, FlatFile(vectors))
     noted = []
 
     class Profile:
@@ -191,6 +198,7 @@ def test_planner_routes_blocks_over_sq8_tree(tmp_path):
 
     engine = BlobworldEngine(corpus)
     reference = engine.am_query_batch(tree, stream, K, DIMS)
+    tree.store.clear()  # so the planned descent reads pages again
     single = engine.am_query_batch(tree, stream[:1], K, DIMS,
                                    profile=Profile(), planner=planner)
     bulk = engine.am_query_batch(tree, stream, K, DIMS,

@@ -108,13 +108,53 @@ class TestBatchParity:
 
         BlobworldEngine(corpus).am_query_batch(
             tree, stream, 60, INDEX_DIMENSIONS, profile=Profile())
-        assert set(stage_seconds) == {
-            "traversal", "read_decode", "rerank", "aggregation"}
+        # page reads are part of the traversal stage, not a stage apart
+        assert set(stage_seconds) == {"traversal", "rerank", "aggregation"}
         assert all(s >= 0 for s in stage_seconds.values())
 
     def test_empty_batch(self, corpus, tree):
         assert BlobworldEngine(corpus).am_query_batch(
             tree, [], 60, INDEX_DIMENSIONS) == []
+
+
+def test_profiled_batch_keeps_instance_wrappers_on_the_store(corpus,
+                                                             tmp_path):
+    """A profiled tree-route batch leaves the store's methods alone:
+    wrappers a caller put on the pool instance (as a tracer does) are
+    still there afterwards and saw every read of every block."""
+    ext = make_ext("xjb", INDEX_DIMENSIONS)
+    pagefile = FilePageFile.for_extension(str(tmp_path / "tree.pages"), ext,
+                                          page_size=4096, mmap_mode=True)
+    tree = bulk_load(ext, corpus.reduced(INDEX_DIMENSIONS), page_size=4096,
+                     store=pagefile)
+    pool = tree.store = BufferPool(pagefile, capacity_pages=4)
+    calls = []
+
+    def wrap(name):
+        method = getattr(pool, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        setattr(pool, name, wrapper)
+        return wrapper
+
+    wrappers = {name: wrap(name) for name in ("read", "read_many")}
+
+    class Profile:
+        def add(self, stage, seconds):
+            pass
+
+    engine = BlobworldEngine(corpus)
+    try:
+        for block in ([3, 77, 200], [411, 5]):
+            before = len(calls)
+            engine.am_query_batch(tree, block, 60, INDEX_DIMENSIONS,
+                                  profile=Profile())
+            assert len(calls) > before
+        assert {name: vars(pool).get(name) for name in wrappers} == wrappers
+    finally:
+        pool.close()
 
 
 class TestRerankBatch:

@@ -162,6 +162,59 @@ class TestPoisonedAfterCrash:
             mt2.insert(np.zeros(DIM), 7777)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _bad_key(bad):
+    key = np.full(DIM, 50.0)
+    key[1] = bad
+    return key
+
+
+class TestNonFiniteKeys:
+    """A NaN/inf key is refused at the door: no codec can store it, and
+    a committed one made every later read of the page fail to decode."""
+
+    QUERIES = np.random.default_rng(3).uniform(0.0, 100.0, size=(4, DIM))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_in_memory_tree_refuses(self, tmp_path, method, bad):
+        tree = load_tree(path=_saved(tmp_path, method, n=120)[0])
+        before = _knn(tree, self.QUERIES, 10)
+        with pytest.raises(ValueError, match="finite"):
+            tree.insert(_bad_key(bad), 999)
+        with pytest.raises(ValueError, match="finite"):
+            tree.delete(_bad_key(bad), 5)
+        assert tree.size == 120
+        assert _knn(tree, self.QUERIES, 10) == before
+        validate_tree(tree)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_durable_tree_refuses_and_stays_usable(self, tmp_path, method,
+                                                   bad):
+        from repro.analysis import deep_scrub
+        path, _ = _saved(tmp_path, method, n=120)
+        with MutableTree.open(path) as mt:
+            before = _knn(mt.tree, self.QUERIES, 10)
+            wal = mt.wal_size
+            with pytest.raises(ValueError, match="finite"):
+                mt.insert(_bad_key(bad), 999)
+            with pytest.raises(ValueError, match="finite"):
+                mt.delete(_bad_key(bad), 5)
+            assert mt.wal_size == wal
+            assert mt.tree.size == 120
+            assert _knn(mt.tree, self.QUERIES, 10) == before
+            mt.insert(np.full(DIM, 50.0), 999)   # not poisoned
+            after = _knn(mt.tree, self.QUERIES, 10)
+        report = deep_scrub(path)
+        assert report.clean, report.format()
+        with MutableTree.open(path) as reopened:
+            assert reopened.tree.size == 121
+            assert _knn(reopened.tree, self.QUERIES, 10) == after
+
+
 class TestCacheInvalidation:
     @pytest.fixture(scope="class")
     def corpus(self):
