@@ -181,16 +181,11 @@ class ShardServeProfile:
     codec: str = "f64"
     num_shards: int = 0
     request_size: int = 0
-    #: transport the run actually used (``shm`` / ``framed`` /
-    #: ``mixed`` / ``inline``) and its in-flight block window.
-    transport: str = ""
-    window: int = 1
     queries: int = 0
     total_seconds: float = 0.0
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: array/control bytes by transport class (``shm`` bytes rode the
-    #: rings, ``pickled`` went through pickle, ``control`` is framing);
-    #: in shm mode the zero-copy gate asserts ``pickled == 0``.
+    #: socket bytes by class: ``pickled`` array payloads, ``control``
+    #: everything else (framing, op names, scalars)
     transport_bytes: Dict[str, int] = field(default_factory=dict)
     #: coordinator finish work (merge/refine/rerank) done while other
     #: request blocks were still in flight on the workers.
@@ -207,8 +202,8 @@ class ShardServeProfile:
     #: registry snapshot (liveness state per shard) at run end
     heartbeats: Dict[int, Dict] = field(default_factory=dict)
     degraded_requests: int = 0
-    #: queries that rode an older in-flight block computing the same
-    #: key instead of re-scattering (pipelined request coalescing)
+    #: always 0 — the service does not coalesce requests across
+    #: blocks — but still reported, as the spine's ``serving.coalesced``
     coalesced: int = 0
     #: coordinator-level result-cache counters
     cache_hits: int = 0
@@ -249,8 +244,6 @@ class ShardServeProfile:
             "codec": self.codec,
             "num_shards": self.num_shards,
             "request_size": self.request_size,
-            "transport": self.transport,
-            "window": self.window,
             "queries": self.queries,
             "requests": self.requests,
             "total_seconds": self.total_seconds,

@@ -113,7 +113,7 @@ def parse_suppressions(text: str) -> Dict[int, Set[str]]:
 
     Only real ``#`` comments count — tokenized, so a docstring that
     *documents* the suppression syntax suppresses nothing.  A line may
-    carry several IDs (``disable=REP601,REP702``) and several
+    carry several IDs (``disable=REP601,REP701``) and several
     ``disable=`` clauses; each ID is validated individually downstream.
     """
     out: Dict[int, Set[str]] = {}

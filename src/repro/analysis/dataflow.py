@@ -1,6 +1,6 @@
 """Forward dataflow over :mod:`repro.analysis.cfg` graphs.
 
-Three layers, each used by the REP6xx/REP7xx/REP205 rules:
+Three layers, each used by the REP6xx/REP701/REP205 rules:
 
 - :class:`ForwardAnalysis` — a minimal worklist framework.  Subclasses
   provide the lattice (``initial``/``join``) and the transfer function,
@@ -19,9 +19,9 @@ Three layers, each used by the REP6xx/REP7xx/REP205 rules:
 
 - :class:`CallGraph` — module-level, name-based call edges for
   interprocedural reachability (REP201/REP203/REP205).  Deliberately
-  intra-module: a cross-module graph would mark e.g. the transport
-  layer's parent-side ``unlink`` as worker-reachable through shared
-  helper names and drown the fork-safety rules in false positives.
+  intra-module: a cross-module graph would mark parent-side teardown
+  helpers as worker-reachable through shared helper names and drown
+  the fork-safety rules in false positives.
 """
 
 from __future__ import annotations
@@ -198,11 +198,6 @@ class ResourceSpec:
     arity: int = 1
     require_kwarg: Optional[Tuple[str, object]] = None
     duty: str = "close"  # human word for the missing action in findings
-    #: True for resources that never leave the function's custody —
-    #: storing or returning them does NOT transfer the release duty
-    #: (a ring slot index is handed to the peer only *after* its header
-    #: says READY, so escapes never excuse a missing header store).
-    no_escape: bool = False
 
     def matches_acquire(self, call: ast.Call) -> bool:
         if not name_matches(call_name(call), self.acquires):
@@ -232,7 +227,6 @@ class Resource:
     duty: str
     var: str
     line: int
-    no_escape: bool = False
 
 
 @dataclass
@@ -372,9 +366,7 @@ class ResourceLeakAnalysis(ForwardAnalysis[_RState]):
     # escape ----------------------------------------------------------------
 
     def _escape(self, rid: Tuple[int, int]) -> None:
-        res = self.resources.get(rid)
-        if res is not None and not res.no_escape:
-            self.escaped.add(rid)
+        self.escaped.add(rid)
 
     def _escape_names_in(self, expr: ast.AST, out: _RState) -> None:
         for name in ast.walk(expr):
@@ -474,7 +466,7 @@ class ResourceLeakAnalysis(ForwardAnalysis[_RState]):
               var: str, out: _RState) -> None:
         rid = (node.id, idx)
         self.resources[rid] = Resource(rid, spec.kind, spec.duty, var,
-                                       node.line, spec.no_escape)
+                                       node.line)
         out.bindings[var] = rid
         out.states[rid] = frozenset({OPEN})
 

@@ -18,8 +18,6 @@ ID                severity  invariant
                             captured into fork state
 ``REP203``        error     serving daemon worker entrypoints reopen
                             file-backed stores after the fork
-``REP204``        error     serving hot paths never pickle numpy arrays;
-                            array payloads ride the shm/raw-buffer transport
 ``REP205``        error     no parent-only handle acquisition (socketpair,
                             Process, shm create, os.fork) reachable from a
                             fork worker through the module call graph
@@ -42,12 +40,9 @@ ID                severity  invariant
                             on every path
 ``REP701``        error     WAL protocol ordering: images logged before
                             applied, data file fsynced before log reset
-``REP702``        error     ShmRing slot headers mutate only through the
-                            sanctioned accessors; an acquired slot never
-                            stays ``WRITING`` past an exception
 ================  ========  =====================================================
 
-The REP6xx/REP7xx families and REP205 run on the CFG/dataflow engine
+The REP6xx family, REP701 and REP205 run on the CFG/dataflow engine
 (:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`) rather
 than per-node matching; see DESIGN.md §15 for the lattice and call
 graph construction.
@@ -460,7 +455,7 @@ class ForkReachabilityRule(Rule):
     the same call graph: can a worker *reach* code that acquires a
     parent-side handle?  A forked child that creates its own
     ``socketpair``, forks again, constructs a ``Process``, or creates a
-    shm ring/segment is almost always a refactor accident — those
+    shm segment is almost always a refactor accident — those
     acquisitions belong to the coordinator, and a child-side copy
     leaks a kernel object per request or double-forks the daemon.
     ``SharedMemory(create=False)`` attaches — that is exactly what a
@@ -477,8 +472,6 @@ class ForkReachabilityRule(Rule):
             return "socketpair()"
         if dotted == "os.fork":
             return "os.fork()"
-        if dotted.endswith("ShmRing.create"):
-            return "ShmRing.create()"
         if name_matches(dotted, ("Process",)):
             return "Process construction"
         if name_matches(dotted, ("SharedMemory",)):
@@ -512,72 +505,6 @@ class ForkReachabilityRule(Rule):
                         f"entrypoint {entries_str}; parent-only handle "
                         f"acquisitions must stay on the coordinator "
                         f"side of the fork")
-
-
-class HotPathPickleRule(Rule):
-    """REP204: serving hot paths must not pickle numpy arrays.
-
-    The zero-copy transport exists so array payloads — query blocks and
-    ``(distance, rid)`` partials — cross the process boundary as raw
-    bytes in a shared-memory slot, with the framed socket reduced to
-    control traffic.  A ``pickle`` call inside a per-block serving
-    function, or a ``send_msg`` handed a dict literal that carries
-    array-valued keys, reintroduces the copy-per-block tax the
-    transport was built to remove.  Control-plane pickling (the framed
-    channel's own ``send``, handshake/heartbeat frames, the sanctioned
-    overflow fallback) stays legal: it lives outside the hot-path
-    function names and never inlines array keys into a literal.
-    """
-
-    id = "REP204"
-    title = "serving hot paths must not pickle numpy arrays"
-    scopes = ("serving/",)
-
-    #: per-block serving functions: block handlers, scatter/gather and
-    #: pipeline stages, and the canonical partial pack/merge kernels.
-    _HOT_PREFIXES: Tuple[str, ...] = (
-        "_handle_", "_scatter", "_serve", "_dispatch", "_drain",
-        "_finish", "pack_", "merge_", "knn_", "am_query", "serve_")
-    _PICKLE_CALLS: Set[str] = {"pickle.dumps", "pickle.dump",
-                               "pickle.loads", "pickle.load"}
-    #: message keys that carry arrays on the wire by repo convention.
-    _ARRAY_KEYS: Set[str] = {"queries", "dists", "rids", "vectors",
-                             "partials", "blobs"}
-
-    def _is_hot(self, name: str) -> bool:
-        return any(name.startswith(prefix)
-                   for prefix in self._HOT_PREFIXES)
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and self._is_hot(node.name):
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Call) and \
-                            (dotted_name(sub.func) or "") \
-                            in self._PICKLE_CALLS:
-                        yield self.finding(
-                            module, sub,
-                            f"hot-path function {node.name}() pickles "
-                            f"its payload; array traffic must ride the "
-                            f"shm/raw-buffer transport")
-            if isinstance(node, ast.Call) and \
-                    (dotted_name(node.func) or "").endswith("send_msg"):
-                for arg in list(node.args) + \
-                        [kw.value for kw in node.keywords]:
-                    if not isinstance(arg, ast.Dict):
-                        continue
-                    hot_keys = sorted(
-                        key.value for key in arg.keys
-                        if isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                        and key.value in self._ARRAY_KEYS)
-                    if hot_keys:
-                        yield self.finding(
-                            module, node,
-                            f"send_msg() pickles array key(s) "
-                            f"{', '.join(hot_keys)}; hand arrays to "
-                            f"the channel so they ride the shm ring")
 
 
 # ---------------------------------------------------------------------------
@@ -1164,82 +1091,6 @@ class WalDisciplineRule(Rule):
                                 f"only durable copy of applied pages")
 
 
-class SlotDisciplineRule(Rule):
-    """REP702: ShmRing slot state moves only through the accessors.
-
-    Three sub-checks over ``serving/``:
-
-    - outside the shm module, nothing touches slot headers: no
-      ``_set_header``/``_set_state`` calls, no ``pack_into`` — the
-      FREE -> WRITING -> READY machine belongs to ``shm.py``;
-    - inside the shm module, raw ``pack_into`` lives only in
-      ``_set_header`` (the one sanctioned store);
-    - a slot flipped ``WRITING`` by ``_acquire`` must reach another
-      header store (``READY`` handoff or ``FREE`` rollback) on every
-      CFG path — a writer that raises mid-copy and leaves the slot
-      ``WRITING`` wedges the ring for the life of the segment.
-    """
-
-    id = "REP702"
-    title = "ShmRing slot headers mutate only through sanctioned accessors"
-    scopes = ("serving/",)
-
-    _ACCESSORS = frozenset({"_set_header", "_set_state"})
-    _SLOT_SPEC = ResourceSpec(
-        kind="ring slot", acquires=("_acquire",), releases=(),
-        release_funcs=("_set_header", "_set_state"),
-        duty="_set_header(READY)/_set_state(FREE)", no_escape=True)
-
-    @staticmethod
-    def _is_shm_module(relpath: str) -> bool:
-        return relpath.rsplit("/", 1)[-1].startswith("shm")
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not self._is_shm_module(module.relpath):
-            yield from self._check_outside(module)
-            return
-        visitor = _FunctionStackVisitor()
-        visitor.visit(module.tree)
-        for node, stack in visitor.calls:
-            dotted = dotted_name(node.func) or ""
-            if dotted.endswith("pack_into") and \
-                    (not stack or stack[-1] != "_set_header"):
-                yield self.finding(
-                    module, node,
-                    "raw pack_into on the slot header outside "
-                    "_set_header(); all header stores go through the "
-                    "one sanctioned accessor")
-        for func in iter_functions(module.tree):
-            if func.name in ("_acquire",):
-                continue
-            for leak in find_leaks(func, (self._SLOT_SPEC,)):
-                yield self.finding(
-                    module, _Loc(leak.resource.line),
-                    f"slot acquired in {func.name}() may be left "
-                    f"WRITING {_path_phrase(leak.path)}; flip it READY "
-                    f"or roll it back to FREE before propagating")
-
-    def _check_outside(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func_expr = node.func
-            attr = (func_expr.attr
-                    if isinstance(func_expr, ast.Attribute) else "")
-            dotted = dotted_name(func_expr) or ""
-            if attr in self._ACCESSORS:
-                yield self.finding(
-                    module, node,
-                    f"{attr}() call outside the shm module; slot "
-                    f"state is owned by ShmRing's accessors")
-            elif dotted.endswith("pack_into"):
-                yield self.finding(
-                    module, node,
-                    "raw struct pack_into in serving code outside the "
-                    "shm module; slot headers are not a wire format "
-                    "for general use")
-
-
 #: every rule amlint runs, in catalog order.
 ALL_RULES: List[Rule] = [
     WallClockRule(),
@@ -1248,7 +1099,6 @@ ALL_RULES: List[Rule] = [
     ForkReopenRule(),
     ForkCaptureRule(),
     DaemonReopenRule(),
-    HotPathPickleRule(),
     ForkReachabilityRule(),
     BroadExceptRule(),
     TypedRaiseRule(),
@@ -1260,7 +1110,6 @@ ALL_RULES: List[Rule] = [
     SegmentLifecycleRule(),
     ProcessLifecycleRule(),
     WalDisciplineRule(),
-    SlotDisciplineRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -142,8 +142,7 @@ def _cmd_serve(args) -> int:
     service = ShardedService.build(
         corpus, args.shards, method=args.method, dims=args.dims,
         page_size=args.page_size, codec=args.codec,
-        cache_size=args.cache_size,
-        transport=args.transport, window=args.window)
+        cache_size=args.cache_size)
     with service:
         t0 = time.perf_counter()
         service.serve_stream(stream, args.candidates,
@@ -155,17 +154,14 @@ def _cmd_serve(args) -> int:
         doc = profile.as_dict()
         doc["degradation"] = service.degradation.summary()
         mode = "inline" if service.inline else "forked"
-        transport_used = service.transport_used
     lat = doc["latency_ms"]
-    print(f"{args.shards} {mode} shard(s), {args.method}/{args.codec}, "
-          f"{transport_used} transport, window {profile.window}: "
+    print(f"{args.shards} {mode} shard(s), {args.method}/{args.codec}: "
           f"{len(stream)} queries in {profile.total_seconds:.2f}s "
           f"({len(stream) / profile.total_seconds:.1f} q/s)")
     tb = doc.get("transport_bytes", {})
     if tb:
-        print(f"transport bytes shm/pickled/control: "
-              f"{tb.get('shm', 0)}/{tb.get('pickled', 0)}/"
-              f"{tb.get('control', 0)}")
+        print(f"transport bytes pickled/control: "
+              f"{tb.get('pickled', 0)}/{tb.get('control', 0)}")
     if lat:
         print(f"request latency ms p50/p95/p99: "
               f"{lat['p50_ms']}/{lat['p95_ms']}/{lat['p99_ms']}; "
@@ -406,14 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="queries per request block")
     p.add_argument("--cache-size", type=int, default=4096,
                    help="coordinator result-cache capacity")
-    p.add_argument("--transport", default="auto",
-                   choices=["auto", "shm", "framed"],
-                   help="array transport: shm slot rings (zero-copy) "
-                        "or the framed pickle socket; auto prefers "
-                        "shm where the platform has it")
-    p.add_argument("--window", type=int, default=4,
-                   help="request blocks in flight per worker; 1 "
-                        "restores the serial scatter-gather path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the serve profile as JSON")

@@ -10,36 +10,26 @@ batches, gathers canonical partials, and merges the global top-k
 deterministically (see :mod:`repro.serving.partials` for why the
 merge is bit-identical to an unsharded baseline).
 
-Array payloads cross the process boundary zero-copy through
-shared-memory slot rings (:mod:`repro.serving.shm` /
-:mod:`repro.serving.transport`) where the platform supports them, and
-the coordinator pipelines a window of request blocks per worker so
-shard k-NN overlaps its own refine/rerank/merge work.
+Requests and replies cross the process boundary as framed pickles over
+one socketpair per worker (:mod:`repro.serving.protocol`), and every
+request takes one path through the coordinator, which keeps a small
+window of request blocks in flight so shard k-NN overlaps its own
+refine/rerank/merge work.
 """
 
 from repro.serving.coordinator import ShardedService
 from repro.serving.partials import (canonical_knn_batch, merge_topk,
                                     pack_partials, unpack_hits)
-from repro.serving.protocol import (ConnectionClosed, ProtocolError,
-                                    recv_msg, send_msg)
+from repro.serving.protocol import (ConnectionClosed, FramedChannel,
+                                    ProtocolError, recv_msg, send_msg)
 from repro.serving.registry import ShardRegistry
-from repro.serving.shm import (ShmBackpressure, ShmError, ShmRing,
-                               ShmSlotOverflow, ShmTornSlot, shm_available)
-from repro.serving.transport import FramedChannel, ShmChannel
 from repro.serving.worker import ShardServer
 
 __all__ = [
     "ShardedService",
     "ShardServer",
     "ShardRegistry",
-    "ShmRing",
-    "ShmError",
-    "ShmBackpressure",
-    "ShmTornSlot",
-    "ShmSlotOverflow",
-    "shm_available",
     "FramedChannel",
-    "ShmChannel",
     "canonical_knn_batch",
     "merge_topk",
     "pack_partials",

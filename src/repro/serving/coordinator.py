@@ -9,45 +9,39 @@ the global top-k under the ``(distance, rid)`` total order — bit-
 identical to a single tree over the whole corpus answering under the
 same order (see :mod:`repro.serving.partials`).
 
-Transport is pluggable (:mod:`repro.serving.transport`): with
-``transport="shm"`` (or ``"auto"`` where shared memory works) every
-array payload rides a pair of :class:`~repro.serving.shm.ShmRing`
-slots per worker and the framed socket carries only control traffic;
-``"framed"`` is the PR-8 pickle-everything wire format, kept as the
-universal fallback and parity reference.
-
-:meth:`serve_stream` overlaps the fleet with the coordinator: up to
-``window`` request blocks are in flight per worker at once through a
-``selectors`` event loop, so shard k-NN for block *i+1* runs while this
-process refines, reranks, and merges block *i*.  Blocks finish strictly
-in dispatch order and each one's merge is the same bit-identical
-``merge_topk``; a worker that dies mid-window degrades every block
-still awaiting it, exactly like the serial path degrades a request.
+Every request takes one path: :meth:`ShardedService._dispatch` frames
+a message to the live shards, :meth:`ShardedService._collect` reads
+back every reply it awaits.  :meth:`ShardedService.serve_stream` keeps
+up to :data:`WINDOW` request blocks in flight, so shard k-NN for the
+younger blocks runs while this process refines, reranks, and merges
+the oldest; blocks finish strictly in dispatch order.
+:meth:`ShardedService.am_query_batch` is a stream of one block, and a
+window of 1 is the serial case.
 
 Liveness is the registry's job (:mod:`repro.serving.registry`): every
-successful reply refreshes the shard's heartbeat, a transport failure
-marks it dead, and a shard that stops answering expires.  Dead or
-expired shards do not fail the query — the coordinator answers from the
-remaining partials and records what was given up in a
+reply refreshes the shard's heartbeat, a transport failure marks it
+dead, and a shard that stops answering expires.  Dead or expired shards
+do not fail the query — the coordinator answers from the remaining
+partials and records what was given up in a
 :class:`~repro.gist.degrade.DegradationReport`, the same bookkeeping a
 quarantined tree uses for corrupt subtrees: a missing shard is a pruned
 subtree at fleet scale.
 
 Where ``fork`` is unavailable the service falls back to in-process
 shards driving the same :class:`~repro.serving.worker.ShardServer`
-request handler, so every platform exercises the same protocol,
-planner, cache, and merge code — only the process boundary differs.
+request handler through the same request path, so every platform
+exercises the same protocol, planner, cache, and merge code — only the
+process boundary differs.
 """
 
 from __future__ import annotations
 
 import os
-import selectors
 import socket
 import tempfile
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,75 +52,55 @@ from repro.constants import (DEFAULT_PAGE_SIZE, FULL_QUERY_RESULT_IMAGES,
                              INDEX_DIMENSIONS)
 from repro.core.api import make_extension
 from repro.gist.degrade import DegradationReport
+from repro.gist.nn import check_queries
 from repro.serving import worker as worker_mod
 from repro.serving.partials import merge_topk, unpack_hits
-from repro.serving.protocol import ProtocolError
+from repro.serving.protocol import FramedChannel, ProtocolError
 from repro.serving.registry import DEAD, LIVE, ShardRegistry
-from repro.serving.shm import ShmRing, shm_available
-from repro.serving.transport import FramedChannel, ShmChannel
 from repro.serving.worker import ShardServer, _worker_main
 from repro.storage.diskfile import FilePageFile
 from repro.storage.fork import fork_available, shard_bounds
 
-#: default request slots per ring: enough for the default window plus
-#: one being written while the oldest drains.
-DEFAULT_WINDOW = 4
-DEFAULT_SLOT_BYTES = 1 << 20
+#: request blocks :meth:`ShardedService.serve_stream` keeps in flight.
+#: On the spine's ``serve_repeat`` a window of 1 runs 1.37x slower than
+#: 4 (DESIGN §14); tests patch it to 1 for the serial case.
+WINDOW = 4
 
 
 class _SocketShard:
     """Transport handle for one forked worker."""
 
-    def __init__(self, shard_id: int, channel: FramedChannel, process: Any) -> None:
+    def __init__(self, shard_id: int, channel: FramedChannel,
+                 process: Any) -> None:
         self.shard_id = shard_id
         self.channel = channel
-        self.sock = channel.sock
         self.process = process
 
     def send(self, msg: Dict[str, Any]) -> None:
         self.channel.send(msg)
 
-    def recv(self) -> Tuple[Dict[str, Any], Optional[int]]:
+    def recv(self) -> Dict[str, Any]:
         return self.channel.recv()
 
-    def release(self, token: Optional[int]) -> None:
-        self.channel.release(token)
-
-    def pending(self, timeout: float = 0.0) -> bool:
-        return self.channel.pending(timeout)
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
     def kill(self) -> None:
-        if self.process is not None:
-            self.process.kill()
-            self.process.join()
+        self.process.kill()
+        self.process.join()
 
     def retire(self) -> None:
-        """Release every OS resource this shard held: unlink the shm
-        segments, close the socket, reap the process.  Idempotent —
-        runs when the coordinator notices a death and again at
-        :meth:`close`."""
-        self.channel.close(unlink=True)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-        if self.process is not None:
-            if self.process.is_alive():
-                self.process.terminate()
-            self.process.join()
-
-    def close(self) -> None:
-        self.retire()
+        """Release every OS resource this shard held: close the socket,
+        reap the process.  Idempotent — runs when the coordinator
+        notices a death and again at :meth:`ShardedService.stop`."""
+        self.channel.sock.close()
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join()
 
 
 class _InlineShard:
     """Fork-free stand-in: the same request handler, called in-process.
 
     ``send`` computes the reply immediately and queues it for ``recv``,
-    preserving the scatter-then-gather call shape.  ``kill`` makes the
+    preserving the dispatch-then-collect call shape.  ``kill`` makes the
     transport fail like a dead process would, so degraded-mode behavior
     is testable without fork.
     """
@@ -135,27 +109,16 @@ class _InlineShard:
         self.shard_id = shard_id
         self.server = server
         self.channel = None
-        self._replies: List[Dict[str, Any]] = []
+        self._replies: Deque[Dict[str, Any]] = deque()
         self._killed = False
 
     def send(self, msg: Dict[str, Any]) -> None:
         if self._killed:
             raise ProtocolError(f"shard {self.shard_id} is down")
-        if msg.get("op") == "exit":
-            self._replies.append({"ok": True})
-            return
-        msg = {k: v for k, v in msg.items() if k != "hint"}
-        try:
-            self._replies.append(self.server.handle(msg))
-        except Exception as exc:
-            self._replies.append(
-                {"error": f"{type(exc).__name__}: {exc}"})
+        self._replies.append(self.server.respond(msg))
 
-    def recv(self) -> Tuple[Dict[str, Any], Optional[int]]:
-        return self._replies.pop(0), None
-
-    def release(self, token: Optional[int]) -> None:
-        pass
+    def recv(self) -> Dict[str, Any]:
+        return self._replies.popleft()
 
     def kill(self) -> None:
         self._killed = True
@@ -163,51 +126,37 @@ class _InlineShard:
     def retire(self) -> None:
         self._replies.clear()
 
-    def close(self) -> None:
-        self.retire()
+
+class _Request:
+    """One message sent to the fleet: the shards whose replies it awaits
+    and the partials collected so far."""
+
+    __slots__ = ("awaiting", "parts", "degraded", "t0")
+
+    def __init__(self) -> None:
+        self.awaiting: List[Any] = []
+        self.parts: Dict[int, Dict[str, Any]] = {}
+        self.degraded = False
+        self.t0 = time.perf_counter()
 
 
-class _Inflight:
-    """One dispatched request block riding the pipeline."""
+class _Block:
+    """One request block of a stream: the coordinator-cache pass over
+    its blobs, and the request carrying its misses (``None`` when the
+    cache answered everything)."""
 
-    __slots__ = ("idx", "blobs", "results", "misses", "miss_blobs",
-                 "duplicates", "deferred", "claimed", "awaiting", "parts",
-                 "tokens", "degraded", "t0")
+    __slots__ = ("idx", "blobs", "results", "misses", "duplicates", "req",
+                 "t0")
 
-    def __init__(self, idx: int, blobs: List[int],
-                 results: List[Optional[List[int]]], misses: List[int],
-                 duplicates: List[Tuple[int, tuple]]) -> None:
+    def __init__(self, idx: int, blobs: List[int]) -> None:
         self.idx = idx
         self.blobs = blobs
-        self.results = results
-        self.misses = misses
-        self.miss_blobs: List[int] = []
-        self.duplicates = duplicates
-        #: cross-block coalesced queries: (my result position, the
-        #: in-flight block computing the same key, its result position)
-        self.deferred: List[Tuple[int, "_Inflight", int]] = []
-        #: keys this block is computing on behalf of younger blocks
-        self.claimed: List[tuple] = []
-        self.awaiting: set = set()
-        self.parts: Dict[int, Dict[str, Any]] = {}
-        self.tokens: List[Tuple[Any, Optional[int]]] = []
-        self.degraded = False
-        self.t0 = 0.0
-
-
-class _PipelineCtx:
-    """Event-loop state shared by dispatch/drain/down handling."""
-
-    __slots__ = ("sel", "live", "inflight", "pending")
-
-    def __init__(self, sel: selectors.BaseSelector) -> None:
-        self.sel = sel
-        self.live: Dict[int, _SocketShard] = {}
-        self.inflight: "deque[_Inflight]" = deque()
-        #: cache keys currently being computed by an in-flight block —
-        #: the request-coalescing map younger dispatches check before
-        #: re-scattering a duplicate
-        self.pending: Dict[tuple, Tuple["_Inflight", int]] = {}
+        self.results: List[Any] = [None] * len(blobs)
+        self.misses: List[int] = []
+        #: (position, position of the first occurrence, cache key)
+        self.duplicates: List[Tuple[int, int, tuple]] = []
+        self.req: Optional[_Request] = None
+        self.t0 = time.perf_counter()
 
 
 class ShardedService:
@@ -218,7 +167,7 @@ class ShardedService:
     :meth:`knn_batch` answers raw nearest-neighbor batches,
     :meth:`am_query_batch` the full two-stage Blobworld queries — plus
     :meth:`serve_stream`, which drives a request stream in fixed-size
-    blocks (pipelined up to ``window`` blocks deep) and records tail
+    blocks (pipelined :data:`WINDOW` blocks deep) and records tail
     latency, queue depth, overlap, and transport bytes into a
     :class:`~repro.amdb.profiler.ShardServeProfile`.
     """
@@ -228,8 +177,7 @@ class ShardedService:
                  cache_size: int = 4096,
                  worker_cache: int = 2048, pool_pages: int = 256,
                  heartbeat_ttl: float = 30.0, clock: Any = time.monotonic,
-                 transport: str = "auto", window: int = DEFAULT_WINDOW,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES, tmpdir: Any = None) -> None:
+                 tmpdir: Any = None) -> None:
         self.corpus = corpus
         self.shards = shards
         self.dims = dims
@@ -246,10 +194,6 @@ class ShardedService:
         self.degraded_requests = 0
         self.handles: List[Any] = []
         self.inline = False
-        self.transport = transport
-        self.window = max(1, int(window))
-        self.slot_bytes = slot_bytes
-        self.transport_used = ""
         self._tmpdir = tmpdir
         self._started = False
 
@@ -295,27 +239,20 @@ class ShardedService:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def start(self, transport: Optional[str] = None,
-              window: Optional[int] = None) -> "ShardedService":
+    def start(self) -> "ShardedService":
         """Fork the workers (or fall back to in-process shards).
 
         A stopped service can be started again over the same built
-        trees, and ``transport``/``window`` here override the
-        constructor's choice for this incarnation.
+        trees.
         """
         if self._started:
             return self
-        if transport is not None:
-            self.transport = transport
-        if window is not None:
-            self.window = max(1, int(window))
         self._started = True
         self.inline = not fork_available()
         for shard in self.shards:
             self.registry.register(shard["shard_id"], shard["lo"],
                                    shard["hi"])
         if self.inline:
-            self.transport_used = "inline"
             for shard in self.shards:
                 server = ShardServer(
                     shard["shard_id"], shard["tree"], self.reduced,
@@ -325,7 +262,6 @@ class ShardedService:
                 self.handles.append(
                     _InlineShard(shard["shard_id"], server))
             return self
-        use_shm = (self.transport in ("auto", "shm")) and shm_available()
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         state: Dict[str, Any] = {
@@ -334,21 +270,16 @@ class ShardedService:
                        "pool_pages": self.pool_pages},
         }
         worker_mod._FORK_STATE = state
-        modes = set()
         try:
             for shard in self.shards:
                 # Flush parent-side write buffers before the fork so the
                 # child's reopened descriptor sees every page.
                 shard["tree"].store.flush()
                 parent_sock, child_sock = socket.socketpair()
-                rings = None
                 process = None
                 try:
-                    if use_shm:
-                        rings = self._create_rings()
                     state["shards"][shard["shard_id"]] = {
                         "tree": shard["tree"], "conn": child_sock,
-                        "rings": rings,
                         "lo": shard["lo"], "hi": shard["hi"]}
                     process = ctx.Process(target=_worker_main,
                                           args=(shard["shard_id"],),
@@ -356,12 +287,8 @@ class ShardedService:
                     process.start()
                 except BaseException:
                     # A failed fork must not strand this shard's kernel
-                    # objects: the sockets would hold fds and the rings
-                    # would hold named /dev/shm segments until process
-                    # exit (and the segments past it, absent unlink).
-                    for ring in rings or ():
-                        ring.unlink()
-                        ring.close()
+                    # objects: the sockets would hold fds until process
+                    # exit.
                     parent_sock.close()
                     child_sock.close()
                     if process is not None and process.is_alive():
@@ -369,40 +296,11 @@ class ShardedService:
                         process.join()
                     raise
                 child_sock.close()
-                channel: FramedChannel
-                if rings is not None:
-                    channel = ShmChannel(parent_sock, tx=rings[0],
-                                         rx=rings[1])
-                else:
-                    channel = FramedChannel(parent_sock)
-                modes.add(channel.mode)
-                self.handles.append(
-                    _SocketShard(shard["shard_id"], channel, process))
+                self.handles.append(_SocketShard(
+                    shard["shard_id"], FramedChannel(parent_sock), process))
         finally:
             worker_mod._FORK_STATE = {}
-        self.transport_used = modes.pop() if len(modes) == 1 else "mixed"
         return self
-
-    def _create_rings(self) -> Optional[Tuple[ShmRing, ShmRing]]:
-        """Both directions' slot rings, or None to fall back to framed.
-
-        Each direction carries ``window`` slots in flight plus one
-        being written.  Creating the pair is not atomic: a failure on
-        the second ring must unlink the first before falling back, or
-        the half-pair leaks a named ``/dev/shm`` segment that outlives
-        the process.
-        """
-        try:
-            tx = ShmRing.create(self.window + 1, self.slot_bytes)
-        except (OSError, ValueError):
-            return None
-        try:
-            rx = ShmRing.create(self.window + 1, self.slot_bytes)
-        except (OSError, ValueError):
-            tx.unlink()
-            tx.close()
-            return None
-        return tx, rx
 
     def kill_shard(self, shard_id: int) -> None:
         """Forcibly take one worker down (failure injection)."""
@@ -415,28 +313,16 @@ class ShardedService:
     def ping(self) -> Dict[int, bool]:
         """Heartbeat every non-dead shard; revives expired ones that
         answer.  Returns shard -> answered."""
-        answered: Dict[int, bool] = {}
-        for handle in self.handles:
-            if self.registry.state(handle.shard_id) == DEAD:
-                answered[handle.shard_id] = False
-                continue
-            try:
-                handle.send({"op": "ping"})
-                reply, token = handle.recv()
-                handle.release(token)
-                ok = bool(reply.get("ok"))
-            except (ProtocolError, OSError) as exc:
-                self._shard_down(handle, exc)
-                ok = False
-            if ok:
-                self.registry.beat(handle.shard_id)
-            answered[handle.shard_id] = ok
-        return answered
+        req = self._dispatch({"op": "ping"}, revive=True)
+        self._collect(req)
+        return {handle.shard_id:
+                bool(req.parts.get(handle.shard_id, {}).get("ok"))
+                for handle in self.handles}
 
     def stop(self) -> None:
         """Ask every live worker to exit, then reap the processes and
-        release the transports.  The built trees stay; :meth:`start`
-        brings the fleet back (possibly on another transport)."""
+        close the sockets.  The built trees stay; :meth:`start` brings
+        the fleet back."""
         for handle in self.handles:
             if self.registry.state(handle.shard_id) != DEAD:
                 try:
@@ -444,7 +330,7 @@ class ShardedService:
                     handle.recv()
                 except (ProtocolError, OSError):
                     pass
-            handle.close()
+            handle.retire()
         self.handles = []
         self._started = False
 
@@ -462,7 +348,7 @@ class ShardedService:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- scatter / gather ----------------------------------------------------
+    # -- the request path ----------------------------------------------------
 
     def _shard_down(self, handle: Any, exc: Exception) -> None:
         shard = self.shards[handle.shard_id]
@@ -471,84 +357,95 @@ class ShardedService:
             handle.shard_id, level=None,
             error=f"shard {handle.shard_id} down: {exc}",
             estimated_candidates_lost=shard["hi"] - shard["lo"])
-        # FD/segment hygiene: a dead worker's socket and shm rings are
-        # released the moment the death is noticed, not at service
-        # close.
+        # FD hygiene: a dead worker's socket is closed and its process
+        # reaped the moment the death is noticed, not at service close.
         handle.retire()
 
-    def _scatter_gather(self, msg: Dict[str, Any], profile: Any = None,
-                        _tokens: Optional[List[Tuple[Any, Optional[int]]]]
-                        = None) -> Dict[int, Dict[str, Any]]:
-        """One request to every live shard; partials from those that
-        answered.  Unreachable shards degrade the answer, they do not
-        fail it; only a fleet with *no* answering shard raises.
-
-        Replies may hold zero-copy ring views: when the caller passes
-        ``_tokens`` it owns releasing them after the merge has copied
-        the partials out; otherwise slots are released immediately.
-        """
+    def _dispatch(self, msg: Dict[str, Any], profile: Any = None,
+                  revive: bool = False) -> _Request:
+        """Send ``msg`` to every live shard (with ``revive``, to every
+        shard not dead, so a ping can wake expired ones).  A shard left
+        out, or one whose socket fails, degrades the request instead of
+        failing it."""
         if not self._started:
             raise RuntimeError("service not started")
-        degraded = False
-        targets = []
+        req = _Request()
         for handle in self.handles:
             state = self.registry.state(handle.shard_id)
-            if state == LIVE:
-                targets.append(handle)
-            else:
-                degraded = True
+            if state == LIVE or (revive and state != DEAD):
+                try:
+                    handle.send(msg)
+                    req.awaiting.append(handle)
+                except (ProtocolError, OSError) as exc:
+                    self._shard_down(handle, exc)
+                    req.degraded = True
+            elif not revive:
+                req.degraded = True
                 shard = self.shards[handle.shard_id]
                 self.degradation.record(
                     handle.shard_id, level=None,
                     error=f"shard {handle.shard_id} {state} at scatter",
                     estimated_candidates_lost=shard["hi"] - shard["lo"])
-        t0 = time.perf_counter()
-        sent = []
-        for handle in targets:
-            try:
-                handle.send(msg)
-                sent.append(handle)
-            except (ProtocolError, OSError) as exc:
-                self._shard_down(handle, exc)
-                degraded = True
-        t1 = time.perf_counter()
-        parts: Dict[int, Dict[str, Any]] = {}
-        for handle in sent:
-            try:
-                reply, token = handle.recv()
-            except (ProtocolError, OSError) as exc:
-                self._shard_down(handle, exc)
-                degraded = True
-                continue
-            if "error" in reply:
-                # The worker is alive and talking; its request blew up.
-                # That is a bug, not an outage — surface it (releasing
-                # every ring slot gathered so far first).
-                handle.release(token)
-                if _tokens is not None:
-                    for held, held_token in _tokens:
-                        held.release(held_token)
-                    _tokens.clear()
-                raise RuntimeError(
-                    f"shard {handle.shard_id}: {reply['error']}")
-            self.registry.beat(handle.shard_id)
-            parts[handle.shard_id] = reply
-            if _tokens is not None:
-                _tokens.append((handle, token))
-            else:
-                handle.release(token)
         if profile is not None:
-            profile.add("scatter", t1 - t0)
-            profile.add("gather", time.perf_counter() - t1)
-            for shard_id, reply in parts.items():
-                profile.note_partial(shard_id, reply.get("seconds", 0.0))
-        if degraded:
+            profile.add("scatter", time.perf_counter() - req.t0)
+        return req
+
+    def _collect(self, req: _Request, profile: Any = None) -> None:
+        """Read every reply ``req`` awaits before raising for any.
+
+        Workers answer in request order, so the next frame on each
+        awaited socket is this request's reply; one left unread would
+        be taken for the answer to the next request on that socket.
+        An ``error`` reply comes from a live worker whose request blew
+        up — a bug, not an outage — and raises once every reply is in.
+        """
+        t0 = time.perf_counter()
+        errors: List[str] = []
+        for handle in req.awaiting:
+            if self.registry.state(handle.shard_id) == DEAD:
+                # It died while an older request was being collected.
+                req.degraded = True
+                continue
+            try:
+                reply = handle.recv()
+            except (ProtocolError, OSError) as exc:
+                self._shard_down(handle, exc)
+                req.degraded = True
+                continue
+            self.registry.beat(handle.shard_id)
+            if "error" in reply:
+                errors.append(f"shard {handle.shard_id}: {reply['error']}")
+                continue
+            req.parts[handle.shard_id] = reply
+            if profile is not None:
+                profile.note_partial(handle.shard_id,
+                                     reply.get("seconds", 0.0))
+        req.awaiting = []
+        if profile is not None:
+            profile.add("gather", time.perf_counter() - t0)
+        if errors:
+            raise RuntimeError("; ".join(errors))
+
+    def _settle(self, req: _Request,
+                profile: Any = None) -> Dict[int, Dict[str, Any]]:
+        """The partials of a collected request, after booking it as
+        degraded if a shard was missing; only a request no shard
+        answered raises."""
+        if req.degraded:
             self.degraded_requests += 1
             if profile is not None:
                 profile.degraded_requests += 1
-        if not parts:
+        if not req.parts:
             raise RuntimeError("no live shards answered")
-        return parts
+        return req.parts
+
+    def _gather(self, msg: Dict[str, Any],
+                profile: Any = None) -> Dict[int, Dict[str, Any]]:
+        """One message to every live shard; partials from those that
+        answered."""
+        req = self._dispatch(msg, profile)
+        self._collect(req, profile)
+        return self._settle(req, profile)
 
     def _merge(self, parts: Dict[int, Dict[str, Any]], k: int,
                profile: Any = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -560,53 +457,102 @@ class ShardedService:
             profile.add("merge", time.perf_counter() - t0)
         return merged
 
-    # -- query surface -------------------------------------------------------
+    def _serve(self, blocks: List[List[int]], num_candidates: int,
+               top_images: Optional[int],
+               profile: Any) -> List[List[int]]:
+        """Keep up to :data:`WINDOW` blocks in flight; collect and
+        finish (merge, refine, rerank) strictly in dispatch order, so
+        each finish overlaps the fleet computing the younger blocks."""
+        if top_images is None:
+            top_images = FULL_QUERY_RESULT_IMAGES
+        fetch = (self.engine._overscan(num_candidates)
+                 if self.lossy else num_candidates)
+        inflight: Deque[_Block] = deque()
+        results: List[List[int]] = []
+        next_idx = 0
+        try:
+            while next_idx < len(blocks) or inflight:
+                while next_idx < len(blocks) and len(inflight) < WINDOW:
+                    inflight.append(self._dispatch_block(
+                        next_idx, blocks[next_idx], fetch, num_candidates,
+                        top_images, profile))
+                    next_idx += 1
+                block = inflight[0]
+                if block.req is not None:
+                    self._collect(block.req, profile)
+                inflight.popleft()
+                t_fin = time.perf_counter()
+                results.extend(self._finish_block(
+                    block, fetch, num_candidates, top_images, profile))
+                if profile is not None:
+                    if inflight:
+                        profile.overlap_seconds += \
+                            time.perf_counter() - t_fin
+                    profile.record_request(
+                        time.perf_counter() - block.t0, len(block.blobs),
+                        len(blocks) - block.idx)
+        except BaseException:
+            # Leave no reply unread: each would answer a later request.
+            for block in inflight:
+                if block.req is not None and block.req.awaiting:
+                    try:
+                        self._collect(block.req)
+                    except RuntimeError:
+                        pass
+            raise
+        return results
 
-    def knn_batch(self, queries: np.ndarray, k: int,
-                  profile: Any = None) -> List[List[Tuple[float, int]]]:
-        """Global canonical top-``k`` per query across all live shards."""
-        queries = np.asarray(queries, dtype=np.float64)
-        tokens: List[Tuple[Any, Optional[int]]] = []
-        parts = self._scatter_gather(
-            {"op": "knn", "queries": queries, "k": k}, profile=profile,
-            _tokens=tokens)
-        merged = self._merge(parts, k, profile=profile)
-        parts.clear()
-        for handle, token in tokens:
-            handle.release(token)
-        return unpack_hits(*merged)
-
-    def _plan_block(self, query_blobs: List[int], num_candidates: int,
-                    top_images: int) -> Any:
-        """Coordinator-cache pass over one block: prefilled results,
-        miss indices, and within-block duplicate back-references."""
-        results: List[Optional[List[int]]] = [None] * len(query_blobs)
-        misses: List[int] = []
-        duplicates: List[Tuple[int, tuple]] = []
-        if self.cache is None:
-            return results, list(range(len(query_blobs))), duplicates
-        pending: set = set()
-        for i, blob in enumerate(query_blobs):
+    def _dispatch_block(self, idx: int, blobs: List[int], fetch: int,
+                        num_candidates: int, top_images: int,
+                        profile: Any) -> _Block:
+        """The coordinator-cache pass over one block, then one request
+        for its misses.  Repeats within the block ride their first
+        occurrence."""
+        block = _Block(idx, blobs)
+        first: Dict[tuple, int] = {}
+        for i, blob in enumerate(blobs):
             key = (blob, self.dims, num_candidates, top_images)
-            if key in pending:
-                duplicates.append((i, key))
+            if key in first:
+                block.duplicates.append((i, first[key], key))
                 continue
-            hit = self.cache.get(key)
+            hit = self.cache.get(key) if self.cache is not None else None
             if hit is not None:
-                results[i] = list(hit)
+                block.results[i] = list(hit)
             else:
-                pending.add(key)
-                misses.append(i)
-        return results, misses, duplicates
+                first[key] = i
+                block.misses.append(i)
+        if block.misses:
+            block.req = self._dispatch(
+                {"op": "am",
+                 "blobs": np.asarray([blobs[i] for i in block.misses],
+                                     dtype=np.int64),
+                 "fetch": fetch, "dims": self.dims}, profile)
+        return block
 
-    def _rank_and_fill(self, results: List[Optional[List[int]]],
+    def _finish_block(self, block: _Block, fetch: int, num_candidates: int,
+                      top_images: int, profile: Any) -> List[List[int]]:
+        results = block.results
+        if block.req is not None:
+            parts = self._settle(block.req, profile)
+            _dists, rids = self._merge(parts, fetch, profile=profile)
+            self._rank_and_fill(results, block.blobs, block.misses, rids,
+                                num_candidates, top_images,
+                                profile=profile)
+        for i, j, key in block.duplicates:
+            if self.cache is not None:
+                # Books the hit a one-query-at-a-time loop would have.
+                self.cache.get(key)
+            results[i] = list(results[j])
+        return results
+
+    def _rank_and_fill(self, results: List[Any],
                        query_blobs: List[int], misses: List[int],
-                       miss_blobs: List[int], merged_rids: np.ndarray,
-                       num_candidates: int, top_images: int,
-                       profile: Any = None) -> None:
+                       merged_rids: np.ndarray, num_candidates: int,
+                       top_images: int, profile: Any = None) -> None:
         """Stage two for the merged partials: lossy refine against the
         exact in-memory reduced vectors, full-dimension rerank, cache
         fill — the same engine kernels the single-tree path uses."""
+        miss_blobs = [query_blobs[i] for i in misses]
         candidate_lists = [row[row >= 0] for row in merged_rids]
         if self.lossy:
             t0 = time.perf_counter()
@@ -625,11 +571,41 @@ class ShardedService:
                     (query_blobs[i], self.dims, num_candidates,
                      top_images), tuple(result))
 
+    def _check_blobs(self, blobs: Sequence[int]) -> List[int]:
+        """External blob ids, rejected before any scatter unless each
+        is an integer in ``[0, num_blobs)`` — a worker indexes its
+        vector matrix with them, where ``-1`` would silently answer for
+        the last blob and ``2.7`` for blob 2."""
+        ids = np.asarray(blobs)
+        if ids.size == 0:
+            return []
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"blob ids must be a flat sequence of "
+                             f"integers, got {ids.dtype} {ids.shape}")
+        num_blobs = len(self.reduced)
+        if ids.min() < 0 or ids.max() >= num_blobs:
+            raise ValueError(f"blob ids must lie in [0, {num_blobs}), "
+                             f"got {ids.min()}..{ids.max()}")
+        return [int(b) for b in ids]
+
+    # -- query surface -------------------------------------------------------
+
+    def knn_batch(self, queries: np.ndarray, k: int,
+                  profile: Any = None) -> List[List[Tuple[float, int]]]:
+        """Global canonical top-``k`` per query across all live shards.
+
+        ``queries`` must be a finite ``(Q, dims)`` block and ``k``
+        positive, checked before any scatter."""
+        queries = check_queries(self.shards[0]["tree"], queries, 2, k)
+        parts = self._gather({"op": "knn", "queries": queries, "k": k},
+                             profile)
+        return unpack_hits(*self._merge(parts, k, profile=profile))
+
     def am_query_batch(self, query_blobs: Sequence[int], num_candidates: int,
                        top_images: Optional[int] = None,
-                       profile: Any = None, _hint: Optional[Sequence[int]] = None
-                       ) -> List[List[int]]:
-        """A block of two-stage queries over the sharded fleet.
+                       profile: Any = None) -> List[List[int]]:
+        """A block of two-stage queries over the sharded fleet: a
+        stream of one block.
 
         Stage one scatters to the shards and merges canonical
         candidate partials; stage two — lossy refinement against the
@@ -637,304 +613,53 @@ class ShardedService:
         rerank — runs on the coordinator via the same engine kernels
         the single-tree path uses, so the image lists match the
         unsharded :meth:`~repro.blobworld.query.BlobworldEngine.
-        am_query_batch` answer.  ``_hint`` names the blobs the *next*
-        block will ask about; workers use their idle gap to prefetch
-        the predicted leaf pages.
+        am_query_batch` answer.
         """
-        if top_images is None:
-            top_images = FULL_QUERY_RESULT_IMAGES
-        query_blobs = [int(b) for b in query_blobs]
-        results, misses, duplicates = self._plan_block(
-            query_blobs, num_candidates, top_images)
-        if misses:
-            miss_blobs = [query_blobs[i] for i in misses]
-            fetch = (self.engine._overscan(num_candidates)
-                     if self.lossy else num_candidates)
-            msg: Dict[str, Any] = {
-                "op": "am",
-                "blobs": np.asarray(miss_blobs, dtype=np.int64),
-                "fetch": fetch, "dims": self.dims}
-            if _hint is not None:
-                msg["hint"] = np.asarray([int(b) for b in _hint],
-                                         dtype=np.int64)
-            tokens: List[Tuple[Any, Optional[int]]] = []
-            parts = self._scatter_gather(msg, profile=profile,
-                                         _tokens=tokens)
-            _dists, rids = self._merge(parts, fetch, profile=profile)
-            parts.clear()
-            for handle, token in tokens:
-                handle.release(token)
-            self._rank_and_fill(results, query_blobs, misses, miss_blobs,
-                                rids, num_candidates, top_images,
-                                profile=profile)
-        for i, key in duplicates:
-            results[i] = list(self.cache.get(key))
-        return results
+        return self._serve([self._check_blobs(query_blobs)],
+                           num_candidates, top_images, profile)
 
     def serve_stream(self, stream: Sequence[int], num_candidates: int,
                      top_images: Optional[int] = None,
                      request_size: int = 64,
-                     profile: Any = None, window: Optional[int] = None,
-                     readahead: bool = True) -> List[List[int]]:
+                     profile: Any = None) -> List[List[int]]:
         """Drive a request stream in blocks, recording tail latency.
 
         The stream is treated as an already-arrived queue: each block
         of ``request_size`` queries is one service request, its wall
         time one latency sample, and the blocks still waiting at
-        dispatch time the queue depth.  With ``window`` > 1 (default:
-        the service's window) blocks are pipelined — up to that many in
-        flight per worker while this process reranks earlier ones;
-        ``window=1`` is the PR-8 serial scatter-gather.  ``readahead``
-        forwards each block's successor as a prefetch hint to the
-        workers.
+        dispatch time the queue depth.  Up to :data:`WINDOW` blocks are
+        in flight at once.
         """
         if request_size < 1:
             raise ValueError("request_size must be positive")
-        window = self.window if window is None else max(1, int(window))
-        # Reply slots are provisioned for the started window; a deeper
-        # stream window would overflow into the framed fallback.
-        window = min(window, self.window)
-        blocks = [list(stream[i:i + request_size])
-                  for i in range(0, len(stream), request_size)]
+        blobs = self._check_blobs(stream)
+        results = self._serve(
+            [blobs[i:i + request_size]
+             for i in range(0, len(blobs), request_size)],
+            num_candidates, top_images, profile)
         if profile is not None:
-            profile.transport = self.transport_used
-            profile.window = window
-        if window > 1 and not self.inline and self.handles:
-            results = self._serve_pipelined(blocks, num_candidates,
-                                            top_images, profile, window,
-                                            readahead)
-        else:
-            results = []
-            for i, block in enumerate(blocks):
-                hint = (blocks[i + 1]
-                        if readahead and i + 1 < len(blocks) else None)
-                t0 = time.perf_counter()
-                results.extend(self.am_query_batch(
-                    block, num_candidates, top_images=top_images,
-                    profile=profile, _hint=hint))
-                if profile is not None:
-                    profile.record_request(time.perf_counter() - t0,
-                                           len(block), len(blocks) - i)
-        if profile is not None:
-            profile.queries += len(stream)
+            profile.queries += len(blobs)
             if self.cache is not None:
                 profile.note_cache(self.cache.stats)
             profile.heartbeats = self.registry.snapshot()
             profile.transport_bytes = self.transport_counters()
         return results
 
-    # -- pipelined event loop ------------------------------------------------
-
-    def _serve_pipelined(self, blocks: List[List[int]],
-                         num_candidates: int, top_images: Optional[int],
-                         profile: Any, window: int,
-                         readahead: bool) -> List[List[int]]:
-        """Windowed scatter-gather: keep up to ``window`` blocks in
-        flight, finish strictly in dispatch order, overlap every
-        finish (merge + refine + rerank) with the fleet computing the
-        younger blocks."""
-        if top_images is None:
-            top_images = FULL_QUERY_RESULT_IMAGES
-        fetch = (self.engine._overscan(num_candidates)
-                 if self.lossy else num_candidates)
-        sel = selectors.DefaultSelector()
-        ctx = _PipelineCtx(sel)
-        for handle in self.handles:
-            if self.registry.state(handle.shard_id) == LIVE:
-                sel.register(handle.sock, selectors.EVENT_READ, handle)
-                ctx.live[handle.shard_id] = handle
-        results: List[List[int]] = []
-        next_idx = 0
-        try:
-            while next_idx < len(blocks) or ctx.inflight:
-                while (next_idx < len(blocks)
-                       and len(ctx.inflight) < window):
-                    ctx.inflight.append(self._dispatch_block(
-                        ctx, blocks, next_idx, fetch, num_candidates,
-                        top_images, profile, readahead))
-                    next_idx += 1
-                head = ctx.inflight[0]
-                if head.awaiting:
-                    t0 = time.perf_counter()
-                    events = sel.select(timeout=0.25)
-                    for key, _ in events:
-                        self._drain_channel(ctx, key.data, profile)
-                    if profile is not None:
-                        profile.add("gather",
-                                    time.perf_counter() - t0)
-                    if head.awaiting:
-                        if ctx.live:
-                            continue
-                        # Nothing left to answer: the head finishes
-                        # with whatever partials it gathered.
-                        head.awaiting.clear()
-                inf = ctx.inflight.popleft()
-                t_fin = time.perf_counter()
-                results.extend(self._finish_block(
-                    inf, fetch, num_candidates, top_images, profile))
-                for key in inf.claimed:
-                    ctx.pending.pop(key, None)
-                if profile is not None:
-                    if ctx.inflight:
-                        profile.overlap_seconds += \
-                            time.perf_counter() - t_fin
-                    profile.record_request(
-                        time.perf_counter() - inf.t0, len(inf.blobs),
-                        len(blocks) - inf.idx)
-        finally:
-            sel.close()
-        return results
-
-    def _dispatch_block(self, ctx: _PipelineCtx, blocks: List[List[int]],
-                        idx: int, fetch: int, num_candidates: int,
-                        top_images: int, profile: Any,
-                        readahead: bool) -> _Inflight:
-        block = [int(b) for b in blocks[idx]]
-        results, misses, duplicates = self._plan_block(
-            block, num_candidates, top_images)
-        inf = _Inflight(idx, block, results, misses, duplicates)
-        inf.t0 = time.perf_counter()
-        if misses and ctx.pending:
-            # Request coalescing: a query some older in-flight block is
-            # already computing rides that block instead of scattering
-            # again — the answer is copied at finish time, after the
-            # owner (strictly earlier in FIFO order) has filled it.
-            kept: List[int] = []
-            for i in misses:
-                key = (block[i], self.dims, num_candidates, top_images)
-                owner = ctx.pending.get(key)
-                if owner is not None:
-                    inf.deferred.append((i, owner[0], owner[1]))
-                else:
-                    kept.append(i)
-            misses = inf.misses = kept
-        if not misses:
-            return inf
-        inf.miss_blobs = [block[i] for i in misses]
-        for i in misses:
-            key = (block[i], self.dims, num_candidates, top_images)
-            if key not in ctx.pending:
-                ctx.pending[key] = (inf, i)
-                inf.claimed.append(key)
-        msg: Dict[str, Any] = {
-            "op": "am",
-            "blobs": np.asarray(inf.miss_blobs, dtype=np.int64),
-            "fetch": fetch, "dims": self.dims}
-        if readahead and idx + 1 < len(blocks):
-            msg["hint"] = np.asarray(
-                [int(b) for b in blocks[idx + 1]], dtype=np.int64)
-        t0 = time.perf_counter()
-        for handle in self.handles:
-            state = self.registry.state(handle.shard_id)
-            if state == LIVE and handle.shard_id in ctx.live:
-                try:
-                    handle.send(msg)
-                    inf.awaiting.add(handle.shard_id)
-                except (ProtocolError, OSError) as exc:
-                    self._pipeline_down(ctx, handle, exc)
-            else:
-                inf.degraded = True
-                shard = self.shards[handle.shard_id]
-                self.degradation.record(
-                    handle.shard_id, level=None,
-                    error=f"shard {handle.shard_id} {state} at scatter",
-                    estimated_candidates_lost=shard["hi"] - shard["lo"])
-        if profile is not None:
-            profile.add("scatter", time.perf_counter() - t0)
-        return inf
-
-    def _drain_channel(self, ctx: _PipelineCtx, handle: Any, profile: Any) -> None:
-        """Route every frame already readable on one shard's channel.
-
-        Workers answer in request order, so each reply belongs to the
-        oldest in-flight block still awaiting that shard."""
-        while True:
-            try:
-                reply, token = handle.recv()
-            except (ProtocolError, OSError) as exc:
-                self._pipeline_down(ctx, handle, exc)
-                return
-            routed = False
-            for inf in ctx.inflight:
-                if handle.shard_id in inf.awaiting:
-                    inf.awaiting.discard(handle.shard_id)
-                    if "error" in reply:
-                        handle.release(token)
-                        raise RuntimeError(
-                            f"shard {handle.shard_id}: "
-                            f"{reply['error']}")
-                    self.registry.beat(handle.shard_id)
-                    inf.parts[handle.shard_id] = reply
-                    inf.tokens.append((handle, token))
-                    if profile is not None:
-                        profile.note_partial(handle.shard_id,
-                                             reply.get("seconds", 0.0))
-                    routed = True
-                    break
-            if not routed:
-                handle.release(token)
-            if not handle.pending():
-                return
-
-    def _pipeline_down(self, ctx: _PipelineCtx, handle: Any,
-                       exc: Exception) -> None:
-        """A shard died mid-window: unregister it, mark every block
-        still awaiting it degraded, release its OS resources."""
-        if handle.shard_id not in ctx.live:
-            return
-        del ctx.live[handle.shard_id]
-        try:
-            ctx.sel.unregister(handle.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        for inf in ctx.inflight:
-            if handle.shard_id in inf.awaiting:
-                inf.awaiting.discard(handle.shard_id)
-                inf.degraded = True
-        self._shard_down(handle, exc)
-
-    def _finish_block(self, inf: _Inflight, fetch: int,
-                      num_candidates: int, top_images: int,
-                      profile: Any) -> List[List[int]]:
-        if inf.misses:
-            if not inf.parts:
-                raise RuntimeError("no live shards answered")
-            _dists, rids = self._merge(inf.parts, fetch, profile=profile)
-            inf.parts.clear()
-            for handle, token in inf.tokens:
-                handle.release(token)
-            inf.tokens.clear()
-            self._rank_and_fill(inf.results, inf.blobs, inf.misses,
-                                inf.miss_blobs, rids, num_candidates,
-                                top_images, profile=profile)
-        for i, key in inf.duplicates:
-            inf.results[i] = list(self.cache.get(key))
-        for i, owner, opos in inf.deferred:
-            inf.results[i] = list(owner.results[opos])
-        if profile is not None:
-            profile.coalesced += len(inf.deferred)
-        if inf.degraded:
-            self.degraded_requests += 1
-            if profile is not None:
-                profile.degraded_requests += 1
-        return inf.results
-
     # -- introspection -------------------------------------------------------
 
     def transport_counters(self) -> Dict[str, int]:
         """Coordinator-side transport bytes, summed over shards."""
-        total = {"shm": 0, "pickled": 0, "control": 0}
+        total = {"pickled": 0, "control": 0}
         for handle in self.handles:
-            channel = getattr(handle, "channel", None)
-            if channel is not None:
-                for key, value in channel.counters().items():
-                    total[key] = total.get(key, 0) + value
+            if handle.channel is not None:
+                for key, value in handle.channel.counters().items():
+                    total[key] += value
         return total
 
     def gather_stats(self, profile: Any = None) -> Dict[int, Dict[str, Any]]:
         """Per-worker cache/pool/planner/transport counters from live
         shards."""
-        parts = self._scatter_gather({"op": "stats"})
+        parts = self._gather({"op": "stats"})
         stats = {sid: {key: value for key, value in reply.items()
                        if key != "seconds"}
                  for sid, reply in parts.items()}
@@ -943,10 +668,8 @@ class ShardedService:
             profile.heartbeats = self.registry.snapshot()
             total = self.transport_counters()
             for blob in stats.values():
-                worker_side = blob.get("transport")
-                if worker_side:
-                    for key, value in worker_side.get("bytes",
-                                                      {}).items():
-                        total[key] = total.get(key, 0) + value
+                worker_side = blob.get("transport", {}).get("bytes", {})
+                for key, value in worker_side.items():
+                    total[key] = total.get(key, 0) + value
             profile.transport_bytes = total
         return stats

@@ -14,13 +14,18 @@ is *death*, not malice — a worker killed mid-frame leaves a torn
 stream, and every read path here converts that into
 :class:`ConnectionClosed` so the coordinator can flip the shard into
 degraded mode instead of unpickling garbage.
+
+:class:`FramedChannel` is the one transport: a socket speaking these
+frames, with byte counters the serving profile reports.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any
+from typing import Any, Dict
+
+import numpy as np
 
 #: frame header: magic, version, flags, payload length.
 MAGIC = b"RS"
@@ -78,3 +83,31 @@ def _recv_exact(sock: Any, n: int) -> bytes:
                 f"peer closed after {len(buf)} of {n} bytes")
         buf.extend(chunk)
     return bytes(buf)
+
+
+class FramedChannel:
+    """One coordinator<->worker socket: whole-dict frames, counted.
+
+    ``pickled`` books the array payload bytes (pickle serializes them as
+    raw buffers), ``control`` everything else on the wire.
+    """
+
+    def __init__(self, sock: Any) -> None:
+        self.sock = sock
+        self.bytes_pickled = 0
+        self.bytes_control = 0
+
+    def send(self, msg: Dict[str, Any]) -> None:
+        array_bytes = sum(v.nbytes for v in msg.values()
+                          if isinstance(v, np.ndarray))
+        wire = send_msg(self.sock, msg)
+        self.bytes_pickled += array_bytes
+        self.bytes_control += max(wire - array_bytes, 0)
+
+    def recv(self) -> Dict[str, Any]:
+        msg: Dict[str, Any] = recv_msg(self.sock)
+        return msg
+
+    def counters(self) -> Dict[str, int]:
+        return {"pickled": self.bytes_pickled,
+                "control": self.bytes_control}

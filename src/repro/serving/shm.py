@@ -1,300 +1,18 @@
-"""Shared-memory slot rings: zero-copy transport for shard partials.
+"""The shared-memory segment name prefix, kept for leak checks.
 
-The framed socket protocol (:mod:`repro.serving.protocol`) pickles its
-payloads, which is fine for control traffic and ruinous for the hot
-path — a 64-query block of ``(distance, rid)`` partials is ~300 KB of
-float64/int64 that pickle copies once into the frame, the kernel copies
-twice through the socketpair, and pickle copies again on the far side.
-A :class:`ShmRing` removes every copy but one: the producer writes the
-raw array bytes straight into a ``multiprocessing.shared_memory``
-segment both processes have mapped, and the consumer reads them back as
-numpy views over the same physical pages.  The socket still carries a
-tiny control frame per message (op, scalars, and the slot handoff), so
-framing, heartbeats, and death detection keep their PR-8 semantics.
-
-One ring is single-producer single-consumer in a fixed direction
-(coordinator->worker for requests, worker->coordinator for replies) and
-synchronization rides the control socket: a consumer only touches a
-slot after the control frame naming it has arrived, which in turn is
-only sent after the slot's bytes are in place.  The per-slot state word
-(``FREE`` / ``WRITING`` / ``READY``) and sequence number are therefore
-*hygiene*, not the primary lock — they turn the failure modes of a dead
-or buggy peer (a slot handed off twice, a writer killed mid-copy, a
-stale handoff replayed after wraparound) into the typed
-:class:`ShmTornSlot` instead of silently serving garbage bytes.
-
-Segment lifecycle: the coordinator creates both rings *before* forking
-the worker, so the child inherits the mapping; only the creating parent
-ever calls :meth:`ShmRing.unlink`.  ``close`` tolerates live numpy
-views (``BufferError``) the same way the mmap page file tolerates
-exported buffers — the mapping is dropped when the last view dies.
+The serving layer creates no shared-memory segments: every payload
+rides the framed socket (:class:`repro.serving.protocol.FramedChannel`).
+The measurement spine's hygiene check (``benchmarks/spine/run.py``)
+still globs ``/dev/shm`` for segments a run left behind, and it finds
+them by this prefix, so the prefix stays importable from here.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import struct
-import time
-from typing import Any, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.serving.protocol import ProtocolError
-
-#: slot states.  A slot is owned by the producer from ``WRITING`` until
-#: it flips ``READY``, and by the consumer until it flips back ``FREE``.
-FREE, WRITING, READY = 0, 1, 2
-
-#: per-slot header: state, reserved, sequence number, payload bytes.
-_SLOT_HEADER = struct.Struct("<IIQQ")
-#: headers are padded to a cache line so neighbouring slots never share
-#: one (false sharing between producer and consumer is a real cost on
-#: the state word, which both sides poll).
-SLOT_HEADER_BYTES = 64
-
-#: array payloads are aligned inside the slot so the reader's views are
-#: aligned loads whatever dtype mix the message carried.
-_ALIGN = 64
-
-_SEGMENT_SEQ = itertools.count()
-
-
-class ShmError(ProtocolError):
-    """A shared-memory transport fault.
-
-    Subclasses :class:`~repro.serving.protocol.ProtocolError` so every
-    coordinator path that already degrades on a torn socket degrades on
-    a torn ring the same way.
-    """
-
-
-class ShmBackpressure(ShmError):
-    """No free slot: the consumer is further behind than the window."""
-
-
-class ShmTornSlot(ShmError):
-    """The slot named by a handoff is not in the promised state —
-    the writer died mid-copy or the handoff is stale."""
-
-
-class ShmSlotOverflow(ShmError):
-    """The message's arrays do not fit one slot; the caller should
-    fall back to the framed transport for this message."""
 
 
 def segment_prefix() -> str:
-    """Name prefix of every segment this process creates (leak checks
-    glob for it)."""
+    """Name prefix of any segment this process would create (leak
+    checks glob for it)."""
     return f"repro_shm_{os.getpid()}_"
-
-
-def shm_available() -> bool:
-    """Can this platform create and map a POSIX shared-memory segment?"""
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:
-        return False
-    try:
-        probe = shared_memory.SharedMemory(
-            name=f"{segment_prefix()}probe{next(_SEGMENT_SEQ)}",
-            create=True, size=16)
-    except (OSError, ValueError):
-        return False
-    probe.close()
-    try:
-        probe.unlink()
-    except (OSError, FileNotFoundError):
-        pass
-    return True
-
-
-#: one array's placement inside a slot: shape, dtype string, byte
-#: offset from the slot payload base, byte length.
-ArrayMeta = Tuple[Tuple[int, ...], str, int, int]
-
-
-class ShmRing:
-    """A fixed ring of message slots inside one shared segment.
-
-    Layout: ``slots`` cache-line headers, then ``slots`` payload areas
-    of ``slot_bytes`` each.  :meth:`write` copies a list of arrays into
-    a free slot and returns the handoff triple ``(slot, seq, metas)``
-    to send over the control socket; :meth:`read` on the far side turns
-    the triple back into zero-copy views; :meth:`release` returns the
-    slot once the consumer is done with the bytes.
-    """
-
-    def __init__(self, shm: Any, slots: int, slot_bytes: int,
-                 owner: bool) -> None:
-        self._shm = shm
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self.owner = owner
-        self._payload_off = slots * SLOT_HEADER_BYTES
-        self._seq = 0
-        self._cursor = 0
-        self._unlinked = False
-
-    @classmethod
-    def create(cls, slots: int, slot_bytes: int) -> "ShmRing":
-        """Create the backing segment (parent side, pre-fork)."""
-        from multiprocessing import shared_memory
-        if slots < 1:
-            raise ValueError("ring needs at least one slot")
-        if slot_bytes < _ALIGN:
-            raise ValueError(f"slot_bytes must be >= {_ALIGN}")
-        size = slots * (SLOT_HEADER_BYTES + slot_bytes)
-        shm = shared_memory.SharedMemory(
-            name=f"{segment_prefix()}{next(_SEGMENT_SEQ)}",
-            create=True, size=size)
-        ring = cls(shm, slots, slot_bytes, owner=True)
-        for slot in range(slots):
-            ring._set_header(slot, FREE, 0, 0)
-        return ring
-
-    @property
-    def name(self) -> str:
-        return str(self._shm.name)
-
-    # -- slot headers --------------------------------------------------------
-
-    def _header(self, slot: int) -> Tuple[int, int, int, int]:
-        state, rsvd, seq, nbytes = _SLOT_HEADER.unpack_from(
-            self._shm.buf, slot * SLOT_HEADER_BYTES)
-        return state, rsvd, seq, nbytes
-
-    def _set_header(self, slot: int, state: int, seq: int,
-                    nbytes: int) -> None:
-        _SLOT_HEADER.pack_into(self._shm.buf, slot * SLOT_HEADER_BYTES,
-                               state, 0, seq, nbytes)
-
-    def _set_state(self, slot: int, state: int) -> None:
-        _, _, seq, nbytes = self._header(slot)
-        self._set_header(slot, state, seq, nbytes)
-
-    def free_slots(self) -> int:
-        return sum(1 for slot in range(self.slots)
-                   if self._header(slot)[0] == FREE)
-
-    # -- producer side -------------------------------------------------------
-
-    def _acquire(self, timeout: float) -> int:
-        deadline = time.monotonic() + timeout if timeout > 0 else 0.0
-        while True:
-            for step in range(self.slots):
-                slot = (self._cursor + step) % self.slots
-                if self._header(slot)[0] == FREE:
-                    self._cursor = (slot + 1) % self.slots
-                    self._set_state(slot, WRITING)
-                    return slot
-            if timeout <= 0 or time.monotonic() >= deadline:
-                raise ShmBackpressure(
-                    f"ring {self.name}: all {self.slots} slots in "
-                    f"flight")
-            time.sleep(0.0002)
-
-    def write(self, arrays: Sequence[np.ndarray],
-              timeout: float = 0.0) -> Tuple[int, int, List[ArrayMeta]]:
-        """Copy ``arrays`` into one free slot; the single copy on this
-        side of the transport.  Raises :class:`ShmSlotOverflow` before
-        touching any slot if they cannot fit, and
-        :class:`ShmBackpressure` if no slot frees up in ``timeout``."""
-        placed: List[Tuple[np.ndarray, int]] = []
-        off = 0
-        for arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            off = -(-off // _ALIGN) * _ALIGN
-            placed.append((arr, off))
-            off += arr.nbytes
-        if off > self.slot_bytes:
-            raise ShmSlotOverflow(
-                f"{off} payload bytes exceed the {self.slot_bytes}-byte "
-                f"slot")
-        slot = self._acquire(timeout)
-        try:
-            self._seq += 1
-            base = self._payload_off + slot * self.slot_bytes
-            metas: List[ArrayMeta] = []
-            for arr, aoff in placed:
-                if arr.nbytes:
-                    dst = np.frombuffer(self._shm.buf, dtype=np.uint8,
-                                        count=arr.nbytes,
-                                        offset=base + aoff)
-                    dst[:] = arr.reshape(-1).view(np.uint8)
-                metas.append((tuple(arr.shape), arr.dtype.str, aoff,
-                              arr.nbytes))
-            self._set_header(slot, READY, self._seq, off)
-        except BaseException:
-            # A raise mid-copy (segment closed under us, torn buffer)
-            # must not leave the slot WRITING: nothing would ever hand
-            # it off or free it, and the ring wedges one slot smaller
-            # for the life of the segment.
-            self._set_state(slot, FREE)
-            raise
-        return slot, self._seq, metas
-
-    # -- consumer side -------------------------------------------------------
-
-    def read(self, slot: int, seq: int,
-             metas: Sequence[ArrayMeta]) -> List[np.ndarray]:
-        """Zero-copy views for a handoff received over the control
-        socket.  A slot that is not ``READY`` under the promised
-        sequence number is torn — the writer died mid-slot or the
-        handoff is stale — and raises :class:`ShmTornSlot`."""
-        if not 0 <= slot < self.slots:
-            raise ShmTornSlot(f"slot {slot} out of range")
-        state, _, have_seq, nbytes = self._header(slot)
-        if state != READY or have_seq != seq:
-            raise ShmTornSlot(
-                f"slot {slot} state={state} seq={have_seq}, handoff "
-                f"promised READY seq={seq}")
-        base = self._payload_off + slot * self.slot_bytes
-        views: List[np.ndarray] = []
-        for shape, dtype, aoff, nb in metas:
-            if aoff + nb > self.slot_bytes or aoff + nb > nbytes:
-                raise ShmTornSlot(
-                    f"slot {slot}: array at {aoff}+{nb} beyond the "
-                    f"{nbytes}-byte payload")
-            dt = np.dtype(dtype)
-            count = nb // dt.itemsize if dt.itemsize else 0
-            views.append(np.frombuffer(self._shm.buf, dtype=dt,
-                                       count=count,
-                                       offset=base + aoff).reshape(shape))
-        return views
-
-    def release(self, slot: int) -> None:
-        """Hand the slot back to the producer."""
-        if 0 <= slot < self.slots:
-            self._set_state(slot, FREE)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Drop this process's mapping.  Live numpy views pin the
-        buffer; like the mmap page file, the map then lingers until the
-        last view dies instead of invalidating it under them — the
-        descriptor is closed either way, and the handle is detached so
-        its finalizer does not retry (and warn) at GC time."""
-        try:
-            self._shm.close()
-        except BufferError:
-            self._shm._buf = None
-            self._shm._mmap = None
-            fd = getattr(self._shm, "_fd", -1)
-            if fd >= 0:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-                self._shm._fd = -1
-
-    def unlink(self) -> None:
-        """Remove the segment name (owner only; idempotent)."""
-        if not self.owner or self._unlinked:
-            return
-        self._unlinked = True
-        try:
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass

@@ -3,46 +3,37 @@
 Work crosses the fork boundary the same way the parallel bulk loader
 does it (see :mod:`repro.storage.fork`): the coordinator
 stashes shared state in the module-global ``_FORK_STATE``, forks one
-child per shard, and each child finds its tree, socket, shm rings, and
-the reduced vector matrix in its copy-on-write copy.  The first thing a
-child does is :func:`reopen_files` — the inherited descriptors share
-their file offset with the parent and every sibling, and a long-running
-daemon is exactly the workload that would hit that race.
+child per shard, and each child finds its tree, socket, and the reduced
+vector matrix in its copy-on-write copy.  The first thing a child does
+is :func:`reopen_files` — the inherited descriptors share their file
+offset with the parent and every sibling, and a long-running daemon is
+exactly the workload that would hit that race.
 
 Each worker owns its serving stack outright: a
 :class:`~repro.storage.buffer.BufferPool` over the shard's page file, a
 :class:`~repro.blobworld.cache.QueryResultCache` of finished partials,
 and a :class:`~repro.gist.planner.QueryPlanner` that routes each miss
 batch between the shard tree and a flat scan of the shard's vectors.
-Requests and replies are dicts over a transport channel
-(:mod:`repro.serving.transport`): array payloads ride the shm rings
-when the coordinator provided them, the framed socket otherwise.
-
-Between requests the worker is idle while the coordinator refines and
-reranks the block it just answered; :meth:`ShardServer.prefetch_hint`
-spends that gap warming the buffer pool with the leaf pages the *next*
-block is predicted to touch (a single best-child descent per hinted
-query, the same lower-bound kernels the search uses).
+Requests and replies are dicts over a
+:class:`~repro.serving.protocol.FramedChannel`, answered strictly in
+arrival order.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.blobworld.cache import QueryResultCache
 from repro.serving.partials import canonical_knn_batch, pack_partials
-from repro.serving.protocol import ConnectionClosed
-from repro.serving.shm import ShmError
-from repro.serving.transport import FramedChannel, ShmChannel
+from repro.serving.protocol import ConnectionClosed, FramedChannel
 from repro.storage.buffer import BufferPool
-from repro.storage.errors import StorageError
 from repro.storage.fork import reopen_files
 
 #: shared state a forked worker reads back, keyed by the coordinator:
-#: ``shards`` (shard_id -> dict with tree / conn / rings / lo / hi),
+#: ``shards`` (shard_id -> dict with tree / conn / lo / hi),
 #: ``reduced`` (the full reduced vector matrix), ``config`` (cache/pool
 #: sizing).
 _FORK_STATE: Dict[str, Any] = {}
@@ -52,7 +43,7 @@ class ShardServer:
     """Request handling for one shard, transport-agnostic.
 
     The forked daemon loop and the in-process fallback shards both
-    drive :meth:`handle`, so degraded-mode tests and fork-free
+    drive :meth:`respond`, so degraded-mode tests and fork-free
     platforms exercise the same code path as the real daemon.
     """
 
@@ -84,13 +75,19 @@ class ShardServer:
         self.plans_tree = 0
         self.plans_scan = 0
         self.seconds = 0.0
-        self.prefetch_calls = 0
-        self.prefetch_pages = 0
-        #: (dims, fetch) of the last am block — read-ahead reuses it
-        #: to predict the next block's plan and cache keys.
-        self._last_am: Optional[Tuple[int, int]] = None
 
     # -- dispatch ------------------------------------------------------------
+
+    def respond(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one request.  A request that raises is answered
+        with an ``error`` reply instead of taking the daemon down — the
+        coordinator decides whether that is fatal."""
+        if msg.get("op") == "exit":
+            return {"ok": True}
+        try:
+            return self.handle(msg)
+        except Exception as exc:
+            return {"error": f"{type(exc).__name__}: {exc}"}
 
     def handle(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         op = msg.get("op")
@@ -133,7 +130,6 @@ class ShardServer:
         blobs = [int(b) for b in msg["blobs"]]
         fetch = int(msg["fetch"])
         dims = int(msg["dims"])
-        self._last_am = (dims, fetch)
         out_d = np.full((len(blobs), fetch), np.inf, dtype=np.float64)
         out_r = np.full((len(blobs), fetch), -1, dtype=np.int64)
         misses: List[int] = []
@@ -180,69 +176,6 @@ class ShardServer:
             out_r[i] = out_r[j]
         return {"dists": out_d, "rids": out_r}
 
-    # -- read-ahead ----------------------------------------------------------
-
-    def prefetch_hint(self, blobs: Sequence[int]) -> int:
-        """Warm the pool with the leaf pages ``blobs`` will likely hit.
-
-        One best-child root-to-leaf descent per hinted query (argmin of
-        the extension's lower bounds at every level — the page the
-        search visits first), then a single uncounted
-        :meth:`~repro.storage.buffer.BufferPool.prefetch` for the
-        predicted leaves.  Purely advisory: any storage fault abandons
-        the warm-up, never the serving loop.  Returns pages fetched.
-        """
-        pool = self.tree.store
-        if not isinstance(pool, BufferPool) or self.tree.height < 1:
-            return 0
-        valid = list(dict.fromkeys(
-            b for b in blobs if 0 <= b < len(self.reduced)))
-        if valid and self._last_am is not None:
-            # Blobs whose partials are cached touch no pages, and a
-            # block the planner will scan-route touches no *tree*
-            # pages — descending for either is work the next block
-            # never redeems.
-            dims, fetch = self._last_am
-            valid = [b for b in valid
-                     if (b, dims, fetch, -1) not in self.cache]
-            if valid and self.planner.plan_batch(
-                    len(valid), fetch).choice == "scan":
-                return 0
-        if not valid:
-            return 0
-        self.prefetch_calls += 1
-        vecs = self.reduced[valid]
-        was_counting = pool.counting
-        pool.counting = False
-        try:
-            frontier: Dict[int, np.ndarray] = {
-                self.tree.root_id: np.arange(len(vecs))}
-            for _ in range(self.tree.height - 1):
-                nxt: Dict[int, List[np.ndarray]] = {}
-                for pid, idx in frontier.items():
-                    node = pool.read(pid)
-                    if node.level == 0:
-                        continue
-                    bounds = self.tree.ext.min_dists_node_multi(
-                        node, vecs[idx])
-                    best = np.argmin(bounds, axis=1)
-                    children = node.children()
-                    for choice in np.unique(best):
-                        child = children[int(choice)]
-                        nxt.setdefault(child, []).append(
-                            idx[best == choice])
-                frontier = {pid: np.concatenate(parts)
-                            for pid, parts in nxt.items()}
-                if not frontier:
-                    return 0
-            fetched = pool.prefetch(list(frontier))
-        except StorageError:
-            return 0
-        finally:
-            pool.counting = was_counting
-        self.prefetch_pages += fetched
-        return fetched
-
     def stats(self) -> Dict[str, Any]:
         """Cache, buffer-pool, planner, and transport counters,
         JSON-ready."""
@@ -258,8 +191,6 @@ class ShardServer:
                 "hit_rate": round(cache.hit_rate, 4),
             },
             "plans": {"tree": self.plans_tree, "scan": self.plans_scan},
-            "prefetch": {"calls": self.prefetch_calls,
-                         "pages": self.prefetch_pages},
         }
         pool = getattr(self.tree.store, "stats", None)
         if pool is not None:
@@ -267,34 +198,19 @@ class ShardServer:
                 "hits": pool.hits,
                 "misses": pool.misses,
                 "evictions": pool.evictions,
-                "prefetched": pool.prefetched,
                 "hit_rate": round(pool.hit_rate, 4),
             }
         if self.channel is not None:
-            out["transport"] = {"mode": self.channel.mode,
-                                "bytes": self.channel.counters()}
+            out["transport"] = {"bytes": self.channel.counters()}
         return out
-
-
-def _make_channel(conn: Any, rings: Optional[tuple]) -> FramedChannel:
-    """The worker's side of the transport: its transmit ring is the
-    coordinator's receive ring and vice versa."""
-    if rings is None:
-        return FramedChannel(conn)
-    req_ring, rep_ring = rings
-    return ShmChannel(conn, tx=rep_ring, rx=req_ring)
 
 
 def _worker_main(shard_id: int) -> None:
     """Daemon entry point for one forked shard worker.
 
     Reads its shard out of :data:`_FORK_STATE`, reopens the inherited
-    store descriptors, and answers requests until an ``exit`` op or a
-    closed socket.  A request that raises is answered with an ``error``
-    reply instead of killing the daemon — the coordinator decides
-    whether that is fatal.  When the request carried a read-ahead hint
-    and no further request is already queued, the idle gap goes to
-    :meth:`ShardServer.prefetch_hint`.
+    store descriptors, and answers requests in order until an ``exit``
+    op or a closed socket.
     """
     shard = _FORK_STATE["shards"][shard_id]
     config = _FORK_STATE.get("config", {})
@@ -305,32 +221,14 @@ def _worker_main(shard_id: int) -> None:
         lo=shard["lo"], hi=shard["hi"],
         cache_size=config.get("worker_cache", 2048),
         pool_pages=config.get("pool_pages", 256))
-    channel = _make_channel(conn, shard.get("rings"))
+    channel = FramedChannel(conn)
     server.channel = channel
     while True:
         try:
-            msg, token = channel.recv()
+            msg = channel.recv()
         except ConnectionClosed:
             break
-        except ShmError as exc:
-            # A torn request slot: the request is lost but the channel
-            # still frames — answer with an error so the coordinator
-            # surfaces it rather than hanging on a missing reply.
-            channel.send({"error": f"{type(exc).__name__}: {exc}"})
-            continue
+        channel.send(server.respond(msg))
         if msg.get("op") == "exit":
-            channel.send({"ok": True})
             break
-        hint = msg.pop("hint", None)
-        if hint is not None:
-            hint = [int(b) for b in hint]
-        try:
-            reply = server.handle(msg)
-        except Exception as exc:
-            reply = {"error": f"{type(exc).__name__}: {exc}"}
-        channel.release(token)
-        channel.send(reply)
-        if hint and not channel.pending():
-            server.prefetch_hint(hint)
-    channel.close()
     conn.close()

@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.storage.errors import StorageError, TransientIOError
+from repro.storage.errors import TransientIOError
 from repro.storage.retry import RetryPolicy, call_with_retry
 
 
@@ -26,8 +26,6 @@ class BufferStats:
     misses_by_level: Dict[int, int] = field(default_factory=dict)
     #: frames dropped to make room (LRU victims + resize shrinkage).
     evictions: int = 0
-    #: pages loaded by the read-ahead path (never counted as misses).
-    prefetched: int = 0
 
     @property
     def accesses(self) -> int:
@@ -154,44 +152,6 @@ class BufferPool:
                     self.stats.evictions += 1
             nodes.append(node)
         return nodes
-
-    def prefetch(self, page_ids: Iterable[int]) -> int:
-        """Warm frames for ``page_ids`` without touching hit/miss
-        counters; returns the number of pages actually fetched.
-
-        The read-ahead path between serving requests uses this: pages
-        already resident are left where they sit in LRU order (a
-        prefetch is not an access), absent pages gather through the
-        page file's bulk ``read_many`` when it has one, and any
-        storage fault abandons the warm-up silently — read-ahead is
-        advisory, so a damaged page must fail the *real* read that
-        wants it, with that read's retry and quarantine semantics, not
-        an opportunistic warm-up.  Unlike :meth:`pin_pages` there is no
-        residency promise: over-capacity batches simply evict.
-        """
-        wanted = [pid for pid in dict.fromkeys(page_ids)
-                  if pid not in self._frames]
-        if not wanted:
-            return 0
-        was_counting = self.pagefile.counting
-        self.pagefile.counting = False
-        try:
-            inner_many = getattr(self.pagefile, "read_many", None)
-            if inner_many is not None and len(wanted) > 1:
-                nodes = inner_many(wanted)
-            else:
-                nodes = [self.pagefile.read(pid) for pid in wanted]
-        except StorageError:
-            return 0
-        finally:
-            self.pagefile.counting = was_counting
-        for pid, node in zip(wanted, nodes):
-            self._frames[pid] = node
-            if len(self._frames) > self.capacity:
-                self._frames.popitem(last=False)
-                self.stats.evictions += 1
-        self.stats.prefetched += len(wanted)
-        return len(wanted)
 
     def record_access(self, page_id: int, level: int) -> None:
         """Count a repeat access to an already-fetched page.

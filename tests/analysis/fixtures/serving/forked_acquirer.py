@@ -3,12 +3,12 @@
 Both workers dutifully reopen their stores (REP203 is satisfied), but
 each can *reach* code that acquires a parent-side handle — one through
 a helper that opens a fresh socketpair per request, one through a
-helper that creates a shm ring inside the child.
+helper that creates a shared-memory segment inside the child.
 """
 
 import socket
+from multiprocessing.shared_memory import SharedMemory
 
-from repro.serving.shm import ShmRing
 from repro.storage.fork import reopen_files
 
 
@@ -30,20 +30,20 @@ def _open_control_channel():
             child.close()
 
 
-def serve_loop(ring_name):
-    reopen_files(ring_name)
-    _grow_ring(ring_name)
+def serve_loop(segment_name):
+    reopen_files(segment_name)
+    _grow_segment(segment_name)
 
 
-def _grow_ring(name):
-    # REP205: ring creation on the child side of the fork — the segment
-    # would be invisible to the parent and never fsck'd away.
-    return ShmRing.create(8, 4096)
+def _grow_segment(name):
+    # REP205: segment creation on the child side of the fork — the
+    # segment would be invisible to the parent and never unlinked.
+    return SharedMemory(name=name, create=True, size=4096)
 
 
 def launch(ctx):
     # Parent-side construction: NOT flagged — launch() is unreachable
     # from any fork entrypoint.
-    process = ctx.Process(target=serve_loop, args=("ring0",), daemon=True)
+    process = ctx.Process(target=serve_loop, args=("seg0",), daemon=True)
     process.start()
     return process

@@ -1,6 +1,6 @@
 """REP205 negative fixture: acquisitions stay on the coordinator side.
 
-The module forks, socketpairs, and creates rings — but only in
+The module forks and socketpairs — but only in
 functions unreachable from the fork entrypoints, which merely attach
 to what the parent hands them.
 """
@@ -12,9 +12,9 @@ from multiprocessing import shared_memory
 from repro.storage.fork import reopen_files
 
 
-def _worker_main(shard_id, ring_name):
+def _worker_main(shard_id, segment_name):
     reopen_files(shard_id)
-    _attach(ring_name)
+    _attach(segment_name)
 
 
 def _attach(name):

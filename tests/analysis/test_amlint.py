@@ -38,7 +38,7 @@ POSITIVE = [
     ("REP201", ["fork_unsafe/fixtures/bulk/loader.py"], 1),
     ("REP202", ["fork_unsafe/fixtures/bulk/loader.py"], 2),
     ("REP203", ["serving/bad_daemon.py"], 2),
-    ("REP204", ["serving/bad_hotpath.py"], 2),
+    ("REP701", ["storage/wal_bad.py"], 2),
     ("REP104", ["gist/mutable.py"], 2),
     ("REP301", ["storage/bad_except.py"], 2),
     ("REP302", ["storage/bad_raise.py"], 3),
@@ -48,8 +48,6 @@ POSITIVE = [
     ("REP601", ["serving/leaky_fds.py"], 2),
     ("REP602", ["serving/leaky_segment.py"], 2),
     ("REP603", ["serving/leaky_process.py"], 1),
-    ("REP701", ["storage/wal_bad.py"], 2),
-    ("REP702", ["serving/shm_bad.py", "serving/ring_touch.py"], 3),
 ]
 
 NEGATIVE = [
@@ -58,7 +56,7 @@ NEGATIVE = [
     ("REP201", ["bulk/loader.py"]),
     ("REP202", ["bulk/loader.py"]),
     ("REP203", ["serving/good_daemon.py"]),
-    ("REP204", ["serving/good_hotpath.py"]),
+    ("REP701", ["storage/wal_good.py"]),
     ("REP104", ["gist/tree.py"]),
     ("REP301", ["storage/good_except.py"]),
     ("REP302", ["storage/good_raise.py"]),
@@ -70,8 +68,6 @@ NEGATIVE = [
     ("REP601", ["serving/clean_fds.py"]),
     ("REP602", ["serving/clean_segment.py"]),
     ("REP603", ["serving/clean_process.py"]),
-    ("REP701", ["storage/wal_good.py"]),
-    ("REP702", ["serving/shm_good.py"]),
 ]
 
 

@@ -16,7 +16,8 @@ from repro.amdb.profiler import ShardServeProfile
 from repro.blobworld import BlobworldEngine, build_corpus
 from repro.bulk import bulk_load
 from repro.constants import INDEX_DIMENSIONS
-from repro.serving import ShardedService, canonical_knn_batch
+from repro.serving import ShardedService, ShardServer, canonical_knn_batch
+from repro.serving import coordinator
 from repro.serving.registry import DEAD, LIVE
 from repro.storage.diskfile import FilePageFile
 from repro.storage.fork import fork_available
@@ -105,6 +106,16 @@ class TestParity:
         with build_service(corpus, shards=1) as svc:
             assert svc.am_query_batch(stream, CANDIDATES) == expected
 
+    def test_cache_smaller_than_a_block_with_repeats(self, corpus,
+                                                     reference):
+        """A repeat rides its first occurrence's answer, not a cache
+        entry a later miss of the same block may already have evicted."""
+        stream = [5, 9, 5, 9, 5]
+        expected = BlobworldEngine(corpus).am_query_batch(
+            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
+        with build_service(corpus, shards=2, cache_size=1) as svc:
+            assert svc.am_query_batch(stream, CANDIDATES) == expected
+
 
 class TestDegradedMode:
     def test_killed_shard_degrades_instead_of_raising(self, corpus):
@@ -165,7 +176,7 @@ class TestDegradedMode:
     def test_worker_application_error_is_a_bug_not_an_outage(self, corpus):
         with build_service(corpus, shards=2) as svc:
             with pytest.raises(RuntimeError, match="shard"):
-                svc._scatter_gather({"op": "definitely-not-an-op"})
+                svc._gather({"op": "definitely-not-an-op"})
             # The workers answered (with an error), so they stay live.
             assert svc.registry.live() == [0, 1]
 
@@ -195,18 +206,19 @@ class TestInlineFallback:
 
 
 class TestAccounting:
-    def test_serve_stream_profile(self, corpus):
+    def test_serve_stream_profile(self, corpus, monkeypatch):
         rng = np.random.default_rng(3)
         pool = rng.choice(600, size=12, replace=False)
         stream = [int(b) for b in rng.choice(pool, size=48)]
         profile = ShardServeProfile(method="rtree", codec="f64",
                                     num_shards=3, request_size=16)
-        # window=1 pins the serial path: the cache-hit arithmetic below
-        # assumes each block sees every earlier block's results cached,
-        # which pipelined dispatch deliberately gives up.
+        # A window of 1 is the serial case: the cache-hit arithmetic
+        # below assumes each block sees every earlier block's results
+        # cached, which pipelined dispatch deliberately gives up.
+        monkeypatch.setattr(coordinator, "WINDOW", 1)
         with build_service(corpus) as svc:
             svc.serve_stream(stream, CANDIDATES, request_size=16,
-                             profile=profile, window=1)
+                             profile=profile)
             svc.gather_stats(profile)
         assert profile.requests == 3  # 48 queries / 16 per block
         assert profile.queries == 48
@@ -249,6 +261,129 @@ class TestAccounting:
             ShardedService.build(corpus, 0)
 
 
+
+
+def fleets(monkeypatch):
+    """Forked (where fork exists) then inline: the request path must not
+    care which side of a process boundary the shards live on."""
+    for inline in (False, True):
+        with monkeypatch.context() as patch:
+            if inline:
+                patch.setattr(coordinator, "fork_available", lambda: False)
+            yield inline
+
+
+def every_path(svc, stream, monkeypatch, request_size):
+    """The same stream down every spelling of the one request path, on a
+    fresh service: window 4 first, while nothing is cached yet."""
+    pipelined = svc.serve_stream(stream, CANDIDATES,
+                                 request_size=request_size)
+    with monkeypatch.context() as patch:
+        patch.setattr(coordinator, "WINDOW", 1)
+        serial = svc.serve_stream(stream, CANDIDATES,
+                                  request_size=request_size)
+    return [pipelined, serial, svc.am_query_batch(stream, CANDIDATES)]
+
+
+class TestPipelined:
+    """Window 1 == window 4 == one block == the unsharded engine, forked
+    and inline."""
+
+    def test_pipelined_matches_serial_and_unsharded(self, corpus,
+                                                    reference,
+                                                    monkeypatch):
+        stream = [int(b) for b in
+                  np.random.default_rng(11).integers(0, 600, size=96)]
+        expected = BlobworldEngine(corpus).am_query_batch(
+            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
+        for inline in fleets(monkeypatch):
+            with build_service(corpus, cache_size=0) as svc:
+                assert svc.inline is (inline or not fork_available())
+                assert every_path(svc, stream, monkeypatch, 16) \
+                    == [expected] * 3
+
+    def test_cross_block_duplicates_match_unsharded(self, corpus,
+                                                    reference,
+                                                    monkeypatch):
+        # Every block repeats the same 8 blobs, so a window of blocks
+        # in flight scatters the same queries several times over —
+        # with or without a result cache, the answers must not move.
+        stream = [int(b) for b in range(0, 64, 8)] * 8
+        expected = BlobworldEngine(corpus).am_query_batch(
+            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
+        for inline in fleets(monkeypatch):
+            for cache_size in (0, 256):
+                profile = ShardServeProfile(method="rtree", codec="f64",
+                                            num_shards=3, request_size=8)
+                with build_service(corpus, cache_size=cache_size) as svc:
+                    got = svc.serve_stream(stream, CANDIDATES,
+                                           request_size=8, profile=profile)
+                    assert got == expected
+                    assert every_path(svc, stream, monkeypatch, 8) \
+                        == [expected] * 3
+                assert profile.as_dict()["coalesced"] == 0
+
+    def test_framed_transport_parity(self, corpus, reference, monkeypatch):
+        stream = list(range(0, 600, 19))
+        expected = BlobworldEngine(corpus).am_query_batch(
+            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
+        for inline in fleets(monkeypatch):
+            profile = ShardServeProfile(method="rtree", codec="f64",
+                                        num_shards=3, request_size=16)
+            with build_service(corpus, cache_size=0) as svc:
+                assert svc.serve_stream(stream, CANDIDATES,
+                                        request_size=16,
+                                        profile=profile) == expected
+                assert every_path(svc, stream, monkeypatch, 16) \
+                    == [expected] * 3
+                svc.gather_stats(profile)
+            # Every array payload crossed the socket as a pickled frame;
+            # in-process shards have no socket to count.
+            assert (profile.transport_bytes["pickled"] > 0) \
+                is not svc.inline
+            assert set(profile.transport_bytes) == {"pickled", "control"}
+
+    def test_restart_serves_identically(self, corpus, reference,
+                                        monkeypatch):
+        stream = list(range(0, 600, 43))
+        expected = BlobworldEngine(corpus).am_query_batch(
+            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
+        for inline in fleets(monkeypatch):
+            svc = build_service(corpus, shards=2, cache_size=0)
+            try:
+                svc.start()
+                first = svc.am_query_batch(stream, CANDIDATES)
+                svc.stop()
+                svc.start()
+                assert every_path(svc, stream, monkeypatch, 8) \
+                    == [expected] * 3
+            finally:
+                svc.close()
+            assert first == expected
+
+    def test_kill_mid_pipeline_degrades_and_leaks_nothing(self, corpus):
+        stream = [int(b) for b in range(0, 600, 7)]
+        svc = build_service(corpus, shards=2)
+        try:
+            svc.start()
+            workers = [getattr(h, "process", None) for h in svc.handles]
+            svc.serve_stream(stream[:16], CANDIDATES, request_size=8)
+            svc.kill_shard(0)
+            answers = svc.serve_stream(stream[16:], CANDIDATES,
+                                       request_size=8)
+            assert len(answers) == len(stream[16:])
+            assert all(isinstance(images, list) and images
+                       for images in answers)
+            assert svc.degradation.is_degraded
+            assert svc.registry.state(0) == DEAD
+        finally:
+            svc.close()
+        # Every worker reaped — the killed one the moment its death was
+        # noticed — and no shared-memory segment left behind.
+        assert not any(p is not None and p.is_alive() for p in workers)
+        assert _leaked_segments() == []
+
+
 def _leaked_segments():
     import glob
 
@@ -258,154 +393,101 @@ def _leaked_segments():
     return glob.glob(os.path.join("/dev/shm", segment_prefix() + "*"))
 
 
-class TestPipelined:
-    """The windowed event loop: parity, zero-copy, hygiene."""
+class TestOneRequestAtATime:
+    """A failed request takes every reply it is owed off the sockets, so
+    the next request's partials are its own."""
 
-    def test_pipelined_matches_serial_and_unsharded(self, corpus,
-                                                    reference):
-        stream = [int(b) for b in
-                  np.random.default_rng(11).integers(0, 600, size=96)]
-        expected = BlobworldEngine(corpus).am_query_batch(
-            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
-        with build_service(corpus, cache_size=0) as svc:
-            serial = svc.serve_stream(stream, CANDIDATES,
-                                      request_size=16, window=1)
-            pipelined = svc.serve_stream(stream, CANDIDATES,
-                                         request_size=16, window=4)
-        assert serial == expected
-        assert pipelined == expected
-
-    def test_inflight_duplicates_coalesce(self, corpus, reference):
-        # Every block repeats the same 8 blobs: once the first block is
-        # in flight, every younger in-flight block coalesces onto it
-        # instead of re-scattering — with or without a result cache.
-        stream = [int(b) for b in range(0, 64, 8)] * 8
-        expected = BlobworldEngine(corpus).am_query_batch(
-            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
-        for cache_size in (0, 256):
-            profile = ShardServeProfile(method="rtree", codec="f64",
-                                        num_shards=3, request_size=8)
-            with build_service(corpus, cache_size=cache_size) as svc:
-                got = svc.serve_stream(stream, CANDIDATES,
-                                       request_size=8, profile=profile,
-                                       window=4)
-            assert got == expected
-            assert profile.coalesced > 0
-            assert profile.as_dict()["coalesced"] == profile.coalesced
-
-    def test_framed_transport_parity(self, corpus, reference):
-        stream = list(range(0, 600, 19))
-        expected = BlobworldEngine(corpus).am_query_batch(
-            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
-        with build_service(corpus, transport="framed") as svc:
-            assert svc.transport_used == "framed"
-            assert svc.serve_stream(stream, CANDIDATES, request_size=16,
-                                    window=4) == expected
-
-    def test_shm_mode_pickles_no_hot_path_bytes(self, corpus):
-        from repro.serving.shm import shm_available
-        if not shm_available():
-            pytest.skip("platform has no shared memory")
-        stream = [int(b) for b in
-                  np.random.default_rng(5).integers(0, 600, size=64)]
-        profile = ShardServeProfile(method="rtree", codec="f64",
-                                    num_shards=3, request_size=16)
-        with build_service(corpus, transport="shm") as svc:
-            svc.serve_stream(stream, CANDIDATES, request_size=16,
-                             profile=profile, window=4)
-            svc.gather_stats(profile)
-        assert profile.transport == "shm"
-        assert profile.window == 4
-        assert profile.transport_bytes["pickled"] == 0
-        assert profile.transport_bytes["shm"] > 0
-        assert profile.transport_bytes["control"] > 0
-
-    def test_restart_switches_transport(self, corpus, reference):
-        stream = list(range(0, 600, 43))
-        expected = BlobworldEngine(corpus).am_query_batch(
-            reference, stream, CANDIDATES, INDEX_DIMENSIONS)
-        svc = build_service(corpus, shards=2, cache_size=0)
-        try:
-            svc.start(transport="framed", window=1)
-            first = svc.am_query_batch(stream, CANDIDATES)
-            svc.stop()
-            svc.start(transport="auto", window=4)
-            second = svc.serve_stream(stream, CANDIDATES,
-                                      request_size=8, window=4)
-        finally:
-            svc.close()
-        assert first == expected
-        assert second == expected
-
-    def test_kill_mid_pipeline_degrades_and_leaks_nothing(self, corpus):
-        stream = [int(b) for b in range(0, 600, 7)]
-        svc = build_service(corpus, shards=2)
-        try:
-            svc.start()
-            svc.serve_stream(stream[:16], CANDIDATES, request_size=8,
-                             window=4)
-            svc.kill_shard(0)
-            answers = svc.serve_stream(stream[16:], CANDIDATES,
-                                       request_size=8, window=4)
-            assert len(answers) == len(stream[16:])
-            assert all(isinstance(images, list) and images
-                       for images in answers)
-            assert svc.degradation.is_degraded
-            assert svc.registry.state(0) == DEAD
-        finally:
-            svc.close()
-        # Segment hygiene: every shm ring this process created must be
-        # unlinked once the fleet is down — including the killed
-        # worker's, which is retired the moment its death is noticed.
-        assert _leaked_segments() == []
-
-    def test_close_unlinks_all_segments(self, corpus):
-        with build_service(corpus, shards=3) as svc:
-            svc.am_query_batch([1, 2, 3], CANDIDATES)
-        assert _leaked_segments() == []
-
-    def test_hints_flow_to_workers_without_breaking_answers(self, corpus):
-        """The serial path attaches read-ahead hints; workers must
-        consume them (prefetch or planner-gate them) transparently."""
-        stream = [int(b) for b in
-                  np.random.default_rng(9).integers(0, 600, size=64)]
+    def test_rejected_request_leaves_later_answers_unchanged(self, corpus):
+        vectors = corpus.reduced(INDEX_DIMENSIONS)
+        queries = vectors[[17, 301]]
         with build_service(corpus, shards=2, cache_size=0) as svc:
-            expected = svc.am_query_batch(stream, CANDIDATES)
-            svc.cache = None
-            got = svc.serve_stream(stream, CANDIDATES, request_size=8,
-                                   window=1)
-            stats = svc.gather_stats()
-        assert got == expected
-        assert all("prefetch" in blob for blob in stats.values())
+            before_am = svc.am_query_batch([17, 301], CANDIDATES)
+            before_knn = svc.knn_batch(queries, CANDIDATES)
+            with pytest.raises((ValueError, RuntimeError)):
+                svc.am_query_batch([600], CANDIDATES)
+            poisoned = queries.copy()
+            poisoned[0, 0] = np.nan
+            with pytest.raises((ValueError, RuntimeError)):
+                svc.knn_batch(poisoned, CANDIDATES)
+            assert svc.am_query_batch([17, 301], CANDIDATES) == before_am
+            assert svc.knn_batch(queries, CANDIDATES) == before_knn
 
-    def test_prefetch_descends_for_tree_routed_blocks(self, corpus):
-        """Forced onto the tree route, a hint warms real leaf pages;
-        under the scan route the descent is planner-gated to zero."""
-        from repro.serving.worker import ShardServer
+    def test_worker_error_drains_every_reply(self, corpus, monkeypatch):
+        """Shard 0 fails any request naming blob 13; shard 1 answers it.
+        The coordinator must read shard 1's reply, and every younger
+        in-flight block's, before it raises."""
+        answer = ShardServer._handle_am
 
-        svc = build_service(corpus, shards=2, cache_size=0)
-        try:
-            shard = svc.shards[0]
-            server = ShardServer(0, shard["tree"], svc.reduced,
-                                 lo=shard["lo"], hi=shard["hi"])
-            blobs = np.arange(0, 64, dtype=np.int64)
-            server.handle({"op": "am", "blobs": blobs,
-                           "fetch": CANDIDATES,
-                           "dims": INDEX_DIMENSIONS})
-            hint = list(range(100, 140))
-            # Tiny shards scan-route, so the gate suppresses the
-            # descent entirely...
-            assert server.prefetch_hint(hint) == 0
-            assert server.prefetch_calls == 0
-            # ...and a tree-routed plan descends and warms the pool.
-            import dataclasses
-            plan = dataclasses.replace(
-                server.planner.plan_batch(8, CANDIDATES),
-                choice="tree")
-            server.planner.plan_batch = lambda *a, **kw: plan
-            fetched = server.prefetch_hint(hint)
-            assert server.prefetch_calls == 1
-            assert fetched > 0
-            assert server.tree.store.stats.prefetched == fetched
-        finally:
-            svc.close()
+        def poisoned(server, msg):
+            if server.shard_id == 0 and 13 in msg["blobs"]:
+                raise RuntimeError("poisoned block")
+            return answer(server, msg)
+
+        # Patched before start(), so forked workers inherit it.
+        monkeypatch.setattr(ShardServer, "_handle_am", poisoned)
+        stream = list(range(0, 600, 7))
+        for inline in fleets(monkeypatch):
+            with build_service(corpus, shards=2, cache_size=0) as svc:
+                before = svc.serve_stream(stream, CANDIDATES,
+                                          request_size=8)
+                with pytest.raises(RuntimeError, match="poisoned"):
+                    svc.serve_stream(stream[:16] + [13] + stream[16:],
+                                     CANDIDATES, request_size=8)
+                with pytest.raises(RuntimeError, match="poisoned"):
+                    svc.am_query_batch([13, 17], CANDIDATES)
+                assert svc.serve_stream(stream, CANDIDATES,
+                                        request_size=8) == before
+                # A worker that answers with an error is alive.
+                assert svc.registry.live() == [0, 1]
+
+
+BAD_BLOBS = [-1, 600, 2.7, "7"]
+BAD_BLOB_IDS = ["negative", "past-the-end", "float", "string"]
+
+
+class TestIngress:
+    """External input is rejected at the coordinator, before anything
+    is scattered to a worker."""
+
+    @pytest.fixture(scope="class")
+    def svc(self, corpus):
+        with build_service(corpus, shards=2, cache_size=0) as svc:
+            yield svc
+
+    @staticmethod
+    def rejected_before_scatter(svc, call):
+        sent = svc.transport_counters()
+        with pytest.raises(ValueError):
+            call()
+        assert svc.transport_counters() == sent
+
+    @pytest.mark.parametrize("bad", BAD_BLOBS, ids=BAD_BLOB_IDS)
+    def test_am_query_batch_rejects_bad_blob_ids(self, svc, bad):
+        self.rejected_before_scatter(
+            svc, lambda: svc.am_query_batch([3, bad], CANDIDATES))
+
+    @pytest.mark.parametrize("bad", BAD_BLOBS, ids=BAD_BLOB_IDS)
+    def test_serve_stream_rejects_bad_blob_ids(self, svc, bad):
+        self.rejected_before_scatter(
+            svc, lambda: svc.serve_stream([3, 4, bad, 5], CANDIDATES,
+                                          request_size=2))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "narrow", "wide"])
+    def test_knn_batch_rejects_bad_queries(self, svc, corpus, bad):
+        queries = corpus.reduced(INDEX_DIMENSIONS)[[3, 4]].copy()
+        if bad == "nan":
+            queries[1, 0] = np.nan
+        elif bad == "inf":
+            queries[0, 2] = np.inf
+        elif bad == "narrow":
+            queries = queries[:, :-1]
+        else:
+            queries = np.hstack([queries, queries[:, :1]])
+        self.rejected_before_scatter(
+            svc, lambda: svc.knn_batch(queries, CANDIDATES))
+
+    def test_good_input_still_answers(self, svc, corpus):
+        assert len(svc.am_query_batch(np.array([3, 599]), CANDIDATES)) == 2
+        assert svc.am_query_batch([], CANDIDATES) == []
+        queries = corpus.reduced(INDEX_DIMENSIONS)[[3]]
+        assert svc.knn_batch(queries, 5)[0][0] == (0.0, 3)

@@ -1,24 +1,16 @@
-"""Regression tests for the startup/teardown leaks amlint v2 surfaced.
+"""Regression test for the startup leak amlint v2 surfaced.
 
-Three real bugs, each with the kernel-object class it stranded:
-
-- ``ShmRing.write`` raising mid-copy left the slot ``WRITING`` — the
-  ring wedged one slot smaller for the life of the segment;
-- ``_create_rings`` leaked the first ring's ``/dev/shm`` segment when
-  creating the second raised (the PR-9 leak class, found by REP602);
-- a shard whose fork failed stranded its socketpair fds and both ring
-  segments (found by REP601/REP602/REP603 on ``start()``).
+A shard whose fork failed stranded its socketpair fds (found by
+REP601/REP603 on ``start()``).
 """
 
 import socket
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.blobworld import build_corpus
 from repro.serving import ShardedService, coordinator
-from repro.serving.shm import FREE, ShmRing, shm_available
 
 
 @pytest.fixture(scope="module")
@@ -26,87 +18,9 @@ def corpus():
     return build_corpus(num_blobs=80, num_images=16, seed=11)
 
 
-class _RingRecorder:
-    def __init__(self):
-        self.unlinked = False
-        self.closed = False
-
-    def unlink(self):
-        self.unlinked = True
-
-    def close(self):
-        self.closed = True
-
-
-def _ring_stub(fail_on=None):
-    """A ShmRing stand-in whose ``create`` raises on call ``fail_on``."""
-    made = []
-
-    class _Stub:
-        calls = 0
-
-        @classmethod
-        def create(cls, slots, slot_bytes):
-            cls.calls += 1
-            if cls.calls == fail_on:
-                raise OSError("shm exhausted")
-            recorder = _RingRecorder()
-            made.append(recorder)
-            return recorder
-
-    return _Stub, made
-
-
-@pytest.mark.skipif(not shm_available(),
-                    reason="platform has no shared memory")
-def test_write_rolls_slot_back_to_free_when_copy_raises(monkeypatch):
-    ring = ShmRing.create(slots=2, slot_bytes=256)
-    try:
-        import repro.serving.shm as shm_mod
-
-        def torn_frombuffer(*args, **kwargs):
-            raise BufferError("segment closed under the writer")
-
-        monkeypatch.setattr(shm_mod.np, "frombuffer", torn_frombuffer)
-        with pytest.raises(BufferError):
-            ring.write([np.ones(4)])
-        monkeypatch.undo()
-        # No slot may be stuck WRITING: the ring still has full
-        # capacity and the very next write lands in a FREE slot.
-        assert all(ring._header(slot)[0] == FREE
-                   for slot in range(ring.slots))
-        assert ring.free_slots() == ring.slots
-        slot, seq, metas = ring.write([np.ones(4)])
-        ring.release(slot)
-    finally:
-        ring.close()
-        ring.unlink()
-
-
-def test_half_created_ring_pair_is_unlinked(monkeypatch):
-    stub, made = _ring_stub(fail_on=2)
-    monkeypatch.setattr(coordinator, "ShmRing", stub)
-    fake_self = SimpleNamespace(window=2, slot_bytes=256)
-    assert ShardedService._create_rings(fake_self) is None
-    assert len(made) == 1
-    assert made[0].unlinked and made[0].closed
-
-
-def test_ring_pair_returned_when_both_creates_succeed(monkeypatch):
-    stub, made = _ring_stub(fail_on=None)
-    monkeypatch.setattr(coordinator, "ShmRing", stub)
-    fake_self = SimpleNamespace(window=2, slot_bytes=256)
-    rings = ShardedService._create_rings(fake_self)
-    assert rings == (made[0], made[1])
-    assert not made[0].unlinked and not made[1].unlinked
-
-
 def test_failed_fork_cleans_up_shard_kernel_objects(corpus, monkeypatch):
     svc = ShardedService.build(corpus, 1, page_size=4096)
     try:
-        stub, rings_made = _ring_stub(fail_on=None)
-        monkeypatch.setattr(coordinator, "ShmRing", stub)
-
         socks_made = []
         real_socketpair = socket.socketpair
 
@@ -133,15 +47,12 @@ def test_failed_fork_cleans_up_shard_kernel_objects(corpus, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda kind: ctx_stub)
         monkeypatch.setattr(coordinator, "fork_available", lambda: True)
-        monkeypatch.setattr(coordinator, "shm_available", lambda: True)
 
         with pytest.raises(RuntimeError, match="fork refused"):
-            svc.start(transport="shm")
+            svc.start()
 
-        # Both ring segments unlinked, both socketpair legs closed —
-        # nothing survives the failed shard.
-        assert len(rings_made) == 2
-        assert all(r.unlinked and r.closed for r in rings_made)
+        # Both socketpair legs closed — nothing survives the failed
+        # shard.
         assert len(socks_made) == 2
         assert all(sock.fileno() == -1 for sock in socks_made)
         assert svc.handles == []

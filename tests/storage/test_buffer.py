@@ -220,62 +220,3 @@ class TestPinOverflow:
         assert pool.stats.accesses == 0
         pool.read(pids[0])
         assert pool.stats.hits == 1
-
-
-class TestPrefetch:
-    def test_prefetch_warms_without_counting(self):
-        store, nodes = _store_with(3)
-        pool = BufferPool(store, capacity_pages=4)
-        fetched = pool.prefetch([n.page_id for n in nodes])
-        assert fetched == 3
-        assert pool.stats.prefetched == 3
-        assert pool.stats.accesses == 0       # not a query access
-        assert store.stats.reads == 0         # uncounted at the store too
-        pool.read(nodes[0].page_id)
-        assert pool.stats.hits == 1           # the warm frame served it
-
-    def test_resident_and_duplicate_pages_skip_the_fetch(self):
-        store, nodes = _store_with(2)
-        pool = BufferPool(store, capacity_pages=4)
-        pool.read(nodes[0].page_id)
-        pids = [n.page_id for n in nodes]
-        assert pool.prefetch(pids + pids) == 1   # only the absent page
-        assert pool.stats.prefetched == 1
-
-    def test_prefetch_does_not_promote_resident_frames(self):
-        """A prefetch is not an access: it must not refresh LRU order
-        for pages already resident."""
-        store, nodes = _store_with(3)
-        pool = BufferPool(store, capacity_pages=2)
-        a, b, c = (n.page_id for n in nodes)
-        pool.read(a)
-        pool.read(b)          # LRU order: a, b
-        pool.prefetch([a])    # already resident: no promotion
-        pool.prefetch([c])    # evicts a (still the LRU victim)
-        pool.read(b)
-        assert pool.stats.hits == 1
-        pool.read(a)
-        assert pool.stats.misses == 3  # a was evicted, refetched
-
-    def test_over_capacity_prefetch_evicts_instead_of_raising(self):
-        store, nodes = _store_with(4)
-        pool = BufferPool(store, capacity_pages=2)
-        assert pool.prefetch([n.page_id for n in nodes]) == 4
-        assert pool.stats.evictions == 2
-
-    def test_storage_fault_abandons_the_warmup(self):
-        from repro.storage.errors import StorageError
-
-        class FailingStore(MemoryPageFile):
-            def read(self, page_id):
-                raise StorageError("boom")
-
-            read_many = None  # force the per-page path
-
-        store = FailingStore()
-        pid = store.allocate()
-        store.write(Node(pid, 0))
-        pool = BufferPool(store, capacity_pages=2)
-        assert pool.prefetch([pid]) == 0
-        assert pool.stats.prefetched == 0
-        assert store.counting  # counting flag restored on the fault path
