@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: (query_blob, dims, num_blobs, top_images) — every parameter that
 #: changes a two-stage query's answer over a fixed corpus and index.
@@ -60,11 +60,6 @@ class QueryResultCache:
         self.stats.hits += 1
         return entry
 
-    def __contains__(self, key: CacheKey) -> bool:
-        """Membership probe that books neither a hit nor a miss —
-        for advisory callers (read-ahead) that must not skew stats."""
-        return key in self._entries
-
     def put(self, key: CacheKey, result) -> None:
         self._entries[key] = tuple(result)
         self._entries.move_to_end(key)
@@ -91,3 +86,40 @@ class QueryResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class CachedBlock:
+    """The one cache pass of every batched entry point: each distinct
+    key is looked up once, hits land in ``results``, ``misses`` lists
+    the positions to compute.  A repeat within the block rides its first
+    occurrence (computed once, even without a cache) and books one hit.
+    :meth:`fill` puts the computed misses and resolves the repeats from
+    the block — never from the cache, which may have evicted them."""
+
+    def __init__(self, cache: Optional[QueryResultCache],
+                 keys: Sequence[CacheKey]) -> None:
+        self.cache = cache
+        self.keys = keys
+        self.results: List[Any] = [None] * len(keys)
+        self.misses: List[int] = []
+        self._repeats: List[Tuple[int, int]] = []
+        first: Dict[CacheKey, int] = {}
+        for i, key in enumerate(keys):
+            j = first.setdefault(key, i)
+            if j != i:
+                self._repeats.append((i, j))
+                continue
+            self.results[i] = cache.get(key) if cache is not None else None
+            if self.results[i] is None:
+                self.misses.append(i)
+
+    def fill(self, computed: Sequence[Any]) -> List[Any]:
+        for i, value in zip(self.misses, computed):
+            self.results[i] = value
+            if self.cache is not None:
+                self.cache.put(self.keys[i], value)
+        for i, j in self._repeats:
+            self.results[i] = self.results[j]
+        if self.cache is not None:
+            self.cache.stats.hits += len(self._repeats)
+        return self.results

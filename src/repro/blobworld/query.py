@@ -13,58 +13,79 @@ few hundred contain the top few dozen the full ranking would pick.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import FULL_QUERY_RESULT_IMAGES
-from repro.blobworld.cache import QueryResultCache
+from repro.blobworld.cache import CachedBlock, QueryResultCache
 from repro.blobworld.dataset import BlobCorpus
 
 
-def _top_images_from_blobs_ref(blob_indices: np.ndarray,
-                               blob_distances: np.ndarray,
-                               image_ids: np.ndarray,
-                               top_images: int) -> List[int]:
-    """Scalar reference for :func:`_top_images_from_blobs`.
+def _pad(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Ragged 1-D candidate rows as one ``(Q, widest)`` array, ``-1`` in
+    the padding."""
+    width = max((len(row) for row in rows), default=0)
+    padded = np.full((len(rows), width), -1, dtype=np.intp)
+    for i, row in enumerate(rows):
+        padded[i, :len(row)] = row
+    return padded
 
-    Kept verbatim (dict loop, strict-`<` update, stable value sort) as
-    the semantic spec the vectorized kernel is tested bit-identical
-    against, ties included.
+
+def _rank(points: np.ndarray, queries: np.ndarray,
+          cands: np.ndarray) -> np.ndarray:
+    """Each row of ``cands`` (``-1`` = padding) stably sorted by squared
+    distance from its query row — the one kernel for every block shape,
+    5-D refine and 218-D rerank alike.
+
+    One broadcast gather ``(Q, w, d) - (Q, 1, d)`` and one stable
+    argsort per row.  Padding gathers the last point but carries
+    ``+inf`` distance, so it sorts after every real candidate and each
+    real row keeps the order (and the bits) a per-row kernel gives it.
     """
-    best: dict = {}
-    for blob, dist in zip(blob_indices, blob_distances):
-        image = int(image_ids[blob])
-        if image not in best or dist < best[image]:
-            best[image] = dist
-    ranked = sorted(best, key=best.get)
-    return ranked[:top_images]
+    diff = points[cands] - queries[:, None, :]
+    diff *= diff
+    dists = diff.sum(axis=-1)
+    dists[cands < 0] = np.inf
+    order = np.argsort(dists, axis=-1, kind="stable")
+    return cands[np.arange(len(cands))[:, None], order]
 
 
-def _top_images_from_blobs(blob_indices: np.ndarray,
-                           blob_distances: np.ndarray,
-                           image_ids: np.ndarray,
-                           top_images: int) -> List[int]:
-    """Rank images by their best (smallest-distance) blob.
+def refine_candidates(reduced: np.ndarray, query_vecs: np.ndarray,
+                      cands: np.ndarray,
+                      num_blobs: int) -> List[np.ndarray]:
+    """Exact reduced-space top ``num_blobs`` of each overscanned,
+    ``-1``-padded candidate row (the VA-file refinement step): the
+    exact vectors are in memory, so quantization error never reaches
+    stage two."""
+    return [row[row >= 0]
+            for row in _rank(reduced, query_vecs, cands)[:, :num_blobs]]
 
-    Vectorized aggregation: an image's rank key is ``(best distance,
-    first occurrence position)`` — exactly what the scalar dict loop
-    produces, since dict insertion order is first-occurrence order and
-    Python's value sort is stable.  ``np.unique`` yields each image's
-    first position, ``np.minimum.at`` folds its best distance, and one
-    lexsort ranks them.
+
+def _top_images(ranked: np.ndarray, image_ids: np.ndarray,
+                top_images: int) -> List[List[int]]:
+    """Per row of distance-sorted blobs (``-1`` = padding), the first
+    ``top_images`` distinct images in order of first appearance.
+
+    On a row sorted stably by distance that *is* the ranking by
+    ``(best distance, first occurrence)``: an image's first occurrence
+    carries its best distance, and first occurrences appear in
+    nondecreasing distance with ties in position order.  A stable sort
+    of each row's images marks every first occurrence at once.
     """
-    blob_indices = np.asarray(blob_indices)
-    if len(blob_indices) == 0:
-        return []
-    images = image_ids[blob_indices]
-    uniq, first_idx, inverse = np.unique(images, return_index=True,
-                                         return_inverse=True)
-    best = np.full(len(uniq), np.inf)
-    np.minimum.at(best, inverse,
-                  np.asarray(blob_distances, dtype=np.float64))
-    order = np.lexsort((first_idx, best))
-    return [int(i) for i in uniq[order[:top_images]]]
+    rows = np.arange(len(ranked))[:, None]
+    images = np.where(ranked >= 0, image_ids[ranked], -1)
+    order = np.argsort(images, axis=-1, kind="stable")
+    grouped = images[rows, order]
+    starts = np.ones(images.shape, dtype=bool)
+    starts[:, 1:] = grouped[:, 1:] != grouped[:, :-1]
+    first = np.empty_like(starts)
+    first[rows, order] = starts
+    first &= images >= 0
+    keep = first & (np.cumsum(first, axis=-1) <= top_images)
+    flat = images[keep].tolist()
+    ends = np.cumsum(keep.sum(axis=-1)).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 class BlobworldEngine:
@@ -83,17 +104,36 @@ class BlobworldEngine:
         self.corpus = corpus
         self.cache = cache
 
+    def check_blobs(self, blobs: Sequence[int]) -> List[int]:
+        """The one ingress check of every entry point taking query blob
+        ids, the sharded service's included: ``ValueError`` unless each
+        is an integer in ``[0, num_blobs)``, where ``-1`` would silently
+        answer for the last blob and ``2.7`` for blob 2."""
+        ids = np.asarray(blobs)
+        if ids.size == 0:
+            return []
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"blob ids must be a flat sequence of "
+                             f"integers, got {ids.dtype} {ids.shape}")
+        out = ids.tolist()
+        lo, hi, num_blobs = min(out), max(out), self.corpus.num_blobs
+        if lo < 0 or hi >= num_blobs:
+            raise ValueError(f"blob ids must lie in [0, {num_blobs}), "
+                             f"got {lo}..{hi}")
+        return out
+
     # -- full ranking -------------------------------------------------------
 
     def full_query(self, query_blob: int,
                    top_images: int = FULL_QUERY_RESULT_IMAGES) -> List[int]:
         """Rank every blob with the full quadratic-form distance."""
+        query_blob, = self.check_blobs([query_blob])
         emb = self.corpus.embedded
         diff = emb - emb[query_blob]
         dists = (diff * diff).sum(axis=1)
         order = np.argsort(dists, kind="stable")
-        return _top_images_from_blobs(order, dists[order],
-                                      self.corpus.image_ids, top_images)
+        return _top_images(order[None, :], self.corpus.image_ids,
+                           top_images)[0]
 
     # -- reduced-space brute force (Figure 6's low-D queries) ------------------
 
@@ -101,6 +141,7 @@ class BlobworldEngine:
                       top_images: Optional[int] = None) -> List[int]:
         """Nearest blobs by D-dimensional Euclidean distance, re-ranked
         with the full distance (the Figure 6 configuration)."""
+        query_blob, = self.check_blobs([query_blob])
         reduced = self.corpus.reduced(dims)
         diff = reduced - reduced[query_blob]
         dists = (diff * diff).sum(axis=1)
@@ -122,24 +163,41 @@ class BlobworldEngine:
         A quantized index ranks leaf entries by admissible cell lower
         bounds, so the true reduced-space top ``num_blobs`` can sit a
         little below rank ``num_blobs``; pulling extra candidates and
-        re-ranking them exactly (:meth:`_refine_candidates`) absorbs
+        re-ranking them exactly (:func:`refine_candidates`) absorbs
         the slack.  The margin is generous — quantization cells are a
         1/255 slice of each leaf's extent, so real displacement is
         tiny — and page-granular reads make it nearly free.
         """
         return num_blobs + max(64, num_blobs // 2)
 
-    def _refine_candidates(self, rids: np.ndarray, query_vec: np.ndarray,
-                           reduced: np.ndarray,
-                           num_blobs: int) -> np.ndarray:
-        """Exact reduced-space top ``num_blobs`` of an overscanned
-        candidate list (the VA-file refinement step): the engine holds
-        the exact vectors in memory, so quantization error never
-        reaches stage two."""
-        diff = reduced[rids] - query_vec
-        d = (diff * diff).sum(axis=1)
-        order = np.argsort(d, kind="stable")[:num_blobs]
-        return rids[order]
+    def _two_stage(self, query_blobs: Sequence[int], num_blobs: int,
+                   dims: int, top_images: Optional[int],
+                   stage_one: Callable[[np.ndarray], Tuple[List, bool]],
+                   profile=None) -> List[List[int]]:
+        """The one two-stage body: the cached-block pass, stage one for
+        the distinct misses, the exact refine, one :meth:`rerank_batch`
+        and the cache fill.  ``stage_one(query_vecs)`` returns one
+        ``(distance, rid)`` hit list per query vector, and whether they
+        were overscanned from a lossy index."""
+        if top_images is None:
+            top_images = FULL_QUERY_RESULT_IMAGES
+        query_blobs = self.check_blobs(query_blobs)
+        block = CachedBlock(self.cache, [(blob, dims, num_blobs, top_images)
+                                         for blob in query_blobs])
+        ranked: List[List[int]] = []
+        if block.misses:
+            blobs = [query_blobs[i] for i in block.misses]
+            reduced = self.corpus.reduced(dims)
+            query_vecs = reduced[blobs]
+            hits_list, overscanned = stage_one(query_vecs)
+            rows = [np.array([rid for _, rid in hits], dtype=np.intp)
+                    for hits in hits_list]
+            if overscanned:
+                rows = refine_candidates(reduced, query_vecs, _pad(rows),
+                                         num_blobs)
+            ranked = self.rerank_batch(blobs, rows, top_images,
+                                       profile=profile)
+        return [list(result) for result in block.fill(ranked)]
 
     def am_query(self, tree, query_blob: int, num_blobs: int,
                  dims: int, top_images: Optional[int] = None) -> List[int]:
@@ -150,131 +208,56 @@ class BlobworldEngine:
         overscanned and exactly refined first, so the candidates fed to
         the rerank match the reduced-space top ``num_blobs``.
         """
-        if top_images is None:
-            top_images = FULL_QUERY_RESULT_IMAGES
-        key = (int(query_blob), dims, num_blobs, top_images)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return list(hit)
-        reduced = self.corpus.reduced(dims)
-        query_vec = reduced[query_blob]
         lossy = self._is_lossy(tree)
         fetch = self._overscan(num_blobs) if lossy else num_blobs
-        hits = tree.knn(query_vec, fetch)
-        candidates = np.array([rid for _, rid in hits], dtype=np.intp)
-        if lossy:
-            candidates = self._refine_candidates(candidates, query_vec,
-                                                 reduced, num_blobs)
-        result = self.rerank(query_blob, candidates, top_images)
-        if self.cache is not None:
-            self.cache.put(key, tuple(result))
-        return result
+        return self._two_stage(
+            [query_blob], num_blobs, dims, top_images,
+            lambda query_vecs: ([tree.knn(query_vecs[0], fetch)], lossy))[0]
 
     def am_query_batch(self, tree, query_blobs: Sequence[int],
                        num_blobs: int, dims: int,
                        top_images: Optional[int] = None,
                        profile=None, planner=None) -> List[List[int]]:
         """A block of two-stage queries, each bit-identical to
-        :meth:`am_query` of the same query blob.
-
-        Stage one routes the whole block through
-        :func:`~repro.gist.batch.knn_search_batch` (per-page decode
-        once per block); stage two re-ranks every candidate list with
-        one full-dimension distance
-        kernel and the vectorized image-aggregation kernel.  ``profile``
-        (duck-typed: ``add(stage, seconds)`` and ``note_plan(plan,
-        actual_pages)``) receives per-stage wall time split into
-        traversal (page reads included) or scan / rerank / aggregation.
+        :meth:`am_query` of the same query blob: the same two-stage
+        body, with stage one run once for the block's misses.
 
         ``planner`` (a :class:`~repro.gist.planner.QueryPlanner`)
-        cost-routes each miss batch: batches it prices below a flat
-        scan keep the index path above; the rest run its flat file's
-        vectorized scan kernel instead (stage ``scan``).  Either way
-        the candidates feed the same rerank, so the returned images
-        match — scan-routed batches may order equal-distance
-        candidates differently, which the full-distance rerank
-        absorbs.  Decisions and page estimates land in the profile's
-        plan counters.
+        routes the misses to :func:`~repro.gist.batch.knn_search_batch`
+        (per-page decode once per block) or to its flat file's scan;
+        the full-distance rerank absorbs the scan's different order of
+        equal-distance candidates.  ``profile`` (duck-typed:
+        ``add(stage, seconds)`` and ``note_plan(plan, actual_pages)``)
+        receives wall time split into traversal (page reads included)
+        or scan / rerank / aggregation, and the plan counters.
         """
-        if top_images is None:
-            top_images = FULL_QUERY_RESULT_IMAGES
-        query_blobs = [int(q) for q in query_blobs]
-        results: List[Optional[List[int]]] = [None] * len(query_blobs)
-        misses: List[int] = []
-        duplicates: List[Tuple[int, tuple]] = []
-        if self.cache is not None:
-            # Within one batch, repeats of an uncached key compute once;
-            # the duplicates resolve from the cache afterwards — exactly
-            # what a sequential loop over the shared cache would do.
-            pending: set = set()
-            for i, blob in enumerate(query_blobs):
-                key = (blob, dims, num_blobs, top_images)
-                if key in pending:
-                    duplicates.append((i, key))
-                    continue
-                hit = self.cache.get(key)
-                if hit is not None:
-                    results[i] = list(hit)
-                else:
-                    pending.add(key)
-                    misses.append(i)
-        else:
-            misses = list(range(len(query_blobs)))
-        if misses:
-            query_vecs = self.corpus.reduced(dims)[
-                [query_blobs[i] for i in misses]]
-            plan = (planner.plan_batch(len(misses), num_blobs)
-                    if planner is not None else None)
-            if plan is not None and plan.choice == "scan":
-                flat = planner.flat
-                pages_before = flat.pages_read
-                t0 = time.perf_counter()
-                hits_list = flat.knn_batch(query_vecs, num_blobs)
-                if profile is not None:
-                    profile.add("scan", time.perf_counter() - t0)
-                    profile.note_plan(plan,
-                                      flat.pages_read - pages_before)
-            else:
-                hits_list = self._tree_stage(tree, query_vecs, num_blobs,
-                                             profile, plan)
-            candidate_lists = [
-                np.fromiter((rid for _, rid in hits), dtype=np.intp,
-                            count=len(hits))
-                for hits in hits_list]
-            if self._is_lossy(tree) \
-                    and not (plan is not None and plan.choice == "scan"):
-                reduced = self.corpus.reduced(dims)
-                candidate_lists = [
-                    self._refine_candidates(c, q, reduced, num_blobs)
-                    for c, q in zip(candidate_lists, query_vecs)]
-            ranked = self.rerank_batch([query_blobs[i] for i in misses],
-                                       candidate_lists, top_images,
-                                       profile=profile)
-            for i, result in zip(misses, ranked):
-                results[i] = result
-                if self.cache is not None:
-                    self.cache.put(
-                        (query_blobs[i], dims, num_blobs, top_images),
-                        tuple(result))
-        for i, key in duplicates:
-            results[i] = list(self.cache.get(key))
-        return results
+        return self._two_stage(
+            query_blobs, num_blobs, dims, top_images,
+            lambda query_vecs: self._batch_stage_one(
+                tree, query_vecs, num_blobs, profile, planner),
+            profile)
 
-    def _tree_stage(self, tree, query_vecs, num_blobs: int,
-                    profile, plan) -> List:
-        """Stage one over the index, timed as one ``traversal`` stage
-        (page reads, CRC and decode included).
-
-        Lossy (quantized) indexes are asked for overscanned candidate
-        lists; the caller refines them back to ``num_blobs`` exactly.
-        When a planner chose this path (``plan`` is not None), actual
-        page reads are counted through a store listener so the
-        profile's estimated-vs-actual page accounting stays honest.
-        """
+    def _batch_stage_one(self, tree, query_vecs: np.ndarray,
+                         num_blobs: int, profile,
+                         planner) -> Tuple[List, bool]:
+        """Stage one of :meth:`am_query_batch`: the planner's exact flat
+        scan, or the index (overscanned when lossy) timed as one
+        ``traversal`` stage.  A planner-chosen traversal counts its page
+        reads through a store listener for the plan's accounting."""
         from repro.gist.batch import knn_search_batch
-        if self._is_lossy(tree):
-            num_blobs = self._overscan(num_blobs)
+        plan = (planner.plan_batch(len(query_vecs), num_blobs)
+                if planner is not None else None)
+        if plan is not None and plan.choice == "scan":
+            flat = planner.flat
+            pages_before = flat.pages_read
+            t0 = time.perf_counter()
+            hits_list = flat.knn_batch(query_vecs, num_blobs)
+            if profile is not None:
+                profile.add("scan", time.perf_counter() - t0)
+                profile.note_plan(plan, flat.pages_read - pages_before)
+            return hits_list, False
+        lossy = self._is_lossy(tree)
+        fetch = self._overscan(num_blobs) if lossy else num_blobs
         pages = [0]
         listening = plan is not None \
             and hasattr(tree.store, "add_listener")
@@ -284,7 +267,7 @@ class BlobworldEngine:
             tree.store.add_listener(_count)
         t0 = time.perf_counter()
         try:
-            hits_list = knn_search_batch(tree, query_vecs, num_blobs)
+            hits_list = knn_search_batch(tree, query_vecs, fetch)
         finally:
             if listening:
                 tree.store.remove_listener(_count)
@@ -292,7 +275,7 @@ class BlobworldEngine:
             profile.add("traversal", time.perf_counter() - t0)
             if plan is not None:
                 profile.note_plan(plan, pages[0])
-        return hits_list
+        return hits_list, lossy
 
     def am_query_images(self, tree, query_blob: int, num_images: int,
                         dims: int,
@@ -305,6 +288,7 @@ class BlobworldEngine:
         (:func:`repro.gist.nn.nn_cursor`) pulls exactly as many blobs
         as that needs.
         """
+        query_blob, = self.check_blobs([query_blob])
         query_vec = self.corpus.reduced(dims)[query_blob]
         image_ids = self.corpus.image_ids
         seen = set()
@@ -320,57 +304,32 @@ class BlobworldEngine:
 
     def rerank(self, query_blob: int, candidates: np.ndarray,
                top_images: Optional[int] = None) -> List[int]:
-        """Order candidate blobs by full distance; return their images."""
-        if top_images is None:
-            top_images = FULL_QUERY_RESULT_IMAGES
-        emb = self.corpus.embedded
-        diff = emb[candidates] - emb[query_blob]
-        dists = (diff * diff).sum(axis=1)
-        order = np.argsort(dists, kind="stable")
-        return _top_images_from_blobs(candidates[order], dists[order],
-                                      self.corpus.image_ids, top_images)
+        """Order candidate blobs by full distance; return their images.
+        The one-row spelling of :meth:`rerank_batch`."""
+        return self._rerank([query_blob], [candidates], top_images)[0]
 
     def rerank_batch(self, query_blobs: Sequence[int],
                      candidate_lists: Sequence[np.ndarray],
                      top_images: Optional[int] = None,
                      profile=None) -> List[List[int]]:
-        """Re-rank one candidate list per query, block-vectorized.
+        """Re-rank one 1-D candidate array per query, row for row
+        bit-identical to :meth:`rerank`: ragged or uniform, the block
+        is padded to its widest row and ranked by one
+        ``(Q, w, full_dim)`` distance kernel."""
+        return self._rerank(query_blobs, candidate_lists, top_images,
+                            profile)
 
-        Row for row bit-identical to :meth:`rerank`.  Equal-length
-        candidate lists — the common case, every query asked the index
-        for the same ``n`` — are ranked by a single ``(Q, n, full_dim)``
-        distance kernel; ragged blocks fall back to per-query kernels.
-        """
+    def _rerank(self, query_blobs: Sequence[int],
+                candidate_lists: Sequence[np.ndarray],
+                top_images: Optional[int], profile=None) -> List[List[int]]:
         if top_images is None:
             top_images = FULL_QUERY_RESULT_IMAGES
-        if not len(candidate_lists):
-            return []
+        query_blobs = self.check_blobs(query_blobs)
         emb = self.corpus.embedded
         t0 = time.perf_counter()
-        lengths = {len(c) for c in candidate_lists}
-        if lengths == {0}:
-            sorted_cands: Sequence = candidate_lists
-            sorted_dists: Sequence = candidate_lists
-        elif len(lengths) == 1:
-            cands = np.asarray(candidate_lists, dtype=np.intp)
-            diff = emb[cands] \
-                - emb[np.asarray(query_blobs, dtype=np.intp)][:, None, :]
-            dists = (diff * diff).sum(axis=-1)
-            orders = np.argsort(dists, kind="stable", axis=-1)
-            sorted_cands = np.take_along_axis(cands, orders, axis=-1)
-            sorted_dists = np.take_along_axis(dists, orders, axis=-1)
-        else:
-            sorted_cands, sorted_dists = [], []
-            for blob, candidates in zip(query_blobs, candidate_lists):
-                diff = emb[candidates] - emb[blob]
-                dists = (diff * diff).sum(axis=1)
-                order = np.argsort(dists, kind="stable")
-                sorted_cands.append(candidates[order])
-                sorted_dists.append(dists[order])
+        ranked = _rank(emb, emb[query_blobs], _pad(candidate_lists))
         t1 = time.perf_counter()
-        image_ids = self.corpus.image_ids
-        results = [_top_images_from_blobs(c, d, image_ids, top_images)
-                   for c, d in zip(sorted_cands, sorted_dists)]
+        results = _top_images(ranked, self.corpus.image_ids, top_images)
         if profile is not None:
             profile.add("rerank", t1 - t0)
             profile.add("aggregation", time.perf_counter() - t1)
@@ -458,6 +417,7 @@ class BlobworldEngine:
         """
         if top_images is None:
             top_images = FULL_QUERY_RESULT_IMAGES
+        query_blob, = self.check_blobs([query_blob])
         if tree is None:
             candidates = np.arange(self.corpus.num_blobs)
         else:
@@ -471,8 +431,8 @@ class BlobworldEngine:
                                   dtype=np.intp)
         dists = self.weighted_distances(query_blob, candidates, weights)
         order = np.argsort(dists, kind="stable")
-        return _top_images_from_blobs(candidates[order], dists[order],
-                                      self.corpus.image_ids, top_images)
+        return _top_images(candidates[order][None, :],
+                           self.corpus.image_ids, top_images)[0]
 
 
 def recall(reference_images: Sequence[int],

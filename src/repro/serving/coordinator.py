@@ -45,8 +45,8 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blobworld.cache import QueryResultCache
-from repro.blobworld.query import BlobworldEngine
+from repro.blobworld.cache import CachedBlock, QueryResultCache
+from repro.blobworld.query import BlobworldEngine, refine_candidates
 from repro.bulk import bulk_load
 from repro.constants import (DEFAULT_PAGE_SIZE, FULL_QUERY_RESULT_IMAGES,
                              INDEX_DIMENSIONS)
@@ -145,16 +145,13 @@ class _Block:
     its blobs, and the request carrying its misses (``None`` when the
     cache answered everything)."""
 
-    __slots__ = ("idx", "blobs", "results", "misses", "duplicates", "req",
-                 "t0")
+    __slots__ = ("idx", "blobs", "cached", "req", "t0")
 
-    def __init__(self, idx: int, blobs: List[int]) -> None:
+    def __init__(self, idx: int, blobs: List[int],
+                 cached: CachedBlock) -> None:
         self.idx = idx
         self.blobs = blobs
-        self.results: List[Any] = [None] * len(blobs)
-        self.misses: List[int] = []
-        #: (position, position of the first occurrence, cache key)
-        self.duplicates: List[Tuple[int, int, tuple]] = []
+        self.cached = cached
         self.req: Optional[_Request] = None
         self.t0 = time.perf_counter()
 
@@ -506,87 +503,40 @@ class ShardedService:
                         num_candidates: int, top_images: int,
                         profile: Any) -> _Block:
         """The coordinator-cache pass over one block, then one request
-        for its misses.  Repeats within the block ride their first
-        occurrence."""
-        block = _Block(idx, blobs)
-        first: Dict[tuple, int] = {}
-        for i, blob in enumerate(blobs):
-            key = (blob, self.dims, num_candidates, top_images)
-            if key in first:
-                block.duplicates.append((i, first[key], key))
-                continue
-            hit = self.cache.get(key) if self.cache is not None else None
-            if hit is not None:
-                block.results[i] = list(hit)
-            else:
-                first[key] = i
-                block.misses.append(i)
-        if block.misses:
+        for its distinct misses."""
+        block = _Block(idx, blobs, CachedBlock(
+            self.cache, [(blob, self.dims, num_candidates, top_images)
+                         for blob in blobs]))
+        if block.cached.misses:
             block.req = self._dispatch(
                 {"op": "am",
-                 "blobs": np.asarray([blobs[i] for i in block.misses],
+                 "blobs": np.asarray([blobs[i]
+                                      for i in block.cached.misses],
                                      dtype=np.int64),
                  "fetch": fetch, "dims": self.dims}, profile)
         return block
 
     def _finish_block(self, block: _Block, fetch: int, num_candidates: int,
                       top_images: int, profile: Any) -> List[List[int]]:
-        results = block.results
+        """Merge the block's partials, refine lossy candidates against
+        the exact in-memory reduced vectors, rerank them with the
+        engine's kernel, and fill the block (cache included)."""
+        ranked: List[List[int]] = []
         if block.req is not None:
             parts = self._settle(block.req, profile)
             _dists, rids = self._merge(parts, fetch, profile=profile)
-            self._rank_and_fill(results, block.blobs, block.misses, rids,
-                                num_candidates, top_images,
-                                profile=profile)
-        for i, j, key in block.duplicates:
-            if self.cache is not None:
-                # Books the hit a one-query-at-a-time loop would have.
-                self.cache.get(key)
-            results[i] = list(results[j])
-        return results
-
-    def _rank_and_fill(self, results: List[Any],
-                       query_blobs: List[int], misses: List[int],
-                       merged_rids: np.ndarray, num_candidates: int,
-                       top_images: int, profile: Any = None) -> None:
-        """Stage two for the merged partials: lossy refine against the
-        exact in-memory reduced vectors, full-dimension rerank, cache
-        fill — the same engine kernels the single-tree path uses."""
-        miss_blobs = [query_blobs[i] for i in misses]
-        candidate_lists = [row[row >= 0] for row in merged_rids]
-        if self.lossy:
-            t0 = time.perf_counter()
-            candidate_lists = [
-                self.engine._refine_candidates(
-                    c, self.reduced[b], self.reduced, num_candidates)
-                for c, b in zip(candidate_lists, miss_blobs)]
-            if profile is not None:
-                profile.add("refine", time.perf_counter() - t0)
-        ranked = self.engine.rerank_batch(miss_blobs, candidate_lists,
-                                          top_images, profile=profile)
-        for i, result in zip(misses, ranked):
-            results[i] = result
-            if self.cache is not None:
-                self.cache.put(
-                    (query_blobs[i], self.dims, num_candidates,
-                     top_images), tuple(result))
-
-    def _check_blobs(self, blobs: Sequence[int]) -> List[int]:
-        """External blob ids, rejected before any scatter unless each
-        is an integer in ``[0, num_blobs)`` — a worker indexes its
-        vector matrix with them, where ``-1`` would silently answer for
-        the last blob and ``2.7`` for blob 2."""
-        ids = np.asarray(blobs)
-        if ids.size == 0:
-            return []
-        if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            raise ValueError(f"blob ids must be a flat sequence of "
-                             f"integers, got {ids.dtype} {ids.shape}")
-        num_blobs = len(self.reduced)
-        if ids.min() < 0 or ids.max() >= num_blobs:
-            raise ValueError(f"blob ids must lie in [0, {num_blobs}), "
-                             f"got {ids.min()}..{ids.max()}")
-        return [int(b) for b in ids]
+            blobs = [block.blobs[i] for i in block.cached.misses]
+            if self.lossy:
+                t0 = time.perf_counter()
+                rows = refine_candidates(self.reduced, self.reduced[blobs],
+                                         rids, num_candidates)
+                if profile is not None:
+                    profile.add("refine", time.perf_counter() - t0)
+            else:
+                rows = [row[row >= 0] for row in rids]
+            ranked = self.engine.rerank_batch(blobs, rows, top_images,
+                                              profile=profile)
+        return [list(result) for result in block.cached.fill(ranked)]
 
     # -- query surface -------------------------------------------------------
 
@@ -604,18 +554,11 @@ class ShardedService:
     def am_query_batch(self, query_blobs: Sequence[int], num_candidates: int,
                        top_images: Optional[int] = None,
                        profile: Any = None) -> List[List[int]]:
-        """A block of two-stage queries over the sharded fleet: a
-        stream of one block.
-
-        Stage one scatters to the shards and merges canonical
-        candidate partials; stage two — lossy refinement against the
-        exact in-memory reduced vectors, then the full-dimension
-        rerank — runs on the coordinator via the same engine kernels
-        the single-tree path uses, so the image lists match the
-        unsharded :meth:`~repro.blobworld.query.BlobworldEngine.
-        am_query_batch` answer.
-        """
-        return self._serve([self._check_blobs(query_blobs)],
+        """A block of two-stage queries over the sharded fleet, as a
+        stream of one block: the shards' merged canonical partials go
+        through the engine's own refine and rerank, so the image lists
+        match the unsharded ``BlobworldEngine.am_query_batch``."""
+        return self._serve([self.engine.check_blobs(query_blobs)],
                            num_candidates, top_images, profile)
 
     def serve_stream(self, stream: Sequence[int], num_candidates: int,
@@ -632,7 +575,7 @@ class ShardedService:
         """
         if request_size < 1:
             raise ValueError("request_size must be positive")
-        blobs = self._check_blobs(stream)
+        blobs = self.engine.check_blobs(stream)
         results = self._serve(
             [blobs[i:i + request_size]
              for i in range(0, len(blobs), request_size)],

@@ -88,9 +88,10 @@ def pack_partials(hits_list: Sequence[Sequence[Hit]],
         if len(hits) > width:
             raise ValueError(f"partial row {i} holds {len(hits)} hits, "
                              f"width is {width}")
-        for j, (d, rid) in enumerate(hits):
-            dists[i, j] = d
-            rids[i, j] = rid
+        if hits:
+            pairs = np.asarray(hits, dtype=np.float64)
+            dists[i, :len(hits)] = pairs[:, 0]
+            rids[i, :len(hits)] = pairs[:, 1]
     return dists, rids
 
 

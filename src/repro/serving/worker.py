@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.blobworld.cache import QueryResultCache
+from repro.blobworld.cache import CachedBlock, QueryResultCache
 from repro.serving.partials import canonical_knn_batch, pack_partials
 from repro.serving.protocol import ConnectionClosed, FramedChannel
 from repro.storage.buffer import BufferPool
@@ -116,65 +116,37 @@ class ShardServer:
         return {"dists": dists, "rids": rids}
 
     def _handle_am(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        """Stage-one partials for a block of two-stage queries.
-
-        ``blobs`` are global blob ids; ``fetch`` is the candidate count
-        per shard (the coordinator already applied lossy overscan).
-        Rows are built and cached as padded ``(dists, rids)`` array
-        pairs — the reply's wire format — so a cache hit is two row
-        copies instead of thousands of tuple allocations, and the reply
-        arrays assemble without an intermediate list-of-tuples pass.
-        Repeats within one block compute once, exactly like the
-        engine's batch-level dedup.
+        """Stage-one partials for a block of two-stage queries: ``blobs``
+        are global ids, ``fetch`` the per-shard candidate count (lossy
+        overscan included).  Rows are cached as padded ``(dists, rids)``
+        pairs, the reply's wire format, through the engine's block pass.
         """
         blobs = [int(b) for b in msg["blobs"]]
         fetch = int(msg["fetch"])
         dims = int(msg["dims"])
-        out_d = np.full((len(blobs), fetch), np.inf, dtype=np.float64)
-        out_r = np.full((len(blobs), fetch), -1, dtype=np.int64)
-        misses: List[int] = []
-        pending: Dict[tuple, int] = {}
-        duplicates: List[Tuple[int, int]] = []
-        for i, blob in enumerate(blobs):
-            key = (blob, dims, fetch, -1)
-            if key in pending:
-                duplicates.append((i, pending[key]))
-                continue
-            hit = self.cache.get(key)
-            if hit is not None:
-                out_d[i] = hit[0]
-                out_r[i] = hit[1]
-            else:
-                pending[key] = i
-                misses.append(i)
-        if misses:
-            vecs = self.reduced[[blobs[i] for i in misses]]
-            plan = self.planner.plan_batch(len(misses), fetch)
+        block = CachedBlock(self.cache,
+                            [(blob, dims, fetch, -1) for blob in blobs])
+        rows: List[Tuple[np.ndarray, np.ndarray]] = []
+        if block.misses:
+            vecs = self.reduced[[blobs[i] for i in block.misses]]
+            plan = self.planner.plan_batch(len(vecs), fetch)
             if plan.choice == "scan":
                 self.plans_scan += 1
                 # The flat scan's stable argsort breaks ties by
                 # position — ascending global rid — so its rows are
-                # already canonical, and the array variant writes
-                # them in the reply's padded wire format directly.
-                scan_d, scan_r = self.flat.knn_batch_arrays(vecs, fetch)
-                out_d[misses] = scan_d
-                out_r[misses] = scan_r
+                # already canonical.
+                dists, rids = self.flat.knn_batch_arrays(vecs, fetch)
             else:
                 self.plans_tree += 1
-                computed = canonical_knn_batch(self.tree, vecs, fetch)
-                for i, hits in zip(misses, computed):
-                    if hits:
-                        pairs = np.asarray(hits, dtype=np.float64)
-                        n = len(hits)
-                        out_d[i, :n] = pairs[:, 0]
-                        out_r[i, :n] = pairs[:, 1].astype(np.int64)
-            for i in misses:
-                self.cache.put((blobs[i], dims, fetch, -1),
-                               (out_d[i].copy(), out_r[i].copy()))
-        for i, j in duplicates:
-            out_d[i] = out_d[j]
-            out_r[i] = out_r[j]
-        return {"dists": out_d, "rids": out_r}
+                dists, rids = pack_partials(
+                    canonical_knn_batch(self.tree, vecs, fetch), fetch)
+            # Row copies: a cached row must not pin its whole block.
+            rows = [(d.copy(), r.copy()) for d, r in zip(dists, rids)]
+        results = block.fill(rows)
+        return {"dists": np.array([d for d, _ in results],
+                                  dtype=np.float64).reshape(-1, fetch),
+                "rids": np.array([r for _, r in results],
+                                 dtype=np.int64).reshape(-1, fetch)}
 
     def stats(self) -> Dict[str, Any]:
         """Cache, buffer-pool, planner, and transport counters,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.blobworld import BlobworldEngine, build_corpus
-from repro.blobworld.query import _top_images_from_blobs, recall
+from repro.blobworld.query import _top_images, recall
 
 
 class TestTopImagesFromBlobs:
@@ -13,24 +13,19 @@ class TestTopImagesFromBlobs:
         blobs = np.array([0, 1, 2, 3, 4])
         dists = np.array([0.5, 0.1, 0.3, 0.9, 0.2])
         # best per image: 0 -> 0.1, 1 -> 0.3, 2 -> 0.2
-        order = np.argsort(dists)
-        out = _top_images_from_blobs(blobs[order], dists[order],
-                                     image_ids, 3)
-        assert out == [0, 2, 1]
+        order = np.argsort(dists, kind="stable")
+        out = _top_images(blobs[order][None, :], image_ids, 3)
+        assert out == [[0, 2, 1]]
 
     def test_duplicate_image_kept_once(self):
         image_ids = np.array([7, 7, 7])
-        out = _top_images_from_blobs(np.array([0, 1, 2]),
-                                     np.array([0.1, 0.2, 0.3]),
-                                     image_ids, 5)
-        assert out == [7]
+        out = _top_images(np.array([[0, 1, 2]]), image_ids, 5)
+        assert out == [[7]]
 
     def test_top_limit_respected(self):
         image_ids = np.arange(10)
-        out = _top_images_from_blobs(np.arange(10),
-                                     np.linspace(0, 1, 10),
-                                     image_ids, 4)
-        assert len(out) == 4
+        out = _top_images(np.arange(10)[None, :], image_ids, 4)
+        assert out == [[0, 1, 2, 3]]
 
 
 class TestEngineBehaviour:

@@ -12,11 +12,12 @@ import pytest
 
 from repro.blobworld import (BlobworldEngine, QueryResultCache,
                              build_corpus)
-from repro.blobworld.query import (_top_images_from_blobs,
-                                   _top_images_from_blobs_ref)
+from repro.blobworld.query import _top_images
 from repro.bulk import bulk_load
 from repro.constants import INDEX_DIMENSIONS
 from repro.storage import BufferPool, FilePageFile
+from tests.blobworld.oracle import (_top_images_from_blobs_ref,
+                                   rerank_batch_ref)
 from tests.conftest import make_ext
 from tests.gist.oracle import traced
 
@@ -117,6 +118,19 @@ class TestBatchParity:
             tree, [], 60, INDEX_DIMENSIONS) == []
 
 
+def test_cache_smaller_than_a_block_with_repeats(corpus, tree):
+    """A repeat rides its first occurrence's answer and books one hit,
+    even when later misses of the same block evicted that answer."""
+    cache = QueryResultCache(2)
+    got = BlobworldEngine(corpus, cache=cache).am_query_batch(
+        tree, [1, 2, 3, 1], 60, INDEX_DIMENSIONS)
+    engine = BlobworldEngine(corpus)
+    assert got == [engine.am_query(tree, q, 60, INDEX_DIMENSIONS)
+                   for q in [1, 2, 3, 1]]
+    assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+    assert len(cache) == 2
+
+
 def test_profiled_batch_keeps_instance_wrappers_on_the_store(corpus,
                                                              tmp_path):
     """A profiled tree-route batch leaves the store's methods alone:
@@ -169,6 +183,7 @@ class TestRerankBatch:
         expected = [engine.rerank(b, c, top_images=10)
                     for b, c in zip(blobs, lists)]
         assert got == expected
+        assert got == rerank_batch_ref(engine, blobs, lists, top_images=10)
 
     def test_uniform_lists_match_rerank(self, corpus):
         engine = BlobworldEngine(corpus)
@@ -181,6 +196,7 @@ class TestRerankBatch:
         expected = [engine.rerank(b, c, top_images=12)
                     for b, c in zip(blobs, lists)]
         assert got == expected
+        assert got == rerank_batch_ref(engine, blobs, lists, top_images=12)
 
 
 class TestAggregationKernel:
@@ -195,14 +211,50 @@ class TestAggregationKernel:
         idx = rng.choice(n_blobs, size=120, replace=False)
         # quantized distances force plenty of exact ties
         dists = np.sort(rng.integers(0, 25, size=120).astype(np.float64))
-        got = _top_images_from_blobs(idx, dists, image_ids, 15)
+        got = _top_images(idx[None, :], image_ids, 15)
         ref = _top_images_from_blobs_ref(idx, dists, image_ids, 15)
-        assert got == ref
+        assert got == [ref]
 
     def test_empty_input(self):
-        assert _top_images_from_blobs(
-            np.array([], dtype=np.intp), np.array([]),
-            np.arange(10), 5) == []
+        assert _top_images(np.empty((1, 0), dtype=np.intp),
+                           np.arange(10), 5) == [[]]
+
+
+ENTRY_POINTS = {
+    "full_query": lambda e, t, q: e.full_query(q, 5),
+    "reduced_query": lambda e, t, q: e.reduced_query(q, INDEX_DIMENSIONS,
+                                                     30, 5),
+    "am_query": lambda e, t, q: e.am_query(t, q, 30, INDEX_DIMENSIONS),
+    "am_query_batch": lambda e, t, q: e.am_query_batch(
+        t, [3, q], 30, INDEX_DIMENSIONS),
+    "am_query_images": lambda e, t, q: e.am_query_images(
+        t, q, 10, INDEX_DIMENSIONS),
+    "rerank": lambda e, t, q: e.rerank(q, np.arange(20)),
+    "rerank_batch": lambda e, t, q: e.rerank_batch(
+        [3, q], [np.arange(20), np.arange(5)]),
+    "weighted_query": lambda e, t, q: e.weighted_query(q),
+}
+
+
+class TestEngineIngress:
+    """Every engine entry point that takes a query blob id rejects one
+    outside ``[0, num_blobs)`` or not an integer, instead of answering
+    for another blob or raising a bare ``IndexError``."""
+
+    @pytest.fixture(scope="class")
+    def rtree(self, corpus):
+        return bulk_load(make_ext("rtree", INDEX_DIMENSIONS),
+                         corpus.reduced(INDEX_DIMENSIONS), page_size=4096)
+
+    @pytest.mark.parametrize("bad", ["negative", "float", "past-the-end"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_bad_blob_id(self, corpus, rtree, entry, bad):
+        blob = {"negative": -1, "float": 2.7,
+                "past-the-end": corpus.num_blobs}[bad]
+        engine = BlobworldEngine(corpus, cache=QueryResultCache(8))
+        with pytest.raises(ValueError, match="blob ids"):
+            ENTRY_POINTS[entry](engine, rtree, blob)
+        assert len(engine.cache) == 0
 
 
 class TestQueryResultCache:
@@ -225,8 +277,9 @@ class TestQueryResultCache:
         cache.put((1, 3, 60, 40), (8,))
         cache.put((2, 5, 60, 40), (9,))
         assert cache.invalidate(query_blob=1) == 2
-        assert (1, 5, 60, 40) not in cache
-        assert (2, 5, 60, 40) in cache
+        assert len(cache) == 1
+        assert cache.get((1, 5, 60, 40)) is None
+        assert cache.get((2, 5, 60, 40)) == (9,)
         assert cache.stats.invalidations == 2
 
     def test_invalidate_all(self):
