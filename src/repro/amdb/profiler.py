@@ -169,8 +169,8 @@ class ShardServeProfile:
     """Telemetry for one sharded serving run.
 
     Filled by :class:`~repro.serving.coordinator.ShardedService`:
-    stage wall times (``scatter`` / ``gather`` / ``merge`` / ``refine``
-    / ``rerank`` / ``aggregation``), one latency sample plus queue
+    stage wall times (``scatter`` / ``gather`` / ``merge`` / ``rerank``
+    / ``aggregation``), one latency sample plus queue
     depth per request block, per-shard busy seconds from the workers'
     own clocks, worker cache/pool/planner counters, the registry's
     heartbeat snapshot, and how many requests were answered degraded
@@ -187,7 +187,7 @@ class ShardServeProfile:
     #: socket bytes by class: ``pickled`` array payloads, ``control``
     #: everything else (framing, op names, scalars)
     transport_bytes: Dict[str, int] = field(default_factory=dict)
-    #: coordinator finish work (merge/refine/rerank) done while other
+    #: coordinator finish work (merge/rerank) done while other
     #: request blocks were still in flight on the workers.
     overlap_seconds: float = 0.0
     #: per-request wall times (seconds), sizes, and queue depths —

@@ -8,12 +8,16 @@ nearest blobs in the reduced space ("a quick and dirty estimate of the
 top few hundred"), re-ranks only those candidates with the full
 distance, and returns the top images — the goal being that the AM's top
 few hundred contain the top few dozen the full ranking would pick.
+
+Every index lookup hands the tree the corpus's reduced vectors as
+``exact``, so a quantized (sq8) index returns the same reduced-space top
+``n`` as a float64 one and stage two never knows which codec it had.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,44 +26,27 @@ from repro.blobworld.cache import CachedBlock, QueryResultCache
 from repro.blobworld.dataset import BlobCorpus
 
 
-def _pad(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Ragged 1-D candidate rows as one ``(Q, widest)`` array, ``-1`` in
-    the padding."""
-    width = max((len(row) for row in rows), default=0)
-    padded = np.full((len(rows), width), -1, dtype=np.intp)
-    for i, row in enumerate(rows):
-        padded[i, :len(row)] = row
-    return padded
-
-
 def _rank(points: np.ndarray, queries: np.ndarray,
-          cands: np.ndarray) -> np.ndarray:
-    """Each row of ``cands`` (``-1`` = padding) stably sorted by squared
-    distance from its query row — the one kernel for every block shape,
-    5-D refine and 218-D rerank alike.
+          rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Each ragged 1-D candidate row stably sorted by squared distance
+    from its query row, ``-1``-padded to the widest — the one rerank
+    kernel for every block shape.
 
     One broadcast gather ``(Q, w, d) - (Q, 1, d)`` and one stable
     argsort per row.  Padding gathers the last point but carries
     ``+inf`` distance, so it sorts after every real candidate and each
     real row keeps the order (and the bits) a per-row kernel gives it.
     """
+    cands = np.full((len(rows), max((len(row) for row in rows), default=0)),
+                    -1, dtype=np.intp)
+    for i, row in enumerate(rows):
+        cands[i, :len(row)] = row
     diff = points[cands] - queries[:, None, :]
     diff *= diff
     dists = diff.sum(axis=-1)
     dists[cands < 0] = np.inf
     order = np.argsort(dists, axis=-1, kind="stable")
     return cands[np.arange(len(cands))[:, None], order]
-
-
-def refine_candidates(reduced: np.ndarray, query_vecs: np.ndarray,
-                      cands: np.ndarray,
-                      num_blobs: int) -> List[np.ndarray]:
-    """Exact reduced-space top ``num_blobs`` of each overscanned,
-    ``-1``-padded candidate row (the VA-file refinement step): the
-    exact vectors are in memory, so quantization error never reaches
-    stage two."""
-    return [row[row >= 0]
-            for row in _rank(reduced, query_vecs, cands)[:, :num_blobs]]
 
 
 def _top_images(ranked: np.ndarray, image_ids: np.ndarray,
@@ -150,35 +137,16 @@ class BlobworldEngine:
 
     # -- AM-assisted query (Figure 2) ----------------------------------------------
 
-    @staticmethod
-    def _is_lossy(tree) -> bool:
-        """Does the index hold quantized (lossy) leaf keys?"""
-        return bool(getattr(getattr(tree, "leaf_codec", None),
-                            "lossy", False))
-
-    @staticmethod
-    def _overscan(num_blobs: int) -> int:
-        """Candidates to pull from a lossy index for ``num_blobs``.
-
-        A quantized index ranks leaf entries by admissible cell lower
-        bounds, so the true reduced-space top ``num_blobs`` can sit a
-        little below rank ``num_blobs``; pulling extra candidates and
-        re-ranking them exactly (:func:`refine_candidates`) absorbs
-        the slack.  The margin is generous — quantization cells are a
-        1/255 slice of each leaf's extent, so real displacement is
-        tiny — and page-granular reads make it nearly free.
-        """
-        return num_blobs + max(64, num_blobs // 2)
-
     def _two_stage(self, query_blobs: Sequence[int], num_blobs: int,
                    dims: int, top_images: Optional[int],
-                   stage_one: Callable[[np.ndarray], Tuple[List, bool]],
+                   stage_one: Callable[[np.ndarray, np.ndarray], List],
                    profile=None) -> List[List[int]]:
         """The one two-stage body: the cached-block pass, stage one for
-        the distinct misses, the exact refine, one :meth:`rerank_batch`
-        and the cache fill.  ``stage_one(query_vecs)`` returns one
-        ``(distance, rid)`` hit list per query vector, and whether they
-        were overscanned from a lossy index."""
+        the distinct misses, one :meth:`rerank_batch` and the cache
+        fill.  ``stage_one(reduced, query_vecs)`` returns one
+        ``(distance, rid)`` hit list per query vector: the exact
+        reduced-space top ``num_blobs``, whatever the leaf codec, since
+        the index ranks quantized leaves by ``reduced`` itself."""
         if top_images is None:
             top_images = FULL_QUERY_RESULT_IMAGES
         query_blobs = self.check_blobs(query_blobs)
@@ -188,13 +156,8 @@ class BlobworldEngine:
         if block.misses:
             blobs = [query_blobs[i] for i in block.misses]
             reduced = self.corpus.reduced(dims)
-            query_vecs = reduced[blobs]
-            hits_list, overscanned = stage_one(query_vecs)
             rows = [np.array([rid for _, rid in hits], dtype=np.intp)
-                    for hits in hits_list]
-            if overscanned:
-                rows = refine_candidates(reduced, query_vecs, _pad(rows),
-                                         num_blobs)
+                    for hits in stage_one(reduced, reduced[blobs])]
             ranked = self.rerank_batch(blobs, rows, top_images,
                                        profile=profile)
         return [list(result) for result in block.fill(ranked)]
@@ -204,15 +167,14 @@ class BlobworldEngine:
         """Two-stage query: index candidates, then full re-ranking.
 
         ``tree`` must index the corpus's ``dims``-dimensional reduced
-        vectors with blob indices as RIDs.  Quantized (sq8) indexes are
-        overscanned and exactly refined first, so the candidates fed to
-        the rerank match the reduced-space top ``num_blobs``.
+        vectors with blob indices as RIDs.  Those vectors go to
+        ``tree.knn`` as ``exact``, so a quantized (sq8) index hands the
+        rerank the same reduced-space top ``num_blobs`` as a float64 one.
         """
-        lossy = self._is_lossy(tree)
-        fetch = self._overscan(num_blobs) if lossy else num_blobs
         return self._two_stage(
             [query_blob], num_blobs, dims, top_images,
-            lambda query_vecs: ([tree.knn(query_vecs[0], fetch)], lossy))[0]
+            lambda reduced, query_vecs: [
+                tree.knn(query_vecs[0], num_blobs, exact=reduced)])[0]
 
     def am_query_batch(self, tree, query_blobs: Sequence[int],
                        num_blobs: int, dims: int,
@@ -233,17 +195,17 @@ class BlobworldEngine:
         """
         return self._two_stage(
             query_blobs, num_blobs, dims, top_images,
-            lambda query_vecs: self._batch_stage_one(
-                tree, query_vecs, num_blobs, profile, planner),
+            lambda reduced, query_vecs: self._batch_stage_one(
+                tree, reduced, query_vecs, num_blobs, profile, planner),
             profile)
 
-    def _batch_stage_one(self, tree, query_vecs: np.ndarray,
-                         num_blobs: int, profile,
-                         planner) -> Tuple[List, bool]:
-        """Stage one of :meth:`am_query_batch`: the planner's exact flat
-        scan, or the index (overscanned when lossy) timed as one
-        ``traversal`` stage.  A planner-chosen traversal counts its page
-        reads through a store listener for the plan's accounting."""
+    def _batch_stage_one(self, tree, reduced: np.ndarray,
+                         query_vecs: np.ndarray, num_blobs: int, profile,
+                         planner) -> List:
+        """Stage one of :meth:`am_query_batch`: the planner's flat scan,
+        or the index timed as one ``traversal`` stage.  A planner-chosen
+        traversal counts its page reads through a store listener for
+        the plan's accounting."""
         from repro.gist.batch import knn_search_batch
         plan = (planner.plan_batch(len(query_vecs), num_blobs)
                 if planner is not None else None)
@@ -255,9 +217,7 @@ class BlobworldEngine:
             if profile is not None:
                 profile.add("scan", time.perf_counter() - t0)
                 profile.note_plan(plan, flat.pages_read - pages_before)
-            return hits_list, False
-        lossy = self._is_lossy(tree)
-        fetch = self._overscan(num_blobs) if lossy else num_blobs
+            return hits_list
         pages = [0]
         listening = plan is not None \
             and hasattr(tree.store, "add_listener")
@@ -267,7 +227,8 @@ class BlobworldEngine:
             tree.store.add_listener(_count)
         t0 = time.perf_counter()
         try:
-            hits_list = knn_search_batch(tree, query_vecs, fetch)
+            hits_list = knn_search_batch(tree, query_vecs, num_blobs,
+                                         exact=reduced)
         finally:
             if listening:
                 tree.store.remove_listener(_count)
@@ -275,7 +236,7 @@ class BlobworldEngine:
             profile.add("traversal", time.perf_counter() - t0)
             if plan is not None:
                 profile.note_plan(plan, pages[0])
-        return hits_list, lossy
+        return hits_list
 
     def am_query_images(self, tree, query_blob: int, num_images: int,
                         dims: int,
@@ -286,14 +247,14 @@ class BlobworldEngine:
         Section 3's workload "consists of nearest neighbor queries that
         retrieve 200 images each"; the incremental cursor
         (:func:`repro.gist.nn.nn_cursor`) pulls exactly as many blobs
-        as that needs.
+        as that needs, in exact reduced-space order on any leaf codec.
         """
         query_blob, = self.check_blobs([query_blob])
-        query_vec = self.corpus.reduced(dims)[query_blob]
+        reduced = self.corpus.reduced(dims)
         image_ids = self.corpus.image_ids
         seen = set()
         candidates = []
-        for _, rid in tree.nn_cursor(query_vec):
+        for _, rid in tree.nn_cursor(reduced[query_blob], exact=reduced):
             candidates.append(rid)
             seen.add(int(image_ids[rid]))
             if len(seen) >= num_images:
@@ -327,7 +288,7 @@ class BlobworldEngine:
         query_blobs = self.check_blobs(query_blobs)
         emb = self.corpus.embedded
         t0 = time.perf_counter()
-        ranked = _rank(emb, emb[query_blobs], _pad(candidate_lists))
+        ranked = _rank(emb, emb[query_blobs], candidate_lists)
         t1 = time.perf_counter()
         results = _top_images(ranked, self.corpus.image_ids, top_images)
         if profile is not None:
@@ -425,8 +386,8 @@ class BlobworldEngine:
                 raise ValueError(
                     "index-assisted weighted queries need color weight "
                     "> 0 (the index covers color space)")
-            query_vec = self.corpus.reduced(dims)[query_blob]
-            hits = tree.knn(query_vec, num_blobs)
+            reduced = self.corpus.reduced(dims)
+            hits = tree.knn(reduced[query_blob], num_blobs, exact=reduced)
             candidates = np.array([rid for _, rid in hits],
                                   dtype=np.intp)
         dists = self.weighted_distances(query_blob, candidates, weights)

@@ -78,7 +78,8 @@ class MutableTree:
              buffer_pages: int = 0,
              injector: Optional[CrashInjector] = None,
              wal_path: Optional[str] = None,
-             incremental_adjust: bool = True) -> "MutableTree":
+             incremental_adjust: bool = True,
+             exact: Any = None) -> "MutableTree":
         """Recover, then open a saved index for mutation.
 
         Recovery always runs first: if the previous writer crashed, the
@@ -86,7 +87,9 @@ class MutableTree:
         tail truncated) before a single page is read.  ``buffer_pages``
         optionally interposes a :class:`~repro.storage.BufferPool`;
         ``injector`` threads a crash-point injector through the commit
-        protocol (tests only).
+        protocol (tests only).  ``exact``, the ``(N, dim)`` keys by rid,
+        keeps a quantized index's predicates fit to them
+        (:attr:`GiST.exact`), as ``knn(..., exact=...)`` needs.
         """
         if wal_path is None:
             wal_path = default_wal_path(path)
@@ -115,6 +118,7 @@ class MutableTree:
         tree = GiST(extension, store=wpf, page_size=page_size,
                     leaf_codec=base.codec.leaf_codec)
         tree.incremental_adjust = incremental_adjust
+        tree.exact = exact
         tree.root_id = header["root_slot"] or None
         tree.height = header["height"]
         tree.size = header["size"]

@@ -46,9 +46,11 @@ Hit = Tuple[float, int]
 ReadNode = Callable[[int, int], Optional[Any]]
 
 
-def check_queries(tree: Any, queries: Any, ndim: int, k: int = 1) -> np.ndarray:
-    """The one ingress check: ``k > 0`` and a finite float64 ``(dim,)``
-    query (``ndim`` 1) or ``(Q, dim)`` block (``ndim`` 2)."""
+def check_queries(tree: Any, queries: Any, ndim: int, k: int = 1,
+                  exact: Any = None) -> np.ndarray:
+    """The one ingress check: ``k > 0``, a finite float64 ``(dim,)``
+    query (``ndim`` 1) or ``(Q, dim)`` block (``ndim`` 2), and ``exact``
+    None or an ``(N, dim)`` array."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -58,20 +60,28 @@ def check_queries(tree: Any, queries: Any, ndim: int, k: int = 1) -> np.ndarray:
                          f"got shape {queries.shape}")
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite (no NaN or inf)")
+    if exact is not None and (np.ndim(exact) != 2
+                              or np.shape(exact)[1] != tree.ext.dim):
+        raise ValueError(f"exact must be (N, {tree.ext.dim}), "
+                         f"got shape {np.shape(exact)}")
     return queries
 
 
-def leaf_dists(node: Any, q: np.ndarray) -> np.ndarray:
+def leaf_dists(node: Any, q: np.ndarray,
+               exact: Optional[np.ndarray] = None) -> np.ndarray:
     """Distance from ``q`` to every key of a non-empty leaf.
 
-    Exact on float64 leaves.  On a quantized leaf the keys are cell
-    centers and the original lies within ``half`` per axis: shrinking
-    each coordinate delta by it gives the VA-file cell lower bound,
-    which never overestimates, so ranking by it keeps every true
-    neighbor a candidate (the rerank stage restores exact order).
+    Exact on float64 leaves.  A quantized leaf holds cell centers; with
+    ``exact`` it is ranked by ``exact[rids]`` through the float64
+    expression, so its distances are a float64 tree's bit for bit.
+    Without it, each coordinate delta shrinks by the cell half width:
+    the VA-file cell lower bound, which never overestimates.
     """
-    keys = node.keys_array()
     half = node.key_halfwidths()
+    if exact is not None and half is not None:
+        keys, half = exact[node.rid_array()], None
+    else:
+        keys = node.keys_array()
     if half is None:
         return np.sqrt(((keys - q) ** 2).sum(axis=1))
     diff = np.abs(keys - q) - half
@@ -89,8 +99,8 @@ def _entry_bounds(ext: Any, node: Any, q: np.ndarray
     return dists, ext.refine_dists_node(node, q[None], dists[None])[0]
 
 
-def best_first(tree: Any, q: np.ndarray, k: Optional[int],
-               read: ReadNode) -> Iterator[Hit]:
+def best_first(tree: Any, q: np.ndarray, k: Optional[int], read: ReadNode,
+               exact: Optional[np.ndarray] = None) -> Iterator[Hit]:
     """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
 
     ``q`` is a checked ``(dim,)`` query; ``k`` of None never stops
@@ -148,7 +158,7 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
         if node is None or not len(node):
             continue
         if node.is_leaf:
-            dists, rids = leaf_dists(node, q), node.rid_array()
+            dists, rids = leaf_dists(node, q, exact), node.rid_array()
             if tau is not None:
                 kept = (dists < tau).nonzero()[0]
                 dists, rids = dists[kept], rids[kept]
@@ -179,14 +189,16 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
                 counter += 1
 
 
-def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Hit]:
+def knn_search(tree: Any, query: np.ndarray, k: int,
+               exact: Any = None) -> List[Hit]:
     """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``,
     read through the tree's counting path."""
-    query = check_queries(tree, query, 1, k)
-    return list(best_first(tree, query, k, tree._read_query))
+    query = check_queries(tree, query, 1, k, exact)
+    return list(best_first(tree, query, k, tree._read_query, exact))
 
 
-def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
+def nn_cursor(tree: Any, query: np.ndarray,
+              exact: Any = None) -> Iterator[Hit]:
     """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
 
     ``knn`` needs k fixed up front, but Blobworld's real contract is
@@ -197,21 +209,22 @@ def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
     length unless a refined bound ties ``tau`` exactly (DESIGN.md
     section 7).
     """
-    query = check_queries(tree, query, 1)
-    return best_first(tree, query, None, tree._read_query)
+    query = check_queries(tree, query, 1, exact=exact)
+    return best_first(tree, query, None, tree._read_query, exact)
 
 
-def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
+def sphere_search(tree: Any, center: np.ndarray, radius: float,
+                  exact: Any = None) -> List[Hit]:
     """All stored keys within ``radius`` of ``center``, as (dist, rid).
 
     The fixed-radius form of the query (paper section 5: NN queries
     are "in essence asking expanding sphere queries"): a subtree can
     hold matches only if the extension's lower bound does not exceed
-    the radius.  Leaves go through :func:`leaf_dists`, so on a quantized
-    tree both the distances and the membership test are the cell lower
-    bounds ``knn`` reports.
+    the radius.  Leaves go through :func:`leaf_dists`, so both the
+    distances and the membership test are the ones ``knn`` reports with
+    the same ``exact``.
     """
-    center = check_queries(tree, center, 1)
+    center = check_queries(tree, center, 1, exact=exact)
     if tree.root_id is None:
         return []
     ext = tree.ext
@@ -222,7 +235,7 @@ def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
         if node is None or not len(node):
             continue
         if node.is_leaf:
-            dists = leaf_dists(node, center)
+            dists = leaf_dists(node, center, exact)
             inside = np.flatnonzero(dists <= radius)
             results.extend(zip(dists[inside].tolist(),
                                node.rid_array()[inside].tolist()))

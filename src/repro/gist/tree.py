@@ -81,6 +81,9 @@ class GiST:
         self.quarantine_enabled = False
         self.degradation: Optional[DegradationReport] = None
         self._quarantined: set = set()
+        #: the ``(N, dim)`` original keys by rid, if the owner of a
+        #: quantized tree holds them (see :meth:`_peek`).
+        self.exact: Optional[np.ndarray] = None
 
     # -- capacities ---------------------------------------------------------
 
@@ -97,8 +100,16 @@ class GiST:
         return self.store.read(page_id)
 
     def _peek(self, page_id: int) -> Node:
-        """Uncounted read — maintenance work."""
-        return self.store.peek(page_id)
+        """Uncounted read — maintenance work.  With :attr:`exact`, a
+        quantized leaf comes back holding the original keys, so splits
+        and deletes fit predicates to, and re-encode pages from, those,
+        as a bulk load does."""
+        node = self.store.peek(page_id)
+        if self.exact is not None and node.is_leaf \
+                and node.key_halfwidths() is not None:
+            rids = node.rid_array()
+            node = Node.leaf_from_arrays(page_id, self.exact[rids], rids)
+        return node
 
     # -- degraded mode -------------------------------------------------------
 
@@ -183,16 +194,19 @@ class GiST:
                         stack.append((entry.child, node.level - 1))
         return results
 
-    def knn(self, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
+    def knn(self, query: np.ndarray, k: int,
+            exact: Any = None) -> List[Tuple[float, int]]:
         """The ``k`` nearest stored keys to ``query`` as (distance, rid).
 
         Best-first (Hjaltason–Samet) search; exact for every conservative
         extension.  Ties at the k-th distance are broken arbitrarily.
+        ``exact``, the ``(N, dim)`` keys by rid, ranks quantized leaves
+        (:func:`repro.gist.nn.leaf_dists`).
         """
-        return knn_search(self, query, k)
+        return knn_search(self, query, k, exact)
 
-    def knn_batch(self, queries: np.ndarray,
-                  k: int) -> List[List[Tuple[float, int]]]:
+    def knn_batch(self, queries: np.ndarray, k: int,
+                  exact: Any = None) -> List[List[Tuple[float, int]]]:
         """:meth:`knn` for a whole ``(Q, dim)`` query block at once.
 
         Each node is fetched and decoded at most once per block, while
@@ -200,16 +214,18 @@ class GiST:
         :meth:`knn` calls; see :func:`repro.gist.batch.knn_search_batch`.
         """
         from repro.gist.batch import knn_search_batch
-        return knn_search_batch(self, queries, k)
+        return knn_search_batch(self, queries, k, exact)
 
-    def nn_cursor(self, query: np.ndarray) -> Iterator[Tuple[float, int]]:
+    def nn_cursor(self, query: np.ndarray,
+                  exact: Any = None) -> Iterator[Tuple[float, int]]:
         """Incremental nearest-neighbor iterator; see
         :func:`repro.gist.nn.nn_cursor`."""
-        return nn_cursor(self, query)
+        return nn_cursor(self, query, exact)
 
-    def sphere_search(self, center: np.ndarray, radius: float) -> List[Tuple[float, int]]:
+    def sphere_search(self, center: np.ndarray, radius: float,
+                      exact: Any = None) -> List[Tuple[float, int]]:
         """All keys within ``radius`` of ``center`` as (distance, rid)."""
-        return sphere_search(self, center, radius)
+        return sphere_search(self, center, radius, exact)
 
     # -- insertion -------------------------------------------------------------------
 

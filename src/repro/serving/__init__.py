@@ -14,7 +14,7 @@ Requests and replies cross the process boundary as framed pickles over
 one socketpair per worker (:mod:`repro.serving.protocol`), and every
 request takes one path through the coordinator, which keeps a small
 window of request blocks in flight so shard k-NN overlaps its own
-refine/rerank/merge work.
+merge/rerank work.
 """
 
 from repro.serving.coordinator import ShardedService

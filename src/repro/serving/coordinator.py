@@ -13,8 +13,8 @@ Every request takes one path: :meth:`ShardedService._dispatch` frames
 a message to the live shards, :meth:`ShardedService._collect` reads
 back every reply it awaits.  :meth:`ShardedService.serve_stream` keeps
 up to :data:`WINDOW` request blocks in flight, so shard k-NN for the
-younger blocks runs while this process refines, reranks, and merges
-the oldest; blocks finish strictly in dispatch order.
+younger blocks runs while this process merges and reranks the oldest;
+blocks finish strictly in dispatch order.
 :meth:`ShardedService.am_query_batch` is a stream of one block, and a
 window of 1 is the serial case.
 
@@ -46,7 +46,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blobworld.cache import CachedBlock, QueryResultCache
-from repro.blobworld.query import BlobworldEngine, refine_candidates
+from repro.blobworld.query import BlobworldEngine
 from repro.bulk import bulk_load
 from repro.constants import (DEFAULT_PAGE_SIZE, FULL_QUERY_RESULT_IMAGES,
                              INDEX_DIMENSIONS)
@@ -180,7 +180,6 @@ class ShardedService:
         self.dims = dims
         self.method = method
         self.codec = codec
-        self.lossy = codec == "sq8"
         self.reduced = corpus.reduced(dims)
         self.cache = QueryResultCache(cache_size) if cache_size else None
         self.engine = BlobworldEngine(corpus)
@@ -458,12 +457,10 @@ class ShardedService:
                top_images: Optional[int],
                profile: Any) -> List[List[int]]:
         """Keep up to :data:`WINDOW` blocks in flight; collect and
-        finish (merge, refine, rerank) strictly in dispatch order, so
-        each finish overlaps the fleet computing the younger blocks."""
+        finish (merge, rerank) strictly in dispatch order, so each
+        finish overlaps the fleet computing the younger blocks."""
         if top_images is None:
             top_images = FULL_QUERY_RESULT_IMAGES
-        fetch = (self.engine._overscan(num_candidates)
-                 if self.lossy else num_candidates)
         inflight: Deque[_Block] = deque()
         results: List[List[int]] = []
         next_idx = 0
@@ -471,7 +468,7 @@ class ShardedService:
             while next_idx < len(blocks) or inflight:
                 while next_idx < len(blocks) and len(inflight) < WINDOW:
                     inflight.append(self._dispatch_block(
-                        next_idx, blocks[next_idx], fetch, num_candidates,
+                        next_idx, blocks[next_idx], num_candidates,
                         top_images, profile))
                     next_idx += 1
                 block = inflight[0]
@@ -480,7 +477,7 @@ class ShardedService:
                 inflight.popleft()
                 t_fin = time.perf_counter()
                 results.extend(self._finish_block(
-                    block, fetch, num_candidates, top_images, profile))
+                    block, num_candidates, top_images, profile))
                 if profile is not None:
                     if inflight:
                         profile.overlap_seconds += \
@@ -499,7 +496,7 @@ class ShardedService:
             raise
         return results
 
-    def _dispatch_block(self, idx: int, blobs: List[int], fetch: int,
+    def _dispatch_block(self, idx: int, blobs: List[int],
                         num_candidates: int, top_images: int,
                         profile: Any) -> _Block:
         """The coordinator-cache pass over one block, then one request
@@ -513,29 +510,24 @@ class ShardedService:
                  "blobs": np.asarray([blobs[i]
                                       for i in block.cached.misses],
                                      dtype=np.int64),
-                 "fetch": fetch, "dims": self.dims}, profile)
+                 "k": num_candidates, "dims": self.dims}, profile)
         return block
 
-    def _finish_block(self, block: _Block, fetch: int, num_candidates: int,
+    def _finish_block(self, block: _Block, num_candidates: int,
                       top_images: int, profile: Any) -> List[List[int]]:
-        """Merge the block's partials, refine lossy candidates against
-        the exact in-memory reduced vectors, rerank them with the
-        engine's kernel, and fill the block (cache included)."""
+        """Merge the block's partials — each shard's exact canonical
+        top-k, whatever its leaf codec — into the global top
+        ``num_candidates``, rerank them with the engine's kernel, and
+        fill the block (cache included)."""
         ranked: List[List[int]] = []
         if block.req is not None:
             parts = self._settle(block.req, profile)
-            _dists, rids = self._merge(parts, fetch, profile=profile)
-            blobs = [block.blobs[i] for i in block.cached.misses]
-            if self.lossy:
-                t0 = time.perf_counter()
-                rows = refine_candidates(self.reduced, self.reduced[blobs],
-                                         rids, num_candidates)
-                if profile is not None:
-                    profile.add("refine", time.perf_counter() - t0)
-            else:
-                rows = [row[row >= 0] for row in rids]
-            ranked = self.engine.rerank_batch(blobs, rows, top_images,
-                                              profile=profile)
+            _dists, rids = self._merge(parts, num_candidates,
+                                       profile=profile)
+            ranked = self.engine.rerank_batch(
+                [block.blobs[i] for i in block.cached.misses],
+                [row[row >= 0] for row in rids], top_images,
+                profile=profile)
         return [list(result) for result in block.cached.fill(ranked)]
 
     # -- query surface -------------------------------------------------------
@@ -556,8 +548,8 @@ class ShardedService:
                        profile: Any = None) -> List[List[int]]:
         """A block of two-stage queries over the sharded fleet, as a
         stream of one block: the shards' merged canonical partials go
-        through the engine's own refine and rerank, so the image lists
-        match the unsharded ``BlobworldEngine.am_query_batch``."""
+        through the engine's own rerank, so the image lists match the
+        unsharded ``BlobworldEngine.am_query_batch``."""
         return self._serve([self.engine.check_blobs(query_blobs)],
                            num_candidates, top_images, profile)
 

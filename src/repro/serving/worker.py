@@ -117,36 +117,39 @@ class ShardServer:
 
     def _handle_am(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         """Stage-one partials for a block of two-stage queries: ``blobs``
-        are global ids, ``fetch`` the per-shard candidate count (lossy
-        overscan included).  Rows are cached as padded ``(dists, rids)``
-        pairs, the reply's wire format, through the engine's block pass.
+        are global ids, ``k`` the candidate count.  Each row is the
+        shard's exact canonical top ``k`` — the tree ranks quantized
+        leaves by :attr:`reduced` — so the coordinator only merges.
+        Rows are cached as padded ``(dists, rids)`` pairs, the reply's
+        wire format, through the engine's block pass.
         """
         blobs = [int(b) for b in msg["blobs"]]
-        fetch = int(msg["fetch"])
+        k = int(msg["k"])
         dims = int(msg["dims"])
         block = CachedBlock(self.cache,
-                            [(blob, dims, fetch, -1) for blob in blobs])
+                            [(blob, dims, k, -1) for blob in blobs])
         rows: List[Tuple[np.ndarray, np.ndarray]] = []
         if block.misses:
             vecs = self.reduced[[blobs[i] for i in block.misses]]
-            plan = self.planner.plan_batch(len(vecs), fetch)
+            plan = self.planner.plan_batch(len(vecs), k)
             if plan.choice == "scan":
                 self.plans_scan += 1
                 # The flat scan's stable argsort breaks ties by
                 # position — ascending global rid — so its rows are
                 # already canonical.
-                dists, rids = self.flat.knn_batch_arrays(vecs, fetch)
+                dists, rids = self.flat.knn_batch_arrays(vecs, k)
             else:
                 self.plans_tree += 1
                 dists, rids = pack_partials(
-                    canonical_knn_batch(self.tree, vecs, fetch), fetch)
+                    canonical_knn_batch(self.tree, vecs, k, self.reduced),
+                    k)
             # Row copies: a cached row must not pin its whole block.
             rows = [(d.copy(), r.copy()) for d, r in zip(dists, rids)]
         results = block.fill(rows)
         return {"dists": np.array([d for d, _ in results],
-                                  dtype=np.float64).reshape(-1, fetch),
+                                  dtype=np.float64).reshape(-1, k),
                 "rids": np.array([r for _, r in results],
-                                 dtype=np.int64).reshape(-1, fetch)}
+                                 dtype=np.int64).reshape(-1, k)}
 
     def stats(self) -> Dict[str, Any]:
         """Cache, buffer-pool, planner, and transport counters,

@@ -112,9 +112,9 @@ class CrashReport:
         return "\n".join(lines)
 
 
-def _knn_lists(tree: GiST, queries: np.ndarray,
-               k: int) -> List[List[Tuple[float, int]]]:
-    return [sorted((round(d, 9), rid) for d, rid in tree.knn(q, k))
+def _knn_lists(tree: GiST, queries: np.ndarray, k: int,
+               keys: np.ndarray) -> List[List[Tuple[float, int]]]:
+    return [sorted((round(d, 9), rid) for d, rid in tree.knn(q, k, keys))
             for q in queries]
 
 
@@ -124,14 +124,10 @@ def run_crash_trial(method: str, seed: int, workdir: str,
                     codec: str = "f64") -> TrialResult:
     """One randomized kill-and-recover trial; see the module docstring.
 
-    ``codec`` selects the leaf-page format under test.  Quantized
-    (lossy) trials keep every durability check — redo idempotence,
-    deep scrub, size parity, post-recovery mutability — but skip the
-    bit-exact k-NN shadow comparison: the shadow mirrors one decode
-    generation of reconstructions while the recovered file re-quantizes
-    at every commit, so low digits legitimately drift.  Engine-level
-    post-rerank parity for sq8 is gated separately
-    (``tests/blobworld/test_quantized_parity.py``).
+    ``codec`` selects the leaf-page format under test.  Every tree of
+    the trial holds the original key of each rid as ``exact``, as the
+    engine does, so quantized (sq8) trials make the same bit-exact
+    k-NN shadow comparison as float64 ones.
     """
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
@@ -167,8 +163,10 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
 
     method = result.method
     pts = nprng.uniform(0.0, 100.0, size=(base_points, dim))
+    # The original key of every rid the trial can insert.
+    keys = np.zeros((base_points + ops + 3, dim))
+    keys[:base_points] = pts
     from repro.storage.codecs import make_leaf_codec
-    exact = not make_leaf_codec(result.codec, dim).lossy
     base = GiST(make_extension(method, dim), page_size=page_size,
                 leaf_codec=make_leaf_codec(result.codec, dim))
     for i, p in enumerate(pts):
@@ -176,18 +174,19 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
     save_tree(base, path)
 
     shadow = load_tree(path=path)
+    shadow.exact = keys
     live: List[Tuple[np.ndarray, int]] = [(pts[i], i)
                                           for i in range(base_points)]
     next_rid = base_points
     injector = CrashInjector(CrashPoint(point=result.point,
                                         after=result.after,
                                         torn=result.torn))
-    mt = MutableTree.open(path, injector=injector)
+    mt = MutableTree.open(path, injector=injector, exact=keys)
     try:
         for _ in range(ops):
             insert = not live or rng.random() < 0.6
             if insert:
-                key = nprng.uniform(0.0, 100.0, size=dim)
+                key = keys[next_rid] = nprng.uniform(0.0, 100.0, size=dim)
                 rid = next_rid
                 next_rid += 1
             else:
@@ -222,7 +221,7 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
         second = f.read()
     assert first == second, "recovery is not idempotent"
 
-    mt2 = MutableTree.open(path)
+    mt2 = MutableTree.open(path, exact=keys)
     try:
         result.transactions_replayed = mt2.recovery.transactions_applied
         result.torn_bytes = mt2.recovery.truncated_bytes
@@ -232,24 +231,22 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
             f"size {mt2.tree.size} != shadow {shadow.size}"
         queries = nprng.uniform(0.0, 100.0, size=(4, dim))
         k = min(8, max(1, shadow.size))
-        # Quantized trees re-encode (re-quantize) at every commit, so
-        # the shadow's distances drift in the low digits; the bit-exact
-        # comparison is an exact-codec check only (see run_crash_trial).
-        if shadow.size and exact:
-            assert _knn_lists(mt2.tree, queries, k) == \
-                _knn_lists(shadow, queries, k), "k-NN diverges from shadow"
+        if shadow.size:
+            assert _knn_lists(mt2.tree, queries, k, keys) == \
+                _knn_lists(shadow, queries, k, keys), \
+                "k-NN diverges from shadow"
         # The recovered file is live: a few more mutations must commit
         # and stay in parity.
         for _ in range(3):
-            key = nprng.uniform(0.0, 100.0, size=dim)
+            key = keys[next_rid] = nprng.uniform(0.0, 100.0, size=dim)
             mt2.insert(key, next_rid)
             shadow.insert(key, next_rid)
             next_rid += 1
         assert mt2.tree.size == shadow.size, \
             "size diverges after post-recovery inserts"
-        if shadow.size and exact:
-            assert _knn_lists(mt2.tree, queries, k) == \
-                _knn_lists(shadow, queries, k), \
+        if shadow.size:
+            assert _knn_lists(mt2.tree, queries, k, keys) == \
+                _knn_lists(shadow, queries, k, keys), \
                 "k-NN diverges after post-recovery inserts"
     finally:
         mt2.close()

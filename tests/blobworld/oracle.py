@@ -1,10 +1,9 @@
 """Stage-two references, kept as the oracles of the padded rank kernel.
 
-Three spellings ``repro.blobworld.query`` carried before stage two was
+Two spellings ``repro.blobworld.query`` carried before stage two was
 folded into one padded kernel, moved here verbatim: the scalar dict
-loop that ranks images by ``(best distance, first occurrence)``, the
-per-row sq8 refine, and the three-branch ``rerank_batch`` (all empty,
-uniform, ragged).  The only edit is that ``rerank_batch_ref`` takes
+loop that ranks images by ``(best distance, first occurrence)`` and the
+three-branch ``rerank_batch`` (all empty, uniform, ragged).  The only edit is that ``rerank_batch_ref`` takes
 the engine as an argument and aggregates with the dict loop, which the
 vectorized kernel it called was tested bit-identical to.  Nothing under
 ``src/`` imports this module.
@@ -36,16 +35,6 @@ def _top_images_from_blobs_ref(blob_indices: np.ndarray,
             best[image] = dist
     ranked = sorted(best, key=best.get)
     return ranked[:top_images]
-
-
-def refine_ref(rids: np.ndarray, query_vec: np.ndarray,
-               reduced: np.ndarray, num_blobs: int) -> np.ndarray:
-    """The per-row ``_refine_candidates`` expression: exact
-    reduced-space top ``num_blobs`` of one overscanned candidate row."""
-    diff = reduced[rids] - query_vec
-    d = (diff * diff).sum(axis=1)
-    order = np.argsort(d, kind="stable")[:num_blobs]
-    return rids[order]
 
 
 def rerank_batch_ref(engine, query_blobs: Sequence[int],

@@ -1,14 +1,17 @@
 """SQ8 serving parity: quantized top-k == float64 top-k after rerank.
 
 The quantized index is lossy in reduced space — reconstructions sit up
-to half a quantization cell from the originals — but the serving
-pipeline restores exactness: lossy fetches are overscanned, refined
-against the exact in-memory reduced vectors, and the 218-D rerank runs
-on the same candidate set the float64 tree would produce.  These tests
-pin that end-to-end guarantee for every registered AM family, and keep
-it through the mutation paths: MutableTree insert/delete round trips
-and WAL crash recovery.  The last test routes blocks over a quantized
-page file through a real :class:`~repro.gist.planner.QueryPlanner`.
+to half a quantization cell from the originals — but every engine entry
+point hands the tree the exact in-memory reduced vectors, which rank its
+quantized leaves (``knn(..., exact=...)``), so stage one returns the
+candidate set the float64 tree would produce.  These tests pin that
+end-to-end guarantee for every registered AM family and every entry
+point that consults an index (``am_query``, ``am_query_batch``,
+``weighted_query`` — what ``repro query`` runs — and
+``am_query_images``), and keep it through the mutation paths:
+MutableTree insert/delete round trips and WAL crash recovery.  The last
+test routes blocks over a quantized page file through a real
+:class:`~repro.gist.planner.QueryPlanner`.
 """
 
 import numpy as np
@@ -86,11 +89,26 @@ def test_post_rerank_parity(method, corpus, vectors, stream, tmp_path):
     leaf = next(sq8.leaf_nodes())
     assert leaf.key_halfwidths() is not None
     assert serve(corpus, sq8, stream) == serve(corpus, f64, stream)
-    # Scalar path agrees too (it shares the overscan + refine stage).
+    # Scalar path agrees too (it shares the two-stage body).
     engine_f64, engine_sq8 = (BlobworldEngine(corpus) for _ in range(2))
     for blob in stream[:6]:
         assert engine_sq8.am_query(sq8, blob, K, DIMS) \
             == engine_f64.am_query(f64, blob, K, DIMS)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_weighted_and_image_count_parity(method, corpus, vectors, stream,
+                                         tmp_path):
+    """The entry points outside the two-stage body: the index-assisted
+    weighted query and the image-count cursor."""
+    f64, sq8, _ = build_pair(method, vectors, tmp_path)
+    engine = BlobworldEngine(corpus)
+    for blob in stream:
+        assert engine.weighted_query(blob, tree=sq8, num_blobs=K,
+                                     dims=DIMS) \
+            == engine.weighted_query(blob, tree=f64, num_blobs=K, dims=DIMS)
+        assert engine.am_query_images(sq8, blob, 30, DIMS) \
+            == engine.am_query_images(f64, blob, 30, DIMS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ spellings it replaced (``tests/blobworld/oracle.py``).
 Integer-grid descriptors make exact distance ties common, a handful of
 images makes many blobs share one, and candidates are drawn with
 replacement, so tie order, first-occurrence aggregation and repeated
-candidates all bite.  Rows are ragged, empty rows included; merged
-shard rows carry ``-1`` padding; ``top`` sits at the edges (1, every
-image, more than every image).
+candidates all bite.  Rows are ragged, empty rows included; ``top``
+sits at the edges (1, every image, more than every image).
 """
 
 from types import SimpleNamespace
@@ -16,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blobworld import BlobworldEngine
-from repro.blobworld.query import _top_images, refine_candidates
+from repro.blobworld.query import _top_images
 
-from tests.blobworld.oracle import (_top_images_from_blobs_ref, refine_ref,
-                                    rerank_batch_ref)
+from tests.blobworld.oracle import _top_images_from_blobs_ref, rerank_batch_ref
 
 
 @st.composite
@@ -53,23 +51,6 @@ def test_rerank_batch_matches_three_branch_oracle(case):
     assert engine.rerank_batch(queries, rows, top) == want
     assert [engine.rerank(q, row, top)
             for q, row in zip(queries, rows)] == want
-
-
-@given(blocks(), st.integers(0, 4), st.integers(1, 40))
-@settings(max_examples=120, deadline=None)
-def test_refine_matches_per_row_oracle(case, extra, num_blobs):
-    """Merged shard rows: real candidates first, ``-1`` to the width."""
-    corpus, queries, rows, _top = case
-    points = corpus.embedded
-    width = max(len(row) for row in rows) + extra
-    merged = np.full((len(rows), width), -1, dtype=np.int64)
-    for i, row in enumerate(rows):
-        merged[i, :len(row)] = row
-    got = refine_candidates(points, points[queries], merged, num_blobs)
-    assert len(got) == len(rows)
-    for row, want_row, q in zip(got, rows, queries):
-        want = refine_ref(want_row, points[q], points, num_blobs)
-        assert row.tolist() == want.tolist()
 
 
 @given(blocks(), st.integers(0, 2 ** 16))

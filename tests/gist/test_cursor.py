@@ -104,19 +104,23 @@ class TestImageCountQueries:
         assert len(by_images) >= len(by_blobs)
 
     def test_am_query_images_on_quantized_tree(self, tmp_path):
-        """The cursor pulls blobs in ``knn`` order on sq8 leaves as
-        well, so the image contract sees the candidates ``knn`` ranks
-        first."""
+        """The cursor pulls blobs in exact ``knn`` order on sq8 leaves
+        as well (the engine passes its reduced vectors), so the image
+        contract sees the candidates a float64 tree ranks first."""
         from repro.blobworld import BlobworldEngine, build_corpus
         from repro.core.api import make_extension
         corpus = build_corpus(2000, 320, seed=0)
         engine = BlobworldEngine(corpus)
-        tree = paged_tree(make_extension("rtree", 5), corpus.reduced(5),
+        reduced = corpus.reduced(5)
+        tree = paged_tree(make_extension("rtree", 5), reduced,
                           str(tmp_path / "sq8.pages"), 4096, "sq8")
+        f64 = bulk_load(make_extension("rtree", 5), reduced, page_size=4096)
         images = engine.am_query_images(tree, 7, num_images=30, dims=5,
                                         top_images=30)
+        assert images == engine.am_query_images(f64, 7, num_images=30,
+                                                dims=5, top_images=30)
         seen, candidates = set(), []
-        for _, rid in tree.knn(corpus.reduced(5)[7], tree.size):
+        for _, rid in tree.knn(reduced[7], tree.size, exact=reduced):
             candidates.append(rid)
             seen.add(int(corpus.image_ids[rid]))
             if len(seen) >= 30:

@@ -13,7 +13,10 @@ from hypothesis.extra import numpy as hnp
 from repro.bulk import bulk_load
 from repro.core.jbtree import JBExtension
 
+from repro.serving.partials import canonical_knn_batch
+
 from tests.conftest import brute_knn, make_ext
+from tests.gist.oracle import paged_tree
 
 
 class TestExactness:
@@ -122,6 +125,36 @@ class TestIngress:
         for search in self.SPELLINGS.values():
             with pytest.raises(ValueError):
                 search(empty, np.full(5, np.nan))
+
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS) + ["canonical"])
+    @pytest.mark.parametrize("shape", [(300, 4), (300, 6), (1500,)],
+                             ids=["4d", "6d", "flat"])
+    def test_exact_of_the_wrong_shape_is_rejected_before_any_read(
+            self, spelling, shape, tmp_path):
+        """``exact`` ranks quantized leaves by rid: a matrix of the
+        wrong width would broadcast into garbage distances, so it is
+        refused before the root page is read."""
+        rng = np.random.default_rng(4)
+        keys = rng.normal(size=(300, 5))
+        tree = paged_tree(make_ext("rtree", 5), keys,
+                          str(tmp_path / "t.pages"), 2048, "sq8")
+        search = {
+            "knn": lambda q, e: tree.knn(q, 5, exact=e),
+            "knn_batch": lambda q, e: tree.knn_batch(q[None], 5, exact=e),
+            "nn_cursor": lambda q, e: tree.nn_cursor(q, exact=e),
+            "sphere_search": lambda q, e: tree.sphere_search(q, 1.0,
+                                                             exact=e),
+            "canonical": lambda q, e: canonical_knn_batch(tree, q[None],
+                                                          5, e),
+        }[spelling]
+        seen = []
+        tree.store.add_listener(lambda page_id, level: seen.append(page_id))
+        with pytest.raises(ValueError, match="exact"):
+            search(keys[0], rng.normal(size=shape))
+        assert seen == []
+        list(search(keys[0], keys))
+        assert seen
+        tree.store.close()
 
     def test_well_formed_input_is_converted_not_rejected(self, tree):
         q = [0, 1, 0, -1, 0]            # a list of ints

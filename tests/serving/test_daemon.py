@@ -8,6 +8,7 @@ never scatters, so a warm query cannot observe a dead shard.
 """
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,6 +76,57 @@ class TestParity:
         with build_service(corpus, shards=2, method="xjb",
                            codec="sq8") as svc:
             assert svc.am_query_batch(stream, CANDIDATES) == expected
+
+    @pytest.mark.parametrize("jitter", [1e-5, 0.0],
+                             ids=["near-ties", "exact-ties"])
+    def test_sq8_shards_on_a_tied_grid(self, jitter, monkeypatch):
+        """k-th-distance ties across shard boundaries, on sq8 shard
+        trees: a 10 x 10 grid holding 40 shuffled copies of each point,
+        so every cut at k = 150 falls inside a ring of copies split
+        between the shards.  The merged rows the coordinator reranks are
+        the whole float64 tree's canonical top-k, and the images those
+        rows rank to — with near ties, the unsharded float64 engine's
+        own.  (With exact ties that engine keeps whichever tied copies
+        its traversal meets first, so only the canonical rows compare.)
+        Copies of a point share its descriptor and image."""
+        from repro.gist.planner import QueryPlanner
+        rng = np.random.default_rng(5)
+        points = np.array([[x, y] for x in range(10) for y in range(10)],
+                          dtype=np.float64)
+        owner = rng.permutation(np.repeat(np.arange(100), 40))
+        vectors = points[owner] + rng.uniform(-jitter, jitter,
+                                              size=(len(owner), 2))
+        corpus = SimpleNamespace(
+            reduced=lambda dims: vectors, num_blobs=len(owner),
+            embedded=rng.normal(size=(100, 8))[owner], image_ids=owner)
+        whole = bulk_load(make_ext("rtree", 2), vectors, page_size=2048)
+        stream = [int(b) for b in rng.choice(len(owner), size=12,
+                                             replace=False)]
+        k = 150
+        engine = BlobworldEngine(corpus)
+        want_rows = [[rid for _, rid in hits] for hits in
+                     canonical_knn_batch(whole, vectors[stream], k)]
+        want_images = engine.rerank_batch(
+            stream, [np.array(row) for row in want_rows])
+        if jitter:
+            assert engine.am_query_batch(whole, stream, k, 2) == want_images
+        # Shards this small would scan; the tree route is under test.
+        monkeypatch.setattr(QueryPlanner, "scan_ms",
+                            lambda self, queries, num_blobs: float("inf"))
+        with build_service(corpus, shards=2, codec="sq8", dims=2,
+                           page_size=2048, cache_size=0) as svc:
+            rows = []
+            rerank_batch = svc.engine.rerank_batch
+
+            def capture(blobs, candidates, *args, **kwargs):
+                rows.extend(row.tolist() for row in candidates)
+                return rerank_batch(blobs, candidates, *args, **kwargs)
+
+            svc.engine.rerank_batch = capture
+            assert svc.am_query_batch(stream, k) == want_images
+            assert rows == want_rows
+            assert all(stats["plans"] == {"tree": 1, "scan": 0}
+                       for stats in svc.gather_stats().values())
 
     @pytest.mark.parametrize("family", ALL_METHODS)
     def test_two_forked_shards_match_unsharded_family(self, corpus,
