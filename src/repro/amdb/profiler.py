@@ -106,19 +106,11 @@ class BuildProfile:
     Filled by :func:`repro.bulk.loader.bulk_load` when a profile object
     is passed in.  Phases: ``sort`` (ordering the keys / routing
     centers), ``pack`` (assembling nodes from chunks), ``bp`` (bounding
-    predicate construction), ``write`` (page encode + I/O), ``merge``
-    (parallel-only: fork, IPC, and parent-side merge overhead).  With
-    ``workers > 1`` the pack/bp/write entries are summed across workers,
-    so they measure aggregate work, not wall clock; ``total_seconds`` is
-    the wall clock of the whole build.
+    predicate construction), ``write`` (page encode + I/O), each summed
+    over levels; ``total_seconds`` is the wall clock of the whole build.
     """
 
     tree_name: str = ""
-    n_keys: int = 0
-    workers: int = 1
-    #: largest worker count any level actually forked (0 = none did,
-    #: e.g. the requested count was clamped to the usable CPUs)
-    fork_workers: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: level -> number of nodes built at that level
     nodes_by_level: Dict[int, int] = field(default_factory=dict)
@@ -131,20 +123,6 @@ class BuildProfile:
     @property
     def total_nodes(self) -> int:
         return sum(self.nodes_by_level.values())
-
-    def as_dict(self) -> Dict:
-        """JSON-ready form (string keys, plain floats)."""
-        return {
-            "tree": self.tree_name,
-            "n_keys": self.n_keys,
-            "workers": self.workers,
-            "fork_workers": self.fork_workers,
-            "total_seconds": self.total_seconds,
-            "phase_seconds": {k: float(v)
-                              for k, v in sorted(self.phase_seconds.items())},
-            "nodes_by_level": {str(k): v
-                               for k, v in sorted(self.nodes_by_level.items())},
-        }
 
 
 def latency_percentiles(samples: Sequence[float]) -> Dict[str, float]:

@@ -1,8 +1,8 @@
 """Static analysis for the repro codebase: amlint + treecheck.
 
 Four PRs of performance and robustness work accumulated invariants that
-were documented but enforced by nothing — determinism of parallel
-builds, fork safety of worker processes, the typed storage exception
+were documented but enforced by nothing — determinism of builds,
+fork safety of worker processes, the typed storage exception
 discipline, the zero-copy serving contract, and the on-disk page
 format.  Following the paper's amdb philosophy of *measuring* access
 method health instead of assuming it, this package machine-checks those

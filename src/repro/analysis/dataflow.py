@@ -18,7 +18,7 @@ Three layers, each used by the REP6xx/REP701/REP205 rules:
   another call) — is a leak on some path.
 
 - :class:`CallGraph` — module-level, name-based call edges for
-  interprocedural reachability (REP201/REP203/REP205).  Deliberately
+  interprocedural reachability (REP203/REP205).  Deliberately
   intra-module: a cross-module graph would mark parent-side teardown
   helpers as worker-reachable through shared helper names and drown
   the fork-safety rules in false positives.
@@ -542,8 +542,8 @@ class CallGraph:
 
     def reachable_calls(self, root: str) -> Set[str]:
         """Every *called name* (defined here or not) visible from any
-        definition reachable from ``root`` — the set REP201/REP203
-        probe for ``reopen_files``."""
+        definition reachable from ``root`` — the set REP203 probes for
+        ``reopen_files``."""
         names: Set[str] = set()
         for defname in self.reachable([root]):
             names |= self.edges.get(defname, set())

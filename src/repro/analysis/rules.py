@@ -13,9 +13,6 @@ ID                severity  invariant
 ``REP102``        error     RNG construction must thread an explicit seed
 ``REP104``        error     mutation paths write pages through the WAL
                             wrapper, never the raw page file beneath it
-``REP201``        error     fork workers must reopen file-backed stores
-``REP202``        error     fork workers must be module-level; no live handles
-                            captured into fork state
 ``REP203``        error     serving daemon worker entrypoints reopen
                             file-backed stores after the fork
 ``REP205``        error     no parent-only handle acquisition (socketpair,
@@ -61,8 +58,6 @@ from repro.analysis.dataflow import (CallGraph, ForwardAnalysis,
 
 #: packages whose structure must be a pure function of (data, seed).
 _DETERMINISM_SCOPE = ("bulk/", "gist/", "geometry/")
-#: files hosting fork-parallel worker plumbing.
-_FORK_SCOPE = ("bulk/loader.py",)
 #: the zero-copy serving hot path.
 _SERVING_SCOPE = ("blobworld/query.py", "storage/diskfile.py",
                   "storage/codecs.py")
@@ -126,10 +121,11 @@ class Rule:
 class WallClockRule(Rule):
     """REP101: builds and searches must not read the wall clock.
 
-    Parallel builds are byte-identical to sequential ones only because
-    nothing in ``bulk/``, ``gist/``, or ``geometry/`` depends on *when*
-    it ran.  ``time.perf_counter``/``time.monotonic`` stay legal — they
-    feed profiling counters, never data — but calendar time does not.
+    Page files are a pure function of the keys and the seed only
+    because nothing in ``bulk/``, ``gist/``, or ``geometry/`` depends on
+    *when* it ran.  ``time.perf_counter``/``time.monotonic`` stay legal
+    — they feed profiling counters, never data — but calendar time does
+    not.
     """
 
     id = "REP101"
@@ -159,8 +155,8 @@ class WallClockRule(Rule):
 class SeededRngRule(Rule):
     """REP102: every RNG must be constructed with an explicit seed.
 
-    The parallel bulk loader keys randomness to ``(level, index)`` so
-    any sharding of the work produces identical bytes; a module-level
+    The bulk loader keys randomness to ``(level, index)`` so page bytes
+    are a pure function of the keys and the seed; a module-level
     ``random.*`` / ``np.random.*`` call (hidden global state) or an
     unseeded generator breaks that contract silently.
     """
@@ -186,7 +182,7 @@ class SeededRngRule(Rule):
                     yield self.finding(
                         module, node,
                         f"{name}() constructed without an explicit "
-                        f"seed; parallel builds key RNGs to "
+                        f"seed; the bulk loader keys RNGs to "
                         f"(level, index)")
             elif name.startswith("np.random.") or \
                     (name.startswith("random.") and name.count(".") == 1):
@@ -330,87 +326,6 @@ def _own_calls(func: ast.AST) -> List[ast.Call]:
     return calls
 
 
-class ForkReopenRule(Rule):
-    """REP201: forked workers must reopen file-backed stores.
-
-    A forked child inherits the parent's file descriptions — and their
-    *shared offsets*.  Every ``_worker_*`` function in the fork-parallel
-    files must reach a ``storage/fork.py`` reopen helper before touching
-    a store (conditionally is fine: workers that only read inherited
-    copy-on-write memory guard the call).  Reaching it through a helper
-    counts: the check walks the module call graph from the worker, not
-    just the worker's own body, so factoring the reopen into a setup
-    function neither hides a violation nor manufactures one.
-    """
-
-    id = "REP201"
-    title = "fork workers must reopen file-backed stores"
-    scopes = _FORK_SCOPE
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        graph = CallGraph.build(module.tree)
-        for node in module.tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not node.name.startswith("_worker"):
-                continue
-            if _reaches_reopen(graph, node.name):
-                continue
-            yield self.finding(
-                module, node,
-                f"fork worker {node.name}() never calls a "
-                f"reopen_files helper (directly or through any function "
-                f"it can reach); inherited descriptors share their file "
-                f"offset across workers")
-
-
-class ForkCaptureRule(Rule):
-    """REP202: fork workers are module-level; no handles in fork state.
-
-    Work crosses the fork boundary through a module-global state dict
-    plus a module-level worker function.  A lambda/closure handed to
-    ``pool.map`` can smuggle live mmaps or file objects past review, as
-    can opening a handle directly inside the fork-state assignment.
-    """
-
-    id = "REP202"
-    title = "no handle capture into fork workers"
-    scopes = _FORK_SCOPE
-
-    _POOL_METHODS = (".map", ".imap", ".imap_unordered", ".starmap",
-                     ".apply", ".apply_async", ".map_async")
-    _HANDLE_CALLS = frozenset({"open", "mmap.mmap"})
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func) or ""
-                if any(name.endswith(m) for m in self._POOL_METHODS):
-                    for arg in list(node.args) + \
-                            [kw.value for kw in node.keywords]:
-                        if isinstance(arg, ast.Lambda):
-                            yield self.finding(
-                                module, arg,
-                                "fork worker passed to pool as a "
-                                "lambda; workers must be module-level "
-                                "functions taking state from the fork "
-                                "dict")
-            elif isinstance(node, ast.Assign):
-                targets = [dotted_name(t) for t in node.targets
-                           if isinstance(t, (ast.Name, ast.Attribute))]
-                if "_FORK_STATE" not in targets:
-                    continue
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Call) and \
-                            (dotted_name(sub.func) or "") \
-                            in self._HANDLE_CALLS:
-                        yield self.finding(
-                            module, sub,
-                            "fork state captures a live OS handle; "
-                            "workers must reopen by path via the "
-                            "storage.fork helpers")
-
-
 class DaemonReopenRule(Rule):
     """REP203: daemon worker entrypoints reopen stores after the fork.
 
@@ -450,8 +365,8 @@ class DaemonReopenRule(Rule):
 class ForkReachabilityRule(Rule):
     """REP205: no parent-only acquisition reachable from a fork worker.
 
-    The name-heuristic rules (REP201/REP203) ask whether a worker
-    reopens what it inherited; this rule asks the dual question with
+    The name-heuristic rule REP203 asks whether a worker reopens what
+    it inherited; this rule asks the dual question with
     the same call graph: can a worker *reach* code that acquires a
     parent-side handle?  A forked child that creates its own
     ``socketpair``, forks again, constructs a ``Process``, or creates a
@@ -1096,8 +1011,6 @@ ALL_RULES: List[Rule] = [
     WallClockRule(),
     SeededRngRule(),
     UnloggedWriteRule(),
-    ForkReopenRule(),
-    ForkCaptureRule(),
     DaemonReopenRule(),
     ForkReachabilityRule(),
     BroadExceptRule(),

@@ -200,10 +200,10 @@ class AMapExtension(RTreeExtension):
     # -- bulk-load construction hooks ---------------------------------------
     #
     # Bulk builds key the sampling RNG to the node's (level, index)
-    # position instead of the shared insert-path stream, so the predicate
-    # of any given node is independent of which worker builds it (and of
-    # how many workers there are) — the property the parallel loader's
-    # byte-identity guarantee rests on.
+    # position instead of the shared insert-path stream, so a node's
+    # predicate depends only on the seed and its place in the tree, not
+    # on what was built before it — the property the golden page-file
+    # digests (tests/storage/test_golden_format.py) rest on.
 
     def _bulk_rng(self, token: Tuple[int, int]) -> np.random.Generator:
         level, index = token

@@ -84,8 +84,8 @@ class JBExtension(RTreeExtension):
 
         Nodes with equal entry counts batch into a single
         ``(G, n, dim)`` carve; predicates depend only on each node's own
-        contents, so any sharding of the node list (the parallel bulk
-        loader's, or this grouping) yields bit-identical results.
+        contents, so this grouping yields bit-identical results to
+        carving each node alone.
         """
         from repro.geometry.bites import bitten_rects_multi
         preds: List = [None] * len(nodes)

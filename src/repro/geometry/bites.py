@@ -435,8 +435,8 @@ def bitten_rects_multi(*, points=None, rect_los=None, rect_his=None,
     as one kernel across all groups and corners; every returned
     predicate is bit-identical to the scalar
     :meth:`BittenRect.from_points` / :meth:`BittenRect.from_rects` on
-    the same inputs, so callers may batch arbitrary subsets (the
-    parallel bulk loader shards freely).  Other methods fall back to
+    the same inputs, so callers may batch arbitrary subsets.  Other
+    methods fall back to
     the per-group scalar constructions.
     """
     if (points is None) == (rect_los is None):

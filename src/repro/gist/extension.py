@@ -57,14 +57,13 @@ class GiSTExtension:
 
     # -- bulk-load construction hooks ---------------------------------------
     #
-    # The bulk loader builds whole levels of nodes at once, possibly
-    # sharded over forked worker processes.  These hooks exist so that
-    # (a) randomized predicate constructions (aMAP) can key their RNG to
-    # the node's position instead of a shared stream — the predicate of
-    # node (level, index) is then the same no matter which worker builds
-    # it, which is what makes parallel builds byte-identical to
-    # sequential ones — and (b) vectorizing extensions (JB/XJB) can
-    # batch predicate construction across sibling nodes of a level.
+    # The bulk loader builds whole levels of nodes at once.  These hooks
+    # exist so that (a) randomized predicate constructions (aMAP) can
+    # key their RNG to the node's position instead of a shared stream —
+    # the predicate of node (level, index) then depends only on the seed
+    # and the node's contents, which keeps page files a pure function of
+    # keys and seed — and (b) vectorizing extensions (JB/XJB) can batch
+    # predicate construction across sibling nodes of a level.
 
     def pred_for_keys_at(self, keys: np.ndarray, token: Tuple[int, int]) -> Any:
         """Positioned :meth:`pred_for_keys`; ``token`` is ``(level,
@@ -97,7 +96,7 @@ class GiSTExtension:
         construction vectorizes across sibling nodes (JB/XJB corner
         carving) override this with a batched kernel.  Implementations
         must return bit-identical predicates for any partition of the
-        node list — the parallel bulk loader shards it arbitrarily.
+        node list, so batching never changes a page's bytes.
         """
         return [self.pred_for_node_at(node, token)
                 for node, token in zip(nodes, tokens)]

@@ -233,8 +233,7 @@ def _decode_slot(codec: NodeCodec, image: bytes, path: str) -> Any:
     admissible cell bounds and treecheck can audit the quantization
     grid.  Inner pages decode through the node codec as before.
     """
-    if codec.checksums:
-        verify_image(image, path=path)
+    verify_image(image, path=path)
     page_id, level, count = struct.unpack_from("<qii", image, 0)
     if page_id == -1:
         return None

@@ -199,7 +199,7 @@ class ShardedService:
     def build(cls, corpus: Any, num_shards: int, method: str = "rtree",
               dims: int = INDEX_DIMENSIONS,
               page_size: int = DEFAULT_PAGE_SIZE, codec: str = "f64",
-              workdir: Optional[str] = None, build_workers: int = 1,
+              workdir: Optional[str] = None,
               **kwargs: Any) -> "ShardedService":
         """Build one tree per contiguous blob range.
 
@@ -224,8 +224,7 @@ class ShardedService:
                 ext, page_size=page_size, leaf_codec=codec)
             tree = bulk_load(ext, reduced[lo:hi],
                              rids=list(range(lo, hi)),
-                             page_size=page_size, store=store,
-                             workers=build_workers)
+                             page_size=page_size, store=store)
             shards.append({"shard_id": shard_id, "tree": tree,
                            "lo": lo, "hi": hi})
         return cls(corpus, shards, dims=dims, method=method, codec=codec,
@@ -265,7 +264,7 @@ class ShardedService:
             "config": {"worker_cache": self.worker_cache,
                        "pool_pages": self.pool_pages},
         }
-        worker_mod._FORK_STATE = state
+        worker_mod._INHERITED = state
         try:
             for shard in self.shards:
                 # Flush parent-side write buffers before the fork so the
@@ -295,7 +294,7 @@ class ShardedService:
                 self.handles.append(_SocketShard(
                     shard["shard_id"], FramedChannel(parent_sock), process))
         finally:
-            worker_mod._FORK_STATE = {}
+            worker_mod._INHERITED = {}
         return self
 
     def kill_shard(self, shard_id: int) -> None:

@@ -1,13 +1,13 @@
 """The shard worker: one forked process serving canonical partials.
 
-Work crosses the fork boundary the same way the parallel bulk loader
-does it (see :mod:`repro.storage.fork`): the coordinator
-stashes shared state in the module-global ``_FORK_STATE``, forks one
-child per shard, and each child finds its tree, socket, and the reduced
-vector matrix in its copy-on-write copy.  The first thing a child does
-is :func:`reopen_files` — the inherited descriptors share their file
-offset with the parent and every sibling, and a long-running daemon is
-exactly the workload that would hit that race.
+Work crosses the fork boundary as :mod:`repro.storage.fork` describes:
+the coordinator stashes shared state in the module-global
+``_INHERITED``, forks one child per shard, and each child finds its
+tree, socket, and the reduced vector matrix in its copy-on-write copy.
+The first thing a child does is :func:`reopen_files` — the inherited
+descriptors share their file offset with the parent and every sibling,
+and a long-running daemon is exactly the workload that would hit that
+race.
 
 Each worker owns its serving stack outright: a
 :class:`~repro.storage.buffer.BufferPool` over the shard's page file, a
@@ -36,7 +36,7 @@ from repro.storage.fork import reopen_files
 #: ``shards`` (shard_id -> dict with tree / conn / lo / hi),
 #: ``reduced`` (the full reduced vector matrix), ``config`` (cache/pool
 #: sizing).
-_FORK_STATE: Dict[str, Any] = {}
+_INHERITED: Dict[str, Any] = {}
 
 
 class ShardServer:
@@ -183,16 +183,16 @@ class ShardServer:
 def _worker_main(shard_id: int) -> None:
     """Daemon entry point for one forked shard worker.
 
-    Reads its shard out of :data:`_FORK_STATE`, reopens the inherited
+    Reads its shard out of :data:`_INHERITED`, reopens the inherited
     store descriptors, and answers requests in order until an ``exit``
     op or a closed socket.
     """
-    shard = _FORK_STATE["shards"][shard_id]
-    config = _FORK_STATE.get("config", {})
+    shard = _INHERITED["shards"][shard_id]
+    config = _INHERITED.get("config", {})
     conn = shard["conn"]
     reopen_files(shard["tree"].store)
     server = ShardServer(
-        shard_id, shard["tree"], _FORK_STATE["reduced"],
+        shard_id, shard["tree"], _INHERITED["reduced"],
         lo=shard["lo"], hi=shard["hi"],
         cache_size=config.get("worker_cache", 2048),
         pool_pages=config.get("pool_pages", 256))

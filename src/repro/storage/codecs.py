@@ -605,21 +605,19 @@ class IndexEntryCodec(Codec):
 class NodeCodec:
     """Serializes whole nodes into fixed-size page images.
 
-    With ``checksums=True`` (the default) every encoded image is sealed
-    with a CRC32C + format-epoch pair in the header's reserved region
-    (see :mod:`repro.storage.integrity`) and every decode verifies it,
-    raising :class:`~repro.storage.errors.PageCorruptError` on damage.
-    Unsealed legacy images (zero crc and epoch) decode without
-    verification, so files written before checksums still load.
+    Every encoded image is sealed with a CRC32C + format-epoch pair in
+    the header's reserved region (see :mod:`repro.storage.integrity`)
+    and every decode verifies it, raising
+    :class:`~repro.storage.errors.PageCorruptError` on damage.  Unsealed
+    legacy images (zero crc and epoch) decode without verification, so
+    files written before checksums still load.
     """
 
     def __init__(self, page_size: int, leaf_codec: LeafEntryCodec,
-                 index_codec: IndexEntryCodec, *,
-                 checksums: bool = True) -> None:
+                 index_codec: IndexEntryCodec) -> None:
         self.page_size = page_size
         self.leaf_codec = leaf_codec
         self.index_codec = index_codec
-        self.checksums = checksums
 
     def leaf_body(self, entries: Sequence[Any]) -> bytes:
         """One leaf's ``(key, rid)`` entries as an encoded page body.
@@ -651,7 +649,7 @@ class NodeCodec:
                 f"node {page_id} overflows page: {len(image)} > "
                 f"{self.page_size} bytes")
         image += b"\x00" * (self.page_size - len(image))
-        return seal_image(image) if self.checksums else image
+        return seal_image(image)
 
     def encode_pages(self, pages: Sequence[Tuple[int, int, int, bytes]]
                      ) -> np.ndarray:
@@ -660,8 +658,8 @@ class NodeCodec:
         ``pages`` rows are ``(page_id, level, count, body)`` with the
         body already entry-encoded (e.g. via
         :meth:`LeafEntryCodec.encode_block`).  Row ``i`` of the result
-        is byte-identical to :meth:`encode` of the same node; with
-        checksums on, all rows are sealed by one batched CRC pass.
+        is byte-identical to :meth:`encode` of the same node; all rows
+        are sealed by one batched CRC pass.
         """
         images = np.zeros((len(pages), self.page_size), dtype=np.uint8)
         for i, (page_id, level, count, body) in enumerate(pages):
@@ -674,17 +672,16 @@ class NodeCodec:
             images[i, :len(header)] = np.frombuffer(header, dtype=np.uint8)
             images[i, PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + len(body)] = \
                 np.frombuffer(body, dtype=np.uint8)
-        if self.checksums:
-            seal_images(images)
+        seal_images(images)
         return images
 
-    def decode(self, image: bytes, *, verify: Optional[bool] = None,
+    def decode(self, image: bytes, *, verify: bool = True,
                path: Optional[str] = None) -> Tuple[int, int, List[Any]]:
         if len(image) < self.page_size:
             raise PageCorruptError(
                 f"truncated page image: {len(image)} of "
                 f"{self.page_size} bytes", path=path)
-        if verify if verify is not None else self.checksums:
+        if verify:
             verify_image(image, path=path)
         page_id, level, count = struct.unpack_from("<qii", image, 0)
         codec = self.leaf_codec if level == 0 else self.index_codec

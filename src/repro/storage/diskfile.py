@@ -222,7 +222,7 @@ class FilePageFile:
         walks ``node.entries``.  ``verified=True`` skips the seal check
         when a stacked :func:`verify_images` pass already ran.
         """
-        if not verified and self.codec.checksums:
+        if not verified:
             verify_image(image, path=self.path, page_id=page_id)
         pid, level, count = struct.unpack_from("<qii", image, 0)
         if pid == -1:
@@ -351,8 +351,7 @@ class FilePageFile:
                 return
             images = np.frombuffer(data, dtype=np.uint8,
                                    count=full * ps).reshape(full, ps)
-        faults = verify_images(images) if self.codec.checksums \
-            else [None] * len(run)
+        faults = verify_images(images)
         for pid, image, fault in zip(run, images, faults):
             if fault is not None:
                 outcomes[pid] = PageCorruptError(fault, path=self.path,
@@ -374,10 +373,6 @@ class FilePageFile:
     def peek(self, page_id: int) -> Node:
         return call_with_retry(lambda: self._read_image(page_id),
                                self.retry, sleep=self._sleep)
-
-    #: the parallel bulk loader may write disjoint page ranges of this
-    #: store from forked workers (each through a private descriptor).
-    supports_parallel_write = True
 
     def write(self, node: Node) -> None:
         entries = [tuple(e) for e in node.entries]
@@ -423,17 +418,6 @@ class FilePageFile:
             self._levels[node.page_id] = node.level
         self.stats.writes += len(nodes)
         self._map_dirty = True
-
-    def note_external_writes(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Account ``(page_id, level)`` pages another process wrote.
-
-        The parallel bulk loader's forked workers write their shards
-        through private descriptors; the parent calls this so its level
-        map and write counters match a sequential build's.
-        """
-        for page_id, level in pairs:
-            self._levels[page_id] = level
-            self.stats.writes += 1
 
     def rebuild_slot_state(self) -> Tuple[List[int], List[int]]:
         """Rescan slot headers after reopening a mutated file.

@@ -221,14 +221,14 @@ class FaultyPageFile:
             if hasattr(self.inner, "_read_raw"):
                 image = self.inner._read_raw(page_id)
                 image = _flip_bit(image, self._rng.randrange(len(image) * 8))
-                # Decode the flipped image through the real codec: with
-                # checksums on this raises PageCorruptError; with them
-                # off it may decode garbage silently — surface that as
-                # corruption too, since the flip *was* injected.
+                # Decode the flipped image through the real codec: on a
+                # sealed page this raises PageCorruptError; an unsealed
+                # legacy page may decode the flip silently — surface
+                # that as corruption too, since the flip *was* injected.
                 self.inner.codec.decode(image)
                 raise PageCorruptError(
                     "injected bit flip decoded silently — "
-                    "checksums are off", page_id=page_id)
+                    "the page is unsealed", page_id=page_id)
             raise PageCorruptError("injected bit flip", page_id=page_id)
         return self.inner.read(page_id)
 

@@ -6,7 +6,7 @@ lints as ``serving/bad_daemon.py``.
 
 import multiprocessing
 
-_FORK_STATE = {}
+_INHERITED = {}
 
 
 def serve_loop(conn, tree):
@@ -18,7 +18,7 @@ def serve_loop(conn, tree):
 def _worker_main(shard_id):
     # REP203: the conventional worker name, serving the inherited store
     # without reopening it.
-    shard = _FORK_STATE["shards"][shard_id]
+    shard = _INHERITED["shards"][shard_id]
     serve_loop(shard["conn"], shard["tree"])
 
 
@@ -33,5 +33,5 @@ def spawn_daemon(shard_id):
 
 
 def launch_shard(shard_id):
-    shard = _FORK_STATE["shards"][shard_id]
+    shard = _INHERITED["shards"][shard_id]
     serve_loop(shard["conn"], shard["tree"])

@@ -4,7 +4,7 @@ import multiprocessing
 
 from repro.storage.fork import reopen_files
 
-_FORK_STATE = {}
+_INHERITED = {}
 
 
 def serve_loop(conn, tree):
@@ -14,7 +14,7 @@ def serve_loop(conn, tree):
 
 
 def _worker_main(shard_id):
-    shard = _FORK_STATE["shards"][shard_id]
+    shard = _INHERITED["shards"][shard_id]
     reopen_files(shard["tree"].store)
     serve_loop(shard["conn"], shard["tree"])
 
@@ -28,6 +28,6 @@ def spawn_daemon(shard_id):
 
 
 def launch_shard(shard_id):
-    shard = _FORK_STATE["shards"][shard_id]
+    shard = _INHERITED["shards"][shard_id]
     reopen_files(shard["tree"].store)
     serve_loop(shard["conn"], shard["tree"])

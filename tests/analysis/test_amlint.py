@@ -9,6 +9,7 @@ scoping of the real tree (see ``fixtures/README.md``).
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ from repro.analysis.amlint import (ERROR, SUPPRESSION_RULE, WARNING,
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID
 
 FIXTURES = Path(__file__).parent / "fixtures"
-REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[2]
+REPO_SRC = REPO / "src" / "repro"
 
 
 def lint_fixtures(*names):
@@ -32,46 +34,52 @@ def lint_fixtures(*names):
 # per-rule positive + negative fixtures
 # ---------------------------------------------------------------------------
 
-POSITIVE = [
-    ("REP101", ["bulk/bad_wallclock.py"], 2),
-    ("REP102", ["geometry/bad_rng.py"], 2),
-    ("REP201", ["fork_unsafe/fixtures/bulk/loader.py"], 1),
-    ("REP202", ["fork_unsafe/fixtures/bulk/loader.py"], 2),
-    ("REP203", ["serving/bad_daemon.py"], 2),
-    ("REP701", ["storage/wal_bad.py"], 2),
-    ("REP104", ["gist/mutable.py"], 2),
-    ("REP301", ["storage/bad_except.py"], 2),
-    ("REP302", ["storage/bad_raise.py"], 3),
-    ("REP401", ["storage/codecs.py"], 3),
-    ("REP501", ["storage/__init__.py", "storage/badstore.py"], 2),
-    ("REP205", ["serving/forked_acquirer.py"], 2),
-    ("REP601", ["serving/leaky_fds.py"], 2),
-    ("REP602", ["serving/leaky_segment.py"], 2),
-    ("REP603", ["serving/leaky_process.py"], 1),
-]
+# Rows are keyed by a fixed slot that is part of the test id, so
+# retiring a rule does not rename its neighbours' tests (slots 2 and 3
+# held two retired fork-safety rules of the bulk loader).
+POSITIVE = {
+    0: ("REP101", ["bulk/bad_wallclock.py"], 2),
+    1: ("REP102", ["geometry/bad_rng.py"], 2),
+    4: ("REP203", ["serving/bad_daemon.py"], 2),
+    5: ("REP701", ["storage/wal_bad.py"], 2),
+    6: ("REP104", ["gist/mutable.py"], 2),
+    7: ("REP301", ["storage/bad_except.py"], 2),
+    8: ("REP302", ["storage/bad_raise.py"], 3),
+    9: ("REP401", ["storage/codecs.py"], 3),
+    10: ("REP501", ["storage/__init__.py", "storage/badstore.py"], 2),
+    11: ("REP205", ["serving/forked_acquirer.py"], 2),
+    12: ("REP601", ["serving/leaky_fds.py"], 2),
+    13: ("REP602", ["serving/leaky_segment.py"], 2),
+    14: ("REP603", ["serving/leaky_process.py"], 1),
+}
 
-NEGATIVE = [
-    ("REP101", ["bulk/good_wallclock.py"]),
-    ("REP102", ["geometry/good_rng.py"]),
-    ("REP201", ["bulk/loader.py"]),
-    ("REP202", ["bulk/loader.py"]),
-    ("REP203", ["serving/good_daemon.py"]),
-    ("REP701", ["storage/wal_good.py"]),
-    ("REP104", ["gist/tree.py"]),
-    ("REP301", ["storage/good_except.py"]),
-    ("REP302", ["storage/good_raise.py"]),
-    ("REP401", ["storage/diskfile.py"]),
-    ("REP402", ["storage/diskfile.py"]),
-    ("REP403", ["gist/good_dequant.py"]),
-    ("REP501", ["storage/__init__.py", "storage/goodstore.py"]),
-    ("REP205", ["serving/forked_clean.py"]),
-    ("REP601", ["serving/clean_fds.py"]),
-    ("REP602", ["serving/clean_segment.py"]),
-    ("REP603", ["serving/clean_process.py"]),
-]
+NEGATIVE = {
+    0: ("REP101", ["bulk/good_wallclock.py"]),
+    1: ("REP102", ["geometry/good_rng.py"]),
+    4: ("REP203", ["serving/good_daemon.py"]),
+    5: ("REP701", ["storage/wal_good.py"]),
+    6: ("REP104", ["gist/tree.py"]),
+    7: ("REP301", ["storage/good_except.py"]),
+    8: ("REP302", ["storage/good_raise.py"]),
+    9: ("REP401", ["storage/diskfile.py"]),
+    10: ("REP402", ["storage/diskfile.py"]),
+    11: ("REP403", ["gist/good_dequant.py"]),
+    12: ("REP501", ["storage/__init__.py", "storage/goodstore.py"]),
+    13: ("REP205", ["serving/forked_clean.py"]),
+    14: ("REP601", ["serving/clean_fds.py"]),
+    15: ("REP602", ["serving/clean_segment.py"]),
+    16: ("REP603", ["serving/clean_process.py"]),
+}
 
 
-@pytest.mark.parametrize("rule_id,fixtures,count", POSITIVE)
+def _slotted(rows):
+    """``pytest.param`` per row, id ``RULE-fixtures<slot>[-count]``."""
+    return [pytest.param(*row, id="-".join(
+                [row[0], f"fixtures{slot}", *map(str, row[2:])]))
+            for slot, row in rows.items()]
+
+
+@pytest.mark.parametrize("rule_id,fixtures,count", _slotted(POSITIVE))
 def test_rule_fires_on_positive_fixture(rule_id, fixtures, count):
     report = lint_fixtures(*fixtures)
     hits = [f for f in report.findings if f.rule == rule_id]
@@ -80,7 +88,7 @@ def test_rule_fires_on_positive_fixture(rule_id, fixtures, count):
     assert report.exit_code == 1
 
 
-@pytest.mark.parametrize("rule_id,fixtures", NEGATIVE)
+@pytest.mark.parametrize("rule_id,fixtures", _slotted(NEGATIVE))
 def test_rule_stays_silent_on_negative_fixture(rule_id, fixtures):
     report = lint_fixtures(*fixtures)
     hits = [f for f in report.findings if f.rule == rule_id]
@@ -190,6 +198,22 @@ def test_rule_catalog_is_complete():
     assert set(RULES_BY_ID) == set(ids)
     for rule in ALL_RULES:
         assert rule.id.startswith("REP") and rule.title
+
+
+def test_documented_catalogs_match_the_rules():
+    """The rules.py docstring table and DESIGN.md section 10's catalog
+    bullets name exactly the rules amlint runs, so retiring or adding a
+    rule cannot leave stale docs.  REP000 (parse failure) and REP001
+    (unknown suppression) are engine codes, not rules."""
+    import repro.analysis.rules as rules_module
+    engine_codes = {"REP000", "REP001"}
+    table = set(re.findall(r"^``(REP\d{3})``", rules_module.__doc__ or "",
+                           re.MULTILINE))
+    design = (REPO / "DESIGN.md").read_text()
+    section = design[design.index("\n## 10. "):design.index("\n## 11. ")]
+    bullets = set(re.findall(r"^- `(REP\d{3})`", section, re.MULTILINE))
+    assert table - engine_codes == set(RULES_BY_ID)
+    assert bullets - engine_codes == set(RULES_BY_ID)
 
 
 def test_lint_sources_accepts_explicit_rule_subset():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bulk import bulk_load, insertion_load
 from repro.gist import validate_tree
+from repro.storage.diskfile import FilePageFile
 from repro.storage.pagefile import MemoryPageFile
 
 from tests.conftest import brute_knn, make_ext
@@ -75,6 +76,62 @@ class TestBulkLoad:
         tree = bulk_load(make_ext("rtree", 2), pts, page_size=4096)
         assert tree.height == 1
         validate_tree(tree, expected_size=20)
+
+    def test_xjb_page_file_build_answers_knn_exactly(self, tmp_path):
+        keys = np.random.default_rng(7).normal(size=(6_000, 5))
+        ext = make_ext("xjb", 5)
+        store = FilePageFile.for_extension(str(tmp_path / "x.pages"), ext,
+                                           page_size=4096)
+        tree = bulk_load(ext, keys, page_size=4096, store=store)
+        query = keys[123]
+        got = [rid for _, rid in tree.knn(query, 10)]
+        brute = np.argsort(np.linalg.norm(keys - query, axis=1),
+                           kind="stable")[:10]
+        assert got == brute.tolist()
+        store.close()
+
+
+class TestIngress:
+    """Every input is checked before the store allocates a page."""
+
+    @staticmethod
+    def _rejected(tmp_path, match, keys, **kwargs):
+        ext = make_ext("rtree", 3)
+        path = tmp_path / "t.pages"
+        store = FilePageFile.for_extension(str(path), ext, page_size=4096)
+        with pytest.raises(ValueError, match=match):
+            bulk_load(ext, keys, page_size=4096, store=store, **kwargs)
+        store.flush()
+        assert path.stat().st_size == 0
+        assert store.allocate() == 1    # no page id was handed out
+        store.close()
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_key_width(self, tmp_path, width):
+        keys = np.random.default_rng(0).normal(size=(500, width))
+        self._rejected(tmp_path, r"\(n, 3\)", keys)
+
+    def test_wrong_key_width_in_memory(self):
+        # An in-memory store has no codec to trip over the width, so
+        # only the ingress check stops 4-wide keys in a 3-D tree.
+        store = MemoryPageFile()
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            bulk_load(make_ext("rtree", 3),
+                      np.random.default_rng(0).normal(size=(500, 4)),
+                      store=store)
+        assert len(store) == 0
+
+    def test_non_integer_rids(self, tmp_path):
+        # rids=[0.5] * n used to be truncated to rid 0 for every key.
+        keys = np.random.default_rng(0).normal(size=(500, 3))
+        self._rejected(tmp_path, "integers", keys, rids=[0.5] * 500)
+
+    def test_invalid_fill_on_empty_keys(self, tmp_path):
+        self._rejected(tmp_path, "fill", np.empty((0, 3)), fill=0.0)
+
+    def test_unknown_order_on_empty_keys(self, tmp_path):
+        self._rejected(tmp_path, "ordering", np.empty((0, 3)),
+                       order="bogus")
 
 
 class TestInsertionLoad:

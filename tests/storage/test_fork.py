@@ -1,93 +1,6 @@
-"""Fork plumbing: cgroup CPU quotas and shard arithmetic.
+"""Fork plumbing: shard arithmetic."""
 
-``usable_cpus`` takes a ``cgroup_root`` so these tests fake the cgroup
-tree on disk — no container required.  The affinity side of the min()
-is whatever the test process really has, so assertions compare against
-it rather than hard-coding core counts.
-"""
-
-import os
-
-import pytest
-
-from repro.storage.fork import (_cgroup_cpu_quota, shard_bounds,
-                                usable_cpus)
-
-
-def affinity():
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def v2_tree(tmp_path, cpu_max):
-    (tmp_path / "cpu.max").write_text(cpu_max)
-    return str(tmp_path)
-
-
-def v1_tree(tmp_path, quota_us, period_us=100_000):
-    cpu = tmp_path / "cpu"
-    cpu.mkdir()
-    (cpu / "cpu.cfs_quota_us").write_text(f"{quota_us}\n")
-    (cpu / "cpu.cfs_period_us").write_text(f"{period_us}\n")
-    return str(tmp_path)
-
-
-class TestCgroupV2:
-    def test_whole_cpu_quota(self, tmp_path):
-        assert _cgroup_cpu_quota(v2_tree(tmp_path, "200000 100000\n")) == 2
-
-    def test_fractional_quota_rounds_up(self, tmp_path):
-        # 1.5 CPUs of bandwidth keeps two workers busy part-time;
-        # rounding down would idle guaranteed bandwidth.
-        assert _cgroup_cpu_quota(v2_tree(tmp_path, "150000 100000\n")) == 2
-
-    def test_sub_cpu_quota_clamps_to_one(self, tmp_path):
-        assert _cgroup_cpu_quota(v2_tree(tmp_path, "50000 100000\n")) == 1
-
-    def test_max_means_unlimited(self, tmp_path):
-        assert _cgroup_cpu_quota(v2_tree(tmp_path, "max 100000\n")) == 0
-
-    def test_quota_without_period_defaults_to_100ms(self, tmp_path):
-        assert _cgroup_cpu_quota(v2_tree(tmp_path, "400000\n")) == 4
-
-    def test_malformed_file_is_unlimited(self, tmp_path):
-        assert _cgroup_cpu_quota(v2_tree(tmp_path, "banana split\n")) == 0
-
-
-class TestCgroupV1:
-    def test_quota_over_period(self, tmp_path):
-        assert _cgroup_cpu_quota(v1_tree(tmp_path, 300_000)) == 3
-
-    def test_fractional_quota_rounds_up(self, tmp_path):
-        assert _cgroup_cpu_quota(v1_tree(tmp_path, 250_000)) == 3
-
-    def test_negative_quota_means_unlimited(self, tmp_path):
-        assert _cgroup_cpu_quota(v1_tree(tmp_path, -1)) == 0
-
-    def test_v2_wins_when_both_exist(self, tmp_path):
-        v1_tree(tmp_path, 800_000)
-        v2_tree(tmp_path, "100000 100000\n")
-        assert _cgroup_cpu_quota(str(tmp_path)) == 1
-
-
-class TestUsableCpus:
-    def test_no_cgroup_tree_falls_back_to_affinity(self, tmp_path):
-        assert usable_cpus(str(tmp_path / "nope")) == affinity()
-
-    def test_quota_caps_affinity(self, tmp_path):
-        root = v2_tree(tmp_path, "100000 100000\n")
-        assert usable_cpus(root) == min(affinity(), 1)
-
-    def test_generous_quota_never_raises_the_count(self, tmp_path):
-        root = v2_tree(tmp_path, "6400000 100000\n")  # 64 CPUs of quota
-        assert usable_cpus(root) == affinity()
-
-    def test_default_root_stays_positive(self):
-        # Whatever environment runs the tests, the answer is a usable
-        # worker count.
-        assert usable_cpus() >= 1
+from repro.storage.fork import shard_bounds
 
 
 class TestShardBounds:

@@ -66,6 +66,12 @@ def _leaf_image(codec, dim=2, n=3, page_id=7):
     return codec.encode(page_id, 0, entries)
 
 
+def _unsealed(image):
+    """``image`` as a legacy page written before checksums: crc and
+    epoch (bytes 16:24) zero."""
+    return image[:16] + bytes(8) + image[24:]
+
+
 #: three gather chunks and a ragged tail, so every alignment of the
 #: buffer end against the 256-byte chunk grid is reachable.
 _MAX_LEN = 3 * 256 + 7
@@ -188,12 +194,10 @@ class TestSeal:
         assert (page_id, level, len(entries)) == (7, 0, 3)
 
     def test_legacy_unsealed_image_accepted(self):
-        codec = NodeCodec(256, LeafEntryCodec(2),
-                          IndexEntryCodec(RectCodec(2)), checksums=False)
-        image = _leaf_image(codec)
+        image = _unsealed(_leaf_image(_codec()))
         assert stored_seal(image) == (0, 0)
         assert verify_image(image) == 0   # legacy: verification skipped
-        # A checksumming codec still decodes it (back-compat).
+        # The codec still decodes it (back-compat).
         page_id, _, _ = _codec().decode(image)
         assert page_id == 7
 
@@ -285,9 +289,8 @@ class TestVerifiersAgree:
         assert set(self._verdicts(image, tmp_path)) == {FORMAT_EPOCH}
 
     def test_unsealed_legacy_page(self, tmp_path):
-        codec = NodeCodec(256, LeafEntryCodec(2),
-                          IndexEntryCodec(RectCodec(2)), checksums=False)
-        assert set(self._verdicts(_leaf_image(codec), tmp_path)) == {0}
+        image = _unsealed(_leaf_image(_codec()))
+        assert set(self._verdicts(image, tmp_path)) == {0}
 
     @pytest.mark.parametrize("region", sorted(_REGIONS))
     def test_flipped_bit_in_each_region(self, region, tmp_path):
