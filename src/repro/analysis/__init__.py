@@ -1,17 +1,18 @@
 """Static analysis for the repro codebase: amlint + treecheck.
 
-Four PRs of performance and robustness work accumulated invariants that
-were documented but enforced by nothing — determinism of builds,
-fork safety of worker processes, the typed storage exception
-discipline, the zero-copy serving contract, and the on-disk page
-format.  Following the paper's amdb philosophy of *measuring* access
-method health instead of assuming it, this package machine-checks those
-invariants:
+Performance and robustness work accumulated invariants that were
+documented but enforced by nothing — determinism of builds, writes
+through the WAL wrapper, the typed storage exception discipline, the
+zero-copy serving contract, and the on-disk page format.  Following the
+paper's amdb philosophy of *measuring* access method health instead of
+assuming it, this package machine-checks those invariants:
 
 - :mod:`repro.analysis.amlint` — an AST-based linter with repo-specific
-  rules (``repro lint``).  Each rule has a stable ID, a severity, and
-  per-line ``# amlint: disable=RULE`` suppressions; output is human or
-  JSON.
+  per-node rules (``repro lint``).  Each rule has a stable ID, a
+  severity, and per-line ``# amlint: disable=RULE`` suppressions;
+  output is human or JSON.  Orderings along control-flow paths (the
+  WAL commit, the serving worker's post-fork reopen) are pinned by
+  runtime tests, not lint rules.
 - :mod:`repro.analysis.treecheck` — a structural verifier that extends
   the page-level ``fsck`` to index semantics: bounding-predicate
   containment, JB/XJB bite emptiness, reachability against the

@@ -113,7 +113,7 @@ def parse_suppressions(text: str) -> Dict[int, Set[str]]:
 
     Only real ``#`` comments count — tokenized, so a docstring that
     *documents* the suppression syntax suppresses nothing.  A line may
-    carry several IDs (``disable=REP601,REP701``) and several
+    carry several IDs (``disable=REP101,REP302``) and several
     ``disable=`` clauses; each ID is validated individually downstream.
     """
     out: Dict[int, Set[str]] = {}
@@ -249,58 +249,6 @@ def lint_paths(paths: Sequence[str],
     findings.extend(lint_sources(modules, rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return LintReport(findings=findings, files_checked=len(files))
-
-
-# ---------------------------------------------------------------------------
-# baselines: land WARNING-tier (or newly strict) rules without blocking
-# ---------------------------------------------------------------------------
-
-def finding_fingerprint(finding: Finding) -> str:
-    """A stable identity for baseline comparison.
-
-    Keyed on (rule, package-relative path, message) — deliberately NOT
-    the line number, so unrelated edits shifting a known finding down
-    the file do not resurrect it as "new".  Two identical findings in
-    one file share a fingerprint; the baseline waves off both, which is
-    the right trade for a don't-block-on-old-debt mechanism.
-    """
-    return f"{finding.rule}|{module_relpath(finding.path)}|{finding.message}"
-
-
-def baseline_document(report: LintReport) -> str:
-    """Serialize the report's finding fingerprints as a baseline file."""
-    doc = {
-        "tool": "amlint-baseline",
-        "fingerprints": sorted({finding_fingerprint(f)
-                                for f in report.findings}),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def load_baseline(path: str) -> Set[str]:
-    """Read a baseline file; missing file means an empty baseline."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        return set()
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unreadable baseline {path}: {exc}") from exc
-    return {str(fp) for fp in doc.get("fingerprints", [])}
-
-
-def apply_baseline(report: LintReport,
-                   fingerprints: Set[str]) -> Tuple[LintReport, int]:
-    """Drop findings the baseline already acknowledges.
-
-    Returns the filtered report plus the number of findings waved off;
-    the caller's exit code then reflects only *new* errors.
-    """
-    kept = [f for f in report.findings
-            if finding_fingerprint(f) not in fingerprints]
-    waved = len(report.findings) - len(kept)
-    return LintReport(findings=kept,
-                      files_checked=report.files_checked), waved
 
 
 def format_findings(report: LintReport) -> str:

@@ -2,9 +2,10 @@
 
 Every rule encodes one invariant that earlier PRs established by
 convention and DESIGN.md records in prose — here they become machine
-checks that run on every commit.  Rules are scoped to the subsystems
-whose contract they guard; see DESIGN.md §10 for the full catalog with
-rationale and examples.
+checks that run on every commit.  Each rule matches single AST nodes
+(REP501 compares classes across files); none follows control flow.
+Rules are scoped to the subsystems whose contract they guard; see
+DESIGN.md §10 for the full catalog with rationale and examples.
 
 ================  ========  =====================================================
 ID                severity  invariant
@@ -13,11 +14,6 @@ ID                severity  invariant
 ``REP102``        error     RNG construction must thread an explicit seed
 ``REP104``        error     mutation paths write pages through the WAL
                             wrapper, never the raw page file beneath it
-``REP203``        error     serving daemon worker entrypoints reopen
-                            file-backed stores after the fork
-``REP205``        error     no parent-only handle acquisition (socketpair,
-                            Process, shm create, os.fork) reachable from a
-                            fork worker through the module call graph
 ``REP301``        error     no bare/broad ``except`` that swallows in
                             ``storage/`` and ``gist/``
 ``REP302``        error     storage paths raise ``StorageError`` subclasses,
@@ -29,20 +25,11 @@ ID                severity  invariant
                             on decoded blocks) in query hot paths
 ``REP501``        error     page-file protocol implementers define every
                             protocol method with a matching signature
-``REP601``        error     raw fds (``os.open``/``os.pipe``) and socketpair
-                            sockets reach close on every CFG path
-``REP602``        error     owning ``SharedMemory`` segments reach ``unlink``
-                            (not just close), mmaps reach close, on every path
-``REP603``        error     forked ``Process`` handles reach join/terminate
-                            on every path
-``REP701``        error     WAL protocol ordering: images logged before
-                            applied, data file fsynced before log reset
 ================  ========  =====================================================
 
-The REP6xx family, REP701 and REP205 run on the CFG/dataflow engine
-(:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`) rather
-than per-node matching; see DESIGN.md §15 for the lattice and call
-graph construction.
+Orderings and lifecycles (WAL log-before-apply and fsync-before-reset,
+the serving worker's post-fork reopen) are pinned by runtime tests in
+``tests/storage/test_wal.py`` and ``tests/serving/``, not by lint rules.
 """
 
 from __future__ import annotations
@@ -51,10 +38,6 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.amlint import ERROR, WARNING, Finding, ModuleSource
-from repro.analysis.cfg import CFG, build_cfg, iter_functions
-from repro.analysis.dataflow import (CallGraph, ForwardAnalysis,
-                                     ResourceSpec, call_name, calls_at,
-                                     find_leaks, name_matches)
 
 #: packages whose structure must be a pure function of (data, seed).
 _DETERMINISM_SCOPE = ("bulk/", "gist/", "geometry/")
@@ -270,156 +253,6 @@ class _FunctionStackVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self.calls.append((node, tuple(self.stack)))
         self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# fork safety
-# ---------------------------------------------------------------------------
-
-def _fork_entrypoints(tree: ast.Module) -> Set[str]:
-    """Functions that run on the child side of a fork: module-level
-    ``_worker*`` defs plus any module-level def handed to a
-    ``Process(target=...)`` constructor anywhere in the module."""
-    defs = {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    entries = {name for name in defs if name.startswith("_worker")}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not (dotted_name(node.func) or "").endswith("Process"):
-            continue
-        for kw in node.keywords:
-            if kw.arg != "target":
-                continue
-            target = (dotted_name(kw.value) or "").split(".")[-1]
-            if target in defs:
-                entries.add(target)
-    return entries
-
-
-def _reaches_reopen(graph: CallGraph, entry: str) -> bool:
-    """Does any function reachable from ``entry`` call a reopen helper?
-    Matched by suffix so module-level aliases (``_reopen_files =
-    reopen_files``) count the way they always have."""
-    return any(name.endswith("reopen_files")
-               for name in graph.reachable_calls(entry))
-
-
-def _own_calls(func: ast.AST) -> List[ast.Call]:
-    """Call sites lexically inside ``func``, excluding nested defs
-    (those are their own call-graph nodes)."""
-    calls: List[ast.Call] = []
-
-    class _V(ast.NodeVisitor):
-        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-            if node is not func:
-                return
-            self.generic_visit(node)
-
-        visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-        def visit_Call(self, node: ast.Call) -> None:
-            calls.append(node)
-            self.generic_visit(node)
-
-    _V().visit(func)
-    return calls
-
-
-class DaemonReopenRule(Rule):
-    """REP203: daemon worker entrypoints reopen stores after the fork.
-
-    The serving daemon forks long-lived workers that keep reading their
-    shard's page file for the life of the process — a shared inherited
-    file offset there is not a transient race but a permanent
-    corruption source under concurrent queries.  Any function in
-    ``serving/`` that runs on the child side of the fork — named
-    ``_worker*`` by the repo convention, or handed to a
-    ``Process(target=...)`` constructor defined in the same module —
-    must reach a ``reopen_files`` helper before serving, where "reach"
-    is real call-graph reachability: the reopen may live in any helper
-    the entrypoint calls into.
-    """
-
-    id = "REP203"
-    title = "daemon workers must reopen stores post-fork"
-    scopes = ("serving/",)
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        graph = CallGraph.build(module.tree)
-        defs = {node.name: node for node in module.tree.body
-                if isinstance(node,
-                              (ast.FunctionDef, ast.AsyncFunctionDef))}
-        for name in sorted(_fork_entrypoints(module.tree)):
-            func = defs[name]
-            if _reaches_reopen(graph, name):
-                continue
-            yield self.finding(
-                module, func,
-                f"daemon worker {name}() never calls a "
-                f"reopen_files helper (directly or through any function "
-                f"it can reach); a long-lived forked worker sharing the "
-                f"parent's file offset corrupts concurrent page reads")
-
-
-class ForkReachabilityRule(Rule):
-    """REP205: no parent-only acquisition reachable from a fork worker.
-
-    The name-heuristic rule REP203 asks whether a worker reopens what
-    it inherited; this rule asks the dual question with
-    the same call graph: can a worker *reach* code that acquires a
-    parent-side handle?  A forked child that creates its own
-    ``socketpair``, forks again, constructs a ``Process``, or creates a
-    shm segment is almost always a refactor accident — those
-    acquisitions belong to the coordinator, and a child-side copy
-    leaks a kernel object per request or double-forks the daemon.
-    ``SharedMemory(create=False)`` attaches — that is exactly what a
-    worker *should* do — so only creating acquisitions count.
-    """
-
-    id = "REP205"
-    title = "no parent-only handle acquisition reachable from fork workers"
-    scopes = ("serving/", "bulk/", "workload/")
-
-    def _parent_only(self, call: ast.Call) -> Optional[str]:
-        dotted = call_name(call)
-        if name_matches(dotted, ("socketpair",)):
-            return "socketpair()"
-        if dotted == "os.fork":
-            return "os.fork()"
-        if name_matches(dotted, ("Process",)):
-            return "Process construction"
-        if name_matches(dotted, ("SharedMemory",)):
-            for kw in call.keywords:
-                if kw.arg == "create" and \
-                        isinstance(kw.value, ast.Constant) and \
-                        kw.value.value is True:
-                    return "SharedMemory(create=True)"
-        return None
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        entries = _fork_entrypoints(module.tree)
-        if not entries:
-            return
-        graph = CallGraph.build(module.tree)
-        reached_by: Dict[str, Set[str]] = {}
-        for entry in sorted(entries):
-            for name in graph.reachable([entry]):
-                reached_by.setdefault(name, set()).add(entry)
-        for name in sorted(reached_by):
-            for func in graph.defs.get(name, []):
-                for call in _own_calls(func):
-                    what = self._parent_only(call)
-                    if what is None:
-                        continue
-                    entries_str = ", ".join(
-                        f"{e}()" for e in sorted(reached_by[name]))
-                    yield self.finding(
-                        module, call,
-                        f"{what} in {name}() is reachable from fork "
-                        f"entrypoint {entries_str}; parent-only handle "
-                        f"acquisitions must stay on the coordinator "
-                        f"side of the fork")
 
 
 # ---------------------------------------------------------------------------
@@ -786,243 +619,17 @@ class ProtocolConformanceRule(Rule):
                             f"mismatch: {why}")
 
 
-# ---------------------------------------------------------------------------
-# resource lifecycle (CFG/dataflow)
-# ---------------------------------------------------------------------------
-
-class _Loc:
-    """A bare source location for findings not tied to one AST node."""
-
-    def __init__(self, line: int, col: int = 0) -> None:
-        self.lineno = line
-        self.col_offset = col
-
-
-def _path_phrase(path: str) -> str:
-    return {"exit": "on a normal path",
-            "raise_exit": "on an exception path",
-            "exit+raise_exit": "on normal and exception paths"}.get(
-                path, path)
-
-
-class _ResourceLifecycleRule(Rule):
-    """Shared machinery for the REP6xx family: run the resource-state
-    lattice (:mod:`repro.analysis.dataflow`) over every function's CFG
-    and report acquisitions that may reach an exit un-discharged.
-
-    The analysis is escape-aware — a handle that is returned, stored
-    into an object or container, or passed to another call transfers
-    its release duty and is never reported — and exception-aware: the
-    sanctioned ``BufferError`` teardown idiom (a ``close``/``unlink``
-    that itself raises) counts as discharged on its own raise edge.
-    """
-
-    specs: Tuple[ResourceSpec, ...] = ()
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for func in iter_functions(module.tree):
-            for leak in find_leaks(func, self.specs):
-                res = leak.resource
-                yield self.finding(
-                    module, _Loc(res.line),
-                    f"{res.kind} {res.var!r} acquired in {func.name}() "
-                    f"may never reach {res.duty} "
-                    f"({_path_phrase(leak.path)}); discharge it in a "
-                    f"finally/except cleanup on every path")
-
-
-#: os functions that read/write *through* a descriptor without taking
-#: ownership of it — passing an fd to these is a use, not an escape.
-_FD_USES = ("os.read", "os.write", "os.pread", "os.pwrite", "os.lseek",
-            "os.fsync", "os.fstat", "os.ftruncate", "os.fdatasync")
-
-
-class FdLifecycleRule(_ResourceLifecycleRule):
-    """REP601: raw descriptors reach ``close`` on every CFG path.
-
-    Tracks ``os.open`` / ``os.pipe`` descriptors and ``socketpair``
-    pairs.  File *objects* from ``open()`` are deliberately out of
-    scope — they own their descriptor and ``with`` handles them — the
-    raw-fd APIs are the ones with nothing watching their back.
-    """
-
-    id = "REP601"
-    title = "raw fds and socketpairs must reach close on every path"
-    scopes = ("serving/", "storage/", "bulk/", "workload/")
-
-    specs = (
-        ResourceSpec(kind="fd", acquires=("os.open",), releases=(),
-                     release_funcs=("os.close",), duty="os.close()",
-                     use_funcs=_FD_USES),
-        ResourceSpec(kind="pipe fd", acquires=("os.pipe",), releases=(),
-                     release_funcs=("os.close",), arity=2,
-                     duty="os.close()", use_funcs=_FD_USES),
-        ResourceSpec(kind="socket", acquires=("socketpair",),
-                     releases=("close",), arity=2, duty=".close()"),
-    )
-
-
-class SegmentLifecycleRule(_ResourceLifecycleRule):
-    """REP602: shm segments and mmaps reach unlink/close on every path.
-
-    A ``SharedMemory(create=True)`` segment is a *named kernel object*:
-    a missed ``unlink`` outlives the process as a ``/dev/shm`` entry
-    (the PR 9 leak class), so for owning acquisitions only ``unlink``
-    discharges the duty — ``close`` alone merely drops the mapping.
-    Attaching (``create=False``) carries no unlink duty and is not
-    tracked.  ``mmap.mmap`` maps discharge with ``close``.
-    """
-
-    id = "REP602"
-    title = "shm segments must reach unlink, mmaps close, on every path"
-    scopes = ("serving/", "storage/")
-
-    specs = (
-        ResourceSpec(kind="shm segment", acquires=("SharedMemory",),
-                     releases=("unlink",),
-                     require_kwarg=("create", True), duty=".unlink()"),
-        ResourceSpec(kind="mmap", acquires=("mmap.mmap",),
-                     releases=("close",), duty=".close()"),
-    )
-
-
-class ProcessLifecycleRule(_ResourceLifecycleRule):
-    """REP603: forked ``Process`` handles reach join on every path.
-
-    An unjoined child is a zombie holding its exit status (and, for
-    daemon workers, its inherited descriptors) until the parent exits.
-    ``terminate``/``kill`` count too: the repo's retire path terminates
-    then joins, and either call proves the handle was not forgotten.
-    """
-
-    id = "REP603"
-    title = "forked Process handles must reach join on every path"
-    scopes = ("serving/", "bulk/", "workload/")
-
-    specs = (
-        ResourceSpec(kind="process", acquires=("Process",),
-                     releases=("join", "terminate", "kill"),
-                     duty=".join()"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# protocol state machines (CFG/dataflow)
-# ---------------------------------------------------------------------------
-
-_WalState = Tuple[frozenset, frozenset]
-
-
-class _WalAnalysis(ForwardAnalysis):
-    """Tracks (logged?, fsynced?) as may-sets through one function."""
-
-    def initial(self) -> _WalState:
-        return (frozenset({"unlogged"}), frozenset({"unsynced"}))
-
-    def join(self, a: _WalState, b: _WalState) -> _WalState:
-        return (a[0] | b[0], a[1] | b[1])
-
-    def transfer(self, node, state):
-        log, sync = state
-        for call in calls_at(node):
-            dotted = call_name(call)
-            if dotted.endswith("append_transaction"):
-                log = frozenset({"logged"})
-                # append_transaction fsyncs the log before returning,
-                # so the log is durable from here on.
-                sync = frozenset({"synced"})
-            elif dotted.endswith("fsync"):
-                sync = frozenset({"synced"})
-            elif dotted.split(".")[-1] == "begin":
-                log = frozenset({"unlogged"})
-        out = (log, sync)
-        return out, out
-
-
-class WalDisciplineRule(Rule):
-    """REP701: the WAL commit protocol, as a dataflow state machine.
-
-    Two orderings make crash recovery sound, and both are invisible to
-    a per-node matcher because they are *orderings*:
-
-    - **log before apply** — in any function that is not itself the
-      redo machinery, a call to ``_apply_images``/``_write_raw`` must
-      be dominated by an ``append_transaction`` call: images reach the
-      durable log (which fsyncs internally) before any byte of the
-      data file moves.
-    - **fsync before reset** — truncating the log (``wal.reset()``)
-      while the data file may still be unsynced turns a crash into
-      silent data loss; an ``os.fsync`` must dominate the reset.
-
-    The redo machinery itself (apply/tear/recover/... by the REP104
-    naming convention) is exempt from the first check — it *is* the
-    sanctioned applier — but nothing is exempt from the second except
-    ``reset`` itself.
-    """
-
-    id = "REP701"
-    title = "WAL writes are logged before applied, fsynced before reset"
-    scopes = ("storage/wal",)
-
-    _APPLIERS = frozenset({"_apply_images", "_write_raw"})
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for func in iter_functions(module.tree):
-            stripped = func.name.lstrip("_")
-            check_apply = not stripped.startswith(
-                UnloggedWriteRule._EXEMPT_PREFIXES)
-            check_reset = not stripped.startswith(("reset", "clear"))
-            if not (check_apply or check_reset):
-                continue
-            cfg = build_cfg(func)
-            states = _WalAnalysis().run(cfg)
-            for node in cfg.stmt_nodes():
-                state = states.get(node.id)
-                if state is None:
-                    continue  # unreachable
-                log, sync = state
-                for call in calls_at(node):
-                    func_expr = call.func
-                    attr = (func_expr.attr
-                            if isinstance(func_expr, ast.Attribute)
-                            else "")
-                    if check_apply and attr in self._APPLIERS \
-                            and "unlogged" in log:
-                        yield self.finding(
-                            module, call,
-                            f"{attr}() in {func.name}() can run before "
-                            f"append_transaction() on some path; pages "
-                            f"must reach the durable log before the "
-                            f"data file")
-                    if check_reset and attr == "reset":
-                        chain = (dotted_name(func_expr.value) or "")
-                        if "wal" in chain.split(".") \
-                                and "unsynced" in sync:
-                            yield self.finding(
-                                module, call,
-                                f"wal.reset() in {func.name}() can run "
-                                f"before os.fsync() of the data file; "
-                                f"truncating the log first loses the "
-                                f"only durable copy of applied pages")
-
-
 #: every rule amlint runs, in catalog order.
 ALL_RULES: List[Rule] = [
     WallClockRule(),
     SeededRngRule(),
     UnloggedWriteRule(),
-    DaemonReopenRule(),
-    ForkReachabilityRule(),
     BroadExceptRule(),
     TypedRaiseRule(),
     ZeroCopyRule(),
     CopyInDecodeRule(),
     EagerDequantizeRule(),
     ProtocolConformanceRule(),
-    FdLifecycleRule(),
-    SegmentLifecycleRule(),
-    ProcessLifecycleRule(),
-    WalDisciplineRule(),
 ]
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

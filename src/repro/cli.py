@@ -26,7 +26,6 @@ Covers the end-to-end workflow a downstream user needs:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -267,48 +266,11 @@ def _cmd_crashtest(args) -> int:
     return 0 if report.clean else 1
 
 
-def _diff_paths(ref: str, paths) -> list:
-    """The subset of ``paths`` changed since git ref ``ref``."""
-    import subprocess
-
-    out = subprocess.run(
-        ["git", "diff", "--name-only", ref, "--"],
-        capture_output=True, text=True, check=True).stdout
-    changed = [os.path.abspath(line) for line in out.splitlines() if line]
-    roots = [os.path.abspath(p) for p in paths]
-    return [c for c in changed
-            if c.endswith(".py") and os.path.exists(c)
-            and any(c == r or c.startswith(r + os.sep) for r in roots)]
-
-
 def _cmd_lint(args) -> int:
     from repro.analysis import (findings_to_json, format_findings,
                                 lint_paths)
-    from repro.analysis.amlint import (apply_baseline, baseline_document,
-                                       load_baseline)
 
-    paths = args.paths
-    if args.diff is not None:
-        paths = _diff_paths(args.diff, paths)
-        if not paths:
-            print("amlint: no linted files changed since "
-                  f"{args.diff}")
-            return 0
-    report = lint_paths(paths)
-    if args.update_baseline:
-        with open(args.update_baseline, "w") as fh:
-            fh.write(baseline_document(report))
-        print(f"amlint: baseline of {len(report.findings)} finding(s) "
-              f"written to {args.update_baseline}")
-        return 0
-    waived = 0
-    if args.baseline is not None:
-        try:
-            fingerprints = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"amlint: bad baseline: {exc}")
-            return 2
-        report, waived = apply_baseline(report, fingerprints)
+    report = lint_paths(args.paths)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(findings_to_json(report))
@@ -316,8 +278,6 @@ def _cmd_lint(args) -> int:
         print(findings_to_json(report), end="")
     else:
         print(format_findings(report))
-        if waived:
-            print(f"amlint: {waived} baselined finding(s) waived")
     return report.exit_code
 
 
@@ -472,15 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write the JSON findings document (the "
                         "CI artifact format)")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="waive findings whose fingerprints appear in "
-                        "this baseline file; only new findings fail")
-    p.add_argument("--update-baseline", metavar="PATH", default=None,
-                   help="write the current findings as the new "
-                        "baseline and exit 0")
-    p.add_argument("--diff", metavar="REF", default=None,
-                   help="lint only files changed since this git ref "
-                        "(intersected with the given paths)")
     p.set_defaults(func=_cmd_lint)
 
     return parser

@@ -35,29 +35,22 @@ def lint_fixtures(*names):
 # ---------------------------------------------------------------------------
 
 # Rows are keyed by a fixed slot that is part of the test id, so
-# retiring a rule does not rename its neighbours' tests (slots 2 and 3
-# held two retired fork-safety rules of the bulk loader).
+# retiring a rule does not rename its neighbours' tests (the missing
+# slots held retired fork-safety, resource-lifecycle and WAL-ordering
+# rules).
 POSITIVE = {
     0: ("REP101", ["bulk/bad_wallclock.py"], 2),
     1: ("REP102", ["geometry/bad_rng.py"], 2),
-    4: ("REP203", ["serving/bad_daemon.py"], 2),
-    5: ("REP701", ["storage/wal_bad.py"], 2),
     6: ("REP104", ["gist/mutable.py"], 2),
     7: ("REP301", ["storage/bad_except.py"], 2),
     8: ("REP302", ["storage/bad_raise.py"], 3),
     9: ("REP401", ["storage/codecs.py"], 3),
     10: ("REP501", ["storage/__init__.py", "storage/badstore.py"], 2),
-    11: ("REP205", ["serving/forked_acquirer.py"], 2),
-    12: ("REP601", ["serving/leaky_fds.py"], 2),
-    13: ("REP602", ["serving/leaky_segment.py"], 2),
-    14: ("REP603", ["serving/leaky_process.py"], 1),
 }
 
 NEGATIVE = {
     0: ("REP101", ["bulk/good_wallclock.py"]),
     1: ("REP102", ["geometry/good_rng.py"]),
-    4: ("REP203", ["serving/good_daemon.py"]),
-    5: ("REP701", ["storage/wal_good.py"]),
     6: ("REP104", ["gist/tree.py"]),
     7: ("REP301", ["storage/good_except.py"]),
     8: ("REP302", ["storage/good_raise.py"]),
@@ -65,10 +58,6 @@ NEGATIVE = {
     10: ("REP402", ["storage/diskfile.py"]),
     11: ("REP403", ["gist/good_dequant.py"]),
     12: ("REP501", ["storage/__init__.py", "storage/goodstore.py"]),
-    13: ("REP205", ["serving/forked_clean.py"]),
-    14: ("REP601", ["serving/clean_fds.py"]),
-    15: ("REP602", ["serving/clean_segment.py"]),
-    16: ("REP603", ["serving/clean_process.py"]),
 }
 
 
@@ -125,6 +114,60 @@ def test_encode_paths_are_exempt_from_zero_copy():
     # encode_block's .tobytes() lives on line 20; every REP401 finding
     # must sit inside decode_block instead.
     assert all(f.line < 18 for f in report.findings if f.rule == "REP401")
+
+
+# ---------------------------------------------------------------------------
+# every ERROR rule fires on a one-line mutation of the live tree
+# ---------------------------------------------------------------------------
+
+# (rule, files copied from src/repro, anchor, replacement): the last
+# file listed is the one mutated.  The fixtures above pin each rule's
+# shape; these pin that the rule still reaches the real code it was
+# written to guard.
+LIVE_MUTATIONS = [
+    ("REP101", ["bulk/loader.py"],
+     "t_start = time.perf_counter()", "t_start = time.time()"),
+    ("REP102", ["geometry/bites.py"],
+     "default_rng(seed)", "default_rng()"),
+    ("REP104", ["gist/tree.py"],
+     "self.store.write(node)", "self.store.base.write(node)"),
+    ("REP301", ["storage/diskfile.py"],
+     "except BufferError:", "except Exception:"),
+    ("REP302", ["storage/diskfile.py"],
+     'raise PageMissingError("page ids start at 1"',
+     'raise KeyError("page ids start at 1"'),
+    ("REP401", ["storage/diskfile.py"],
+     "return memoryview(self._map)[start:start + self.page_size]",
+     "return bytes(memoryview(self._map)[start:start + self.page_size])"),
+    ("REP501", ["storage/__init__.py", "storage/diskfile.py"],
+     "def read_many(self, page_ids: Sequence[int]) -> List[Node]:",
+     "def read_many(self, page_ids: Sequence[int],\n"
+     "                  limit: int) -> List[Node]:"),
+]
+
+
+@pytest.mark.parametrize("rule_id,relpaths,old,new", LIVE_MUTATIONS,
+                         ids=[row[0] for row in LIVE_MUTATIONS])
+def test_rule_fires_on_mutated_live_source(tmp_path, rule_id, relpaths,
+                                           old, new):
+    # A ``repro`` path component gives the copies the real scoping.
+    copies = []
+    for relpath in relpaths:
+        copy = tmp_path / "repro" / relpath
+        copy.parent.mkdir(parents=True, exist_ok=True)
+        copy.write_text((REPO_SRC / relpath).read_text())
+        copies.append(str(copy))
+    clean = lint_paths(copies)
+    assert clean.errors == [], format_findings(clean)
+
+    mutated = Path(copies[-1])
+    source = mutated.read_text()
+    assert old in source, f"mutation anchor missing in {relpaths[-1]}"
+    mutated.write_text(source.replace(old, new, 1))
+    report = lint_paths(copies)
+    assert {f.rule for f in report.errors} == {rule_id}, \
+        format_findings(report)
+    assert report.exit_code == 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,57 +303,6 @@ def test_cli_lint_writes_json_artifact(tmp_path, capsys):
     assert rc == 1
     doc = json.loads(artifact.read_text())
     assert "REP401" in {f["rule"] for f in doc["findings"]}
-
-
-def test_cli_update_baseline_then_baseline_waives_everything(tmp_path,
-                                                             capsys):
-    from repro.cli import main
-    target = str(FIXTURES / "bulk" / "bad_wallclock.py")
-    baseline = tmp_path / "BASELINE.json"
-    assert main(["lint", target,
-                 "--update-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    doc = json.loads(baseline.read_text())
-    assert doc["tool"] == "amlint-baseline"
-    assert len(doc["fingerprints"]) > 0
-    # Every finding is baselined: the same lint now exits 0...
-    assert main(["lint", target, "--baseline", str(baseline)]) == 0
-    assert "waived" in capsys.readouterr().out
-    # ...but a file with findings outside the baseline still fails.
-    assert main(["lint", target,
-                 str(FIXTURES / "geometry" / "bad_rng.py"),
-                 "--baseline", str(baseline)]) == 1
-    capsys.readouterr()
-
-
-def test_baseline_fingerprints_survive_line_drift(tmp_path):
-    """Fingerprints carry no line numbers: shifting a finding down a
-    file does not make it 'new'."""
-    from repro.analysis.amlint import baseline_document, load_baseline
-    source = (FIXTURES / "bulk" / "bad_wallclock.py").read_text()
-    # A "fixtures" path component keeps the bulk/ scoping (see
-    # module_relpath); a bare tmp dir would fall back to the basename.
-    orig = tmp_path / "fixtures" / "bulk" / "w.py"
-    orig.parent.mkdir(parents=True)
-    orig.write_text(source)
-    baseline = tmp_path / "b.json"
-    baseline.write_text(baseline_document(lint_paths([str(orig)])))
-    orig.write_text("# a comment pushing every line down\n" + source)
-    from repro.analysis.amlint import apply_baseline
-    report = lint_paths([str(orig)])
-    filtered, waived = apply_baseline(report,
-                                      load_baseline(str(baseline)))
-    assert filtered.findings == []
-    assert waived == len(report.findings) > 0
-
-
-def test_missing_baseline_is_empty_and_bad_baseline_raises(tmp_path):
-    from repro.analysis.amlint import load_baseline
-    assert load_baseline(str(tmp_path / "nope.json")) == set()
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ValueError):
-        load_baseline(str(bad))
 
 
 def test_repo_source_tree_is_lint_clean():

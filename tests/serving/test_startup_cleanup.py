@@ -1,7 +1,8 @@
-"""Regression test for the startup leak amlint v2 surfaced.
+"""A shard whose fork fails must not strand its socketpair fds.
 
-A shard whose fork failed stranded its socketpair fds (found by
-REP601/REP603 on ``start()``).
+``ShardedService.start`` is the only place the repo forks; this pins
+its failure path: both socketpair legs are closed before the error
+propagates, and no handle is registered for the failed shard.
 """
 
 import socket

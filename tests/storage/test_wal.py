@@ -13,10 +13,16 @@ import struct
 import numpy as np
 import pytest
 
+from repro.gist.mutable import MutableTree
+from repro.gist.persist import save_tree
+from repro.gist.tree import GiST
 from repro.storage import PageCorruptError
+from repro.storage import wal as wal_module
+from repro.storage.diskfile import FilePageFile
 from repro.storage.faults import CrashError, CrashInjector, CrashPoint
 from repro.storage.wal import (_HEADER_SIZE, _RECORD, WriteAheadLog,
                                default_wal_path, recover, scan_wal)
+from tests.conftest import make_ext
 
 PAGE = 256
 
@@ -219,3 +225,86 @@ class TestRedoRecovery:
         report = recover(path)
         assert report.transactions_applied == 0
         assert report.clean_log
+
+
+def _record_calls(monkeypatch, log, cls, name):
+    """Append ``name`` to ``log`` on every call of ``cls.name``."""
+    real = getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        log.append(name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+
+
+class TestProtocolOrdering:
+    """The two orderings crash recovery rests on, observed on a live
+    :class:`MutableTree`: a transaction's images reach the durable log
+    before any byte of the data file moves, and the data file is
+    fsynced before the log that could redo it is truncated."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Calls in order: ``(name, inode)`` for an fsync, else the
+        method name."""
+        log = []
+        real_fsync = wal_module.os.fsync
+
+        def fsync(fd):
+            log.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", fsync)
+        _record_calls(monkeypatch, log, WriteAheadLog, "append_transaction")
+        _record_calls(monkeypatch, log, WriteAheadLog, "reset")
+        _record_calls(monkeypatch, log, FilePageFile, "_write_raw")
+        return log
+
+    @pytest.fixture
+    def mt(self, tmp_path):
+        rng = np.random.default_rng(5)
+        tree = GiST(make_ext("rtree", 3), page_size=1024)
+        for rid, key in enumerate(rng.uniform(0.0, 100.0, size=(60, 3))):
+            tree.insert(key, rid)
+        path = str(tmp_path / "index.amdb")
+        save_tree(tree, path)
+        with MutableTree.open(path) as opened:
+            yield opened
+
+    def test_insert_logs_before_it_writes_the_data_file(self, mt, events):
+        mt.insert(np.array([50.0, 50.0, 50.0]), 1000)
+        assert "append_transaction" in events and "_write_raw" in events
+        assert events.index("append_transaction") < \
+            events.index("_write_raw"), events
+
+    def test_checkpoint_fsyncs_the_data_file_before_reset(self, mt, events):
+        mt.insert(np.array([50.0, 50.0, 50.0]), 1000)
+        del events[:]
+        mt.checkpoint()
+        data_sync = ("fsync", os.stat(mt.path).st_ino)
+        assert data_sync in events and "reset" in events
+        assert events.index(data_sync) < events.index("reset"), events
+
+    def test_recover_fsyncs_the_data_file_before_truncating(
+            self, tmp_path, monkeypatch):
+        path = str(tmp_path / "index.amdb")
+        with open(path, "wb") as f:
+            f.write(b"\x00" * PAGE * 3)
+        wal_path = default_wal_path(path)
+        with WriteAheadLog(wal_path, PAGE) as log:
+            log.append_transaction(1, [(1, _image(0x11))], _image(0x01))
+        syncs = []
+        real_fsync = wal_module.os.fsync
+
+        def fsync(fd):
+            # Which file, and how much log was left when it synced.
+            syncs.append((os.fstat(fd).st_ino, os.path.getsize(wal_path)))
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", fsync)
+        assert recover(path).checkpointed
+        data_syncs = [log_bytes for ino, log_bytes in syncs
+                      if ino == os.stat(path).st_ino]
+        assert data_syncs and data_syncs[0] > _HEADER_SIZE, syncs
+        assert os.path.getsize(wal_path) == _HEADER_SIZE
