@@ -20,7 +20,7 @@ ID                severity  invariant
                             never raw ``KeyError``/``OSError``/``struct.error``
 ``REP401``        error     no byte copies (``.tobytes()``, ``bytes(view)``,
                             ``copy=True``) in the serving read path
-``REP402``        warning   ``.copy()`` in a decode path (scalar-compat copies)
+``REP402``        warning   ``.copy()`` in a decode path (decode returns views)
 ``REP403``        warning   eager full-page dequantization (``.astype("f8")``
                             on decoded blocks) in query hot paths
 ``REP501``        error     page-file protocol implementers define every
@@ -436,9 +436,10 @@ class ZeroCopyRule(Rule):
 class CopyInDecodeRule(Rule):
     """REP402 (warning): ``.copy()`` inside a decode path.
 
-    The scalar-compat decode paths copy entry arrays out of page
-    buffers; that is deliberate (legacy per-entry decode) but worth a
-    flag so new hot-path code reaches for ``decode_block`` views first.
+    Every page decodes as views over its buffer
+    (``NodeCodec.decode_node`` through the ``decode_block`` pair), so a
+    copy in a decode path undoes what the block decode saved; the flag
+    keeps new decode code on the views.
     """
 
     id = "REP402"
@@ -454,8 +455,8 @@ class CopyInDecodeRule(Rule):
                     and node.func.attr == "copy":
                 yield self.finding(
                     module, node,
-                    ".copy() in a decode path keeps the scalar-compat "
-                    "copy alive; the zero-copy path is decode_block")
+                    ".copy() in a decode path copies what decode_block "
+                    "returns as a view")
 
 
 #: dtype spellings that mean "materialize the whole block as float64".

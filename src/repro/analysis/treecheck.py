@@ -417,11 +417,13 @@ def deep_scrub(path: str) -> DeepReport:
     """Scrub a saved index page-by-page, then verify index semantics.
 
     The semantic phase needs decodable pages, so it runs whenever the
-    superblock verifies and no slot is corrupt; orphaned slots do not
-    block it (they are precisely what the deep check localizes against
-    the root's reach).  Never raises on damage.
+    superblock verifies and no slot is corrupt.  Orphaned slots and a
+    root, height or size that contradicts the pages do not block it:
+    the pages load through :func:`~repro.gist.persist.load_pages`,
+    without :func:`~repro.gist.persist.load_tree`'s census, so the deep
+    check can localize them by page id.  Never raises on damage.
     """
-    from repro.gist.persist import load_tree
+    from repro.gist.persist import load_pages
     from repro.gist.validate import scrub_file
     from repro.storage.errors import StorageError
 
@@ -435,7 +437,7 @@ def deep_scrub(path: str) -> DeepReport:
                           f"page-level damage defeats semantic checks")
         return report
     try:
-        tree = load_tree(path=path)
+        tree = load_pages(path)
     except (StorageError, ValueError) as exc:
         report.skipped = f"tree does not load: {exc}"
         return report

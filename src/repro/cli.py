@@ -199,12 +199,12 @@ def _cmd_info(args) -> int:
     from repro.gist.persist import load_tree
     from repro.gist.validate import validate_tree
 
-    from repro.amdb import format_tree_report, tree_report
+    from repro.amdb import format_tree_report
 
     tree = load_tree(path=args.index)
-    validate_tree(tree)
+    report = validate_tree(tree)
     print(f"config       : {tree.ext.config() or '{}'}")
-    print(format_tree_report(tree_report(tree)))
+    print(format_tree_report(report.tree_summary))
     print("invariants   : ok")
     return 0
 

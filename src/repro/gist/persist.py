@@ -1,8 +1,13 @@
 """Tree persistence: dump and reload a GiST as real page images.
 
 The byte accounting the tree does in memory is made honest here: every
-node round-trips through the fixed-size node codec into a page-sized
-slot of a single file, with a small JSON superblock in page 0.
+node round-trips through the page codec
+(:class:`~repro.storage.codecs.NodeCodec`) into a page-sized slot of a
+single file, with a small JSON superblock in page 0.  Saving encodes
+all nodes in one batched call; loading verifies every slot's seal in
+one stacked pass and decodes each page lazily, exactly as a page-file
+read does, then checks the pages against the superblock's census
+(:func:`load_pages` skips that check for ``fsck --deep``).
 
 Resilience: the superblock carries a CRC32C trailer in its last 8 bytes
 and every node page is sealed by the codec, so a truncated, bit-flipped,
@@ -15,14 +20,16 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.gist.entry import IndexEntry
 from repro.gist.node import Node
 from repro.gist.tree import GiST
 from repro.storage.codecs import LEAF_CODECS, NodeCodec, make_leaf_codec
-from repro.storage.errors import PageCorruptError
-from repro.storage.integrity import FORMAT_EPOCH, crc32c, verify_image
+from repro.storage.errors import PageCorruptError, PageMissingError
+from repro.storage.integrity import FORMAT_EPOCH, crc32c, verify_images
 from repro.storage.page import PAGE_HEADER_SIZE
 from repro.storage.pagefile import MemoryPageFile
 
@@ -75,15 +82,30 @@ def save_tree(tree: GiST, path: str) -> None:
         "leaf_codec": tree.leaf_codec.codec_id,
     }
     page0 = superblock_image(header, tree.page_size)
+    images = codec.encode_nodes(
+        [_renumbered(node, slot_of, tree.index_codec.pred_codec)
+         for node in nodes])
     with open(path, "wb") as f:
         f.write(page0)
-        for node in nodes:
-            entries = node.entries
-            if not node.is_leaf:
-                entries = [IndexEntry(e.pred, slot_of[e.child])
-                           for e in entries]
-            f.write(codec.encode(slot_of[node.page_id], node.level,
-                                 [tuple(e) for e in entries]))
+        f.write(images)
+
+
+def _renumbered(node: Node, slot_of: Dict[int, int], pred_codec: Any
+                ) -> Node:
+    """``node`` moved to its slot, its child ids mapped to theirs."""
+    slot = slot_of[node.page_id]
+    if node.is_leaf:
+        return Node.leaf_from_arrays(slot, node.keys_array(),
+                                     node.rid_array())
+    children = np.array([slot_of[c] for c in node.children()],
+                        dtype=np.int64)
+    preds = node.pred_block()
+    if preds is None:
+        return Node(slot, node.level,
+                    [IndexEntry(e.pred, int(c))
+                     for e, c in zip(node.entries, children)])
+    return Node.inner_from_block(slot, node.level, preds, children,
+                                 pred_codec)
 
 
 def read_superblock(raw: bytes, path: str) -> dict:
@@ -170,6 +192,35 @@ def load_tree(extension: Any = None, path: str = None) -> GiST:
     """
     if path is None and isinstance(extension, str):
         extension, path = None, extension
+    tree, header, root, stored = _load(extension, path)
+    if root is None:
+        if header["num_nodes"]:
+            raise PageCorruptError(
+                f"superblock root_slot {header['root_slot']} holds no "
+                f"node", path=path)
+    elif root.level != header["height"] - 1:
+        raise PageCorruptError(
+            f"root page level {root.level} contradicts superblock "
+            f"height {header['height']}", path=path)
+    if stored != header["size"]:
+        raise PageCorruptError(
+            f"superblock claims {header['size']} keys, leaves hold "
+            f"{stored}", path=path)
+    return tree
+
+
+def load_pages(path: str) -> GiST:
+    """Load a saved tree without :func:`load_tree`'s root, height and
+    size census, so ``fsck --deep`` can run
+    :func:`~repro.analysis.treecheck.check_tree` on a file whose pages
+    contradict its superblock and name the pages involved."""
+    return _load(None, path)[0]
+
+
+def _load(extension: Any, path: str
+          ) -> Tuple[GiST, Dict, Optional[Node], int]:
+    """Decode every slot of ``path``: the tree, its superblock, the
+    root-slot node (None if absent) and the leaf entries decoded."""
     with open(path, "rb") as f:
         raw = f.read()
     header = read_superblock(raw, path)
@@ -193,23 +244,28 @@ def load_tree(extension: Any = None, path: str = None) -> GiST:
                 leaf_codec=leaf_codec)
     codec = NodeCodec(page_size, tree.leaf_codec, tree.index_codec)
 
+    num_slots = header.get("num_slots", header["num_nodes"])
+    images = np.frombuffer(raw, dtype=np.uint8, count=num_slots * page_size,
+                           offset=page_size).reshape(num_slots, page_size)
+    faults = verify_images(images)
     root = None
     live = 0
-    num_slots = header.get("num_slots", header["num_nodes"])
-    for slot in range(1, num_slots + 1):
-        image = raw[slot * page_size:(slot + 1) * page_size]
+    stored = 0
+    for slot, (image, fault) in enumerate(zip(images, faults), start=1):
         # Mutable files are sparse: freed slots are stamped with page
         # id -1, and aborted allocations can leave never-written
         # all-zero gaps.  Neither holds a node.
-        if not any(image):
+        if not image.any():
             continue
-        node = _decode_slot(codec, image, path)
-        if node is None:
+        if fault is not None:
+            raise PageCorruptError(fault, path=path, page_id=slot)
+        try:
+            node = codec.decode_node(image, slot, path=path, verified=True)
+        except PageMissingError:
             continue
-        if node.page_id != slot:
-            raise PageCorruptError(f"slot {slot} holds page {node.page_id}",
-                                   path=path)
         live += 1
+        if node.is_leaf:
+            stored += len(node)
         tree.store.write(node)
         tree.store.reserve(node.page_id)
         if slot == header["root_slot"]:
@@ -220,36 +276,4 @@ def load_tree(extension: Any = None, path: str = None) -> GiST:
             f"file holds {live}", path=path)
     if root is not None:
         tree.adopt(root, header["height"], header["size"])
-    return tree
-
-
-def _decode_slot(codec: NodeCodec, image: bytes, path: str) -> Any:
-    """Decode one page image into a :class:`Node`; None if the slot is
-    freed (page id -1).
-
-    Leaf bodies go through the leaf codec's block decode into a lazy
-    :meth:`Node.leaf_from_arrays`, so a quantized page's keys keep
-    their codes and half widths in memory — the k-NN kernels prune with
-    admissible cell bounds and treecheck can audit the quantization
-    grid.  Inner pages decode through the node codec as before.
-    """
-    verify_image(image, path=path)
-    page_id, level, count = struct.unpack_from("<qii", image, 0)
-    if page_id == -1:
-        return None
-    if level != 0:
-        _, _, raw_entries = codec.decode(image, verify=False, path=path)
-        return Node(page_id, level,
-                    [IndexEntry(pred, child) for pred, child in raw_entries])
-    nbytes = codec.leaf_codec.body_bytes(count)
-    if count < 0 or PAGE_HEADER_SIZE + nbytes > len(image):
-        raise PageCorruptError(
-            f"entry count {count} overflows page (level 0)",
-            path=path, page_id=page_id)
-    try:
-        keys, rids = codec.leaf_codec.decode_block(
-            image[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + nbytes], count)
-    except PageCorruptError as exc:
-        raise PageCorruptError(str(exc), path=path,
-                               page_id=page_id) from None
-    return Node.leaf_from_arrays(page_id, keys, rids)
+    return tree, header, root, stored

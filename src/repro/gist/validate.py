@@ -26,60 +26,26 @@ class TreeInvariantError(AssertionError):
 
 
 def validate_tree(tree: Any, expected_size: Optional[int] = None,
-                  check_fill: bool = True) -> None:
-    """Raise :class:`TreeInvariantError` on any broken invariant."""
-    if tree.root_id is None:
-        if tree.height != 0 or tree.size != 0:
-            raise TreeInvariantError("empty tree with nonzero height/size")
-        if expected_size not in (None, 0):
-            raise TreeInvariantError(f"expected {expected_size} items, tree empty")
-        return
+                  check_fill: bool = True) -> Any:
+    """Raise :class:`TreeInvariantError` on any broken invariant.
 
-    ext = tree.ext
-    seen_rids: List[int] = []
-    leaf_depths = set()
+    The raising form of :func:`repro.analysis.treecheck.check_tree`
+    (``check_fill=False`` skips the minimum-fanout bound), plus a check
+    that the leaves hold ``expected_size`` entries when one is given.
+    The error message lists every violation found; a clean tree returns
+    its :class:`~repro.analysis.treecheck.CheckReport`, whose
+    ``tree_summary`` is the amdb report.
+    """
+    from repro.analysis.treecheck import check_tree
 
-    def recurse(page_id: int, depth: int, expected_level: Any) -> None:
-        node = tree._peek(page_id)
-        if expected_level is not None and node.level != expected_level:
-            raise TreeInvariantError(
-                f"node {page_id} at level {node.level}, expected {expected_level}")
-        if len(node) > tree.capacity(node.level):
-            raise TreeInvariantError(
-                f"node {page_id} overflows: {len(node)} > "
-                f"{tree.capacity(node.level)}")
-        is_root = page_id == tree.root_id
-        if check_fill and not is_root and len(node) < tree.min_entries(node.level):
-            raise TreeInvariantError(
-                f"node {page_id} underfull: {len(node)} < "
-                f"{tree.min_entries(node.level)}")
-        if node.is_leaf:
-            leaf_depths.add(depth)
-            seen_rids.extend(e.rid for e in node.entries)
-            return
-        if not node.entries:
-            raise TreeInvariantError(f"inner node {page_id} is empty")
-        for entry in node.entries:
-            child = tree._peek(entry.child)
-            _check_bp(ext, entry.pred, child, entry.child)
-            recurse(entry.child, depth + 1, node.level - 1)
-
-    root = tree._peek(tree.root_id)
-    if root.level != tree.height - 1:
-        raise TreeInvariantError(
-            f"root level {root.level} inconsistent with height {tree.height}")
-    recurse(tree.root_id, 0, root.level)
-
-    if len(leaf_depths) > 1:
-        raise TreeInvariantError(f"unbalanced tree: leaf depths {leaf_depths}")
-    if len(seen_rids) != len(set(seen_rids)):
-        raise TreeInvariantError("duplicate RIDs across leaves")
-    if len(seen_rids) != tree.size:
-        raise TreeInvariantError(
-            f"tree.size {tree.size} != stored entries {len(seen_rids)}")
-    if expected_size is not None and len(seen_rids) != expected_size:
-        raise TreeInvariantError(
-            f"expected {expected_size} items, found {len(seen_rids)}")
+    report = check_tree(tree, check_fill=check_fill)
+    problems = [v.render() for v in report.violations]
+    if expected_size is not None and report.keys_checked != expected_size:
+        problems.append(f"expected {expected_size} items, found "
+                        f"{report.keys_checked}")
+    if problems:
+        raise TreeInvariantError("\n".join(problems))
+    return report
 
 
 @dataclass
@@ -165,7 +131,7 @@ def scrub_file(path: str) -> ScrubReport:
     from repro.gist.persist import read_superblock
     from repro.storage.codecs import (IndexEntryCodec, NodeCodec,
                                       make_leaf_codec)
-    from repro.storage.errors import StorageError
+    from repro.storage.errors import PageMissingError, StorageError
 
     report = ScrubReport(path=path)
     try:
@@ -205,30 +171,23 @@ def scrub_file(path: str) -> ScrubReport:
     report.num_slots = num_slots
 
     # First pass: decode every slot.
+    images = np.frombuffer(raw, dtype=np.uint8, count=num_slots * page_size,
+                           offset=page_size).reshape(num_slots, page_size)
     decoded = {}
-    for slot in range(1, num_slots + 1):
-        image = raw[slot * page_size:(slot + 1) * page_size]
-        if not any(image):
+    for slot, image in enumerate(images, start=1):
+        if not image.any():
             # Never-written gap (an aborted allocation's slot): not a
             # node, not damage.
             report.slots.append(SlotReport(slot, "free",
                                            detail="never written"))
             continue
         try:
-            page_id, level, entries = codec.decode(image, path=path)
+            decoded[slot] = codec.decode_node(image, slot, path=path)
+        except PageMissingError:
+            report.slots.append(SlotReport(slot, "free"))
         except StorageError as exc:
             report.slots.append(SlotReport(slot, "corrupt",
                                            detail=str(exc)))
-            continue
-        if page_id == -1:
-            report.slots.append(SlotReport(slot, "free"))
-            continue
-        if page_id != slot:
-            report.slots.append(SlotReport(
-                slot, "corrupt", level=level, entries=len(entries),
-                detail=f"slot holds page {page_id}"))
-            continue
-        decoded[slot] = (level, entries)
     if leftover:
         report.slots.append(SlotReport(
             num_slots + 1, "corrupt",
@@ -242,47 +201,18 @@ def scrub_file(path: str) -> ScrubReport:
         if slot in reachable or slot not in decoded:
             continue
         reachable.add(slot)
-        level, entries = decoded[slot]
-        if level > 0:
-            stack.extend(child for _, child in entries)
+        if not decoded[slot].is_leaf:
+            stack.extend(decoded[slot].children())
 
     for slot in sorted(decoded):
-        level, entries = decoded[slot]
+        node = decoded[slot]
         if slot > claimed_slots:
             status, detail = "orphaned", "slot beyond superblock slot count"
         elif slot not in reachable:
             status, detail = "orphaned", "unreachable from root"
         else:
             status, detail = "ok", ""
-        report.slots.append(SlotReport(slot, status, level=level,
-                                       entries=len(entries), detail=detail))
+        report.slots.append(SlotReport(slot, status, level=node.level,
+                                       entries=len(node), detail=detail))
     report.slots.sort(key=lambda s: s.slot)
     return report
-
-
-def _check_bp(ext: Any, pred: Any, child: Any, child_id: int) -> None:
-    """A bounding predicate must hold for everything beneath it.
-
-    Quantized leaves hold *reconstructions*: the predicate was fit to
-    the original keys, and a reconstruction may legitimately sit
-    outside it by up to the quantization-cell half diagonal (spheres
-    and bitten rects do not cover the cell box).  Such keys pass if
-    they are within that tolerance of the predicate.
-    """
-    if child.is_leaf:
-        half = child.key_halfwidths()
-        tol = (float(np.sqrt((half * half).sum())) + 1e-9
-               if half is not None else 0.0)
-        for entry in child.entries:
-            if not ext.contains(pred, entry.key):
-                if half is not None \
-                        and ext.min_dist(pred, entry.key) <= tol:
-                    continue
-                raise TreeInvariantError(
-                    f"BP of child {child_id} excludes stored key "
-                    f"{entry.key.tolist()}")
-    else:
-        for entry in child.entries:
-            if not ext.covers_pred(pred, entry.pred):
-                raise TreeInvariantError(
-                    f"BP of child {child_id} fails to cover a grandchild BP")

@@ -7,6 +7,13 @@ real serialization path so trees can be persisted and reloaded, and so
 tests can verify that what we account for is what we would actually
 store.
 
+Three layers: a predicate codec encodes one bounding predicate and
+checks a stacked block of them; the leaf and index entry codecs pack a
+whole page body at once; :class:`NodeCodec` is the one page codec.
+Every page image the page files, the WAL and ``save_tree`` write comes
+from :meth:`NodeCodec.encode_nodes`, and every page any of them reads
+back goes through :meth:`NodeCodec.decode_node`.
+
 All numbers are stored as little-endian ``float64`` / ``int64``
 (``NUMBER_SIZE`` = 8 bytes), matching the paper's "numbers" unit.
 """
@@ -20,8 +27,9 @@ import numpy as np
 
 from repro.constants import NUMBER_SIZE
 from repro.geometry import Bite, BittenRect, Rect, Sphere
-from repro.storage.errors import PageCorruptError
-from repro.storage.integrity import seal_image, seal_images, verify_image
+from repro.gist.node import Node
+from repro.storage.errors import PageCorruptError, PageMissingError
+from repro.storage.integrity import seal_images, verify_image
 from repro.storage.page import PAGE_HEADER_SIZE
 
 
@@ -69,23 +77,6 @@ def _earliest(*errors: Optional[Tuple[int, str]]
     """The lowest-row error of several parts' ``block_error`` results."""
     found = [e for e in errors if e is not None]
     return min(found) if found else None
-
-
-class VectorCodec(Codec):
-    """A ``dim``-dimensional float64 vector (leaf keys)."""
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self.size = dim * NUMBER_SIZE
-
-    def encode(self, value: Any) -> bytes:
-        arr = np.asarray(value, dtype="<f8")
-        if arr.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {arr.shape}")
-        return arr.tobytes()
-
-    def decode(self, data: bytes) -> np.ndarray:
-        return np.frombuffer(data, dtype="<f8", count=self.dim)
 
 
 class RectCodec(Codec):
@@ -294,8 +285,14 @@ class XJBCodec(Codec):
         return masks, slots[:, :, 1:]
 
 
-class LeafEntryCodec(Codec):
-    """A ``(key, RID)`` pair: key vector plus an int64 record id."""
+class LeafEntryCodec:
+    """A leaf page body: per entry a float64 key vector plus an int64
+    record id, packed row after row.
+
+    Leaf bodies are only ever encoded and decoded a page at a time
+    (:meth:`encode_block` / :meth:`decode_block`): the SQ8 subclass's
+    affine params are per page, so a per-entry form cannot exist.
+    """
 
     #: identifies the leaf-page body format in the superblock (absent
     #: or ``"f64"`` means this codec — the v1 raw-float64 layout).
@@ -305,8 +302,8 @@ class LeafEntryCodec(Codec):
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
-        self._key = VectorCodec(dim)
-        self.size = self._key.size + NUMBER_SIZE
+        #: per-entry bytes: ``dim`` float64 key numbers + one int64 rid.
+        self.size = (dim + 1) * NUMBER_SIZE
 
     def body_bytes(self, count: int) -> int:
         """Encoded body size for ``count`` entries."""
@@ -316,22 +313,9 @@ class LeafEntryCodec(Codec):
         """Entries that fit in one page of ``page_size`` bytes."""
         return (page_size - PAGE_HEADER_SIZE) // self.size
 
-    def encode(self, value: Any) -> bytes:
-        key, rid = value
-        return self._key.encode(key) + struct.pack("<q", rid)
-
-    def decode(self, data: bytes) -> Tuple[np.ndarray, int]:
-        key = self._key.decode(data[:self._key.size])
-        rid = struct.unpack_from("<q", data, self._key.size)[0]
-        return key, rid
-
     def encode_block(self, keys: np.ndarray, rids: Sequence[int]) -> bytes:
-        """All of a leaf's entries as one buffer, in one shot.
-
-        Byte-identical to concatenating :meth:`encode` over the
-        ``(key, rid)`` pairs; the keys land via a single dtype view
-        instead of one ``tobytes`` per entry.
-        """
+        """All of a leaf's entries as one buffer, in one shot: the keys
+        land via a single dtype view, not one ``tobytes`` per entry."""
         n = len(rids)
         if n == 0:
             return b""
@@ -339,9 +323,10 @@ class LeafEntryCodec(Codec):
         if keys.shape != (n, self.dim):
             raise ValueError(
                 f"expected ({n}, {self.dim}) keys, got {keys.shape}")
+        key_bytes = self.dim * NUMBER_SIZE
         buf = np.empty((n, self.size), dtype=np.uint8)
-        buf[:, :self._key.size] = keys.view(np.uint8).reshape(n, -1)
-        buf[:, self._key.size:] = np.ascontiguousarray(
+        buf[:, :key_bytes] = keys.view(np.uint8).reshape(n, -1)
+        buf[:, key_bytes:] = np.ascontiguousarray(
             rids, dtype="<i8").view(np.uint8).reshape(n, -1)
         return buf.tobytes()
 
@@ -353,8 +338,7 @@ class LeafEntryCodec(Codec):
         object, an mmap slice, a page-image row); the result is a
         ``(count, dim)`` float64 key matrix and a ``(count,)`` int64 rid
         vector, both *views* over ``body`` — no per-entry objects, no
-        copies.  Value-identical to :meth:`decode` applied entry by
-        entry.
+        copies.
         """
         if count == 0:
             return (np.empty((0, self.dim), dtype=np.float64),
@@ -458,16 +442,6 @@ class QuantizedLeafCodec(LeafEntryCodec):
         """Entries that fit in one page of ``page_size`` bytes."""
         return (page_size - PAGE_HEADER_SIZE - self.preamble) // self.size
 
-    def encode(self, value: Any) -> bytes:
-        raise NotImplementedError(
-            "SQ8 entries cannot be encoded one at a time: the affine "
-            "params are per page — use encode_block")
-
-    def decode(self, data: bytes) -> Any:
-        raise NotImplementedError(
-            "SQ8 entries cannot be decoded one at a time: the affine "
-            "params are per page — use decode_block")
-
     def encode_block(self, keys: np.ndarray, rids: Sequence[int]) -> bytes:
         """Quantize one leaf's entries into a page body.
 
@@ -553,21 +527,26 @@ def make_leaf_codec(codec_id: str, dim: int) -> LeafEntryCodec:
     return cls(dim)
 
 
-class IndexEntryCodec(Codec):
-    """A ``(predicate, child page id)`` pair."""
+class IndexEntryCodec:
+    """An inner page body: per entry one encoded predicate plus an
+    int64 child page id, packed row after row."""
 
     def __init__(self, pred_codec: Codec) -> None:
         self.pred_codec = pred_codec
         self.size = pred_codec.size + NUMBER_SIZE
 
-    def encode(self, value: Any) -> bytes:
-        pred, child = value
-        return self.pred_codec.encode(pred) + struct.pack("<q", child)
-
-    def decode(self, data: bytes) -> Tuple[Any, int]:
-        pred = self.pred_codec.decode(data[:self.pred_codec.size])
-        child = struct.unpack_from("<q", data, self.pred_codec.size)[0]
-        return pred, child
+    def encode_block(self, preds: np.ndarray, children: np.ndarray) -> bytes:
+        """A whole inner page body from its ``(n, numbers)`` float64
+        predicate matrix and ``(n,)`` child ids — the inverse of
+        :meth:`decode_block`, bit for bit."""
+        n = len(children)
+        pred_bytes = self.pred_codec.size
+        buf = np.empty((n, self.size), dtype=np.uint8)
+        buf[:, :pred_bytes] = np.ascontiguousarray(
+            preds, dtype="<f8").view(np.uint8).reshape(n, pred_bytes)
+        buf[:, pred_bytes:] = np.ascontiguousarray(
+            children, dtype="<i8").view(np.uint8).reshape(n, NUMBER_SIZE)
+        return buf.tobytes()
 
     def decode_block(self, body: Any,
                      count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -579,9 +558,10 @@ class IndexEntryCodec(Codec):
         int64 child ids, both *views* over ``body``: no predicate
         object is built.  Raises :class:`PageCorruptError` naming the
         page offset of the first entry that is cut short, holds a
-        non-finite number, or that :meth:`decode` would reject.
+        non-finite number, or fails the predicate codec's
+        :meth:`~Codec.block_error` check.
         """
-        per = self.numbers
+        per = self.size // NUMBER_SIZE
         held = memoryview(body).nbytes // self.size
         if held < count:
             raise PageCorruptError(
@@ -602,8 +582,14 @@ class IndexEntryCodec(Codec):
         return preds, children
 
 
+#: the head of every page header: page id, level, entry count.
+_HEADER = struct.Struct("<qii")
+
+
 class NodeCodec:
-    """Serializes whole nodes into fixed-size page images.
+    """The one page-image codec: every page the repo writes comes from
+    :meth:`encode_nodes`, every page it reads goes through
+    :meth:`decode_node`.
 
     Every encoded image is sealed with a CRC32C + format-epoch pair in
     the header's reserved region (see :mod:`repro.storage.integrity`)
@@ -619,104 +605,88 @@ class NodeCodec:
         self.leaf_codec = leaf_codec
         self.index_codec = index_codec
 
-    def leaf_body(self, entries: Sequence[Any]) -> bytes:
-        """One leaf's ``(key, rid)`` entries as an encoded page body.
+    def encode_nodes(self, nodes: Sequence[Node]) -> np.ndarray:
+        """Encode nodes into an ``(n, page_size)`` uint8 image array.
 
-        Routes through the leaf codec's block interface — the only
-        encode path that works for every codec (SQ8 affine params are
-        per page, so per-entry encoding cannot exist), and byte-
-        identical to the per-entry float64 encoding by the
-        ``encode_block`` contract.
+        Leaf bodies go through the leaf codec's :meth:`encode_block`;
+        an inner body is its predicate matrix — the node's
+        :meth:`~Node.pred_block` when it was decoded from a page, else
+        each entry's predicate through the predicate codec — plus its
+        child ids.  All rows are sealed by one batched CRC pass.
+        Raises ``ValueError`` when a node's entries overflow the page.
         """
-        if not entries:
-            return b""
-        keys = np.asarray([np.asarray(e[0], dtype=np.float64)
-                           for e in entries])
-        rids = [int(e[1]) for e in entries]
-        return self.leaf_codec.encode_block(keys, rids)
-
-    def encode(self, page_id: int, level: int,
-               entries: Sequence[Any]) -> bytes:
-        if level == 0:
-            body = self.leaf_body(entries)
-        else:
-            body = b"".join(self.index_codec.encode(e) for e in entries)
-        header = struct.pack("<qii", page_id, level, len(entries))
-        header += b"\x00" * (PAGE_HEADER_SIZE - len(header))
-        image = header + body
-        if len(image) > self.page_size:
-            raise ValueError(
-                f"node {page_id} overflows page: {len(image)} > "
-                f"{self.page_size} bytes")
-        image += b"\x00" * (self.page_size - len(image))
-        return seal_image(image)
-
-    def encode_pages(self, pages: Sequence[Tuple[int, int, int, bytes]]
-                     ) -> np.ndarray:
-        """Encode many nodes into an ``(n, page_size)`` image array.
-
-        ``pages`` rows are ``(page_id, level, count, body)`` with the
-        body already entry-encoded (e.g. via
-        :meth:`LeafEntryCodec.encode_block`).  Row ``i`` of the result
-        is byte-identical to :meth:`encode` of the same node; all rows
-        are sealed by one batched CRC pass.
-        """
-        images = np.zeros((len(pages), self.page_size), dtype=np.uint8)
-        for i, (page_id, level, count, body) in enumerate(pages):
-            if PAGE_HEADER_SIZE + len(body) > self.page_size:
+        pred_codec = self.index_codec.pred_codec
+        images = np.zeros((len(nodes), self.page_size), dtype=np.uint8)
+        for image, node in zip(images, nodes):
+            count = len(node)
+            if node.level == 0:
+                body = self.leaf_codec.encode_block(node.keys_array(),
+                                                    node.rid_array())
+            else:
+                preds = node.pred_block()
+                if preds is None:
+                    preds = np.frombuffer(
+                        b"".join(pred_codec.encode(e.pred)
+                                 for e in node.entries),
+                        dtype="<f8").reshape(count, pred_codec.numbers)
+                body = self.index_codec.encode_block(preds,
+                                                     node.child_array())
+            end = PAGE_HEADER_SIZE + len(body)
+            if end > self.page_size:
                 raise ValueError(
-                    f"node {page_id} overflows page: "
-                    f"{PAGE_HEADER_SIZE + len(body)} > "
+                    f"node {node.page_id} overflows page: {end} > "
                     f"{self.page_size} bytes")
-            header = struct.pack("<qii", page_id, level, count)
-            images[i, :len(header)] = np.frombuffer(header, dtype=np.uint8)
-            images[i, PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + len(body)] = \
-                np.frombuffer(body, dtype=np.uint8)
+            image[:_HEADER.size] = np.frombuffer(
+                _HEADER.pack(node.page_id, node.level, count),
+                dtype=np.uint8)
+            image[PAGE_HEADER_SIZE:end] = np.frombuffer(body, dtype=np.uint8)
         seal_images(images)
         return images
 
-    def decode(self, image: bytes, *, verify: bool = True,
-               path: Optional[str] = None) -> Tuple[int, int, List[Any]]:
-        if len(image) < self.page_size:
+    def decode_node(self, image: Any, page_id: int, *,
+                    path: Optional[str] = None,
+                    verified: bool = False) -> Node:
+        """Decode the page image (any buffer) read from slot ``page_id``.
+
+        Zero-copy: the body's ``decode_block`` arrays are views over
+        ``image``, wrapped in a lazy :meth:`Node.leaf_from_arrays` or
+        :meth:`Node.inner_from_block`; per-entry objects materialize
+        only on demand.  ``verified=True`` skips the seal check after a
+        stacked :func:`~repro.storage.integrity.verify_images` pass.
+        Raises :class:`PageMissingError` for a freed slot (page id -1)
+        and :class:`PageCorruptError` on truncation, a failed seal, a
+        slot holding another page, an impossible count or a bad body.
+        """
+        nbytes = memoryview(image).nbytes
+        if nbytes < self.page_size:
             raise PageCorruptError(
-                f"truncated page image: {len(image)} of "
-                f"{self.page_size} bytes", path=path)
-        if verify:
-            verify_image(image, path=path)
-        page_id, level, count = struct.unpack_from("<qii", image, 0)
-        codec = self.leaf_codec if level == 0 else self.index_codec
-        nbytes = (self.leaf_codec.body_bytes(count) if level == 0
-                  else count * codec.size)
-        if count < 0 or PAGE_HEADER_SIZE + nbytes > len(image):
+                f"truncated page image: {nbytes} of "
+                f"{self.page_size} bytes", path=path, page_id=page_id)
+        if not verified:
+            verify_image(image, path=path, page_id=page_id)
+        pid, level, count = _HEADER.unpack_from(image, 0)
+        if pid == -1:
+            raise PageMissingError("slot was freed", path=path,
+                                   page_id=page_id)
+        if pid != page_id:
+            raise PageCorruptError(f"slot holds page {pid}",
+                                   path=path, page_id=page_id)
+        codec: Any = self.leaf_codec if level == 0 else self.index_codec
+        body_bytes = (codec.body_bytes(count) if level == 0
+                      else count * codec.size)
+        if count < 0 or PAGE_HEADER_SIZE + body_bytes > nbytes:
             raise PageCorruptError(
                 f"entry count {count} overflows page "
                 f"(level {level}, {codec.size}-byte entries)",
                 path=path, page_id=page_id)
-        entries: List[Any] = []
-        if level == 0:
-            body = image[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + nbytes]
-            try:
-                keys, rids = self.leaf_codec.decode_block(body, count)
-            except PageCorruptError as exc:
-                raise PageCorruptError(
-                    str(exc), path=path, page_id=page_id) from None
-            except (struct.error, ValueError) as exc:
-                raise PageCorruptError(
-                    f"undecodable leaf body: {exc}",
-                    path=path, page_id=page_id) from None
-            if not isinstance(keys, np.ndarray):
-                keys = keys.dequantize()
-            entries.extend(
-                (keys[i], int(rids[i])) for i in range(count))
-            return page_id, level, entries
-        offset = PAGE_HEADER_SIZE
+        body = image[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + body_bytes]
         try:
-            for _ in range(count):
-                entries.append(
-                    codec.decode(image[offset:offset + codec.size]))
-                offset += codec.size
-        except (struct.error, ValueError) as exc:
-            raise PageCorruptError(
-                f"undecodable entry at offset {offset}: {exc}",
-                path=path, page_id=page_id) from None
-        return page_id, level, entries
+            if level == 0:
+                keys, rids = codec.decode_block(body, count)
+                return Node.leaf_from_arrays(page_id, keys, rids)
+            preds, children = codec.decode_block(body, count)
+        except PageCorruptError as exc:
+            raise PageCorruptError(str(exc), path=path,
+                                   page_id=page_id) from None
+        return Node.inner_from_block(page_id, level, preds, children,
+                                     codec.pred_codec)

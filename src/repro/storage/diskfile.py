@@ -31,8 +31,7 @@ from repro.gist.node import Node
 from repro.storage.codecs import NodeCodec
 from repro.storage.errors import (PageCorruptError, PageMissingError,
                                   TransientIOError)
-from repro.storage.integrity import verify_image, verify_images
-from repro.storage.page import PAGE_HEADER_SIZE
+from repro.storage.integrity import verify_images
 from repro.storage.pagefile import AccessListener, PageStats
 from repro.storage.retry import RetryPolicy, call_with_retry
 
@@ -117,14 +116,12 @@ class FilePageFile:
         self._file.flush()
         return os.fstat(self._file.fileno()).st_size // self.page_size
 
-    def _read_raw(self, page_id: int) -> bytes:
-        """The raw image bytes of a slot; typed errors, no decode."""
-        if page_id < 1:
-            raise PageMissingError("page ids start at 1", path=self.path,
-                                   page_id=page_id)
+    def _pread(self, page_id: int, nbytes: int) -> bytes:
+        """Up to ``nbytes`` from slot ``page_id`` on; an interrupted
+        syscall surfaces as :class:`TransientIOError`."""
         try:
             self._file.seek(page_id * self.page_size)
-            image = self._file.read(self.page_size)
+            return self._file.read(nbytes)
         except TransientIOError:
             raise
         except OSError as exc:
@@ -133,16 +130,23 @@ class FilePageFile:
                     f"transient read failure: {exc}", path=self.path,
                     page_id=page_id) from exc
             raise
+
+    def _read_raw(self, page_id: int) -> bytes:
+        """The raw image bytes of a slot; typed errors, no decode."""
+        if page_id < 1:
+            raise PageMissingError("page ids start at 1", path=self.path,
+                                   page_id=page_id)
+        image = self._pread(page_id, self.page_size)
         if len(image) < self.page_size:
             raise PageMissingError("slot beyond end of file",
                                    path=self.path, page_id=page_id)
         return image
 
     def _write_raw(self, page_id: int, image: bytes) -> None:
-        """Write raw image bytes into a slot (scrub/fault tooling)."""
-        if len(image) != self.page_size:
-            raise ValueError(
-                f"image is {len(image)} bytes, slot holds {self.page_size}")
+        """Write raw image bytes into the run of slots starting at
+        ``page_id``: every byte the data file receives passes here."""
+        if not image or len(image) % self.page_size:
+            raise ValueError(f"{len(image)} bytes is not a run of slots")
         self._file.seek(page_id * self.page_size)
         self._file.write(image)
         self._map_dirty = True
@@ -208,62 +212,15 @@ class FilePageFile:
 
     # -- node access ----------------------------------------------------------
 
-    def _node_from_image(self, page_id: int, image: Any, *,
-                         verified: bool = False) -> Node:
-        """Decode a page image (any buffer) into a :class:`Node`.
-
-        Zero-copy at both levels: a leaf body goes through
-        :meth:`LeafEntryCodec.decode_block` into a lazy
-        :meth:`Node.leaf_from_arrays`, an inner body through
-        :meth:`IndexEntryCodec.decode_block` into a lazy
-        :meth:`Node.inner_from_block` — key, rid, predicate and child
-        arrays are views over ``image``, and per-entry objects only
-        materialize if something asks for one (``node.pred_at``) or
-        walks ``node.entries``.  ``verified=True`` skips the seal check
-        when a stacked :func:`verify_images` pass already ran.
-        """
-        if not verified:
-            verify_image(image, path=self.path, page_id=page_id)
-        pid, level, count = struct.unpack_from("<qii", image, 0)
-        if pid == -1:
-            raise PageMissingError("slot was freed", path=self.path,
-                                   page_id=page_id)
-        if pid != page_id:
-            raise PageCorruptError(f"slot holds page {pid}",
-                                   path=self.path, page_id=page_id)
-        codec = (self.codec.leaf_codec if level == 0
-                 else self.codec.index_codec)
-        nbytes = (codec.body_bytes(count) if level == 0
-                  else count * codec.size)
-        if count < 0 or PAGE_HEADER_SIZE + nbytes > len(image):
-            raise PageCorruptError(
-                f"entry count {count} overflows page "
-                f"(level {level}, {codec.size}-byte entries)",
-                path=self.path, page_id=page_id)
-        body = image[PAGE_HEADER_SIZE:PAGE_HEADER_SIZE + nbytes]
-        try:
-            if level == 0:
-                keys, rids = codec.decode_block(body, count)
-                return Node.leaf_from_arrays(page_id, keys, rids)
-            preds, children = codec.decode_block(body, count)
-        except PageCorruptError as exc:
-            raise PageCorruptError(str(exc), path=self.path,
-                                   page_id=page_id) from None
-        return Node.inner_from_block(page_id, level, preds, children,
-                                     codec.pred_codec)
-
     def _read_image(self, page_id: int) -> Node:
         image = (self._read_view(page_id) if self.mmap_mode
                  else self._read_raw(page_id))
-        return self._node_from_image(page_id, image)
+        return self.codec.decode_node(image, page_id, path=self.path)
 
     def read(self, page_id: int) -> Node:
         node = call_with_retry(lambda: self._read_image(page_id),
                                self.retry, sleep=self._sleep)
-        if self.counting:
-            self.stats.record_read(node.level)
-            for listener in self._listeners:
-                listener(page_id, node.level)
+        self.record_access(page_id, node.level)
         return node
 
     def read_many(self, page_ids: Sequence[int]) -> List[Node]:
@@ -284,10 +241,7 @@ class FilePageFile:
             node = outcomes[pid]
             if isinstance(node, Exception):
                 raise node
-            if self.counting:
-                self.stats.record_read(node.level)
-                for listener in self._listeners:
-                    listener(pid, node.level)
+            self.record_access(pid, node.level)
             nodes.append(node)
         return nodes
 
@@ -322,26 +276,14 @@ class FilePageFile:
                     outcomes: Dict[int, Any]) -> None:
         """Decode one contiguous slot run into per-page outcomes."""
         ps = self.page_size
-        offset = run[0] * ps
         if self.mmap_mode:
             assert self._map is not None
             images = np.frombuffer(self._map, dtype=np.uint8,
                                    count=len(run) * ps,
-                                   offset=offset).reshape(len(run), ps)
+                                   offset=run[0] * ps).reshape(len(run), ps)
         else:
-            def fetch() -> bytes:
-                try:
-                    self._file.seek(offset)
-                    return self._file.read(len(run) * ps)
-                except TransientIOError:
-                    raise
-                except OSError as exc:
-                    if exc.errno in _TRANSIENT_ERRNOS:
-                        raise TransientIOError(
-                            f"transient read failure: {exc}",
-                            path=self.path, page_id=run[0]) from exc
-                    raise
-            data = call_with_retry(fetch, self.retry, sleep=self._sleep)
+            data = call_with_retry(lambda: self._pread(run[0], len(run) * ps),
+                                   self.retry, sleep=self._sleep)
             full = len(data) // ps
             for pid in run[full:]:
                 outcomes[pid] = PageMissingError(
@@ -358,8 +300,8 @@ class FilePageFile:
                                                  page_id=pid)
                 continue
             try:
-                outcomes[pid] = self._node_from_image(pid, image,
-                                                      verified=True)
+                outcomes[pid] = self.codec.decode_node(
+                    image, pid, path=self.path, verified=True)
             except (PageMissingError, PageCorruptError) as exc:
                 outcomes[pid] = exc
 
@@ -375,49 +317,30 @@ class FilePageFile:
                                self.retry, sleep=self._sleep)
 
     def write(self, node: Node) -> None:
-        entries = [tuple(e) for e in node.entries]
-        image = self.codec.encode(node.page_id, node.level, entries)
-        self._write_raw(node.page_id, image)
-        self._levels[node.page_id] = node.level
-        self.stats.writes += 1
+        self.write_many([node])
 
     def write_many(self, nodes: Iterable[Node]) -> None:
-        """Encode and write a batch of nodes in one pass.
-
-        Slot-for-slot byte-identical to calling :meth:`write` per node:
-        same codec, same seals — but leaf bodies are block-encoded,
-        checksums run as one batched CRC pass, and contiguous page-id
-        runs land with a single seek+write each.
-        """
+        """Encode and write a batch of nodes in one pass: one
+        :meth:`NodeCodec.encode_nodes` call (one batched CRC pass), then
+        one :meth:`_write_raw` per contiguous page-id run."""
         nodes = list(nodes)
         if not nodes:
             return
-        pages: List[Tuple[int, int, int, bytes]] = []
-        for node in nodes:
-            if node.level == 0:
-                body = self.codec.leaf_codec.encode_block(
-                    node.keys_array(), node.rid_array()) if len(node) else b""
-            else:
-                body = b"".join(self.codec.index_codec.encode(tuple(e))
-                                for e in node.entries)
-            pages.append((node.page_id, node.level, len(node), body))
-        images = self.codec.encode_pages(pages)
-
-        order = sorted(range(len(nodes)), key=lambda i: pages[i][0])
+        images = self.codec.encode_nodes(nodes)
+        order = sorted(range(len(nodes)), key=lambda i: nodes[i].page_id)
         tail: List[Optional[int]] = [*order, None]
         run: List[int] = []
         for i in tail:
             if run and (i is None
-                        or pages[i][0] != pages[run[-1]][0] + 1):
-                self._file.seek(pages[run[0]][0] * self.page_size)
-                self._file.write(images[run].tobytes())
+                        or nodes[i].page_id != nodes[run[-1]].page_id + 1):
+                self._write_raw(nodes[run[0]].page_id,
+                                images[run].tobytes())
                 run = []
             if i is not None:
                 run.append(i)
         for node in nodes:
             self._levels[node.page_id] = node.level
         self.stats.writes += len(nodes)
-        self._map_dirty = True
 
     def rebuild_slot_state(self) -> Tuple[List[int], List[int]]:
         """Rescan slot headers after reopening a mutated file.
@@ -449,7 +372,8 @@ class FilePageFile:
     def free(self, page_id: int) -> None:
         # Stamp the slot with page id -1 (sealed) so stale reads fail
         # loudly with PageMissingError, never decode as live data.
-        self._write_raw(page_id, self.codec.encode(-1, 0, []))
+        self._write_raw(page_id,
+                        self.codec.encode_nodes([Node(-1, 0)])[0].tobytes())
         self._levels.pop(page_id, None)
         self._free.append(page_id)
 

@@ -225,7 +225,7 @@ class FaultyPageFile:
                 # sealed page this raises PageCorruptError; an unsealed
                 # legacy page may decode the flip silently — surface
                 # that as corruption too, since the flip *was* injected.
-                self.inner.codec.decode(image)
+                self.inner.codec.decode_node(image, page_id)
                 raise PageCorruptError(
                     "injected bit flip decoded silently — "
                     "the page is unsealed", page_id=page_id)

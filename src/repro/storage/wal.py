@@ -42,6 +42,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.gist.node import Node
 from repro.storage.errors import (PageCorruptError, PageMissingError,
                                   StorageError)
 from repro.storage.faults import CrashError, CrashInjector
@@ -531,16 +532,12 @@ class WALPageFile:
         if not self._staged and meta_image is None:
             self._in_txn = False
             return -1
-        pages: List[Tuple[int, bytes, Any]] = []
-        for pid in sorted(self._staged):
-            node = self._staged[pid]
-            if node is _FREED:
-                image = self.base.codec.encode(-1, 0, [])
-            else:
-                image = self.base.codec.encode(
-                    node.page_id, node.level,
-                    [tuple(e) for e in node.entries])
-            pages.append((pid, image, node))
+        staged = sorted(self._staged.items())
+        images = self.base.codec.encode_nodes(
+            [Node(-1, 0) if node is _FREED else node for _, node in staged])
+        pages: List[Tuple[int, bytes, Any]] = [
+            (pid, image.tobytes(), node)
+            for (pid, node), image in zip(staged, images)]
         txn = self._next_txn
         self._next_txn += 1
         try:

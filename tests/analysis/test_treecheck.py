@@ -23,6 +23,7 @@ from repro.core.api import make_extension
 from repro.geometry.bites import Bite, BittenRect
 from repro.geometry.rect import Rect
 from repro.gist.entry import IndexEntry
+from repro.gist.node import Node
 from repro.gist.persist import load_tree, save_tree
 from repro.storage.codecs import NodeCodec
 from repro.storage.integrity import FORMAT_EPOCH, crc32c
@@ -159,7 +160,8 @@ def _append_orphan_leaf(path, tree):
 
     codec = NodeCodec(page_size, tree.leaf_codec, tree.index_codec)
     leaf = next(tree.leaf_nodes())
-    orphan = codec.encode(orphan_slot, 0, [tuple(e) for e in leaf.entries])
+    orphan = codec.encode_nodes([Node.leaf_from_arrays(
+        orphan_slot, leaf.keys_array(), leaf.rid_array())])[0].tobytes()
 
     blob = json.dumps(header).encode()
     page0 = struct.pack("<I", len(blob)) + blob

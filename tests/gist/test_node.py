@@ -151,13 +151,12 @@ class TestLazyInner:
     objects, one at a time."""
 
     def _lazy(self):
-        from repro.storage.codecs import IndexEntryCodec, RectCodec
+        from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec,
+                                          NodeCodec, RectCodec)
         eager = _inner(4)
-        codec = IndexEntryCodec(RectCodec(2))
-        body = b"".join(codec.encode(tuple(e)) for e in eager.entries)
-        block, children = codec.decode_block(body, len(eager))
-        node = Node.inner_from_block(2, 1, block, children,
-                                     codec.pred_codec)
+        codec = NodeCodec(1024, LeafEntryCodec(2),
+                          IndexEntryCodec(RectCodec(2)))
+        node = codec.decode_node(codec.encode_nodes([eager])[0], 2)
         return node, eager
 
     def test_len_children_and_block_without_materializing(self):

@@ -17,6 +17,13 @@ class TestRoundtrip:
         path = str(tmp_path / "tree.gist")
         save_tree(tree, path)
         reloaded = load_tree(make_ext(any_method, 3), path)
+        # Loading decodes lazily: inner pages keep their predicate block.
+        inner = [reloaded.store.peek(pid) for pid in reloaded.store.page_ids()]
+        inner = [node for node in inner if not node.is_leaf]
+        assert inner and all(n.pred_block() is not None for n in inner)
+        resaved = str(tmp_path / "resaved.gist")
+        save_tree(reloaded, resaved)
+        assert open(resaved, "rb").read() == open(path, "rb").read()
         validate_tree(reloaded, expected_size=1500)
         for q in pts[::571]:
             a = [r for _, r in tree.knn(q, 12)]

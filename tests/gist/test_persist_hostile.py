@@ -6,9 +6,17 @@ import struct
 import numpy as np
 import pytest
 
+from repro.analysis import deep_scrub
+from repro.analysis.treecheck import (LEVEL_MISMATCH, PAGE_ORPHAN,
+                                      SIZE_MISMATCH)
 from repro.bulk import bulk_load
-from repro.gist.persist import load_tree, read_superblock, save_tree
+from repro.gist.persist import (load_tree, read_superblock, save_tree,
+                                superblock_image)
+from repro.gist.validate import scrub_file
 from repro.storage import PageCorruptError, StorageError
+from repro.storage.diskfile import FilePageFile
+from repro.storage.integrity import seal_image
+from repro.storage.page import PAGE_HEADER_SIZE
 
 from tests.conftest import make_ext
 
@@ -147,3 +155,127 @@ def _rewrite_header(path, raw, header):
     page0 += b"\x00" * (page_size - 8 - len(page0))
     page0 += struct.pack("<II", crc32c(page0), 1)
     open(path, "wb").write(page0 + bytes(raw[page_size:]))
+
+
+class TestSuperblockContradictsPages:
+    """A resealed superblock whose census disagrees with the pages it
+    describes must not load as a quietly wrong tree."""
+
+    @pytest.fixture
+    def tall(self, tmp_path):
+        pts = np.random.default_rng(4).normal(size=(3000, 3))
+        tree = bulk_load(make_ext("rtree", 3), pts, page_size=1024)
+        assert tree.height == 3
+        path = str(tmp_path / "tall.gist")
+        save_tree(tree, path)
+        return path
+
+    @staticmethod
+    def _reseal(path, **fields):
+        raw = open(path, "rb").read()
+        header = read_superblock(raw, path)
+        header.update(fields)
+        page_size = header["page_size"]
+        open(path, "wb").write(superblock_image(header, page_size)
+                               + raw[page_size:])
+        return header
+
+    def test_root_slot_pointing_at_a_leaf(self, tall):
+        header = read_superblock(open(tall, "rb").read(), tall)
+        leaf_slot = header["num_nodes"]    # traversal order ends on a leaf
+        self._reseal(tall, root_slot=leaf_slot)
+        err = _expect_corrupt(tall, match="root page level 0 contradicts "
+                                          "superblock height 3")
+        assert isinstance(err, PageCorruptError)
+
+    def test_no_root_among_live_pages(self, tall):
+        self._reseal(tall, root_slot=0)
+        _expect_corrupt(tall, match="root_slot 0 holds no node")
+
+    def test_size_disagrees_with_the_leaves(self, tall):
+        self._reseal(tall, size=3001)
+        _expect_corrupt(tall, match="claims 3001 keys, leaves hold 3000")
+
+    @pytest.mark.parametrize("fields, codes", [
+        ({"root_slot": "leaf"},
+         {LEVEL_MISMATCH, SIZE_MISMATCH, PAGE_ORPHAN}),
+        ({"root_slot": 0}, {PAGE_ORPHAN}),
+        ({"size": 3001}, {SIZE_MISMATCH}),
+    ], ids=["root-at-a-leaf", "no-root", "size"])
+    def test_deep_scrub_names_what_load_tree_refuses(self, tall, fields,
+                                                     codes):
+        """``fsck --deep`` skips load_tree's census and reports the
+        contradiction by page instead of giving up on the file."""
+        leaf_slot = read_superblock(open(tall, "rb").read(),
+                                    tall)["num_nodes"]
+        if fields.get("root_slot") == "leaf":
+            fields = {"root_slot": leaf_slot}
+        self._reseal(tall, **fields)
+        deep = deep_scrub(tall)
+        assert deep.check is not None, deep.format()
+        assert not deep.clean
+        assert set(deep.check.codes()) == codes, deep.format()
+        if LEVEL_MISMATCH in codes:
+            assert [v.page_id for v in deep.check.violations
+                    if v.code == LEVEL_MISMATCH] == [leaf_slot]
+
+
+def _damage_first_inner_entry(path, family):
+    """Rewrite entry 1 of the root page so the predicate codec rejects
+    it, reseal the page, and return ``(slot, expected message)``."""
+    raw = bytearray(open(path, "rb").read())
+    header = read_superblock(bytes(raw), path)
+    page_size, slot = header["page_size"], header["root_slot"]
+    pred_codec = make_ext(family, 2).pred_codec()
+    entry_size = pred_codec.size + 8
+    start = slot * page_size + PAGE_HEADER_SIZE + entry_size
+    row = np.frombuffer(bytes(raw[start:start + pred_codec.size]),
+                        dtype="<f8").copy()
+    if family == "rtree":
+        row[0] = row[2] + 1.0             # lo[0] above hi[0]
+        reason = "degenerate rect: lo exceeds hi"
+    else:
+        row[4] = float(1 << 2)            # first bite's corner id
+        reason = "bite corner id out of range"
+    raw[start:start + pred_codec.size] = row.tobytes()
+    page = bytes(raw[slot * page_size:(slot + 1) * page_size])
+    raw[slot * page_size:(slot + 1) * page_size] = seal_image(page)
+    open(path, "wb").write(bytes(raw))
+    offset = PAGE_HEADER_SIZE + entry_size
+    return slot, f"page {slot}: undecodable entry at offset {offset}: {reason}"
+
+
+def _read_through_store(path, family, slot):
+    with FilePageFile.for_extension(path, make_ext(family, 2),
+                                    page_size=1024) as store:
+        store.read(slot)
+
+
+def _load(path, family, slot):
+    load_tree(path=path)
+
+
+def _scrub(path, family, slot):
+    report = scrub_file(path)
+    assert [s.slot for s in report.corrupt_slots] == [slot]
+    raise PageCorruptError(report.corrupt_slots[0].detail)
+
+
+class TestOneDecoderOneVerdict:
+    """Every reader decodes a page through the same codec, so a page
+    the codec rejects is rejected by each with the same message."""
+
+    @pytest.mark.parametrize("reader", [_read_through_store, _load, _scrub],
+                             ids=["FilePageFile.read", "load_tree",
+                                  "scrub_file"])
+    @pytest.mark.parametrize("family", ["rtree", "xjb"])
+    def test_rejected_inner_page(self, tmp_path, family, reader):
+        pts = np.random.default_rng(5).normal(size=(400, 2))
+        tree = bulk_load(make_ext(family, 2), pts, page_size=1024)
+        assert tree.height >= 2
+        path = str(tmp_path / f"{family}.gist")
+        save_tree(tree, path)
+        slot, message = _damage_first_inner_entry(path, family)
+        with pytest.raises(PageCorruptError) as excinfo:
+            reader(path, family, slot)
+        assert message in str(excinfo.value)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
+from repro.gist import LeafEntry, Node
 from repro.gist.persist import save_tree
 from repro.gist.validate import scrub_file
 
@@ -73,6 +74,15 @@ class TestDamage:
         # The superblock now over-claims: that is superblock-level damage.
         assert not report.clean
 
+    def test_partial_slot_past_the_census(self, saved):
+        path, _ = saved
+        raw = open(path, "rb").read()
+        open(path, "wb").write(raw + b"\x01" * (PAGE // 2))
+        report = scrub_file(path)
+        extra = len(raw) // PAGE
+        assert [s.slot for s in report.corrupt_slots] == [extra]
+        assert "truncated trailing slot" in report.corrupt_slots[0].detail
+
     def test_orphaned_slot_beyond_node_count(self, saved):
         path, tree = saved
         raw = open(path, "rb").read()
@@ -83,9 +93,9 @@ class TestDamage:
         ext = make_ext("rtree", 2)
         codec = NodeCodec(PAGE, LeafEntryCodec(2),
                           IndexEntryCodec(ext.pred_codec()))
-        stray = codec.encode(extra_slot, 0,
-                             [(np.zeros(2), 1)])
-        open(path, "wb").write(raw + stray)
+        stray = codec.encode_nodes(
+            [Node(extra_slot, 0, [LeafEntry(np.zeros(2), 1)])])[0]
+        open(path, "wb").write(raw + stray.tobytes())
         report = scrub_file(path)
         orphans = [s.slot for s in report.orphaned_slots]
         assert orphans == [extra_slot]
@@ -105,7 +115,8 @@ class TestDamage:
         # and nothing else breaks structurally (the parent now dangles,
         # which reachability does not flag — fsck is per-page).
         victim = len(raw) // PAGE - 1
-        raw[victim * PAGE:(victim + 1) * PAGE] = codec.encode(-1, 0, [])
+        raw[victim * PAGE:(victim + 1) * PAGE] = \
+            codec.encode_nodes([Node(-1, 0)])[0].tobytes()
         open(path, "wb").write(bytes(raw))
         report = scrub_file(path)
         assert [s.slot for s in report.free_slots] == [victim]

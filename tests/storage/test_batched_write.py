@@ -7,6 +7,8 @@ pin the contract for page encoding and the store's :meth:`write_many`
 (CRC and sealing are held to their oracle in ``test_integrity``).
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from repro.gist.node import Node
 from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec, NodeCodec,
                                   RectCodec)
 from repro.storage.diskfile import FilePageFile
+from repro.storage.integrity import seal_image
+from repro.storage.page import PAGE_HEADER_SIZE
 from repro.storage.pagefile import MemoryPageFile
 from repro.geometry import Rect
 
@@ -48,25 +52,28 @@ def _inner_nodes(rng, count, start_id, entries_per=5):
     return nodes
 
 
+def _reference_image(codec, node):
+    """One page image built entry by entry: header, packed body,
+    zero padding, then the single-image seal."""
+    if node.level == 0:
+        body = b"".join(np.asarray(e.key, dtype="<f8").tobytes()
+                        + struct.pack("<q", e.rid) for e in node.entries)
+    else:
+        body = b"".join(codec.index_codec.pred_codec.encode(e.pred)
+                        + struct.pack("<q", e.child) for e in node.entries)
+    image = struct.pack("<qii", node.page_id, node.level, len(node))
+    image += b"\x00" * (PAGE_HEADER_SIZE - len(image)) + body
+    return seal_image(image + b"\x00" * (PAGE_SIZE - len(image)))
+
+
 class TestEncodePages:
     def test_rows_match_scalar_encode(self):
         rng = np.random.default_rng(2)
         codec = _codec()
         nodes = _leaf_nodes(rng, 4) + _inner_nodes(rng, 3, start_id=5)
-        pages = []
-        for node in nodes:
-            if node.level == 0:
-                body = codec.leaf_codec.encode_block(node.keys_array(),
-                                                     node.rid_array())
-            else:
-                body = b"".join(codec.index_codec.encode(tuple(e))
-                                for e in node.entries)
-            pages.append((node.page_id, node.level, len(node), body))
-        images = codec.encode_pages(pages)
+        images = codec.encode_nodes(nodes)
         for node, image in zip(nodes, images):
-            ref = codec.encode(node.page_id, node.level,
-                               [tuple(e) for e in node.entries])
-            assert image.tobytes() == ref
+            assert image.tobytes() == _reference_image(codec, node)
 
     def test_encode_block_matches_per_entry_encode(self):
         rng = np.random.default_rng(3)
@@ -74,7 +81,8 @@ class TestEncodePages:
         keys = rng.normal(size=(12, DIM))
         rids = list(range(100, 112))
         block = leaf_codec.encode_block(keys, rids)
-        assert block == b"".join(leaf_codec.encode((k, r))
+        assert block == b"".join(k.astype("<f8").tobytes()
+                                 + struct.pack("<q", r)
                                  for k, r in zip(keys, rids))
 
     def test_empty_block(self):
@@ -83,9 +91,11 @@ class TestEncodePages:
 
     def test_overflow_rejected(self):
         codec = _codec()
-        big = b"x" * PAGE_SIZE
-        with pytest.raises(ValueError):
-            codec.encode_pages([(1, 0, 1, big)])
+        big = _leaf_nodes(np.random.default_rng(5), 1,
+                          entries_per=LeafEntryCodec(DIM).capacity(
+                              PAGE_SIZE) + 1)
+        with pytest.raises(ValueError, match="overflows page"):
+            codec.encode_nodes(big)
 
 
 class TestWriteMany:
@@ -122,6 +132,32 @@ class TestWriteMany:
             assert got.page_id == node.page_id
             assert got.rids() == node.rids()
             assert np.array_equal(got.keys_array(), node.keys_array())
+        store.close()
+
+    def test_every_write_passes_write_raw_once_per_run(self, tmp_path,
+                                                       monkeypatch):
+        """`write`, `write_many` and `free` reach the data file only
+        through `_write_raw` (the WAL ordering tests observe it there),
+        one call per contiguous page-id run."""
+        calls = []
+        real = FilePageFile._write_raw
+
+        def spy(self, page_id, image):
+            calls.append((page_id, len(image) // PAGE_SIZE))
+            real(self, page_id, image)
+
+        monkeypatch.setattr(FilePageFile, "_write_raw", spy)
+        rng = np.random.default_rng(9)
+        nodes = _leaf_nodes(rng, 5)
+        for node, pid in zip(nodes, (4, 2, 3, 9, 8)):
+            node.page_id = pid
+        store = FilePageFile(str(tmp_path / "raw.pages"), _codec())
+        store.write_many(nodes)
+        assert calls == [(2, 3), (8, 2)]
+        del calls[:]
+        store.write(nodes[0])
+        store.free(9)
+        assert calls == [(4, 1), (9, 1)]
         store.close()
 
     def test_write_many_counts_writes_and_levels(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.constants import NUMBER_SIZE
 from repro.geometry import BittenRect, Rect, Sphere
+from repro.gist import IndexEntry, LeafEntry, Node
 from repro.storage.codecs import (
     DualRectCodec,
     IndexEntryCodec,
@@ -17,7 +18,6 @@ from repro.storage.codecs import (
     RectCodec,
     RectSphereCodec,
     SphereCodec,
-    VectorCodec,
     XJBCodec,
 )
 
@@ -58,15 +58,9 @@ class TestTable3Sizes:
 
 
 class TestRoundtrips:
-    def test_vector(self):
-        c = VectorCodec(5)
-        v = np.arange(5, dtype=np.float64)
-        assert np.array_equal(c.decode(c.encode(v)), v)
-        assert len(c.encode(v)) == c.size
-
     def test_vector_shape_check(self):
         with pytest.raises(ValueError):
-            VectorCodec(3).encode(np.zeros(4))
+            LeafEntryCodec(3).encode_block(np.zeros((1, 4)), [0])
 
     def test_rect(self):
         c = RectCodec(3)
@@ -124,14 +118,20 @@ class TestRoundtrips:
     def test_leaf_entry(self):
         c = LeafEntryCodec(4)
         key = np.array([1.0, 2.0, 3.0, 4.0])
-        k2, rid = c.decode(c.encode((key, 77)))
-        assert np.array_equal(k2, key) and rid == 77
+        body = c.encode_block(key[None, :], [77])
+        assert len(body) == c.size
+        keys, rids = c.decode_block(body, 1)
+        assert np.array_equal(keys[0], key) and rids.tolist() == [77]
 
     def test_index_entry(self):
         c = IndexEntryCodec(RectCodec(2))
         r = Rect([0.0, 0.0], [1.0, 1.0])
-        pred, child = c.decode(c.encode((r, 12)))
-        assert pred == r and child == 12
+        block = np.frombuffer(RectCodec(2).encode(r), dtype="<f8")[None, :]
+        body = c.encode_block(block, np.array([12]))
+        assert len(body) == c.size
+        preds, children = c.decode_block(body, 1)
+        assert RectCodec(2).decode(preds[0].tobytes()) == r
+        assert children.tolist() == [12]
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 20), st.just(3)),
                       elements=finite_floats()))
@@ -150,23 +150,25 @@ class TestNodeCodec:
 
     def test_leaf_roundtrip(self):
         c = self._codec()
-        entries = [(np.array([1.0, 2.0]), 5), (np.array([3.0, 4.0]), 6)]
-        page_id, level, out = c.decode(c.encode(9, 0, entries))
-        assert (page_id, level) == (9, 0)
-        assert len(out) == 2 and out[1][1] == 6
+        leaf = Node(9, 0, [LeafEntry(np.array([1.0, 2.0]), 5),
+                           LeafEntry(np.array([3.0, 4.0]), 6)])
+        out = c.decode_node(c.encode_nodes([leaf])[0], 9)
+        assert (out.page_id, out.level) == (9, 0)
+        assert len(out) == 2 and out.entries[1].rid == 6
 
     def test_index_roundtrip(self):
         c = self._codec()
-        entries = [(Rect([0.0, 0.0], [1.0, 1.0]), 3)]
-        _, level, out = c.decode(c.encode(1, 2, entries))
-        assert level == 2 and out[0][1] == 3
+        inner = Node(1, 2, [IndexEntry(Rect([0.0, 0.0], [1.0, 1.0]), 3)])
+        out = c.decode_node(c.encode_nodes([inner])[0], 1)
+        assert out.level == 2 and out.entries[0].child == 3
 
     def test_page_image_is_fixed_size(self):
         c = self._codec()
-        assert len(c.encode(1, 0, [])) == 4096
+        assert c.encode_nodes([Node(1, 0)]).shape == (1, 4096)
 
     def test_overflow_rejected(self):
         c = self._codec(page_size=64)
-        entries = [(np.array([0.0, 0.0]), i) for i in range(10)]
+        leaf = Node(1, 0, [LeafEntry(np.array([0.0, 0.0]), i)
+                           for i in range(10)])
         with pytest.raises(ValueError):
-            c.encode(1, 0, entries)
+            c.encode_nodes([leaf])

@@ -1,4 +1,5 @@
-"""Property-based fuzzing of every fixed-size codec."""
+"""Property-based fuzzing of every fixed-size codec and of the page
+codec that packs them."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.bulk import bulk_load
 from repro.geometry import BittenRect, Rect, Sphere
 from repro.storage.codecs import (
     DualRectCodec,
-    IndexEntryCodec,
     JBCodec,
-    LeafEntryCodec,
+    NodeCodec,
     RectCodec,
     SphereCodec,
-    VectorCodec,
     XJBCodec,
+    make_leaf_codec,
 )
+
+from tests.conftest import make_ext
+
+FAMILIES = ("rtree", "sstree", "srtree", "jb", "xjb", "amap")
 
 floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
                    allow_infinity=False, width=32)
@@ -34,14 +39,6 @@ def rects(draw, dim=3):
 
 
 class TestFuzzRoundtrips:
-    @given(vectors(4))
-    @settings(max_examples=60)
-    def test_vector(self, v):
-        c = VectorCodec(4)
-        out = c.decode(c.encode(v))
-        assert np.array_equal(out, v)
-        assert len(c.encode(v)) == c.size
-
     @given(rects())
     @settings(max_examples=60)
     def test_rect(self, r):
@@ -61,20 +58,6 @@ class TestFuzzRoundtrips:
         c = DualRectCodec(3)
         o1, o2 = c.decode(c.encode((r1, r2)))
         assert (o1, o2) == (r1, r2)
-
-    @given(vectors(5), st.integers(-2**62, 2**62))
-    @settings(max_examples=60)
-    def test_leaf_entry(self, key, rid):
-        c = LeafEntryCodec(5)
-        k, r = c.decode(c.encode((key, rid)))
-        assert np.array_equal(k, key) and r == rid
-
-    @given(rects(), st.integers(0, 2**31))
-    @settings(max_examples=40)
-    def test_index_entry(self, pred, child):
-        c = IndexEntryCodec(RectCodec(3))
-        p, ch = c.decode(c.encode((pred, child)))
-        assert p == pred and ch == child
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 25),
                                             st.just(3)),
@@ -106,3 +89,45 @@ class TestFuzzRoundtrips:
         for q in rng.normal(scale=2e4, size=(5, 2)):
             assert out.min_dist(q) == pytest.approx(br.min_dist(q),
                                                     rel=1e-9, abs=1e-9)
+
+
+class TestPageRoundTrip:
+    """``decode_node`` inverts ``encode_nodes`` on every page of every
+    AM family, for both leaf codecs: the page codec the stores, the
+    WAL and persistence all share."""
+
+    @pytest.mark.parametrize("codec", ["f64", "sq8"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(keys=hnp.arrays(np.float64,
+                           st.tuples(st.integers(1, 150), st.just(2)),
+                           elements=st.floats(-1e4, 1e4, allow_nan=False,
+                                              width=32)))
+    @settings(max_examples=15, deadline=None)
+    def test_decode_node_inverts_encode_nodes(self, family, codec, keys):
+        leaf_codec = make_leaf_codec(codec, 2)
+        tree = bulk_load(make_ext(family, 2), keys, page_size=512,
+                         leaf_codec=leaf_codec)
+        pred_codec = tree.index_codec.pred_codec
+        pages = NodeCodec(512, leaf_codec, tree.index_codec)
+        nodes = list(tree.iter_nodes())
+        for node, image in zip(nodes, pages.encode_nodes(nodes)):
+            out = pages.decode_node(image, node.page_id)
+            assert (out.page_id, out.level, len(out)) \
+                == (node.page_id, node.level, len(node))
+            if not node.is_leaf:
+                assert out.pred_block().tobytes() == b"".join(
+                    pred_codec.encode(e.pred) for e in node.entries)
+                assert out.children() == node.children()
+                continue
+            rids = node.rid_array()
+            if codec == "f64":
+                assert np.array_equal(out.rid_array(), rids)
+                assert np.array_equal(out.keys_array(), node.keys_array())
+                continue
+            # SQ8 stores a page's entries by ascending rid, each key
+            # within its quantization cell of the original.
+            order = np.argsort(rids, kind="stable")
+            assert np.array_equal(out.rid_array(), rids[order])
+            error = np.abs(out.keys_array() - keys[rids[order]])
+            assert (error <= out.key_halfwidths() * (1 + 1e-9)
+                    + 1e-9).all()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.gist import LeafEntry, Node
 from repro.storage.codecs import LeafEntryCodec, IndexEntryCodec, \
     NodeCodec, RectCodec
 from repro.storage.errors import PageCorruptError
@@ -61,9 +62,9 @@ def _codec(page_size=256, dim=2):
 
 
 def _leaf_image(codec, dim=2, n=3, page_id=7):
-    entries = [(np.arange(dim, dtype=float) + i, 100 + i)
-               for i in range(n)]
-    return codec.encode(page_id, 0, entries)
+    leaf = Node(page_id, 0, [LeafEntry(np.arange(dim, dtype=float) + i,
+                                       100 + i) for i in range(n)])
+    return codec.encode_nodes([leaf])[0].tobytes()
 
 
 def _unsealed(image):
@@ -190,16 +191,15 @@ class TestSeal:
         assert epoch == FORMAT_EPOCH
         assert crc != 0
         assert verify_image(image) == FORMAT_EPOCH
-        page_id, level, entries = codec.decode(image)
-        assert (page_id, level, len(entries)) == (7, 0, 3)
+        node = codec.decode_node(image, 7)
+        assert (node.page_id, node.level, len(node)) == (7, 0, 3)
 
     def test_legacy_unsealed_image_accepted(self):
         image = _unsealed(_leaf_image(_codec()))
         assert stored_seal(image) == (0, 0)
         assert verify_image(image) == 0   # legacy: verification skipped
         # The codec still decodes it (back-compat).
-        page_id, _, _ = _codec().decode(image)
-        assert page_id == 7
+        assert _codec().decode_node(image, 7).page_id == 7
 
     def test_every_single_bit_flip_is_detected(self):
         """Exhaustive over a small page: no silent garbage, ever."""
@@ -211,7 +211,7 @@ class TestSeal:
                        + bytes([image[byte] ^ (1 << offset)])
                        + image[byte + 1:])
             with pytest.raises(PageCorruptError):
-                codec.decode(flipped)
+                codec.decode_node(flipped, 7)
 
     def test_seeded_flips_on_full_size_page(self):
         codec = _codec(page_size=4096)
@@ -224,13 +224,13 @@ class TestSeal:
                        + bytes([image[byte] ^ (1 << offset)])
                        + image[byte + 1:])
             with pytest.raises(PageCorruptError):
-                codec.decode(flipped)
+                codec.decode_node(flipped, 7)
 
     def test_truncated_image_rejected(self):
         codec = _codec()
         image = _leaf_image(codec)
         with pytest.raises(PageCorruptError, match="truncated"):
-            codec.decode(image[:-1])
+            codec.decode_node(image[:-1], 7)
 
     def test_insane_entry_count_rejected_even_unsealed(self):
         import struct
@@ -239,14 +239,14 @@ class TestSeal:
         struct.pack_into("<i", image, 12, 10_000)   # entry count
         image[16:24] = b"\x00" * 8                  # strip the seal
         with pytest.raises(PageCorruptError, match="entry count"):
-            codec.decode(bytes(image))
+            codec.decode_node(bytes(image), 7)
 
     def test_verify_reports_path_and_page(self):
         codec = _codec()
         image = bytearray(_leaf_image(codec))
         image[40] ^= 0x01
         with pytest.raises(PageCorruptError, match="some/file"):
-            codec.decode(bytes(image), path="some/file")
+            codec.decode_node(bytes(image), 7, path="some/file")
 
 
     def test_seal_matches_the_oracle(self):
