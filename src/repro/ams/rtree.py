@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.ams.splits import quadratic_split
 from repro.geometry import Rect
-from repro.geometry.rect import min_dists_to_rects, min_dists_to_rects_multi
+from repro.geometry.rect import (min_dists_to_rects, min_dists_to_rects_multi,
+                                 rects_contain_point)
 from repro.gist.entry import LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
@@ -54,6 +55,12 @@ class RTreeExtension(GiSTExtension):
 
     def contains(self, pred, point) -> bool:
         return pred.contains_point(point)
+
+    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
+        """:meth:`contains` for every entry, from the footprint bounds
+        (the closed-box rule of ``Rect.contains_point``)."""
+        lo, hi = self.node_bounds(node)
+        return rects_contain_point(point, lo, hi)
 
     def covers_pred(self, parent_pred, child_pred) -> bool:
         return parent_pred.contains_rect(self.footprint(child_pred))

@@ -20,7 +20,8 @@ import numpy as np
 from repro.constants import AMAP_SAMPLES
 from repro.ams.rtree import RTreeExtension
 from repro.geometry import Rect
-from repro.geometry.rect import min_dists_to_rects, min_dists_to_rects_multi
+from repro.geometry.rect import (min_dists_to_rects, min_dists_to_rects_multi,
+                                 rects_contain_point)
 from repro.gist.node import Node
 from repro.storage.codecs import DualRectCodec
 
@@ -252,6 +253,11 @@ class AMapExtension(RTreeExtension):
 
     def contains(self, pred: MapPred, point) -> bool:
         return pred.contains_point(point)
+
+    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
+        lo1, hi1, lo2, hi2 = self._dual_bounds(node)
+        return (rects_contain_point(point, lo1, hi1)
+                | rects_contain_point(point, lo2, hi2))
 
     def covers_pred(self, parent_pred: MapPred, child_pred: MapPred) -> bool:
         child = self.footprint(child_pred)

@@ -66,6 +66,12 @@ class JBExtension(RTreeExtension):
                                      max_steps=self.max_steps,
                                      method=self.bite_method)
 
+    def pred_for_node(self, node: Node) -> BittenRect:
+        # An inner node carves from its bounds matrices, which a
+        # block-backed node slices from its page body: no predicate
+        # object is decoded.
+        return self.pred_for_node_at(node, None)
+
     # -- bulk-load construction hooks ---------------------------------------
 
     def pred_for_node_at(self, node: Node, token) -> BittenRect:
@@ -125,6 +131,15 @@ class JBExtension(RTreeExtension):
 
     def contains(self, pred: BittenRect, point) -> bool:
         return pred.contains_point(point)
+
+    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
+        """:meth:`contains` for every entry: inside the MBR and outside
+        every half-open bite of the node's :meth:`bite_pack`."""
+        inside = super().contains_node(node, point)
+        blo, bhi, blow, counts, _ = self.bite_pack(node)
+        owners = np.repeat(np.arange(len(counts)), counts)
+        inside[owners[_in_bites(point, blo, bhi, blow)]] = False
+        return inside
 
     def covers_pred(self, parent_pred: BittenRect,
                     child_pred: BittenRect) -> bool:
@@ -215,22 +230,15 @@ class JBExtension(RTreeExtension):
     def _bite_pack_from_block(self, block: np.ndarray):
         """:meth:`bite_pack` straight from a stacked predicate block.
 
-        The array form of what the codec's ``decode`` does per bite —
-        anchor each stored slot at its MBR corner, span corner and
-        inner point, drop zero-volume bites — so the pack equals the
-        one stacked from decoded predicates bit for bit, in the same
-        entry-major slot order.
+        The codec's ``decode`` builds each predicate's bites from the
+        same :meth:`~repro.storage.codecs.JBCodec.bite_rows` arithmetic,
+        so the pack equals the one stacked from decoded predicates bit
+        for bit, in the same entry-major slot order.
         """
-        lo, hi = self.block_bounds(block)
-        masks, inners = self.pred_codec().bite_slots(block)
-        at_hi = (masks[:, :, None] >> np.arange(self.dim) & 1).astype(bool)
-        corners = np.where(at_hi, hi[:, None, :], lo[:, None, :])
-        blo = np.minimum(corners, inners)
-        bhi = np.maximum(corners, inners)
-        keep = (masks >= 0) & ~np.any(bhi <= blo, axis=-1)
+        _, _, blo, bhi, low, keep = self.pred_codec().bite_rows(block)
         counts = keep.sum(axis=1).astype(np.intp)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        return blo[keep], bhi[keep], ~at_hi[keep], counts, offsets
+        return blo[keep], bhi[keep], low[keep], counts, offsets
 
     def refine_dists_node(self, node: Node, queries: np.ndarray,
                           dists: np.ndarray) -> np.ndarray:
@@ -257,9 +265,7 @@ class JBExtension(RTreeExtension):
         delta = np.maximum(np.maximum(lo - q, q - hi), 0.0)
         box = np.sqrt((delta * delta).sum(axis=-1))
         ent = np.repeat(np.arange(len(counts)), counts)
-        p = np.clip(q, lo, hi)[:, ent, :]
-        inside = np.all(np.where(blow, (p >= blo) & (p < bhi),
-                                 (p > blo) & (p <= bhi)), axis=-1)
+        inside = _in_bites(np.clip(q, lo, hi)[:, ent, :], blo, bhi, blow)
         # offsets[nz] is strictly increasing (zero-count entries add
         # nothing to the cumsum), so each reduceat segment is exactly
         # one bitten entry's slice.
@@ -278,6 +284,15 @@ class JBExtension(RTreeExtension):
         return {"max_steps": self.max_steps,
                 "bite_method": self.bite_method,
                 "split_method": self.split_method}
+
+
+def _in_bites(p: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
+              blow: np.ndarray) -> np.ndarray:
+    """Which stacked half-open bites hold ``p`` (``Bite.removes_point``'s
+    rule: closed on the MBR-corner side, open on the inner face), over
+    the last axis."""
+    return np.all(np.where(blow, (p >= blo) & (p < bhi),
+                           (p > blo) & (p <= bhi)), axis=-1)
 
 
 def _swallows(bite, rect: Rect) -> bool:

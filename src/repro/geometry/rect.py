@@ -175,6 +175,13 @@ def stack_rects(rects: Sequence[Rect]):
     return lo, hi
 
 
+def rects_contain_point(point, lo: np.ndarray,
+                        hi: np.ndarray) -> np.ndarray:
+    """Vectorized :meth:`Rect.contains_point` against stacked bounds."""
+    p = np.asarray(point, dtype=np.float64)
+    return ((p >= lo) & (p <= hi)).all(axis=1)
+
+
 def min_dists_to_rects(point, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized :meth:`Rect.min_dist` against stacked bounds arrays."""
     p = np.asarray(point, dtype=np.float64)

@@ -138,6 +138,17 @@ class GiSTExtension:
         """Must ``pred`` cover ``point``?  Exact; drives DELETE descent."""
         raise NotImplementedError
 
+    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`contains` over an inner node's entries.
+
+        Returns the ``(n,)`` bool mask the DELETE descent follows; it
+        must equal ``[contains(p, point) for p in node.preds()]``.  The
+        default loops; extensions with stacked geometry caches answer
+        from those, building no predicate object.
+        """
+        return np.array([self.contains(p, point) for p in node.preds()],
+                        dtype=bool)
+
     def covers_pred(self, parent_pred: Any, child_pred: Any) -> bool:
         """Conservative check that ``parent_pred`` covers ``child_pred``.
 

@@ -16,7 +16,15 @@ class Node:
     the leaf level and :class:`IndexEntry` items above it.  The ``cache``
     dict lets extensions memoize stacked-array views of the entries (for
     vectorized distance computation); any structural mutation must go
-    through the mutator methods so the cache is invalidated.
+    through the mutator methods so the derived views are invalidated.
+
+    An inner node decoded from a page (:meth:`inner_from_block`) stays
+    block-backed through :meth:`add_entry`, :meth:`remove_entry_at` and
+    :meth:`replace_entry`: each edits a copy of the predicate block and
+    of the child array (never the page image they were read from),
+    encodes the installed predicate into its row and keeps the object
+    for :meth:`pred_at`.  Only :meth:`set_entries` turns a node back
+    into a plain entry list.
     """
 
     __slots__ = ("page_id", "level", "_entries", "_pred_codec", "cache")
@@ -99,20 +107,63 @@ class Node:
     # -- mutation (cache-invalidating) --------------------------------------
 
     def add_entry(self, entry: Any) -> None:
-        self.entries.append(entry)
-        self.cache.clear()
+        if "block" not in self.cache:
+            self.entries.append(entry)
+            self.cache.clear()
+            return
+        index = len(self)
+        preds = dict(self.cache.get("preds", {}))
+        preds[index] = entry.pred
+        self._edit_block(
+            np.concatenate((self.cache["block"], self._row(entry.pred))),
+            np.append(self.cache["children"], entry.child), preds)
+        if self._entries is not None:
+            self._entries.append(entry)
 
     def remove_entry_at(self, index: int) -> None:
-        del self.entries[index]
-        self.cache.clear()
+        if "block" not in self.cache:
+            del self.entries[index]
+            self.cache.clear()
+            return
+        index = range(len(self))[index]
+        preds = {i - (i > index): pred for i, pred
+                 in self.cache.get("preds", {}).items() if i != index}
+        self._edit_block(np.delete(self.cache["block"], index, axis=0),
+                         np.delete(self.cache["children"], index), preds)
+        if self._entries is not None:
+            del self._entries[index]
 
     def set_entries(self, entries: List) -> None:
         self.entries = list(entries)
         self.cache.clear()
 
     def replace_entry(self, index: int, entry: Any) -> None:
-        self.entries[index] = entry
-        self.cache.clear()
+        if "block" not in self.cache:
+            self.entries[index] = entry
+            self.cache.clear()
+            return
+        index = range(len(self))[index]
+        block = self.cache["block"].copy()
+        block[index] = self._row(entry.pred)
+        children = self.cache["children"].copy()
+        children[index] = entry.child
+        preds = dict(self.cache.get("preds", {}))
+        preds[index] = entry.pred
+        self._edit_block(block, children, preds)
+        if self._entries is not None:
+            self._entries[index] = entry
+
+    def _row(self, pred: Any) -> np.ndarray:
+        """``pred`` encoded as a ``(1, numbers)`` predicate-block row."""
+        return np.frombuffer(self._pred_codec.encode(pred),
+                             dtype="<f8")[None]
+
+    def _edit_block(self, block: np.ndarray, children: np.ndarray,
+                    preds: dict) -> None:
+        """Install an edited block-backed state; every view derived from
+        the old block (bounds, bite packs, ...) is dropped."""
+        self.cache = {"block": block, "children": children,
+                      "preds": preds}
 
     # -- cached views -----------------------------------------------------------
 
@@ -209,8 +260,9 @@ class Node:
         """The stored predicates as one ``(n, numbers)`` float64 matrix.
 
         Non-None only for an inner node decoded by
-        :meth:`inner_from_block` and not mutated since; columns follow
-        the extension's predicate codec layout.
+        :meth:`inner_from_block` (mutators edit a copy of it; only
+        :meth:`set_entries` drops it); columns follow the extension's
+        predicate codec layout.
         """
         return self.cache.get("block")
 
@@ -247,10 +299,10 @@ class Node:
         return self.child_array().tolist()
 
     def find_child_index(self, child: int) -> int:
-        for i, e in enumerate(self.entries):
-            if e.child == child:
-                return i
-        raise KeyError(f"child page {child} not in node {self.page_id}")
+        hits = np.flatnonzero(self.child_array() == child)
+        if not len(hits):
+            raise KeyError(f"child page {child} not in node {self.page_id}")
+        return int(hits[0])
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"inner(level={self.level})"

@@ -19,6 +19,7 @@ never a raw ``struct.error`` or ``json.JSONDecodeError``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Any, Dict, Optional, Tuple
 
@@ -32,6 +33,7 @@ from repro.storage.errors import PageCorruptError, PageMissingError
 from repro.storage.integrity import FORMAT_EPOCH, crc32c, verify_images
 from repro.storage.page import PAGE_HEADER_SIZE
 from repro.storage.pagefile import MemoryPageFile
+from repro.storage.wal import default_wal_path
 
 _MAGIC = "repro-gist-v1"
 
@@ -57,7 +59,12 @@ def superblock_image(header: Dict, page_size: int) -> bytes:
 
 
 def save_tree(tree: GiST, path: str) -> None:
-    """Write the tree to ``path`` as fixed-size page images."""
+    """Write the tree to ``path`` as fixed-size page images.
+
+    A redo log beside ``path`` belongs to the file being replaced; it is
+    removed first, or the next :class:`~repro.gist.mutable.MutableTree`
+    open would replay its transactions onto the new tree.
+    """
     codec = NodeCodec(tree.page_size, tree.leaf_codec, tree.index_codec)
     nodes = list(tree.iter_nodes()) if tree.root_id is not None else []
     # Page slots are assigned densely in traversal order; the superblock
@@ -85,6 +92,10 @@ def save_tree(tree: GiST, path: str) -> None:
     images = codec.encode_nodes(
         [_renumbered(node, slot_of, tree.index_codec.pred_codec)
          for node in nodes])
+    try:
+        os.remove(default_wal_path(path))
+    except FileNotFoundError:
+        pass
     with open(path, "wb") as f:
         f.write(page0)
         f.write(images)

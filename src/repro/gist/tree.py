@@ -41,6 +41,13 @@ def _finite_key(key: Any) -> np.ndarray:
     return key
 
 
+def _key_hits(leaf: Node, key: np.ndarray) -> np.ndarray:
+    """Which of a leaf's stored keys equal ``key`` exactly."""
+    if not len(leaf):
+        return np.zeros(0, dtype=bool)
+    return (leaf.keys_array() == key).all(axis=1)
+
+
 class GiST:
     """A height-balanced multi-way search tree specialized by an extension."""
 
@@ -418,11 +425,10 @@ class GiST:
         if path is None:
             return False
         leaf = path[-1]
-        for i, entry in enumerate(leaf.entries):
-            if entry.rid == rid and (lossy
-                                     or np.array_equal(entry.key, key)):
-                leaf.remove_entry_at(i)
-                break
+        hits = leaf.rid_array() == rid
+        if not lossy:
+            hits &= _key_hits(leaf, key)
+        leaf.remove_entry_at(int(hits.argmax()))
         self.store.write(leaf)
         self.size -= 1
         self._condense(path)
@@ -430,18 +436,19 @@ class GiST:
 
     def _find_leaf(self, page_id: int, key: np.ndarray, rid: int,
                    trail: List[Node]) -> Optional[List[Node]]:
+        """DELETE descent: children whose predicate contains ``key``,
+        screened for a whole node at once by the extension's
+        :meth:`~GiSTExtension.contains_node`."""
         node = self._peek(page_id)
         trail = trail + [node]
         if node.is_leaf:
-            for entry in node.entries:
-                if entry.rid == rid and np.array_equal(entry.key, key):
-                    return trail
-            return None
-        for entry in node.entries:
-            if self.ext.contains(entry.pred, key):
-                found = self._find_leaf(entry.child, key, rid, trail)
-                if found is not None:
-                    return found
+            hits = (node.rid_array() == rid) & _key_hits(node, key)
+            return trail if hits.any() else None
+        inside = self.ext.contains_node(node, key)
+        for child in node.child_array()[inside].tolist():
+            found = self._find_leaf(child, key, rid, trail)
+            if found is not None:
+                return found
         return None
 
     def _find_leaf_by_rid(self, page_id: int, rid: int,
@@ -450,11 +457,9 @@ class GiST:
         node = self._peek(page_id)
         trail = trail + [node]
         if node.is_leaf:
-            if any(e.rid == rid for e in node.entries):
-                return trail
-            return None
-        for entry in node.entries:
-            found = self._find_leaf_by_rid(entry.child, rid, trail)
+            return trail if (node.rid_array() == rid).any() else None
+        for child in node.child_array().tolist():
+            found = self._find_leaf_by_rid(child, rid, trail)
             if found is not None:
                 return found
         return None
@@ -506,7 +511,7 @@ class GiST:
             return
         root = self._peek(self.root_id)
         while not root.is_leaf and len(root) == 1:
-            child = root.entries[0].child
+            child = int(root.child_array()[0])
             self.store.free(root.page_id)
             self.root_id = child
             self.height -= 1

@@ -21,7 +21,7 @@ All numbers are stored as little-endian ``float64`` / ``int64``
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,7 +166,49 @@ class DualRectCodec(Codec):
                          self._rect.block_error(block[:, split:]))
 
 
-class JBCodec(Codec):
+class _BittenCodec(Codec):
+    """An MBR followed by stored bite slots (the JB and XJB layouts).
+
+    Subclasses say where the slots are (:meth:`bite_slots`); decoding a
+    predicate and stacking a page's bite pack share :meth:`bite_rows`.
+    """
+
+    dim: int
+
+    def bite_slots(self, block: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def bite_rows(self, block: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every stored bite slot of a stacked block, as geometry.
+
+        Returns ``(masks, inners, lo, hi, low_side, keep)``: the
+        ``(n, slots)`` corner masks, the ``(n, slots, dim)`` inner
+        points, bite bounds and low-side flags — each slot anchored at
+        its row's MBR corner — and the ``(n, slots)`` mask of the
+        slots that are bites (used, and of non-zero volume).
+        """
+        lo, hi = block[:, :self.dim], block[:, self.dim:2 * self.dim]
+        masks, inners = self.bite_slots(block)
+        at_hi = (masks[:, :, None] >> np.arange(self.dim) & 1).astype(bool)
+        corners = np.where(at_hi, hi[:, None, :], lo[:, None, :])
+        blo = np.minimum(corners, inners)
+        bhi = np.maximum(corners, inners)
+        keep = (masks >= 0) & ~np.any(bhi <= blo, axis=-1)
+        return masks, inners, blo, bhi, ~at_hi, keep
+
+    def decode(self, data: bytes) -> BittenRect:
+        row = np.frombuffer(data, dtype="<f8", count=self.numbers)
+        rect = Rect(row[:self.dim], row[self.dim:2 * self.dim])
+        masks, inners, blo, bhi, low, keep = (
+            part[0] for part in self.bite_rows(row[None]))
+        return BittenRect(rect, [
+            Bite._from_rows(*fields) for fields in zip(
+                masks[keep].tolist(), inners[keep], blo[keep], bhi[keep],
+                low[keep])])
+
+
+class JBCodec(_BittenCodec):
     """JB predicate: MBR plus one inner point per corner.
 
     ``(2 + 2**dim) * dim`` numbers (Table 3, JB row).  Corners are stored
@@ -190,18 +232,6 @@ class JBCodec(Codec):
             parts.append(np.asarray(inner, dtype="<f8").tobytes())
         return b"".join(parts)
 
-    def decode(self, data: bytes) -> BittenRect:
-        rect = self._rect.decode(data[:self._rect.size])
-        flat = np.frombuffer(data[self._rect.size:], dtype="<f8",
-                             count=self.corners * self.dim)
-        inners = flat.reshape(self.corners, self.dim)
-        bites: List[Bite] = []
-        for mask in range(self.corners):
-            bite = Bite(mask, rect.corner(mask), inners[mask])
-            if not bite.is_empty():
-                bites.append(bite)
-        return BittenRect(rect, bites)
-
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         return self._rect.block_error(block)
 
@@ -219,7 +249,7 @@ class JBCodec(Codec):
             n, self.corners, self.dim)
 
 
-class XJBCodec(Codec):
+class XJBCodec(_BittenCodec):
     """XJB predicate: MBR plus the top ``x`` bites.
 
     ``2 * dim + (dim + 1) * x`` numbers (Table 3, XJB row): each stored
@@ -246,23 +276,6 @@ class XJBCodec(Codec):
         empty = struct.pack("<d", -1.0) + b"\x00" * (self.dim * NUMBER_SIZE)
         parts.extend([empty] * (self.x - len(value.bites)))
         return b"".join(parts)
-
-    def decode(self, data: bytes) -> BittenRect:
-        rect = self._rect.decode(data[:self._rect.size])
-        bites: List[Bite] = []
-        offset = self._rect.size
-        slot = NUMBER_SIZE + self.dim * NUMBER_SIZE
-        for _ in range(self.x):
-            mask = struct.unpack_from("<d", data, offset)[0]
-            if mask >= 0:
-                inner = np.frombuffer(
-                    data, dtype="<f8", count=self.dim,
-                    offset=offset + NUMBER_SIZE)
-                bite = Bite(int(mask), rect.corner(int(mask)), inner)
-                if not bite.is_empty():
-                    bites.append(bite)
-            offset += slot
-        return BittenRect(rect, bites)
 
     def _slots(self, block: np.ndarray) -> np.ndarray:
         """The ``(n, x, 1 + dim)`` (corner id, inner point) slots."""

@@ -115,6 +115,41 @@ class TestRoundTripParity:
         assert load_tree(path=path).size == 71
 
 
+class TestStaleLog:
+    """A log belongs to the file it was written beside: writing a new
+    index over the path must not let the old log replay onto it."""
+
+    def _logged(self, tmp_path):
+        from repro.bulk import bulk_load
+        path = str(tmp_path / "t.gist")
+        save_tree(bulk_load(make_ext("rtree", DIM), _points(3000, 41),
+                            page_size=PAGE), path)
+        with MutableTree.open(path) as mt:
+            for i, p in enumerate(_points(5, 43)):
+                mt.insert(p, 3000 + i)
+            assert mt.wal_size > 0          # close leaves the log behind
+        return path
+
+    def test_save_tree_over_a_logged_path(self, tmp_path):
+        from repro.bulk import bulk_load
+        path = self._logged(tmp_path)
+        other = _points(3000, 47)
+        save_tree(bulk_load(make_ext("rtree", DIM), other,
+                            page_size=PAGE), path)
+        with MutableTree.open(path) as mt:
+            assert mt.recovery.transactions_applied == 0
+            assert mt.tree.size == 3000
+            assert mt.tree.knn(other[0], 1) == [(0.0, 0)]
+        assert load_tree(path=path).size == 3000
+
+    def test_create_over_a_logged_path(self, tmp_path):
+        path = self._logged(tmp_path)
+        with MutableTree.create(make_ext("rtree", DIM), path, PAGE) as mt:
+            assert mt.recovery.transactions_applied == 0
+            assert mt.tree.size == 0
+        assert load_tree(path=path).size == 0
+
+
 class TestSnapshotIsolation:
     def test_snapshot_pins_committed_state(self, tmp_path):
         path, pts = _saved(tmp_path, "rtree", n=150)

@@ -183,11 +183,37 @@ class TestLazyInner:
         assert node.entries[0].pred is pred
         assert node.pred_at(3) is node.entries[3].pred
 
-    def test_mutation_drops_the_block(self):
-        node, eager = self._lazy()
-        node.add_entry(IndexEntry(Rect([8.0, 0.0], [9.0, 1.0]), 99))
-        assert node.pred_block() is None and node.cache == {}
-        assert node.children() == eager.children() + [99]
+    def test_mutation_edits_a_copy_of_the_block(self):
+        """Each mutator keeps the node block-backed: it edits copies of
+        the block and child arrays, the edited row is the codec's
+        encoding of the installed predicate, ``pred_at`` returns that
+        object (and shifts the ones already built), and the page image
+        the node was decoded from never changes."""
+        from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec,
+                                          NodeCodec, RectCodec)
+        codec = NodeCodec(1024, LeafEntryCodec(2),
+                          IndexEntryCodec(RectCodec(2)))
+        image = codec.encode_nodes([_inner(4)])[0]
+        before = image.tobytes()
+        rect_codec = codec.index_codec.pred_codec
+        new = IndexEntry(Rect([8.0, 0.0], [9.0, 1.0]), 99)
+        for mutate, row, children in (
+                (lambda n: n.add_entry(new), 4, [10, 11, 12, 13, 99]),
+                (lambda n: n.replace_entry(1, new), 1, [10, 99, 12, 13]),
+                (lambda n: n.remove_entry_at(1), None, [10, 12, 13])):
+            node = codec.decode_node(image, 2)
+            built = node.pred_at(2)
+            mutate(node)
+            assert node.pred_block() is not None
+            assert node.children() == children
+            assert node._entries is None
+            if row is not None:
+                assert node.pred_block()[row].tobytes() \
+                    == rect_codec.encode(new.pred)
+                assert node.pred_at(row) is new.pred
+            assert node.pred_at(children.index(12)) is built
+            assert image.tobytes() == before
+            assert [e.child for e in node.entries] == children
 
     def test_eager_nodes_answer_the_same_accessors(self):
         eager = _inner(3)

@@ -16,6 +16,14 @@ and than XJB's bite budget, which the 700 3-D keys on 1 KB pages never
 are.  They were taken on the commit before the head-of-order aMAP
 scoring and the array-ranked bite carve landed (382ac24), by
 running :func:`build_wide` against that commit's ``src/``.
+
+The ``mutated5d/*`` digests pin what a durable insert/delete writes at
+that fan-out: the data file and the WAL after :func:`build_mutated`'s
+seeded sequence, which splits leaves and an inner node and condenses
+an underflowing leaf for every family.  They were taken on the commit
+before inner pages kept their predicate block through mutation and
+DELETE descent screened children with ``contains_node`` (43eeb83), by
+running :func:`build_mutated` against that commit's ``src/``.
 """
 
 import hashlib
@@ -29,6 +37,7 @@ from repro.cli import main
 from repro.core.api import make_extension
 from repro.gist.mutable import MutableTree
 from repro.gist.persist import save_tree
+from repro.gist.tree import GiST
 from repro.storage.codecs import make_leaf_codec
 from repro.storage.diskfile import FilePageFile
 
@@ -37,6 +46,30 @@ CODECS = ("f64", "sq8")
 DIM, PAGE, N = 3, 1024, 700
 
 GOLDEN = {
+    "mutated5d/amap-f64":
+        "1406cb3efe6044c4b81328b31b85542990729c88034865bdeb2ed159dd4c5b19",
+    "mutated5d/amap-f64.wal":
+        "e79b93e119562785d6e927f7108804291eedf9843fbd5ded83cb2367bc23b013",
+    "mutated5d/jb-f64":
+        "3fabf9b4c2b7528e7fa885d7d724aaca0244065b422577cdee431801a515e906",
+    "mutated5d/jb-f64.wal":
+        "7cd54d2e166ad4238b11997ede0087f4332d600efb2d452cdc7abc9c70adae45",
+    "mutated5d/rtree-f64":
+        "d2b2efe2d331e9cc87d3ce6989c0c5419b79cab4b577adbba1ed169e9c461acd",
+    "mutated5d/rtree-f64.wal":
+        "568859b2cb9e26f5c0b4e6e7c0f1a6103bcc078c1978b953ca5721fbc24ab3fe",
+    "mutated5d/srtree-f64":
+        "003af3b789ef4ac8b1bc6ac2e183a36d6edc20989a88ca84695635bad5c940af",
+    "mutated5d/srtree-f64.wal":
+        "54258bca9dd04373f2edacb746250d81999dcc7f3621656e8b19ac8611f2a8ad",
+    "mutated5d/sstree-f64":
+        "8fbfb8f1a2806100ffe6e39f202b0a80a62088926113158896b9501e1538e76a",
+    "mutated5d/sstree-f64.wal":
+        "45c4911280a2cd07afe968320ef05a07e0e242545eb4bf938b7ee7dd03b35bbe",
+    "mutated5d/xjb-f64":
+        "29c43192e94736c131f139493cba15367773b1ef0e59a7a8c0248f02b4f36c5d",
+    "mutated5d/xjb-f64.wal":
+        "0ebf6558e6805c674e3a451e5f20860218451283d8dec4cf28455a6907845408",
     "pages/amap-f64":
         "8b78c8d598879adbf4b068b854d60159af9b3f1cef8021940245009279dd60d6",
     "pages/amap-sq8":
@@ -124,9 +157,45 @@ def build_wide(out):
     return digests
 
 
+def build_mutated(out):
+    """Durable inserts and deletes on every family at 5-D / 8 KB pages.
+
+    Each tree is bulk-loaded with exactly one full root of full leaves,
+    so the first insert splits a leaf and the root.  Half the fresh keys
+    are deleted again, then the smallest leaf loses keys until it
+    underflows and is condensed.
+    """
+    digests = {}
+    for family in FAMILIES:
+        ext = make_extension(family, 5)
+        probe = GiST(ext, page_size=8192)
+        rng = np.random.default_rng(20000303)
+        keys = rng.random((probe.leaf_capacity * probe.index_capacity, 5))
+        fresh = rng.random((24, 5))
+        path = str(out / f"{family}-5d-mutated.gist")
+        save_tree(bulk_load(ext, keys, page_size=8192), path)
+        with MutableTree.open(path) as tree:
+            assert tree.tree.height == 2
+            for i, key in enumerate(fresh):
+                tree.insert(key, len(keys) + i)
+            assert tree.tree.height == 3        # the full root split
+            for i in range(0, len(fresh), 2):
+                assert tree.delete(fresh[i], len(keys) + i)
+            leaf = min(tree.tree.leaf_nodes(), key=len)
+            spare = len(leaf) - tree.tree.min_entries(0) + 1
+            for key, rid in list(zip(leaf.keys_array(),
+                                     leaf.rid_array().tolist()))[:spare]:
+                assert tree.delete(key, rid)
+            assert leaf.page_id not in tree.wpf     # condensed away
+        digests[f"mutated5d/{family}-f64"] = _sha(path)
+        digests[f"mutated5d/{family}-f64.wal"] = _sha(path + ".wal")
+    return digests
+
+
 def build_all(out):
     """Write every pinned artefact under ``out``; name -> sha256."""
     digests = build_wide(out)
+    digests.update(build_mutated(out))
     for family in FAMILIES:
         for codec in CODECS:
             # the batched write path: write_many + seal_images

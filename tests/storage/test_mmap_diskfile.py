@@ -9,6 +9,8 @@ pread and mmap stores over the *same* page file and hold every
 observable to that.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -357,24 +359,46 @@ class TestLazyInnerNode:
                 want = np.sort(np.sqrt(((alive - q) ** 2).sum(axis=1)))[:8]
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_mutators_clear_the_block_arrays(self, tmp_path, points):
+    def test_mutators_edit_copies_of_the_block_arrays(self, tmp_path,
+                                                       points):
+        """A mutated page-decoded node stays block-backed: the edited
+        row is the codec's encoding of the installed predicate, which
+        ``pred_at`` returns as is, and the page bytes do not change
+        until the node is written — over pread and mmap images."""
         from repro.gist.entry import IndexEntry
-        path, *facts = _build_file(tmp_path, "rtree", points)
-        with _open(path, "rtree", 3, False) as store:
-            pid = _inner_pages(store)[0]
-            for mutate in (
-                    lambda n: n.replace_entry(
-                        0, IndexEntry(n.pred_at(0), 777)),
-                    lambda n: n.add_entry(IndexEntry(n.pred_at(0), 777)),
-                    lambda n: n.remove_entry_at(0)):
-                node = store.read(pid)
-                before = len(node)
-                children = node.children()
-                mutate(node)
-                assert node.cache == {} and node.pred_block() is None
-                assert node._entries is not None
-                assert abs(len(node) - before) <= 1
-                assert set(node.children()) - set(children) <= {777}
+        for method, mmap_mode in itertools.product(("rtree", "xjb"),
+                                                   (False, True)):
+            path, *facts = _build_file(tmp_path, method, points,
+                                       name=f"{method}-{mmap_mode}.bin")
+            with _open(path, method, 3, mmap_mode) as store:
+                pid = _inner_pages(store)[0]
+                codec = store.codec.index_codec.pred_codec
+                for mutate, row, edit in (
+                        (lambda n, e: n.replace_entry(0, e), 0,
+                         lambda c: [777] + c[1:]),
+                        (lambda n, e: n.add_entry(e), -1,
+                         lambda c: c + [777]),
+                        (lambda n, e: n.remove_entry_at(0), None,
+                         lambda c: c[1:])):
+                    node = store.read(pid)
+                    image = store._read_raw(pid)
+                    children = node.children()
+                    entry = IndexEntry(
+                        store.read(_inner_pages(store)[-1]).pred_at(0), 777)
+                    mutate(node, entry)
+                    assert node.pred_block() is not None
+                    assert node._entries is None
+                    assert node.children() == edit(children)
+                    if row is not None:
+                        assert node.pred_block()[row].tobytes() \
+                            == codec.encode(entry.pred)
+                        assert node.pred_at(row % len(node)) is entry.pred
+                    assert store._read_raw(pid) == image
+                    store.write(node)
+                    written = store.read(pid)
+                    assert written.children() == node.children()
+                    assert np.array_equal(written.pred_block(),
+                                          node.pred_block())
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_damaged_inner_body_names_the_entry_offset(self, tmp_path,
