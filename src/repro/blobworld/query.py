@@ -9,7 +9,7 @@ top few hundred"), re-ranks only those candidates with the full
 distance, and returns the top images — the goal being that the AM's top
 few hundred contain the top few dozen the full ranking would pick.
 
-Every index lookup hands the tree the corpus's reduced vectors as
+Every index lookup attaches the corpus's reduced vectors to the tree as
 ``exact``, so a quantized (sq8) index returns the same reduced-space top
 ``n`` as a float64 one and stage two never knows which codec it had.
 """
@@ -137,16 +137,15 @@ class BlobworldEngine:
 
     # -- AM-assisted query (Figure 2) ----------------------------------------------
 
-    def _two_stage(self, query_blobs: Sequence[int], num_blobs: int,
+    def _two_stage(self, tree, query_blobs: Sequence[int], num_blobs: int,
                    dims: int, top_images: Optional[int],
-                   stage_one: Callable[[np.ndarray, np.ndarray], List],
+                   stage_one: Callable[[np.ndarray], List],
                    profile=None) -> List[List[int]]:
         """The one two-stage body: the cached-block pass, stage one for
         the distinct misses, one :meth:`rerank_batch` and the cache
-        fill.  ``stage_one(reduced, query_vecs)`` returns one
-        ``(distance, rid)`` hit list per query vector: the exact
-        reduced-space top ``num_blobs``, whatever the leaf codec, since
-        the index ranks quantized leaves by ``reduced`` itself."""
+        fill.  ``stage_one(query_vecs)`` returns one ``(distance, rid)``
+        hit list per query vector: the exact reduced-space top
+        ``num_blobs``, whatever the leaf codec (:meth:`_index_keys`)."""
         if top_images is None:
             top_images = FULL_QUERY_RESULT_IMAGES
         query_blobs = self.check_blobs(query_blobs)
@@ -155,9 +154,9 @@ class BlobworldEngine:
         ranked: List[List[int]] = []
         if block.misses:
             blobs = [query_blobs[i] for i in block.misses]
-            reduced = self.corpus.reduced(dims)
+            reduced = self._index_keys(tree, dims)
             rows = [np.array([rid for _, rid in hits], dtype=np.intp)
-                    for hits in stage_one(reduced, reduced[blobs])]
+                    for hits in stage_one(reduced[blobs])]
             ranked = self.rerank_batch(blobs, rows, top_images,
                                        profile=profile)
         return [list(result) for result in block.fill(ranked)]
@@ -167,14 +166,11 @@ class BlobworldEngine:
         """Two-stage query: index candidates, then full re-ranking.
 
         ``tree`` must index the corpus's ``dims``-dimensional reduced
-        vectors with blob indices as RIDs.  Those vectors go to
-        ``tree.knn`` as ``exact``, so a quantized (sq8) index hands the
-        rerank the same reduced-space top ``num_blobs`` as a float64 one.
+        vectors with blob indices as RIDs (:meth:`_index_keys`).
         """
         return self._two_stage(
-            [query_blob], num_blobs, dims, top_images,
-            lambda reduced, query_vecs: [
-                tree.knn(query_vecs[0], num_blobs, exact=reduced)])[0]
+            tree, [query_blob], num_blobs, dims, top_images,
+            lambda query_vecs: [tree.knn(query_vecs[0], num_blobs)])[0]
 
     def am_query_batch(self, tree, query_blobs: Sequence[int],
                        num_blobs: int, dims: int,
@@ -194,14 +190,19 @@ class BlobworldEngine:
         or scan / rerank / aggregation, and the plan counters.
         """
         return self._two_stage(
-            query_blobs, num_blobs, dims, top_images,
-            lambda reduced, query_vecs: self._batch_stage_one(
-                tree, reduced, query_vecs, num_blobs, profile, planner),
+            tree, query_blobs, num_blobs, dims, top_images,
+            lambda query_vecs: self._batch_stage_one(
+                tree, query_vecs, num_blobs, profile, planner),
             profile)
 
-    def _batch_stage_one(self, tree, reduced: np.ndarray,
-                         query_vecs: np.ndarray, num_blobs: int, profile,
-                         planner) -> List:
+    def _index_keys(self, tree, dims: int) -> np.ndarray:
+        """Attach the ``dims``-D reduced vectors to ``tree`` as ``exact``."""
+        reduced = self.corpus.reduced(dims)
+        tree.exact = reduced
+        return reduced
+
+    def _batch_stage_one(self, tree, query_vecs: np.ndarray,
+                         num_blobs: int, profile, planner) -> List:
         """Stage one of :meth:`am_query_batch`: the planner's flat scan,
         or the index timed as one ``traversal`` stage.  A planner-chosen
         traversal counts its page reads through a store listener for
@@ -227,8 +228,7 @@ class BlobworldEngine:
             tree.store.add_listener(_count)
         t0 = time.perf_counter()
         try:
-            hits_list = knn_search_batch(tree, query_vecs, num_blobs,
-                                         exact=reduced)
+            hits_list = knn_search_batch(tree, query_vecs, num_blobs)
         finally:
             if listening:
                 tree.store.remove_listener(_count)
@@ -250,11 +250,11 @@ class BlobworldEngine:
         as that needs, in exact reduced-space order on any leaf codec.
         """
         query_blob, = self.check_blobs([query_blob])
-        reduced = self.corpus.reduced(dims)
+        reduced = self._index_keys(tree, dims)
         image_ids = self.corpus.image_ids
         seen = set()
         candidates = []
-        for _, rid in tree.nn_cursor(reduced[query_blob], exact=reduced):
+        for _, rid in tree.nn_cursor(reduced[query_blob]):
             candidates.append(rid)
             seen.add(int(image_ids[rid]))
             if len(seen) >= num_images:
@@ -386,8 +386,8 @@ class BlobworldEngine:
                 raise ValueError(
                     "index-assisted weighted queries need color weight "
                     "> 0 (the index covers color space)")
-            reduced = self.corpus.reduced(dims)
-            hits = tree.knn(reduced[query_blob], num_blobs, exact=reduced)
+            reduced = self._index_keys(tree, dims)
+            hits = tree.knn(reduced[query_blob], num_blobs)
             candidates = np.array([rid for _, rid in hits],
                                   dtype=np.intp)
         dists = self.weighted_distances(query_blob, candidates, weights)

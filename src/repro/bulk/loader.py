@@ -81,7 +81,8 @@ def bulk_load(ext: GiSTExtension, keys: np.ndarray,
 
     ``leaf_codec`` overrides the leaf-page encoding (e.g. a
     :class:`~repro.storage.codecs.QuantizedLeafCodec` packs 4-6x more
-    entries per page); leaf capacity and chunk sizes follow it.
+    entries per page; with the default rids ``keys`` become its
+    :attr:`GiST.exact`); leaf capacity and chunk sizes follow it.
     """
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim != 2 or keys.shape[1] != ext.dim:
@@ -118,6 +119,8 @@ def bulk_load(ext: GiSTExtension, keys: np.ndarray,
     finally:
         tree.store.counting = was_counting
         prof.total_seconds = time.perf_counter() - t_start
+    if rids is None and tree.leaf_codec.lossy:
+        tree.exact = keys
     return tree
 
 
@@ -209,13 +212,12 @@ def insertion_load(ext: GiSTExtension, keys: np.ndarray,
     """Build a tree by inserting keys one at a time (Table 2's contrast).
 
     ``shuffle_seed`` randomizes insertion order; ``None`` inserts in the
-    given order.
+    given order.  ``exact`` is attached as :func:`bulk_load` does.
     """
     keys = np.asarray(keys, dtype=np.float64)
     n = len(keys)
-    if rids is None:
-        rids = range(n)
-    rids = list(rids)
+    default_rids = rids is None
+    rids = list(range(n) if default_rids else rids)
     order = np.arange(n)
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(n)
@@ -229,4 +231,6 @@ def insertion_load(ext: GiSTExtension, keys: np.ndarray,
             tree.insert(keys[i], rids[i])
     finally:
         tree.store.counting = was_counting
+    if default_rids and tree.leaf_codec.lossy:
+        tree.exact = keys
     return tree

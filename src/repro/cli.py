@@ -309,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bulk", "insert"])
     p.add_argument("--codec", default="f64", choices=["f64", "sq8"],
                    help="leaf-page format: exact f64 entries or 8-bit "
-                        "scalar-quantized (4-6x denser; exact answers "
-                        "restored by the full-descriptor rerank)")
+                        "scalar-quantized (4-6x denser; queries rank "
+                        "its leaves by the corpus's reduced vectors)")
     p.add_argument("--x", type=int, default=None,
                    help="XJB bite budget (-1 = auto)")
     p.set_defaults(func=_cmd_index)

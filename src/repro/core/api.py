@@ -64,9 +64,9 @@ def build_index(vectors: np.ndarray, method: str = "xjb",
     ``"insert"`` (one INSERT per key, Table 2's contrast).  For XJB,
     pass ``x="auto"`` to let :func:`repro.core.xjb.select_x` pick the
     paper's "largest X that costs at most one level".  ``codec``
-    selects the leaf-page format: ``"f64"`` (exact) or ``"sq8"``
-    (8-bit scalar quantization; exact answers are restored by the
-    full-descriptor rerank in :mod:`repro.blobworld.query`).
+    selects the leaf-page format: ``"f64"`` or ``"sq8"`` (8-bit scalar
+    quantization, ranked by ``vectors`` attached as :attr:`GiST.exact`
+    when ``rids`` are the default; otherwise attach them yourself).
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
@@ -84,9 +84,8 @@ def build_index(vectors: np.ndarray, method: str = "xjb",
         return bulk_load(ext, vectors, rids=rids, page_size=page_size,
                          leaf_codec=leaf_codec)
     if loading == "insert":
-        tree = insertion_load(ext, vectors, rids=rids, page_size=page_size,
+        return insertion_load(ext, vectors, rids=rids, page_size=page_size,
                               leaf_codec=leaf_codec)
-        return tree
     raise ValueError(f"unknown loading mode {loading!r}")
 
 

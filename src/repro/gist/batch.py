@@ -21,16 +21,15 @@ from repro.gist.nn import Hit, best_first, check_queries
 DEFAULT_BLOCK_SIZE = 256
 
 
-def knn_search_batch(tree: Any, queries: np.ndarray, k: int,
-                     exact: Any = None) -> List[List[Hit]]:
-    """k-NN results for every query, bit-identical to ``tree.knn`` with
-    the same ``exact``.
+def knn_search_batch(tree: Any, queries: np.ndarray,
+                     k: int) -> List[List[Hit]]:
+    """k-NN results for every query, bit-identical to ``tree.knn``.
 
     ``queries`` is a ``(Q, dim)`` array-like; the return value is one
     result list per query, in query order.  Each run of
     :data:`DEFAULT_BLOCK_SIZE` queries shares one node table.
     """
-    queries = check_queries(tree, queries, 2, k, exact)
+    queries = check_queries(tree, queries, 2, k)
     #: page id -> decoded node, or None for a quarantined page.
     nodes: Dict[int, Optional[Any]] = {}
 
@@ -47,5 +46,5 @@ def knn_search_batch(tree: Any, queries: np.ndarray, k: int,
     for qid, query in enumerate(queries):
         if qid % DEFAULT_BLOCK_SIZE == 0:
             nodes.clear()
-        results.append(list(best_first(tree, query, k, read, exact)))
+        results.append(list(best_first(tree, query, k, read)))
     return results

@@ -88,8 +88,8 @@ class MutableTree:
         optionally interposes a :class:`~repro.storage.BufferPool`;
         ``injector`` threads a crash-point injector through the commit
         protocol (tests only).  ``exact``, the ``(N, dim)`` keys by rid,
-        keeps a quantized index's predicates fit to them
-        (:attr:`GiST.exact`), as ``knn(..., exact=...)`` needs.
+        is attached as :attr:`GiST.exact`: a quantized index ranks its
+        leaves by it and keeps its predicates fit to it.
         """
         if wal_path is None:
             wal_path = default_wal_path(path)
@@ -208,6 +208,7 @@ class MutableTree:
         snap.root_id = self.tree.root_id
         snap.height = self.tree.height
         snap.size = self.tree.size
+        snap.exact = self.tree.exact
         return snap
 
     def attach_cache(self, cache: Any) -> None:

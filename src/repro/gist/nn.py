@@ -18,9 +18,9 @@ DESIGN.md section 7 has the argument.  In short:
 - The heap holds node entries only.  Leaf candidates wait in arrays
   kept in ``(distance, push counter)`` order, and before the node item
   at the heap front is popped every waiting candidate with a smaller
-  key is emitted.  A quantized leaf's cell lower bounds may undercut
-  the bound of a node already popped; such late candidates just sort to
-  the front and leave at the next check.
+  key is emitted.
+- A quantized leaf is ranked by the tree's ``exact`` keys, so its
+  distances are a float64 tree's bit for bit.
 - JB/XJB entries are enqueued with the cheap MBR bound and refined when
   they surface, re-queued if the tight bound no longer wins — so only
   nodes an eager tight-bound search would read are read.  One
@@ -46,11 +46,10 @@ Hit = Tuple[float, int]
 ReadNode = Callable[[int, int], Optional[Any]]
 
 
-def check_queries(tree: Any, queries: Any, ndim: int, k: int = 1,
-                  exact: Any = None) -> np.ndarray:
-    """The one ingress check: ``k > 0``, a finite float64 ``(dim,)``
-    query (``ndim`` 1) or ``(Q, dim)`` block (``ndim`` 2), and ``exact``
-    None or an ``(N, dim)`` array."""
+def check_queries(tree: Any, queries: Any, ndim: int,
+                  k: int = 1) -> np.ndarray:
+    """The one ingress check: ``k > 0`` and a finite float64 ``(dim,)``
+    query (``ndim`` 1) or ``(Q, dim)`` block (``ndim`` 2)."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -60,33 +59,27 @@ def check_queries(tree: Any, queries: Any, ndim: int, k: int = 1,
                          f"got shape {queries.shape}")
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite (no NaN or inf)")
-    if exact is not None and (np.ndim(exact) != 2
-                              or np.shape(exact)[1] != tree.ext.dim):
-        raise ValueError(f"exact must be (N, {tree.ext.dim}), "
-                         f"got shape {np.shape(exact)}")
     return queries
 
 
-def leaf_dists(node: Any, q: np.ndarray,
-               exact: Optional[np.ndarray] = None) -> np.ndarray:
-    """Distance from ``q`` to every key of a non-empty leaf.
+def _exact(tree: Any) -> np.ndarray:
+    """``tree.exact``, or a ValueError on a tree queried without it."""
+    if tree.exact is None:
+        raise ValueError("a quantized tree ranks its leaves by GiST.exact; "
+                         "attach the (N, dim) keys by rid before querying")
+    return tree.exact
 
-    Exact on float64 leaves.  A quantized leaf holds cell centers; with
-    ``exact`` it is ranked by ``exact[rids]`` through the float64
-    expression, so its distances are a float64 tree's bit for bit.
-    Without it, each coordinate delta shrinks by the cell half width:
-    the VA-file cell lower bound, which never overestimates.
+
+def leaf_dists(tree: Any, node: Any, q: np.ndarray) -> np.ndarray:
+    """Distance from ``q`` to every key of a non-empty leaf of ``tree``.
+
+    A quantized leaf holds cell centers, so it is ranked by
+    ``tree.exact[rids]`` instead, through the same float64 expression:
+    its distances are a float64 tree's bit for bit.
     """
-    half = node.key_halfwidths()
-    if exact is not None and half is not None:
-        keys, half = exact[node.rid_array()], None
-    else:
-        keys = node.keys_array()
-    if half is None:
-        return np.sqrt(((keys - q) ** 2).sum(axis=1))
-    diff = np.abs(keys - q) - half
-    np.maximum(diff, 0.0, out=diff)
-    return np.sqrt((diff * diff).sum(axis=1))
+    keys = node.keys_array() if node.key_halfwidths() is None \
+        else _exact(tree)[node.rid_array()]
+    return np.sqrt(((keys - q) ** 2).sum(axis=1))
 
 
 def _entry_bounds(ext: Any, node: Any, q: np.ndarray
@@ -99,8 +92,8 @@ def _entry_bounds(ext: Any, node: Any, q: np.ndarray
     return dists, ext.refine_dists_node(node, q[None], dists[None])[0]
 
 
-def best_first(tree: Any, q: np.ndarray, k: Optional[int], read: ReadNode,
-               exact: Optional[np.ndarray] = None) -> Iterator[Hit]:
+def best_first(tree: Any, q: np.ndarray, k: Optional[int],
+               read: ReadNode) -> Iterator[Hit]:
     """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
 
     ``q`` is a checked ``(dim,)`` query; ``k`` of None never stops
@@ -109,6 +102,8 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int], read: ReadNode,
     """
     if tree.root_id is None:
         return
+    if tree.leaf_codec.lossy:
+        _exact(tree)                # refuse before the first read
     ext = tree.ext
     # (bound, counter, page_id, level, parent, index, tight); an item
     # with no parent is already refined.
@@ -158,7 +153,7 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int], read: ReadNode,
         if node is None or not len(node):
             continue
         if node.is_leaf:
-            dists, rids = leaf_dists(node, q, exact), node.rid_array()
+            dists, rids = leaf_dists(tree, node, q), node.rid_array()
             if tau is not None:
                 kept = (dists < tau).nonzero()[0]
                 dists, rids = dists[kept], rids[kept]
@@ -189,16 +184,14 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int], read: ReadNode,
                 counter += 1
 
 
-def knn_search(tree: Any, query: np.ndarray, k: int,
-               exact: Any = None) -> List[Hit]:
+def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Hit]:
     """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``,
     read through the tree's counting path."""
-    query = check_queries(tree, query, 1, k, exact)
-    return list(best_first(tree, query, k, tree._read_query, exact))
+    query = check_queries(tree, query, 1, k)
+    return list(best_first(tree, query, k, tree._read_query))
 
 
-def nn_cursor(tree: Any, query: np.ndarray,
-              exact: Any = None) -> Iterator[Hit]:
+def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
     """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
 
     ``knn`` needs k fixed up front, but Blobworld's real contract is
@@ -209,24 +202,24 @@ def nn_cursor(tree: Any, query: np.ndarray,
     length unless a refined bound ties ``tau`` exactly (DESIGN.md
     section 7).
     """
-    query = check_queries(tree, query, 1, exact=exact)
-    return best_first(tree, query, None, tree._read_query, exact)
+    query = check_queries(tree, query, 1)
+    return best_first(tree, query, None, tree._read_query)
 
 
-def sphere_search(tree: Any, center: np.ndarray, radius: float,
-                  exact: Any = None) -> List[Hit]:
+def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
     """All stored keys within ``radius`` of ``center``, as (dist, rid).
 
     The fixed-radius form of the query (paper section 5: NN queries
     are "in essence asking expanding sphere queries"): a subtree can
     hold matches only if the extension's lower bound does not exceed
     the radius.  Leaves go through :func:`leaf_dists`, so both the
-    distances and the membership test are the ones ``knn`` reports with
-    the same ``exact``.
+    distances and the membership test are the ones ``knn`` reports.
     """
-    center = check_queries(tree, center, 1, exact=exact)
+    center = check_queries(tree, center, 1)
     if tree.root_id is None:
         return []
+    if tree.leaf_codec.lossy:
+        _exact(tree)
     ext = tree.ext
     results: List[Hit] = []
     stack = [(tree.root_id, tree.height - 1)]
@@ -235,7 +228,7 @@ def sphere_search(tree: Any, center: np.ndarray, radius: float,
         if node is None or not len(node):
             continue
         if node.is_leaf:
-            dists = leaf_dists(node, center, exact)
+            dists = leaf_dists(tree, node, center)
             inside = np.flatnonzero(dists <= radius)
             results.extend(zip(dists[inside].tolist(),
                                node.rid_array()[inside].tolist()))

@@ -209,8 +209,8 @@ class Node:
 
         Non-None only for leaves decoded from a lossy (SQ8) page: every
         originally inserted key lies within these half widths of the
-        reconstructed key along each axis, which is what lets the k-NN
-        kernels subtract them to form admissible lower bounds.
+        reconstructed key along each axis; treecheck checks the bound,
+        and the k-NN kernels rank such a leaf by ``GiST.exact`` instead.
         """
         if not self.is_leaf:
             raise ValueError("key_halfwidths is only defined for leaves")

@@ -88,9 +88,21 @@ class GiST:
         self.quarantine_enabled = False
         self.degradation: Optional[DegradationReport] = None
         self._quarantined: set = set()
-        #: the ``(N, dim)`` original keys by rid, if the owner of a
-        #: quantized tree holds them (see :meth:`_peek`).
-        self.exact: Optional[np.ndarray] = None
+        self.exact = None
+
+    @property
+    def exact(self) -> Optional[np.ndarray]:
+        """The ``(N, dim)`` original keys by rid that rank quantized leaves
+        and refit their predicates (:mod:`repro.gist.nn`, :meth:`_peek`)."""
+        return self._exact
+
+    @exact.setter
+    def exact(self, keys: Any) -> None:
+        if keys is not None and (np.ndim(keys) != 2
+                                 or np.shape(keys)[1] != self.ext.dim):
+            raise ValueError(f"GiST.exact must be (N, {self.ext.dim}), "
+                             f"got shape {np.shape(keys)}")
+        self._exact = keys
 
     # -- capacities ---------------------------------------------------------
 
@@ -201,19 +213,16 @@ class GiST:
                         stack.append((entry.child, node.level - 1))
         return results
 
-    def knn(self, query: np.ndarray, k: int,
-            exact: Any = None) -> List[Tuple[float, int]]:
+    def knn(self, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
         """The ``k`` nearest stored keys to ``query`` as (distance, rid).
 
         Best-first (Hjaltason–Samet) search; exact for every conservative
         extension.  Ties at the k-th distance are broken arbitrarily.
-        ``exact``, the ``(N, dim)`` keys by rid, ranks quantized leaves
-        (:func:`repro.gist.nn.leaf_dists`).
         """
-        return knn_search(self, query, k, exact)
+        return knn_search(self, query, k)
 
-    def knn_batch(self, queries: np.ndarray, k: int,
-                  exact: Any = None) -> List[List[Tuple[float, int]]]:
+    def knn_batch(self, queries: np.ndarray,
+                  k: int) -> List[List[Tuple[float, int]]]:
         """:meth:`knn` for a whole ``(Q, dim)`` query block at once.
 
         Each node is fetched and decoded at most once per block, while
@@ -221,18 +230,17 @@ class GiST:
         :meth:`knn` calls; see :func:`repro.gist.batch.knn_search_batch`.
         """
         from repro.gist.batch import knn_search_batch
-        return knn_search_batch(self, queries, k, exact)
+        return knn_search_batch(self, queries, k)
 
-    def nn_cursor(self, query: np.ndarray,
-                  exact: Any = None) -> Iterator[Tuple[float, int]]:
+    def nn_cursor(self, query: np.ndarray) -> Iterator[Tuple[float, int]]:
         """Incremental nearest-neighbor iterator; see
         :func:`repro.gist.nn.nn_cursor`."""
-        return nn_cursor(self, query, exact)
+        return nn_cursor(self, query)
 
-    def sphere_search(self, center: np.ndarray, radius: float,
-                      exact: Any = None) -> List[Tuple[float, int]]:
+    def sphere_search(self, center: np.ndarray,
+                      radius: float) -> List[Tuple[float, int]]:
         """All keys within ``radius`` of ``center`` as (distance, rid)."""
-        return sphere_search(self, center, radius, exact)
+        return sphere_search(self, center, radius)
 
     # -- insertion -------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ the canonical one cheaply: fetch ``k + 1`` hits; if the k-th and
 re-sort by ``(distance, rid)`` canonicalizes it.  Only a genuine
 boundary tie — equal distances straddling the cut — needs the exact
 tie ring, enumerated with a :meth:`sphere_search` at the boundary
-distance (the same leaf distance function and ``exact`` as the k-NN,
+distance (the same leaf distance function as the k-NN,
 :func:`repro.gist.nn.leaf_dists`, so the floats match bit for bit).
 """
 
@@ -32,20 +32,19 @@ import numpy as np
 Hit = Tuple[float, int]
 
 
-def canonical_knn_batch(tree: Any, queries: np.ndarray, k: int,
-                        exact: Any = None) -> List[List[Hit]]:
+def canonical_knn_batch(tree: Any, queries: np.ndarray,
+                        k: int) -> List[List[Hit]]:
     """Per-query top-``k`` of ``tree`` under the ``(distance, rid)``
     total order — the serving wire contract.
 
-    Bit-identical distances to :meth:`tree.knn` with the same
-    ``exact``; only the order (and, on boundary ties, the membership)
-    of equal-distance hits changes, from traversal order to ascending
-    rid.
+    Bit-identical distances to :meth:`tree.knn`; only the order (and,
+    on boundary ties, the membership) of equal-distance hits changes,
+    from traversal order to ascending rid.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if len(queries) == 0:
         return []
-    raw = tree.knn_batch(queries, k + 1, exact)
+    raw = tree.knn_batch(queries, k + 1)
     out: List[List[Hit]] = []
     for query, hits in zip(queries, raw):
         if len(hits) <= k:
@@ -56,8 +55,7 @@ def canonical_knn_batch(tree: Any, queries: np.ndarray, k: int,
             # answer may hold the wrong tie members.  Enumerate the
             # whole ring at the boundary distance and keep the
             # lowest-rid ties.
-            out.append(_resolve_boundary(tree, query, hits[k - 1][0], k,
-                                         exact))
+            out.append(_resolve_boundary(tree, query, hits[k - 1][0], k))
         else:
             # d_k < d_{k+1}: the top-k set is unique, only its
             # internal tie order needs canonicalizing.
@@ -66,9 +64,9 @@ def canonical_knn_batch(tree: Any, queries: np.ndarray, k: int,
 
 
 def _resolve_boundary(tree: Any, query: np.ndarray, boundary: float,
-                      k: int, exact: Any) -> List[Hit]:
+                      k: int) -> List[Hit]:
     """Canonical top-k when ties sit exactly at the k-th distance."""
-    ring = tree.sphere_search(query, boundary, exact)
+    ring = tree.sphere_search(query, boundary)
     inner = sorted(h for h in ring if h[0] < boundary)
     ties = sorted(h for h in ring if h[0] == boundary)
     return (inner + ties)[:k]

@@ -57,9 +57,10 @@ class ShardServer:
         self.tree = tree
         if pool_pages:
             tree.store = BufferPool(tree.store, pool_pages)
-        #: the full reduced matrix — query blobs are global ids, and a
-        #: query may name a blob another shard owns.
+        #: the full reduced matrix by global id: what query blobs name
+        #: (maybe another shard's) and what ranks quantized leaves.
         self.reduced = reduced
+        tree.exact = reduced
         self.lo = lo
         self.hi = hi
         # The shard's flat-scan comparator carries *global* rids, so
@@ -109,9 +110,8 @@ class ShardServer:
         return reply
 
     def _handle_knn(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        queries = np.asarray(msg["queries"], dtype=np.float64)
         k = int(msg["k"])
-        hits = canonical_knn_batch(self.tree, queries, k)
+        hits = canonical_knn_batch(self.tree, msg["queries"], k)
         dists, rids = pack_partials(hits, k)
         return {"dists": dists, "rids": rids}
 
@@ -141,8 +141,7 @@ class ShardServer:
             else:
                 self.plans_tree += 1
                 dists, rids = pack_partials(
-                    canonical_knn_batch(self.tree, vecs, k, self.reduced),
-                    k)
+                    canonical_knn_batch(self.tree, vecs, k), k)
             # Row copies: a cached row must not pin its whole block.
             rows = [(d.copy(), r.copy()) for d, r in zip(dists, rids)]
         results = block.fill(rows)

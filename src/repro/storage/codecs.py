@@ -405,8 +405,8 @@ class QuantizedKeys:
         """Per-dimension quantization-cell half widths (``scale / 2``).
 
         Any key encoded into this page lies within ``half_widths`` of
-        its reconstruction along every axis — the bound that makes the
-        VA-file style pruning in the k-NN kernels admissible.
+        its reconstruction along every axis — the tolerance treecheck
+        grants a quantized leaf before it flags ``QUANT_BOUND_ESCAPE``.
         """
         return self.scales * 0.5
 

@@ -112,9 +112,9 @@ class CrashReport:
         return "\n".join(lines)
 
 
-def _knn_lists(tree: GiST, queries: np.ndarray, k: int,
-               keys: np.ndarray) -> List[List[Tuple[float, int]]]:
-    return [sorted((round(d, 9), rid) for d, rid in tree.knn(q, k, keys))
+def _knn_lists(tree: GiST, queries: np.ndarray,
+               k: int) -> List[List[Tuple[float, int]]]:
+    return [sorted((round(d, 9), rid) for d, rid in tree.knn(q, k))
             for q in queries]
 
 
@@ -125,9 +125,8 @@ def run_crash_trial(method: str, seed: int, workdir: str,
     """One randomized kill-and-recover trial; see the module docstring.
 
     ``codec`` selects the leaf-page format under test.  Every tree of
-    the trial holds the original key of each rid as ``exact``, as the
-    engine does, so quantized (sq8) trials make the same bit-exact
-    k-NN shadow comparison as float64 ones.
+    the trial has the original keys attached as ``exact``, so sq8
+    trials make the same bit-exact k-NN shadow comparison as f64 ones.
     """
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed)
@@ -232,8 +231,8 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
         queries = nprng.uniform(0.0, 100.0, size=(4, dim))
         k = min(8, max(1, shadow.size))
         if shadow.size:
-            assert _knn_lists(mt2.tree, queries, k, keys) == \
-                _knn_lists(shadow, queries, k, keys), \
+            assert _knn_lists(mt2.tree, queries, k) == \
+                _knn_lists(shadow, queries, k), \
                 "k-NN diverges from shadow"
         # The recovered file is live: a few more mutations must commit
         # and stay in parity.
@@ -245,8 +244,8 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
         assert mt2.tree.size == shadow.size, \
             "size diverges after post-recovery inserts"
         if shadow.size:
-            assert _knn_lists(mt2.tree, queries, k, keys) == \
-                _knn_lists(shadow, queries, k, keys), \
+            assert _knn_lists(mt2.tree, queries, k) == \
+                _knn_lists(shadow, queries, k), \
                 "k-NN diverges after post-recovery inserts"
     finally:
         mt2.close()

@@ -6,7 +6,7 @@ copied many times and jittered by 1e-5, in 1 to 8 dimensions.  A
 quantization cell is thousands of times wider than the jitter, so a
 cell lower bound cannot tell the copies of a grid point apart and any
 cut by lower bound lands inside a tie ring.  Ranking quantized leaves by
-the caller's exact vectors (``knn(..., exact=V)``) must give back
+the exact vectors attached to the tree (``GiST.exact``) must give back
 brute force's k smallest distances, bit for bit, on every family — on a
 freshly loaded sq8 page file and after MutableTree inserts and deletes
 (opened with the same vectors) — and the engine must hand
@@ -88,12 +88,13 @@ def test_exact_sq8_stage_one_on_near_ties(tmp_path_factory, case):
     else:
         sq8 = load_tree(path=path)
         assert next(sq8.leaf_nodes()).key_halfwidths() is not None
+        sq8.exact = vectors
     try:
         for query in (vectors[rng.choice(live)],
                       rng.uniform(-1.0, 10.0, size=dim)):
             k = int(rng.integers(1, len(live) + 1))
             want = np.sort(brute(vectors, live, query))[:k].tolist()
-            assert [d for d, _ in sq8.knn(query, k, exact=vectors)] == want
+            assert [d for d, _ in sq8.knn(query, k)] == want
             assert [d for d, _ in f64.knn(query, k)] == want
 
         corpus = SimpleNamespace(

@@ -2,8 +2,8 @@
 
 The quantized index is lossy in reduced space — reconstructions sit up
 to half a quantization cell from the originals — but every engine entry
-point hands the tree the exact in-memory reduced vectors, which rank its
-quantized leaves (``knn(..., exact=...)``), so stage one returns the
+point attaches the exact in-memory reduced vectors to the tree, which
+rank its quantized leaves (``GiST.exact``), so stage one returns the
 candidate set the float64 tree would produce.  These tests pin that
 end-to-end guarantee for every registered AM family and every entry
 point that consults an index (``am_query``, ``am_query_batch``,

@@ -4,9 +4,11 @@ This is ``repro.gist.nn.knn_search`` as it stood before the traversals
 in ``src/repro/gist/`` were folded into one kernel, moved here verbatim:
 every leaf point is a heap item beside the node entries, one shared
 counter breaks ties, and pushes are pruned at the provisional k-th
-distance.  The kernel in :mod:`repro.gist.nn` must reproduce its result
-lists and its counted access order bit for bit; nothing under ``src/``
-imports this module.
+distance.  Only its quantized-leaf ranking has changed since: such a
+leaf is ranked by ``tree.exact``, no longer by cell lower bounds.  The
+kernel in :mod:`repro.gist.nn` must reproduce its result lists and its
+counted access order bit for bit; nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -69,21 +71,13 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
         if node is None or not len(node):
             continue
         if node.is_leaf:
-            keys = node.keys_array()
-            half = node.key_halfwidths()
-            if half is None:
-                dists = np.sqrt(((keys - query) ** 2).sum(axis=1))
+            if node.key_halfwidths() is None:
+                keys = node.keys_array()
             else:
-                # Quantized leaf: keys are cell centers, the original
-                # key lies within `half` per axis.  Shrinking each
-                # coordinate delta by the half width gives the VA-file
-                # cell lower bound — it can only underestimate the true
-                # distance, so ranking by it keeps every true neighbor
-                # in the candidate set (the rerank stage restores exact
-                # order).
-                diff = np.abs(keys - query) - half
-                np.maximum(diff, 0.0, out=diff)
-                dists = np.sqrt((diff * diff).sum(axis=1))
+                # Quantized leaf: its keys are cell centers, so it is
+                # ranked by the original keys attached to the tree.
+                keys = tree.exact[node.rid_array()]
+            dists = np.sqrt(((keys - query) ** 2).sum(axis=1))
             rids = node.rid_array()
             if tau is not None:
                 kept = np.nonzero(dists < tau)[0]
@@ -147,7 +141,8 @@ def paged_tree(ext: Any, points: np.ndarray, path: str, page_size: int,
 
     Every node the tree then reads is decoded from its page: inner nodes
     come back block-decoded, and with ``codec="sq8"`` leaves come back
-    as quantized reconstructions with half widths — an in-memory build
+    as quantized reconstructions with half widths (ranked by ``points``,
+    which the load attaches as ``tree.exact``) — an in-memory build
     keeps the exact float64 keys and would test neither.
     """
     from repro.bulk import bulk_load

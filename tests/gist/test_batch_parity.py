@@ -265,15 +265,17 @@ class TestNodeFormParity:
             assert res == res0
             assert [lvl for _, lvl in seen] == [lvl for _, lvl in seen0]
 
-        # Quantized leaves: the kernel ranks by the oracle's cell lower
-        # bounds, late candidates included, on every node form.
+        # Quantized leaves are ranked by the keys attached as
+        # ``exact``: a different tree shape, the float64 build's
+        # results, on every node form.
         quantized = str(tmp_path / "sq8.pages")
         on_file = paged_tree(make_ext(method, 3), clustered_points,
                              quantized, _page_size(method), "sq8")
         facts = (on_file.root_id, on_file.height, on_file.size)
         lossy = self._observe(on_file, queries, self.K)
         on_file.store.close()
-        assert lossy[0] != want[0]
+        assert [res for res, _ in lossy[0]] == [res for res, _ in want[0]]
         lazy = self._paged(quantized, method, True, *facts, codec="sq8")
+        lazy.exact = clustered_points
         assert self._observe(lazy, queries, self.K) == lossy
         lazy.store.close()

@@ -105,7 +105,7 @@ class TestImageCountQueries:
 
     def test_am_query_images_on_quantized_tree(self, tmp_path):
         """The cursor pulls blobs in exact ``knn`` order on sq8 leaves
-        as well (the engine passes its reduced vectors), so the image
+        as well (the engine attaches its reduced vectors), so the image
         contract sees the candidates a float64 tree ranks first."""
         from repro.blobworld import BlobworldEngine, build_corpus
         from repro.core.api import make_extension
@@ -120,7 +120,7 @@ class TestImageCountQueries:
         assert images == engine.am_query_images(f64, 7, num_images=30,
                                                 dims=5, top_images=30)
         seen, candidates = set(), []
-        for _, rid in tree.knn(reduced[7], tree.size, exact=reduced):
+        for _, rid in tree.knn(reduced[7], tree.size):
             candidates.append(rid)
             seen.add(int(corpus.image_ids[rid]))
             if len(seen) >= 30:

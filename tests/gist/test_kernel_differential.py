@@ -1,8 +1,8 @@
 """Hypothesis differential: the k-NN kernel against the reference loop.
 
-Grid-valued points with many duplicates are where tie order, the
-refinement re-queue and — on quantized leaves — late candidates all
-bite, so that is what gets generated: every family, both leaf codecs,
+Grid-valued points with many duplicates are where tie order and the
+refinement re-queue bite, so that is what gets generated: every
+family, both leaf codecs (quantized leaves ranked by ``tree.exact``),
 dimensions 1-8, ``k`` at the edges (1, everything, more than
 everything).  Each example compares the result lists and the counted
 access traces of ``knn``, ``knn_batch`` and a cursor prefix with
@@ -80,11 +80,9 @@ def test_kernel_matches_oracle(case):
                 continue
             # A refining search with a k drops an entry whose tight
             # bound *equals* the k-th candidate distance; a cursor has
-            # no k to tie with and reads that node.  On exact leaves it
-            # finds nothing nearer there; on quantized ones a cell lower
-            # bound in it may undercut the tie.
-            assert hits == want_hits or (codec == "sq8"
-                                         and seen != want_seen)
+            # no k to tie with and reads that node, but finds nothing
+            # nearer there: every leaf is ranked by exact keys.
+            assert hits == want_hits
         # a listener cannot split a block's accesses by query: the block
         # books the oracle's per-query lists back to back
         want_block = ([hits for hits, _ in want],

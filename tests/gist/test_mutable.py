@@ -169,6 +169,24 @@ class TestSnapshotIsolation:
             finally:
                 snap.store.close()
 
+    def test_sq8_snapshot_keeps_the_attached_keys(self, tmp_path):
+        """A snapshot of a quantized tree ranks its leaves by the keys
+        the tree was opened with, so it answers as a float64 tree."""
+        from repro.bulk import bulk_load
+        from repro.storage.codecs import make_leaf_codec
+        pts = _points(300, 5)
+        path = str(tmp_path / "sq8.amdb")
+        save_tree(bulk_load(make_ext("rtree", DIM), pts, page_size=PAGE,
+                            leaf_codec=make_leaf_codec("sq8", DIM)), path)
+        f64 = bulk_load(make_ext("rtree", DIM), pts, page_size=PAGE)
+        queries = _points(4, 17)
+        with MutableTree.open(path, exact=pts) as mt:
+            snap = mt.snapshot()
+            try:
+                assert _knn(snap, queries, 8) == _knn(f64, queries, 8)
+            finally:
+                snap.store.close()
+
     def test_closed_snapshot_stops_pinning(self, tmp_path):
         path, _ = _saved(tmp_path, "rtree", n=100)
         with MutableTree.open(path) as mt:

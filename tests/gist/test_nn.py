@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.bulk import bulk_load
 from repro.core.jbtree import JBExtension
+from repro.gist.nn import leaf_dists
 
 from repro.serving.partials import canonical_knn_batch
 
@@ -131,28 +132,31 @@ class TestIngress:
                              ids=["4d", "6d", "flat"])
     def test_exact_of_the_wrong_shape_is_rejected_before_any_read(
             self, spelling, shape, tmp_path):
-        """``exact`` ranks quantized leaves by rid: a matrix of the
-        wrong width would broadcast into garbage distances, so it is
-        refused before the root page is read."""
+        """A quantized leaf is ranked by ``GiST.exact[rids]``: a matrix
+        of the wrong width would broadcast into garbage distances, so
+        assigning it raises, and a quantized tree left with no ``exact``
+        refuses every spelling before its root page is read."""
         rng = np.random.default_rng(4)
         keys = rng.normal(size=(300, 5))
         tree = paged_tree(make_ext("rtree", 5), keys,
                           str(tmp_path / "t.pages"), 2048, "sq8")
-        search = {
-            "knn": lambda q, e: tree.knn(q, 5, exact=e),
-            "knn_batch": lambda q, e: tree.knn_batch(q[None], 5, exact=e),
-            "nn_cursor": lambda q, e: tree.nn_cursor(q, exact=e),
-            "sphere_search": lambda q, e: tree.sphere_search(q, 1.0,
-                                                             exact=e),
-            "canonical": lambda q, e: canonical_knn_batch(tree, q[None],
-                                                          5, e),
-        }[spelling]
+        assert tree.exact is not None           # attached by the load
+        with pytest.raises(ValueError, match="GiST.exact"):
+            tree.exact = rng.normal(size=shape)
+        assert np.array_equal(tree.exact, keys)
+        search = self.SPELLINGS.get(spelling) or (
+            lambda tree, q: canonical_knn_batch(tree, q[None], 5))
         seen = []
         tree.store.add_listener(lambda page_id, level: seen.append(page_id))
-        with pytest.raises(ValueError, match="exact"):
-            search(keys[0], rng.normal(size=shape))
+        tree.exact = None
+        with pytest.raises(ValueError, match="GiST.exact"):
+            list(search(tree, keys[0]))
         assert seen == []
-        list(search(keys[0], keys))
+        leaf = next(tree.leaf_nodes())
+        with pytest.raises(ValueError, match="GiST.exact"):
+            leaf_dists(tree, leaf, keys[0])
+        tree.exact = keys
+        list(search(tree, keys[0]))
         assert seen
         tree.store.close()
 

@@ -77,6 +77,23 @@ class TestParity:
                            codec="sq8") as svc:
             assert svc.am_query_batch(stream, CANDIDATES) == expected
 
+    def test_sq8_shards_knn_matches_whole_f64_canonical(self):
+        """Raw k-NN on two sq8 shards: each shard ranks its quantized
+        leaves by the reduced matrix its server attached, so the merged
+        rows are one float64 tree's canonical rows, bit for bit."""
+        rng = np.random.default_rng(9)
+        vectors = rng.random((6000, 3))
+        corpus = SimpleNamespace(
+            reduced=lambda dims: vectors, num_blobs=len(vectors),
+            embedded=rng.normal(size=(len(vectors), 4)),
+            image_ids=np.arange(len(vectors)) // 10)
+        queries = vectors[rng.choice(len(vectors), size=20, replace=False)]
+        whole = bulk_load(make_ext("rtree", 3), vectors, page_size=2048)
+        expected = canonical_knn_batch(whole, queries, 50)
+        with build_service(corpus, shards=2, codec="sq8", dims=3,
+                           page_size=2048) as svc:
+            assert svc.knn_batch(queries, 50) == expected
+
     @pytest.mark.parametrize("jitter", [1e-5, 0.0],
                              ids=["near-ties", "exact-ties"])
     def test_sq8_shards_on_a_tied_grid(self, jitter, monkeypatch):

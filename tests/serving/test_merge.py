@@ -4,10 +4,12 @@ The serving contract (see :mod:`repro.serving.partials`) is that every
 partial is the shard's canonical top-k under ``(distance, rid)``, and
 the merged result is bit-identical to a single tree over the whole
 corpus answering under the same order.  These tests attack exactly the
-case that breaks naive merges: *adversarial exact ties* — quantized
-integer coordinates (the same trick the aggregation-kernel tests in
+case that breaks naive merges: *adversarial exact ties* — integer-grid
+coordinates (the same trick the aggregation-kernel tests in
 ``tests/blobworld/test_serving.py`` use) force many queries to see
-equal distances straddling every cut.
+equal distances straddling every cut.  Quantized (sq8) leaves change
+nothing here: a tree ranks them by its ``exact`` keys, so their
+distances are the float64 tree's.
 """
 
 import numpy as np
@@ -111,9 +113,9 @@ class TestCanonicalAnswers:
     def test_boundary_tie_ring_uses_the_knn_distances(self, codec,
                                                       tmp_path):
         """A tie straddling the cut is resolved with ``sphere_search``
-        at the boundary distance ``knn`` reported — on quantized leaves
-        a cell lower bound, so the ring has to be measured in lower
-        bounds as well or it comes back short.
+        at the boundary distance ``knn`` reported, measured by the same
+        leaf distance function — on quantized leaves too, which both
+        rank by the tree's ``exact`` keys — or the ring comes back short.
 
         A 3 x 3 grid holding ~165 copies of each point: every query sits
         on more copies of itself than ``k``, spread over several leaves,

@@ -325,11 +325,12 @@ class TestLazyInnerNode:
             assert node.entries[1].pred is pred
 
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_mutation_materializes_entries_and_drops_the_block(
+    def test_mutation_through_block_backed_inner_nodes_stays_sound(
             self, tmp_path, method):
-        """MutableTree insert/delete through lazily decoded inner nodes:
-        a node that changes gets real entries, loses its block arrays,
-        and the tree stays sound and queryable."""
+        """MutableTree insert/delete through page-decoded inner nodes,
+        which stay block-backed as their entries are added, removed and
+        replaced (the next test pins the copies they edit): the tree
+        stays sound and queryable."""
         from repro.analysis.treecheck import check_tree
         from repro.gist.mutable import MutableTree
         from repro.gist.persist import save_tree
