@@ -371,7 +371,7 @@ def check_tree(tree: Any, path: Optional[str] = None,
     try:
         from repro.amdb.tree_report import tree_report
         report.tree_summary = tree_report(tree)
-    except Exception:  # amlint: disable=REP301
+    except Exception:
         # A damaged tree may defeat the amdb summary; the violations
         # above are the verdict, the summary is garnish.
         report.tree_summary = None

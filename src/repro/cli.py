@@ -18,9 +18,7 @@ Covers the end-to-end workflow a downstream user needs:
   families (the CI crash-recovery job's entry point);
 - ``serve``   — run the sharded scatter-gather serving daemon over a
   synthetic request stream, reporting tail latency, queue depth, and
-  heartbeat state;
-- ``lint``    — run amlint, the repo's AST-based invariant linter,
-  over source trees; exit 1 on any ERROR finding.
+  heartbeat state.
 """
 
 from __future__ import annotations
@@ -266,21 +264,6 @@ def _cmd_crashtest(args) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import (findings_to_json, format_findings,
-                                lint_paths)
-
-    report = lint_paths(args.paths)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(findings_to_json(report))
-    if args.format == "json":
-        print(findings_to_json(report), end="")
-    else:
-        print(format_findings(report))
-    return report.exit_code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -422,17 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the per-trial log as JSON (the CI "
                         "artifact format)")
     p.set_defaults(func=_cmd_crashtest)
-
-    p = sub.add_parser(
-        "lint", help="run amlint, the repo invariant linter")
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=["human", "json"],
-                   default="human", help="stdout format")
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="also write the JSON findings document (the "
-                        "CI artifact format)")
-    p.set_defaults(func=_cmd_lint)
 
     return parser
 

@@ -150,7 +150,7 @@ def scrub_file(path: str) -> ScrubReport:
         from repro.core.api import make_extension
         extension = make_extension(header["extension"], header["dim"],
                                    **header.get("ext_config", {}))
-    except Exception as exc:  # amlint: disable=REP301
+    except Exception as exc:
         # fsck's contract is "never raise on damage": a hostile
         # ext_config may fail inside any extension constructor, and all
         # of it must become a report, not a crash.

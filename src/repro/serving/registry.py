@@ -9,8 +9,8 @@ are gone, only a restart brings it back.
 
 The clock is injectable so the expiry state machine is unit-testable
 without sleeping; the default is :func:`time.monotonic` (heartbeat
-arithmetic must survive wall-clock adjustments — REP101's rationale,
-applied to liveness).
+arithmetic must survive wall-clock adjustments — the ``wall_clock``
+convention's rationale, applied to liveness).
 """
 
 from __future__ import annotations

@@ -448,8 +448,9 @@ class WALPageFile:
 
     Writes outside a transaction are wrapped in an implicit
     single-operation transaction (with no superblock update), so *every*
-    page write flows through the log — the amlint rule REP104 flags
-    paths that would bypass it.
+    page write flows through the log — the convention check
+    ``unlogged_write`` in ``tests/conventions/`` flags mutation paths
+    that would bypass it.
     """
 
     def __init__(self, store: Any, wal: WriteAheadLog,
