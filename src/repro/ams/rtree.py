@@ -13,8 +13,7 @@ import numpy as np
 
 from repro.ams.splits import quadratic_split
 from repro.geometry import Rect
-from repro.geometry.rect import (min_dists_to_rects, min_dists_to_rects_multi,
-                                 rects_contain_point)
+from repro.geometry.rect import min_dists_to_rects, rects_contain_point
 from repro.gist.entry import LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
@@ -86,17 +85,11 @@ class RTreeExtension(GiSTExtension):
         return growth + 1e-9 * enlarged.volume()
 
     def node_bounds(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked footprint ``lo``/``hi`` matrices, memoized on the node.
-
-        A block-decoded node's matrices are column slices of its page
-        body (:meth:`block_bounds`); no predicate object is built.
-        """
-        def build() -> Tuple[np.ndarray, np.ndarray]:
-            block = node.pred_block()
-            if block is not None:
-                return self.block_bounds(block)
-            return _stack_bounds(self.footprints(node.preds()))
-        return node.cached("rect_bounds", build)
+        """Stacked footprint ``lo``/``hi`` matrices, memoized on the node:
+        column slices of its predicate block (:meth:`block_bounds`); no
+        predicate object is built."""
+        return node.cached("rect_bounds",
+                           lambda: self.block_bounds(node.pred_block()))
 
     def block_bounds(self, block: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,10 +134,6 @@ class RTreeExtension(GiSTExtension):
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         return min_dists_to_rects(q, *self.node_bounds(node))
-
-    def min_dists_node_multi(self, node: Node,
-                             queries: np.ndarray) -> np.ndarray:
-        return min_dists_to_rects_multi(queries, *self.node_bounds(node))
 
     # -- storage --------------------------------------------------------------------
 

@@ -125,19 +125,12 @@ class SRTreeExtension(GiSTExtension):
         return float(np.linalg.norm(pred.sphere.center - key))
 
     def _sr_params(self, node: Node) -> Tuple[np.ndarray, ...]:
-        """Stacked ``(lo, hi, centers, radii)``, memoized on the node;
-        column slices of the page body when it was block-decoded."""
+        """Stacked ``(lo, hi, centers, radii)``, memoized on the node:
+        column slices of its predicate block."""
         def build() -> Tuple[np.ndarray, ...]:
-            block = node.pred_block()
-            if block is not None:
-                d = self.dim
-                return (block[:, :d], block[:, d:2 * d],
-                        block[:, 2 * d:3 * d], block[:, 3 * d])
-            preds = node.preds()
-            return (np.stack([p.rect.lo for p in preds]),
-                    np.stack([p.rect.hi for p in preds]),
-                    np.stack([p.sphere.center for p in preds]),
-                    np.array([p.sphere.radius for p in preds]))
+            block, d = node.pred_block(), self.dim
+            return (block[:, :d], block[:, d:2 * d],
+                    block[:, 2 * d:3 * d], block[:, 3 * d])
         return node.cached("sr_params", build)
 
     def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:

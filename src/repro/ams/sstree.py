@@ -68,15 +68,11 @@ class SSTreeExtension(GiSTExtension):
         return float(np.linalg.norm(pred.center - key))
 
     def _sphere_params(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(centers, radii)``, memoized on the node; column
-        slices of the page body when the node was block-decoded."""
+        """Stacked ``(centers, radii)``, memoized on the node: column
+        slices of its predicate block."""
         def build() -> Tuple[np.ndarray, np.ndarray]:
             block = node.pred_block()
-            if block is not None:
-                return block[:, :self.dim], block[:, self.dim]
-            preds = node.preds()
-            return (np.stack([s.center for s in preds]),
-                    np.array([s.radius for s in preds]))
+            return block[:, :self.dim], block[:, self.dim]
         return node.cached("sphere_params", build)
 
     def penalties_node(self, node: Node, q: np.ndarray) -> np.ndarray:

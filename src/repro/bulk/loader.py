@@ -110,15 +110,9 @@ def bulk_load(ext: GiSTExtension, keys: np.ndarray,
                 leaf_codec=leaf_codec)
     if n == 0:
         return tree
-    was_counting = tree.store.counting
-    tree.store.counting = False
     t_start = time.perf_counter()
-    try:
-        _build(tree, keys, rid_array.astype(np.int64), fill, order_fn,
-               prof)
-    finally:
-        tree.store.counting = was_counting
-        prof.total_seconds = time.perf_counter() - t_start
+    _build(tree, keys, rid_array.astype(np.int64), fill, order_fn, prof)
+    prof.total_seconds = time.perf_counter() - t_start
     if rids is None and tree.leaf_codec.lossy:
         tree.exact = keys
     return tree
@@ -184,12 +178,13 @@ def _build_level(tree: GiST, level: int, order, sizes: List[int],
         span = slice(start, start + size)
         start += size
         if level == 0:
-            # keys/rids arrive pre-ordered, so a leaf is two array
-            # views; entry objects materialize only if someone later
-            # walks the in-memory node.
+            # keys/rids arrive pre-ordered: a leaf is two array views
             node = Node.leaf_from_arrays(page_id, keys[span], rids[span])
         else:
-            node = Node(page_id, level, [entries[i] for i in order[span]])
+            # the level's predicates become its block rows here, once
+            node = Node.from_entries(page_id, level,
+                                     [entries[i] for i in order[span]],
+                                     tree.index_codec.pred_codec)
         nodes.append(node)
     prof.add("pack", time.perf_counter() - t0)
 
@@ -224,13 +219,8 @@ def insertion_load(ext: GiSTExtension, keys: np.ndarray,
 
     tree = GiST(ext, store=store, page_size=page_size,
                 leaf_codec=leaf_codec)
-    was_counting = tree.store.counting
-    tree.store.counting = False
-    try:
-        for i in order:
-            tree.insert(keys[i], rids[i])
-    finally:
-        tree.store.counting = was_counting
+    for i in order:
+        tree.insert(keys[i], rids[i])
     if default_rids and tree.leaf_codec.lossy:
         tree.exact = keys
     return tree

@@ -20,8 +20,7 @@ import numpy as np
 from repro.constants import AMAP_SAMPLES
 from repro.ams.rtree import RTreeExtension
 from repro.geometry import Rect
-from repro.geometry.rect import (min_dists_to_rects, min_dists_to_rects_multi,
-                                 rects_contain_point)
+from repro.geometry.rect import min_dists_to_rects, rects_contain_point
 from repro.gist.node import Node
 from repro.storage.codecs import DualRectCodec
 
@@ -299,28 +298,15 @@ class AMapExtension(RTreeExtension):
         return pred.min_dist(q)
 
     def _dual_bounds(self, node: Node):
-        def build():
-            block = node.pred_block()
-            if block is not None:
-                # the codec's layout: r1.lo, r1.hi, r2.lo, r2.hi
-                return tuple(np.hsplit(block, 4))
-            preds = node.preds()
-            return (np.stack([p.r1.lo for p in preds]),
-                    np.stack([p.r1.hi for p in preds]),
-                    np.stack([p.r2.lo for p in preds]),
-                    np.stack([p.r2.hi for p in preds]))
-        return node.cached("amap_bounds", build)
+        """``(lo1, hi1, lo2, hi2)`` memoized on the node: the codec's
+        column layout of its predicate block."""
+        return node.cached("amap_bounds",
+                           lambda: tuple(np.hsplit(node.pred_block(), 4)))
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         lo1, hi1, lo2, hi2 = self._dual_bounds(node)
         return np.minimum(min_dists_to_rects(q, lo1, hi1),
                           min_dists_to_rects(q, lo2, hi2))
-
-    def min_dists_node_multi(self, node: Node,
-                             queries: np.ndarray) -> np.ndarray:
-        lo1, hi1, lo2, hi2 = self._dual_bounds(node)
-        return np.minimum(min_dists_to_rects_multi(queries, lo1, hi1),
-                          min_dists_to_rects_multi(queries, lo2, hi2))
 
     # -- storage --------------------------------------------------------------------
 

@@ -206,39 +206,19 @@ class JBExtension(RTreeExtension):
 
         Returns ``(blo, bhi, blow, counts, offsets)``: ``(T, dim)`` bite
         bounds / side flags for the ``T`` bites across the node, with
-        entry ``i`` owning the slice ``offsets[i]:offsets[i+1]``.
+        entry ``i`` owning the slice ``offsets[i]:offsets[i+1]``.  Built
+        from the predicate block by the codec's
+        :meth:`~repro.storage.codecs.JBCodec.bite_rows`, the arithmetic
+        ``decode`` uses, so it equals the pack stacked from decoded
+        predicates bit for bit, in the same entry-major slot order.
         """
         def build():
-            block = node.pred_block()
-            if block is not None:
-                return self._bite_pack_from_block(block)
-            preds = node.preds()
-            counts = np.array([len(p.bites) for p in preds],
-                              dtype=np.intp)
+            _, _, blo, bhi, low, keep = self.pred_codec().bite_rows(
+                node.pred_block())
+            counts = keep.sum(axis=1).astype(np.intp)
             offsets = np.concatenate(([0], np.cumsum(counts)))
-            if offsets[-1] == 0:
-                empty = np.empty((0, self.dim))
-                return (empty, empty,
-                        np.empty((0, self.dim), dtype=bool),
-                        counts, offsets)
-            blo = np.stack([b.lo for p in preds for b in p.bites])
-            bhi = np.stack([b.hi for p in preds for b in p.bites])
-            blow = np.stack([b.low_side for p in preds for b in p.bites])
-            return blo, bhi, blow, counts, offsets
+            return blo[keep], bhi[keep], low[keep], counts, offsets
         return node.cached("jb_bites", build)
-
-    def _bite_pack_from_block(self, block: np.ndarray):
-        """:meth:`bite_pack` straight from a stacked predicate block.
-
-        The codec's ``decode`` builds each predicate's bites from the
-        same :meth:`~repro.storage.codecs.JBCodec.bite_rows` arithmetic,
-        so the pack equals the one stacked from decoded predicates bit
-        for bit, in the same entry-major slot order.
-        """
-        _, _, blo, bhi, low, keep = self.pred_codec().bite_rows(block)
-        counts = keep.sum(axis=1).astype(np.intp)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        return blo[keep], bhi[keep], low[keep], counts, offsets
 
     def refine_dists_node(self, node: Node, queries: np.ndarray,
                           dists: np.ndarray) -> np.ndarray:

@@ -187,19 +187,3 @@ def min_dists_to_rects(point, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     p = np.asarray(point, dtype=np.float64)
     delta = np.maximum(np.maximum(lo - p, p - hi), 0.0)
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))
-
-
-def min_dists_to_rects_multi(points: np.ndarray, lo: np.ndarray,
-                             hi: np.ndarray) -> np.ndarray:
-    """:func:`min_dists_to_rects` for a ``(q, dim)`` block of points.
-
-    Returns a ``(q, n)`` matrix whose rows are bit-identical to the
-    single-point kernel: the einsum reduction runs over the same axis in
-    the same order, so batched and sequential searches see the exact
-    same floats (the batch engine's parity guarantee rests on this).
-    """
-    p = np.asarray(points, dtype=np.float64)
-    delta = np.maximum(
-        np.maximum(lo[None, :, :] - p[:, None, :],
-                   p[:, None, :] - hi[None, :, :]), 0.0)
-    return np.sqrt(np.einsum("qnd,qnd->qn", delta, delta))

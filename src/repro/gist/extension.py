@@ -182,21 +182,20 @@ class GiSTExtension:
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         """Vectorized lower bounds for all entries of an inner node.
 
-        The default stacks nothing and loops; extensions should memoize
-        stacked predicate arrays in ``node.cache``.
+        The default stacks nothing and loops; extensions slice their
+        geometry from :meth:`~repro.gist.node.Node.pred_block` and
+        memoize it with :meth:`~repro.gist.node.Node.cached`.
         """
         return np.array([self.min_dist(p, q) for p in node.preds()])
 
     def min_dists_node_multi(self, node: Node,
                              queries: np.ndarray) -> np.ndarray:
-        """:meth:`min_dists_node` for a ``(q, dim)`` query block.
+        """:meth:`min_dists_node` for a ``(q, dim)`` query block: a
+        ``(q, n)`` matrix of per-query rows.
 
-        Returns a ``(q, n)`` matrix whose rows must be bit-identical to
-        per-query :meth:`min_dists_node` calls — callers mix the two
-        freely (the serving read-ahead ranks a block with this one, the
-        k-NN kernel then ranks each query alone).  The default evaluates row by
-        row; extensions with stacked geometry caches override this with
-        a single kernel.
+        No search calls this (the k-NN kernel ranks one query at a
+        time, :mod:`repro.gist.nn`); it stays a named hook because the
+        measurement spine's tracer wraps every bound kernel by name.
         """
         return np.stack([self.min_dists_node(node, q) for q in queries])
 
@@ -211,11 +210,10 @@ class GiSTExtension:
                           dists: np.ndarray) -> np.ndarray:
         """Vectorized refinement screen over ``queries × entries``.
 
-        ``dists`` is the ``(q, n)`` cheap-bound matrix from
-        :meth:`min_dists_node_multi`.  Returns a same-shaped matrix of
-        refined bounds; a NaN cell means "not screened — call
-        :meth:`refine_dist` for this pair when (and if) it reaches the
-        queue front".  Cells that are *not* NaN must be bit-identical to
+        ``dists`` is the ``(q, n)`` matrix of :meth:`min_dists_node`
+        rows.  Returns a same-shaped matrix of refined bounds; a NaN
+        cell means "not screened — call :meth:`refine_dist` for this
+        pair when (and if) it reaches the queue front".  Cells that are *not* NaN must be bit-identical to
         what the scalar :meth:`refine_dist` would return.  The default
         screens nothing.
         """

@@ -221,6 +221,11 @@ def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
     if tree.leaf_codec.lossy:
         _exact(tree)
     ext = tree.ext
+    # A subtree's bound and a key's distance come from different float
+    # kernels, so a key at exactly ``radius`` can sit under a bound an
+    # ulp above it: subtrees are pruned only past a few ulps of slack,
+    # and the leaf test stays exact.
+    reach = radius * (1.0 + 16 * np.finfo(np.float64).eps)
     results: List[Hit] = []
     stack = [(tree.root_id, tree.height - 1)]
     while stack:
@@ -235,10 +240,10 @@ def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
             continue
         dists, tights = _entry_bounds(ext, node, center)
         children = node.children()
-        for i in np.flatnonzero(dists <= radius).tolist():
+        for i in np.flatnonzero(dists <= reach).tolist():
             tight = tights[i]
             if tight != tight:
                 tight = ext.refine_dist(node.pred_at(i), center, dists[i])
-            if tight <= radius:
+            if tight <= reach:
                 stack.append((children[i], node.level - 1))
     return results

@@ -25,7 +25,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.gist.entry import IndexEntry
 from repro.gist.node import Node
 from repro.gist.tree import GiST
 from repro.storage.codecs import LEAF_CODECS, NodeCodec, make_leaf_codec
@@ -110,13 +109,8 @@ def _renumbered(node: Node, slot_of: Dict[int, int], pred_codec: Any
                                      node.rid_array())
     children = np.array([slot_of[c] for c in node.children()],
                         dtype=np.int64)
-    preds = node.pred_block()
-    if preds is None:
-        return Node(slot, node.level,
-                    [IndexEntry(e.pred, int(c))
-                     for e, c in zip(node.entries, children)])
-    return Node.inner_from_block(slot, node.level, preds, children,
-                                 pred_codec)
+    return Node.inner_from_block(slot, node.level, node.pred_block(),
+                                 children, pred_codec)
 
 
 def read_superblock(raw: bytes, path: str) -> dict:

@@ -184,8 +184,9 @@ class GiST:
         inner_fill = max(2, round(TARGET_UTILIZATION * self.index_capacity))
         return leaf_fill * inner_fill ** level
 
-    def _new_node(self, level: int, entries: Any = None) -> Node:
-        node = Node(self.store.allocate(), level, entries)
+    def _new_node(self, level: int, entries: List) -> Node:
+        node = Node.from_entries(self.store.allocate(), level, entries,
+                                 self.index_codec.pred_codec)
         self.store.write(node)
         return node
 

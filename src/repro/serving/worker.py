@@ -21,6 +21,7 @@ arrival order.
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,9 +55,13 @@ class ShardServer:
         from repro.gist.planner import QueryPlanner
 
         self.shard_id = shard_id
-        self.tree = tree
+        # The server's own tree object over the shard's pages: an
+        # in-process shard is handed the coordinator's tree, whose store
+        # must stay bare so that a restart does not stack another pool.
+        tree = copy.copy(tree)
         if pool_pages:
             tree.store = BufferPool(tree.store, pool_pages)
+        self.tree = tree
         #: the full reduced matrix by global id: what query blobs name
         #: (maybe another shard's) and what ranks quantized leaves.
         self.reduced = reduced

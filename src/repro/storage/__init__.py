@@ -43,7 +43,7 @@ class PageFileProtocol(Protocol):
     must provide so trees, profilers, and tools can treat them alike.
 
     ``read`` is the counted query path; ``peek`` the uncounted
-    maintenance path.  ``stats`` and ``counting`` are attributes by
+    maintenance path.  ``stats`` is an attribute by
     convention (``runtime_checkable`` checks methods only).
     """
 

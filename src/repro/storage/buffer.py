@@ -65,36 +65,33 @@ class BufferPool:
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
         self.stats = BufferStats()
 
-    @property
-    def counting(self) -> bool:
-        return self.pagefile.counting
-
-    @counting.setter
-    def counting(self, value: bool) -> None:
-        self.pagefile.counting = value
-
     def read(self, page_id: int) -> Any:
         if page_id in self._frames:
             node = self._frames[page_id]
             self._frames.move_to_end(page_id)
-            if self.pagefile.counting:
-                self.stats.hits += 1
+            self.stats.hits += 1
             return node
         # A read that raises (corrupt page, exhausted retries) must not
         # disturb the frames: no partial node is cached, LRU order keeps
         # reflecting only successful accesses.
         node = call_with_retry(lambda: self.pagefile.read(page_id),
                                self.retry, sleep=self._sleep)
-        if self.pagefile.counting:
-            self.stats.misses += 1
-            lvl = node.level
-            self.stats.misses_by_level[lvl] = \
-                self.stats.misses_by_level.get(lvl, 0) + 1
+        self._book_miss(node.level)
+        self._install(page_id, node)
+        return node
+
+    def _book_miss(self, level: int) -> None:
+        self.stats.misses += 1
+        self.stats.misses_by_level[level] = \
+            self.stats.misses_by_level.get(level, 0) + 1
+
+    def _install(self, page_id: int, node: Any) -> None:
+        """Frame ``node``, evicting the least recently used frame when
+        the pool overflows."""
         self._frames[page_id] = node
         if len(self._frames) > self.capacity:
             self._frames.popitem(last=False)
             self.stats.evictions += 1
-        return node
 
     def read_many(self, page_ids: Iterable[int]) -> List[Any]:
         """Counted bulk read mirroring ``[self.read(p) for p in page_ids]``.
@@ -130,8 +127,7 @@ class BufferPool:
             if pid in self._frames:
                 node = self._frames[pid]
                 self._frames.move_to_end(pid)
-                if self.pagefile.counting:
-                    self.stats.hits += 1
+                self.stats.hits += 1
             else:
                 node = fetched.pop(pid, None)
                 if node is None:
@@ -141,15 +137,8 @@ class BufferPool:
                     node = call_with_retry(
                         lambda pid=pid: self.pagefile.read(pid),
                         self.retry, sleep=self._sleep)
-                if self.pagefile.counting:
-                    self.stats.misses += 1
-                    lvl = node.level
-                    self.stats.misses_by_level[lvl] = \
-                        self.stats.misses_by_level.get(lvl, 0) + 1
-                self._frames[pid] = node
-                if len(self._frames) > self.capacity:
-                    self._frames.popitem(last=False)
-                    self.stats.evictions += 1
+                self._book_miss(node.level)
+                self._install(pid, node)
             nodes.append(node)
         return nodes
 
@@ -170,13 +159,9 @@ class BufferPool:
         """
         if page_id in self._frames:
             self._frames.move_to_end(page_id)
-            if self.pagefile.counting:
-                self.stats.hits += 1
+            self.stats.hits += 1
             return
-        if self.pagefile.counting:
-            self.stats.misses += 1
-            self.stats.misses_by_level[level] = \
-                self.stats.misses_by_level.get(level, 0) + 1
+        self._book_miss(level)
         self.pagefile.record_access(page_id, level)
 
     def resize(self, capacity_pages: int) -> None:
@@ -267,7 +252,9 @@ class BufferPool:
         self._frames.clear()
 
     def pin_pages(self, page_ids: Iterable[int]) -> None:
-        """Pre-load pages (e.g. all inner nodes) without counting.
+        """Pre-load pages (e.g. all inner nodes) without counting: each
+        page not yet framed is fetched by the page file's uncounted
+        ``peek``.
 
         The pinned set must fit in the pool: with more distinct pages
         than frames, later reads would silently evict earlier ones and
@@ -280,10 +267,10 @@ class BufferPool:
             raise ValueError(
                 f"cannot pin {distinct} pages into {self.capacity} "
                 f"frames; resize() the pool first")
-        was_counting = self.pagefile.counting
-        self.pagefile.counting = False
-        try:
-            for page_id in page_ids:
-                self.read(page_id)
-        finally:
-            self.pagefile.counting = was_counting
+        for page_id in page_ids:
+            if page_id in self._frames:
+                self._frames.move_to_end(page_id)
+                continue
+            self._install(page_id, call_with_retry(
+                lambda: self.pagefile.peek(page_id), self.retry,
+                sleep=self._sleep))

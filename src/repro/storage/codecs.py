@@ -621,14 +621,12 @@ class NodeCodec:
     def encode_nodes(self, nodes: Sequence[Node]) -> np.ndarray:
         """Encode nodes into an ``(n, page_size)`` uint8 image array.
 
-        Leaf bodies go through the leaf codec's :meth:`encode_block`;
-        an inner body is its predicate matrix — the node's
-        :meth:`~Node.pred_block` when it was decoded from a page, else
-        each entry's predicate through the predicate codec — plus its
-        child ids.  All rows are sealed by one batched CRC pass.
+        Leaf bodies go through the leaf codec's :meth:`encode_block`,
+        inner bodies — the node's :meth:`~Node.pred_block` and child
+        ids — through the index codec's.  All rows are sealed by one
+        batched CRC pass.
         Raises ``ValueError`` when a node's entries overflow the page.
         """
-        pred_codec = self.index_codec.pred_codec
         images = np.zeros((len(nodes), self.page_size), dtype=np.uint8)
         for image, node in zip(images, nodes):
             count = len(node)
@@ -636,13 +634,7 @@ class NodeCodec:
                 body = self.leaf_codec.encode_block(node.keys_array(),
                                                     node.rid_array())
             else:
-                preds = node.pred_block()
-                if preds is None:
-                    preds = np.frombuffer(
-                        b"".join(pred_codec.encode(e.pred)
-                                 for e in node.entries),
-                        dtype="<f8").reshape(count, pred_codec.numbers)
-                body = self.index_codec.encode_block(preds,
+                body = self.index_codec.encode_block(node.pred_block(),
                                                      node.child_array())
             end = PAGE_HEADER_SIZE + len(body)
             if end > self.page_size:

@@ -83,7 +83,6 @@ class FilePageFile:
         self._free: List[int] = []
         self.stats = PageStats()
         self._listeners: List[AccessListener] = []
-        self.counting = True
 
     @classmethod
     def for_extension(cls, path: str, extension: Any,
@@ -307,10 +306,9 @@ class FilePageFile:
 
     def record_access(self, page_id: int, level: int) -> None:
         """Count a query access without physical I/O (batch engine)."""
-        if self.counting:
-            self.stats.record_read(level)
-            for listener in self._listeners:
-                listener(page_id, level)
+        self.stats.record_read(level)
+        for listener in self._listeners:
+            listener(page_id, level)
 
     def peek(self, page_id: int) -> Node:
         return call_with_retry(lambda: self._read_image(page_id),

@@ -307,14 +307,6 @@ class FaultyPageFile:
     def stats(self) -> Any:
         return self.inner.stats
 
-    @property
-    def counting(self) -> bool:
-        return self.inner.counting
-
-    @counting.setter
-    def counting(self, value: bool) -> None:
-        self.inner.counting = value
-
     def add_listener(self, listener: Callable[[int, int], None]) -> None:
         self.inner.add_listener(listener)
 

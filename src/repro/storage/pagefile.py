@@ -56,9 +56,6 @@ class MemoryPageFile:
         self._next_id = 1
         self.stats = PageStats()
         self._listeners: List[AccessListener] = []
-        #: when True, reads are counted; bulk loading and maintenance
-        #: paths disable accounting so only query work is measured.
-        self.counting = True
 
     # -- id allocation ------------------------------------------------------
 
@@ -74,12 +71,9 @@ class MemoryPageFile:
     # -- node access ----------------------------------------------------------
 
     def read(self, page_id: int) -> Any:
-        """Fetch a node, counting the access when accounting is on."""
+        """Fetch a node, counting the access (query work)."""
         node = self._get(page_id)
-        if self.counting:
-            self.stats.record_read(node.level)
-            for listener in self._listeners:
-                listener(page_id, node.level)
+        self.record_access(page_id, node.level)
         return node
 
     def record_access(self, page_id: int, level: int) -> None:
@@ -90,10 +84,9 @@ class MemoryPageFile:
         repeat visitors book their access here — same counters, same
         listener notifications as :meth:`read`, no fetch.
         """
-        if self.counting:
-            self.stats.record_read(level)
-            for listener in self._listeners:
-                listener(page_id, level)
+        self.stats.record_read(level)
+        for listener in self._listeners:
+            listener(page_id, level)
 
     def read_many(self, page_ids: Iterable[int]) -> List[Any]:
         """Counted bulk read: ``[self.read(p) for p in page_ids]``.

@@ -404,14 +404,6 @@ class SnapshotView:
     def stats(self) -> Any:
         return self._store.stats
 
-    @property
-    def counting(self) -> bool:
-        return bool(self._store.counting)
-
-    @counting.setter
-    def counting(self, value: bool) -> None:
-        self._store.counting = value
-
     def add_listener(self, listener: AccessListener) -> None:
         self._store.add_listener(listener)
 
@@ -721,14 +713,6 @@ class WALPageFile:
     @property
     def stats(self) -> Any:
         return self.store.stats
-
-    @property
-    def counting(self) -> bool:
-        return bool(self.store.counting)
-
-    @counting.setter
-    def counting(self, value: bool) -> None:
-        self.store.counting = value
 
     def add_listener(self, listener: AccessListener) -> None:
         self.store.add_listener(listener)

@@ -57,7 +57,9 @@ class TestDistances:
         rng = np.random.default_rng(0)
         rects = [Rect.from_points(rng.normal(size=(4, 2)))
                  for _ in range(15)]
-        node = Node(1, 1, [IndexEntry(r, i) for i, r in enumerate(rects)])
+        node = Node.from_entries(
+            1, 1, [IndexEntry(r, i) for i, r in enumerate(rects)],
+            ext.pred_codec())
         q = rng.normal(size=2)
         batch = ext.min_dists_node(node, q)
         assert np.allclose(batch, [r.min_dist(q) for r in rects])
@@ -67,7 +69,7 @@ class TestDistances:
         from repro.gist.node import Node
 
         r1 = Rect([0.0, 0.0], [1.0, 1.0])
-        node = Node(1, 1, [IndexEntry(r1, 1)])
+        node = Node.from_entries(1, 1, [IndexEntry(r1, 1)], ext.pred_codec())
         q = np.array([5.0, 0.5])
         assert ext.min_dists_node(node, q)[0] == pytest.approx(4.0)
         node.add_entry(IndexEntry(Rect([4.0, 0.0], [6.0, 1.0]), 2))

@@ -67,7 +67,9 @@ class TestDistances:
         rng = np.random.default_rng(3)
         preds = [ext.pred_for_keys(rng.normal(size=(6, 2)) + i)
                  for i in range(10)]
-        node = Node(1, 1, [IndexEntry(p, i) for i, p in enumerate(preds)])
+        node = Node.from_entries(
+            1, 1, [IndexEntry(p, i) for i, p in enumerate(preds)],
+            ext.pred_codec())
         q = rng.normal(size=2)
         assert np.allclose(ext.min_dists_node(node, q),
                            [ext.min_dist(p, q) for p in preds])

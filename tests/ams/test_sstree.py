@@ -44,7 +44,9 @@ class TestDistances:
         rng = np.random.default_rng(1)
         spheres = [Sphere(rng.normal(size=2), abs(rng.normal()) + 0.1)
                    for _ in range(12)]
-        node = Node(1, 1, [IndexEntry(s, i) for i, s in enumerate(spheres)])
+        node = Node.from_entries(
+            1, 1, [IndexEntry(s, i) for i, s in enumerate(spheres)],
+            ext.pred_codec())
         q = rng.normal(size=2)
         assert np.allclose(ext.min_dists_node(node, q),
                            [s.min_dist(q) for s in spheres])

@@ -92,7 +92,7 @@ def test_shrunk_parent_mbr_is_bp_escape(tmp_path):
     # The MBR's low corner is attained by some stored key in every
     # dimension; pulling it halfway up guarantees an escape.
     shrunk = Rect(rect.lo + 0.5 * (rect.hi - rect.lo), rect.hi)
-    node.entries[0] = IndexEntry(shrunk, entry.child)
+    node.replace_entry(0, IndexEntry(shrunk, entry.child))
     tree.store.write(node)
 
     report = check_tree(tree)
@@ -126,7 +126,7 @@ def test_data_point_in_bite_is_flagged(method, tmp_path):
     # sloppy predicate that silently drops true nearest neighbors.
     greedy = Bite(0, rect.lo, rect.hi)
     bitten = BittenRect(rect, (greedy,))
-    node.entries[0] = IndexEntry(bitten, entry.child)
+    node.replace_entry(0, IndexEntry(bitten, entry.child))
     tree.store.write(node)
 
     report = check_tree(tree)
@@ -199,8 +199,8 @@ def test_duplicate_child_reference_is_flagged():
     node = inner_above_leaves(tree)
     assert len(node.entries) >= 2
     dropped = node.entries[1].child
-    node.entries[1] = IndexEntry(node.entries[1].pred,
-                                 node.entries[0].child)
+    node.replace_entry(1, IndexEntry(node.entries[1].pred,
+                                     node.entries[0].child))
     tree.store.write(node)
 
     report = check_tree(tree)
@@ -214,7 +214,8 @@ def test_underfull_leaf_respects_check_fill():
     tree = build_tree("rtree")
     node = inner_above_leaves(tree)
     leaf = tree._peek(node.entries[0].child)
-    del leaf.entries[1:]
+    while len(leaf) > 1:
+        leaf.remove_entry_at(1)
     tree.store.write(leaf)
 
     report = check_tree(tree)
@@ -242,9 +243,9 @@ def test_cli_fsck_deep_verdicts(tmp_path, capsys):
     broken = build_tree("rtree")
     node = inner_above_leaves(broken)
     rect = node.entries[0].pred
-    node.entries[0] = IndexEntry(
+    node.replace_entry(0, IndexEntry(
         Rect(rect.lo + 0.5 * (rect.hi - rect.lo), rect.hi),
-        node.entries[0].child)
+        node.entries[0].child))
     broken.store.write(node)
     broken_path = str(tmp_path / "broken.gist")
     save_tree(broken, broken_path)

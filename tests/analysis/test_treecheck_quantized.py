@@ -72,7 +72,7 @@ def test_shrunk_parent_over_quantized_leaf_uses_quant_code(tmp_path):
     # Far beyond any quantization tolerance: the low corner jumps most
     # of the way to the top.
     shrunk = Rect(rect.lo + 0.9 * (rect.hi - rect.lo), rect.hi)
-    node.entries[0] = IndexEntry(shrunk, entry.child)
+    node.replace_entry(0, IndexEntry(shrunk, entry.child))
     tree.store.write(node)
 
     report = check_tree(tree)

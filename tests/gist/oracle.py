@@ -8,7 +8,8 @@ distance.  Only its quantized-leaf ranking has changed since: such a
 leaf is ranked by ``tree.exact``, no longer by cell lower bounds.  The
 kernel in :mod:`repro.gist.nn` must reproduce its result lists and its
 counted access order bit for bit; nothing under ``src/`` imports this
-module.
+module.  :func:`stacked_geometry` is the same kind of oracle for the
+geometry the extensions slice from an inner node's predicate block.
 """
 
 from __future__ import annotations
@@ -152,3 +153,54 @@ def paged_tree(ext: Any, points: np.ndarray, path: str, page_size: int,
     tree = bulk_load(ext, points, page_size=page_size, store=store)
     store.flush()
     return tree
+
+
+# -- stacked inner-node geometry ------------------------------------------------
+
+def stacked_geometry(ext: Any, preds: List[Any]) -> dict:
+    """Every geometry view an extension caches on an inner node, stacked
+    from predicate objects one at a time.
+
+    This is how the extensions built those views for nodes held as
+    entry lists, moved here verbatim when every node came to hold its
+    predicate block: the block-sliced views (``node_bounds``, the
+    SS/SR parameters, the aMAP dual bounds, the JB/XJB bite pack) must
+    equal these bit for bit.  Keys are the ``Node.cache`` names.
+    """
+    from repro.ams import RTreeExtension, SRTreeExtension, SSTreeExtension
+    from repro.core.amap import AMapExtension
+    from repro.core.jbtree import JBExtension
+
+    out: dict = {}
+    if isinstance(ext, RTreeExtension):
+        rects = ext.footprints(preds)
+        out["rect_bounds"] = (np.stack([r.lo for r in rects]),
+                              np.stack([r.hi for r in rects]))
+    if isinstance(ext, AMapExtension):
+        out["amap_bounds"] = (np.stack([p.r1.lo for p in preds]),
+                              np.stack([p.r1.hi for p in preds]),
+                              np.stack([p.r2.lo for p in preds]),
+                              np.stack([p.r2.hi for p in preds]))
+    if isinstance(ext, JBExtension):
+        counts = np.array([len(p.bites) for p in preds], dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        if offsets[-1] == 0:
+            empty = np.empty((0, ext.dim))
+            out["jb_bites"] = (empty, empty,
+                               np.empty((0, ext.dim), dtype=bool),
+                               counts, offsets)
+        else:
+            out["jb_bites"] = (
+                np.stack([b.lo for p in preds for b in p.bites]),
+                np.stack([b.hi for p in preds for b in p.bites]),
+                np.stack([b.low_side for p in preds for b in p.bites]),
+                counts, offsets)
+    if isinstance(ext, SSTreeExtension):
+        out["sphere_params"] = (np.stack([s.center for s in preds]),
+                                np.array([s.radius for s in preds]))
+    if isinstance(ext, SRTreeExtension):
+        out["sr_params"] = (np.stack([p.rect.lo for p in preds]),
+                            np.stack([p.rect.hi for p in preds]),
+                            np.stack([p.sphere.center for p in preds]),
+                            np.array([p.sphere.radius for p in preds]))
+    return out

@@ -196,10 +196,11 @@ class TestQuarantineParity:
 
 
 class TestNodeFormParity:
-    """One index, three kinds of node object — eagerly built in memory,
-    eagerly decoded by ``load_tree``, lazily block-decoded off a page
-    file (pread and mmap) — and nothing a query or treecheck can observe
-    tells them apart, for every family."""
+    """One index, one node representation — a node's page arrays —
+    reached three ways: built in memory by the bulk loader, decoded by
+    ``load_tree``, decoded off a page file (pread and mmap); nothing a
+    query or treecheck can observe tells them apart, for every
+    family."""
 
     K = 10
 
@@ -244,7 +245,7 @@ class TestNodeFormParity:
         assert want[1] == (True, [])
         for mmap_mode in (False, True):
             lazy = self._paged(built, method, mmap_mode, *facts)
-            assert lazy._peek(lazy.root_id)._entries is None
+            assert lazy._peek(lazy.root_id)._preds == {}
             assert self._observe(lazy, queries, self.K) == want
             lazy.store.close()
 

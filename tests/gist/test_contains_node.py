@@ -66,8 +66,9 @@ def _case(method, dim, seed, entries):
     ext = make_ext(method, dim)
     groups = [rng.integers(0, 4, size=(int(rng.integers(1, 9)), dim))
               .astype(np.float64) for _ in range(entries)]
-    node = Node(7, 1, [IndexEntry(ext.pred_for_keys(keys), 100 + i)
-                       for i, keys in enumerate(groups)])
+    node = Node.from_entries(
+        7, 1, [IndexEntry(ext.pred_for_keys(keys), 100 + i)
+               for i, keys in enumerate(groups)], ext.pred_codec())
     probes = list(np.concatenate(groups))
     probes += list(rng.integers(-1, 5, size=(8, dim)).astype(np.float64))
     return ext, node, probes

@@ -8,6 +8,7 @@ from repro.gist.entry import IndexEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
 from repro.geometry import Rect, Sphere
+from repro.storage.codecs import SphereCodec
 
 
 class TestAbstractContract:
@@ -35,8 +36,9 @@ class TestAbstractContract:
 
 
 class TestDefaultBatchMethods:
-    def _node(self, ext, preds):
-        return Node(1, 1, [IndexEntry(p, i) for i, p in enumerate(preds)])
+    def _node(self, preds, codec):
+        return Node.from_entries(
+            1, 1, [IndexEntry(p, i) for i, p in enumerate(preds)], codec)
 
     def test_default_min_dists_node_matches_scalar(self):
         """The loop fallback must agree with per-pred min_dist."""
@@ -49,7 +51,7 @@ class TestDefaultBatchMethods:
 
         ext = MinimalSphereExt(2)
         preds = [Sphere([float(i), 0.0], 0.5) for i in range(8)]
-        node = self._node(ext, preds)
+        node = self._node(preds, SphereCodec(2))
         q = np.array([3.3, 1.0])
         batch = ext.min_dists_node(node, q)
         assert np.allclose(batch, [p.min_dist(q) for p in preds])
@@ -63,7 +65,7 @@ class TestDefaultBatchMethods:
 
         ext = MinimalPenaltyExt(2)
         preds = [Sphere([float(i), 0.0], 0.5) for i in range(6)]
-        node = self._node(ext, preds)
+        node = self._node(preds, SphereCodec(2))
         key = np.array([2.7, 0.0])
         batch = ext.penalties_node(node, key)
         assert np.allclose(batch,
@@ -80,7 +82,7 @@ class TestDefaultBatchMethods:
              [Sphere(rng.normal(size=3), abs(rng.normal()) + 0.1)
               for _ in range(12)]),
         ):
-            node = self._node(ext, preds)
+            node = self._node(preds, ext.pred_codec())
             key = rng.normal(size=3)
             fast = ext.penalties_node(node, key)
             slow = np.array([ext.penalty(p, key) for p in preds])
@@ -91,8 +93,10 @@ class TestDefaultBatchMethods:
     def test_pred_for_node_dispatches_on_level(self):
         from repro.gist.entry import LeafEntry
         ext = RTreeExtension(2)
-        leaf = Node(1, 0, [LeafEntry(np.array([0.0, 0.0]), 0),
-                           LeafEntry(np.array([2.0, 2.0]), 1)])
-        inner = Node(2, 1, [IndexEntry(Rect([0.0, 0.0], [1.0, 1.0]), 1)])
+        leaf = Node.from_entries(1, 0, [LeafEntry(np.array([0.0, 0.0]), 0),
+                                        LeafEntry(np.array([2.0, 2.0]), 1)])
+        inner = Node.from_entries(
+            2, 1, [IndexEntry(Rect([0.0, 0.0], [1.0, 1.0]), 1)],
+            ext.pred_codec())
         assert ext.pred_for_node(leaf) == Rect([0.0, 0.0], [2.0, 2.0])
         assert ext.pred_for_node(inner) == Rect([0.0, 0.0], [1.0, 1.0])

@@ -1,21 +1,22 @@
-"""Node mutators and per-node computation caches."""
+"""Node state (its page's arrays), mutators and per-node caches."""
 
 import numpy as np
 import pytest
 
 from repro.geometry import Rect
 from repro.gist import IndexEntry, LeafEntry, Node
+from repro.storage.codecs import RectCodec
 
 
 def _leaf(n=5):
     entries = [LeafEntry(np.array([float(i), 0.0]), i) for i in range(n)]
-    return Node(1, 0, entries)
+    return Node.from_entries(1, 0, entries)
 
 
 def _inner(n=3):
     entries = [IndexEntry(Rect([float(i), 0.0], [i + 1.0, 1.0]), i + 10)
                for i in range(n)]
-    return Node(2, 1, entries)
+    return Node.from_entries(2, 1, entries, RectCodec(2))
 
 
 class TestAccessors:
@@ -104,15 +105,14 @@ class TestLazyLeaf:
     def test_len_without_materializing(self):
         node, keys, _ = self._lazy()
         assert len(node) == len(keys)
-        assert node._entries is None  # still lazy
+        assert "entries" not in node.cache  # still lazy
 
-    def test_array_views_come_from_cache(self):
+    def test_array_views_are_the_arrays_given(self):
         node, keys, rids = self._lazy()
-        assert node.keys_array() is node.cache["keys"]
-        assert np.array_equal(node.keys_array(), keys)
-        assert np.array_equal(node.rid_array(), rids)
+        assert node.keys_array() is keys
+        assert node.rid_array() is rids
         assert node.rids() == rids.tolist()
-        assert node._entries is None
+        assert node.cache == {}
 
     def test_entries_materialize_on_access(self):
         node, keys, rids = self._lazy()
@@ -121,24 +121,29 @@ class TestLazyLeaf:
         assert all(np.array_equal(e.key, k)
                    for e, k in zip(entries, keys))
         assert node.entries is entries  # materialized once
+        with pytest.raises(TypeError):
+            entries[0] = entries[1]      # a view: mutators change nodes
 
     def test_materialized_equals_eager_construction(self):
         node, keys, rids = self._lazy()
-        eager = Node(9, 0, [LeafEntry(k, int(r))
-                            for k, r in zip(keys, rids)])
+        eager = Node.from_entries(9, 0, [LeafEntry(k, int(r))
+                                         for k, r in zip(keys, rids)])
         assert [tuple(e.key) for e in node.entries] \
             == [tuple(e.key) for e in eager.entries]
         assert [e.rid for e in node.entries] \
             == [e.rid for e in eager.entries]
+        assert np.array_equal(eager.keys_array(), keys)
 
     def test_mutation_works_on_lazy_node(self):
-        node, _, rids = self._lazy()
+        node, keys, rids = self._lazy()
         node.add_entry(LeafEntry(np.array([99.0, 99.0]), 999))
         assert len(node) == len(rids) + 1
         assert node.rids() == rids.tolist() + [999]
-        # the stale array views are gone; fresh ones rebuild from entries
-        rebuilt = node.rid_array()
-        assert rebuilt.tolist() == rids.tolist() + [999]
+        # new arrays, not an edit of the ones the node was given
+        assert node.rid_array().tolist() == rids.tolist() + [999]
+        assert node.keys_array()[-1].tolist() == [99.0, 99.0]
+        assert np.array_equal(keys, np.arange(12.0).reshape(6, 2))
+        assert len(rids) == 6
 
     def test_rid_array_builds_from_eager_entries(self):
         node = _leaf(4)
@@ -165,15 +170,15 @@ class TestLazyInner:
         assert node.children() == eager.children()
         assert node.child_array().dtype == np.int64
         assert node.pred_block().shape == (4, 4)
-        assert node._entries is None and "preds" not in node.cache
+        assert node.cache == {} and node._preds == {}
 
     def test_pred_at_builds_only_the_entry_asked_for(self):
         node, eager = self._lazy()
         pred = node.pred_at(2)
         assert pred == eager.entries[2].pred
         assert node.pred_at(2) is pred
-        assert list(node.cache["preds"]) == [2]
-        assert node._entries is None
+        assert list(node._preds) == [2]
+        assert "entries" not in node.cache
 
     def test_entries_materialize_equal_to_eager_and_reuse_preds(self):
         node, eager = self._lazy()
@@ -204,9 +209,8 @@ class TestLazyInner:
             node = codec.decode_node(image, 2)
             built = node.pred_at(2)
             mutate(node)
-            assert node.pred_block() is not None
             assert node.children() == children
-            assert node._entries is None
+            assert node.cache == {}
             if row is not None:
                 assert node.pred_block()[row].tobytes() \
                     == rect_codec.encode(new.pred)
@@ -216,7 +220,10 @@ class TestLazyInner:
             assert [e.child for e in node.entries] == children
 
     def test_eager_nodes_answer_the_same_accessors(self):
+        """A node built from entry objects holds the same arrays a page
+        decode would, and hands back the very predicates it was given."""
         eager = _inner(3)
-        assert eager.pred_block() is None
+        node, _ = self._lazy()
+        assert eager.pred_block().tobytes() == node.pred_block()[:3].tobytes()
         assert eager.pred_at(1) is eager.entries[1].pred
         assert eager.child_array().tolist() == [10, 11, 12]

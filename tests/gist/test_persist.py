@@ -70,3 +70,65 @@ class TestHeaderChecks:
         path.write_bytes(b"\x09\x00\x00\x00{\"a\": 1}" + b"\x00" * 100)
         with pytest.raises(ValueError, match="not a saved GiST"):
             load_tree(make_ext("rtree", 2), str(path))
+
+
+class TestOneRepresentation:
+    """A node is its page's arrays, whether it was built in memory or
+    read back from the page it was saved to: the same bytes either way,
+    after a bulk load and after inserts and deletes that split nodes,
+    and every predicate object an in-memory node was given is what its
+    block row encodes."""
+
+    @staticmethod
+    def _assert_same_bytes(mem, path, codec):
+        loaded = load_tree(path=path)
+        # save_tree numbers slots in iter_nodes order
+        slot_of = {n.page_id: i + 1 for i, n in enumerate(mem.iter_nodes())}
+        pairs = [(mem._peek(mem.root_id), loaded._peek(loaded.root_id))]
+        seen = 0
+        while pairs:
+            a, b = pairs.pop()
+            seen += 1
+            assert (a.level, len(a)) == (b.level, len(b))
+            if a.is_leaf and codec == "f64":
+                assert a.rid_array().tobytes() == b.rid_array().tobytes()
+                assert a.keys_array().tobytes() == b.keys_array().tobytes()
+            elif a.is_leaf:
+                # an SQ8 page stores its entries in rid order
+                assert np.sort(a.rid_array()).tobytes() \
+                    == b.rid_array().tobytes()
+            else:
+                assert a.pred_block().tobytes() == b.pred_block().tobytes()
+                encode = mem.index_codec.pred_codec.encode
+                for i, pred in a._preds.items():
+                    assert encode(pred) == a.pred_block()[i].tobytes()
+                slots = np.array([slot_of[c] for c in a.children()],
+                                 dtype=np.int64)
+                assert slots.tobytes() == b.child_array().tobytes()
+                pairs.extend(zip(map(mem._peek, a.children()),
+                                 map(loaded._peek, b.children())))
+        assert seen == loaded.num_nodes() == mem.num_nodes()
+
+    @pytest.mark.parametrize("codec", ["f64", "sq8"])
+    def test_memory_and_page_hold_identical_bytes(self, any_method, codec,
+                                                  tmp_path):
+        from repro.storage.codecs import make_leaf_codec
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(400, 3))
+        tree = bulk_load(make_ext(any_method, 3), pts, page_size=2048,
+                         leaf_codec=make_leaf_codec(codec, 3))
+        path = str(tmp_path / "t.gist")
+        save_tree(tree, path)
+        self._assert_same_bytes(tree, path, codec)
+
+        nodes = tree.num_nodes()
+        fresh = rng.normal(size=(120, 3)) * 2.0
+        for i, key in enumerate(fresh):
+            tree.insert(key, 10_000 + i)
+        assert tree.num_nodes() > nodes         # full leaves split
+        for i in range(0, 120, 3):
+            assert tree.delete(fresh[i], 10_000 + i)
+        for i in range(0, 400, 5):
+            assert tree.delete(pts[i], i)
+        save_tree(tree, path)
+        self._assert_same_bytes(tree, path, codec)

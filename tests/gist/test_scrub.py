@@ -94,7 +94,8 @@ class TestDamage:
         codec = NodeCodec(PAGE, LeafEntryCodec(2),
                           IndexEntryCodec(ext.pred_codec()))
         stray = codec.encode_nodes(
-            [Node(extra_slot, 0, [LeafEntry(np.zeros(2), 1)])])[0]
+            [Node.from_entries(extra_slot, 0,
+                               [LeafEntry(np.zeros(2), 1)])])[0]
         open(path, "wb").write(raw + stray.tobytes())
         report = scrub_file(path)
         orphans = [s.slot for s in report.orphaned_slots]

@@ -41,8 +41,8 @@ MUTATIONS = [
      "unseeded_rng"),
     # a new node is written beneath the WAL wrapper.
     ("src/repro/gist/tree.py",
-     "level, entries)\n        self.store.write(node)",
-     "level, entries)\n        self.store.base.write(node)",
+     "self.index_codec.pred_codec)\n        self.store.write(node)",
+     "self.index_codec.pred_codec)\n        self.store.base.write(node)",
      "unlogged_write"),
     # remapping swallows every exception, not just the live-view one.
     ("src/repro/storage/diskfile.py",
@@ -94,9 +94,14 @@ MUTATIONS = [
      "tests/gist/test_persist_hostile.py::TestOneDecoderOneVerdict"),
     # a mutated inner node writes through the page it was read from.
     ("src/repro/gist/node.py",
-     'block = self.cache["block"].copy()', 'block = self.cache["block"]',
+     "rows = self._matrix().copy()", "rows = self._matrix()",
      "tests/storage/test_mmap_diskfile.py::TestLazyInnerNode::"
      "test_mutators_edit_copies_of_the_block_arrays"),
+    # replacing an entry keeps the old row instead of encoding the
+    # installed predicate into it.
+    ("src/repro/gist/node.py",
+     "rows[index] = row[0]", "rows[index] = rows[index]",
+     "tests/gist/test_persist.py::TestOneRepresentation"),
     # a point on a bite's open inner face counts as bitten away.
     ("src/repro/core/jbtree.py",
      "(p >= blo) & (p < bhi)", "(p >= blo) & (p <= bhi)",

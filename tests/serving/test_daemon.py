@@ -20,8 +20,9 @@ from repro.constants import INDEX_DIMENSIONS
 from repro.serving import ShardedService, ShardServer, canonical_knn_batch
 from repro.serving import coordinator
 from repro.serving.registry import DEAD, LIVE
+from repro.storage.buffer import BufferPool
 from repro.storage.diskfile import FilePageFile
-from repro.storage.fork import fork_available
+from repro.storage.fork import fork_available, store_chain
 from tests.conftest import ALL_METHODS, make_ext
 
 CANDIDATES = 40
@@ -272,6 +273,47 @@ class TestInlineFallback:
             assert len(answers) == 2
             assert svc.degradation.is_degraded
             assert svc.registry.state(1) == DEAD
+
+
+class TestRestart:
+    """A stopped service starts again over the same built trees."""
+
+    def test_inline_restarts_keep_one_pool_over_the_file(
+            self, corpus, monkeypatch):
+        """Each in-process start pools its shard's page file once, on the
+        server's own tree object, and leaves the coordinator's tree over
+        the bare file, so restarts never stack pools."""
+        monkeypatch.setattr(coordinator, "fork_available", lambda: False)
+        svc = build_service(corpus, shards=2)
+        files = [shard["tree"].store for shard in svc.shards]
+        assert all(isinstance(f, FilePageFile) for f in files)
+        try:
+            for _ in range(3):
+                svc.start()
+                assert svc.am_query_batch([7, 8], CANDIDATES)
+                for handle, shard, file in zip(svc.handles, svc.shards,
+                                               files):
+                    chain = store_chain(handle.server.tree.store)
+                    assert [type(layer) for layer in chain] \
+                        == [BufferPool, FilePageFile]
+                    assert chain[1] is file
+                    assert shard["tree"].store is file
+                svc.stop()
+        finally:
+            svc.close()
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_forked_start_never_wraps_the_parent_store(self, corpus):
+        svc = build_service(corpus, shards=2)
+        files = [shard["tree"].store for shard in svc.shards]
+        with svc:
+            for _ in range(2):
+                svc.start()
+                assert not svc.inline
+                assert svc.am_query_batch([9], CANDIDATES)
+                assert [shard["tree"].store for shard in svc.shards] \
+                    == files
+                svc.stop()
 
 
 class TestAccounting:

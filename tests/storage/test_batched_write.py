@@ -35,9 +35,9 @@ def _leaf_nodes(rng, count, start_id=1, entries_per=10):
     nodes = []
     for i in range(count):
         keys = rng.normal(size=(entries_per, DIM))
-        nodes.append(Node(start_id + i, 0,
-                          [LeafEntry(k, 1000 * i + j)
-                           for j, k in enumerate(keys)]))
+        nodes.append(Node.from_entries(
+            start_id + i, 0,
+            [LeafEntry(k, 1000 * i + j) for j, k in enumerate(keys)]))
     return nodes
 
 
@@ -48,7 +48,8 @@ def _inner_nodes(rng, count, start_id, entries_per=5):
         for j in range(entries_per):
             lo = rng.normal(size=DIM)
             entries.append(IndexEntry(Rect(lo, lo + 1.0), 100 + j))
-        nodes.append(Node(start_id + i, 1, entries))
+        nodes.append(Node.from_entries(start_id + i, 1, entries,
+                                       RectCodec(DIM)))
     return nodes
 
 
@@ -184,14 +185,14 @@ class TestWriteMany:
         store.close()
 
     def test_lazy_leaf_nodes_write_identically(self, tmp_path):
-        """`Node.leaf_from_arrays` leaves (no entry objects yet) must
-        encode the same bytes as materialized ones."""
+        """`Node.leaf_from_arrays` leaves (the loader's and the decoder's)
+        encode the same bytes as leaves built from entry objects."""
         rng = np.random.default_rng(8)
         keys = rng.normal(size=(10, DIM))
         rids = np.arange(10, dtype=np.int64)
         lazy = Node.leaf_from_arrays(1, keys, rids)
-        eager = Node(1, 0, [LeafEntry(k, int(r))
-                            for k, r in zip(keys, rids)])
+        eager = Node.from_entries(1, 0, [LeafEntry(k, int(r))
+                                         for k, r in zip(keys, rids)])
         paths = {tag: str(tmp_path / f"{tag}.pages")
                  for tag in ("lazy", "eager")}
         for tag, node in (("lazy", lazy), ("eager", eager)):

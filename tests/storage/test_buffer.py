@@ -154,14 +154,6 @@ class TestRecordAccess:
         pool.read(a)
         assert pool.stats.hits == 2
 
-    def test_not_counted_when_counting_off(self):
-        store, nodes = _store_with(1)
-        pool = BufferPool(store, capacity_pages=2)
-        pool.read(nodes[0].page_id)
-        store.counting = False
-        pool.record_access(nodes[0].page_id, 0)
-        assert pool.stats.hits == 0
-
     def test_non_resident_page_is_a_miss_not_a_hit(self):
         """Regression: recording an access to a page the pool does not
         hold must count a miss and forward to the inner store — never a

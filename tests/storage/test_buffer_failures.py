@@ -1,9 +1,10 @@
-"""BufferPool under failure: eviction, coherence, and flag restoration."""
+"""BufferPool under failure: eviction, coherence, and pinning."""
 
 import pytest
 
 from repro.gist.node import Node
-from repro.storage import BufferPool, MemoryPageFile, TransientIOError
+from repro.storage import (BufferPool, MemoryPageFile, PageMissingError,
+                           TransientIOError)
 from repro.storage.faults import FaultPolicy, FaultyPageFile
 
 
@@ -89,21 +90,27 @@ class TestWriteFailure:
 
 class TestPinPages:
     def test_pin_pages_restores_counting_on_failure(self):
+        """A pin that fails part way leaves the pool counting as before:
+        the page it did frame is a counted hit, the next read a miss."""
+        store, nodes = _store_with(2)
+        pool = BufferPool(store, capacity_pages=4, retry=None)
+        with pytest.raises(PageMissingError):
+            pool.pin_pages([nodes[0].page_id, 999])
+        pool.read(nodes[0].page_id)
+        pool.read(nodes[1].page_id)
+        assert (pool.stats.hits, pool.stats.misses) == (1, 1)
+        assert store.stats.reads == 1
+
+    def test_pin_pages_fetches_through_peek(self):
+        """Pinning is maintenance: it peeks, so a fault armed on the
+        counted read path neither fires nor is spent by it, and nothing
+        is counted."""
         store, nodes = _store_with(2)
         faulty = FaultyPageFile(store)
         pool = BufferPool(faulty, capacity_pages=4, retry=None)
-        assert pool.counting is True
         faulty.fail_next_reads(nodes[1].page_id, 1)
+        pool.pin_pages([n.page_id for n in nodes])
+        assert pool.stats.accesses == 0 and store.stats.reads == 0
+        pool.clear()
         with pytest.raises(TransientIOError):
-            pool.pin_pages([n.page_id for n in nodes])
-        assert pool.counting is True      # flag restored despite the raise
-
-    def test_pin_pages_restores_prior_false(self):
-        store, nodes = _store_with(1)
-        faulty = FaultyPageFile(store)
-        pool = BufferPool(faulty, capacity_pages=4, retry=None)
-        pool.counting = False
-        faulty.fail_next_reads(nodes[0].page_id, 1)
-        with pytest.raises(TransientIOError):
-            pool.pin_pages([nodes[0].page_id])
-        assert pool.counting is False
+            pool.read(nodes[1].page_id)

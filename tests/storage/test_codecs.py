@@ -150,15 +150,17 @@ class TestNodeCodec:
 
     def test_leaf_roundtrip(self):
         c = self._codec()
-        leaf = Node(9, 0, [LeafEntry(np.array([1.0, 2.0]), 5),
-                           LeafEntry(np.array([3.0, 4.0]), 6)])
+        leaf = Node.from_entries(9, 0, [LeafEntry(np.array([1.0, 2.0]), 5),
+                                        LeafEntry(np.array([3.0, 4.0]), 6)])
         out = c.decode_node(c.encode_nodes([leaf])[0], 9)
         assert (out.page_id, out.level) == (9, 0)
         assert len(out) == 2 and out.entries[1].rid == 6
 
     def test_index_roundtrip(self):
         c = self._codec()
-        inner = Node(1, 2, [IndexEntry(Rect([0.0, 0.0], [1.0, 1.0]), 3)])
+        inner = Node.from_entries(
+            1, 2, [IndexEntry(Rect([0.0, 0.0], [1.0, 1.0]), 3)],
+            RectCodec(2))
         out = c.decode_node(c.encode_nodes([inner])[0], 1)
         assert out.level == 2 and out.entries[0].child == 3
 
@@ -168,7 +170,7 @@ class TestNodeCodec:
 
     def test_overflow_rejected(self):
         c = self._codec(page_size=64)
-        leaf = Node(1, 0, [LeafEntry(np.array([0.0, 0.0]), i)
-                           for i in range(10)])
+        leaf = Node.from_entries(1, 0, [LeafEntry(np.array([0.0, 0.0]), i)
+                                        for i in range(10)])
         with pytest.raises(ValueError):
             c.encode_nodes([leaf])

@@ -119,6 +119,3 @@ class TestRecordAccess:
         assert store.stats.reads == 1
         assert store.stats.leaf_reads == 1
         assert seen == [(pid, 0)]
-        store.counting = False
-        store.record_access(pid, 0)
-        assert store.stats.reads == 1

@@ -62,8 +62,9 @@ def _codec(page_size=256, dim=2):
 
 
 def _leaf_image(codec, dim=2, n=3, page_id=7):
-    leaf = Node(page_id, 0, [LeafEntry(np.arange(dim, dtype=float) + i,
-                                       100 + i) for i in range(n)])
+    leaf = Node.from_entries(
+        page_id, 0, [LeafEntry(np.arange(dim, dtype=float) + i, 100 + i)
+                     for i in range(n)])
     return codec.encode_nodes([leaf])[0].tobytes()
 
 

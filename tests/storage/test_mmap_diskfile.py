@@ -21,6 +21,7 @@ from repro.storage.diskfile import FilePageFile
 from repro.storage.faults import FaultyPageFile
 
 from tests.conftest import ALL_METHODS, make_ext
+from tests.gist.oracle import stacked_geometry
 
 #: JB-family predicates are large; they need roomier pages (see
 #: tests/gist/test_batch_parity.py).
@@ -273,10 +274,10 @@ class TestLazyInnerNode:
     def test_block_geometry_equals_geometry_stacked_from_predicates(
             self, tmp_path, method, mmap_mode, points):
         """Every array an extension caches on a node — bounds, sphere
-        and dual-rect parameters, the JB bite pack — and every kernel
-        fed by them is bit-identical whether sliced out of the block or
-        stacked from decoded predicate objects."""
-        from repro.gist.node import Node
+        and dual-rect parameters, the JB bite pack — is bit-identical
+        whether sliced out of the block or stacked from decoded
+        predicate objects (:func:`tests.gist.oracle.stacked_geometry`),
+        and the kernels build no predicate object to get it."""
         path, *facts = _build_file(tmp_path, method, points)
         ext = make_ext(method, 3)
         queries = points[::300]
@@ -285,26 +286,16 @@ class TestLazyInnerNode:
             assert pages
             for pid in pages:
                 lazy = store.read(pid)
-                assert lazy._entries is None
-                eager = Node(pid, lazy.level, store.read(pid).entries)
-                assert eager.pred_block() is None
                 for q in queries:
-                    assert np.array_equal(ext.min_dists_node(lazy, q),
-                                          ext.min_dists_node(eager, q))
-                    assert np.array_equal(ext.penalties_node(lazy, q),
-                                          ext.penalties_node(eager, q))
-                cheap = ext.min_dists_node_multi(lazy, queries)
-                assert np.array_equal(
-                    cheap, ext.min_dists_node_multi(eager, queries))
-                assert np.array_equal(
-                    ext.refine_dists_node(lazy, queries, cheap),
-                    ext.refine_dists_node(eager, queries, cheap),
-                    equal_nan=True)
-                assert lazy._entries is None        # still no objects
-                assert sorted(lazy.cache) == sorted(
-                    set(eager.cache) | {"block", "children"})
-                for key in set(eager.cache) - {"children"}:
-                    for a, b in zip(lazy.cache[key], eager.cache[key]):
+                    cheap = ext.min_dists_node(lazy, q)
+                    ext.refine_dists_node(lazy, q[None], cheap[None])
+                    ext.penalties_node(lazy, q)
+                assert lazy._preds == {}            # still no objects
+                want = stacked_geometry(ext, store.read(pid).preds())
+                assert sorted(lazy.cache) == sorted(want)
+                for key, arrays in want.items():
+                    assert len(lazy.cache[key]) == len(arrays), key
+                    for a, b in zip(lazy.cache[key], arrays):
                         assert np.array_equal(a, b), key
 
     def test_predicates_materialize_one_at_a_time(self, tmp_path, points):
@@ -315,12 +306,11 @@ class TestLazyInnerNode:
             assert len(node) == len(reference)
             pred = node.pred_at(1)
             assert node.pred_at(1) is pred          # built once
-            assert node._entries is None
-            assert list(node.cache["preds"]) == [1]
+            assert list(node._preds) == [1]
             codec = store.codec.index_codec.pred_codec
             assert codec.encode(pred) == codec.encode(reference[1].pred)
             assert node.children() == [e.child for e in reference]
-            assert node._entries is None
+            assert "entries" not in node.cache
             # walking the entries reuses what pred_at already built
             assert node.entries[1].pred is pred
 
@@ -328,7 +318,7 @@ class TestLazyInnerNode:
     def test_mutation_through_block_backed_inner_nodes_stays_sound(
             self, tmp_path, method):
         """MutableTree insert/delete through page-decoded inner nodes,
-        which stay block-backed as their entries are added, removed and
+        whose blocks are rebuilt as their entries are added, removed and
         replaced (the next test pins the copies they edit): the tree
         stays sound and queryable."""
         from repro.analysis.treecheck import check_tree
@@ -342,8 +332,7 @@ class TestLazyInnerNode:
         fresh = rng.normal(size=(40, 3)) * 3.0      # widens predicates
         with MutableTree.open(path, extension=make_ext(method, 3)) as mt:
             root = mt.tree._peek(mt.tree.root_id)
-            assert not root.is_leaf and root._entries is None
-            assert root.pred_block() is not None
+            assert not root.is_leaf and root._preds == {}
             for i, key in enumerate(fresh):
                 mt.insert(key, 10_000 + i)
             for i in range(0, 40, 2):
@@ -362,8 +351,8 @@ class TestLazyInnerNode:
 
     def test_mutators_edit_copies_of_the_block_arrays(self, tmp_path,
                                                        points):
-        """A mutated page-decoded node stays block-backed: the edited
-        row is the codec's encoding of the installed predicate, which
+        """A mutated page-decoded node holds edited copies of its block:
+        the edited row is the codec's encoding of the installed predicate, which
         ``pred_at`` returns as is, and the page bytes do not change
         until the node is written — over pread and mmap images."""
         from repro.gist.entry import IndexEntry
@@ -387,8 +376,7 @@ class TestLazyInnerNode:
                     entry = IndexEntry(
                         store.read(_inner_pages(store)[-1]).pred_at(0), 777)
                     mutate(node, entry)
-                    assert node.pred_block() is not None
-                    assert node._entries is None
+                    assert node.cache == {}
                     assert node.children() == edit(children)
                     if row is not None:
                         assert node.pred_block()[row].tobytes() \

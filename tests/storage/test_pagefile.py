@@ -30,15 +30,6 @@ class TestAccounting:
         store.peek(leaf.page_id)
         assert store.stats.reads == 0
 
-    def test_counting_toggle(self):
-        store, leaf, _ = _make_store_with_nodes()
-        store.counting = False
-        store.read(leaf.page_id)
-        assert store.stats.reads == 0
-        store.counting = True
-        store.read(leaf.page_id)
-        assert store.stats.reads == 1
-
     def test_stats_reset(self):
         store, leaf, _ = _make_store_with_nodes()
         store.read(leaf.page_id)
@@ -66,12 +57,12 @@ class TestListeners:
         assert seen == []
 
     def test_listener_skipped_when_not_counting(self):
+        """``peek`` is the uncounted path: no counter, no listener."""
         store, leaf, _ = _make_store_with_nodes()
         seen = []
         store.add_listener(lambda pid, lvl: seen.append(pid))
-        store.counting = False
-        store.read(leaf.page_id)
-        assert seen == []
+        store.peek(leaf.page_id)
+        assert seen == [] and store.stats.reads == 0
 
 
 class TestLifecycle:
@@ -110,12 +101,3 @@ class TestRecordAccess:
         assert store.stats.leaf_reads == 1
         assert store.stats.inner_reads == 1
         assert seen == [(leaf.page_id, 0), (inner.page_id, 1)]
-
-    def test_silent_when_not_counting(self):
-        store, leaf, _ = _make_store_with_nodes()
-        seen = []
-        store.add_listener(lambda pid, lvl: seen.append(pid))
-        store.counting = False
-        store.record_access(leaf.page_id, 0)
-        assert store.stats.reads == 0
-        assert seen == []
