@@ -102,10 +102,18 @@ def tree_report(tree) -> TreeReport:
             entries=slot["entries"],
             mean_fill=slot["entries"] / (slot["nodes"] * capacity),
             mean_utilization=float(np.mean(slot["util"])),
-            sibling_overlap=float(np.nanmean(slot["overlap"]))
-            if slot["overlap"] else 0.0,
+            sibling_overlap=_mean_overlap(slot["overlap"]),
         ))
     return report
+
+
+def _mean_overlap(overlaps: List[float]) -> float:
+    """Mean sibling overlap of a level: 0 for a level with no inner
+    node, NaN when no node there has a footprint (an SS-tree level)."""
+    if not overlaps:
+        return 0.0
+    known = [o for o in overlaps if o == o]
+    return float(np.mean(known)) if known else float("nan")
 
 
 def format_tree_report(report: TreeReport) -> str:

@@ -49,9 +49,6 @@ class RTreeExtension(GiSTExtension):
 
     # -- algebra ---------------------------------------------------------------
 
-    def consistent(self, pred, query_rect) -> bool:
-        return self.footprint(pred).intersects(query_rect)
-
     def contains(self, pred, point) -> bool:
         return pred.contains_point(point)
 

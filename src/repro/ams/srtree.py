@@ -15,9 +15,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.ams.splits import quadratic_split
+from repro.ams.sstree import sphere_bounds
 from repro.geometry import Rect, Sphere
 from repro.geometry.rect import min_dists_to_rects
-from repro.geometry.sphere import min_dists_to_spheres
 from repro.gist.entry import LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
@@ -47,6 +47,14 @@ def _capped_sphere(center: np.ndarray, radius: float, rect: Rect) -> Sphere:
     return Sphere(center, min(radius, rect.max_dist(center)))
 
 
+def _reach(parent: SRPred, child: SRPred) -> float:
+    """How far the child's region, inside both its rect and its sphere,
+    reaches from the parent's center: the nearer of the two limits."""
+    center = parent.sphere.center
+    gap = float(np.linalg.norm(child.sphere.center - center))
+    return min(child.rect.max_dist(center), gap + child.sphere.radius)
+
+
 class SRTreeExtension(GiSTExtension):
     """SR-tree behaviour on combined rect + sphere BPs."""
 
@@ -67,39 +75,26 @@ class SRTreeExtension(GiSTExtension):
 
     # -- algebra ---------------------------------------------------------------
 
-    def consistent(self, pred: SRPred, query_rect) -> bool:
-        return (pred.rect.intersects(query_rect)
-                and query_rect.min_dist(pred.sphere.center)
-                <= pred.sphere.radius)
-
     def contains(self, pred: SRPred, point) -> bool:
         return (pred.rect.contains_point(point)
                 and pred.sphere.contains_point(point))
 
     def covers_pred(self, parent_pred: SRPred, child_pred: SRPred) -> bool:
-        if not parent_pred.rect.contains_rect(child_pred.rect):
-            return False
-        # The child's region is inside both its rect and its sphere, so
-        # its distance from the parent center is bounded by whichever of
-        # the two encloses it more tightly from the parent's vantage.
-        center = parent_pred.sphere.center
-        via_rect = child_pred.rect.max_dist(center)
-        gap = float(np.linalg.norm(child_pred.sphere.center - center))
-        via_sphere = gap + child_pred.sphere.radius
-        reach = min(via_rect, via_sphere)
-        return reach <= parent_pred.sphere.radius * (1 + 1e-12) + 1e-12
+        return (parent_pred.rect.contains_rect(child_pred.rect)
+                and _reach(parent_pred, child_pred)
+                <= parent_pred.sphere.radius * (1 + 1e-12) + 1e-12)
 
     # -- incremental adjust ----------------------------------------------------
 
     def adjust_pred_insert(self, pred: SRPred, key: np.ndarray):
-        if self.contains(pred, key):
-            return pred
         key = np.asarray(key, dtype=np.float64)
-        rect = pred.rect.union_point(key)
         sphere = pred.sphere
-        if not sphere.contains_point(key):
+        gap = float(np.linalg.norm(key - sphere.center))
+        if pred.rect.contains_point(key) and gap <= sphere.radius:
+            return pred
+        rect = pred.rect.union_point(key)
+        if gap > sphere.radius:
             # Smallest ball covering ball and point (see the SS-tree).
-            gap = float(np.linalg.norm(key - sphere.center))
             new_r = (gap + sphere.radius) / 2.0
             center = sphere.center + (key - sphere.center) \
                 * ((new_r - sphere.radius) / gap)
@@ -111,7 +106,9 @@ class SRTreeExtension(GiSTExtension):
                                            rect))
 
     def adjust_pred_cover(self, pred: SRPred, child_pred: SRPred):
-        if self.covers_pred(pred, child_pred):
+        # No tolerance, unlike covers_pred (see the SS-tree's insert).
+        if (pred.rect.contains_rect(child_pred.rect)
+                and _reach(pred, child_pred) <= pred.sphere.radius):
             return pred
         rect = pred.rect.union(child_pred.rect)
         raw = Sphere.from_spheres([pred.sphere, child_pred.sphere])
@@ -148,18 +145,16 @@ class SRTreeExtension(GiSTExtension):
     def routing_point(self, pred: SRPred) -> np.ndarray:
         return pred.sphere.center
 
-    def routing_points_multi(self, preds: Sequence[SRPred]) -> np.ndarray:
-        return np.stack([p.sphere.center for p in preds])
-
     # -- distances ---------------------------------------------------------------
 
     def min_dist(self, pred: SRPred, q: np.ndarray) -> float:
-        return max(pred.rect.min_dist(q), pred.sphere.min_dist(q))
+        sphere = sphere_bounds(q, pred.sphere.center[None], pred.sphere.radius)
+        return max(pred.rect.min_dist(q), float(sphere[0]))
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         lo, hi, centers, radii = self._sr_params(node)
         return np.maximum(min_dists_to_rects(q, lo, hi),
-                          min_dists_to_spheres(q, centers, radii))
+                          sphere_bounds(q, centers, radii))
 
     # -- storage --------------------------------------------------------------------
 

@@ -14,10 +14,19 @@ import numpy as np
 
 from repro.ams.splits import variance_split
 from repro.geometry import Sphere
-from repro.geometry.sphere import min_dists_to_spheres
 from repro.gist.extension import GiSTExtension
+from repro.gist.nn import slack
 from repro.gist.node import Node
 from repro.storage.codecs import SphereCodec
+
+
+def sphere_bounds(q: np.ndarray, centers: np.ndarray,
+                  radii: np.ndarray) -> np.ndarray:
+    """Lower bounds from ``q`` to stacked spheres.  ``gap - radius``
+    rounds with an error that scales with ``gap + radius``, so it is
+    lowered by the slack times that sum (DESIGN.md section 7)."""
+    gaps = np.sqrt(((centers - q) ** 2).sum(axis=1))
+    return np.maximum(gaps - radii - slack(len(q)) * (gaps + radii), 0.0)
 
 
 class SSTreeExtension(GiSTExtension):
@@ -35,9 +44,6 @@ class SSTreeExtension(GiSTExtension):
 
     # -- algebra ---------------------------------------------------------------
 
-    def consistent(self, pred: Sphere, query_rect) -> bool:
-        return query_rect.min_dist(pred.center) <= pred.radius
-
     def contains(self, pred: Sphere, point) -> bool:
         return pred.contains_point(point)
 
@@ -47,19 +53,22 @@ class SSTreeExtension(GiSTExtension):
     # -- incremental adjust ----------------------------------------------------
 
     def adjust_pred_insert(self, pred: Sphere, key: np.ndarray):
-        if pred.contains_point(key):
+        # No tolerance, unlike contains_point: any key past the computed
+        # surface widens the sphere (DESIGN.md section 7).
+        key = np.asarray(key, dtype=np.float64)
+        gap = float(np.linalg.norm(key - pred.center))
+        if gap <= pred.radius:
             return pred
         # Smallest ball covering ball and point: slide the center toward
         # the key just far enough that both surfaces touch the boundary.
-        key = np.asarray(key, dtype=np.float64)
-        gap = float(np.linalg.norm(key - pred.center))
         new_r = (gap + pred.radius) / 2.0
         center = pred.center + (key - pred.center) * ((new_r - pred.radius)
                                                      / gap)
         return Sphere(center, new_r)
 
     def adjust_pred_cover(self, pred: Sphere, child_pred: Sphere):
-        if pred.contains_sphere(child_pred):
+        gap = float(np.linalg.norm(child_pred.center - pred.center))
+        if gap + child_pred.radius <= pred.radius:
             return pred
         return Sphere.from_spheres([pred, child_pred])
 
@@ -90,16 +99,13 @@ class SSTreeExtension(GiSTExtension):
     def routing_point(self, pred: Sphere) -> np.ndarray:
         return pred.center
 
-    def routing_points_multi(self, preds: Sequence[Sphere]) -> np.ndarray:
-        return np.stack([p.center for p in preds])
-
     # -- distances ---------------------------------------------------------------
 
     def min_dist(self, pred: Sphere, q: np.ndarray) -> float:
-        return pred.min_dist(q)
+        return float(sphere_bounds(q, pred.center[None], pred.radius)[0])
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
-        return min_dists_to_spheres(q, *self._sphere_params(node))
+        return sphere_bounds(q, *self._sphere_params(node))
 
     # -- storage --------------------------------------------------------------------
 

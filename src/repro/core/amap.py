@@ -173,7 +173,7 @@ class AMapExtension(RTreeExtension):
     """aMAP: R-tree chassis with dual-rectangle bounding predicates.
 
     Routing (penalty, split) treats the predicate as its overall MBR; the
-    dual rectangles only sharpen ``consistent`` and the NN distance.
+    dual rectangles only sharpen the NN distance.
     """
 
     name = "amap"
@@ -245,10 +245,6 @@ class AMapExtension(RTreeExtension):
         return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
 
     # -- algebra ---------------------------------------------------------------
-
-    def consistent(self, pred: MapPred, query_rect) -> bool:
-        return (pred.r1.intersects(query_rect)
-                or pred.r2.intersects(query_rect))
 
     def contains(self, pred: MapPred, point) -> bool:
         return pred.contains_point(point)

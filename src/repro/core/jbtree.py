@@ -121,14 +121,6 @@ class JBExtension(RTreeExtension):
 
     # -- algebra ---------------------------------------------------------------
 
-    def consistent(self, pred: BittenRect, query_rect) -> bool:
-        inter = pred.rect.intersection(query_rect)
-        if inter is None:
-            return False
-        # If one bite swallows the whole intersection box, the query
-        # cannot reach covered data through this predicate.
-        return not any(_swallows(b, inter) for b in pred.bites)
-
     def contains(self, pred: BittenRect, point) -> bool:
         return pred.contains_point(point)
 
@@ -273,10 +265,3 @@ def _in_bites(p: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
     the last axis."""
     return np.all(np.where(blow, (p >= blo) & (p < bhi),
                            (p > blo) & (p <= bhi)), axis=-1)
-
-
-def _swallows(bite, rect: Rect) -> bool:
-    """Is the closed box ``rect`` entirely inside the half-open bite?"""
-    low_ok = (rect.lo >= bite.lo) & (rect.hi < bite.hi)
-    high_ok = (rect.lo > bite.lo) & (rect.hi <= bite.hi)
-    return bool(np.all(np.where(bite.low_side, low_ok, high_ok)))

@@ -136,11 +136,3 @@ def stack_spheres(spheres: Sequence[Sphere]):
     centers = np.stack([s.center for s in spheres])
     radii = np.array([s.radius for s in spheres])
     return centers, radii
-
-
-def min_dists_to_spheres(point, centers: np.ndarray,
-                         radii: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`Sphere.min_dist` against stacked parameters."""
-    p = np.asarray(point, dtype=np.float64)
-    gaps = np.sqrt(((centers - p) ** 2).sum(axis=1)) - radii
-    return np.maximum(gaps, 0.0)

@@ -3,10 +3,12 @@
 The GiST generalizes height-balanced multi-way search trees: leaves hold
 ``(key, RID)`` pairs, internal nodes hold ``(bounding predicate, child)``
 pairs, and the tree's behaviour is specialized by an *extension* — the
-set of methods (``consistent``, ``union``, ``penalty``, ``pick_split``,
-distance functions, codecs) an access-method designer supplies.
+set of methods (``union``, ``penalty``, ``pick_split``, distance
+bounds, codecs) an access-method designer supplies.  The one query is
+k nearest neighbors, so the distance bounds stand in for the GiST's
+``consistent``.
 
-This package provides the template algorithms (search, best-first
+This package provides the template algorithms (best-first
 nearest-neighbor search, insert with node splitting, delete with
 condensation, bulk-load hooks), byte-budgeted nodes backed by the paged
 storage substrate, and structural validation.  Concrete access methods

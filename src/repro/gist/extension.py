@@ -1,22 +1,25 @@
 """The GiST extension interface.
 
 An access method is defined entirely by a :class:`GiSTExtension`: the
-predicate algebra (``consistent``, ``union``-style predicate builders,
-``penalty``, ``pick_split``), distance functions for nearest-neighbor
-search, containment tests used for deletion and validation, and the
+predicate algebra (``union``-style predicate builders, ``penalty``,
+``pick_split``), distance functions for nearest-neighbor search (the
+one query, so the distance bounds play the GiST's ``consistent``),
+containment tests used for deletion and validation, and the
 binary codec that fixes the predicate's stored size (and therefore the
 tree's fanout — the paper's Table 3 knob).
 
 Two-tier distances
 ------------------
 ``min_dists_node`` must return *lower bounds* on the distance from a
-query point to any data reachable under each entry — cheap, vectorized,
-used to enqueue children during best-first search.  Extensions with
-expensive-but-tighter predicates (JB/XJB) additionally implement
-``refine_dist``; the search calls it lazily, only when an entry reaches
-the front of the priority queue, and re-queues the entry if the refined
-bound pushes it back.  The set of nodes finally expanded is identical to
-eager tight evaluation, so I/O counts reflect the tight predicate.
+query point to any data reachable under each entry, up to the rounding
+slack of :func:`repro.gist.nn.slack` (DESIGN.md section 7) — cheap,
+vectorized, used to enqueue children during best-first search.
+Extensions with expensive-but-tighter predicates (JB/XJB) additionally
+implement ``refine_dist``; the search calls it lazily, only when an
+entry reaches the front of the priority queue, and re-queues the entry
+if the refined bound pushes it back.  The set of nodes finally
+expanded is identical to eager tight evaluation, so I/O counts reflect
+the tight predicate.
 """
 
 from __future__ import annotations
@@ -129,10 +132,6 @@ class GiSTExtension:
         return None
 
     # -- predicate algebra -----------------------------------------------------
-
-    def consistent(self, pred: Any, query_rect: np.ndarray) -> bool:
-        """May data under ``pred`` fall inside the query rectangle?"""
-        raise NotImplementedError
 
     def contains(self, pred: Any, point: np.ndarray) -> bool:
         """Must ``pred`` cover ``point``?  Exact; drives DELETE descent."""

@@ -3,22 +3,22 @@
 Nearest-neighbor queries behave like expanding-sphere range queries
 (paper section 5, Figure 9): the search keeps a priority queue of tree
 entries keyed by a lower bound on their distance to the query point and
-expands them in nondecreasing order.  Every extension's ``min_dist`` is
-a true lower bound, so the k-th result is exact.
+expands them in nondecreasing order.  Every extension's bound is a
+lower bound up to :func:`slack`, so the answer is exact.
 
 :func:`best_first` is the only such traversal in this package:
 ``GiST.knn`` collects it, ``GiST.nn_cursor`` is the same generator with
-no ``k``, :func:`repro.gist.batch.knn_search_batch` runs it per query
-over a table of nodes the block already decoded, and
-:func:`sphere_search`, the fixed-radius query, shares its leaf distance
-function and bite screen.  It reproduces ``tests/gist/oracle.py`` (one
-heap holding points beside nodes) in results and counted access order;
-DESIGN.md section 7 has the argument.  In short:
+no ``k``, and :func:`repro.gist.batch.knn_search_batch` runs it per
+query over a table of nodes the block already decoded.  It emits the
+canonical order, ``(distance, rid)`` with ties broken by rid, and
+reproduces ``tests/gist/oracle.py`` (one heap holding points beside
+nodes) in results and counted access order; DESIGN.md section 7 has
+the argument.  In short:
 
 - The heap holds node entries only.  Leaf candidates wait in arrays
-  kept in ``(distance, push counter)`` order, and before the node item
-  at the heap front is popped every waiting candidate with a smaller
-  key is emitted.
+  kept in ``(distance, rid)`` order, and a candidate is emitted once
+  its distance is below the heap front's bound by more than the slack:
+  no key still unread can tie it.
 - A quantized leaf is ranked by the tree's ``exact`` keys, so its
   distances are a float64 tree's bit for bit.
 - JB/XJB entries are enqueued with the cheap MBR bound and refined when
@@ -26,9 +26,11 @@ DESIGN.md section 7 has the argument.  In short:
   nodes an eager tight-bound search would read are read.  One
   ``refine_dists_node`` screen per expanded inner node precomputes most
   tight bounds; the scalar ``refine_dist`` runs for the NaN cells only.
-- Once ``k`` candidates are known, nothing whose bound reaches the k-th
-  distance ``tau`` is enqueued: it ranks behind ``k`` candidates with
-  smaller counters and could not surface before the search ends.
+- Once ``k`` candidates are known, with ``tau`` the k-th smallest
+  distance among them, a leaf key is kept while its distance is at most
+  ``tau`` and a node while its bound lowered by the slack is: nothing
+  dropped could enter the canonical top k, or be read before the k-th
+  result is out.
 """
 
 from __future__ import annotations
@@ -44,6 +46,19 @@ Hit = Tuple[float, int]
 
 #: a counted node read by (page id, expected level); None if quarantined
 ReadNode = Callable[[int, int], Optional[Any]]
+
+#: machine epsilons of bound slack per key dimension; DESIGN.md
+#: section 7 shows a computed subtree bound exceeds the computed
+#: distance of a key it holds by less than half of :func:`slack`.
+SLACK_ULPS = 16
+
+
+def slack(dim: int) -> float:
+    """The relative rounding slack of a ``dim``-dimensional tree's
+    bounds: a bound ``b`` lowered to ``b * (1 - slack)`` is at most the
+    distance of any key its subtree holds.  A multiple of 2**-48, so
+    ``1 - slack`` is exact."""
+    return SLACK_ULPS * dim * 2.0 ** -52    # 2**-52: float64 epsilon
 
 
 def check_queries(tree: Any, queries: Any, ndim: int,
@@ -94,7 +109,7 @@ def _entry_bounds(ext: Any, node: Any, q: np.ndarray
 
 def best_first(tree: Any, q: np.ndarray, k: Optional[int],
                read: ReadNode) -> Iterator[Hit]:
-    """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
+    """Yield ``(distance, rid)`` pairs in ``(distance, rid)`` order.
 
     ``q`` is a checked ``(dim,)`` query; ``k`` of None never stops
     early.  Every node comes from ``read``, and none is read before the
@@ -105,33 +120,29 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
     if tree.leaf_codec.lossy:
         _exact(tree)                # refuse before the first read
     ext = tree.ext
+    shrink = 1.0 - slack(ext.dim)   # a bound times this is a key's floor
     # (bound, counter, page_id, level, parent, index, tight); an item
     # with no parent is already refined.
     heap: List[tuple] = [(0.0, 0, tree.root_id, tree.height - 1, None, 0, 0.0)]
     counter = 1
     cand_d = np.empty(0, dtype=np.float64)
-    cand_c = cand_r = np.empty(0, dtype=np.int64)
+    cand_r = np.empty(0, dtype=np.int64)
     first = math.inf                # cand_d[0]; inf while nothing waits
     need = math.inf if k is None else k     # results still owed
     topk = cand_d                   # the k smallest distances seen, sorted
-    tau: Optional[float] = None     # the k-th of them, once there are k
+    tau = math.inf                  # the k-th of them, once there are k
 
     while True:
         if not heap:
             ready = len(cand_d)
-        elif first > heap[0][0]:
-            ready = 0
+        elif first < heap[0][0] * shrink:
+            ready = int(cand_d.searchsorted(heap[0][0] * shrink, "left"))
         else:
-            bound, tick = heap[0][0], heap[0][1]
-            ready = int(cand_d.searchsorted(bound, "left"))
-            ties = int(cand_d.searchsorted(bound, "right"))
-            if ties > ready:
-                ready += int(cand_c[ready:ties].searchsorted(tick))
+            ready = 0
         if ready:
             ready = min(ready, need)
             yield from zip(cand_d[:ready].tolist(), cand_r[:ready].tolist())
-            cand_d, cand_c, cand_r = \
-                cand_d[ready:], cand_c[ready:], cand_r[ready:]
+            cand_d, cand_r = cand_d[ready:], cand_r[ready:]
             first = float(cand_d[0]) if len(cand_d) else math.inf
             need -= ready
         if not heap or need == 0:
@@ -141,9 +152,9 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
         if parent is not None:
             if tight != tight:      # NaN: the screen left it to the scalar
                 tight = ext.refine_dist(parent.pred_at(index), q, bound)
-            if tau is not None and tight >= tau:
+            if tight * shrink > tau:
                 continue
-            if tight > first or (heap and tight > heap[0][0]):
+            if first < tight * shrink or (heap and heap[0][0] < tight):
                 heapq.heappush(heap, (float(tight), counter, page_id, level,
                                       None, 0, 0.0))
                 counter += 1
@@ -154,18 +165,16 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
             continue
         if node.is_leaf:
             dists, rids = leaf_dists(tree, node, q), node.rid_array()
-            if tau is not None:
-                kept = (dists < tau).nonzero()[0]
-                dists, rids = dists[kept], rids[kept]
-            # Counters only grow, so a stable sort on distance alone
-            # leaves the merged arrays in (distance, counter) order.
+            kept = (dists <= tau).nonzero()[0]
+            dists, rids = dists[kept], rids[kept]
             cand_d = np.concatenate((cand_d, dists))
-            order = cand_d.argsort(kind="stable")
-            cand_d = cand_d[order]
-            cand_c = np.concatenate(
-                (cand_c, np.arange(counter, counter + len(dists))))[order]
-            cand_r = np.concatenate((cand_r, rids))[order]
-            counter += len(dists)
+            cand_r = np.concatenate((cand_r, rids))
+            # numpy orders complex numbers by (real, imag), so this is
+            # the (distance, rid) order (rids are exact below 2**53); a
+            # stable sort merges the sorted waiting run in linear time,
+            # where np.lexsort would sort both keys from scratch.
+            order = np.argsort(cand_d + 1j * cand_r, kind="stable")
+            cand_d, cand_r = cand_d[order], cand_r[order]
             first = float(cand_d[0]) if len(cand_d) else math.inf
             if k is not None:
                 topk = np.sort(np.concatenate((topk, dists)))[:k]
@@ -173,77 +182,31 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
                     tau = float(topk[-1])
         else:
             dists, tights = _entry_bounds(ext, node, q)
-            kept = range(len(dists)) if tau is None \
-                else (dists < tau).nonzero()[0].tolist()
             bounds, children = dists.tolist(), node.children()
             hints = bounds if tights is dists else tights.tolist()
             owner = None if tights is dists else node
-            for i in kept:
+            for i in (dists * shrink <= tau).nonzero()[0].tolist():
                 heapq.heappush(heap, (bounds[i], counter, children[i],
                                       node.level - 1, owner, i, hints[i]))
                 counter += 1
 
 
 def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Hit]:
-    """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``,
-    read through the tree's counting path."""
+    """The canonical ``k`` nearest leaf keys to ``query`` as
+    ``(distance, rid)``, read through the tree's counting path."""
     query = check_queries(tree, query, 1, k)
     return list(best_first(tree, query, k, tree._read_query))
 
 
 def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
-    """Yield ``(distance, rid)`` pairs in nondecreasing distance order.
+    """Yield ``(distance, rid)`` pairs in ``(distance, rid)`` order.
 
     ``knn`` needs k fixed up front, but Blobworld's real contract is
     "retrieve the nearest blobs until 200 distinct *images* have been
     seen" (paper section 3).  The cursor is :func:`best_first` with no
     ``k``: the consumer decides when to stop, and page accesses accrue
-    only as far as it is advanced.  A prefix equals the ``knn`` of that
-    length unless a refined bound ties ``tau`` exactly (DESIGN.md
-    section 7).
+    only as far as it is advanced.  A prefix is the ``knn`` of that
+    length, results and reads alike (DESIGN.md section 7).
     """
     query = check_queries(tree, query, 1)
     return best_first(tree, query, None, tree._read_query)
-
-
-def sphere_search(tree: Any, center: np.ndarray, radius: float) -> List[Hit]:
-    """All stored keys within ``radius`` of ``center``, as (dist, rid).
-
-    The fixed-radius form of the query (paper section 5: NN queries
-    are "in essence asking expanding sphere queries"): a subtree can
-    hold matches only if the extension's lower bound does not exceed
-    the radius.  Leaves go through :func:`leaf_dists`, so both the
-    distances and the membership test are the ones ``knn`` reports.
-    """
-    center = check_queries(tree, center, 1)
-    if tree.root_id is None:
-        return []
-    if tree.leaf_codec.lossy:
-        _exact(tree)
-    ext = tree.ext
-    # A subtree's bound and a key's distance come from different float
-    # kernels, so a key at exactly ``radius`` can sit under a bound an
-    # ulp above it: subtrees are pruned only past a few ulps of slack,
-    # and the leaf test stays exact.
-    reach = radius * (1.0 + 16 * np.finfo(np.float64).eps)
-    results: List[Hit] = []
-    stack = [(tree.root_id, tree.height - 1)]
-    while stack:
-        node = tree._read_query(*stack.pop())
-        if node is None or not len(node):
-            continue
-        if node.is_leaf:
-            dists = leaf_dists(tree, node, center)
-            inside = np.flatnonzero(dists <= radius)
-            results.extend(zip(dists[inside].tolist(),
-                               node.rid_array()[inside].tolist()))
-            continue
-        dists, tights = _entry_bounds(ext, node, center)
-        children = node.children()
-        for i in np.flatnonzero(dists <= reach).tolist():
-            tight = tights[i]
-            if tight != tight:
-                tight = ext.refine_dist(node.pred_at(i), center, dists[i])
-            if tight <= reach:
-                stack.append((children[i], node.level - 1))
-    return results

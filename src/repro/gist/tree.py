@@ -1,11 +1,11 @@
-"""The GiST template algorithms: search, insert, delete, maintenance.
+"""The GiST template algorithms: k-NN search, insert, delete, maintenance.
 
 The tree is parameterized by a :class:`~repro.gist.extension.GiSTExtension`
 and a page file.  Fanout is *real*: a node overflows when its fixed-size
 entries exceed the page payload, so predicate size (Table 3 of the paper)
 directly shapes the tree.
 
-Query operations (:meth:`GiST.search`, :meth:`GiST.knn`) read nodes
+Query operations (:meth:`GiST.knn` and its batch and cursor forms) read nodes
 through the counting path of the page file; maintenance operations
 (insert, delete, bulk load) use the non-counting ``peek`` path, so page
 statistics reflect query work only — matching how amdb measures
@@ -23,7 +23,7 @@ from repro.gist.degrade import DegradationReport
 from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
-from repro.gist.nn import knn_search, nn_cursor, sphere_search
+from repro.gist.nn import knn_search, nn_cursor
 from repro.storage.codecs import IndexEntryCodec, LeafEntryCodec
 from repro.storage.errors import PageCorruptError
 from repro.storage.page import entries_per_page, page_payload
@@ -192,33 +192,12 @@ class GiST:
 
     # -- queries ------------------------------------------------------------------
 
-    def search(self, query_rect: np.ndarray) -> List[LeafEntry]:
-        """All leaf entries whose keys fall inside ``query_rect``."""
-        if self.root_id is None:
-            return []
-        results: List[LeafEntry] = []
-        stack = [(self.root_id, self.height - 1)]
-        while stack:
-            page_id, level = stack.pop()
-            node = self._read_query(page_id, level)
-            if node is None:
-                continue
-            if node.is_leaf:
-                if node.entries:
-                    inside = query_rect.contains_points(node.keys_array())
-                    results.extend(e for e, ok in zip(node.entries, inside)
-                                   if ok)
-            else:
-                for entry in node.entries:
-                    if self.ext.consistent(entry.pred, query_rect):
-                        stack.append((entry.child, node.level - 1))
-        return results
-
     def knn(self, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
         """The ``k`` nearest stored keys to ``query`` as (distance, rid).
 
         Best-first (Hjaltason–Samet) search; exact for every conservative
-        extension.  Ties at the k-th distance are broken arbitrarily.
+        extension.  The answer is canonical: ordered by ``(distance,
+        rid)``, so ties at the k-th distance go to the lowest rids.
         """
         return knn_search(self, query, k)
 
@@ -237,11 +216,6 @@ class GiST:
         """Incremental nearest-neighbor iterator; see
         :func:`repro.gist.nn.nn_cursor`."""
         return nn_cursor(self, query)
-
-    def sphere_search(self, center: np.ndarray,
-                      radius: float) -> List[Tuple[float, int]]:
-        """All keys within ``radius`` of ``center`` as (distance, rid)."""
-        return sphere_search(self, center, radius)
 
     # -- insertion -------------------------------------------------------------------
 

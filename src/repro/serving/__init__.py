@@ -18,8 +18,7 @@ merge/rerank work.
 """
 
 from repro.serving.coordinator import ShardedService
-from repro.serving.partials import (canonical_knn_batch, merge_topk,
-                                    pack_partials, unpack_hits)
+from repro.serving.partials import merge_topk, pack_partials, unpack_hits
 from repro.serving.protocol import (ConnectionClosed, FramedChannel,
                                     ProtocolError, recv_msg, send_msg)
 from repro.serving.registry import ShardRegistry
@@ -30,7 +29,6 @@ __all__ = [
     "ShardServer",
     "ShardRegistry",
     "FramedChannel",
-    "canonical_knn_batch",
     "merge_topk",
     "pack_partials",
     "unpack_hits",

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.blobworld.cache import CachedBlock, QueryResultCache
-from repro.serving.partials import canonical_knn_batch, pack_partials
+from repro.serving.partials import pack_partials
 from repro.serving.protocol import ConnectionClosed, FramedChannel
 from repro.storage.buffer import BufferPool
 from repro.storage.fork import reopen_files
@@ -116,8 +116,7 @@ class ShardServer:
 
     def _handle_knn(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         k = int(msg["k"])
-        hits = canonical_knn_batch(self.tree, msg["queries"], k)
-        dists, rids = pack_partials(hits, k)
+        dists, rids = pack_partials(self.tree.knn_batch(msg["queries"], k), k)
         return {"dists": dists, "rids": rids}
 
     def _handle_am(self, msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -145,8 +144,7 @@ class ShardServer:
                 dists, rids = self.flat.knn_batch_arrays(vecs, k)
             else:
                 self.plans_tree += 1
-                dists, rids = pack_partials(
-                    canonical_knn_batch(self.tree, vecs, k), k)
+                dists, rids = pack_partials(self.tree.knn_batch(vecs, k), k)
             # Row copies: a cached row must not pin its whole block.
             rows = [(d.copy(), r.copy()) for d, r in zip(dists, rids)]
         results = block.fill(rows)

@@ -112,12 +112,6 @@ class CrashReport:
         return "\n".join(lines)
 
 
-def _knn_lists(tree: GiST, queries: np.ndarray,
-               k: int) -> List[List[Tuple[float, int]]]:
-    return [sorted((round(d, 9), rid) for d, rid in tree.knn(q, k))
-            for q in queries]
-
-
 def run_crash_trial(method: str, seed: int, workdir: str,
                     dim: int = 3, page_size: int = 1024,
                     base_points: int = 150, ops: int = 40,
@@ -231,8 +225,8 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
         queries = nprng.uniform(0.0, 100.0, size=(4, dim))
         k = min(8, max(1, shadow.size))
         if shadow.size:
-            assert _knn_lists(mt2.tree, queries, k) == \
-                _knn_lists(shadow, queries, k), \
+            assert mt2.tree.knn_batch(queries, k) == \
+                shadow.knn_batch(queries, k), \
                 "k-NN diverges from shadow"
         # The recovered file is live: a few more mutations must commit
         # and stay in parity.
@@ -244,8 +238,8 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
         assert mt2.tree.size == shadow.size, \
             "size diverges after post-recovery inserts"
         if shadow.size:
-            assert _knn_lists(mt2.tree, queries, k) == \
-                _knn_lists(shadow, queries, k), \
+            assert mt2.tree.knn_batch(queries, k) == \
+                shadow.knn_batch(queries, k), \
                 "k-NN diverges after post-recovery inserts"
     finally:
         mt2.close()

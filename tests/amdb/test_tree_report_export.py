@@ -56,6 +56,15 @@ class TestTreeReport:
         level1 = next(l for l in report.levels if l.level == 1)
         assert level1.sibling_overlap < 0.25
 
+    def test_levels_without_footprints_report_nan_overlap(self):
+        """An SS-tree has no rect footprints, so its inner levels have
+        no sibling overlap to average: NaN, with no RuntimeWarning."""
+        pts = np.random.default_rng(1).normal(size=(600, 2))
+        report = tree_report(bulk_load(make_ext("sstree", 2), pts,
+                                       page_size=1024))
+        inner = [lv for lv in report.levels if lv.level > 0]
+        assert inner and all(np.isnan(lv.sibling_overlap) for lv in inner)
+
     def test_formatting(self, tree_and_reports):
         trees, _ = tree_and_reports
         text = format_tree_report(tree_report(trees["xjb"]))

@@ -22,11 +22,6 @@ class TestPredicates:
         rects = [Rect([0.0, 0.0], [1.0, 1.0]), Rect([3.0, 3.0], [4.0, 4.0])]
         assert ext.pred_for_preds(rects) == Rect([0.0, 0.0], [4.0, 4.0])
 
-    def test_consistent_is_intersection(self, ext):
-        pred = Rect([0.0, 0.0], [2.0, 2.0])
-        assert ext.consistent(pred, Rect([1.0, 1.0], [3.0, 3.0]))
-        assert not ext.consistent(pred, Rect([5.0, 5.0], [6.0, 6.0]))
-
     def test_contains_and_covers(self, ext):
         pred = Rect([0.0, 0.0], [2.0, 2.0])
         assert ext.contains(pred, np.array([1.0, 2.0]))

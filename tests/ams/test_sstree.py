@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ams import SSTreeExtension
-from repro.geometry import Rect, Sphere
+from repro.geometry import Sphere
 
 
 @pytest.fixture
@@ -23,11 +23,6 @@ class TestPredicates:
         parent = ext.pred_for_preds(children)
         for child in children:
             assert ext.covers_pred(parent, child)
-
-    def test_consistent_sphere_rect(self, ext):
-        pred = Sphere([0.0, 0.0], 1.0)
-        assert ext.consistent(pred, Rect([0.5, 0.5], [2.0, 2.0]))
-        assert not ext.consistent(pred, Rect([2.0, 2.0], [3.0, 3.0]))
 
     def test_penalty_is_centroid_distance(self, ext):
         near = Sphere([0.0, 0.0], 5.0)

@@ -189,7 +189,7 @@ def untyped_raise(tree):
 #: decode paths; encode and write paths must materialize, so they are
 #: exempt (storage/codecs.py's encoders call ``.tobytes()``).
 _DECODE = ("decode", "read", "verify")
-#: query hot paths.  ``sphere_search`` is not one of them.
+#: query hot paths: a function whose name holds one of these parts.
 _HOT = ("decode", "read", "knn", "search", "query", "expand", "serve",
         "am_query", "nn_", "plan")
 #: dtype spellings that mean "materialize as float64".

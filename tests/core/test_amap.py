@@ -69,12 +69,6 @@ class TestExtension:
         q = np.array([4.5, 0.5])
         assert ext.min_dist(pred, q) == pytest.approx(0.5)
 
-    def test_consistent_checks_either_rect(self, ext):
-        pred = MapPred(Rect([0.0, 0.0], [1.0, 1.0]),
-                       Rect([5.0, 0.0], [6.0, 1.0]))
-        assert ext.consistent(pred, Rect([5.5, 0.5], [7.0, 2.0]))
-        assert not ext.consistent(pred, Rect([2.0, 2.0], [3.0, 3.0]))
-
     def test_codec_decodes_mappred(self, ext):
         pred = MapPred(Rect([0.0, 0.0], [1.0, 1.0]),
                        Rect([2.0, 2.0], [3.0, 3.0]))

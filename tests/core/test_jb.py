@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.jbtree import JBExtension
-from repro.geometry import BittenRect, Rect
+from repro.geometry import BittenRect
+
+from tests.gist.oracle import brute_canonical
 
 
 @pytest.fixture
@@ -61,21 +63,6 @@ class TestPredicates:
 
 
 class TestConsistency:
-    def test_consistent_rejects_fully_bitten_intersection(self, ext):
-        keys = np.array([[float(i), float(i)] for i in range(20)])
-        pred = ext.pred_for_keys(keys)
-        # A query box tucked into the empty (hi, lo) corner.
-        probe = Rect([17.0, 0.5], [18.5, 1.5])
-        if not any(b.blocks_rect(probe.lo, probe.hi) for b in pred.bites):
-            pytest.skip("carved bites do not reach the probe box")
-        assert pred.rect.intersects(probe)
-        assert not ext.consistent(pred, probe)
-
-    def test_consistent_accepts_data_regions(self, ext):
-        keys = np.array([[float(i), float(i)] for i in range(20)])
-        pred = ext.pred_for_keys(keys)
-        assert ext.consistent(pred, Rect([9.5, 9.5], [10.5, 10.5]))
-
     def test_range_search_exact_through_tree(self):
         from repro.bulk import bulk_load
         rng = np.random.default_rng(3)
@@ -83,10 +70,10 @@ class TestConsistency:
                         rng.uniform(0, 50, 3000)], axis=1)
         pts[:, 1] = pts[:, 0] + rng.normal(scale=1.0, size=3000)
         tree = bulk_load(JBExtension(2), pts, page_size=2048)
-        box = Rect([10.0, 10.0], [20.0, 20.0])
-        got = sorted(e.rid for e in tree.search(box))
-        want = sorted(np.nonzero(box.contains_points(pts))[0].tolist())
-        assert got == want
+        center = np.array([15.0, 15.0])
+        k = int((np.sqrt(((pts - center) ** 2).sum(axis=1)) <= 5.0).sum())
+        assert tree.knn(center, k) == brute_canonical(
+            pts, np.arange(len(pts)), center, k)
 
 
 class TestProperties:

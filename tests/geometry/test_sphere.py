@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.ams.sstree import sphere_bounds
 from repro.geometry import Sphere
-from repro.geometry.sphere import min_dists_to_spheres, stack_spheres
+from repro.geometry.sphere import stack_spheres
 
 
 def finite_floats():
@@ -82,7 +83,7 @@ class TestVectorized:
                    for _ in range(20)]
         q = rng.normal(size=3)
         centers, radii = stack_spheres(spheres)
-        batch = min_dists_to_spheres(q, centers, radii)
+        batch = sphere_bounds(q, centers, radii)
         scalar = np.array([s.min_dist(q) for s in spheres])
         assert np.allclose(batch, scalar)
 

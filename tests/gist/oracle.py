@@ -1,31 +1,38 @@
 """Reference best-first k-NN: the point-in-heap loop, kept as the oracle.
 
 This is ``repro.gist.nn.knn_search`` as it stood before the traversals
-in ``src/repro/gist/`` were folded into one kernel, moved here verbatim:
-every leaf point is a heap item beside the node entries, one shared
-counter breaks ties, and pushes are pruned at the provisional k-th
-distance.  Only its quantized-leaf ranking has changed since: such a
-leaf is ranked by ``tree.exact``, no longer by cell lower bounds.  The
-kernel in :mod:`repro.gist.nn` must reproduce its result lists and its
-counted access order bit for bit; nothing under ``src/`` imports this
-module.  :func:`stacked_geometry` is the same kind of oracle for the
-geometry the extensions slice from an inner node's predicate block.
+in ``src/repro/gist/`` were folded into one kernel: every leaf point is
+a heap item beside the node entries.  It has since taken the kernel's
+canonical rules, so it answers the ``(distance, rid)`` top k by
+construction: a point is keyed ``(distance, rid)``, a node by its bound
+lowered by :func:`repro.gist.nn.slack` (it pops before any point that
+bound does not clear), and a node stays in play while that lowered
+bound is at most ``tau``, a point while its distance is.  A quantized
+leaf is ranked by ``tree.exact``.  The kernel in :mod:`repro.gist.nn`
+must reproduce its result lists and its counted access order bit for
+bit, and both must equal :func:`brute_canonical`; nothing under
+``src/`` imports this module.  :func:`stacked_geometry` is the same
+kind of oracle for the geometry the extensions slice from an inner
+node's predicate block.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
+
+from repro.gist.nn import slack
 
 _NODE = 0
 _POINT = 1
 
 
 def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
-    """The ``k`` nearest leaf keys to ``query`` as ``(distance, rid)``.
+    """The canonical ``k`` nearest leaf keys to ``query`` as
+    ``(distance, rid)``.
 
     Node reads go through the tree's counting read path.
     """
@@ -35,37 +42,38 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
         return []
     query = np.asarray(query, dtype=np.float64)
     ext = tree.ext
+    shrink = 1.0 - slack(ext.dim)
     counter = itertools.count()
 
-    # Heap items: (dist, tiebreak, kind, payload, refined)
-    #   kind _NODE:  payload = (parent_node_or_None, entry_index,
-    #                           page_id, level)
-    #   kind _POINT: payload = rid
+    # Heap items:
+    #   node:  (bound * shrink, _NODE, bound, tiebreak, payload, refined)
+    #          payload = (parent_node_or_None, entry_index, page_id, level)
+    #   point: (dist, _POINT, rid)
     # A node item names its predicate by (parent, index) rather than
     # holding it: on a block-decoded parent the predicate object is
     # built only if the refinement below asks for it.
-    heap = [(0.0, next(counter), _NODE,
-             (None, 0, tree.root_id, tree.height - 1), True)]
+    heap: List[tuple] = [(0.0, _NODE, 0.0, next(counter),
+                          (None, 0, tree.root_id, tree.height - 1), True)]
     results: List[Tuple[float, int]] = []
-    # Provisional k-th candidate distance; None until k points are known.
+    # Provisional k-th candidate distance; inf until k points are known.
     topk = np.empty(0, dtype=np.float64)
-    tau: Optional[float] = None
+    tau = np.inf
 
     while heap and len(results) < k:
-        dist, _, kind, payload, refined = heapq.heappop(heap)
-
-        if kind == _POINT:
-            results.append((dist, payload))
+        item = heapq.heappop(heap)
+        if item[1] == _POINT:
+            results.append((item[0], item[2]))
             continue
 
+        _, _, dist, _, payload, refined = item
         parent, index, page_id, level = payload
         if not refined:
             tight = ext.refine_dist(parent.pred_at(index), query, dist)
-            if tau is not None and tight >= tau:
+            if tight * shrink > tau:
                 continue
-            if heap and tight > heap[0][0]:
-                heapq.heappush(
-                    heap, (tight, next(counter), _NODE, payload, True))
+            key = (tight * shrink, _NODE, tight)
+            if heap and heap[0] < key:
+                heapq.heappush(heap, key + (next(counter), payload, True))
                 continue
 
         node = tree._read_query(page_id, level)
@@ -80,33 +88,31 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
                 keys = tree.exact[node.rid_array()]
             dists = np.sqrt(((keys - query) ** 2).sum(axis=1))
             rids = node.rid_array()
-            if tau is not None:
-                kept = np.nonzero(dists < tau)[0]
-                dists, rids = dists[kept], rids[kept]
+            kept = np.nonzero(dists <= tau)[0]
+            dists, rids = dists[kept], rids[kept]
             for d, rid in zip(dists.tolist(), rids.tolist()):
-                heapq.heappush(heap, (d, next(counter), _POINT, rid, True))
+                heapq.heappush(heap, (d, _POINT, rid))
             tau, topk = _update_tau(topk, dists, k)
         else:
             dists = ext.min_dists_node(node, query)
             lazy = ext.has_refinement
-            kept = np.nonzero(dists < tau)[0].tolist() if tau is not None \
-                else range(len(dists))
+            kept = np.nonzero(dists * shrink <= tau)[0].tolist()
             children = node.children()
             dists = dists.tolist()
             child_level = node.level - 1
             for i in kept:
                 heapq.heappush(
-                    heap, (dists[i], next(counter), _NODE,
+                    heap, (dists[i] * shrink, _NODE, dists[i], next(counter),
                            (node, i, children[i], child_level), not lazy))
 
     return results
 
 
 def _update_tau(topk: np.ndarray, dists: np.ndarray,
-                k: int) -> Tuple[Optional[float], np.ndarray]:
+                k: int) -> Tuple[float, np.ndarray]:
     """Fold freshly seen point distances into the running k smallest.
 
-    Returns the new provisional k-th distance (None while fewer than
+    Returns the new provisional k-th distance (inf while fewer than
     ``k`` candidates have been seen) and the updated sorted array.  The
     kernel in :mod:`repro.gist.nn` performs the identical update so
     both searches prune with the same thresholds at the same moments.
@@ -115,7 +121,16 @@ def _update_tau(topk: np.ndarray, dists: np.ndarray,
         topk = np.sort(np.concatenate((topk, dists)))[:k]
     if len(topk) == k:
         return float(topk[-1]), topk
-    return None, topk
+    return np.inf, topk
+
+
+def brute_canonical(vectors: np.ndarray, rids: np.ndarray,
+                    query: np.ndarray, k: int) -> List[Tuple[float, int]]:
+    """The ground-truth canonical top-k, straight from the matrix: the
+    ``lexsort((rid, d))`` order through the leaf distance expression."""
+    dists = np.sqrt(((vectors - query) ** 2).sum(axis=1))
+    order = np.lexsort((rids, dists))[:k]
+    return [(float(dists[i]), int(rids[i])) for i in order]
 
 
 # -- what the tests that compare against the oracle share ---------------------

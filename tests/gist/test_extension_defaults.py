@@ -17,8 +17,6 @@ class TestAbstractContract:
         with pytest.raises(NotImplementedError):
             ext.pred_for_keys(np.zeros((2, 3)))
         with pytest.raises(NotImplementedError):
-            ext.consistent(None, None)
-        with pytest.raises(NotImplementedError):
             ext.penalty(None, np.zeros(3))
         with pytest.raises(NotImplementedError):
             ext.min_dist(None, np.zeros(3))

@@ -6,7 +6,8 @@ family, both leaf codecs (quantized leaves ranked by ``tree.exact``),
 dimensions 1-8, ``k`` at the edges (1, everything, more than
 everything).  Each example compares the result lists and the counted
 access traces of ``knn``, ``knn_batch`` and a cursor prefix with
-``tests/gist/oracle.py``.
+``tests/gist/oracle.py``, and the results with the brute-force
+canonical top k.
 """
 
 import tempfile
@@ -25,6 +26,7 @@ from repro.storage.codecs import IndexEntryCodec
 from repro.storage.page import page_payload
 
 from tests.conftest import ALL_METHODS, make_ext
+from tests.gist.oracle import brute_canonical
 from tests.gist.oracle import knn_search as oracle_knn
 from tests.gist.oracle import paged_tree, traced
 
@@ -70,19 +72,13 @@ def test_kernel_matches_oracle(case):
                               _page_size(ext), codec)
         want = [traced(tree, lambda: oracle_knn(tree, q, k))
                 for q in queries]
+        rids = np.arange(len(points))
+        assert [hits for hits, _ in want] == [
+            brute_canonical(points, rids, q, k) for q in queries]
         assert [traced(tree, lambda: tree.knn(q, k))
                 for q in queries] == want
-        cursor = [traced(tree, lambda: list(islice(tree.nn_cursor(q), k)))
-                  for q in queries]
-        for (hits, seen), (want_hits, want_seen) in zip(cursor, want):
-            if not ext.has_refinement:
-                assert (hits, seen) == (want_hits, want_seen)
-                continue
-            # A refining search with a k drops an entry whose tight
-            # bound *equals* the k-th candidate distance; a cursor has
-            # no k to tie with and reads that node, but finds nothing
-            # nearer there: every leaf is ranked by exact keys.
-            assert hits == want_hits
+        assert [traced(tree, lambda: list(islice(tree.nn_cursor(q), k)))
+                for q in queries] == want
         # a listener cannot split a block's accesses by query: the block
         # books the oracle's per-query lists back to back
         want_block = ([hits for hits, _ in want],

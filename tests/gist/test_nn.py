@@ -14,8 +14,6 @@ from repro.bulk import bulk_load
 from repro.core.jbtree import JBExtension
 from repro.gist.nn import leaf_dists
 
-from repro.serving.partials import canonical_knn_batch
-
 from tests.conftest import brute_knn, make_ext
 from tests.gist.oracle import paged_tree
 
@@ -96,7 +94,6 @@ class TestIngress:
         "knn": lambda tree, q: tree.knn(q, 5),
         "knn_batch": lambda tree, q: tree.knn_batch(q[None], 5),
         "nn_cursor": lambda tree, q: tree.nn_cursor(q),
-        "sphere_search": lambda tree, q: tree.sphere_search(q, 1.0),
     }
 
     @pytest.fixture(scope="class")
@@ -145,7 +142,7 @@ class TestIngress:
             tree.exact = rng.normal(size=shape)
         assert np.array_equal(tree.exact, keys)
         search = self.SPELLINGS.get(spelling) or (
-            lambda tree, q: canonical_knn_batch(tree, q[None], 5))
+            lambda tree, q: tree.knn_batch(q[None], 5))
         seen = []
         tree.store.add_listener(lambda page_id, level: seen.append(page_id))
         tree.exact = None

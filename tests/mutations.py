@@ -111,6 +111,22 @@ MUTATIONS = [
     ("src/repro/serving/worker.py",
      "        tree.exact = reduced\n", "",
      "tests/serving/test_quantized_shard_differential.py"),
+    # k-NN keeps its waiting candidates in distance order alone, so
+    # equal distances leave in arrival order instead of by rid.
+    ("src/repro/gist/nn.py",
+     'order = np.argsort(cand_d + 1j * cand_r, kind="stable")',
+     'order = cand_d.argsort(kind="stable")',
+     "tests/gist/test_kernel_differential.py"),
+    # k-NN compares subtree bounds with no rounding slack.
+    ("src/repro/gist/nn.py",
+     "SLACK_ULPS = 16\n", "SLACK_ULPS = 0\n",
+     "tests/gist/test_expanding.py::TestSphereSearch::"
+     "test_key_at_the_radius_under_a_bound_rounded_up"),
+    # a sphere bound drops the rounding slack its subtraction needs.
+    ("src/repro/ams/sstree.py",
+     "gaps - radii - slack(len(q)) * (gaps + radii)", "gaps - radii",
+     "tests/ams/test_srtree.py::TestDistances::"
+     "test_a_key_on_a_sphere_surface_keeps_its_rank"),
     # a page file's read_many demands an argument the protocol never
     # passes.
     ("src/repro/storage/diskfile.py",

@@ -17,7 +17,7 @@ from repro.amdb.profiler import ShardServeProfile
 from repro.blobworld import BlobworldEngine, build_corpus
 from repro.bulk import bulk_load
 from repro.constants import INDEX_DIMENSIONS
-from repro.serving import ShardedService, ShardServer, canonical_knn_batch
+from repro.serving import ShardedService, ShardServer
 from repro.serving import coordinator
 from repro.serving.registry import DEAD, LIVE
 from repro.storage.buffer import BufferPool
@@ -53,7 +53,7 @@ class TestParity:
     def test_knn_matches_unsharded_canonical(self, corpus, reference):
         vectors = corpus.reduced(INDEX_DIMENSIONS)
         queries = vectors[::37]
-        expected = canonical_knn_batch(reference, queries, CANDIDATES)
+        expected = reference.knn_batch(queries, CANDIDATES)
         with build_service(corpus) as svc:
             assert svc.knn_batch(queries, CANDIDATES) == expected
 
@@ -90,7 +90,7 @@ class TestParity:
             image_ids=np.arange(len(vectors)) // 10)
         queries = vectors[rng.choice(len(vectors), size=20, replace=False)]
         whole = bulk_load(make_ext("rtree", 3), vectors, page_size=2048)
-        expected = canonical_knn_batch(whole, queries, 50)
+        expected = whole.knn_batch(queries, 50)
         with build_service(corpus, shards=2, codec="sq8", dims=3,
                            page_size=2048) as svc:
             assert svc.knn_batch(queries, 50) == expected
@@ -123,7 +123,7 @@ class TestParity:
         k = 150
         engine = BlobworldEngine(corpus)
         want_rows = [[rid for _, rid in hits] for hits in
-                     canonical_knn_batch(whole, vectors[stream], k)]
+                     whole.knn_batch(vectors[stream], k)]
         want_images = engine.rerank_batch(
             stream, [np.array(row) for row in want_rows])
         if jitter:
@@ -159,7 +159,7 @@ class TestParity:
         ref_tree = bulk_load(ext, vectors, page_size=4096, store=store)
         queries = vectors[::37]
         stream = list(range(0, 600, 23))
-        want_knn = canonical_knn_batch(ref_tree, queries, CANDIDATES)
+        want_knn = ref_tree.knn_batch(queries, CANDIDATES)
         want_images = BlobworldEngine(corpus).am_query_batch(
             ref_tree, stream, CANDIDATES, INDEX_DIMENSIONS)
         store.close()
@@ -602,3 +602,4 @@ class TestIngress:
         assert svc.am_query_batch([], CANDIDATES) == []
         queries = corpus.reduced(INDEX_DIMENSIONS)[[3]]
         assert svc.knn_batch(queries, 5)[0][0] == (0.0, 3)
+        assert svc.knn_batch(queries[:0], 5) == []

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
-from repro.serving.partials import (canonical_knn_batch, merge_topk,
-                                    pack_partials, unpack_hits)
+from repro.serving.partials import merge_topk, pack_partials, unpack_hits
 from tests.conftest import make_ext
-from tests.gist.oracle import paged_tree
+from tests.gist.oracle import brute_canonical, paged_tree
 
 
 def packed(rows, width):
@@ -78,24 +77,17 @@ def tied_queries(tied_vectors):
     return rng.integers(0, 5, size=(24, 2)).astype(np.float64)
 
 
-def brute_canonical(vectors, rids, query, k):
-    """The ground-truth canonical top-k, straight from the matrix."""
-    dists = np.sqrt(((vectors - query) ** 2).sum(axis=1))
-    order = np.lexsort((rids, dists))[:k]
-    return [(float(dists[i]), int(rids[i])) for i in order]
-
-
 class TestCanonicalAnswers:
     @pytest.mark.parametrize("method", ["rtree", "sstree", "xjb"])
     @pytest.mark.parametrize("k", [1, 7, 16])
     def test_canonical_matches_brute_force(self, tied_vectors,
                                            tied_queries, method, k):
-        """canonical_knn_batch resolves the tree's arbitrary tie order
-        (and boundary-tie membership) to the (distance, rid) truth."""
+        """knn_batch answers the (distance, rid) truth, tie order and
+        boundary-tie membership included."""
         tree = bulk_load(make_ext(method, 2), tied_vectors,
                          page_size=4096)
         rids = np.arange(len(tied_vectors))
-        got = canonical_knn_batch(tree, tied_queries, k)
+        got = tree.knn_batch(tied_queries, k)
         for q, hits in zip(tied_queries, got):
             assert hits == brute_canonical(tied_vectors, rids, q, k)
 
@@ -104,7 +96,7 @@ class TestCanonicalAnswers:
         tree = bulk_load(make_ext("rtree", 2), tied_vectors,
                          page_size=4096)
         query = tied_vectors[:1]
-        (hits,) = canonical_knn_batch(tree, query, len(tied_vectors))
+        (hits,) = tree.knn_batch(query, len(tied_vectors))
         assert len(hits) == len(tied_vectors)
         assert hits == sorted(hits)
 
@@ -112,10 +104,8 @@ class TestCanonicalAnswers:
     @pytest.mark.parametrize("codec", ["f64", "sq8"])
     def test_boundary_tie_ring_uses_the_knn_distances(self, codec,
                                                       tmp_path):
-        """A tie straddling the cut is resolved with ``sphere_search``
-        at the boundary distance ``knn`` reported, measured by the same
-        leaf distance function — on quantized leaves too, which both
-        rank by the tree's ``exact`` keys — or the ring comes back short.
+        """A tie straddling the cut goes to the lowest rids, on
+        quantized leaves too, which rank by the tree's ``exact`` keys.
 
         A 3 x 3 grid holding ~165 copies of each point: every query sits
         on more copies of itself than ``k``, spread over several leaves,
@@ -130,7 +120,7 @@ class TestCanonicalAnswers:
         for k in (3, 16, 40):
             for hits in tree.knn_batch(queries, k + 1):
                 assert hits[k][0] == hits[k - 1][0] == 0.0
-            assert canonical_knn_batch(tree, queries, k) == [
+            assert tree.knn_batch(queries, k) == [
                 sorted(tree.knn(q, len(coarse)))[:k] for q in queries]
         tree.store.close()
 
@@ -146,7 +136,7 @@ class TestShardedMergeParity:
         k = 12
         whole = bulk_load(make_ext(method, 2), tied_vectors,
                           page_size=4096)
-        expected = canonical_knn_batch(whole, tied_queries, k)
+        expected = whole.knn_batch(tied_queries, k)
 
         mid = len(tied_vectors) // 2
         parts = []
@@ -154,7 +144,7 @@ class TestShardedMergeParity:
             shard = bulk_load(make_ext(method, 2), tied_vectors[lo:hi],
                               rids=list(range(lo, hi)), page_size=4096)
             parts.append(pack_partials(
-                canonical_knn_batch(shard, tied_queries, k), k))
+                shard.knn_batch(tied_queries, k), k))
         merged = unpack_hits(*merge_topk(parts, k))
         assert merged == expected
 
@@ -163,14 +153,14 @@ class TestShardedMergeParity:
         k = 9
         whole = bulk_load(make_ext("rtree", 2), tied_vectors,
                           page_size=4096)
-        expected = canonical_knn_batch(whole, tied_queries, k)
+        expected = whole.knn_batch(tied_queries, k)
         bounds = [(0, 30), (30, 200), (200, len(tied_vectors))]
         parts = []
         for lo, hi in bounds:
             shard = bulk_load(make_ext("rtree", 2), tied_vectors[lo:hi],
                               rids=list(range(lo, hi)), page_size=4096)
             parts.append(pack_partials(
-                canonical_knn_batch(shard, tied_queries, k), k))
+                shard.knn_batch(tied_queries, k), k))
         assert unpack_hits(*merge_topk(parts, k)) == expected
 
     def test_tiny_shard_pads_into_the_merge(self, tied_vectors,
@@ -180,12 +170,12 @@ class TestShardedMergeParity:
         k = 10
         whole = bulk_load(make_ext("rtree", 2), tied_vectors,
                           page_size=4096)
-        expected = canonical_knn_batch(whole, tied_queries, k)
+        expected = whole.knn_batch(tied_queries, k)
         bounds = [(0, 4), (4, len(tied_vectors))]
         parts = []
         for lo, hi in bounds:
             shard = bulk_load(make_ext("rtree", 2), tied_vectors[lo:hi],
                               rids=list(range(lo, hi)), page_size=4096)
             parts.append(pack_partials(
-                canonical_knn_batch(shard, tied_queries, k), k))
+                shard.knn_batch(tied_queries, k), k))
         assert unpack_hits(*merge_topk(parts, k)) == expected

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from repro.bulk import bulk_load
 from repro.core.api import EXTENSIONS
-from repro.serving import (ShardServer, canonical_knn_batch, merge_topk,
-                           unpack_hits)
+from repro.serving import ShardServer, merge_topk, unpack_hits
 from repro.storage.diskfile import FilePageFile
 from repro.storage.fork import shard_bounds
 from tests.conftest import make_ext
@@ -61,7 +60,7 @@ def test_sq8_shard_partials_merge_to_the_f64_canonical_rows(case):
     dim = points.shape[1]
     page = page_for(method, dim)
     whole = bulk_load(make_ext(method, dim), points, page_size=page)
-    want = canonical_knn_batch(whole, queries, k)
+    want = whole.knn_batch(queries, k)
     with tempfile.TemporaryDirectory() as scratch:
         parts, stores = [], []
         for sid, (lo, hi) in enumerate(shard_bounds(len(points),
