@@ -368,11 +368,12 @@ def check_tree(tree: Any, path: Optional[str] = None,
     for page_id in sorted(store_pages - reachable):
         report.add(PAGE_ORPHAN, page_id, "page unreachable from the root")
 
+    from repro.amdb.tree_report import tree_report
+    from repro.storage.errors import StorageError
     try:
-        from repro.amdb.tree_report import tree_report
         report.tree_summary = tree_report(tree)
-    except Exception:
-        # A damaged tree may defeat the amdb summary; the violations
+    except StorageError:
+        # A damaged page may defeat the amdb summary; the violations
         # above are the verdict, the summary is garnish.
         report.tree_summary = None
     return report

@@ -93,17 +93,6 @@ class Rect:
     def contains_rect(self, other: "Rect") -> bool:
         return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
 
-    def intersects(self, other: "Rect") -> bool:
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
-
-    def intersection(self, other: "Rect"):
-        """Intersection box, or ``None`` when the rects are disjoint."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return None
-        return Rect(lo, hi)
-
     def intersection_volume(self, other: "Rect") -> float:
         edges = np.minimum(self.hi, other.hi) - np.maximum(self.lo, other.lo)
         if np.any(edges < 0):

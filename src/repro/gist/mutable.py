@@ -31,8 +31,8 @@ from typing import Any, Callable, List, Optional
 import numpy as np
 
 from repro.gist.tree import GiST
-from repro.gist.persist import (_MAGIC, read_superblock, save_tree,
-                                superblock_image)
+from repro.gist.persist import (_MAGIC, header_extension, read_superblock,
+                                save_tree, superblock_image)
 from repro.storage.buffer import BufferPool
 from repro.storage.diskfile import FilePageFile
 from repro.storage.errors import StorageError
@@ -97,18 +97,10 @@ class MutableTree:
         with open(path, "rb") as f:
             raw = f.read()
         header = read_superblock(raw, path)
-        if extension is None:
-            from repro.core.api import make_extension
-            extension = make_extension(header["extension"], header["dim"],
-                                       **header.get("ext_config", {}))
-        if header["extension"] != extension.name:
-            raise ValueError(
-                f"index was saved by {header['extension']!r}, "
-                f"got extension {extension.name!r}")
+        extension = header_extension(header, extension)
         page_size = header["page_size"]
-        codec_id = header.get("leaf_codec", "f64")
         base = FilePageFile.for_extension(path, extension, page_size,
-                                          leaf_codec=codec_id)
+                                          leaf_codec=header["leaf_codec"])
         base.rebuild_slot_state()
         store: Any = base
         if buffer_pages:

@@ -9,9 +9,10 @@ one stacked pass and decodes each page lazily, exactly as a page-file
 read does, then checks the pages against the superblock's census
 (:func:`load_pages` skips that check for ``fsck --deep``).
 
-Resilience: the superblock carries a CRC32C trailer in its last 8 bytes
-and every node page is sealed by the codec, so a truncated, bit-flipped,
-or otherwise damaged file fails loading with a typed
+Resilience: the superblock carries a (CRC-32, format epoch) trailer in
+its last 8 bytes and every node page is sealed by the codec, so a
+truncated, bit-flipped, or otherwise damaged file — or one written in
+an older format — fails loading with a typed
 :class:`~repro.storage.errors.StorageError` subclass naming the file —
 never a raw ``struct.error`` or ``json.JSONDecodeError``.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,14 +30,14 @@ from repro.gist.node import Node
 from repro.gist.tree import GiST
 from repro.storage.codecs import LEAF_CODECS, NodeCodec, make_leaf_codec
 from repro.storage.errors import PageCorruptError, PageMissingError
-from repro.storage.integrity import FORMAT_EPOCH, crc32c, verify_images
+from repro.storage.integrity import FORMAT_EPOCH, crc32, verify_images
 from repro.storage.page import PAGE_HEADER_SIZE
 from repro.storage.pagefile import MemoryPageFile
 from repro.storage.wal import default_wal_path
 
 _MAGIC = "repro-gist-v1"
 
-#: bytes reserved at the end of page 0 for (crc32c, epoch).
+#: bytes reserved at the end of page 0 for (crc, epoch).
 _SUPERBLOCK_TRAILER = 8
 
 
@@ -53,7 +54,7 @@ def superblock_image(header: Dict, page_size: int) -> bytes:
         raise ValueError("superblock overflow")
     page0 = struct.pack("<I", len(blob)) + blob
     page0 += b"\x00" * (page_size - _SUPERBLOCK_TRAILER - len(page0))
-    page0 += struct.pack("<II", crc32c(page0), FORMAT_EPOCH)
+    page0 += struct.pack("<II", crc32(page0), FORMAT_EPOCH)
     return page0
 
 
@@ -83,8 +84,7 @@ def save_tree(tree: GiST, path: str) -> None:
         # Mutable files (repro.gist.mutable) grow sparse as deletes
         # free slots; their superblocks keep num_slots > num_nodes.
         "num_slots": len(nodes),
-        # Versions the leaf-page body format; readers without the field
-        # (pre-quantization files) imply the original "f64" layout.
+        # Names the leaf-page body format.
         "leaf_codec": tree.leaf_codec.codec_id,
     }
     page0 = superblock_image(header, tree.page_size)
@@ -116,10 +116,10 @@ def _renumbered(node: Node, slot_of: Dict[int, int], pred_codec: Any
 def read_superblock(raw: bytes, path: str) -> dict:
     """Parse and verify the page-0 superblock of a saved index.
 
-    Raises :class:`PageCorruptError` (naming ``path``) on any damage:
-    truncation, unparseable JSON, wrong magic, implausible geometry, or
-    a checksum mismatch.  Legacy superblocks without a trailer verify
-    by structure only.
+    Every field a reader indexes is required and validated.  Raises
+    :class:`PageCorruptError` (naming ``path``) on any damage:
+    truncation, unparseable JSON, wrong magic, a missing or implausible
+    field, another format epoch, or a checksum mismatch.
     """
     if len(raw) < 4:
         raise PageCorruptError("not a saved GiST (file too short)",
@@ -136,12 +136,15 @@ def read_superblock(raw: bytes, path: str) -> dict:
     if not isinstance(header, dict) or header.get("magic") != _MAGIC:
         raise PageCorruptError("not a saved GiST (bad magic)", path=path)
 
-    def _int_field(key: str, minimum: int) -> int:
+    def _field(key: str, valid: Callable[[Any], bool]) -> Any:
         value = header.get(key)
-        if not isinstance(value, int) or value < minimum:
+        if not valid(value):
             raise PageCorruptError(
                 f"superblock field {key!r} invalid: {value!r}", path=path)
         return value
+
+    def _int_field(key: str, minimum: int) -> int:
+        return _field(key, lambda v: isinstance(v, int) and v >= minimum)
 
     page_size = _int_field("page_size", PAGE_HEADER_SIZE + 1)
     _int_field("dim", 1)
@@ -149,11 +152,8 @@ def read_superblock(raw: bytes, path: str) -> dict:
     _int_field("height", 0)
     _int_field("size", 0)
     root_slot = _int_field("root_slot", 0)
-    # Mutable files carry num_slots >= num_nodes (freed slots linger);
-    # legacy and freshly saved files are dense, so it defaults to
-    # num_nodes.
-    num_slots = _int_field("num_slots", 0) if "num_slots" in header \
-        else num_nodes
+    # Mutable files carry num_slots >= num_nodes (freed slots linger).
+    num_slots = _int_field("num_slots", 0)
     if num_slots < num_nodes:
         raise PageCorruptError(
             f"superblock num_slots {num_slots} below num_nodes "
@@ -166,26 +166,44 @@ def read_superblock(raw: bytes, path: str) -> dict:
         raise PageCorruptError(
             f"superblock claims {num_slots} slots of {page_size} bytes "
             f"but the file holds only {len(raw)} bytes", path=path)
-    if not isinstance(header.get("extension"), str):
-        raise PageCorruptError("superblock field 'extension' invalid",
-                               path=path)
-    codec_id = header.get("leaf_codec", "f64")
-    if not isinstance(codec_id, str) or codec_id not in LEAF_CODECS:
-        raise PageCorruptError(
-            f"superblock field 'leaf_codec' invalid: {codec_id!r} "
-            f"(known: {sorted(LEAF_CODECS)})", path=path)
+    _field("extension", lambda v: isinstance(v, str))
+    _field("ext_config", lambda v: isinstance(v, dict))
+    _field("leaf_codec", lambda v: isinstance(v, str) and v in LEAF_CODECS)
 
-    # Checksum trailer (legacy files carry zeros there: skip).
-    if len(raw) >= page_size:
-        crc, epoch = struct.unpack_from(
-            "<II", raw, page_size - _SUPERBLOCK_TRAILER)
-        if not (crc == 0 and epoch == 0):
-            actual = crc32c(raw[:page_size - _SUPERBLOCK_TRAILER])
-            if actual != crc:
-                raise PageCorruptError(
-                    f"superblock checksum mismatch: stored {crc:#010x}, "
-                    f"computed {actual:#010x}", path=path)
+    crc, epoch = struct.unpack_from(
+        "<II", raw, page_size - _SUPERBLOCK_TRAILER)
+    if epoch != FORMAT_EPOCH:
+        raise PageCorruptError(f"format epoch {epoch}: rebuild the index",
+                               path=path)
+    actual = crc32(memoryview(raw)[:page_size - _SUPERBLOCK_TRAILER])
+    if actual != crc:
+        raise PageCorruptError(
+            f"superblock checksum mismatch: stored {crc:#010x}, "
+            f"computed {actual:#010x}", path=path)
     return header
+
+
+def header_extension(header: Dict, extension: Any = None) -> Any:
+    """The access method a superblock describes.
+
+    With ``extension=None`` it is rebuilt from the header's extension
+    name, ``dim`` and ``ext_config``; a passed extension is checked
+    against them.  Raises ``ValueError`` on a mismatch; a hostile
+    ``ext_config`` may fail inside the extension's constructor.
+    """
+    if extension is None:
+        from repro.core.api import make_extension
+        extension = make_extension(header["extension"], header["dim"],
+                                   **header["ext_config"])
+    if header["extension"] != extension.name:
+        raise ValueError(
+            f"tree was saved by {header['extension']!r}, "
+            f"got extension {extension.name!r}")
+    if header["dim"] != extension.dim:
+        raise ValueError(
+            f"dimension mismatch: saved {header['dim']}, "
+            f"extension {extension.dim}")
+    return extension
 
 
 def load_tree(extension: Any = None, path: str = None) -> GiST:
@@ -229,27 +247,14 @@ def _load(extension: Any, path: str
     with open(path, "rb") as f:
         raw = f.read()
     header = read_superblock(raw, path)
-    if extension is None:
-        from repro.core.api import make_extension
-        extension = make_extension(header["extension"], header["dim"],
-                                   **header.get("ext_config", {}))
-    if header["extension"] != extension.name:
-        raise ValueError(
-            f"tree was saved by {header['extension']!r}, "
-            f"got extension {extension.name!r}")
-    if header["dim"] != extension.dim:
-        raise ValueError(
-            f"dimension mismatch: saved {header['dim']}, "
-            f"extension {extension.dim}")
-
+    extension = header_extension(header, extension)
     page_size = header["page_size"]
-    leaf_codec = make_leaf_codec(header.get("leaf_codec", "f64"),
-                                 extension.dim)
+    leaf_codec = make_leaf_codec(header["leaf_codec"], extension.dim)
     tree = GiST(extension, store=MemoryPageFile(), page_size=page_size,
                 leaf_codec=leaf_codec)
     codec = NodeCodec(page_size, tree.leaf_codec, tree.index_codec)
 
-    num_slots = header.get("num_slots", header["num_nodes"])
+    num_slots = header["num_slots"]
     images = np.frombuffer(raw, dtype=np.uint8, count=num_slots * page_size,
                            offset=page_size).reshape(num_slots, page_size)
     faults = verify_images(images)

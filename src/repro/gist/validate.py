@@ -128,7 +128,7 @@ def scrub_file(path: str) -> ScrubReport:
     - ``orphaned``: decodes fine but lies outside the superblock's
       node count or is unreachable from the root.
     """
-    from repro.gist.persist import read_superblock
+    from repro.gist.persist import header_extension, read_superblock
     from repro.storage.codecs import (IndexEntryCodec, NodeCodec,
                                       make_leaf_codec)
     from repro.storage.errors import PageMissingError, StorageError
@@ -147,9 +147,7 @@ def scrub_file(path: str) -> ScrubReport:
         report.detail = str(exc)
         return report
     try:
-        from repro.core.api import make_extension
-        extension = make_extension(header["extension"], header["dim"],
-                                   **header.get("ext_config", {}))
+        extension = header_extension(header)
     except Exception as exc:
         # fsck's contract is "never raise on damage": a hostile
         # ext_config may fail inside any extension constructor, and all
@@ -158,12 +156,9 @@ def scrub_file(path: str) -> ScrubReport:
         return report
 
     page_size = header["page_size"]
-    # Mutable files (repro.gist.mutable) persist the slot span
-    # explicitly; legacy files are dense, so it defaults to num_nodes.
-    claimed_slots = header.get("num_slots", header["num_nodes"])
+    claimed_slots = header["num_slots"]
     codec = NodeCodec(page_size,
-                      make_leaf_codec(header.get("leaf_codec", "f64"),
-                                      extension.dim),
+                      make_leaf_codec(header["leaf_codec"], extension.dim),
                       IndexEntryCodec(extension.pred_codec()))
     report.superblock_ok = True
     report.page_size = page_size

@@ -7,7 +7,7 @@ and :class:`~repro.storage.iomodel.DiskModel` converts access counts into
 the paper's random-vs-sequential I/O economics (section 3.2).
 
 Resilience (see DESIGN.md "Storage resilience"): page images carry
-CRC32C seals (:mod:`repro.storage.integrity`), failures surface through
+CRC-32 seals (:mod:`repro.storage.integrity`), failures surface through
 the typed hierarchy in :mod:`repro.storage.errors`, transient faults are
 masked by :mod:`repro.storage.retry`, and
 :class:`~repro.storage.faults.FaultyPageFile` injects deterministic
@@ -28,7 +28,7 @@ from repro.storage.diskfile import FilePageFile
 from repro.storage.iomodel import DiskModel
 from repro.storage.errors import (StorageError, PageCorruptError,
                                   PageMissingError, TransientIOError)
-from repro.storage.integrity import FORMAT_EPOCH, crc32c
+from repro.storage.integrity import FORMAT_EPOCH
 from repro.storage.retry import RetryPolicy, call_with_retry
 from repro.storage.faults import (CrashError, CrashInjector, CrashPoint,
                                   FaultLog, FaultPolicy, FaultyPageFile)
@@ -89,7 +89,6 @@ __all__ = [
     "PageMissingError",
     "TransientIOError",
     "FORMAT_EPOCH",
-    "crc32c",
     "RetryPolicy",
     "call_with_retry",
     "FaultLog",

@@ -604,12 +604,11 @@ class NodeCodec:
     :meth:`encode_nodes`, every page it reads goes through
     :meth:`decode_node`.
 
-    Every encoded image is sealed with a CRC32C + format-epoch pair in
+    Every encoded image is sealed with a CRC-32 + format-epoch pair in
     the header's reserved region (see :mod:`repro.storage.integrity`)
     and every decode verifies it, raising
-    :class:`~repro.storage.errors.PageCorruptError` on damage.  Unsealed
-    legacy images (zero crc and epoch) decode without verification, so
-    files written before checksums still load.
+    :class:`~repro.storage.errors.PageCorruptError` on damage or on an
+    image of another format epoch.
     """
 
     def __init__(self, page_size: int, leaf_codec: LeafEntryCodec,

@@ -6,7 +6,7 @@ through the node codec, every `write` encodes and writes it back, so a
 tree backed by this store runs with genuine disk-page granularity
 (typically behind a :class:`~repro.storage.buffer.BufferPool`).
 
-Resilience: images are sealed with CRC32C checksums by the codec, so a
+Resilience: images are sealed with CRC-32 checksums by the codec, so a
 torn write or bit flip surfaces as a typed
 :class:`~repro.storage.errors.PageCorruptError` instead of silently
 decoding garbage; missing or freed slots raise

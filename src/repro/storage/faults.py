@@ -12,7 +12,7 @@ mode the resilience layer claims to handle is reproducible in a test:
 - **bit flips**: when the wrapped store exposes raw slot images
   (``FilePageFile``), one randomly chosen bit of the image is flipped
   *in memory* and the flipped image decoded through the real codec, so
-  detection is exactly what the CRC32C seal provides; stores without
+  detection is exactly what the CRC-32 seal provides; stores without
   raw access model the already-detected outcome
   (:class:`PageCorruptError`);
 - **torn writes**: the slot's tail is zeroed after the write (the
@@ -221,14 +221,10 @@ class FaultyPageFile:
             if hasattr(self.inner, "_read_raw"):
                 image = self.inner._read_raw(page_id)
                 image = _flip_bit(image, self._rng.randrange(len(image) * 8))
-                # Decode the flipped image through the real codec: on a
-                # sealed page this raises PageCorruptError; an unsealed
-                # legacy page may decode the flip silently — surface
-                # that as corruption too, since the flip *was* injected.
+                # Decode the flipped image through the real codec: the
+                # seal catches every single-bit flip, so this raises
+                # PageCorruptError with the codec's own message.
                 self.inner.codec.decode_node(image, page_id)
-                raise PageCorruptError(
-                    "injected bit flip decoded silently — "
-                    "the page is unsealed", page_id=page_id)
             raise PageCorruptError("injected bit flip", page_id=page_id)
         return self.inner.read(page_id)
 

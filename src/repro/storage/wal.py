@@ -6,7 +6,7 @@ superblock, and a crash between those writes leaves the index file
 inconsistent.  This module makes mutation atomic and durable:
 
 - :class:`WriteAheadLog` — an append-only sidecar file (``<index>.wal``)
-  of CRC32C-sealed records with monotonically increasing LSNs.  A
+  of CRC-32-sealed records with monotonically increasing LSNs.  A
   transaction is a run of ``PAGE`` records (full post-images, one per
   dirtied slot — frees are images stamped with page id -1) followed by
   one ``COMMIT`` record whose payload is the complete superblock page-0
@@ -46,17 +46,20 @@ from repro.gist.node import Node
 from repro.storage.errors import (PageCorruptError, PageMissingError,
                                   StorageError)
 from repro.storage.faults import CrashError, CrashInjector
-from repro.storage.integrity import crc32c
+from repro.storage.integrity import crc32
 from repro.storage.pagefile import AccessListener
 
 #: sidecar log file header: magic, then ``<II`` (version, page_size).
+#: Version 1 sealed records with CRC32C; such a log is refused, not
+#: scanned (every record would fail its seal and read as a torn tail).
 _WAL_MAGIC = b"repro-wal-v1\x00\x00\x00\x00"
-_WAL_VERSION = 1
+_WAL_VERSION = 2
 _FILE_HEADER = struct.Struct("<II")
 _HEADER_SIZE = len(_WAL_MAGIC) + _FILE_HEADER.size
 
 #: per-record header: record magic, lsn, txn id, record type, page id,
-#: payload length, crc32c (over the header with crc zeroed + payload).
+#: payload length, crc (CRC-32 of the header with crc zeroed, then of
+#: the payload).
 _RECORD = struct.Struct("<IQQIqII")
 _RECORD_MAGIC = 0x57414C52  # "WALR"
 
@@ -74,7 +77,7 @@ def _seal_record(lsn: int, txn: int, rtype: int, page_id: int,
                  payload: bytes) -> bytes:
     header = _RECORD.pack(_RECORD_MAGIC, lsn, txn, rtype, page_id,
                           len(payload), 0)
-    crc = crc32c(header + payload)
+    crc = crc32(payload, crc32(header))
     return _RECORD.pack(_RECORD_MAGIC, lsn, txn, rtype, page_id,
                         len(payload), crc) + payload
 
@@ -132,7 +135,7 @@ def scan_wal(path: str) -> WALScan:
             break
         payload = raw[offset + _RECORD.size:end]
         header = _RECORD.pack(magic, lsn, txn, rtype, page_id, plen, 0)
-        if crc32c(header + payload) != crc:
+        if crc32(payload, crc32(header)) != crc:
             break
         if rtype == REC_PAGE and plen == page_size and page_id >= 1:
             open_txns.setdefault(txn, []).append((page_id, payload))

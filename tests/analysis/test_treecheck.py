@@ -8,6 +8,7 @@ point inside a JB bite, an orphaned leaf page — plus a few structural
 mutations, and asserts the documented violation codes come back.
 """
 
+import importlib
 import json
 import struct
 
@@ -26,7 +27,8 @@ from repro.gist.entry import IndexEntry
 from repro.gist.node import Node
 from repro.gist.persist import load_tree, save_tree
 from repro.storage.codecs import NodeCodec
-from repro.storage.integrity import FORMAT_EPOCH, crc32c
+from repro.storage.errors import PageCorruptError
+from repro.storage.integrity import FORMAT_EPOCH, crc32
 
 #: one method per access-method family the paper compares.
 METHODS = ["rtree", "sstree", "srtree", "amap", "jb", "xjb"]
@@ -78,6 +80,27 @@ def test_report_carries_the_amdb_summary():
     assert report.tree_summary is not None
     assert report.tree_summary.levels
     assert "utilization" in report.format()
+
+
+def test_only_page_damage_drops_the_amdb_summary(monkeypatch):
+    """A damaged page may defeat the summary; any other error in it is
+    a bug and must surface."""
+    amdb = importlib.import_module("repro.amdb.tree_report")
+    tree = build_tree("rtree")
+
+    def fail(exc):
+        def tree_report(_tree):
+            raise exc
+        return tree_report
+
+    monkeypatch.setattr(amdb, "tree_report", fail(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        check_tree(tree)
+    monkeypatch.setattr(amdb, "tree_report",
+                        fail(PageCorruptError("bad page", page_id=3)))
+    report = check_tree(tree)
+    assert report.tree_summary is None
+    assert report.clean
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +189,7 @@ def _append_orphan_leaf(path, tree):
     blob = json.dumps(header).encode()
     page0 = struct.pack("<I", len(blob)) + blob
     page0 += b"\x00" * (page_size - 8 - len(page0))
-    page0 += struct.pack("<II", crc32c(page0), FORMAT_EPOCH)
+    page0 += struct.pack("<II", crc32(page0), FORMAT_EPOCH)
     with open(path, "wb") as fh:
         fh.write(page0 + raw[page_size:] + orphan)
     return orphan_slot

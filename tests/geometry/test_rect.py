@@ -72,14 +72,11 @@ class TestMeasures:
         a = Rect([0.0, 0.0], [1.0, 1.0])
         b = Rect([2.0, 2.0], [3.0, 3.0])
         assert a.intersection_volume(b) == 0.0
-        assert a.intersection(b) is None
 
     def test_intersection_volume_overlap(self):
         a = Rect([0.0, 0.0], [2.0, 2.0])
         b = Rect([1.0, 1.0], [3.0, 3.0])
         assert a.intersection_volume(b) == 1.0
-        inter = a.intersection(b)
-        assert np.array_equal(inter.lo, [1.0, 1.0])
 
 
 class TestDistances:

@@ -15,10 +15,11 @@ from repro.gist.persist import (load_tree, read_superblock, save_tree,
 from repro.gist.validate import scrub_file
 from repro.storage import PageCorruptError, StorageError
 from repro.storage.diskfile import FilePageFile
-from repro.storage.integrity import seal_image
+from repro.storage.integrity import FORMAT_EPOCH, crc32, seal_image
 from repro.storage.page import PAGE_HEADER_SIZE
 
 from tests.conftest import make_ext
+from tests.storage.epoch1 import epoch1_superblock
 
 
 @pytest.fixture
@@ -134,26 +135,39 @@ class TestSuperblockReader:
         assert header["extension"] == "rtree"
         assert header["num_nodes"] > 0
 
-    def test_legacy_zero_trailer_accepted(self, saved):
-        """Files written before checksums (all-zero trailer) still load."""
+    def test_older_epoch_superblock_refused(self, saved):
+        """An epoch-1 (CRC32C-sealed) trailer and the all-zero trailer
+        of a file written before checksums are refused by name."""
+        raw = open(saved, "rb").read()
+        page_size = read_superblock(raw, saved)["page_size"]
+        forged = epoch1_superblock(raw[:page_size])
+        for page0, epoch in ((forged, 1),
+                             (raw[:page_size - 8] + bytes(8), 0)):
+            with pytest.raises(PageCorruptError,
+                               match=f"format epoch {epoch}: rebuild"):
+                read_superblock(page0 + raw[page_size:], saved)
+
+    @pytest.mark.parametrize("key", ["num_slots", "leaf_codec",
+                                     "ext_config"])
+    def test_every_field_is_required(self, saved, key):
+        """No superblock field has a default: a header without one is
+        damaged, not an older layout."""
         raw = bytearray(open(saved, "rb").read())
         header = read_superblock(bytes(raw), saved)
-        page_size = header["page_size"]
-        raw[page_size - 8:page_size] = b"\x00" * 8
-        assert read_superblock(bytes(raw), saved) == header
+        del header[key]
+        _rewrite_header(saved, raw, header)
+        _expect_corrupt(saved, match=f"field '{key}' invalid: None")
 
 
 def _rewrite_header(path, raw, header):
     """Re-embed a modified JSON header, resealing the trailer so only
     the targeted field — not the checksum — trips validation."""
-    from repro.storage.integrity import crc32c
-
     blob = json.dumps(header).encode()
     (hlen,) = struct.unpack_from("<I", raw, 0)
     page_size = json.loads(raw[4:4 + hlen]).get("page_size", 1024)
     page0 = struct.pack("<I", len(blob)) + blob
     page0 += b"\x00" * (page_size - 8 - len(page0))
-    page0 += struct.pack("<II", crc32c(page0), 1)
+    page0 += struct.pack("<II", crc32(page0), FORMAT_EPOCH)
     open(path, "wb").write(page0 + bytes(raw[page_size:]))
 
 

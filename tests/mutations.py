@@ -127,6 +127,19 @@ MUTATIONS = [
      "gaps - radii - slack(len(q)) * (gaps + radii)", "gaps - radii",
      "tests/ams/test_srtree.py::TestDistances::"
      "test_a_key_on_a_sphere_surface_keeps_its_rank"),
+    # the batched seal check takes every page for the current epoch,
+    # so an epoch-1 page fails on its CRC instead of by name.
+    ("src/repro/storage/integrity.py",
+     "return [_fault(row, stored, epoch)",
+     "return [_fault(row, stored, FORMAT_EPOCH)",
+     "tests/storage/test_epoch1_refused.py::"
+     "test_page_file_refuses_epoch1_pages"),
+    # the log keeps the version whose records were sealed with CRC32C:
+    # recovery reads every such record as a torn tail and truncates it.
+    ("src/repro/storage/wal.py",
+     "_WAL_VERSION = 2\n", "_WAL_VERSION = 1\n",
+     "tests/storage/test_epoch1_refused.py::"
+     "test_mutable_open_refuses_a_v1_log_and_changes_no_byte"),
     # a page file's read_many demands an argument the protocol never
     # passes.
     ("src/repro/storage/diskfile.py",

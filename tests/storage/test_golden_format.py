@@ -1,29 +1,27 @@
 """Golden on-disk format: every byte the storage stack writes is pinned.
 
-The digests below were taken on the commit *before* the CRC32C gather
-kernel and the block-decoded inner nodes landed (PR 11, 2897acd), by
-running :func:`build_all` against that commit's ``src/``.  Checksums
-are part of every page image, WAL record and superblock trailer, so a
-kernel that computed one bit differently — or any accidental change to
-the page, record or superblock layout — changes a digest.  Because the
-files rebuilt here are byte-identical to the ones that commit wrote,
-passing ``repro fsck --deep`` and ``repro recover`` on them is passing
-on files written by it.
+Checksums are part of every page image, WAL record and superblock
+trailer, so a seal that computed one bit differently — or any
+accidental change to the page, record or superblock layout — changes a
+digest.  The digests were re-taken once, deliberately, when format
+epoch 2 replaced the CRC32C seal with the stdlib CRC-32 (zlib) and the
+WAL went to version 2: built by :func:`build_all` before and after that
+change, every artefact differed only in its seal bytes — each page
+image's bytes ``[16, 24)`` (WAL payloads included), each superblock's
+last 8 bytes, the WAL file header's version field and each WAL record's
+crc field.  Because the files rebuilt here are byte-identical to the
+pinned ones, passing ``repro fsck --deep`` and ``repro recover`` on
+them is passing on the format as pinned.
 
 The ``pages5d/*`` digests pin the paper's fan-out: 5-D keys on 8 KB
 pages make 170-entry leaves, wider than aMAP's head of each sort order
 and than XJB's bite budget, which the 700 3-D keys on 1 KB pages never
-are.  They were taken on the commit before the head-of-order aMAP
-scoring and the array-ranked bite carve landed (382ac24), by
-running :func:`build_wide` against that commit's ``src/``.
+are.
 
 The ``mutated5d/*`` digests pin what a durable insert/delete writes at
 that fan-out: the data file and the WAL after :func:`build_mutated`'s
 seeded sequence, which splits leaves and an inner node and condenses
-an underflowing leaf for every family.  They were taken on the commit
-before inner pages kept their predicate block through mutation and
-DELETE descent screened children with ``contains_node`` (43eeb83), by
-running :func:`build_mutated` against that commit's ``src/``.
+an underflowing leaf for every family.
 """
 
 import hashlib
@@ -36,10 +34,13 @@ from repro.bulk import bulk_load
 from repro.cli import main
 from repro.core.api import make_extension
 from repro.gist.mutable import MutableTree
-from repro.gist.persist import save_tree
+from repro.gist.persist import load_tree, save_tree
 from repro.gist.tree import GiST
 from repro.storage.codecs import make_leaf_codec
 from repro.storage.diskfile import FilePageFile
+from repro.storage.errors import PageCorruptError
+
+from tests.storage.epoch1 import forge_index, forge_wal
 
 FAMILIES = ("rtree", "sstree", "srtree", "jb", "xjb", "amap")
 CODECS = ("f64", "sq8")
@@ -47,85 +48,97 @@ DIM, PAGE, N = 3, 1024, 700
 
 GOLDEN = {
     "mutated5d/amap-f64":
-        "1406cb3efe6044c4b81328b31b85542990729c88034865bdeb2ed159dd4c5b19",
+        "20be792ffff85198cb66a62ea1e791598e6f979f08bb0dbe69a040cef1a38b88",
     "mutated5d/amap-f64.wal":
-        "e79b93e119562785d6e927f7108804291eedf9843fbd5ded83cb2367bc23b013",
+        "da9c62197b22a4b13fcde7106e93794f5d77760fb886fd8dffde71d19f0b161d",
     "mutated5d/jb-f64":
-        "3fabf9b4c2b7528e7fa885d7d724aaca0244065b422577cdee431801a515e906",
+        "ce71a767940cfab1baae1f91e62a5efd3878c54a85453ea35ef7c60d4c96633d",
     "mutated5d/jb-f64.wal":
-        "7cd54d2e166ad4238b11997ede0087f4332d600efb2d452cdc7abc9c70adae45",
+        "118253530bba45911f6cf042707df38fc9de5bd12b8d272dfc5b23831c80f87a",
     "mutated5d/rtree-f64":
-        "d2b2efe2d331e9cc87d3ce6989c0c5419b79cab4b577adbba1ed169e9c461acd",
+        "9ccf0578dfdc8c2711e0ace6e99fbaa6800abea48aeb67ba873879851b02139b",
     "mutated5d/rtree-f64.wal":
-        "568859b2cb9e26f5c0b4e6e7c0f1a6103bcc078c1978b953ca5721fbc24ab3fe",
+        "dd031f2cc609afd1d5ee15398f532c86907939577b38fe97e7ed3142d51f6ef8",
     "mutated5d/srtree-f64":
-        "003af3b789ef4ac8b1bc6ac2e183a36d6edc20989a88ca84695635bad5c940af",
+        "8ff369645914784e399c306f358cb5b41235537bac3f05a144a68ec1382b9334",
     "mutated5d/srtree-f64.wal":
-        "54258bca9dd04373f2edacb746250d81999dcc7f3621656e8b19ac8611f2a8ad",
+        "be4295a5721c4b53a2643f6a381a402d0ea1f8093bebab8f0a56fafd55b030b6",
     "mutated5d/sstree-f64":
-        "8fbfb8f1a2806100ffe6e39f202b0a80a62088926113158896b9501e1538e76a",
+        "c52e96bebf3726d843141ad1fa62e01d7e7328c1c07987b7c0642dd939de1e9a",
     "mutated5d/sstree-f64.wal":
-        "45c4911280a2cd07afe968320ef05a07e0e242545eb4bf938b7ee7dd03b35bbe",
+        "bc3cd9a403d9e3a58b820e32e529ac55e74338edf7434ae9ec61a91c2ea6b83b",
     "mutated5d/xjb-f64":
-        "29c43192e94736c131f139493cba15367773b1ef0e59a7a8c0248f02b4f36c5d",
+        "1e46ee6ec04b8d7c12763cd58c8e4aeee6e2d1deb317fb6890a0426a3a945a38",
     "mutated5d/xjb-f64.wal":
-        "0ebf6558e6805c674e3a451e5f20860218451283d8dec4cf28455a6907845408",
+        "cccf7cff735296d07b08991fc17d7dc6e6aab6663df0c115cf4780e387a9ec34",
     "pages/amap-f64":
-        "8b78c8d598879adbf4b068b854d60159af9b3f1cef8021940245009279dd60d6",
+        "504e4ac553e1020ee0e994e8d4309a30cddac2867e8ebc97ab9dd961342e85bc",
     "pages/amap-sq8":
-        "e9226d609ad4e31cfe0f2503cc8a17b3a3beef62e22d3c4bc20d3b3db666aedc",
+        "ad4f88e869f9c6a03b67f126cca3705b4472c9372b37cc019c369030ca59e200",
     "pages/jb-f64":
-        "bc713a7e9d0a424d58cba40a359d262898b8615a215f1848fe3750e0d23c6608",
+        "43ffe83c090638cac58dde1e00faf519740b473428ad63333bc75c58d118e81e",
     "pages/jb-sq8":
-        "2ea6f3ddcb4c6bef8fed33425e50a0a1913c135ac3f1b1b2f71a75b00d6ab828",
+        "5e5a965c6d4ef3c834f5e78b4110dad718f38dc44462bbbd9f1a9b5af41fff4f",
     "pages/rtree-f64":
-        "d0e239ae72436141ba75ef732e923ac1553e23beb71f68836e467423afc9baff",
+        "9e25bec384eaad6812ddc805888c6bf25d02e1c01ac47026b093213d0370c7a5",
     "pages/rtree-sq8":
-        "760aa3d046012a14bb59c53cbf1aad6a6d895d45286ddb5c441197c3d3a1f312",
+        "4681e63e651bf56872b09279f83045734c5c40566e5212bff46a018c65990a23",
     "pages/srtree-f64":
-        "4a0b7ee47fe820b14afdd5b096277b8de2b9aa7c0ff9f6d309af035131550d94",
+        "1f69c13311e4858cedaa1d226825a2a67c3976e2edf52924acd7f79187143fe1",
     "pages/srtree-sq8":
-        "a9b403eb912848725cf1f051c747ba0ed7038125794dcf5f89473af14bb0b32a",
+        "63dbfd8084efa0dcb2161991a75612bf61724cc518ced10148a97159d9b614b9",
     "pages/sstree-f64":
-        "cd21498ff8cb41819e38620f38a00675e10c768283050408f34859b09adabeda",
+        "384c42a02572fd3370b1e6c650753bc85232b62710385f9432998b0e0ac17e11",
     "pages/sstree-sq8":
-        "85bdb8151696ced1c0fad668a79ee9ed1692aa58300707c46e3a464c615aaf2c",
+        "5236432764362cb883cf081af314f92e73753e092ce67ce5001340d05643dd42",
     "pages/xjb-f64":
-        "df6ac37c2774d5c4798da8c17953e0d3e0c7f68d6681d6af8ff9eb236ae513e8",
+        "f830008043dea50c58b1158fdbf91a441bc972d68a7e84c552a613cf3fc71d32",
     "pages/xjb-sq8":
-        "deb6848f9bdc20c71bffa4a255504fbf152f29f0d38060ce59f30a715ae5b2db",
+        "70d1d0d213386049cad745029358f06e7bf697ef49fcc114708f71ae32d28434",
     "pages5d/amap-f64":
-        "daa5a3be7a0212124e2b6ead64b8f128654640e4e60caf3a4903cc05f1d61cc8",
+        "3345b443f8036428450151e2a719a22400d173e9859ee13ab7fc1a3c31536dcf",
     "pages5d/jb-f64":
-        "b58628cc92d1177a374f45885ca760e82565dddbbacc160eceaef083667dcce0",
+        "1f4079dbcfa3e5a2e929baf472f0788c22dffe49fb68c09efc0ee943780ddadb",
     "pages5d/xjb-f64":
-        "d1a7e6adca647ad96dbd275b3be1e1a4341c432b917e4379c07131c3d71b72ca",
+        "4cfa1f242194c4cd00adab51d9d39865c671f050e3aba0f5cda70d1b84638a5d",
     "saved/amap-f64":
-        "39dfce8317dfad59790ecd6f5ca82d321b44e31b7628744fc60363ddfaa445fe",
+        "6dc06afee42992810314ce3e296d602b596aba9cee4b04f94a0ad5ce7e0965ae",
     "saved/amap-sq8":
-        "b8062a84d85030164207960d686589eca33d871ae93ba83c8bf3b1897e376168",
+        "79506637db8bdaa35a253a9486601e85e8ac92dfdf3fa5da78e0a176b4953c4f",
     "saved/jb-f64":
-        "200f170b14acda622cc9d0bceb7470703256ead657736ea2d6b80d0c783768a7",
+        "3368e5e5d2c39f0dc4c9913334fdf83d5d5d710c77ec144564a35730b065c693",
     "saved/jb-sq8":
-        "5d7ee0e16e686995556152cfa2e8eefcc396de013a3d290510cbf3b30bebc776",
+        "1d1c411af6d8a9d0b4b12822d14f6b2c740016825f41fdfa6cf5b58aa876a37a",
     "saved/rtree-f64":
-        "8f70672635c6b4f88d5a89506a4b3b8c27ef7dcec7fcd198acb4489390bec701",
+        "e5a1e24492a6300133defb25031e5acd7ef37fe9b3bbe7a9d44f471e764ae83e",
     "saved/rtree-sq8":
-        "7a5a8c3dc7a5b692a5d25a34e88c8b8c77a68edcfa02afa7eb78e8a38624425a",
+        "4c2f584bcf8912e010ea0c5f865d0234c1a525c750e62c8a687bb9488f834df2",
     "saved/srtree-f64":
-        "35c89de8d6e9ce3f313a27cbf684e253b53e31faada8e225ef61b4682c75ede9",
+        "b8648832fb702ed5c11f53564338e80650b0646057f6c2a25dc9ac1fa861848b",
     "saved/srtree-sq8":
-        "ea62fb4fd3ada4e9030e462dcbe756f507ac09c19a910b97fae56a8c84af20ad",
+        "2d49d77fb7dee1a327c0e21cf4d6841022930d589052f5c12401aa956cebb462",
     "saved/sstree-f64":
-        "f53d169071f952254d5599c79bba1b01fe6fbfb2e93aec3428db733dd6d16974",
+        "7c13cccde4bcbe5c88f686c4b525eb0fb13f067201e4624f5671308ccc4b8f59",
     "saved/sstree-sq8":
-        "77394faea33a1452f7e91efc312a99e474685a4e9c6f749321efbf67d3c6cbfb",
+        "8eb28631c84cd84df4030036ca388531c2ef4339c311f90dbcb3ef241eee9b9f",
+    "saved/xjb-f64":
+        "30996bc20ce30db787752236f92bbc7e3c864682f647cca8a587d517542e2a03",
+    "saved/xjb-sq8":
+        "4415634096317ec7f3d7e64189d2a829c52749b28ad902a840532c51e782d977",
+    "superblock":
+        "d96c119d51aa8b762616a128dfa3277c6a426d37e3fa1cc9dc4ac6597998a90e",
+    "wal/data":
+        "b5d8891486ef782ca8da484b55edbce420414dd2e53cca4b94400d1641e77dc0",
+    "wal/segment":
+        "9d8883c18d221a3fc4b2cc82184b5af80254e0552ddcaf049b56530147db1049",
+}
+
+
+#: the same artefacts as format epoch 1 wrote them (CRC32C seals, WAL
+#: version 1): their digests before epoch 2 replaced it.
+EPOCH1 = {
     "saved/xjb-f64":
         "ca38cb9977845d9db20ec67eee5d1a2be54b1e1f0bb87a33a4d8156e0d97b25e",
-    "saved/xjb-sq8":
-        "c3a5f9ae2b3f434b1fba3b6602fc3801d72410c2f5774a2c1d57a01f1afeedb0",
-    "superblock":
-        "8b37a0b8fb71258d236f9f82d86a204e620576ccfb4217599465a8a3f61d59f1",
     "wal/data":
         "ad53b749478ded3d359dd58407bde3e473c9be63954c314c71dcf268239ad543",
     "wal/segment":
@@ -265,3 +278,28 @@ def test_recover_replays_the_pinned_wal_segment(built, tmp_path, capsys):
     assert "transactions : 3 replayed" in capsys.readouterr().out
     assert _sha(crashed) == GOLDEN["wal/data"]
     assert main(["fsck", crashed, "--deep"]) == 0
+
+
+def test_forged_epoch1_files_are_what_epoch1_wrote_and_are_refused(
+        built, tmp_path):
+    """The epoch-1 forger reproduces the pinned epoch-1 files byte for
+    byte, and the readers refuse them by name."""
+    out, _ = built
+    forged = {}
+    for name, source, forge in (("saved/xjb-f64", "xjb-f64.gist",
+                                 forge_index),
+                                ("wal/data", "mutated.gist", forge_index),
+                                ("wal/segment", "mutated.gist.wal",
+                                 forge_wal)):
+        forged[name] = str(tmp_path / source)
+        shutil.copy(str(out / source), forged[name])
+        forge(forged[name])
+        assert _sha(forged[name]) == EPOCH1[name], name
+    with pytest.raises(PageCorruptError,
+                       match="format epoch 1: rebuild the index"):
+        load_tree(path=forged["saved/xjb-f64"])
+    with pytest.raises(PageCorruptError,
+                       match="unsupported WAL version 1"):
+        main(["recover", forged["wal/data"]])
+    assert _sha(forged["wal/data"]) == EPOCH1["wal/data"]
+    assert _sha(forged["wal/segment"]) == EPOCH1["wal/segment"]

@@ -1,59 +1,51 @@
-"""Page checksums: CRC32C sealing and bit-flip detection.
+"""Page checksums: CRC-32 sealing, epoch refusal and bit-flip detection.
 
-The byte-at-a-time table loop below is the oracle: it is the textbook
-definition of the checksum, it is what ``src/`` shipped before the
-gather kernel replaced it, and every kernel entry point is held to it.
+The oracle is the stdlib's ``zlib.crc32`` over a copy of the image with
+its checksum field zeroed: every entry point is held to it, on every
+kind of buffer a caller hands the seal.
 """
 
 import mmap
 import random
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.constants import DEFAULT_PAGE_SIZE
 from repro.gist import LeafEntry, Node
 from repro.storage.codecs import LeafEntryCodec, IndexEntryCodec, \
     NodeCodec, RectCodec
 from repro.storage.errors import PageCorruptError
-from repro.storage.integrity import (CHECKSUM_OFFSET, FORMAT_EPOCH, crc32c,
-                                     crc32c_many, seal_image, seal_images,
-                                     stored_seal, verify_image,
-                                     verify_images)
+from repro.storage.integrity import (CHECKSUM_OFFSET, FORMAT_EPOCH, crc32,
+                                     page_crc, seal_image, seal_images,
+                                     verify_image, verify_images)
 
-_POLY = 0x82F63B78
-
-
-def _make_table():
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
+from tests.storage.epoch1 import epoch1_page
 
 
-_TABLE = _make_table()
+def reference_page_crc(image):
+    """``page_crc`` by the oracle: zero the field in a copy, checksum."""
+    zeroed = bytearray(bytes(image))
+    zeroed[CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = bytes(4)
+    return zlib.crc32(bytes(zeroed))
 
 
-def reference_crc32c(data, crc=0):
-    """CRC32C (Castagnoli, reflected) one byte at a time."""
-    crc ^= 0xFFFFFFFF
-    for byte in bytes(data):
-        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
-
-
-def reference_seal(image, epoch=FORMAT_EPOCH):
+def reference_seal(image):
     """``seal_image`` by the oracle: stamp the epoch, checksum the image
     with its crc field zeroed, splice the checksum in."""
-    stamped = (image[:CHECKSUM_OFFSET] + struct.pack("<II", 0, epoch)
+    stamped = (image[:CHECKSUM_OFFSET] + struct.pack("<II", 0, FORMAT_EPOCH)
                + image[CHECKSUM_OFFSET + 8:])
     return (stamped[:CHECKSUM_OFFSET]
-            + struct.pack("<I", reference_crc32c(stamped))
+            + struct.pack("<I", zlib.crc32(stamped))
             + stamped[CHECKSUM_OFFSET + 4:])
+
+
+def _stored(image):
+    """The (crc, epoch) pair in a page image's header."""
+    return struct.unpack_from("<II", image, CHECKSUM_OFFSET)
 
 
 def _codec(page_size=256, dim=2):
@@ -69,19 +61,18 @@ def _leaf_image(codec, dim=2, n=3, page_id=7):
 
 
 def _unsealed(image):
-    """``image`` as a legacy page written before checksums: crc and
-    epoch (bytes 16:24) zero."""
+    """``image`` with crc and epoch (bytes 16:24) zero, as pages were
+    written before seals existed."""
     return image[:16] + bytes(8) + image[24:]
 
 
-#: three gather chunks and a ragged tail, so every alignment of the
-#: buffer end against the 256-byte chunk grid is reachable.
+#: lengths 0 .. _MAX_LEN cover three 256-byte blocks and a ragged tail.
 _MAX_LEN = 3 * 256 + 7
 
 
-def _spellings(data, tmp_path):
-    """``data`` as every kind of buffer a caller hands the kernel."""
-    raw = bytes(data)
+def _kinds(raw, mapped=None):
+    """``raw`` as every kind of buffer a caller hands the seal; the
+    last is a slice of ``mapped``, a memoryview over an mmap."""
     yield "bytes", raw
     yield "bytearray", bytearray(raw)
     yield "memoryview", memoryview(raw)
@@ -90,33 +81,35 @@ def _spellings(data, tmp_path):
     strided = np.zeros((len(raw), 3), dtype=np.uint8)
     strided[:, 1] = readonly
     yield "non-contiguous", strided[:, 1]
-    if raw:
-        path = tmp_path / "crc.bin"
-        path.write_bytes(b"\xAA" * 5 + raw)
-        with open(path, "rb") as f, \
-                mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as m:
-            view = memoryview(m)[5:]
-            yield "mmap slice", view
-            view.release()
+    if mapped is not None:
+        yield "mmap slice", mapped
+
+
+def _spellings(data, tmp_path):
+    """``data`` as all six kinds of buffer, the mmap included."""
+    raw = bytes(data)
+    if not raw:
+        yield from _kinds(raw)
+        return
+    path = tmp_path / "crc.bin"
+    path.write_bytes(b"\xAA" * 5 + raw)
+    with open(path, "rb") as f, \
+            mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as m:
+        view = memoryview(m)[5:]
+        yield from _kinds(raw, view)
+        view.release()
 
 
 class TestCrc32c:
-    @pytest.mark.parametrize("data, expected", [
-        (b"123456789", 0xE3069283),          # the iSCSI check value
-        (bytes(32), 0x8A9136AA),             # RFC 3720 B.4
-        (b"\xFF" * 32, 0x62A8AB43),
-        (bytes(range(32)), 0x46DD794E),
-    ])
-    def test_rfc3720_vectors(self, data, expected):
-        assert reference_crc32c(data) == expected
-        assert crc32c(data) == expected
+    """The seal checksum — CRC-32, the repo's one CRC — held to zlib on
+    every length, seed, split point and buffer kind."""
 
     def test_empty_and_chaining(self):
-        assert crc32c(b"") == 0
-        assert crc32c(b"", 0x1234) == 0x1234
-        whole = crc32c(b"hello world")
-        chained = crc32c(b" world", crc32c(b"hello"))
-        assert whole == chained
+        assert crc32(b"") == 0
+        assert crc32(b"", 0x1234) == 0x1234
+        whole = crc32(b"hello world")
+        chained = crc32(b" world", crc32(b"hello"))
+        assert whole == chained == zlib.crc32(b"hello world")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.binary(max_size=_MAX_LEN),
@@ -124,83 +117,152 @@ class TestCrc32c:
            split=st.integers(0, _MAX_LEN))
     def test_matches_oracle_for_any_length_seed_and_split(
             self, data, seed, split, tmp_path_factory):
-        expected = reference_crc32c(data, seed)
+        expected = zlib.crc32(data, seed)
         tmp = tmp_path_factory.mktemp("crc")
         for name, buffer in _spellings(data, tmp):
-            assert crc32c(buffer, seed) == expected, name
+            assert crc32(buffer, seed) == expected, name
+            if len(data) >= CHECKSUM_OFFSET + 4:
+                assert page_crc(buffer) == reference_page_crc(data), name
         split = min(split, len(data))
-        assert crc32c(data[split:], crc32c(data[:split], seed)) == expected
+        assert crc32(data[split:], crc32(data[:split], seed)) == expected
+
+    def test_every_length_and_buffer_kind(self, tmp_path):
+        data = np.random.default_rng(4).integers(
+            0, 256, _MAX_LEN, dtype=np.uint8).tobytes()
+        path = tmp_path / "crc.bin"
+        path.write_bytes(b"\xAA" * 5 + data)
+        with open(path, "rb") as f, \
+                mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as m:
+            whole = memoryview(m)
+            for length in range(_MAX_LEN + 1):
+                raw = data[:length]
+                seed = (length * 2654435761) & 0xFFFFFFFF
+                split = length // 3
+                expected = zlib.crc32(raw, seed)
+                mapped = whole[5:5 + length]
+                for name, buffer in _kinds(raw, mapped):
+                    assert crc32(buffer, seed) == expected, (length, name)
+                    if length >= CHECKSUM_OFFSET + 4:
+                        assert page_crc(buffer) == \
+                            reference_page_crc(raw), (length, name)
+                assert crc32(raw[split:], crc32(raw[:split], seed)) \
+                    == expected, length
+                mapped.release()
+            whole.release()
 
     def test_buffers_longer_than_one_gather_pass(self):
+        """Buffers around and past 32 KB, the pass length of the numpy
+        CRC32C kernel this seal replaced, and past four 8 KB pages."""
         rng = np.random.default_rng(3)
         for length in (32767, 32768, 32769, 70001):
             data = rng.integers(0, 256, length, dtype=np.uint8).tobytes()
-            assert crc32c(data, 7) == reference_crc32c(data, 7), length
+            assert crc32(data, 7) == zlib.crc32(data, 7), length
+            assert page_crc(data) == reference_page_crc(data), length
 
     def test_input_is_never_written(self):
         data = np.arange(600, dtype=np.uint8) % 251
         before = data.copy()
         data.setflags(write=False)
-        crc32c(data, 5)
-        crc32c_many(data.reshape(2, 300), blank_seal=True)
+        crc32(data, 5)
+        page_crc(data)
+        verify_images(data.reshape(2, 300))
         assert np.array_equal(data, before)
 
 
+def _hd4_data_bits(poly, limit):
+    """Longest data word (bits) at which the 32-bit CRC ``poly`` (normal
+    form, x^32 implied) has no codeword of weight 2 or 3, searched up to
+    ``limit`` bits.  Shifting a codeword gives a codeword, so it is
+    enough to find the least ``a`` with x^a = 1 or x^a + x^b + 1 = 0."""
+    first = {}
+    reg = 1
+    for a in range(limit + 32):
+        if (a and reg == 1) or first.get(reg ^ 1, a) < a:
+            return a - 32
+        first.setdefault(reg, a)
+        reg <<= 1
+        if reg >> 32:
+            reg ^= poly | 1 << 32
+    return None
+
+
+def test_pages_and_wal_records_sit_in_crc32s_hd4_range():
+    """CRC-32 catches every error of up to 3 bits in a data word of up
+    to 91,607 bits (the limit cited from Koopman, DSN 2002, recomputed
+    here): a default 8 KB page, and a WAL record carrying one, fit
+    inside it."""
+    limit = _hd4_data_bits(0x04C11DB7, 100_000)
+    assert limit == 91_607
+    record = (40 + DEFAULT_PAGE_SIZE) * 8
+    assert DEFAULT_PAGE_SIZE * 8 < record <= limit
+
+
 class TestCrc32cMany:
+    """Batched sealing: ``seal_images`` and ``verify_images`` over an
+    ``(n, page_size)`` array, row by row against the oracle."""
+
     def test_matches_oracle_row_by_row(self):
         rng = np.random.default_rng(0)
         blocks = rng.integers(0, 256, size=(17, 301), dtype=np.uint8)
-        for seed in (0, 0xCAFEF00D):
-            many = crc32c_many(blocks, seed)
-            assert many.dtype == np.uint32
-            assert many.tolist() == [reference_crc32c(row.tobytes(), seed)
-                                     for row in blocks]
+        expected = [reference_seal(row.tobytes()) for row in blocks]
+        sealed = seal_images(blocks.copy())
+        assert [row.tobytes() for row in sealed] == expected
+        assert verify_images(sealed) == [None] * 17
 
     def test_more_rows_than_one_gather_pass_holds(self):
+        """40 rows of 4 KB, more than one 32 KB pass of the kernel this
+        seal replaced: every row sealed and verified on its own."""
         rng = np.random.default_rng(1)
-        blocks = rng.integers(0, 256, size=(40, 4096), dtype=np.uint8)
-        assert crc32c_many(blocks).tolist() == [
-            reference_crc32c(row.tobytes()) for row in blocks]
+        blocks = seal_images(
+            rng.integers(0, 256, size=(40, 4096), dtype=np.uint8))
+        assert [_stored(row.tobytes())[0] for row in blocks] == [
+            reference_page_crc(row.tobytes()) for row in blocks]
+        assert verify_images(blocks) == [None] * 40
 
     def test_blank_seal_counts_the_checksum_field_as_zeros(self):
         rng = np.random.default_rng(2)
         blocks = rng.integers(0, 256, size=(4, 300), dtype=np.uint8)
         zeroed = blocks.copy()
         zeroed[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 4] = 0
-        assert crc32c_many(blocks, blank_seal=True).tolist() == [
-            reference_crc32c(row.tobytes()) for row in zeroed]
+        assert [page_crc(row) for row in blocks] == [
+            zlib.crc32(row.tobytes()) for row in zeroed]
 
     def test_single_row_and_single_byte(self):
-        assert crc32c_many(np.array([[0x61]], dtype=np.uint8))[0] \
-            == reference_crc32c(b"a")
+        assert crc32(np.array([0x61], dtype=np.uint8)) == zlib.crc32(b"a")
+        image = np.zeros((1, 64), dtype=np.uint8)
+        image[0, 40] = 7
+        assert seal_images(image.copy()).tobytes() \
+            == seal_image(image.tobytes()) \
+            == reference_seal(image.tobytes())
 
     def test_zero_rows(self):
-        assert len(crc32c_many(np.empty((0, 8), dtype=np.uint8))) == 0
-
-    def test_rejects_non_2d_and_rows_too_short_for_a_seal(self):
-        with pytest.raises(ValueError):
-            crc32c_many(np.zeros(8, dtype=np.uint8))
-        with pytest.raises(ValueError, match="cannot hold a seal"):
-            crc32c_many(np.zeros((2, 20), dtype=np.uint8), blank_seal=True)
+        empty = np.empty((0, 64), dtype=np.uint8)
+        assert seal_images(empty).shape == (0, 64)
+        assert verify_images(empty) == []
 
 
 class TestSeal:
     def test_sealed_roundtrip(self):
         codec = _codec()
         image = _leaf_image(codec)
-        crc, epoch = stored_seal(image)
-        assert epoch == FORMAT_EPOCH
-        assert crc != 0
-        assert verify_image(image) == FORMAT_EPOCH
+        crc, epoch = _stored(image)
+        assert epoch == FORMAT_EPOCH == 2
+        assert crc == reference_page_crc(image) != 0
+        verify_image(image)
         node = codec.decode_node(image, 7)
         assert (node.page_id, node.level, len(node)) == (7, 0, 3)
 
-    def test_legacy_unsealed_image_accepted(self):
-        image = _unsealed(_leaf_image(_codec()))
-        assert stored_seal(image) == (0, 0)
-        assert verify_image(image) == 0   # legacy: verification skipped
-        # The codec still decodes it (back-compat).
-        assert _codec().decode_node(image, 7).page_id == 7
+    def test_older_epoch_image_refused(self):
+        """An epoch-1 page (CRC32C-sealed) and a page without a seal are
+        refused by name before any CRC is computed."""
+        image = _leaf_image(_codec())
+        for old, epoch in ((epoch1_page(image), 1), (_unsealed(image), 0)):
+            assert _stored(old)[1] == epoch
+            message = f"format epoch {epoch}: rebuild the index"
+            with pytest.raises(PageCorruptError, match=message):
+                verify_image(old)
+            with pytest.raises(PageCorruptError, match=message):
+                _codec().decode_node(old, 7)
 
     def test_every_single_bit_flip_is_detected(self):
         """Exhaustive over a small page: no silent garbage, ever."""
@@ -233,14 +295,12 @@ class TestSeal:
         with pytest.raises(PageCorruptError, match="truncated"):
             codec.decode_node(image[:-1], 7)
 
-    def test_insane_entry_count_rejected_even_unsealed(self):
-        import struct
+    def test_insane_entry_count_rejected_under_a_valid_seal(self):
         codec = _codec(page_size=256)
         image = bytearray(_leaf_image(codec))
         struct.pack_into("<i", image, 12, 10_000)   # entry count
-        image[16:24] = b"\x00" * 8                  # strip the seal
         with pytest.raises(PageCorruptError, match="entry count"):
-            codec.decode_node(bytes(image), 7)
+            codec.decode_node(seal_image(bytes(image)), 7)
 
     def test_verify_reports_path_and_page(self):
         codec = _codec()
@@ -248,7 +308,6 @@ class TestSeal:
         image[40] ^= 0x01
         with pytest.raises(PageCorruptError, match="some/file"):
             codec.decode_node(bytes(image), 7, path="some/file")
-
 
     def test_seal_matches_the_oracle(self):
         rng = np.random.default_rng(1)
@@ -270,7 +329,7 @@ class TestVerifiersAgree:
 
     @staticmethod
     def _verdicts(image, tmp_path):
-        """Each verifier's outcome for ``image``: an epoch or the error
+        """Each verifier's outcome for ``image``: None or the error
         text."""
         out = []
         for _name, buffer in _spellings(image, tmp_path):
@@ -281,17 +340,19 @@ class TestVerifiersAgree:
         stacked = np.frombuffer(image + image, dtype=np.uint8) \
             .reshape(2, -1)
         for fault in verify_images(stacked):
-            out.append(stored_seal(image)[1] if fault is None
-                       else f"f: page 7: {fault}")
+            out.append(None if fault is None else f"f: page 7: {fault}")
         return out
 
     def test_clean_page(self, tmp_path):
         image = _leaf_image(_codec())
-        assert set(self._verdicts(image, tmp_path)) == {FORMAT_EPOCH}
+        assert set(self._verdicts(image, tmp_path)) == {None}
 
-    def test_unsealed_legacy_page(self, tmp_path):
-        image = _unsealed(_leaf_image(_codec()))
-        assert set(self._verdicts(image, tmp_path)) == {0}
+    def test_epoch1_page(self, tmp_path):
+        image = _leaf_image(_codec())
+        assert set(self._verdicts(epoch1_page(image), tmp_path)) == {
+            "f: page 7: format epoch 1: rebuild the index"}
+        assert set(self._verdicts(_unsealed(image), tmp_path)) == {
+            "f: page 7: format epoch 0: rebuild the index"}
 
     @pytest.mark.parametrize("region", sorted(_REGIONS))
     def test_flipped_bit_in_each_region(self, region, tmp_path):
@@ -300,12 +361,15 @@ class TestVerifiersAgree:
         image[_REGIONS[region]] ^= 0x10
         image = bytes(image)
         verdicts = set(self._verdicts(image, tmp_path))
-        stored, epoch = stored_seal(image)
-        blanked = (image[:CHECKSUM_OFFSET] + bytes(4)
-                   + image[CHECKSUM_OFFSET + 4:])
+        stored, epoch = _stored(image)
+        if region == "epoch":
+            # A flip in the epoch is refused as another format.
+            assert verdicts == {
+                f"f: page 7: format epoch {epoch}: rebuild the index"}
+            return
         assert verdicts == {
             f"f: page 7: checksum mismatch: stored {stored:#010x}, "
-            f"computed {reference_crc32c(blanked):#010x} (epoch {epoch})"}
+            f"computed {reference_page_crc(image):#010x}"}
 
     def test_verify_images_reports_only_the_damaged_rows(self):
         codec = _codec()
