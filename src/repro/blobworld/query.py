@@ -182,7 +182,7 @@ class BlobworldEngine:
 
         ``planner`` (a :class:`~repro.gist.planner.QueryPlanner`)
         routes the misses to :func:`~repro.gist.batch.knn_search_batch`
-        (per-page decode once per block) or to its flat file's scan;
+        (``tree.knn`` per query) or to its flat file's scan;
         the full-distance rerank absorbs the scan's different order of
         equal-distance candidates.  ``profile`` (duck-typed:
         ``add(stage, seconds)`` and ``note_plan(plan, actual_pages)``)

@@ -232,10 +232,15 @@ def _cmd_recover(args) -> int:
     import json
 
     from repro.analysis import deep_scrub
+    from repro.storage.errors import StorageError
     from repro.storage.wal import recover
 
-    report = recover(args.index, wal_path=args.wal,
-                     checkpoint=not args.no_checkpoint)
+    try:
+        report = recover(args.index, wal_path=args.wal,
+                         checkpoint=not args.no_checkpoint)
+    except StorageError as exc:
+        print(f"recovery refused: {exc}")
+        return 1
     print(report.format())
     scrub = deep_scrub(args.index)
     if args.json:
@@ -264,6 +269,20 @@ def _cmd_crashtest(args) -> int:
     return 0 if report.clean else 1
 
 
+def _page_size(text: str) -> int:
+    """A ``--page-size`` whose WAL record, the record header plus one
+    page, fits CRC-32's HD-4 data word (DESIGN.md section 6)."""
+    from repro.storage.wal import CRC32_HD4_BITS, MAX_PAGE_SIZE
+
+    size = int(text)
+    if size > MAX_PAGE_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"{size} bytes: a WAL record carrying the page would exceed "
+            f"CRC-32's {CRC32_HD4_BITS:,}-bit HD-4 data word; the largest "
+            f"page is {MAX_PAGE_SIZE:,} bytes")
+    return size
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -287,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["rtree", "rstar", "sstree", "srtree",
                             "amap", "xjb", "jb"])
     p.add_argument("--dims", type=int, default=INDEX_DIMENSIONS)
-    p.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
+    p.add_argument("--page-size", type=_page_size,
+                   default=DEFAULT_PAGE_SIZE)
     p.add_argument("--loading", default="bulk",
                    choices=["bulk", "insert"])
     p.add_argument("--codec", default="f64", choices=["f64", "sq8"],
@@ -317,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=INDEX_DIMENSIONS)
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--k", type=int, default=NEIGHBORS_PER_QUERY)
-    p.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
+    p.add_argument("--page-size", type=_page_size,
+                   default=DEFAULT_PAGE_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="emit results as JSON")
@@ -334,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["rtree", "rstar", "sstree", "srtree",
                             "amap", "xjb", "jb"])
     p.add_argument("--dims", type=int, default=INDEX_DIMENSIONS)
-    p.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
+    p.add_argument("--page-size", type=_page_size,
+                   default=DEFAULT_PAGE_SIZE)
     p.add_argument("--codec", default="f64", choices=["f64", "sq8"])
     p.add_argument("--candidates", type=int,
                    default=NEIGHBORS_PER_QUERY)

@@ -78,7 +78,6 @@ class MutableTree:
              buffer_pages: int = 0,
              injector: Optional[CrashInjector] = None,
              wal_path: Optional[str] = None,
-             incremental_adjust: bool = True,
              exact: Any = None) -> "MutableTree":
         """Recover, then open a saved index for mutation.
 
@@ -109,7 +108,7 @@ class MutableTree:
         wpf = WALPageFile(store, wal, injector=injector)
         tree = GiST(extension, store=wpf, page_size=page_size,
                     leaf_codec=base.codec.leaf_codec)
-        tree.incremental_adjust = incremental_adjust
+        tree.incremental_adjust = True
         tree.exact = exact
         tree.root_id = header["root_slot"] or None
         tree.height = header["height"]

@@ -8,12 +8,11 @@ lower bound up to :func:`slack`, so the answer is exact.
 
 :func:`best_first` is the only such traversal in this package:
 ``GiST.knn`` collects it, ``GiST.nn_cursor`` is the same generator with
-no ``k``, and :func:`repro.gist.batch.knn_search_batch` runs it per
-query over a table of nodes the block already decoded.  It emits the
-canonical order, ``(distance, rid)`` with ties broken by rid, and
-reproduces ``tests/gist/oracle.py`` (one heap holding points beside
-nodes) in results and counted access order; DESIGN.md section 7 has
-the argument.  In short:
+no ``k``, and :func:`repro.gist.batch.knn_search_batch` runs it once per
+query of a block.  It emits the canonical order, ``(distance, rid)``
+with ties broken by rid, and reproduces ``tests/gist/oracle.py`` (one
+heap holding points beside nodes) in results and counted access order;
+DESIGN.md section 7 has the argument.  In short:
 
 - The heap holds node entries only.  Leaf candidates wait in arrays
   kept in ``(distance, rid)`` order, and a candidate is emitted once
@@ -37,15 +36,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 #: one result, as every spelling of the search returns it
 Hit = Tuple[float, int]
-
-#: a counted node read by (page id, expected level); None if quarantined
-ReadNode = Callable[[int, int], Optional[Any]]
 
 #: machine epsilons of bound slack per key dimension; DESIGN.md
 #: section 7 shows a computed subtree bound exceeds the computed
@@ -107,13 +103,14 @@ def _entry_bounds(ext: Any, node: Any, q: np.ndarray
     return dists, ext.refine_dists_node(node, q[None], dists[None])[0]
 
 
-def best_first(tree: Any, q: np.ndarray, k: Optional[int],
-               read: ReadNode) -> Iterator[Hit]:
+def best_first(tree: Any, q: np.ndarray,
+               k: Optional[int]) -> Iterator[Hit]:
     """Yield ``(distance, rid)`` pairs in ``(distance, rid)`` order.
 
     ``q`` is a checked ``(dim,)`` query; ``k`` of None never stops
-    early.  Every node comes from ``read``, and none is read before the
-    results that precede it have been yielded.
+    early.  Every node comes from the tree's counted ``_read_query``
+    (None for a quarantined page), and none is read before the results
+    that precede it have been yielded.
     """
     if tree.root_id is None:
         return
@@ -160,7 +157,7 @@ def best_first(tree: Any, q: np.ndarray, k: Optional[int],
                 counter += 1
                 continue
 
-        node = read(page_id, level)
+        node = tree._read_query(page_id, level)
         if node is None or not len(node):
             continue
         if node.is_leaf:
@@ -195,7 +192,7 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Hit]:
     """The canonical ``k`` nearest leaf keys to ``query`` as
     ``(distance, rid)``, read through the tree's counting path."""
     query = check_queries(tree, query, 1, k)
-    return list(best_first(tree, query, k, tree._read_query))
+    return list(best_first(tree, query, k))
 
 
 def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
@@ -209,4 +206,4 @@ def nn_cursor(tree: Any, query: np.ndarray) -> Iterator[Hit]:
     length, results and reads alike (DESIGN.md section 7).
     """
     query = check_queries(tree, query, 1)
-    return best_first(tree, query, None, tree._read_query)
+    return best_first(tree, query, None)

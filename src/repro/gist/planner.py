@@ -15,9 +15,10 @@ each batch to the cheaper one:
   argument: a query ball holding ``k`` keys overlaps
   ``(1 + (k / m) ** (1 / d)) ** d`` leaves of ``m`` keys each
   (``d`` = :data:`SPREAD`), and each level above is overlapped the same
-  way by the nodes visited below it.  A block reads each distinct page
-  through the store once (:func:`repro.gist.batch.knn_search_batch`),
-  so only those reads can miss.
+  way by the nodes visited below it.  Behind a
+  :class:`~repro.storage.buffer.BufferPool` a block's queries share the
+  pool's frames, so only the distinct pages the block touches can miss;
+  a bare page file keeps nothing decoded, so every visit misses.
 - **scan**: :meth:`~repro.ams.flatfile.FlatFile.knn_batch`, linear in
   rows x queries, plus a term per pass of up to
   :data:`~repro.ams.flatfile.QUERIES_PER_PASS` queries and one per
@@ -141,11 +142,11 @@ class QueryPlanner:
         return visits
 
     def tree_pages_estimate(self, num_queries: int, num_blobs: int) -> int:
-        """Distinct pages a block of traversals reads through the store.
+        """Distinct pages a block of traversals touches.
 
-        Each query visits ``v`` of a level's ``n`` nodes; a block shares
-        its decoded nodes, so it reads ``n * (1 - (1 - v/n) ** Q)`` of
-        them — never more pages than the tree holds.
+        Each query visits ``v`` of a level's ``n`` nodes, so a block
+        touches ``n * (1 - (1 - v/n) ** Q)`` of them — never more pages
+        than the tree holds.
         """
         return math.ceil(self._distinct_reads(
             num_queries, self.visits_per_level(num_blobs)))
@@ -155,14 +156,22 @@ class QueryPlanner:
         return sum(nodes * (1.0 - (1.0 - v / nodes) ** num_queries)
                    for nodes, v in zip(self._levels, visits))
 
+    def _misses(self, num_queries: int, visits: List[float]) -> float:
+        """Visits that read, verify and decode a page: on a store with
+        no frames all of them, else the non-resident share of the
+        distinct pages the block touches."""
+        residency = self.residency()
+        if residency == 0.0:
+            return num_queries * sum(visits)
+        return (1.0 - residency) * self._distinct_reads(num_queries, visits)
+
     def tree_ms(self, num_queries: int, num_blobs: int) -> float:
         """Modelled wall time of the block on the tree route."""
         visits = self.visits_per_level(num_blobs)
         if not visits:
             return 0.0
         total = num_queries * sum(visits)
-        misses = (1.0 - self.residency()) \
-            * self._distinct_reads(num_queries, visits)
+        misses = self._misses(num_queries, visits)
         entries = num_queries * visits[0] * self._avg_leaf_entries
         return (total - misses) * HIT_MS + misses * MISS_MS \
             + entries * ENTRY_MS

@@ -114,10 +114,6 @@ class GiST:
 
     # -- node access ----------------------------------------------------------
 
-    def _read(self, page_id: int) -> Node:
-        """Counted read — query work."""
-        return self.store.read(page_id)
-
     def _peek(self, page_id: int) -> Node:
         """Uncounted read — maintenance work.  With :attr:`exact`, a
         quantized leaf comes back holding the original keys, so splits
@@ -152,7 +148,8 @@ class GiST:
 
     def _read_query(self, page_id: int,
                     level: Optional[int] = None) -> Optional[Node]:
-        """Counted read for query paths; None when quarantined.
+        """Counted read (``store.read``) for query paths; None when
+        quarantined.
 
         ``level`` is the level the caller expects the page at (known
         from the parent), used only to estimate what was lost.
@@ -160,7 +157,7 @@ class GiST:
         if self.quarantine_enabled and page_id in self._quarantined:
             return None
         try:
-            return self._read(page_id)
+            return self.store.read(page_id)
         except PageCorruptError as exc:
             if not self.quarantine_enabled:
                 raise
@@ -203,11 +200,12 @@ class GiST:
 
     def knn_batch(self, queries: np.ndarray,
                   k: int) -> List[List[Tuple[float, int]]]:
-        """:meth:`knn` for a whole ``(Q, dim)`` query block at once.
+        """:meth:`knn` for each query of a ``(Q, dim)`` block, in order.
 
-        Each node is fetched and decoded at most once per block, while
-        results (and counted page accesses) are those of per-query
-        :meth:`knn` calls; see :func:`repro.gist.batch.knn_search_batch`.
+        Results and counted page accesses are those of per-query
+        :meth:`knn` calls; queries share decoded nodes only through a
+        :class:`~repro.storage.buffer.BufferPool` store's frames.  See
+        :func:`repro.gist.batch.knn_search_batch`.
         """
         from repro.gist.batch import knn_search_batch
         return knn_search_batch(self, queries, k)

@@ -53,7 +53,6 @@ class PageFileProtocol(Protocol):
 
     # node access
     def read(self, page_id: int) -> Any: ...
-    def read_many(self, page_ids: Iterable[int]) -> List[Any]: ...
     def record_access(self, page_id: int, level: int) -> None: ...
     def peek(self, page_id: int) -> Any: ...
     def write(self, node: Any) -> None: ...

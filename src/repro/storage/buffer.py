@@ -13,7 +13,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.storage.errors import TransientIOError
 from repro.storage.retry import RetryPolicy, call_with_retry
 
 
@@ -94,68 +93,18 @@ class BufferPool:
             self.stats.evictions += 1
 
     def read_many(self, page_ids: Iterable[int]) -> List[Any]:
-        """Counted bulk read mirroring ``[self.read(p) for p in page_ids]``.
-
-        Pages missing from the pool are fetched from the page file in a
-        single ``read_many`` call (so contiguous slot runs gather and
-        their seals batch-verify), then hits and misses are replayed in
-        request order against the frames — same LRU order, eviction
-        timing, and hit/miss split as the sequential loop.
-        """
-        page_ids = list(page_ids)
-        missing: List[int] = []
-        seen = set()
-        for pid in page_ids:
-            if pid not in self._frames and pid not in seen:
-                seen.add(pid)
-                missing.append(pid)
-        fetched: Dict[int, Any] = {}
-        if missing:
-            inner_many = getattr(self.pagefile, "read_many", None)
-            if inner_many is not None and len(missing) > 1:
-                try:
-                    fetched = dict(zip(missing, inner_many(missing)))
-                except TransientIOError:
-                    fetched = {}
-            if not fetched:
-                for pid in missing:
-                    fetched[pid] = call_with_retry(
-                        lambda pid=pid: self.pagefile.read(pid),
-                        self.retry, sleep=self._sleep)
-        nodes: List[Any] = []
-        for pid in page_ids:
-            if pid in self._frames:
-                node = self._frames[pid]
-                self._frames.move_to_end(pid)
-                self.stats.hits += 1
-            else:
-                node = fetched.pop(pid, None)
-                if node is None:
-                    # A frame inserted earlier in this batch was already
-                    # evicted again (capacity smaller than the batch):
-                    # refetch, as the sequential loop would.
-                    node = call_with_retry(
-                        lambda pid=pid: self.pagefile.read(pid),
-                        self.retry, sleep=self._sleep)
-                self._book_miss(node.level)
-                self._install(pid, node)
-            nodes.append(node)
-        return nodes
+        # kept by name only: the spine's trace_store wraps it
+        return [self.read(page_id) for page_id in page_ids]
 
     def record_access(self, page_id: int, level: int) -> None:
-        """Count a repeat access to an already-fetched page.
+        """Count an access to a node the caller already holds.
 
-        The batch engine fetches each page once per block; every further
-        query visiting it within the block would have found the page
-        resident, so it books as a buffer hit — the underlying page file
-        sees no traffic, mirroring what :meth:`read` does for resident
-        pages.
-
-        Only *resident* pages book hits: if the page was never cached —
-        or has been evicted since — the repeat access is one a
-        sequential run would have served as a miss, so it counts as a
-        miss here and as traffic on the underlying page file, instead
-        of inflating the hit rate with phantom hits.
+        A :class:`~repro.storage.wal.WALPageFile` serving a staged node,
+        or a :class:`~repro.storage.wal.SnapshotView` serving a pinned
+        pre-image, books the read here without fetching.  A resident
+        page books a hit and refreshes its LRU position, as :meth:`read`
+        would.  A page the pool does not hold books a miss and counts as
+        traffic on the underlying page file, never a phantom hit.
         """
         if page_id in self._frames:
             self._frames.move_to_end(page_id)

@@ -1,10 +1,11 @@
 """An on-disk page file: nodes live as real page images in one file.
 
 `MemoryPageFile` accounts for I/O; `FilePageFile` actually performs it.
-Every `read` seeks to the page's slot and decodes the fixed-size image
+Every `read` fetches one page's slot and decodes the fixed-size image
 through the node codec, every `write` encodes and writes it back, so a
-tree backed by this store runs with genuine disk-page granularity
-(typically behind a :class:`~repro.storage.buffer.BufferPool`).
+tree backed by this store runs with genuine disk-page granularity.
+Nothing decoded is kept: the one cache of decoded nodes is a
+:class:`~repro.storage.buffer.BufferPool` in front of the file.
 
 Resilience: images are sealed with CRC-32 checksums by the codec, so a
 torn write or bit flip surfaces as a typed
@@ -22,16 +23,11 @@ import mmap
 import os
 import struct
 import time
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
-
-import numpy as np
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.gist.node import Node
 from repro.storage.codecs import NodeCodec
-from repro.storage.errors import (PageCorruptError, PageMissingError,
-                                  TransientIOError)
-from repro.storage.integrity import verify_images
+from repro.storage.errors import PageMissingError, TransientIOError
 from repro.storage.pagefile import AccessListener, PageStats
 from repro.storage.retry import RetryPolicy, call_with_retry
 
@@ -51,10 +47,12 @@ class FilePageFile:
 
     With ``mmap_mode=True`` reads go through a shared read-only memory
     map of the file instead of seek+read syscalls: page images are
-    memoryview slices over the map, leaf bodies decode as zero-copy
+    memoryview slices over the map, and leaf bodies decode as zero-copy
     array views (:meth:`LeafEntryCodec.decode_block` into
-    :meth:`Node.leaf_from_arrays`), and :meth:`read_many` gathers
-    contiguous slot runs without touching the data at all.  Writes stay
+    :meth:`Node.leaf_from_arrays`).  Every counted read is one
+    :meth:`read` of one page; this store caches nothing, so a caller
+    that revisits pages puts a
+    :class:`~repro.storage.buffer.BufferPool` in front.  Writes stay
     on the ordinary descriptor — an mmap shares the OS page cache with
     file writes, so in-place updates are visible through the existing
     map after a flush and only file *growth* forces a remap.
@@ -115,27 +113,21 @@ class FilePageFile:
         self._file.flush()
         return os.fstat(self._file.fileno()).st_size // self.page_size
 
-    def _pread(self, page_id: int, nbytes: int) -> bytes:
-        """Up to ``nbytes`` from slot ``page_id`` on; an interrupted
-        syscall surfaces as :class:`TransientIOError`."""
+    def _read_raw(self, page_id: int) -> bytes:
+        """The raw image bytes of a slot (an interrupted syscall is a
+        :class:`TransientIOError`); typed errors, no decode."""
+        if page_id < 1:
+            raise PageMissingError("page ids start at 1", path=self.path,
+                                   page_id=page_id)
         try:
             self._file.seek(page_id * self.page_size)
-            return self._file.read(nbytes)
-        except TransientIOError:
-            raise
+            image = self._file.read(self.page_size)
         except OSError as exc:
             if exc.errno in _TRANSIENT_ERRNOS:
                 raise TransientIOError(
                     f"transient read failure: {exc}", path=self.path,
                     page_id=page_id) from exc
             raise
-
-    def _read_raw(self, page_id: int) -> bytes:
-        """The raw image bytes of a slot; typed errors, no decode."""
-        if page_id < 1:
-            raise PageMissingError("page ids start at 1", path=self.path,
-                                   page_id=page_id)
-        image = self._pread(page_id, self.page_size)
         if len(image) < self.page_size:
             raise PageMissingError("slot beyond end of file",
                                    path=self.path, page_id=page_id)
@@ -222,90 +214,15 @@ class FilePageFile:
         self.record_access(page_id, node.level)
         return node
 
-    def read_many(self, page_ids: Sequence[int]) -> List[Node]:
-        """Counted bulk read: ``[self.read(p) for p in page_ids]``.
-
-        Same counters, listener callbacks, and error behavior as that
-        loop — pages are counted in request order, and the first
-        failing page raises after the pages before it were counted —
-        but each distinct slot decodes once (duplicates share the Node)
-        and contiguous slot runs are fetched with a single pread (or
-        sliced straight off the mmap) with their CRC seals verified in
-        one stacked :func:`verify_images` pass.
-        """
-        page_ids = [int(p) for p in page_ids]
-        outcomes = self._fetch_many(sorted(set(page_ids)))
-        nodes: List[Node] = []
-        for pid in page_ids:
-            node = outcomes[pid]
-            if isinstance(node, Exception):
-                raise node
-            self.record_access(pid, node.level)
-            nodes.append(node)
-        return nodes
-
-    def _fetch_many(self, unique_ids: List[int]) -> Dict[int, Any]:
-        """Fetch + decode sorted unique slots; pid -> Node | error."""
-        outcomes: Dict[int, Any] = {}
-        valid: List[int] = []
-        for pid in unique_ids:
-            if pid < 1:
-                outcomes[pid] = PageMissingError(
-                    "page ids start at 1", path=self.path, page_id=pid)
-            else:
-                valid.append(pid)
-        if valid:
-            if self.mmap_mode:
-                self._ensure_map(valid[-1] + 1)
-                slots = self._map_slots
-            else:
-                slots = self._slot_count()
-            while valid and valid[-1] >= slots:
-                pid = valid.pop()
-                outcomes[pid] = PageMissingError(
-                    "slot beyond end of file", path=self.path, page_id=pid)
-        start = 0
-        for i in range(1, len(valid) + 1):
-            if i == len(valid) or valid[i] != valid[i - 1] + 1:
-                self._decode_run(valid[start:i], outcomes)
-                start = i
-        return outcomes
-
-    def _decode_run(self, run: List[int],
-                    outcomes: Dict[int, Any]) -> None:
-        """Decode one contiguous slot run into per-page outcomes."""
-        ps = self.page_size
-        if self.mmap_mode:
-            assert self._map is not None
-            images = np.frombuffer(self._map, dtype=np.uint8,
-                                   count=len(run) * ps,
-                                   offset=run[0] * ps).reshape(len(run), ps)
-        else:
-            data = call_with_retry(lambda: self._pread(run[0], len(run) * ps),
-                                   self.retry, sleep=self._sleep)
-            full = len(data) // ps
-            for pid in run[full:]:
-                outcomes[pid] = PageMissingError(
-                    "slot beyond end of file", path=self.path, page_id=pid)
-            run = run[:full]
-            if not run:
-                return
-            images = np.frombuffer(data, dtype=np.uint8,
-                                   count=full * ps).reshape(full, ps)
-        faults = verify_images(images)
-        for pid, image, fault in zip(run, images, faults):
-            if fault is not None:
-                outcomes[pid] = PageCorruptError(fault, path=self.path,
-                                                 page_id=pid)
-                continue
-            try:
-                outcomes[pid] = self.codec.decode_node(
-                    image, pid, path=self.path, verified=True)
-            except (PageMissingError, PageCorruptError) as exc:
-                outcomes[pid] = exc
+    def read_many(self, page_ids: Iterable[int]) -> List[Node]:
+        # kept by name only: the spine's trace_store wraps it
+        return [self.read(page_id) for page_id in page_ids]
 
     def record_access(self, page_id: int, level: int) -> None:
-        """Count a query access without physical I/O (batch engine)."""
+        """Count a query access without physical I/O: a
+        :class:`~repro.storage.wal.WALPageFile` or
+        :class:`~repro.storage.wal.SnapshotView` serving a node it holds
+        books the read here."""
         self.stats.record_read(level)
         for listener in self._listeners:
             listener(page_id, level)

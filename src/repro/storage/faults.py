@@ -228,17 +228,6 @@ class FaultyPageFile:
             raise PageCorruptError("injected bit flip", page_id=page_id)
         return self.inner.read(page_id)
 
-    def read_many(self, page_ids: Iterable[int]) -> List[Any]:
-        """Bulk read with per-page fault injection.
-
-        Deliberately *not* delegated to the inner store's bulk path:
-        each page goes through :meth:`read` in request order, so the
-        seeded fault sequence — and therefore every test built on it —
-        is identical whether a caller reads pages one at a time or in
-        a batch.
-        """
-        return [self.read(page_id) for page_id in page_ids]
-
     def record_access(self, page_id: int, level: int) -> None:
         self.inner.record_access(page_id, level)
 
@@ -269,10 +258,10 @@ class FaultyPageFile:
     def write_many(self, nodes: Iterable[Any]) -> None:
         """Batch write through the per-node fault path.
 
-        Like :meth:`read_many`, deliberately not delegated to the inner
-        store's bulk path: each node goes through :meth:`write` in
-        order, so the seeded fault sequence is identical whether a
-        caller writes pages one at a time or in a batch.
+        Deliberately not delegated to the inner store's bulk path: each
+        node goes through :meth:`write` in order, so the seeded fault
+        sequence is identical whether a caller writes pages one at a time
+        or in a batch.
         """
         for node in nodes:
             self.write(node)

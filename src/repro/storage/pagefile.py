@@ -1,9 +1,9 @@
 """Page files: node storage with access accounting.
 
-Every node read during query processing flows through a page file, which
-counts accesses per page and notifies registered listeners.  The amdb
-profiler (:mod:`repro.amdb.profiler`) is such a listener: it attributes
-each access to the query being executed.
+Every node read during query processing is one ``read`` of one page,
+which the page file counts and reports to registered listeners.  The
+amdb profiler (:mod:`repro.amdb.profiler`) is such a listener: it
+attributes each access to the query being executed.
 
 :class:`MemoryPageFile` keeps decoded node objects in memory — the page
 abstraction is about *accounting*, not about saving RAM — while
@@ -77,24 +77,18 @@ class MemoryPageFile:
         return node
 
     def record_access(self, page_id: int, level: int) -> None:
-        """Count a query access without re-fetching the node.
-
-        The batch query engine decodes each page once per query block
-        but must account one logical read per query that visits it, so
-        repeat visitors book their access here — same counters, same
-        listener notifications as :meth:`read`, no fetch.
+        """Count a query access without fetching the node: a
+        :class:`~repro.storage.wal.WALPageFile` or
+        :class:`~repro.storage.wal.SnapshotView` serving a node it holds
+        books the read here — same counters, same listener
+        notifications as :meth:`read`.
         """
         self.stats.record_read(level)
         for listener in self._listeners:
             listener(page_id, level)
 
     def read_many(self, page_ids: Iterable[int]) -> List[Any]:
-        """Counted bulk read: ``[self.read(p) for p in page_ids]``.
-
-        In-memory nodes need no gathering or decode, so this *is* the
-        sequential loop — it exists so every store answers the same
-        bulk-read protocol with identical counting semantics.
-        """
+        # kept by name only: the spine's trace_store wraps it
         return [self.read(page_id) for page_id in page_ids]
 
     def peek(self, page_id: int) -> Any:

@@ -2,15 +2,16 @@
 
 ``tests/gist/oracle.py`` holds the point-in-heap best-first search the
 package used to ship.  Every spelling of the kernel in
-:mod:`repro.gist.nn` — ``tree.knn``, ``knn_search_batch`` at any node-
-table cap, and a prefix of ``tree.nn_cursor`` — must return its result
-lists (distances, rids, tie order) and book its counted accesses in the
-same per-query order: the amdb loss metrics consume the traces, so
-"approximately the same" would silently change every downstream
-number.  These tests hold it to that across the AMs the paper compares,
-including the lazily refined JB/XJB family whose bite-aware bounds go
-through the vectorized screen, in strict and quarantine mode, on eager
-and block-decoded nodes, on exact and quantized leaves.
+:mod:`repro.gist.nn` — ``tree.knn``, ``knn_search_batch`` on a bare
+store or behind a pool of any size, and a prefix of ``tree.nn_cursor``
+— must return its result lists (distances, rids, tie order) and book
+its counted accesses in the same per-query order: the amdb loss
+metrics consume the traces, so "approximately the same" would
+silently change every downstream number.  These tests hold it to that
+across the AMs the paper compares, including the lazily refined JB/XJB
+family whose bite-aware bounds go through the vectorized screen, in
+strict and quarantine mode, on eager and block-decoded nodes, on exact
+and quantized leaves.
 """
 
 from itertools import islice
@@ -20,8 +21,7 @@ import pytest
 
 from repro.bulk import bulk_load
 from repro.gist import GiST, knn_search_batch
-from repro.gist import batch as batch_mod
-from repro.storage import FilePageFile
+from repro.storage import BufferPool, FilePageFile
 from repro.storage.faults import FaultyPageFile
 
 from tests.conftest import make_ext
@@ -59,9 +59,17 @@ def queries(clustered_points):
     return np.concatenate([foci, strays])
 
 
+def _cold(tree):
+    """Empty a pooled tree's frames, so that every spelling meets the
+    same pool states and hears the same misses."""
+    if isinstance(tree.store, BufferPool):
+        tree.store.clear()
+
+
 def _traces(tree, queries, search):
     """Per query: ``search(q)``'s results and its counted ``(page_id,
-    level)`` accesses in order."""
+    level)`` accesses in order (behind a pool, the misses)."""
+    _cold(tree)
     return [traced(tree, lambda: search(q)) for q in queries]
 
 
@@ -83,6 +91,7 @@ def assert_batch_matches(tree, queries, k, want):
     store's listeners hear the oracle's per-query access lists
     concatenated in query order (a listener has no query id to split
     them by)."""
+    _cold(tree)
     results, seen = traced(
         tree, lambda: knn_search_batch(tree, queries, k))
     assert results == [res for res, _ in want]
@@ -90,15 +99,20 @@ def assert_batch_matches(tree, queries, k, want):
 
 
 @pytest.fixture(params=[1, 7, None])
-def block_size(request, monkeypatch):
-    """The node-table cap: two small values and the shipped constant."""
-    if request.param is not None:
-        monkeypatch.setattr(batch_mod, "DEFAULT_BLOCK_SIZE", request.param)
-    return request.param
+def frames(request, tree):
+    """The one cache a block's queries share: a BufferPool of 1 or 7
+    frames in front of the tree's store, or none (the bare store)."""
+    if request.param is None:
+        yield None
+        return
+    bare = tree.store
+    tree.store = BufferPool(bare, request.param)
+    yield request.param
+    tree.store = bare
 
 
 class TestResultParity:
-    def test_bit_identical_results(self, tree, queries, block_size):
+    def test_bit_identical_results(self, tree, queries, frames):
         expected = [oracle_knn(tree, q, 10) for q in queries]
         # floats, rids, and tie order, exactly
         assert knn_search_batch(tree, queries, 10) == expected
@@ -135,8 +149,7 @@ class TestResultParity:
 
 
 class TestAccessParity:
-    def test_per_query_access_lists_match(self, tree, queries,
-                                          block_size):
+    def test_per_query_access_lists_match(self, tree, queries, frames):
         """Every query books the oracle's counted reads, in the oracle's
         order — the amdb loss metrics depend on this."""
         want = oracle_traces(tree, queries, 10)
@@ -166,7 +179,7 @@ class TestAccessParity:
 class TestQuarantineParity:
     def test_degraded_results_match_sequential(self, tmp_path,
                                                clustered_points,
-                                               queries, monkeypatch):
+                                               queries):
         """Same page corrupted in identical trees: the kernel prunes the
         subtree the oracle prunes and returns the same degraded answers,
         with the same uncounted skip for repeat visitors."""
@@ -184,7 +197,6 @@ class TestQuarantineParity:
 
             expected = [oracle_knn(ref, q, 10) for q in queries]
             assert [knn_tree.knn(q, 10) for q in queries] == expected
-            monkeypatch.setattr(batch_mod, "DEFAULT_BLOCK_SIZE", 7)
             assert knn_search_batch(batch_tree, queries, 10) == expected
             assert [list(islice(cursor_tree.nn_cursor(q), 10))
                     for q in queries] == expected

@@ -13,14 +13,12 @@ canonical top k.
 import tempfile
 from itertools import islice
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bulk import bulk_load
-from repro.gist import batch as batch_mod
 from repro.gist import knn_search_batch
 from repro.storage.codecs import IndexEntryCodec
 from repro.storage.page import page_payload
@@ -83,10 +81,7 @@ def test_kernel_matches_oracle(case):
         # books the oracle's per-query lists back to back
         want_block = ([hits for hits, _ in want],
                       [access for _, seen in want for access in seen])
-        for block_size in (1, 7):
-            with mock.patch.object(batch_mod, "DEFAULT_BLOCK_SIZE",
-                                   block_size):
-                assert traced(tree, lambda: knn_search_batch(
-                    tree, queries, k)) == want_block
+        assert traced(tree, lambda: knn_search_batch(
+            tree, queries, k)) == want_block
         if codec != "f64":
             tree.store.close()

@@ -105,8 +105,21 @@ class TestPlanChoice:
         cold = make_planner(StubTree(store=object()))
         assert cold.residency() == 0.0
         assert cold.tree_ms(1, 50) > resident.tree_ms(1, 50)
-        # a block reads each page once, so misses stop growing with Q
-        assert cold.tree_ms(128, 50) / 128 < cold.tree_ms(1, 50)
+        # a bare store keeps nothing decoded: every visit of every query
+        # misses, so the per-query price does not fall with Q
+        for q in QS:
+            assert cold.tree_ms(q, 50) / q == pytest.approx(
+                cold.tree_ms(1, 50))
+
+    def test_a_pool_shares_misses_across_the_block(self):
+        # 10 frames for 105 pages: the block's queries share the frames,
+        # so only the distinct pages it touches miss
+        pooled = make_planner(StubTree(store=BufferPool(MemoryPageFile(),
+                                                        10)))
+        assert 0.0 < pooled.residency() < 1.0
+        per_query = [pooled.tree_ms(q, 50) / q for q in QS]
+        assert per_query == sorted(per_query, reverse=True)
+        assert per_query[-1] < per_query[0]
 
     def test_plans_are_pure_functions_of_census_and_store(self):
         planner = make_planner(StubTree())

@@ -85,6 +85,28 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", [["index", "a", "b"],
+                                         ["analyze", "a"], ["serve", "a"]])
+    def test_page_size_is_capped_at_crc32s_hd4_word(self, command,
+                                                    capsys):
+        """A WAL record, its header plus one page, must fit the data
+        word in which CRC-32 catches every 3-bit error."""
+        from repro.storage.wal import CRC32_HD4_BITS, MAX_PAGE_SIZE
+
+        parser = build_parser()
+        assert MAX_PAGE_SIZE == 11_410
+        ok = parser.parse_args(command + ["--page-size", "8192"])
+        assert ok.page_size == 8192
+        ok = parser.parse_args(command + ["--page-size", str(MAX_PAGE_SIZE)])
+        assert ok.page_size == MAX_PAGE_SIZE
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(command + ["--page-size",
+                                         str(MAX_PAGE_SIZE + 1)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{MAX_PAGE_SIZE + 1} bytes" in err
+        assert f"{CRC32_HD4_BITS:,}-bit HD-4" in err
+
 
 class TestStructuredOutput:
     def test_analyze_json(self, corpus_file, capsys):

@@ -127,27 +127,32 @@ MUTATIONS = [
      "gaps - radii - slack(len(q)) * (gaps + radii)", "gaps - radii",
      "tests/ams/test_srtree.py::TestDistances::"
      "test_a_key_on_a_sphere_surface_keeps_its_rank"),
-    # the batched seal check takes every page for the current epoch,
-    # so an epoch-1 page fails on its CRC instead of by name.
+    # the stacked seal check load_tree runs takes every page for the
+    # current epoch, so an epoch-1 page fails on its CRC, not by name.
     ("src/repro/storage/integrity.py",
      "return [_fault(row, stored, epoch)",
      "return [_fault(row, stored, FORMAT_EPOCH)",
      "tests/storage/test_epoch1_refused.py::"
-     "test_page_file_refuses_epoch1_pages"),
+     "test_load_tree_refuses_an_epoch1_index"),
     # the log keeps the version whose records were sealed with CRC32C:
     # recovery reads every such record as a torn tail and truncates it.
     ("src/repro/storage/wal.py",
      "_WAL_VERSION = 2\n", "_WAL_VERSION = 1\n",
      "tests/storage/test_epoch1_refused.py::"
      "test_mutable_open_refuses_a_v1_log_and_changes_no_byte"),
-    # a page file's read_many demands an argument the protocol never
-    # passes.
+    # a page file's peek demands an argument the protocol never passes.
     ("src/repro/storage/diskfile.py",
-     "def read_many(self, page_ids: Sequence[int]) -> List[Node]:",
-     "def read_many(self, page_ids: Sequence[int],\n"
-     "                  limit: int) -> List[Node]:",
+     "def peek(self, page_id: int) -> Node:",
+     "def peek(self, page_id: int, limit: int) -> Node:",
      "tests/conventions/test_conventions.py::"
      "test_page_files_match_the_protocol"),
+    # the planner prices a bare store's misses as the distinct pages a
+    # block touches, as if a cache shared them across its queries.
+    ("src/repro/gist/planner.py",
+     "            return num_queries * sum(visits)\n",
+     "            return self._distinct_reads(num_queries, visits)\n",
+     "tests/gist/test_planner.py::TestPlanChoice::"
+     "test_misses_cost_more_than_hits"),
 ]
 
 

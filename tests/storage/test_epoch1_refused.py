@@ -59,10 +59,19 @@ def test_the_forger_seals_with_crc32c():
 
 
 def test_load_tree_refuses_an_epoch1_index(index):
+    current = _read(index)
     forge_index(index)
     with pytest.raises(PageCorruptError, match=EPOCH1) as excinfo:
         load_tree(path=index)
     assert index in str(excinfo.value)
+    # Under a current superblock, the epoch-1 pages meet load_tree's
+    # stacked seal check, which names their epoch too.
+    forged = _read(index)
+    with open(index, "wb") as f:
+        f.write(current[:PAGE] + forged[PAGE:])
+    with pytest.raises(PageCorruptError, match=EPOCH1) as excinfo:
+        load_tree(path=index)
+    assert "page 1" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("mmap_mode", [False, True], ids=["pread", "mmap"])
@@ -73,8 +82,6 @@ def test_page_file_refuses_epoch1_pages(index, mmap_mode):
                                     mmap_mode=mmap_mode) as store:
         with pytest.raises(PageCorruptError, match=EPOCH1):
             store.read(1)
-        with pytest.raises(PageCorruptError, match=EPOCH1):
-            store.read_many([1, 2])
 
 
 def test_mutable_open_refuses_a_v1_log_and_changes_no_byte(index):
@@ -85,11 +92,11 @@ def test_mutable_open_refuses_a_v1_log_and_changes_no_byte(index):
     assert (_read(index), _read(wal)) == before
 
 
-def test_recover_refuses_a_v1_log_and_changes_no_byte(index):
+def test_recover_refuses_a_v1_log_and_changes_no_byte(index, capsys):
     wal, before = _v1_log(index)
-    with pytest.raises(PageCorruptError,
-                       match="unsupported WAL version 1"):
-        main(["recover", index])
+    assert main(["recover", index]) == 1
+    out = capsys.readouterr().out
+    assert "recovery refused" in out and "unsupported WAL version 1" in out
     assert (_read(index), _read(wal)) == before
 
 

@@ -22,6 +22,7 @@ from repro.storage.errors import PageCorruptError
 from repro.storage.integrity import (CHECKSUM_OFFSET, FORMAT_EPOCH, crc32,
                                      page_crc, seal_image, seal_images,
                                      verify_image, verify_images)
+from repro.storage.wal import CRC32_HD4_BITS, MAX_PAGE_SIZE
 
 from tests.storage.epoch1 import epoch1_page
 
@@ -192,9 +193,11 @@ def test_pages_and_wal_records_sit_in_crc32s_hd4_range():
     here): a default 8 KB page, and a WAL record carrying one, fit
     inside it."""
     limit = _hd4_data_bits(0x04C11DB7, 100_000)
-    assert limit == 91_607
+    assert limit == 91_607 == CRC32_HD4_BITS
     record = (40 + DEFAULT_PAGE_SIZE) * 8
     assert DEFAULT_PAGE_SIZE * 8 < record <= limit
+    # the largest page --page-size takes is the largest that fits
+    assert (40 + MAX_PAGE_SIZE) * 8 <= limit < (40 + MAX_PAGE_SIZE + 1) * 8
 
 
 class TestCrc32cMany:

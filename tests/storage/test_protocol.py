@@ -6,7 +6,8 @@ import pytest
 from repro.ams import RTreeExtension
 from repro.gist.node import Node
 from repro.storage import (BufferPool, FilePageFile, MemoryPageFile,
-                           PageFileProtocol, PageMissingError)
+                           PageFileProtocol, PageMissingError,
+                           SnapshotView, WALPageFile)
 from repro.storage.faults import FaultyPageFile
 
 
@@ -61,3 +62,18 @@ class TestProtocol:
             store.read(a)
             store.peek(a)                 # uncounted: no event
         assert len(events) == len(_stores(tmp_path))
+
+
+class TestReadMany:
+    """No query path reads pages in bulk, so ``read_many`` is no part of
+    the protocol.  Three stores keep the name, as the loop over
+    ``read``, because the benchmark's tracer wraps it on them; their
+    tests in test_mmap_diskfile.py and test_buffer.py hold it to the
+    loop's nodes, counters, listener events and errors."""
+
+    def test_only_the_traced_stores_keep_it(self):
+        assert "read_many" not in vars(PageFileProtocol)
+        for cls in (MemoryPageFile, FilePageFile, BufferPool):
+            assert "read_many" in vars(cls), cls.__name__
+        for cls in (FaultyPageFile, WALPageFile, SnapshotView):
+            assert not hasattr(cls, "read_many"), cls.__name__
