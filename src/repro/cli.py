@@ -419,8 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--codec", default="f64", choices=["f64", "sq8"],
                    help="leaf-page codec the trial indexes use (sq8 "
-                        "trials keep the durability checks, skip the "
-                        "bit-exact shadow k-NN)")
+                        "trials attach the original keys as exact, so "
+                        "they make the same durability checks and "
+                        "bit-exact shadow k-NN as f64)")
     p.add_argument("--workdir", default=None,
                    help="directory for trial files (default: a temp dir)")
     p.add_argument("--json", metavar="PATH", default=None,

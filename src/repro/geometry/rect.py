@@ -7,7 +7,7 @@ coordinates are ``float64``; rectangles are closed boxes ``[lo, hi]``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -155,13 +155,6 @@ class Rect:
 
     def __repr__(self) -> str:
         return f"Rect(lo={self.lo.tolist()}, hi={self.hi.tolist()})"
-
-
-def stack_rects(rects: Sequence[Rect]):
-    """Stack rect bounds into ``(n, dim)`` ``lo`` / ``hi`` arrays."""
-    lo = np.stack([r.lo for r in rects])
-    hi = np.stack([r.hi for r in rects])
-    return lo, hi
 
 
 def rects_contain_point(point, lo: np.ndarray,

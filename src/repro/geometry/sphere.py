@@ -7,7 +7,7 @@ stores a sphere *and* an MBR and searches their intersection.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class Sphere:
         gap = float(np.linalg.norm(other.center - self.center))
         return gap + other.radius <= self.radius * (1 + 1e-12) + 1e-12
 
-    def intersects_sphere(self, other: "Sphere") -> bool:
-        gap = float(np.linalg.norm(other.center - self.center))
-        return gap <= self.radius + other.radius
-
     # -- distances ----------------------------------------------------------
 
     def min_dist(self, p) -> float:
@@ -129,10 +125,3 @@ class Sphere:
 
     def __repr__(self) -> str:
         return f"Sphere(center={self.center.tolist()}, radius={self.radius})"
-
-
-def stack_spheres(spheres: Sequence[Sphere]):
-    """Stack sphere parameters into ``(n, dim)`` centers and ``(n,)`` radii."""
-    centers = np.stack([s.center for s in spheres])
-    radii = np.array([s.radius for s in spheres])
-    return centers, radii

@@ -19,9 +19,10 @@ MBR growth, SS/SR-tree sphere unions, aMAP lesser-growth rectangle
 widening, and JB/XJB bite invalidation (a key landing inside a carved
 bite un-carves it).
 
-Reads during mutation: :meth:`MutableTree.snapshot` pins a
-copy-on-write view at the last committed LSN, so a concurrent query
-batch never observes a half-applied transaction.
+Reads between mutations: commit is synchronous, so a query on
+``mt.tree`` reads the last committed state.  There is no read view
+pinned across a mutation: an ``nn_cursor`` held while the tree mutates
+is not supported.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class MutableTree:
         page_size = header["page_size"]
         base = FilePageFile.for_extension(path, extension, page_size,
                                           leaf_codec=header["leaf_codec"])
-        base.rebuild_slot_state()
         store: Any = base
         if buffer_pages:
             store = BufferPool(base, buffer_pages)
@@ -182,25 +182,7 @@ class MutableTree:
             cache.invalidate()
         return result
 
-    # -- reads ---------------------------------------------------------------
-
-    def snapshot(self) -> GiST:
-        """A read-only tree pinned to the current committed state.
-
-        The returned tree's store is a
-        :class:`~repro.storage.wal.SnapshotView`: close it
-        (``snap.store.close()``) when done so the owner stops stashing
-        copy-on-write pre-images for it.
-        """
-        view = self.wpf.snapshot()
-        snap = GiST(self.tree.ext, store=view,
-                    page_size=self.tree.page_size,
-                    leaf_codec=self.tree.leaf_codec)
-        snap.root_id = self.tree.root_id
-        snap.height = self.tree.height
-        snap.size = self.tree.size
-        snap.exact = self.tree.exact
-        return snap
+    # -- caches --------------------------------------------------------------
 
     def attach_cache(self, cache: Any) -> None:
         """Invalidate ``cache`` whenever a mutation commits."""

@@ -32,9 +32,9 @@ from repro.storage.integrity import FORMAT_EPOCH
 from repro.storage.retry import RetryPolicy, call_with_retry
 from repro.storage.faults import (CrashError, CrashInjector, CrashPoint,
                                   FaultLog, FaultPolicy, FaultyPageFile)
-from repro.storage.wal import (RecoveryReport, SnapshotView, WALPageFile,
-                               WALScan, WriteAheadLog, default_wal_path,
-                               recover, scan_wal)
+from repro.storage.wal import (RecoveryReport, WALPageFile, WALScan,
+                               WriteAheadLog, default_wal_path, recover,
+                               scan_wal)
 
 
 @runtime_checkable
@@ -53,7 +53,6 @@ class PageFileProtocol(Protocol):
 
     # node access
     def read(self, page_id: int) -> Any: ...
-    def record_access(self, page_id: int, level: int) -> None: ...
     def peek(self, page_id: int) -> Any: ...
     def write(self, node: Any) -> None: ...
     def write_many(self, nodes: Iterable[Any]) -> None: ...
@@ -99,7 +98,6 @@ __all__ = [
     "WriteAheadLog",
     "WALPageFile",
     "WALScan",
-    "SnapshotView",
     "RecoveryReport",
     "default_wal_path",
     "recover",

@@ -75,14 +75,11 @@ class BufferPool:
         # reflecting only successful accesses.
         node = call_with_retry(lambda: self.pagefile.read(page_id),
                                self.retry, sleep=self._sleep)
-        self._book_miss(node.level)
+        self.stats.misses += 1
+        self.stats.misses_by_level[node.level] = \
+            self.stats.misses_by_level.get(node.level, 0) + 1
         self._install(page_id, node)
         return node
-
-    def _book_miss(self, level: int) -> None:
-        self.stats.misses += 1
-        self.stats.misses_by_level[level] = \
-            self.stats.misses_by_level.get(level, 0) + 1
 
     def _install(self, page_id: int, node: Any) -> None:
         """Frame ``node``, evicting the least recently used frame when
@@ -95,23 +92,6 @@ class BufferPool:
     def read_many(self, page_ids: Iterable[int]) -> List[Any]:
         # kept by name only: the spine's trace_store wraps it
         return [self.read(page_id) for page_id in page_ids]
-
-    def record_access(self, page_id: int, level: int) -> None:
-        """Count an access to a node the caller already holds.
-
-        A :class:`~repro.storage.wal.WALPageFile` serving a staged node,
-        or a :class:`~repro.storage.wal.SnapshotView` serving a pinned
-        pre-image, books the read here without fetching.  A resident
-        page books a hit and refreshes its LRU position, as :meth:`read`
-        would.  A page the pool does not hold books a miss and counts as
-        traffic on the underlying page file, never a phantom hit.
-        """
-        if page_id in self._frames:
-            self._frames.move_to_end(page_id)
-            self.stats.hits += 1
-            return
-        self._book_miss(level)
-        self.pagefile.record_access(page_id, level)
 
     def resize(self, capacity_pages: int) -> None:
         """Change the frame budget in place, evicting LRU pages if it

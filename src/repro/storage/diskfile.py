@@ -211,21 +211,14 @@ class FilePageFile:
     def read(self, page_id: int) -> Node:
         node = call_with_retry(lambda: self._read_image(page_id),
                                self.retry, sleep=self._sleep)
-        self.record_access(page_id, node.level)
+        self.stats.record_read(node.level)
+        for listener in self._listeners:
+            listener(page_id, node.level)
         return node
 
     def read_many(self, page_ids: Iterable[int]) -> List[Node]:
         # kept by name only: the spine's trace_store wraps it
         return [self.read(page_id) for page_id in page_ids]
-
-    def record_access(self, page_id: int, level: int) -> None:
-        """Count a query access without physical I/O: a
-        :class:`~repro.storage.wal.WALPageFile` or
-        :class:`~repro.storage.wal.SnapshotView` serving a node it holds
-        books the read here."""
-        self.stats.record_read(level)
-        for listener in self._listeners:
-            listener(page_id, level)
 
     def peek(self, page_id: int) -> Node:
         return call_with_retry(lambda: self._read_image(page_id),

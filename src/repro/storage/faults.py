@@ -228,9 +228,6 @@ class FaultyPageFile:
             raise PageCorruptError("injected bit flip", page_id=page_id)
         return self.inner.read(page_id)
 
-    def record_access(self, page_id: int, level: int) -> None:
-        self.inner.record_access(page_id, level)
-
     def peek(self, page_id: int) -> Any:
         return self.inner.peek(page_id)
 

@@ -73,19 +73,10 @@ class MemoryPageFile:
     def read(self, page_id: int) -> Any:
         """Fetch a node, counting the access (query work)."""
         node = self._get(page_id)
-        self.record_access(page_id, node.level)
-        return node
-
-    def record_access(self, page_id: int, level: int) -> None:
-        """Count a query access without fetching the node: a
-        :class:`~repro.storage.wal.WALPageFile` or
-        :class:`~repro.storage.wal.SnapshotView` serving a node it holds
-        books the read here — same counters, same listener
-        notifications as :meth:`read`.
-        """
-        self.stats.record_read(level)
+        self.stats.record_read(node.level)
         for listener in self._listeners:
-            listener(page_id, level)
+            listener(page_id, node.level)
+        return node
 
     def read_many(self, page_ids: Iterable[int]) -> List[Any]:
         # kept by name only: the spine's trace_store wraps it

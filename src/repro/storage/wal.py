@@ -18,10 +18,9 @@ inconsistent.  This module makes mutation atomic and durable:
   transaction overlay: ``begin()``, tree mutation, then ``commit()``
   encodes the staged nodes once, logs them, fsyncs, and only then
   applies the images to the data file (invalidating buffer-pool frames
-  as it goes).  Reads during a transaction see the overlay; snapshots
-  (:meth:`WALPageFile.snapshot`) see copy-on-write page versions pinned
-  to the last committed LSN, so concurrent query batches never observe
-  a half-applied transaction.
+  as it goes).  Reads during a transaction see the overlay.  Commit is
+  synchronous, so a query run between two mutations reads the last
+  committed state; there is no read view pinned across a mutation.
 
 - :func:`recover` — redo recovery: scan the log, truncate any torn
   tail (a record whose seal fails, mid-write casualty of the crash),
@@ -368,70 +367,6 @@ def recover(path: str, wal_path: Optional[str] = None,
 _FREED = None
 
 
-class SnapshotView:
-    """A read-only page store pinned to a committed LSN.
-
-    Created by :meth:`WALPageFile.snapshot`.  Reads fall through to the
-    live store except for pages the owner has since overwritten or
-    freed, whose pre-images were stashed here copy-on-write at apply
-    time.  A query (or a whole ``knn_search_batch``) running against a
-    snapshot therefore never observes a half-applied — or any later —
-    transaction.  Call :meth:`close` to stop copy-on-write stashing.
-    """
-
-    def __init__(self, owner: "WALPageFile", lsn: int) -> None:
-        self._owner: Optional[WALPageFile] = owner
-        self._store = owner.store
-        #: page id -> pre-image Node pinned at snapshot time.
-        self.versions: Dict[int, Any] = {}
-        #: the recovery LSN this view is pinned to.
-        self.lsn = lsn
-
-    def read(self, page_id: int) -> Any:
-        node = self.versions.get(page_id)
-        if node is not None:
-            self._store.record_access(page_id, node.level)
-            return node
-        return self._store.read(page_id)
-
-    def record_access(self, page_id: int, level: int) -> None:
-        self._store.record_access(page_id, level)
-
-    def peek(self, page_id: int) -> Any:
-        node = self.versions.get(page_id)
-        if node is not None:
-            return node
-        return self._store.peek(page_id)
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self.versions or page_id in self._store
-
-    @property
-    def stats(self) -> Any:
-        return self._store.stats
-
-    def add_listener(self, listener: AccessListener) -> None:
-        self._store.add_listener(listener)
-
-    def remove_listener(self, listener: AccessListener) -> None:
-        self._store.remove_listener(listener)
-
-    def flush(self) -> None:
-        """No-op: snapshots never write."""
-
-    def close(self) -> None:
-        """Release the snapshot: the owner stops stashing pre-images."""
-        if self._owner is not None:
-            self._owner._release_snapshot(self)
-            self._owner = None
-
-    def __enter__(self) -> "SnapshotView":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
 class WALPageFile:
     """Log-then-apply transactions over a buffered disk page store.
 
@@ -463,10 +398,10 @@ class WALPageFile:
         self._in_txn = False
         self._staged: Dict[int, Any] = {}
         self._next_txn = 1
-        self._snapshots: List[SnapshotView] = []
         self._broken = False
-        #: live page ids (maintained across commits; seeded from disk).
-        self._live: Set[int] = set(store.page_ids())
+        #: live page ids (maintained across commits), seeded by the one
+        #: slot-header scan that also rebuilds the level map and free list.
+        self._live: Set[int] = set(self.base.rebuild_slot_state()[0])
 
     # -- transactions --------------------------------------------------------
 
@@ -479,10 +414,6 @@ class WALPageFile:
             raise ValueError("transaction already in progress")
         self._in_txn = True
         self._staged = {}
-
-    @property
-    def in_transaction(self) -> bool:
-        return self._in_txn
 
     def dirty(self) -> bool:
         """Whether the open transaction staged any page changes."""
@@ -567,16 +498,13 @@ class WALPageFile:
                       meta_image: Optional[bytes]) -> None:
         """Redo phase of commit: install logged images in the data file.
 
-        Pre-images of overwritten/freed pages are stashed into live
-        snapshots first (copy-on-write), buffer-pool frames are
-        invalidated per page, and the data file is fsynced at the end —
-        a crash mid-apply is repaired by replaying the log.
+        Buffer-pool frames are invalidated per page and the data file
+        is fsynced at the end — a crash mid-apply is repaired by
+        replaying the log.
         """
         base = self.base
         invalidate = getattr(self.store, "invalidate", None)
         for pid, image, node in pages:
-            if self._snapshots:
-                self._stash_preimage(pid)
             if self.injector is not None:
                 self.injector.check(
                     "mid-apply",
@@ -608,32 +536,6 @@ class WALPageFile:
         os.fsync(self.base._file.fileno())
         self.wal.reset()
 
-    # -- snapshots -----------------------------------------------------------
-
-    def snapshot(self) -> SnapshotView:
-        """A read view pinned to the current committed state."""
-        if self._in_txn:
-            raise ValueError("cannot snapshot mid-transaction")
-        view = SnapshotView(self, self.wal.last_lsn)
-        self._snapshots.append(view)
-        return view
-
-    def _release_snapshot(self, view: SnapshotView) -> None:
-        if view in self._snapshots:
-            self._snapshots.remove(view)
-
-    def _stash_preimage(self, page_id: int) -> None:
-        """Copy-on-write: pin the current version of a page into every
-        live snapshot that does not hold one yet."""
-        if all(page_id in snap.versions for snap in self._snapshots):
-            return
-        try:
-            old = self.store.peek(page_id)
-        except StorageError:
-            return  # page never existed: nothing to preserve
-        for snap in self._snapshots:
-            snap.versions.setdefault(page_id, old)
-
     # -- page-file protocol --------------------------------------------------
 
     def allocate(self) -> int:
@@ -643,28 +545,29 @@ class WALPageFile:
         self.store.reserve(up_to)
 
     def read(self, page_id: int) -> Any:
-        if self._in_txn and page_id in self._staged:
-            node = self._staged[page_id]
-            if node is _FREED:
-                raise PageMissingError("page freed in open transaction",
-                                       path=self.base.path,
-                                       page_id=page_id)
-            self.store.record_access(page_id, node.level)
-            return node
-        return self.store.read(page_id)
+        """A counted read of the committed page.
 
-    def record_access(self, page_id: int, level: int) -> None:
-        self.store.record_access(page_id, level)
+        Inside an open transaction a staged node is returned as is,
+        uncounted: it was never read from a page, and no query reads
+        mid-transaction — :class:`~repro.gist.mutable.MutableTree`'s
+        insert and delete descend through the uncounted
+        :meth:`~repro.gist.tree.GiST._peek`.
+        """
+        if self._in_txn and page_id in self._staged:
+            return self._staged_node(page_id)
+        return self.store.read(page_id)
 
     def peek(self, page_id: int) -> Any:
         if self._in_txn and page_id in self._staged:
-            node = self._staged[page_id]
-            if node is _FREED:
-                raise PageMissingError("page freed in open transaction",
-                                       path=self.base.path,
-                                       page_id=page_id)
-            return node
+            return self._staged_node(page_id)
         return self.store.peek(page_id)
+
+    def _staged_node(self, page_id: int) -> Any:
+        node = self._staged[page_id]
+        if node is _FREED:
+            raise PageMissingError("page freed in open transaction",
+                                   path=self.base.path, page_id=page_id)
+        return node
 
     def write(self, node: Any) -> None:
         if self._in_txn:

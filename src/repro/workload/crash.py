@@ -261,12 +261,16 @@ def run_crash_trials(methods: Sequence[str] = DEFAULT_METHODS,
                      trials: int = 60, seed: int = 0,
                      workdir: Optional[str] = None,
                      **options: Any) -> CrashReport:
-    """``trials`` randomized trials round-robined over ``methods``."""
+    """``trials`` randomized trials round-robined over ``methods``.
+
+    A ``workdir`` that does not exist yet is created and left in place.
+    """
     report = CrashReport()
     own_dir = workdir is None
     if own_dir:
         workdir = tempfile.mkdtemp(prefix="repro-crash-")
     assert workdir is not None
+    os.makedirs(workdir, exist_ok=True)
     try:
         for i in range(trials):
             method = methods[i % len(methods)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.geometry import Rect
-from repro.geometry.rect import min_dists_to_rects, stack_rects
+from repro.geometry.rect import min_dists_to_rects
 
 
 def finite_floats(lo=-1e6, hi=1e6):
@@ -120,7 +120,8 @@ class TestVectorized:
         rects = [Rect.from_points(rng.normal(size=(4, 3)))
                  for _ in range(20)]
         q = rng.normal(size=3)
-        lo, hi = stack_rects(rects)
+        lo = np.stack([r.lo for r in rects])
+        hi = np.stack([r.hi for r in rects])
         batch = min_dists_to_rects(q, lo, hi)
         scalar = np.array([r.min_dist(q) for r in rects])
         assert np.allclose(batch, scalar)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.geometry.rect import min_dists_to_rects, stack_rects
+from repro.geometry.rect import min_dists_to_rects
 
 
 class TestDegenerate:
@@ -79,7 +79,8 @@ class TestBatchedHelpers:
         rng = np.random.default_rng(1)
         rects = [Rect.from_points(rng.normal(size=(3, 4)))
                  for _ in range(30)]
-        lo, hi = stack_rects(rects)
+        lo = np.stack([r.lo for r in rects])
+        hi = np.stack([r.hi for r in rects])
         assert lo.shape == (30, 4)
         for q in rng.normal(size=(3, 4)):
             batch = min_dists_to_rects(q, lo, hi)

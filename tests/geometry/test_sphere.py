@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.ams.sstree import sphere_bounds
 from repro.geometry import Sphere
-from repro.geometry.sphere import stack_spheres
 
 
 def finite_floats():
@@ -66,10 +65,6 @@ class TestGeometry:
         s = Sphere([0.0, 0.0], 1.0)
         assert s.max_dist([3.0, 0.0]) == pytest.approx(4.0)
 
-    def test_intersects(self):
-        assert Sphere([0.0], 1.0).intersects_sphere(Sphere([2.0], 1.0))
-        assert not Sphere([0.0], 0.9).intersects_sphere(Sphere([2.0], 1.0))
-
     def test_volume_matches_known_values(self):
         assert Sphere([0.0, 0.0], 1.0).volume() == pytest.approx(np.pi)
         assert Sphere([0.0] * 3, 1.0).volume() == pytest.approx(4 * np.pi / 3)
@@ -82,7 +77,8 @@ class TestVectorized:
         spheres = [Sphere(rng.normal(size=3), abs(rng.normal()))
                    for _ in range(20)]
         q = rng.normal(size=3)
-        centers, radii = stack_spheres(spheres)
+        centers = np.stack([s.center for s in spheres])
+        radii = np.array([s.radius for s in spheres])
         batch = sphere_bounds(q, centers, radii)
         scalar = np.array([s.min_dist(q) for s in spheres])
         assert np.allclose(batch, scalar)

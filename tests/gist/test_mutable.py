@@ -1,4 +1,4 @@
-"""Online mutation: durable insert/delete parity, snapshots, caches.
+"""Online mutation: durable insert/delete parity, recovery, caches.
 
 The contract under test: a saved index reopened as a
 :class:`~repro.gist.mutable.MutableTree` supports insert/delete whose
@@ -148,51 +148,6 @@ class TestStaleLog:
             assert mt.recovery.transactions_applied == 0
             assert mt.tree.size == 0
         assert load_tree(path=path).size == 0
-
-
-class TestSnapshotIsolation:
-    def test_snapshot_pins_committed_state(self, tmp_path):
-        path, pts = _saved(tmp_path, "rtree", n=150)
-        queries = _points(4, 17)
-        with MutableTree.open(path) as mt:
-            before = _knn(mt.tree, queries, 8)
-            snap = mt.snapshot()
-            try:
-                for j, p in enumerate(_points(80, 23)):
-                    mt.insert(p, 500 + j)
-                for i in range(0, 40):
-                    mt.delete(pts[i], i)
-                # The live tree moved on; the snapshot did not.
-                assert _knn(mt.tree, queries, 8) != before
-                assert _knn(snap, queries, 8) == before
-                assert snap.size == 150
-            finally:
-                snap.store.close()
-
-    def test_sq8_snapshot_keeps_the_attached_keys(self, tmp_path):
-        """A snapshot of a quantized tree ranks its leaves by the keys
-        the tree was opened with, so it answers as a float64 tree."""
-        from repro.bulk import bulk_load
-        from repro.storage.codecs import make_leaf_codec
-        pts = _points(300, 5)
-        path = str(tmp_path / "sq8.amdb")
-        save_tree(bulk_load(make_ext("rtree", DIM), pts, page_size=PAGE,
-                            leaf_codec=make_leaf_codec("sq8", DIM)), path)
-        f64 = bulk_load(make_ext("rtree", DIM), pts, page_size=PAGE)
-        queries = _points(4, 17)
-        with MutableTree.open(path, exact=pts) as mt:
-            snap = mt.snapshot()
-            try:
-                assert _knn(snap, queries, 8) == _knn(f64, queries, 8)
-            finally:
-                snap.store.close()
-
-    def test_closed_snapshot_stops_pinning(self, tmp_path):
-        path, _ = _saved(tmp_path, "rtree", n=100)
-        with MutableTree.open(path) as mt:
-            snap = mt.snapshot()
-            snap.store.close()
-            assert mt.wpf._snapshots == []
 
 
 class TestPoisonedAfterCrash:

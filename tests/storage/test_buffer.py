@@ -27,6 +27,15 @@ class TestLRU:
         assert pool.stats.hits == 1
         assert store.stats.reads == 1  # only the miss reached the store
 
+    def test_miss_counts_by_level_and_reaches_store(self):
+        store, nodes = _store_with(1)
+        pool = BufferPool(store, capacity_pages=2)
+        pool.read(nodes[0].page_id)
+        assert pool.stats.hits == 0
+        assert pool.stats.misses == 1
+        assert pool.stats.misses_by_level == {0: 1}
+        assert store.stats.reads_by_level == {0: 1}
+
     def test_eviction_order_is_lru(self):
         store, nodes = _store_with(3)
         pool = BufferPool(store, capacity_pages=2)
@@ -132,39 +141,6 @@ class TestEvictions:
         pool = BufferPool(store, capacity_pages=2)
         with pytest.raises(ValueError):
             pool.resize(0)
-
-
-class TestRecordAccess:
-    def test_counts_as_hit_without_inner_traffic(self):
-        store, nodes = _store_with(1)
-        pool = BufferPool(store, capacity_pages=2)
-        pool.read(nodes[0].page_id)
-        pool.record_access(nodes[0].page_id, 0)
-        assert pool.stats.hits == 1
-        assert store.stats.reads == 1  # only the original miss
-
-    def test_refreshes_lru_position(self):
-        store, nodes = _store_with(3)
-        pool = BufferPool(store, capacity_pages=2)
-        a, b, c = (n.page_id for n in nodes)
-        pool.read(a)
-        pool.read(b)
-        pool.record_access(a, 0)   # a becomes most recent
-        pool.read(c)               # evicts b, not a
-        pool.read(a)
-        assert pool.stats.hits == 2
-
-    def test_non_resident_page_is_a_miss_not_a_hit(self):
-        """Regression: recording an access to a page the pool does not
-        hold must count a miss and forward to the inner store — never a
-        phantom hit that inflates the hit rate."""
-        store, nodes = _store_with(1)
-        pool = BufferPool(store, capacity_pages=2)
-        pool.record_access(nodes[0].page_id, 0)
-        assert pool.stats.hits == 0
-        assert pool.stats.misses == 1
-        assert pool.stats.misses_by_level == {0: 1}
-        assert store.stats.reads == 1  # forwarded to the inner store
 
 
 class TestReadMany:

@@ -40,6 +40,23 @@ class TestDiskBackedTree:
         assert store.stats.reads > 0
         assert store.stats.leaf_reads >= 1
 
+    def test_read_counts_by_level_and_notifies(self, tmp_path):
+        from repro.gist.node import Node
+
+        ext = RTreeExtension(2)
+        store = FilePageFile.for_extension(str(tmp_path / "r.bin"), ext,
+                                           page_size=1024)
+        pid = store.allocate()
+        store.write(Node(pid, 0))
+        seen = []
+        store.add_listener(lambda p, lvl: seen.append((p, lvl)))
+        store.read(pid)
+        store.peek(pid)                   # uncounted: no event
+        assert store.stats.reads == 1
+        assert store.stats.leaf_reads == 1
+        assert seen == [(pid, 0)]
+        store.close()
+
     def test_inserts_and_deletes_persist(self, disk_tree):
         tree, pts, store = disk_tree
         extra = np.random.default_rng(1).normal(size=(100, 3))
@@ -102,20 +119,3 @@ class TestDiskBackedTree:
             store.write(node)
         with pytest.raises(ValueError):
             store.read(node.page_id)  # closed file
-
-
-class TestRecordAccess:
-    def test_counts_without_physical_io(self, tmp_path):
-        from repro.gist.node import Node
-
-        ext = RTreeExtension(2)
-        store = FilePageFile.for_extension(str(tmp_path / "r.bin"), ext,
-                                           page_size=1024)
-        pid = store.allocate()
-        store.write(Node(pid, 0))
-        seen = []
-        store.add_listener(lambda p, lvl: seen.append((p, lvl)))
-        store.record_access(pid, 0)
-        assert store.stats.reads == 1
-        assert store.stats.leaf_reads == 1
-        assert seen == [(pid, 0)]

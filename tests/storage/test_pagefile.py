@@ -88,16 +88,3 @@ class TestLifecycle:
         store, leaf, inner = _make_store_with_nodes()
         assert len(store) == 2
         assert set(store.page_ids()) == {leaf.page_id, inner.page_id}
-
-
-class TestRecordAccess:
-    def test_counts_like_a_read_without_fetching(self):
-        store, leaf, inner = _make_store_with_nodes()
-        seen = []
-        store.add_listener(lambda pid, lvl: seen.append((pid, lvl)))
-        store.record_access(leaf.page_id, 0)
-        store.record_access(inner.page_id, 1)
-        assert store.stats.reads == 2
-        assert store.stats.leaf_reads == 1
-        assert store.stats.inner_reads == 1
-        assert seen == [(leaf.page_id, 0), (inner.page_id, 1)]

@@ -6,8 +6,8 @@ import pytest
 from repro.ams import RTreeExtension
 from repro.gist.node import Node
 from repro.storage import (BufferPool, FilePageFile, MemoryPageFile,
-                           PageFileProtocol, PageMissingError,
-                           SnapshotView, WALPageFile)
+                           PageFileProtocol, PageMissingError, WALPageFile,
+                           WriteAheadLog)
 from repro.storage.faults import FaultyPageFile
 
 
@@ -21,16 +21,22 @@ def _stores(tmp_path):
                                    page_size=1024),
         capacity_pages=4)
     faulty = FaultyPageFile(MemoryPageFile())
-    return {"memory": mem, "disk": disk, "pool": pool, "faulty": faulty}
+    logged = WALPageFile(
+        FilePageFile.for_extension(str(tmp_path / "w.bin"), ext,
+                                   page_size=1024),
+        WriteAheadLog(str(tmp_path / "w.bin.wal"), 1024))
+    return {"memory": mem, "disk": disk, "pool": pool, "faulty": faulty,
+            "logged": logged}
 
 
 class TestProtocol:
     def test_all_stores_satisfy_protocol(self, tmp_path):
         for name, store in _stores(tmp_path).items():
-            assert isinstance(store, PageFileProtocol), name
+            with store:
+                assert isinstance(store, PageFileProtocol), name
 
     def test_stores_are_interchangeable(self, tmp_path):
-        """One script, four backends, identical observable behavior."""
+        """One script, five backends, identical observable behavior."""
         for name, store in _stores(tmp_path).items():
             with store:
                 a = store.allocate()
@@ -54,14 +60,16 @@ class TestProtocol:
 
     def test_counting_and_listeners_shared(self, tmp_path):
         events = []
-        for name, store in _stores(tmp_path).items():
-            a = store.allocate()
-            store.write(Node(a, 0))
-            store.add_listener(
-                lambda pid, level, evs=events: evs.append(pid))
-            store.read(a)
-            store.peek(a)                 # uncounted: no event
-        assert len(events) == len(_stores(tmp_path))
+        stores = _stores(tmp_path)
+        for name, store in stores.items():
+            with store:
+                a = store.allocate()
+                store.write(Node(a, 0))
+                store.add_listener(
+                    lambda pid, level, evs=events: evs.append(pid))
+                store.read(a)
+                store.peek(a)                 # uncounted: no event
+        assert len(events) == len(stores)
 
 
 class TestReadMany:
@@ -75,5 +83,5 @@ class TestReadMany:
         assert "read_many" not in vars(PageFileProtocol)
         for cls in (MemoryPageFile, FilePageFile, BufferPool):
             assert "read_many" in vars(cls), cls.__name__
-        for cls in (FaultyPageFile, WALPageFile, SnapshotView):
+        for cls in (FaultyPageFile, WALPageFile):
             assert not hasattr(cls, "read_many"), cls.__name__

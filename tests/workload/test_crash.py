@@ -48,3 +48,12 @@ def test_trials_cover_every_crash_point(tmp_path):
     # Mid-append crashes must leave (and truncate) a torn tail.
     assert any(t.torn_bytes > 0 for t in report.trials
                if t.crash_fired and t.point == "mid-append")
+
+
+def test_missing_workdir_is_created(tmp_path):
+    """A caller's work directory that does not exist yet is made, not
+    reported as a durability failure in every trial."""
+    workdir = tmp_path / "new"
+    report = run_crash_trials(trials=2, workdir=str(workdir))
+    assert report.clean, report.format()
+    assert workdir.is_dir()
