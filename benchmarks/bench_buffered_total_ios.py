@@ -18,7 +18,7 @@ METHODS = ["rtree", "amap", "xjb", "jb"]
 
 
 def _buffered_run(tree, queries, k, frames):
-    pool = BufferPool(tree.store, capacity_pages=frames)
+    pool = BufferPool(tree.store.pagefile, capacity_pages=frames)
     buffered = GiST(tree.ext, store=pool, page_size=tree.page_size)
     buffered.adopt(tree.store.peek(tree.root_id), tree.height, tree.size)
     pool.pin_pages(n.page_id for n in tree.iter_nodes()
@@ -40,10 +40,10 @@ def test_buffered_total_ios(vectors, workload, profile, benchmark):
         tree = build_index(vectors, m, page_size=profile.page_size)
         inner = sum(1 for n in tree.iter_nodes() if not n.is_leaf)
         # Cold pass: raw page accesses.
-        tree.store.stats.reset()
+        tree.stats.reset()
         for q in queries:
             tree.knn(q, workload.k)
-        cold = tree.store.stats.reads / len(queries)
+        cold = tree.stats.reads / len(queries)
         # Warm pass: a pool big enough that inner nodes stay resident.
         stats = _buffered_run(tree, queries, workload.k,
                               frames=inner + 64)

@@ -45,7 +45,7 @@ def test_workload_coverage(vectors, profile, benchmark):
                      len(prof.pages_touched()) / prof.total_pages,
                      report.total_leaf_ios / prof.num_queries,
                      report.clustering_loss))
-        tree.store.stats.reset()
+        tree.stats.reset()
 
     lines = [f"Section 3.1: broad vs welcome-page workloads "
              f"({num_queries} queries, k={k})",

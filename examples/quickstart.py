@@ -50,7 +50,7 @@ def main():
     via_index = [engine.am_query(tree, q, num_blobs=200, dims=5)
                  for q in query_blobs]
     t_index = (time.time() - t0) / len(query_blobs)
-    leaf_ios = tree.store.stats.leaf_reads / len(query_blobs)
+    leaf_ios = tree.stats.leaf_reads / len(query_blobs)
 
     t0 = time.time()
     exact = [engine.full_query(q) for q in query_blobs]

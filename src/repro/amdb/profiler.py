@@ -1,8 +1,9 @@
 """Workload profiling: per-query page access traces.
 
-The profiler registers as an access listener on the tree's page file, so
-it sees exactly the page reads the query work performs (maintenance
-reads are uncounted by design; see :mod:`repro.gist.tree`).
+The profiler registers as an access listener on the tree, so it sees
+exactly the page reads the query work performs, whatever store is
+beneath (maintenance reads are uncounted by design; see
+:mod:`repro.gist.tree`).
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def profile_workload(tree, queries: Sequence[np.ndarray],
         else:
             current.inner_accesses.append(page_id)
 
-    tree.store.add_listener(listener)
+    tree.add_listener(listener)
     try:
         for qid, q in enumerate(queries):
             q = np.asarray(q, dtype=np.float64)
@@ -271,7 +272,7 @@ def profile_workload(tree, queries: Sequence[np.ndarray],
             current.results = tree.knn(q, k)
             traces.append(current)
     finally:
-        tree.store.remove_listener(listener)
+        tree.remove_listener(listener)
 
     return WorkloadProfile(tree_name=tree.ext.name, k=k, traces=traces,
                            **_tree_facts(tree))

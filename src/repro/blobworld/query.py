@@ -205,8 +205,8 @@ class BlobworldEngine:
                          num_blobs: int, profile, planner) -> List:
         """Stage one of :meth:`am_query_batch`: the planner's flat scan,
         or the index timed as one ``traversal`` stage.  A planner-chosen
-        traversal counts its page reads through a store listener for
-        the plan's accounting."""
+        traversal hands the tree's page reads to the plan's
+        accounting."""
         from repro.gist.batch import knn_search_batch
         plan = (planner.plan_batch(len(query_vecs), num_blobs)
                 if planner is not None else None)
@@ -219,23 +219,13 @@ class BlobworldEngine:
                 profile.add("scan", time.perf_counter() - t0)
                 profile.note_plan(plan, flat.pages_read - pages_before)
             return hits_list
-        pages = [0]
-        listening = plan is not None \
-            and hasattr(tree.store, "add_listener")
-        if listening:
-            def _count(page_id: int, level: int) -> None:
-                pages[0] += 1
-            tree.store.add_listener(_count)
+        reads_before = tree.stats.reads
         t0 = time.perf_counter()
-        try:
-            hits_list = knn_search_batch(tree, query_vecs, num_blobs)
-        finally:
-            if listening:
-                tree.store.remove_listener(_count)
+        hits_list = knn_search_batch(tree, query_vecs, num_blobs)
         if profile is not None:
             profile.add("traversal", time.perf_counter() - t0)
             if plan is not None:
-                profile.note_plan(plan, pages[0])
+                profile.note_plan(plan, tree.stats.reads - reads_before)
         return hits_list
 
     def am_query_images(self, tree, query_blob: int, num_images: int,

@@ -219,8 +219,9 @@ def insertion_load(ext: GiSTExtension, keys: np.ndarray,
 
     tree = GiST(ext, store=store, page_size=page_size,
                 leaf_codec=leaf_codec)
+    if default_rids and tree.leaf_codec.lossy:
+        # attached first: a quantized tree refits its pages to these
+        tree.exact = keys
     for i in order:
         tree.insert(keys[i], rids[i])
-    if default_rids and tree.leaf_codec.lossy:
-        tree.exact = keys
     return tree

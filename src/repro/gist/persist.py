@@ -4,10 +4,11 @@ The byte accounting the tree does in memory is made honest here: every
 node round-trips through the page codec
 (:class:`~repro.storage.codecs.NodeCodec`) into a page-sized slot of a
 single file, with a small JSON superblock in page 0.  Saving encodes
-all nodes in one batched call; loading verifies every slot's seal in
-one stacked pass and decodes each page lazily, exactly as a page-file
-read does, then checks the pages against the superblock's census
-(:func:`load_pages` skips that check for ``fsck --deep``).
+all nodes in one batched call; loading decodes every slot (verifying
+its seal), checks the pages against the superblock's census
+(:func:`load_pages` skips that check for ``fsck --deep``), then copies
+the slots into an in-memory tree's anonymous page file and pins every
+live page in its pool, so the loaded tree never touches ``path`` again.
 
 Resilience: the superblock carries a (CRC-32, format epoch) trailer in
 its last 8 bytes and every node page is sealed by the codec, so a
@@ -30,9 +31,8 @@ from repro.gist.node import Node
 from repro.gist.tree import GiST
 from repro.storage.codecs import LEAF_CODECS, NodeCodec, make_leaf_codec
 from repro.storage.errors import PageCorruptError, PageMissingError
-from repro.storage.integrity import FORMAT_EPOCH, crc32, verify_images
+from repro.storage.integrity import FORMAT_EPOCH, crc32
 from repro.storage.page import PAGE_HEADER_SIZE
-from repro.storage.pagefile import MemoryPageFile
 from repro.storage.wal import default_wal_path
 
 _MAGIC = "repro-gist-v1"
@@ -242,48 +242,48 @@ def load_pages(path: str) -> GiST:
 
 def _load(extension: Any, path: str
           ) -> Tuple[GiST, Dict, Optional[Node], int]:
-    """Decode every slot of ``path``: the tree, its superblock, the
-    root-slot node (None if absent) and the leaf entries decoded."""
+    """Decode every slot of ``path`` into an in-memory tree: the tree,
+    its superblock, the root-slot node (None if absent) and the leaf
+    entries decoded."""
     with open(path, "rb") as f:
         raw = f.read()
     header = read_superblock(raw, path)
     extension = header_extension(header, extension)
     page_size = header["page_size"]
     leaf_codec = make_leaf_codec(header["leaf_codec"], extension.dim)
-    tree = GiST(extension, store=MemoryPageFile(), page_size=page_size,
-                leaf_codec=leaf_codec)
-    codec = NodeCodec(page_size, tree.leaf_codec, tree.index_codec)
+    tree = GiST(extension, page_size=page_size, leaf_codec=leaf_codec)
+    pages = tree.store.pagefile
 
     num_slots = header["num_slots"]
     images = np.frombuffer(raw, dtype=np.uint8, count=num_slots * page_size,
                            offset=page_size).reshape(num_slots, page_size)
-    faults = verify_images(images)
     root = None
-    live = 0
+    live = []
     stored = 0
-    for slot, (image, fault) in enumerate(zip(images, faults), start=1):
+    for slot, image in enumerate(images, start=1):
         # Mutable files are sparse: freed slots are stamped with page
         # id -1, and aborted allocations can leave never-written
         # all-zero gaps.  Neither holds a node.
         if not image.any():
             continue
-        if fault is not None:
-            raise PageCorruptError(fault, path=path, page_id=slot)
         try:
-            node = codec.decode_node(image, slot, path=path, verified=True)
+            node = pages.codec.decode_node(image, slot, path=path)
         except PageMissingError:
             continue
-        live += 1
+        live.append(slot)
         if node.is_leaf:
             stored += len(node)
-        tree.store.write(node)
-        tree.store.reserve(node.page_id)
         if slot == header["root_slot"]:
             root = node
-    if live != header["num_nodes"]:
+    if len(live) != header["num_nodes"]:
         raise PageCorruptError(
             f"superblock claims {header['num_nodes']} nodes, "
-            f"file holds {live}", path=path)
+            f"file holds {len(live)}", path=path)
+    if num_slots:
+        pages._write_raw(1, raw[page_size:(num_slots + 1) * page_size])
+    if live:
+        pages.reserve(live[-1])
+    tree.store.pin_pages(live)
     if root is not None:
         tree.adopt(root, header["height"], header["size"])
     return tree, header, root, stored

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.storage.buffer import BufferPool
-from repro.storage.pagefile import MemoryPageFile
 
 #: ms to visit a resident node: bounds, heap pushes, leaf bookkeeping.
 HIT_MS = 0.035
@@ -125,8 +124,7 @@ class QueryPlanner:
     def residency(self) -> float:
         """Share of the tree's pages a visit finds decoded in memory."""
         store = getattr(self.tree, "store", None)
-        if isinstance(store, MemoryPageFile):
-            return 1.0
+        # an in-memory tree's pool is unbounded: its residency is 1
         if isinstance(store, BufferPool):
             return min(1.0, store.capacity / max(self._num_pages, 1))
         return 0.0

@@ -6,15 +6,17 @@ entries exceed the page payload, so predicate size (Table 3 of the paper)
 directly shapes the tree.
 
 Query operations (:meth:`GiST.knn` and its batch and cursor forms) read nodes
-through the counting path of the page file; maintenance operations
-(insert, delete, bulk load) use the non-counting ``peek`` path, so page
+through :meth:`GiST._read_query`, which books every node it returns in
+:attr:`GiST.stats` and tells the tree's listeners; maintenance operations
+(insert, delete, bulk load) use the store's ``peek`` path, so page
 statistics reflect query work only — matching how amdb measures
 workloads.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,10 +26,14 @@ from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
 from repro.gist.nn import knn_search, nn_cursor
-from repro.storage.codecs import IndexEntryCodec, LeafEntryCodec
+from repro.storage.buffer import BufferPool
+from repro.storage.codecs import IndexEntryCodec, LeafEntryCodec, NodeCodec
 from repro.storage.errors import PageCorruptError
 from repro.storage.page import entries_per_page, page_payload
-from repro.storage.pagefile import MemoryPageFile
+from repro.storage.pagefile import PageStats
+
+AccessListener = Callable[[int, int], None]
+"""Called as ``listener(page_id, level)`` on every counted access."""
 
 #: minimum fill fraction enforced by splits and deletes (Guttman's m).
 MIN_FILL = 0.4
@@ -49,26 +55,40 @@ def _key_hits(leaf: Node, key: np.ndarray) -> np.ndarray:
 
 
 class GiST:
-    """A height-balanced multi-way search tree specialized by an extension."""
+    """A height-balanced multi-way search tree specialized by an extension.
+
+    With no ``store`` the tree lives in memory: its pages are images in
+    an anonymous :class:`~repro.storage.diskfile.FilePageFile` behind a
+    :class:`~repro.storage.buffer.BufferPool` that keeps every page.
+    """
 
     def __init__(self, extension: GiSTExtension, store: Any = None,
                  page_size: int = DEFAULT_PAGE_SIZE,
                  leaf_codec: Optional[LeafEntryCodec] = None) -> None:
         self.ext = extension
-        self.store = store if store is not None else MemoryPageFile()
         self.page_size = page_size
         if leaf_codec is None:
             # A page-file store already committed to a leaf format
             # (e.g. an SQ8 FilePageFile); the tree must agree with it
             # or capacities and re-encodes would silently diverge.
             store_codec = getattr(
-                getattr(self.store, "codec", None), "leaf_codec", None)
+                getattr(store, "codec", None), "leaf_codec", None)
             if store_codec is not None and store_codec.dim == extension.dim:
                 leaf_codec = store_codec
             else:
                 leaf_codec = LeafEntryCodec(extension.dim)
         self.leaf_codec = leaf_codec
         self.index_codec = IndexEntryCodec(extension.pred_codec())
+        if store is None:
+            # a call-time import: diskfile imports repro.gist itself
+            from repro.storage.diskfile import FilePageFile
+            store = BufferPool(FilePageFile(
+                None, NodeCodec(page_size, leaf_codec, self.index_codec),
+                mmap_mode=True), math.inf)
+        self.store = store
+        #: the tree's query reads, one per node :meth:`_read_query` returns
+        self.stats = PageStats()
+        self._listeners: List[AccessListener] = []
         self.leaf_capacity = self.leaf_codec.capacity(page_size)
         self.index_capacity = entries_per_page(page_size,
                                                self.index_codec.size)
@@ -146,10 +166,19 @@ class GiST:
     def disable_quarantine(self) -> None:
         self.quarantine_enabled = False
 
+    # -- access accounting ---------------------------------------------------
+
+    def add_listener(self, listener: AccessListener) -> None:
+        self._listeners.append(listener)
+
+    def remove_listener(self, listener: AccessListener) -> None:
+        self._listeners.remove(listener)
+
     def _read_query(self, page_id: int,
                     level: Optional[int] = None) -> Optional[Node]:
-        """Counted read (``store.read``) for query paths; None when
-        quarantined.
+        """The one counted read of the query paths: ``store.read``, then
+        the node is booked in :attr:`stats` and each listener is called
+        with ``(page_id, level)``.  None when quarantined.
 
         ``level`` is the level the caller expects the page at (known
         from the parent), used only to estimate what was lost.
@@ -157,12 +186,16 @@ class GiST:
         if self.quarantine_enabled and page_id in self._quarantined:
             return None
         try:
-            return self.store.read(page_id)
+            node = self.store.read(page_id)
         except PageCorruptError as exc:
             if not self.quarantine_enabled:
                 raise
             self._quarantine(page_id, level, exc)
             return None
+        self.stats.record_read(node.level)
+        for listener in self._listeners:
+            listener(page_id, node.level)
+        return node
 
     def _quarantine(self, page_id: int, level: Optional[int], exc: Any) -> None:
         self._quarantined.add(page_id)

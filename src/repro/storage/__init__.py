@@ -1,9 +1,14 @@
 """Paged storage substrate: codecs, page files, buffering, and I/O cost.
 
 The GiST layer stores nodes in fixed-size pages.  Fanout is determined by
-real byte budgets (predicate codec sizes against the page payload), page
-reads are counted by :class:`~repro.storage.pagefile.PageFile` instances,
-and :class:`~repro.storage.iomodel.DiskModel` converts access counts into
+real byte budgets (predicate codec sizes against the page payload), and
+every page lives in one kind of bottom store,
+:class:`~repro.storage.diskfile.FilePageFile` (a named file, or an
+anonymous one behind a resident :class:`BufferPool` for an in-memory
+tree).  The tree counts its query reads in a
+:class:`~repro.storage.pagefile.PageStats`; stores count what they
+physically do (file reads and writes, pool hits and misses), and
+:class:`~repro.storage.iomodel.DiskModel` converts access counts into
 the paper's random-vs-sequential I/O economics (section 3.2).
 
 Resilience (see DESIGN.md "Storage resilience"): page images carry
@@ -15,14 +20,14 @@ failures for testing.  Mutation is made atomic and durable by the
 write-ahead log (:mod:`repro.storage.wal`): transactions stage in a
 :class:`WALPageFile` overlay, reach the sidecar log plus an fsync
 before the data file, and are redone by :func:`recover` after a crash.
-All stores — memory, disk, buffered, faulty, logged — satisfy
+All stores — file, buffered, faulty, logged — satisfy
 :class:`PageFileProtocol` and are interchangeable.
 """
 
-from typing import Any, Callable, Iterable, List, Protocol, runtime_checkable
+from typing import Any, Iterable, List, Protocol, runtime_checkable
 
 from repro.storage.page import PAGE_HEADER_SIZE, page_payload
-from repro.storage.pagefile import AccessListener, MemoryPageFile, PageStats
+from repro.storage.pagefile import PageStats
 from repro.storage.buffer import BufferPool
 from repro.storage.diskfile import FilePageFile
 from repro.storage.iomodel import DiskModel
@@ -39,12 +44,13 @@ from repro.storage.wal import (RecoveryReport, WALPageFile, WALScan,
 
 @runtime_checkable
 class PageFileProtocol(Protocol):
-    """What every page store — memory, disk, buffered, fault-injected —
-    must provide so trees, profilers, and tools can treat them alike.
+    """What every page store — file, buffered, fault-injected, logged —
+    must provide so trees and tools can treat them alike.
 
-    ``read`` is the counted query path; ``peek`` the uncounted
-    maintenance path.  ``stats`` is an attribute by
-    convention (``runtime_checkable`` checks methods only).
+    ``read`` is the query path (the tree books each node it returns);
+    ``peek`` the maintenance path.  ``stats`` is an attribute by
+    convention (``runtime_checkable`` checks methods only): a store's
+    own counters of what it physically does.
     """
 
     # id allocation
@@ -61,10 +67,6 @@ class PageFileProtocol(Protocol):
     def __contains__(self, page_id: int) -> bool: ...
     def __len__(self) -> int: ...
 
-    # accounting listeners
-    def add_listener(self, listener: Callable[[int, int], None]) -> None: ...
-    def remove_listener(self, listener: Callable[[int, int], None]) -> None: ...
-
     # lifecycle
     def flush(self) -> None: ...
     def close(self) -> None: ...
@@ -75,8 +77,6 @@ class PageFileProtocol(Protocol):
 __all__ = [
     "PAGE_HEADER_SIZE",
     "page_payload",
-    "AccessListener",
-    "MemoryPageFile",
     "PageStats",
     "BufferPool",
     "FilePageFile",

@@ -48,11 +48,13 @@ class BufferPool:
 
     The pool mirrors the page file's read interface so a
     :class:`~repro.gist.tree.GiST` can be pointed at either one.  Only
-    *misses* reach the underlying page file, so its counters (and any
-    profiler listeners) see buffered I/O traffic.
+    *misses* reach the underlying page file, so its counters and the
+    pool's ``stats.misses_by_level`` see buffered I/O traffic; the tree
+    books every visit.  With ``capacity_pages=math.inf`` no frame is
+    ever evicted: that resident pool is an in-memory tree's store.
     """
 
-    def __init__(self, pagefile: Any, capacity_pages: int,
+    def __init__(self, pagefile: Any, capacity_pages: float,
                  retry: Optional[RetryPolicy] = RetryPolicy(),
                  sleep: Callable[[float], None] = time.sleep) -> None:
         if capacity_pages < 1:
@@ -93,7 +95,7 @@ class BufferPool:
         # kept by name only: the spine's trace_store wraps it
         return [self.read(page_id) for page_id in page_ids]
 
-    def resize(self, capacity_pages: int) -> None:
+    def resize(self, capacity_pages: float) -> None:
         """Change the frame budget in place, evicting LRU pages if it
         shrinks."""
         if capacity_pages < 1:
@@ -155,12 +157,6 @@ class BufferPool:
 
     def __len__(self) -> int:
         return len(self.pagefile)
-
-    def add_listener(self, listener: Callable[[int, int], None]) -> None:
-        self.pagefile.add_listener(listener)
-
-    def remove_listener(self, listener: Callable[[int, int], None]) -> None:
-        self.pagefile.remove_listener(listener)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -648,15 +648,13 @@ class NodeCodec:
         return images
 
     def decode_node(self, image: Any, page_id: int, *,
-                    path: Optional[str] = None,
-                    verified: bool = False) -> Node:
+                    path: Optional[str] = None) -> Node:
         """Decode the page image (any buffer) read from slot ``page_id``.
 
         Zero-copy: the body's ``decode_block`` arrays are views over
         ``image``, wrapped in a lazy :meth:`Node.leaf_from_arrays` or
         :meth:`Node.inner_from_block`; per-entry objects materialize
-        only on demand.  ``verified=True`` skips the seal check after a
-        stacked :func:`~repro.storage.integrity.verify_images` pass.
+        only on demand.
         Raises :class:`PageMissingError` for a freed slot (page id -1)
         and :class:`PageCorruptError` on truncation, a failed seal, a
         slot holding another page, an impossible count or a bad body.
@@ -666,8 +664,7 @@ class NodeCodec:
             raise PageCorruptError(
                 f"truncated page image: {nbytes} of "
                 f"{self.page_size} bytes", path=path, page_id=page_id)
-        if not verified:
-            verify_image(image, path=path, page_id=page_id)
+        verify_image(image, path=path, page_id=page_id)
         pid, level, count = _HEADER.unpack_from(image, 0)
         if pid == -1:
             raise PageMissingError("slot was freed", path=path,

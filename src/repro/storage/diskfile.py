@@ -1,11 +1,12 @@
-"""An on-disk page file: nodes live as real page images in one file.
+"""The one bottom store: nodes live as real page images in one file.
 
-`MemoryPageFile` accounts for I/O; `FilePageFile` actually performs it.
 Every `read` fetches one page's slot and decodes the fixed-size image
 through the node codec, every `write` encodes and writes it back, so a
-tree backed by this store runs with genuine disk-page granularity.
-Nothing decoded is kept: the one cache of decoded nodes is a
-:class:`~repro.storage.buffer.BufferPool` in front of the file.
+tree backed by this store runs with genuine disk-page granularity.  The
+file is named, or anonymous (``path=None``): an in-memory tree is such a
+file behind a :class:`~repro.storage.buffer.BufferPool` that keeps every
+page.  Nothing decoded is kept here: the one cache of decoded nodes is a
+pool in front of the file.
 
 Resilience: images are sealed with CRC-32 checksums by the codec, so a
 torn write or bit flip surfaces as a typed
@@ -22,13 +23,15 @@ import errno
 import mmap
 import os
 import struct
+import tempfile
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+import weakref
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.gist.node import Node
 from repro.storage.codecs import NodeCodec
 from repro.storage.errors import PageMissingError, TransientIOError
-from repro.storage.pagefile import AccessListener, PageStats
+from repro.storage.pagefile import PageStats
 from repro.storage.retry import RetryPolicy, call_with_retry
 
 #: OS errors that plausibly succeed on retry.
@@ -44,6 +47,8 @@ class FilePageFile:
     Page ids map to fixed-size slots (`page_id * page_size`); slot 0 is
     reserved.  The codec comes from the tree's extension, so construct
     via :meth:`for_extension` or pass a prepared :class:`NodeCodec`.
+    With ``path=None`` the file is an anonymous temporary file, closed
+    when the store is closed or dropped.
 
     With ``mmap_mode=True`` reads go through a shared read-only memory
     map of the file instead of seek+read syscalls: page images are
@@ -58,7 +63,7 @@ class FilePageFile:
     map after a flush and only file *growth* forces a remap.
     """
 
-    def __init__(self, path: str, codec: NodeCodec,
+    def __init__(self, path: Optional[str], codec: NodeCodec,
                  retry: Optional[RetryPolicy] = RetryPolicy(),
                  sleep: Callable[[float], None] = time.sleep,
                  mmap_mode: bool = False) -> None:
@@ -68,22 +73,25 @@ class FilePageFile:
         self.retry = retry
         self._sleep = sleep
         self.mmap_mode = bool(mmap_mode)
-        # "a+b" would force writes to the end regardless of seeks;
-        # open read-write, creating the file when missing.
-        if not os.path.exists(path):
-            open(path, "wb").close()
-        self._file = open(path, "r+b")
+        if path is None:
+            self._file = tempfile.TemporaryFile()
+            # nothing else owns an anonymous file: a dropped store closes it
+            weakref.finalize(self, self._file.close)
+        else:
+            # "a+b" would force writes to the end regardless of seeks;
+            # open read-write, creating the file when missing.
+            if not os.path.exists(path):
+                open(path, "wb").close()
+            self._file = open(path, "r+b")
         self._map: Optional[mmap.mmap] = None
         self._map_slots = 0
         self._map_dirty = True
-        self._next_id = max(1, os.path.getsize(path) // self.page_size)
-        self._levels: Dict[int, int] = {}
+        self._next_id = max(1, self._slot_count())
         self._free: List[int] = []
         self.stats = PageStats()
-        self._listeners: List[AccessListener] = []
 
     @classmethod
-    def for_extension(cls, path: str, extension: Any,
+    def for_extension(cls, path: Optional[str], extension: Any,
                       page_size: int, leaf_codec: str = "f64",
                       **kwargs: Any) -> "FilePageFile":
         from repro.storage.codecs import IndexEntryCodec, make_leaf_codec
@@ -191,9 +199,10 @@ class FilePageFile:
         start = page_id * self.page_size
         return memoryview(self._map)[start:start + self.page_size]
 
-    def _slot_page_id(self, page_id: int) -> Optional[int]:
-        """The page id stamped in a slot's header, or None if absent."""
-        if page_id < 1 or page_id >= max(self._slot_count(), 1):
+    def _slot_page_id(self, page_id: int, slots: int) -> Optional[int]:
+        """The page id stamped in a slot's header, or None if absent
+        (``slots`` is :meth:`_slot_count`, taken once per scan)."""
+        if page_id < 1 or page_id >= slots:
             return None
         self._file.seek(page_id * self.page_size)
         header = self._file.read(8)
@@ -212,8 +221,6 @@ class FilePageFile:
         node = call_with_retry(lambda: self._read_image(page_id),
                                self.retry, sleep=self._sleep)
         self.stats.record_read(node.level)
-        for listener in self._listeners:
-            listener(page_id, node.level)
         return node
 
     def read_many(self, page_ids: Iterable[int]) -> List[Node]:
@@ -246,34 +253,33 @@ class FilePageFile:
                 run = []
             if i is not None:
                 run.append(i)
-        for node in nodes:
-            self._levels[node.page_id] = node.level
         self.stats.writes += len(nodes)
+
+    def _scan_slots(self) -> Tuple[List[int], List[int]]:
+        """``(live, freed)`` page ids, by one pass over the slot headers:
+        a slot is live when its header names it, freed when stamped -1.
+        Slots that are neither (all-zero gaps from an aborted
+        allocation) are skipped — they stay unreusable but harmless."""
+        slots = self._slot_count()
+        live: List[int] = []
+        freed: List[int] = []
+        for slot in range(1, slots):
+            pid = self._slot_page_id(slot, slots)
+            if pid == slot:
+                live.append(slot)
+            elif pid == -1:
+                freed.append(slot)
+        return live, freed
 
     def rebuild_slot_state(self) -> Tuple[List[int], List[int]]:
         """Rescan slot headers after reopening a mutated file.
 
-        Neither the level map nor the free list is persisted, so a
-        store opened over a file that previously saw inserts/deletes
-        must rebuild both before allocating: otherwise freed slots leak
-        and ``_levels`` misses live pages.  Returns ``(live, freed)``
-        page-id lists.  Slots that are neither live nor stamped freed
-        (all-zero gaps from an aborted allocation) are skipped — they
-        stay unreusable but harmless.
+        The free list is not persisted, so a store opened over a file
+        that previously saw inserts/deletes must rebuild it before
+        allocating, or freed slots leak.  Returns ``(live, freed)``
+        page-id lists (see :meth:`_scan_slots`).
         """
-        live: List[int] = []
-        freed: List[int] = []
-        for slot in range(1, max(self._slot_count(), 1)):
-            self._file.seek(slot * self.page_size)
-            head = self._file.read(12)
-            if len(head) < 12:
-                break
-            pid, level = struct.unpack("<qi", head)
-            if pid == slot:
-                self._levels[slot] = level
-                live.append(slot)
-            elif pid == -1:
-                freed.append(slot)
+        live, freed = self._scan_slots()
         self._free = list(freed)
         return live, freed
 
@@ -282,7 +288,6 @@ class FilePageFile:
         # loudly with PageMissingError, never decode as live data.
         self._write_raw(page_id,
                         self.codec.encode_nodes([Node(-1, 0)])[0].tobytes())
-        self._levels.pop(page_id, None)
         self._free.append(page_id)
 
     def __contains__(self, page_id: int) -> bool:
@@ -290,25 +295,16 @@ class FilePageFile:
         # present slot answers True and a freed slot (-1) answers False
         # without raising.
         try:
-            return self._slot_page_id(page_id) == page_id
+            return self._slot_page_id(page_id, self._slot_count()) == page_id
         except OSError:
             return False
 
     def page_ids(self) -> List[int]:
         """Live page ids, by scanning slot headers (reload-safe)."""
-        return [pid for pid in range(1, max(self._slot_count(), 1))
-                if self._slot_page_id(pid) == pid]
+        return self._scan_slots()[0]
 
     def __len__(self) -> int:
         return len(self.page_ids())
-
-    # -- listeners ----------------------------------------------------------
-
-    def add_listener(self, listener: AccessListener) -> None:
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: AccessListener) -> None:
-        self._listeners.remove(listener)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -289,12 +289,6 @@ class FaultyPageFile:
     def stats(self) -> Any:
         return self.inner.stats
 
-    def add_listener(self, listener: Callable[[int, int], None]) -> None:
-        self.inner.add_listener(listener)
-
-    def remove_listener(self, listener: Callable[[int, int], None]) -> None:
-        self.inner.remove_listener(listener)
-
     def flush(self) -> None:
         self.inner.flush()
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -84,36 +84,18 @@ def seal_image(image: bytes) -> bytes:
     return seal_images(rows).tobytes()
 
 
-def _fault(image: Any, stored: int, epoch: int) -> Optional[str]:
-    """What is wrong with a page's seal, or None."""
-    if epoch != FORMAT_EPOCH:
-        return f"format epoch {epoch}: rebuild the index"
-    actual = page_crc(image)
-    if actual != stored:
-        return (f"checksum mismatch: stored {stored:#010x}, computed "
-                f"{actual:#010x}")
-    return None
-
-
-def verify_images(images: np.ndarray) -> List[Optional[str]]:
-    """Seal check for an ``(n, page_size)`` image array; no mutation.
-
-    Returns one item per row: None where the seal holds, else the
-    message of the :class:`PageCorruptError` the caller raises (or
-    quarantines) for that page.
-    """
-    seals = np.ascontiguousarray(
-        images[:, CHECKSUM_OFFSET:CHECKSUM_OFFSET + 8]).view("<u4").tolist()
-    return [_fault(row, stored, epoch)
-            for row, (stored, epoch) in zip(images, seals)]
-
-
 def verify_image(image: Any, *, path: Optional[str] = None,
                  page_id: Optional[int] = None) -> None:
     """Check one page image's seal (any buffer, never copied unless
     strided); raises :class:`PageCorruptError` naming ``path`` and
     ``page_id`` if it fails."""
     view = _byte_view(image)
-    fault = _fault(view, *_CHECKSUM.unpack_from(view, CHECKSUM_OFFSET))
-    if fault is not None:
-        raise PageCorruptError(fault, path=path, page_id=page_id)
+    stored, epoch = _CHECKSUM.unpack_from(view, CHECKSUM_OFFSET)
+    if epoch != FORMAT_EPOCH:
+        raise PageCorruptError(f"format epoch {epoch}: rebuild the index",
+                               path=path, page_id=page_id)
+    actual = page_crc(view)
+    if actual != stored:
+        raise PageCorruptError(
+            f"checksum mismatch: stored {stored:#010x}, computed "
+            f"{actual:#010x}", path=path, page_id=page_id)

@@ -46,7 +46,6 @@ from repro.storage.errors import (PageCorruptError, PageMissingError,
                                   StorageError)
 from repro.storage.faults import CrashError, CrashInjector
 from repro.storage.integrity import crc32
-from repro.storage.pagefile import AccessListener
 
 #: sidecar log file header: magic, then ``<II`` (version, page_size).
 #: Version 1 sealed records with CRC32C; such a log is refused, not
@@ -514,12 +513,10 @@ class WALPageFile:
             if invalidate is not None:
                 invalidate(pid)
             if node is _FREED:
-                base._levels.pop(pid, None)
                 if pid not in base._free:
                     base._free.append(pid)
                 self._live.discard(pid)
             else:
-                base._levels[pid] = node.level
                 self._live.add(pid)
             base.stats.writes += 1
         if meta_image is not None:
@@ -545,12 +542,12 @@ class WALPageFile:
         self.store.reserve(up_to)
 
     def read(self, page_id: int) -> Any:
-        """A counted read of the committed page.
+        """The committed page, read through the wrapped store.
 
-        Inside an open transaction a staged node is returned as is,
-        uncounted: it was never read from a page, and no query reads
-        mid-transaction — :class:`~repro.gist.mutable.MutableTree`'s
-        insert and delete descend through the uncounted
+        Inside an open transaction a staged node is returned as is: it
+        was never read from a page, and no query reads mid-transaction —
+        :class:`~repro.gist.mutable.MutableTree`'s insert and delete
+        descend through the uncounted
         :meth:`~repro.gist.tree.GiST._peek`.
         """
         if self._in_txn and page_id in self._staged:
@@ -616,12 +613,6 @@ class WALPageFile:
     @property
     def stats(self) -> Any:
         return self.store.stats
-
-    def add_listener(self, listener: AccessListener) -> None:
-        self.store.add_listener(listener)
-
-    def remove_listener(self, listener: AccessListener) -> None:
-        self.store.remove_listener(listener)
 
     def flush(self) -> None:
         self.store.flush()

@@ -162,6 +162,8 @@ def _run_trial(result: TrialResult, path: str, rng: random.Random,
     from repro.storage.codecs import make_leaf_codec
     base = GiST(make_extension(method, dim), page_size=page_size,
                 leaf_codec=make_leaf_codec(result.codec, dim))
+    # an sq8 tree refits its pages to the original keys, as mt's does
+    base.exact = keys
     for i, p in enumerate(pts):
         base.insert(p, i)
     save_tree(base, path)

@@ -160,9 +160,9 @@ def run_dynamic_workload(tree, vectors: np.ndarray,
             if tree.delete(vectors[op.rid], op.rid):
                 deletes += 1
         else:
-            before = tree.store.stats.leaf_reads
+            before = tree.stats.leaf_reads
             results.append(tree.knn(op.query, k))
-            leaf_ios.append(tree.store.stats.leaf_reads - before)
+            leaf_ios.append(tree.stats.leaf_reads - before)
     return DynamicRunResult(query_leaf_ios=leaf_ios,
                             query_results=results,
                             inserts=inserts, deletes=deletes)

@@ -30,8 +30,8 @@ class TestTraces:
 
     def test_traces_match_store_counters(self, setup):
         tree, _, _, profile = setup
-        assert profile.total_leaf_ios == tree.store.stats.leaf_reads
-        assert profile.total_inner_ios == tree.store.stats.inner_reads
+        assert profile.total_leaf_ios == tree.stats.leaf_reads
+        assert profile.total_inner_ios == tree.stats.inner_reads
 
     def test_every_result_leaf_was_accessed(self, setup):
         """Conservative BPs guarantee result leaves are read."""

@@ -299,9 +299,9 @@ class TestIOAccounting:
         from repro.core import build_index
         f = FlatFile(data, page_size=8192)
         tree = build_index(data, "rtree", page_size=8192)
-        tree.store.stats.reset()
+        tree.stats.reset()
         tree.knn(data[0], 50)
         # At this scale the budget is tiny; just check both sides of
         # the comparison are computable and consistent.
-        assert tree.store.stats.leaf_reads > 0
+        assert tree.stats.leaf_reads > 0
         assert f.breakeven_random_reads() >= 1

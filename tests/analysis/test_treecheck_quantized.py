@@ -131,19 +131,31 @@ def test_scrambled_rid_offsets_are_rid_order(tmp_path):
 # a poisoned float cache escaping the declared cell bounds
 # ---------------------------------------------------------------------------
 
-def test_keys_beyond_cell_bounds_are_quant_escape(tmp_path):
+def test_keys_beyond_cell_bounds_are_quant_escape(tmp_path, monkeypatch):
     """The cell-bound discipline: if a leaf's float view ever diverges
     from its declared affine box (the bug class a broken dequantize or
     kernel cache would produce), the verifier says so by page id."""
+    from repro.storage.codecs import QuantizedKeys
+
     path = build_sq8("rtree", tmp_path)
     tree = load_tree(path=path)
     leaf = next(n for n in tree.leaf_nodes() if len(n) >= 2)
-    keys = leaf.keys_array().copy()  # materializes the block + floats
-    block = leaf.quantized_block()
-    assert block is not None
-    keys[0] = block.maxs + 2.0 * (block.maxs - block.mins) + 1.0
-    leaf.cache["keys"] = keys
+    target = leaf.quantized_block()
+    assert target is not None
+    dequantize = QuantizedKeys.dequantize
 
+    def broken(block):
+        """Dequantize the target leaf's block with its first key thrown
+        far outside the declared box."""
+        keys = dequantize(block)
+        if np.array_equal(block.mins, target.mins) \
+                and np.array_equal(block.maxs, target.maxs):
+            keys = keys.copy()
+            keys[0] = block.maxs + 2.0 * (block.maxs - block.mins) + 1.0
+        return keys
+
+    # every page the check reads is decoded afresh, through this
+    monkeypatch.setattr(QuantizedKeys, "dequantize", broken)
     report = check_tree(tree)
     assert QUANT_BOUND_ESCAPE in report.codes(), report.format()
     assert any(v.page_id == leaf.page_id for v in report.violations

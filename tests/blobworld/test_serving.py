@@ -298,7 +298,7 @@ class TestQueryResultCache:
         engine = BlobworldEngine(corpus, cache=cache)
         first = engine.am_query(tree, 11, 60, INDEX_DIMENSIONS)
         cache.invalidate()
-        reads_before = tree.store.stats.reads
+        reads_before = tree.stats.reads
         again = engine.am_query(tree, 11, 60, INDEX_DIMENSIONS)
         assert again == first
-        assert tree.store.stats.reads > reads_before  # really recomputed
+        assert tree.stats.reads > reads_before  # really recomputed

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.bulk import bulk_load, insertion_load
-from repro.gist import validate_tree
+from repro.gist import GiST, validate_tree
 from repro.storage.diskfile import FilePageFile
-from repro.storage.pagefile import MemoryPageFile
 
 from tests.conftest import brute_knn, make_ext
 
@@ -21,7 +20,7 @@ class TestBulkLoad:
     def test_loading_counts_no_query_ios(self, clustered_points):
         tree = bulk_load(make_ext("rtree", 3), clustered_points,
                          page_size=4096)
-        assert tree.store.stats.reads == 0
+        assert tree.stats.reads == 0
 
     def test_utilization_near_full_by_default(self, clustered_points):
         tree = bulk_load(make_ext("rtree", 3), clustered_points,
@@ -60,7 +59,7 @@ class TestBulkLoad:
         leaf-mates unreachable (their leaf's MBR became NaN)."""
         keys = np.random.default_rng(4).normal(size=(500, 3))
         keys[123, 1] = bad
-        store = MemoryPageFile()
+        store = GiST(make_ext(method, 3), page_size=4096).store
         with pytest.raises(ValueError, match="finite"):
             bulk_load(make_ext(method, 3), keys, page_size=4096,
                       store=store)
@@ -112,9 +111,9 @@ class TestIngress:
         self._rejected(tmp_path, r"\(n, 3\)", keys)
 
     def test_wrong_key_width_in_memory(self):
-        # An in-memory store has no codec to trip over the width, so
-        # only the ingress check stops 4-wide keys in a 3-D tree.
-        store = MemoryPageFile()
+        # The ingress check stops 4-wide keys in a 3-D tree before an
+        # in-memory tree's store allocates a page.
+        store = GiST(make_ext("rtree", 3)).store
         with pytest.raises(ValueError, match=r"\(n, 3\)"):
             bulk_load(make_ext("rtree", 3),
                       np.random.default_rng(0).normal(size=(500, 4)),

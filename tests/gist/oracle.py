@@ -143,11 +143,11 @@ def traced(tree: Any, run: Any) -> Tuple[Any, List[Tuple[int, int]]]:
     def listener(page_id: int, level: int) -> None:
         seen.append((page_id, level))
 
-    tree.store.add_listener(listener)
+    tree.add_listener(listener)
     try:
         value = run()
     finally:
-        tree.store.remove_listener(listener)
+        tree.remove_listener(listener)
     return value, seen
 
 

@@ -61,16 +61,26 @@ def queries(clustered_points):
 
 def _cold(tree):
     """Empty a pooled tree's frames, so that every spelling meets the
-    same pool states and hears the same misses."""
+    same pool states and causes the same misses."""
     if isinstance(tree.store, BufferPool):
         tree.store.clear()
 
 
 def _traces(tree, queries, search):
     """Per query: ``search(q)``'s results and its counted ``(page_id,
-    level)`` accesses in order (behind a pool, the misses)."""
+    level)`` accesses in order (every visit, pooled or not)."""
     _cold(tree)
     return [traced(tree, lambda: search(q)) for q in queries]
+
+
+def _pool_misses(tree, run):
+    """The misses by level ``run()`` causes from cold frames: the pages
+    that reach the page file behind the tree's pool."""
+    _cold(tree)
+    before = dict(tree.store.stats.misses_by_level)
+    run()
+    return {level: n - before.get(level, 0)
+            for level, n in tree.store.stats.misses_by_level.items()}
 
 
 def oracle_traces(tree, queries, k):
@@ -88,7 +98,7 @@ def kernel_traces(tree, queries, k):
 
 def assert_batch_matches(tree, queries, k, want):
     """``knn_search_batch`` returns the oracle's result lists, and the
-    store's listeners hear the oracle's per-query access lists
+    tree's listeners hear the oracle's per-query access lists
     concatenated in query order (a listener has no query id to split
     them by)."""
     _cold(tree)
@@ -151,11 +161,25 @@ class TestResultParity:
 class TestAccessParity:
     def test_per_query_access_lists_match(self, tree, queries, frames):
         """Every query books the oracle's counted reads, in the oracle's
-        order — the amdb loss metrics depend on this."""
+        order — the amdb loss metrics depend on this — and behind a
+        pool of ``frames`` misses the pages the oracle misses."""
         want = oracle_traces(tree, queries, 10)
         for spelling, got in kernel_traces(tree, queries, 10).items():
             assert got == want, spelling
         assert_batch_matches(tree, queries, 10, want)
+        if frames is None:
+            return
+        runs = {
+            "oracle": lambda: [oracle_knn(tree, q, 10) for q in queries],
+            "knn": lambda: [tree.knn(q, 10) for q in queries],
+            "nn_cursor": lambda: [list(islice(tree.nn_cursor(q), 10))
+                                  for q in queries],
+            "batch": lambda: knn_search_batch(tree, queries, 10),
+        }
+        misses = {name: _pool_misses(tree, run) for name, run in runs.items()}
+        assert misses["oracle"]
+        for name, got in misses.items():
+            assert got == misses["oracle"], name
 
     def test_store_counters_match_sequential_totals(self, method,
                                                     clustered_points,
@@ -170,10 +194,10 @@ class TestAccessParity:
             knn_tree.knn(q, 10)
             list(islice(cursor_tree.nn_cursor(q), 10))
         knn_search_batch(batch_tree, queries, 10)
-        want = oracle_tree.store.stats.reads_by_level
+        want = oracle_tree.stats.reads_by_level
         assert want
         for t in (knn_tree, batch_tree, cursor_tree):
-            assert t.store.stats.reads_by_level == want
+            assert t.stats.reads_by_level == want
 
 
 class TestQuarantineParity:
@@ -202,8 +226,7 @@ class TestQuarantineParity:
                     for q in queries] == expected
             for t in trees:
                 assert t._quarantined == {victim}
-                assert (t.store.stats.reads_by_level
-                        == ref.store.stats.reads_by_level)
+                assert t.stats.reads_by_level == ref.stats.reads_by_level
                 t.store.close()
 
 

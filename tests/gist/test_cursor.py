@@ -49,13 +49,13 @@ class TestCursorOrder:
         """A barely-advanced cursor must not read the whole tree."""
         pts = clustered_points
         tree = bulk_load(make_ext("rtree", 3), pts, page_size=4096)
-        tree.store.stats.reset()
+        tree.stats.reset()
         cursor = tree.nn_cursor(pts[3])
         next(cursor)
-        shallow = tree.store.stats.reads
+        shallow = tree.stats.reads
         for _ in range(500):
             next(cursor)
-        deep = tree.store.stats.reads
+        deep = tree.stats.reads
         assert shallow < deep
         assert shallow <= tree.height + 2
 

@@ -144,7 +144,7 @@ class TestIngress:
         search = self.SPELLINGS.get(spelling) or (
             lambda tree, q: tree.knn_batch(q[None], 5))
         seen = []
-        tree.store.add_listener(lambda page_id, level: seen.append(page_id))
+        tree.add_listener(lambda page_id, level: seen.append(page_id))
         tree.exact = None
         with pytest.raises(ValueError, match="GiST.exact"):
             list(search(tree, keys[0]))
@@ -192,12 +192,12 @@ class TestLazyRefinement:
         refined = bulk_load(JBExtension(3), pts, page_size=4096)
         plain = bulk_load(NoRefineJB(3), pts, page_size=4096)
         for q in pts[::307]:
-            refined.store.stats.reset()
-            plain.store.stats.reset()
+            refined.stats.reset()
+            plain.stats.reset()
             refined.knn(q, 20)
             plain.knn(q, 20)
-            assert refined.store.stats.leaf_reads \
-                <= plain.store.stats.leaf_reads
+            assert refined.stats.leaf_reads \
+                <= plain.stats.leaf_reads
 
 
 class TestPropertyExactness:

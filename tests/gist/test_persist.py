@@ -123,6 +123,14 @@ class TestOneRepresentation:
 
         nodes = tree.num_nodes()
         fresh = rng.normal(size=(120, 3)) * 2.0
+        if codec == "sq8":
+            # an in-memory sq8 tree holds quantized pages and refits
+            # them to ``exact``, so every rid it will hold needs its
+            # original key there, as a MutableTree's does
+            exact = np.zeros((10_000 + len(fresh), 3))
+            exact[:len(pts)] = pts
+            exact[10_000:] = fresh
+            tree.exact = exact
         for i, key in enumerate(fresh):
             tree.insert(key, 10_000 + i)
         assert tree.num_nodes() > nodes         # full leaves split
@@ -132,3 +140,31 @@ class TestOneRepresentation:
             assert tree.delete(pts[i], i)
         save_tree(tree, path)
         self._assert_same_bytes(tree, path, codec)
+
+
+class TestInMemoryPages:
+    """An in-memory tree is page images: a bulk load with no store writes
+    the bytes, page for page, that the same build writes into a page
+    file — quantized leaves included, so an in-memory sq8 tree reads
+    back sq8 leaves."""
+
+    @pytest.mark.parametrize("codec", ["f64", "sq8"])
+    def test_memory_build_writes_the_file_build_pages(self, any_method,
+                                                      codec, tmp_path):
+        from repro.storage.codecs import make_leaf_codec
+        from repro.storage.diskfile import FilePageFile
+        pts = np.random.default_rng(5).normal(size=(600, 3))
+        ext = make_ext(any_method, 3)
+        mem = bulk_load(ext, pts, page_size=2048,
+                        leaf_codec=make_leaf_codec(codec, 3))
+        store = FilePageFile.for_extension(str(tmp_path / "t.pages"), ext,
+                                           page_size=2048, leaf_codec=codec)
+        bulk_load(ext, pts, page_size=2048, store=store)
+        pids = store.page_ids()
+        assert pids == mem.store.page_ids()
+        for pid in pids:
+            assert mem.store.pagefile._read_raw(pid) == store._read_raw(pid)
+        store.close()
+        leaf = next(mem.leaf_nodes()).page_id
+        halfwidths = mem.store.read(leaf).key_halfwidths()
+        assert (halfwidths is not None) == (codec == "sq8")

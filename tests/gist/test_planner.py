@@ -18,7 +18,6 @@ from repro.bulk import bulk_load
 from repro.gist import Plan, QueryPlanner
 from repro.gist import planner as planner_module
 from repro.storage.buffer import BufferPool
-from repro.storage.pagefile import MemoryPageFile
 from tests.conftest import make_ext
 from tests.gist.oracle import paged_tree
 
@@ -37,7 +36,9 @@ class StubTree:
         self.height = height
         self.quarantine_enabled = quarantined
         self.degradation = degradation
-        self.store = MemoryPageFile() if store is None else store
+        # by default an in-memory tree's store: a pool keeping every page
+        self.store = BufferPool(object(), math.inf) if store is None \
+            else store
 
     def nodes_by_level(self):
         return dict(self._by_level)
@@ -114,8 +115,7 @@ class TestPlanChoice:
     def test_a_pool_shares_misses_across_the_block(self):
         # 10 frames for 105 pages: the block's queries share the frames,
         # so only the distinct pages it touches miss
-        pooled = make_planner(StubTree(store=BufferPool(MemoryPageFile(),
-                                                        10)))
+        pooled = make_planner(StubTree(store=BufferPool(object(), 10)))
         assert 0.0 < pooled.residency() < 1.0
         per_query = [pooled.tree_ms(q, 50) / q for q in QS]
         assert per_query == sorted(per_query, reverse=True)

@@ -27,6 +27,7 @@ class TestDetection:
         entry = root.entries[0]
         bad = Rect(entry.pred.lo + 1e6, entry.pred.hi + 1e6)
         root.replace_entry(0, IndexEntry(bad, entry.child))
+        tree.store.write(root)
         with pytest.raises(TreeInvariantError):
             validate_tree(tree)
 
@@ -34,6 +35,7 @@ class TestDetection:
         tree, pts = _tree()
         leaf = next(tree.leaf_nodes())
         leaf.add_entry(LeafEntry(leaf.entries[0].key, leaf.entries[0].rid))
+        tree.store.write(leaf)
         tree.size += 1
         with pytest.raises(TreeInvariantError):
             validate_tree(tree)

@@ -19,7 +19,6 @@ from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec, NodeCodec,
 from repro.storage.diskfile import FilePageFile
 from repro.storage.integrity import seal_image
 from repro.storage.page import PAGE_HEADER_SIZE
-from repro.storage.pagefile import MemoryPageFile
 from repro.geometry import Rect
 
 PAGE_SIZE = 1024
@@ -170,13 +169,18 @@ class TestWriteMany:
         store.close()
 
     def test_memory_store_write_many_roundtrips(self):
+        """An in-memory tree's store: a resident pool over an anonymous
+        page file."""
+        from repro.ams import RTreeExtension
+        from repro.gist import GiST
         rng = np.random.default_rng(7)
-        store = MemoryPageFile()
+        store = GiST(RTreeExtension(DIM), page_size=PAGE_SIZE).store
         nodes = _leaf_nodes(rng, 4)
         store.write_many(nodes)
         for node in nodes:
             got = store.peek(node.page_id)
             assert len(got.entries) == len(node.entries)
+            assert got.keys_array().tobytes() == node.keys_array().tobytes()
 
     def test_empty_batch_is_a_no_op(self, tmp_path):
         store = FilePageFile(str(tmp_path / "e.pages"), _codec())

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.ams import RTreeExtension
 from repro.gist.node import Node
 from repro.storage.buffer import BufferPool
-from repro.storage.pagefile import MemoryPageFile
+from repro.storage.diskfile import FilePageFile
 
 
 def _store_with(n):
-    store = MemoryPageFile()
+    store = FilePageFile.for_extension(None, RTreeExtension(2),
+                                       page_size=1024)
     nodes = []
     for _ in range(n):
         node = Node(store.allocate(), 0)
@@ -83,12 +85,12 @@ class TestIntegration:
 
     def test_tree_runs_through_buffer_pool(self):
         import numpy as np
-        from repro.ams import RTreeExtension
         from repro.bulk import bulk_load
         from repro.gist import GiST
 
         pts = np.random.default_rng(0).normal(size=(2000, 3))
-        store = MemoryPageFile()
+        store = FilePageFile.for_extension(None, RTreeExtension(3),
+                                           page_size=4096)
         tree = bulk_load(RTreeExtension(3), pts, store=store,
                          page_size=4096)
         pool = BufferPool(store, capacity_pages=64)

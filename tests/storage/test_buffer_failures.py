@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.ams import RTreeExtension
 from repro.gist.node import Node
-from repro.storage import (BufferPool, MemoryPageFile, PageMissingError,
+from repro.storage import (BufferPool, FilePageFile, PageMissingError,
                            TransientIOError)
 from repro.storage.faults import FaultPolicy, FaultyPageFile
 
 
 def _store_with(n):
-    store = MemoryPageFile()
+    store = FilePageFile.for_extension(None, RTreeExtension(2),
+                                       page_size=1024)
     nodes = []
     for _ in range(n):
         node = Node(store.allocate(), 0)
@@ -72,12 +74,13 @@ class TestWriteFailure:
         assert nodes[0].page_id in pool._frames
 
         exploding.explode = True
-        replacement = Node(nodes[0].page_id, 0)
+        replacement = Node(nodes[0].page_id, 1)
         with pytest.raises(OSError):
             pool.write(replacement)
         # The frame must not serve the version the disk never accepted.
         assert nodes[0].page_id not in pool._frames
-        assert pool.read(nodes[0].page_id) is nodes[0]
+        assert pool.read(nodes[0].page_id).level == 0
+        assert pool.stats.misses == 2
 
     def test_successful_write_still_updates_frame(self):
         store, nodes = _store_with(1)

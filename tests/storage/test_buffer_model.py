@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ams import RTreeExtension
 from repro.gist.node import Node
 from repro.storage.buffer import BufferPool
-from repro.storage.pagefile import MemoryPageFile
+from repro.storage.diskfile import FilePageFile
 
 
 class ReferenceLRU:
@@ -35,7 +36,8 @@ class ReferenceLRU:
        st.lists(st.integers(0, 11), min_size=1, max_size=200))
 @settings(max_examples=60, deadline=None)
 def test_pool_matches_reference_lru(capacity, accesses):
-    store = MemoryPageFile()
+    store = FilePageFile.for_extension(None, RTreeExtension(2),
+                                       page_size=1024)
     pages = {}
     for _ in range(12):
         node = Node(store.allocate(), 0)
@@ -61,7 +63,8 @@ def test_pool_matches_reference_lru(capacity, accesses):
                 min_size=1, max_size=60))
 @settings(max_examples=40, deadline=None)
 def test_pool_never_serves_freed_pages(ops):
-    store = MemoryPageFile()
+    store = FilePageFile.for_extension(None, RTreeExtension(2),
+                                       page_size=1024)
     pages = {}
     for i in range(6):
         node = Node(store.allocate(), 0)

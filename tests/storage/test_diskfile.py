@@ -41,6 +41,7 @@ class TestDiskBackedTree:
         assert store.stats.leaf_reads >= 1
 
     def test_read_counts_by_level_and_notifies(self, tmp_path):
+        from repro.gist import GiST
         from repro.gist.node import Node
 
         ext = RTreeExtension(2)
@@ -48,11 +49,12 @@ class TestDiskBackedTree:
                                            page_size=1024)
         pid = store.allocate()
         store.write(Node(pid, 0))
+        tree = GiST(ext, store=store, page_size=1024)
         seen = []
-        store.add_listener(lambda p, lvl: seen.append((p, lvl)))
-        store.read(pid)
+        tree.add_listener(lambda p, lvl: seen.append((p, lvl)))
+        tree._read_query(pid)
         store.peek(pid)                   # uncounted: no event
-        assert store.stats.reads == 1
+        assert store.stats.reads == tree.stats.reads == 1
         assert store.stats.leaf_reads == 1
         assert seen == [(pid, 0)]
         store.close()

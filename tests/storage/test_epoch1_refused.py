@@ -64,8 +64,8 @@ def test_load_tree_refuses_an_epoch1_index(index):
     with pytest.raises(PageCorruptError, match=EPOCH1) as excinfo:
         load_tree(path=index)
     assert index in str(excinfo.value)
-    # Under a current superblock, the epoch-1 pages meet load_tree's
-    # stacked seal check, which names their epoch too.
+    # Under a current superblock, the epoch-1 pages meet the seal check
+    # load_tree runs on every page, which names their epoch too.
     forged = _read(index)
     with open(index, "wb") as f:
         f.write(current[:PAGE] + forged[PAGE:])

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from repro.ams import RTreeExtension
+from repro.gist import GiST
 from repro.gist.node import Node
-from repro.storage import (BufferPool, MemoryPageFile, PageCorruptError,
-                           RetryPolicy, TransientIOError)
+from repro.storage import (BufferPool, PageCorruptError, RetryPolicy,
+                           TransientIOError)
 from repro.storage.diskfile import FilePageFile
 from repro.storage.faults import FaultPolicy, FaultyPageFile
 
 
 def _mem_store_with(n):
-    store = MemoryPageFile()
+    """An in-memory tree's store (a resident pool over an anonymous page
+    file): it exposes no raw slot access."""
+    store = GiST(RTreeExtension(2), page_size=1024).store
     nodes = []
     for _ in range(n):
         node = Node(store.allocate(), 0)
@@ -71,7 +74,7 @@ class TestForcedTransients:
         for _ in range(2):
             with pytest.raises(TransientIOError):
                 faulty.read(nodes[0].page_id)
-        assert faulty.read(nodes[0].page_id) is nodes[0]
+        assert faulty.read(nodes[0].page_id).page_id == nodes[0].page_id
 
     def test_transients_below_retry_budget_fully_masked(self):
         """The acceptance scenario: BufferPool's backoff hides them."""
@@ -83,7 +86,7 @@ class TestForcedTransients:
                           retry=RetryPolicy(attempts=4, seed=1),
                           sleep=sleeps.append)
         node = pool.read(nodes[0].page_id)     # 3 faults, 4th try wins
-        assert node is nodes[0]
+        assert node.page_id == nodes[0].page_id
         assert len(sleeps) == 3
         assert all(s > 0 for s in sleeps)
         assert sleeps[0] < sleeps[-1]          # backoff grew
@@ -153,10 +156,10 @@ class TestWriteFaults:
     def test_dropped_write_serves_previous_version(self):
         store, nodes = _mem_store_with(1)
         faulty = FaultyPageFile(store, FaultPolicy(drop_write_rate=1.0))
-        replacement = Node(nodes[0].page_id, 0)
+        replacement = Node(nodes[0].page_id, 1)
         faulty.write(replacement)
         assert faulty.injected.dropped == 1
-        assert store.read(nodes[0].page_id) is nodes[0]   # lost write
+        assert store.read(nodes[0].page_id).level == 0   # lost write
 
     def test_write_many_matches_sequential_fault_accounting(self, tmp_path):
         """Batched writes take the per-node fault path: same seed, same
@@ -198,11 +201,29 @@ class TestWriteFaults:
     def test_stale_read_returns_old_version(self):
         store, nodes = _mem_store_with(1)
         faulty = FaultyPageFile(store, FaultPolicy(stale_read_rate=1.0))
-        replacement = Node(nodes[0].page_id, 0)
+        replacement = Node(nodes[0].page_id, 1)
         faulty.write(replacement)
-        assert faulty.read(nodes[0].page_id) is nodes[0]  # the old node
+        assert faulty.read(nodes[0].page_id).level == 0  # the old node
         assert faulty.injected.stale == 1
-        assert faulty.peek(nodes[0].page_id) is replacement  # peek honest
+        assert faulty.peek(nodes[0].page_id).level == 1  # peek honest
+
+    def test_stale_read_is_booked_by_the_tree(self):
+        """A query that is served a stale node still read a page: the
+        tree books it and tells its listeners."""
+        store = FilePageFile.for_extension(None, RTreeExtension(2),
+                                           page_size=1024)
+        faulty = FaultyPageFile(store, FaultPolicy(stale_read_rate=1.0,
+                                                   seed=1))
+        tree = GiST(RTreeExtension(2), store=faulty, page_size=1024)
+        tree.insert(np.array([0.0, 0.0]), 0)
+        tree.insert(np.array([1.0, 1.0]), 1)   # rewrites the root leaf
+        seen = []
+        tree.add_listener(lambda pid, lvl: seen.append((pid, lvl)))
+        tree.knn(np.array([0.0, 0.0]), 1)
+        assert faulty.injected.stale >= 1
+        assert tree.stats.reads == 1
+        assert seen == [(tree.root_id, 0)]
+        store.close()
 
 
 class TestPassthrough:

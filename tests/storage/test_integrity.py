@@ -21,7 +21,7 @@ from repro.storage.codecs import LeafEntryCodec, IndexEntryCodec, \
 from repro.storage.errors import PageCorruptError
 from repro.storage.integrity import (CHECKSUM_OFFSET, FORMAT_EPOCH, crc32,
                                      page_crc, seal_image, seal_images,
-                                     verify_image, verify_images)
+                                     verify_image)
 from repro.storage.wal import CRC32_HD4_BITS, MAX_PAGE_SIZE
 
 from tests.storage.epoch1 import epoch1_page
@@ -166,7 +166,8 @@ class TestCrc32c:
         data.setflags(write=False)
         crc32(data, 5)
         page_crc(data)
-        verify_images(data.reshape(2, 300))
+        with pytest.raises(PageCorruptError):
+            verify_image(data)
         assert np.array_equal(data, before)
 
 
@@ -201,8 +202,8 @@ def test_pages_and_wal_records_sit_in_crc32s_hd4_range():
 
 
 class TestCrc32cMany:
-    """Batched sealing: ``seal_images`` and ``verify_images`` over an
-    ``(n, page_size)`` array, row by row against the oracle."""
+    """Batched sealing: ``seal_images`` over an ``(n, page_size)``
+    array, row by row against the oracle; every row verifies."""
 
     def test_matches_oracle_row_by_row(self):
         rng = np.random.default_rng(0)
@@ -210,7 +211,8 @@ class TestCrc32cMany:
         expected = [reference_seal(row.tobytes()) for row in blocks]
         sealed = seal_images(blocks.copy())
         assert [row.tobytes() for row in sealed] == expected
-        assert verify_images(sealed) == [None] * 17
+        for row in sealed:
+            verify_image(row)
 
     def test_more_rows_than_one_gather_pass_holds(self):
         """40 rows of 4 KB, more than one 32 KB pass of the kernel this
@@ -220,7 +222,8 @@ class TestCrc32cMany:
             rng.integers(0, 256, size=(40, 4096), dtype=np.uint8))
         assert [_stored(row.tobytes())[0] for row in blocks] == [
             reference_page_crc(row.tobytes()) for row in blocks]
-        assert verify_images(blocks) == [None] * 40
+        for row in blocks:
+            verify_image(row)
 
     def test_blank_seal_counts_the_checksum_field_as_zeros(self):
         rng = np.random.default_rng(2)
@@ -241,7 +244,6 @@ class TestCrc32cMany:
     def test_zero_rows(self):
         empty = np.empty((0, 64), dtype=np.uint8)
         assert seal_images(empty).shape == (0, 64)
-        assert verify_images(empty) == []
 
 
 class TestSeal:
@@ -327,8 +329,8 @@ _REGIONS = {"pid": 3, "level": 9, "count": 13, "crc field": 17,
 
 
 class TestVerifiersAgree:
-    """``verify_image`` on every kind of buffer and ``verify_images`` on
-    the stacked array give one verdict and one message."""
+    """``verify_image`` on every kind of buffer gives one verdict and
+    one message."""
 
     @staticmethod
     def _verdicts(image, tmp_path):
@@ -340,10 +342,6 @@ class TestVerifiersAgree:
                 out.append(verify_image(buffer, path="f", page_id=7))
             except PageCorruptError as exc:
                 out.append(str(exc))
-        stacked = np.frombuffer(image + image, dtype=np.uint8) \
-            .reshape(2, -1)
-        for fault in verify_images(stacked):
-            out.append(None if fault is None else f"f: page 7: {fault}")
         return out
 
     def test_clean_page(self, tmp_path):
@@ -373,13 +371,3 @@ class TestVerifiersAgree:
         assert verdicts == {
             f"f: page 7: checksum mismatch: stored {stored:#010x}, "
             f"computed {reference_page_crc(image):#010x}"}
-
-    def test_verify_images_reports_only_the_damaged_rows(self):
-        codec = _codec()
-        images = np.frombuffer(
-            b"".join(_leaf_image(codec, page_id=p) for p in (1, 2, 3)),
-            dtype=np.uint8).reshape(3, -1).copy()
-        images[1, 70] ^= 0x01
-        faults = verify_images(images)
-        assert [f is None for f in faults] == [True, False, True]
-        assert faults[1].startswith("checksum mismatch: stored 0x")

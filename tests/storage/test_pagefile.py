@@ -1,18 +1,34 @@
-"""Tests for the access-counting page file."""
+"""Access counting: a page file counts the reads it performs, and the
+tree books every node its query reads return (``GiST.stats`` and the
+tree's listeners)."""
 
 import pytest
 
+from repro.ams import RTreeExtension
+from repro.gist import GiST
 from repro.gist.node import Node
-from repro.storage.pagefile import MemoryPageFile
+from repro.storage.diskfile import FilePageFile
 
 
-def _make_store_with_nodes():
-    store = MemoryPageFile()
+def _anonymous_store():
+    return FilePageFile.for_extension(None, RTreeExtension(2),
+                                      page_size=1024)
+
+
+def _make_store_with_nodes(store=None):
+    store = _anonymous_store() if store is None else store
     leaf = Node(store.allocate(), 0)
     inner = Node(store.allocate(), 1)
     store.write(leaf)
     store.write(inner)
     return store, leaf, inner
+
+
+def _make_tree_with_nodes():
+    """An in-memory tree holding one leaf and one inner page."""
+    tree = GiST(RTreeExtension(2), page_size=1024)
+    _, leaf, inner = _make_store_with_nodes(tree.store)
+    return tree, leaf, inner
 
 
 class TestAccounting:
@@ -40,39 +56,40 @@ class TestAccounting:
 
 class TestListeners:
     def test_listener_sees_counted_reads(self):
-        store, leaf, inner = _make_store_with_nodes()
+        tree, leaf, inner = _make_tree_with_nodes()
         seen = []
-        store.add_listener(lambda pid, lvl: seen.append((pid, lvl)))
-        store.read(leaf.page_id)
-        store.read(inner.page_id)
+        tree.add_listener(lambda pid, lvl: seen.append((pid, lvl)))
+        tree._read_query(leaf.page_id)
+        tree._read_query(inner.page_id)
         assert seen == [(leaf.page_id, 0), (inner.page_id, 1)]
+        assert tree.stats.reads_by_level == {0: 1, 1: 1}
 
     def test_listener_removal(self):
-        store, leaf, _ = _make_store_with_nodes()
+        tree, leaf, _ = _make_tree_with_nodes()
         seen = []
         listener = lambda pid, lvl: seen.append(pid)
-        store.add_listener(listener)
-        store.remove_listener(listener)
-        store.read(leaf.page_id)
+        tree.add_listener(listener)
+        tree.remove_listener(listener)
+        tree._read_query(leaf.page_id)
         assert seen == []
 
     def test_listener_skipped_when_not_counting(self):
-        """``peek`` is the uncounted path: no counter, no listener."""
-        store, leaf, _ = _make_store_with_nodes()
+        """``_peek`` is the uncounted path: no counter, no listener."""
+        tree, leaf, _ = _make_tree_with_nodes()
         seen = []
-        store.add_listener(lambda pid, lvl: seen.append(pid))
-        store.peek(leaf.page_id)
-        assert seen == [] and store.stats.reads == 0
+        tree.add_listener(lambda pid, lvl: seen.append(pid))
+        tree._peek(leaf.page_id)
+        assert seen == [] and tree.stats.reads == 0
 
 
 class TestLifecycle:
     def test_allocate_monotonic(self):
-        store = MemoryPageFile()
+        store = _anonymous_store()
         ids = [store.allocate() for _ in range(5)]
         assert ids == sorted(set(ids))
 
     def test_reserve_bumps_allocator(self):
-        store = MemoryPageFile()
+        store = _anonymous_store()
         store.reserve(100)
         assert store.allocate() == 101
 
@@ -88,3 +105,16 @@ class TestLifecycle:
         store, leaf, inner = _make_store_with_nodes()
         assert len(store) == 2
         assert set(store.page_ids()) == {leaf.page_id, inner.page_id}
+
+    def test_dropped_anonymous_store_closes_its_file(self, recwarn):
+        """An anonymous file has no other owner: dropping its store (or
+        the in-memory tree over it) closes it, without a warning."""
+        import gc
+
+        store, _, _ = _make_store_with_nodes()
+        tree = GiST(RTreeExtension(2), page_size=1024)
+        files = [store._file, tree.store.pagefile._file]
+        del store, tree
+        gc.collect()
+        assert all(f.closed for f in files)
+        assert not [w for w in recwarn if w.category is ResourceWarning]

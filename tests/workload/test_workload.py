@@ -53,17 +53,17 @@ class TestRunner:
         tree = bulk_load(make_ext("rtree", 3), vecs, page_size=2048)
         small = run_workload(tree, make_workload(vecs, 2, k=40, seed=3),
                              vecs)
-        tree.store.stats.reset()
+        tree.stats.reset()
         large = run_workload(tree, make_workload(vecs, 40, k=40, seed=3),
                              vecs)
         assert large.pages_touched_fraction \
             >= small.pages_touched_fraction
 
-    def test_buffer_pool_hits_are_counted_not_traced(self, corpus,
-                                                     tmp_path):
-        """Listeners sit under the pool: a bare page file traces every
-        node visit, a pooled one only the misses that reached it, and
-        the pool's hit counter holds the difference."""
+    def test_profile_traces_every_visit_behind_a_pool(self, corpus,
+                                                      tmp_path):
+        """The tree books its reads above the pool: a pooled tree traces
+        every node visit, as a bare one does, and the pool splits them
+        into hits and the misses that reached its page file."""
         vecs = corpus.reduced(3)
         wl = make_workload(vecs, 8, k=20, seed=1)
         plain = run_workload(
@@ -78,9 +78,9 @@ class TestRunner:
         assert [t.results for t in buffered.profile.traces] \
             == [t.results for t in plain.profile.traces]
         assert pool.stats.hits > 0
-        assert buffered.profile.total_ios == pool.stats.misses
-        assert plain.profile.total_ios \
+        assert buffered.profile.total_ios == plain.profile.total_ios \
             == pool.stats.hits + pool.stats.misses
+        assert pool.pagefile.stats.reads == pool.stats.misses
 
 
 class TestRecallCurve:
@@ -127,7 +127,7 @@ class TestWelcomeWorkload:
             touched = set()
             for t in prof.traces:
                 touched.update(t.result_rids)
-            tree.store.stats.reset()
+            tree.stats.reset()
             return len(touched)
 
         broad = make_workload(vecs, 50, k=40, seed=2)
