@@ -22,6 +22,12 @@ The ``mutated5d/*`` digests pin what a durable insert/delete writes at
 that fan-out: the data file and the WAL after :func:`build_mutated`'s
 seeded sequence, which splits leaves and an inner node and condenses
 an underflowing leaf for every family.
+
+The ``inserted5d/*`` digests pin the plain insert path, which
+:func:`build_inserted` drives on all seven families (the R*-tree
+included): every predicate recomputed from its node's contents (aMAP
+drawing from its shared RNG stream), splits, then deletes that
+dissolve an inner node and reinsert its surviving children at level 1.
 """
 
 import hashlib
@@ -30,7 +36,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.bulk import bulk_load
+from repro.bulk import bulk_load, insertion_load
 from repro.cli import main
 from repro.core.api import make_extension
 from repro.gist.mutable import MutableTree
@@ -46,7 +52,28 @@ FAMILIES = ("rtree", "sstree", "srtree", "jb", "xjb", "amap")
 CODECS = ("f64", "sq8")
 DIM, PAGE, N = 3, 1024, 700
 
+#: family -> (page size, keys) of :func:`build_inserted`: small pages
+#: give every family three levels and inner nodes holding at least two
+#: entries, so a dissolved inner node leaves orphans to reinsert.
+INSERTED = {"rtree": (1024, 400), "rstar": (1024, 400),
+            "sstree": (1024, 400), "srtree": (1024, 400),
+            "amap": (1024, 400), "xjb": (4096, 1200), "jb": (8192, 1000)}
+
 GOLDEN = {
+    "inserted5d/amap":
+        "254e01709b67add7e29854569af6a4c12797dc966c5fcee7c92f7024db450b66",
+    "inserted5d/jb":
+        "1d592a0061e0a2a9f298a1be26670ac34821aa7a62aaabba1d0e975893be2553",
+    "inserted5d/rstar":
+        "02df96f56eb298a49f955a5080729d5268538b6b918d6344f871eda0a863f9f9",
+    "inserted5d/rtree":
+        "b9c3507ee8f165b0d3036ddc054633833978842b0767963ba57e785366d95d47",
+    "inserted5d/srtree":
+        "0c943d7456ab1c857c5c1d0bedbccb7e4894967760fa1740f8e04ba16f778d46",
+    "inserted5d/sstree":
+        "1fdcde095aef60abea46c1bc2a1b5fa2db6873bada4f13f62a47a194a1e72c49",
+    "inserted5d/xjb":
+        "28f8417a123f007957b5d1446743a55ba0c547b7dba5608020723f8bf65c6b41",
     "mutated5d/amap-f64":
         "20be792ffff85198cb66a62ea1e791598e6f979f08bb0dbe69a040cef1a38b88",
     "mutated5d/amap-f64.wal":
@@ -205,10 +232,37 @@ def build_mutated(out):
     return digests
 
 
+def build_inserted(out):
+    """Insertion-loaded 5-D trees, then deletes under the smallest
+    non-root level-1 node until that page no longer holds a level-1
+    node: it was dissolved and its remaining leaves reinserted."""
+    digests = {}
+    for family, (page, n) in INSERTED.items():
+        keys = np.random.default_rng(20000304).random((n, 5))
+        tree = insertion_load(make_extension(family, 5), keys,
+                              page_size=page, shuffle_seed=7)
+        assert tree.height >= 3
+        inner = min((node for node in tree.iter_nodes(1)
+                     if node.page_id != tree.root_id), key=len).page_id
+        while True:
+            nodes = {node.page_id: node for node in tree.iter_nodes()}
+            node = nodes.get(inner)
+            if node is None or node.level != 1:
+                break
+            leaf = min((nodes[c] for c in node.children()), key=len)
+            assert tree.delete(leaf.keys_array()[0],
+                               int(leaf.rid_array()[0]))
+        path = str(out / f"{family}-5d-inserted.gist")
+        save_tree(tree, path)
+        digests[f"inserted5d/{family}"] = _sha(path)
+    return digests
+
+
 def build_all(out):
     """Write every pinned artefact under ``out``; name -> sha256."""
     digests = build_wide(out)
     digests.update(build_mutated(out))
+    digests.update(build_inserted(out))
     for family in FAMILIES:
         for codec in CODECS:
             # the batched write path: write_many + seal_images
