@@ -9,7 +9,8 @@ import numpy as np
 
 from repro.amdb import profile_workload
 from repro.bulk import bulk_load
-from repro.core.amap import AMapExtension, best_bipartition
+from repro.core.amap import (AMapExtension, best_bipartition,
+                             covered_volume)
 from repro.geometry import Rect
 
 from conftest import emit
@@ -32,9 +33,9 @@ def test_amap_sample_sweep(vectors, workload, profile, benchmark):
     for samples in SAMPLE_BUDGETS:
         ratios = []
         for g in groups:
-            pred = best_bipartition(g, g, samples,
-                                    np.random.default_rng(1))
-            ratios.append(pred.covered_volume()
+            row = best_bipartition(g, g, samples,
+                                   np.random.default_rng(1))
+            ratios.append(covered_volume(row)
                           / max(Rect.from_points(g).volume(), 1e-12))
         ratio = float(np.mean(ratios))
 

@@ -13,10 +13,22 @@ import numpy as np
 from repro.amdb import profile_workload
 from repro.bulk import bulk_load
 from repro.core.jbtree import JBExtension
+from repro.gist.node import Node
 
 from conftest import emit
 
 METHODS = ["nibble", "sweep", "both", "probe"]
+
+
+def _leaf(keys):
+    return Node.leaf_from_arrays(0, keys, np.arange(len(keys)))
+
+
+def _bitten(ext, keys):
+    """The bitten rect bounding a leaf of ``keys``, decoded from its
+    predicate row."""
+    row = ext.preds_for_nodes([_leaf(keys)])[0]
+    return ext.pred_codec().decode(row.tobytes())
 
 
 def test_bite_method_comparison(vectors, workload, profile, benchmark):
@@ -34,7 +46,7 @@ def test_bite_method_comparison(vectors, workload, profile, benchmark):
         ext = JBExtension(vectors.shape[1], bite_method=method)
         fracs = []
         for g in groups:
-            pred = ext.pred_for_keys(g)
+            pred = _bitten(ext, g)
             samples = pred.rect.lo + mc * pred.rect.extents
             fracs.append(1.0 - pred.contains_points(samples).mean())
         t0 = time.time()
@@ -55,8 +67,8 @@ def test_bite_method_comparison(vectors, workload, profile, benchmark):
     ext_n = JBExtension(vectors.shape[1], bite_method="nibble")
     ext_s = JBExtension(vectors.shape[1], bite_method="sweep")
     g = groups[0]
-    vol_b = ext_b.pred_for_keys(g).volume()
-    assert vol_b <= ext_n.pred_for_keys(g).volume() + 1e-9
-    assert vol_b <= ext_s.pred_for_keys(g).volume() + 1e-9
+    vol_b = _bitten(ext_b, g).volume()
+    assert vol_b <= _bitten(ext_n, g).volume() + 1e-9
+    assert vol_b <= _bitten(ext_s, g).volume() + 1e-9
 
-    benchmark(ext_s.pred_for_keys, groups[0])
+    benchmark(ext_s.preds_for_nodes, [_leaf(groups[0])])

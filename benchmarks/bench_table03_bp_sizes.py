@@ -12,6 +12,7 @@ from repro.core.amap import AMapExtension
 from repro.core.jbtree import JBExtension
 from repro.core.xjb import XJBExtension
 from repro.ams import RTreeExtension
+from repro.gist.node import Node
 from repro.storage.page import entries_per_page
 
 from conftest import emit
@@ -55,4 +56,5 @@ def test_table03_bp_sizes(benchmark):
     # Timed kernel: constructing one JB predicate (the expensive BP).
     pts = np.random.default_rng(0).normal(size=(170, 5))
     ext = JBExtension(5)
-    benchmark(ext.pred_for_keys, pts)
+    leaf = Node.leaf_from_arrays(0, pts, np.arange(len(pts)))
+    benchmark(ext.preds_for_nodes, [leaf])

@@ -24,9 +24,6 @@ from repro.amdb.profiler import (BuildProfile, QueryTrace, WorkloadProfile,
 from repro.amdb.partition import optimal_clustering, Clustering
 from repro.amdb.metrics import LossReport, compute_losses
 from repro.amdb.report import format_loss_table, format_comparison
-from repro.amdb.node_stats import (NodeLoss, node_losses,
-                                   format_worst_offenders,
-                                   excess_coverage_concentration)
 from repro.amdb.tree_report import TreeReport, tree_report, format_tree_report
 from repro.amdb.export import report_to_dict, reports_to_csv, reports_to_json
 
@@ -41,10 +38,6 @@ __all__ = [
     "compute_losses",
     "format_loss_table",
     "format_comparison",
-    "NodeLoss",
-    "node_losses",
-    "format_worst_offenders",
-    "excess_coverage_concentration",
     "TreeReport",
     "tree_report",
     "format_tree_report",

@@ -49,8 +49,6 @@ class WorkloadProfile:
     leaf_utilization: Dict[int, float]
     #: child page id -> parent page id
     parents: Dict[int, int]
-    #: leaf page id -> number of entries
-    leaf_sizes: Dict[int, int]
     leaf_capacity: int
     num_leaves: int
     num_inner: int
@@ -283,15 +281,13 @@ def _tree_facts(tree) -> Dict:
     uncounted walk."""
     rid_to_leaf: Dict[int, int] = {}
     leaf_utilization: Dict[int, float] = {}
-    leaf_sizes: Dict[int, int] = {}
     num_leaves = num_inner = 0
     for node in tree.iter_nodes():
         if node.is_leaf:
             num_leaves += 1
             leaf_utilization[node.page_id] = tree.node_utilization(node)
-            leaf_sizes[node.page_id] = len(node)
-            for entry in node.entries:
-                rid_to_leaf[entry.rid] = node.page_id
+            for rid in node.rids():
+                rid_to_leaf[rid] = node.page_id
         else:
             num_inner += 1
 
@@ -299,7 +295,6 @@ def _tree_facts(tree) -> Dict:
         rid_to_leaf=rid_to_leaf,
         leaf_utilization=leaf_utilization,
         parents=tree.parent_map(),
-        leaf_sizes=leaf_sizes,
         leaf_capacity=tree.leaf_capacity,
         num_leaves=num_leaves,
         num_inner=num_inner,

@@ -21,7 +21,7 @@ class LevelStats:
 
     level: int
     nodes: int
-    entries: int
+    num_entries: int
     mean_fill: float           # entries / capacity
     mean_utilization: float    # bytes / payload
     #: mean pairwise footprint overlap volume between siblings,
@@ -57,19 +57,20 @@ class TreeReport:
 def _sibling_overlap(tree, node) -> float:
     """Mean pairwise overlap of a node's children's footprints."""
     ext = tree.ext
-    if not hasattr(ext, "footprint"):
+    if not hasattr(ext, "block_bounds"):
         return float("nan")
-    rects = [ext.footprint(e.pred) for e in node.entries]
-    if len(rects) < 2:
+    lo, hi = ext.block_bounds(node.pred_block())
+    if len(lo) < 2:
         return 0.0
-    vols = [max(r.volume(), 0.0) for r in rects]
+    vols = np.maximum(np.prod(hi - lo, axis=1), 0.0)
     mean_vol = float(np.mean(vols))
     if mean_vol <= 0:
         return 0.0
-    overlaps = []
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            overlaps.append(rects[i].intersection_volume(rects[j]))
+    first, second = np.triu_indices(len(lo), 1)
+    edges = (np.minimum(hi[first], hi[second])
+             - np.maximum(lo[first], lo[second]))
+    overlaps = np.where((edges < 0).any(axis=1), 0.0,
+                        np.prod(edges, axis=1))
     return float(np.mean(overlaps)) / mean_vol
 
 
@@ -99,7 +100,7 @@ def tree_report(tree) -> TreeReport:
         report.levels.append(LevelStats(
             level=level,
             nodes=slot["nodes"],
-            entries=slot["entries"],
+            num_entries=slot["entries"],
             mean_fill=slot["entries"] / (slot["nodes"] * capacity),
             mean_utilization=float(np.mean(slot["util"])),
             sibling_overlap=_mean_overlap(slot["overlap"]),
@@ -129,7 +130,7 @@ def format_tree_report(report: TreeReport) -> str:
         f"{'util':>7}{'overlap':>9}",
     ]
     for lvl in sorted(report.levels, key=lambda s: -s.level):
-        lines.append(f"{lvl.level:>6}{lvl.nodes:>7}{lvl.entries:>9}"
+        lines.append(f"{lvl.level:>6}{lvl.nodes:>7}{lvl.num_entries:>9}"
                      f"{lvl.mean_fill:>7.2f}{lvl.mean_utilization:>7.2f}"
                      f"{lvl.sibling_overlap:>9.3f}")
     return "\n".join(lines)

@@ -10,12 +10,12 @@ which only matter under insertion loading.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
-from repro.ams.rtree import RTreeExtension, entry_rect
-from repro.geometry import Rect
+from repro.ams.rtree import RTreeExtension
+from repro.gist.node import Node
 
 
 class RStarTreeExtension(RTreeExtension):
@@ -23,24 +23,20 @@ class RStarTreeExtension(RTreeExtension):
 
     name = "rstar"
 
-    def pick_split(self, entries: List, level: int,
-                   min_entries: int) -> Tuple[List, List]:
-        leaf = level == 0
-        rects = [entry_rect(e, leaf, self.footprint) for e in entries]
-        return rstar_split(entries, rects, min_entries)
+    def pick_split(self, node: Node, min_entries: int) -> Tuple[Any, Any]:
+        return rstar_split(*self.split_bounds(node), min_entries)
 
 
-def rstar_split(entries: List, rects: List[Rect],
-                min_entries: int) -> Tuple[List, List]:
-    """The R*-tree split: choose the axis minimizing total margin over
+def rstar_split(los: np.ndarray, his: np.ndarray,
+                min_entries: int) -> Tuple[Any, Any]:
+    """The R*-tree split of the ``(n, dim)`` entry bounds ``los``/``his``
+    into two index arrays: choose the axis minimizing total margin over
     all distributions, then the cut minimizing overlap (ties: volume)."""
-    n = len(entries)
+    n = len(los)
     if n < 2:
         raise ValueError("cannot split fewer than two entries")
     min_entries = max(1, min(min_entries, n // 2))
 
-    los = np.stack([r.lo for r in rects])
-    his = np.stack([r.hi for r in rects])
     dim = los.shape[1]
 
     def distributions(axis):
@@ -79,5 +75,4 @@ def rstar_split(entries: List, rects: List[Rect],
             best = (order, cut)
 
     order, cut = best
-    return ([entries[i] for i in order[:cut]],
-            [entries[i] for i in order[cut:]])
+    return order[:cut], order[cut:]

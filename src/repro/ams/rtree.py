@@ -7,84 +7,77 @@ STR in section 4 and the chassis its custom predicates modify.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
 from repro.ams.splits import quadratic_split
-from repro.geometry import Rect
 from repro.geometry.rect import min_dists_to_rects, rects_contain_point
-from repro.gist.entry import LeafEntry
-from repro.gist.extension import GiSTExtension
+from repro.gist.extension import GiSTExtension, Tokens
 from repro.gist.node import Node
 from repro.storage.codecs import RectCodec
 
 
-def entry_rect(entry, leaf: bool, footprint=None) -> Rect:
-    """The rectangle an entry occupies for split/penalty purposes."""
-    if leaf:
-        return Rect.point(entry.key)
-    return footprint(entry.pred) if footprint else entry.pred
-
-
 class RTreeExtension(GiSTExtension):
-    """Classic R-tree behaviour on :class:`~repro.geometry.Rect` BPs."""
+    """Classic R-tree behaviour on MBR rows ``[lo, hi]``.
+
+    Subclasses whose rows extend the MBR (JB/XJB) or derive it (aMAP)
+    keep the routing, penalty and split on the row's *footprint*, the
+    MBR :meth:`block_bounds` reads.
+    """
 
     name = "rtree"
 
     # -- predicate construction --------------------------------------------
 
-    def pred_for_keys(self, keys: np.ndarray) -> Rect:
-        return Rect.from_points(keys)
+    def preds_for_nodes(self, nodes: Sequence[Node],
+                        tokens: Tokens = None) -> np.ndarray:
+        return np.stack([np.concatenate(self._bounds(node))
+                         for node in nodes])
 
-    def pred_for_preds(self, preds: Sequence[Rect]) -> Rect:
-        return Rect.from_rects(self.footprints(preds))
-
-    def footprints(self, preds: Sequence) -> List[Rect]:
-        """Rect footprints of predicates (subclasses override)."""
-        return list(preds)
-
-    def footprint(self, pred) -> Rect:
-        return pred
+    def _bounds(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
+        """The MBR of a node's keys or child footprints."""
+        if node.is_leaf:
+            keys = node.keys_array()
+            return keys.min(axis=0), keys.max(axis=0)
+        # Stacked through the node cache, so the bounds matrices built
+        # here feed the first queries for free.
+        lo, hi = self.node_bounds(node)
+        return lo.min(axis=0), hi.max(axis=0)
 
     # -- algebra ---------------------------------------------------------------
 
-    def contains(self, pred, point) -> bool:
-        return pred.contains_point(point)
-
     def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
-        """:meth:`contains` for every entry, from the footprint bounds
-        (the closed-box rule of ``Rect.contains_point``)."""
+        """Which entries' footprints hold ``point`` (closed boxes)."""
         lo, hi = self.node_bounds(node)
         return rects_contain_point(point, lo, hi)
 
-    def covers_pred(self, parent_pred, child_pred) -> bool:
-        return parent_pred.contains_rect(self.footprint(child_pred))
+    def covers(self, row: np.ndarray, child_row: np.ndarray) -> bool:
+        return holds_box(row, *self.row_bounds(child_row))
+
+    def row_bounds(self, row: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One row's footprint ``(lo, hi)``."""
+        lo, hi = self.block_bounds(row[None])
+        return lo[0], hi[0]
 
     # -- incremental adjust ----------------------------------------------------
 
-    def adjust_pred_insert(self, pred: Rect, key: np.ndarray):
-        if pred.contains_point(key):
-            return pred
-        return pred.union_point(key)
+    def widen_key(self, row: np.ndarray, key: np.ndarray) -> Any:
+        if self.covers_key(row, key):
+            return row
+        return np.concatenate((np.minimum(row[:self.dim], key),
+                               np.maximum(row[self.dim:2 * self.dim], key)))
 
-    def adjust_pred_cover(self, pred: Rect, child_pred: Rect):
-        child = self.footprint(child_pred)
-        if pred.contains_rect(child):
-            return pred
-        return pred.union(child)
-
-    def penalty(self, pred, key: np.ndarray) -> float:
-        rect = self.footprint(pred)
-        enlarged = rect.union_point(key)
-        growth = enlarged.volume() - rect.volume()
-        # Tie-break by resulting volume, as Guttman prescribes.
-        return growth + 1e-9 * enlarged.volume()
+    def widen(self, row: np.ndarray, child_row: np.ndarray) -> Any:
+        lo, hi = self.row_bounds(child_row)
+        if holds_box(row, lo, hi):
+            return row
+        return np.concatenate((np.minimum(row[:self.dim], lo),
+                               np.maximum(row[self.dim:2 * self.dim], hi)))
 
     def node_bounds(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked footprint ``lo``/``hi`` matrices, memoized on the node:
-        column slices of its predicate block (:meth:`block_bounds`); no
-        predicate object is built."""
+        column slices of its predicate block (:meth:`block_bounds`)."""
         return node.cached("rect_bounds",
                            lambda: self.block_bounds(node.pred_block()))
 
@@ -101,33 +94,25 @@ class RTreeExtension(GiSTExtension):
         grown_hi = np.maximum(hi, q)
         grown = np.prod(grown_hi - grown_lo, axis=1)
         growth = grown - np.prod(hi - lo, axis=1)
+        # Tie-break by resulting volume, as Guttman prescribes.
         return growth + 1e-9 * grown
 
-    def pick_split(self, entries: List, level: int,
-                   min_entries: int) -> Tuple[List, List]:
-        leaf = level == 0
-        rects = [entry_rect(e, leaf, self.footprint) for e in entries]
-        return quadratic_split(entries, rects, min_entries)
+    def split_bounds(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``lo``/``hi`` boxes a split partitions: a leaf's keys as
+        points, an inner node's footprints."""
+        if node.is_leaf:
+            keys = node.keys_array()
+            return keys, keys
+        return self.node_bounds(node)
 
-    def routing_point(self, pred) -> np.ndarray:
-        return self.footprint(pred).center
+    def pick_split(self, node: Node, min_entries: int) -> Tuple[Any, Any]:
+        return quadratic_split(*self.split_bounds(node), min_entries)
 
-    def routing_points_multi(self, preds: Sequence) -> np.ndarray:
-        lo, hi = _stack_bounds(self.footprints(preds))
+    def routing_points(self, block: np.ndarray) -> np.ndarray:
+        lo, hi = self.block_bounds(block)
         return (lo + hi) / 2.0
 
-    def pred_for_node_at(self, node: Node, token) -> Rect:
-        if node.is_leaf:
-            return self.pred_for_keys_at(node.keys_array(), token)
-        # Stack the child footprints through the node cache, so the
-        # bounds matrices built here feed the first queries for free.
-        lo, hi = self.node_bounds(node)
-        return Rect(lo.min(axis=0), hi.max(axis=0))
-
     # -- distances ---------------------------------------------------------------
-
-    def min_dist(self, pred, q: np.ndarray) -> float:
-        return self.footprint(pred).min_dist(q)
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         return min_dists_to_rects(q, *self.node_bounds(node))
@@ -138,6 +123,7 @@ class RTreeExtension(GiSTExtension):
         return RectCodec(self.dim)
 
 
-def _stack_bounds(rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
-    return (np.stack([r.lo for r in rects]),
-            np.stack([r.hi for r in rects]))
+def holds_box(row: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Does the MBR leading ``row`` hold the closed box ``[lo, hi]``?"""
+    dim = len(lo)
+    return bool(np.all(lo >= row[:dim]) and np.all(hi <= row[dim:2 * dim]))

@@ -2,36 +2,35 @@
 
 Guttman's quadratic split [10] is the paper's baseline R-tree behaviour;
 the variance split is the SS-tree's coordinate-variance heuristic [21].
-Both operate on abstract entries paired with representative rectangles or
-centers, so every extension (R-tree, aMAP, JB, XJB, SR-tree) can reuse
-them on its own predicate's footprint.
+Both take the stacked ``lo``/``hi`` footprint bounds or centers of an
+overflowing node's entries and return the two groups as index lists,
+so every extension (R-tree, aMAP, JB, XJB, SR-tree) can reuse them on
+its own predicate's footprint.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.geometry import Rect
 
-
-def quadratic_split(entries: List, rects: Sequence[Rect],
-                    min_entries: int) -> Tuple[List, List]:
+def quadratic_split(los: np.ndarray, his: np.ndarray,
+                    min_entries: int) -> Tuple[List[int], List[int]]:
     """Guttman's quadratic split.
 
-    Picks the pair of entries whose combined bounding box wastes the most
-    volume as seeds, then assigns remaining entries to the group whose
-    bounding box needs the smaller enlargement, forcing assignment when a
-    group must absorb everything left to reach ``min_entries``.
+    ``los``/``his`` are the ``(n, dim)`` entry bounds (equal for
+    points).  Picks the pair of entries whose combined bounding box
+    wastes the most volume as seeds, then assigns remaining entries to
+    the group whose bounding box needs the smaller enlargement, forcing
+    assignment when a group must absorb everything left to reach
+    ``min_entries``.
     """
-    n = len(entries)
+    n = len(los)
     if n < 2:
         raise ValueError("cannot split fewer than two entries")
     min_entries = min(min_entries, n // 2)
 
-    los = np.stack([r.lo for r in rects])
-    his = np.stack([r.hi for r in rects])
     vols = np.prod(his - los, axis=1)
 
     # PickSeeds: maximize dead volume of the pair's bounding box,
@@ -81,14 +80,14 @@ def quadratic_split(entries: List, rects: Sequence[Rect],
             b_lo = np.minimum(b_lo, los[pick])
             b_hi = np.maximum(b_hi, his[pick])
 
-    return [entries[i] for i in group_a], [entries[i] for i in group_b]
+    return group_a, group_b
 
 
-def variance_split(entries: List, centers: np.ndarray,
-                   min_entries: int) -> Tuple[List, List]:
+def variance_split(centers: np.ndarray,
+                   min_entries: int) -> Tuple[np.ndarray, np.ndarray]:
     """SS-tree split: sort along the axis of maximum center variance and
     cut at the position minimizing the two sides' summed variance."""
-    n = len(entries)
+    n = len(centers)
     if n < 2:
         raise ValueError("cannot split fewer than two entries")
     min_entries = min(min_entries, n // 2)
@@ -104,6 +103,4 @@ def variance_split(entries: List, centers: np.ndarray,
             + right.var(axis=0).sum() * len(right)
         if score < best_score:
             best_score, best_cut = score, cut
-    left_idx = order[:best_cut]
-    right_idx = order[best_cut:]
-    return ([entries[i] for i in left_idx], [entries[i] for i in right_idx])
+    return order[:best_cut], order[best_cut:]

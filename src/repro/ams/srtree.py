@@ -10,116 +10,117 @@ SR-tree shave a little leaf-level excess coverage off the R-tree
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
 from repro.ams.splits import quadratic_split
-from repro.ams.sstree import sphere_bounds
-from repro.geometry import Rect, Sphere
-from repro.geometry.rect import min_dists_to_rects
-from repro.gist.entry import LeafEntry
-from repro.gist.extension import GiSTExtension
+from repro.ams.sstree import (covering_sphere, grown_sphere, sphere_bounds,
+                              spheres_contain)
+from repro.geometry import Sphere
+from repro.geometry.rect import min_dists_to_rects, rects_contain_point
+from repro.gist.extension import GiSTExtension, Tokens
 from repro.gist.node import Node
 from repro.storage.codecs import RectSphereCodec
 
 
-class SRPred:
-    """SR-tree predicate: the intersection of a rect and a sphere."""
-
-    __slots__ = ("rect", "sphere")
-
-    def __init__(self, rect: Rect, sphere: Sphere):
-        self.rect = rect
-        self.sphere = sphere
-
-    def __iter__(self):
-        # Codec compatibility: behaves like the (rect, sphere) tuple.
-        yield self.rect
-        yield self.sphere
-
-    def __repr__(self) -> str:
-        return f"SRPred({self.rect!r}, {self.sphere!r})"
+def _max_dist(point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Distance from ``point`` to the farthest corner of ``[lo, hi]``."""
+    delta = np.maximum(np.abs(point - lo), np.abs(point - hi))
+    return float(np.linalg.norm(delta))
 
 
-def _capped_sphere(center: np.ndarray, radius: float, rect: Rect) -> Sphere:
-    """Cap a covering radius by the farthest rect corner (SR-tree rule)."""
-    return Sphere(center, min(radius, rect.max_dist(center)))
-
-
-def _reach(parent: SRPred, child: SRPred) -> float:
-    """How far the child's region, inside both its rect and its sphere,
-    reaches from the parent's center: the nearer of the two limits."""
-    center = parent.sphere.center
-    gap = float(np.linalg.norm(child.sphere.center - center))
-    return min(child.rect.max_dist(center), gap + child.sphere.radius)
+def _sr_row(lo: np.ndarray, hi: np.ndarray, center: np.ndarray,
+            radius: float) -> np.ndarray:
+    """An SR row, the covering radius capped by the farthest rect
+    corner (the SR-tree rule)."""
+    return np.concatenate((lo, hi, center,
+                           [min(radius, _max_dist(center, lo, hi))]))
 
 
 class SRTreeExtension(GiSTExtension):
-    """SR-tree behaviour on combined rect + sphere BPs."""
+    """SR-tree behaviour on rows ``[lo, hi, center, radius]``: the
+    intersection of a rect and a sphere."""
 
     name = "srtree"
 
     # -- predicate construction --------------------------------------------
 
-    def pred_for_keys(self, keys: np.ndarray) -> SRPred:
-        rect = Rect.from_points(keys)
-        raw = Sphere.from_points(keys)
-        return SRPred(rect, _capped_sphere(raw.center, raw.radius, rect))
-
-    def pred_for_preds(self, preds: Sequence[SRPred]) -> SRPred:
-        preds = list(preds)
-        rect = Rect.from_rects([p.rect for p in preds])
-        raw = Sphere.from_spheres([p.sphere for p in preds])
-        return SRPred(rect, _capped_sphere(raw.center, raw.radius, rect))
+    def preds_for_nodes(self, nodes: Sequence[Node],
+                        tokens: Tokens = None) -> np.ndarray:
+        rows = []
+        for node in nodes:
+            if node.is_leaf:
+                keys = node.keys_array()
+                lo, hi = keys.min(axis=0), keys.max(axis=0)
+                raw = Sphere.from_points(keys)
+            else:
+                los, his, centers, radii = self._sr_params(node)
+                lo = np.minimum.reduce(los)
+                hi = np.maximum.reduce(his)
+                raw = covering_sphere(centers, radii)
+            rows.append(_sr_row(lo, hi, raw.center, raw.radius))
+        return np.stack(rows)
 
     # -- algebra ---------------------------------------------------------------
 
-    def contains(self, pred: SRPred, point) -> bool:
-        return (pred.rect.contains_point(point)
-                and pred.sphere.contains_point(point))
+    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
+        lo, hi, centers, radii = self._sr_params(node)
+        return (rects_contain_point(point, lo, hi)
+                & spheres_contain(point, centers, radii))
 
-    def covers_pred(self, parent_pred: SRPred, child_pred: SRPred) -> bool:
-        return (parent_pred.rect.contains_rect(child_pred.rect)
-                and _reach(parent_pred, child_pred)
-                <= parent_pred.sphere.radius * (1 + 1e-12) + 1e-12)
+    def _reach(self, row: np.ndarray, child_row: np.ndarray) -> float:
+        """How far the child's region, inside both its rect and its
+        sphere, reaches from the parent's center: the nearer of the two
+        limits."""
+        d = self.dim
+        center = row[2 * d:3 * d]
+        gap = float(np.linalg.norm(child_row[2 * d:3 * d] - center))
+        return min(_max_dist(center, child_row[:d], child_row[d:2 * d]),
+                   gap + child_row[3 * d])
+
+    def _holds_rect(self, row: np.ndarray, child_row: np.ndarray) -> bool:
+        d = self.dim
+        return bool(np.all(child_row[:d] >= row[:d])
+                    and np.all(child_row[d:2 * d] <= row[d:2 * d]))
+
+    def covers(self, row: np.ndarray, child_row: np.ndarray) -> bool:
+        return bool(self._holds_rect(row, child_row)
+                    and self._reach(row, child_row)
+                    <= row[3 * self.dim] * (1 + 1e-12) + 1e-12)
 
     # -- incremental adjust ----------------------------------------------------
 
-    def adjust_pred_insert(self, pred: SRPred, key: np.ndarray):
+    def widen_key(self, row: np.ndarray, key: np.ndarray) -> Any:
+        d = self.dim
         key = np.asarray(key, dtype=np.float64)
-        sphere = pred.sphere
-        gap = float(np.linalg.norm(key - sphere.center))
-        if pred.rect.contains_point(key) and gap <= sphere.radius:
-            return pred
-        rect = pred.rect.union_point(key)
-        if gap > sphere.radius:
-            # Smallest ball covering ball and point (see the SS-tree).
-            new_r = (gap + sphere.radius) / 2.0
-            center = sphere.center + (key - sphere.center) \
-                * ((new_r - sphere.radius) / gap)
-            sphere = Sphere(center, new_r)
+        lo, hi = row[:d], row[d:2 * d]
+        grown = grown_sphere(row[2 * d:3 * d], float(row[3 * d]), key)
+        if grown is None and np.all(key >= lo) and np.all(key <= hi):
+            return row
+        center, radius = (row[2 * d:3 * d], float(row[3 * d])) \
+            if grown is None else grown
         # Re-capping is safe: the key lies inside the widened rect, so
-        # max_dist(center) bounds its distance, and the old sphere's
+        # the farthest corner bounds its distance, and the old sphere's
         # covered data all sits inside the old rect, hence the new one.
-        return SRPred(rect, _capped_sphere(sphere.center, sphere.radius,
-                                           rect))
+        return _sr_row(np.minimum(lo, key), np.maximum(hi, key), center,
+                       radius)
 
-    def adjust_pred_cover(self, pred: SRPred, child_pred: SRPred):
-        # No tolerance, unlike covers_pred (see the SS-tree's insert).
-        if (pred.rect.contains_rect(child_pred.rect)
-                and _reach(pred, child_pred) <= pred.sphere.radius):
-            return pred
-        rect = pred.rect.union(child_pred.rect)
-        raw = Sphere.from_spheres([pred.sphere, child_pred.sphere])
-        # Capping by the widened rect keeps covers_pred true: the
-        # child's reach from the new center is bounded both by its own
-        # sphere (covered by ``raw``) and by its rect's farthest corner,
-        # which the cap never undercuts.
-        return SRPred(rect, _capped_sphere(raw.center, raw.radius, rect))
-
-    def penalty(self, pred: SRPred, key: np.ndarray) -> float:
-        return float(np.linalg.norm(pred.sphere.center - key))
+    def widen(self, row: np.ndarray, child_row: np.ndarray) -> Any:
+        # No tolerance, unlike covers (see the SS-tree's widen_key).
+        d = self.dim
+        if self._holds_rect(row, child_row) \
+                and self._reach(row, child_row) <= row[3 * d]:
+            return row
+        pair = np.stack((row, child_row))
+        raw = covering_sphere(pair[:, 2 * d:3 * d], pair[:, 3 * d])
+        # Capping by the widened rect keeps covers true: the child's
+        # reach from the new center is bounded both by its own sphere
+        # (covered by the union ball) and by its rect's farthest
+        # corner, which the cap never undercuts.
+        return _sr_row(np.minimum(row[:d], child_row[:d]),
+                       np.maximum(row[d:2 * d], child_row[d:2 * d]),
+                       raw.center, raw.radius)
 
     def _sr_params(self, node: Node) -> Tuple[np.ndarray, ...]:
         """Stacked ``(lo, hi, centers, radii)``, memoized on the node:
@@ -134,22 +135,17 @@ class SRTreeExtension(GiSTExtension):
         centers = self._sr_params(node)[2]
         return np.sqrt(((centers - q) ** 2).sum(axis=1))
 
-    def pick_split(self, entries: List, level: int,
-                   min_entries: int) -> Tuple[List, List]:
-        if level == 0:
-            rects = [Rect.point(e.key) for e in entries]
-        else:
-            rects = [e.pred.rect for e in entries]
-        return quadratic_split(entries, rects, min_entries)
+    def pick_split(self, node: Node, min_entries: int) -> Tuple[Any, Any]:
+        if node.is_leaf:
+            keys = node.keys_array()
+            return quadratic_split(keys, keys, min_entries)
+        lo, hi, _, _ = self._sr_params(node)
+        return quadratic_split(lo, hi, min_entries)
 
-    def routing_point(self, pred: SRPred) -> np.ndarray:
-        return pred.sphere.center
+    def routing_points(self, block: np.ndarray) -> np.ndarray:
+        return block[:, 2 * self.dim:3 * self.dim]
 
     # -- distances ---------------------------------------------------------------
-
-    def min_dist(self, pred: SRPred, q: np.ndarray) -> float:
-        sphere = sphere_bounds(q, pred.sphere.center[None], pred.sphere.radius)
-        return max(pred.rect.min_dist(q), float(sphere[0]))
 
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
         lo, hi, centers, radii = self._sr_params(node)
@@ -158,13 +154,5 @@ class SRTreeExtension(GiSTExtension):
 
     # -- storage --------------------------------------------------------------------
 
-    def pred_codec(self) -> "_SRPredCodec":
-        return _SRPredCodec(self.dim)
-
-
-class _SRPredCodec(RectSphereCodec):
-    """RectSphereCodec that decodes into :class:`SRPred` objects."""
-
-    def decode(self, data: bytes) -> SRPred:
-        rect, sphere = super().decode(data)
-        return SRPred(rect, sphere)
+    def pred_codec(self) -> RectSphereCodec:
+        return RectSphereCodec(self.dim)

@@ -146,6 +146,14 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def _row_dist(ext: Any, one: Any, key: np.ndarray) -> float:
+    """The extension's tightest lower bound from ``key`` to the one
+    predicate of node ``one``: its node bound, refined where the
+    family refines."""
+    bound = float(ext.min_dists_node(one, key)[0])
+    return ext.refine_dist(one.pred_block()[0], key, bound)
+
+
 def check_tree(tree: Any, path: Optional[str] = None,
                check_fill: bool = True) -> CheckReport:
     """Verify every semantic invariant of a built tree.
@@ -154,7 +162,7 @@ def check_tree(tree: Any, path: Optional[str] = None,
     ``check_fill=False`` the minimum-fanout bound is skipped (useful for
     trees mid-mutation).
     """
-    from repro.geometry.bites import BittenRect
+    from repro.gist.extension import row_node
     from repro.storage.errors import StorageError
 
     report = CheckReport(method=tree.ext.name, path=path)
@@ -182,10 +190,14 @@ def check_tree(tree: Any, path: Optional[str] = None,
             report.add(PAGE_MISSING, page_id, str(exc))
             return None
 
+    # JB/XJB rows decode into their BittenRect for the bite audit
+    codec = ext.pred_codec()
+    bitten = hasattr(codec, "bite_rows")
+
     def check_bites(pred: Any, child_keys: np.ndarray,
                     child_halfs: Optional[np.ndarray],
                     child_id: int) -> None:
-        if not isinstance(pred, BittenRect) or not pred.bites:
+        if not pred.bites:
             return
         rect = pred.rect
         # Bites are carved with float arithmetic relative to the MBR
@@ -275,10 +287,10 @@ def check_tree(tree: Any, path: Optional[str] = None,
 
         if node.is_leaf:
             leaf_depths.add(depth)
-            rids.extend(e.rid for e in node.entries)
-            report.keys_checked += len(node.entries)
+            rids.extend(node.rids())
+            report.keys_checked += len(node)
             check_quantized_leaf(node)
-            if not node.entries:
+            if not len(node):
                 return empty
             keys = node.keys_array()
             half = node.key_halfwidths()
@@ -286,55 +298,58 @@ def check_tree(tree: Any, path: Optional[str] = None,
                      if half is not None else None)
             return keys, halfs
 
-        if not node.entries:
+        if not len(node):
             report.add(NODE_EMPTY, page_id, "inner node with no entries")
             return empty
 
         parts: List[np.ndarray] = []
         half_parts: List[Optional[np.ndarray]] = []
-        for entry in node.entries:
-            child_keys, child_halfs = walk(entry.child, depth + 1,
+        for row, child_id in zip(node.pred_block(), node.children()):
+            child_keys, child_halfs = walk(child_id, depth + 1,
                                            node.level - 1)
             parts.append(child_keys)
             half_parts.append(child_halfs)
-            child = peek(entry.child)
+            child = peek(child_id)
             if child is None:
                 continue
             if child.is_leaf:
                 half = child.key_halfwidths()
                 qtol = (float(np.sqrt((half * half).sum())) + 1e-9
                         if half is not None else 0.0)
-                for leaf_entry in child.entries:
-                    if not ext.contains(entry.pred, leaf_entry.key):
+                one = row_node(row)
+                for key, rid in zip(child.keys_array(), child.rids()):
+                    if not ext.contains_node(one, key)[0]:
                         if half is not None:
-                            if ext.min_dist(entry.pred,
-                                            leaf_entry.key) <= qtol:
+                            if _row_dist(ext, one, key) <= qtol:
                                 continue
                             report.add(
-                                QUANT_BOUND_ESCAPE, entry.child,
+                                QUANT_BOUND_ESCAPE, child_id,
                                 f"reconstructed key "
-                                f"{np.asarray(leaf_entry.key).tolist()} "
-                                f"(rid {leaf_entry.rid}) escapes the "
+                                f"{np.asarray(key).tolist()} "
+                                f"(rid {rid}) escapes the "
                                 f"bounding predicate its parent "
                                 f"{page_id} holds by more than the "
                                 f"quantization tolerance {qtol:.3g}")
                             continue
                         report.add(
-                            BP_KEY_ESCAPE, entry.child,
+                            BP_KEY_ESCAPE, child_id,
                             f"stored key "
-                            f"{np.asarray(leaf_entry.key).tolist()} "
-                            f"(rid {leaf_entry.rid}) escapes the "
+                            f"{np.asarray(key).tolist()} "
+                            f"(rid {rid}) escapes the "
                             f"bounding predicate its parent "
                             f"{page_id} holds")
             else:
-                for grandchild in child.entries:
-                    if not ext.covers_pred(entry.pred, grandchild.pred):
+                for child_row, grandchild in zip(child.pred_block(),
+                                                 child.children()):
+                    if not ext.covers(row, child_row):
                         report.add(
-                            BP_CHILD_ESCAPE, entry.child,
+                            BP_CHILD_ESCAPE, child_id,
                             f"child predicate (for page "
-                            f"{grandchild.child}) is not covered by "
+                            f"{grandchild}) is not covered by "
                             f"the predicate parent {page_id} holds")
-            check_bites(entry.pred, child_keys, child_halfs, entry.child)
+            if bitten:
+                check_bites(codec.decode(row.tobytes()), child_keys,
+                            child_halfs, child_id)
         if not parts:
             return empty
         all_keys = np.concatenate(parts)

@@ -13,9 +13,10 @@ Each level is built as a batch: the packing order is computed once,
 split into chunks with :func:`~repro.bulk.str_pack.chunk_sizes`, and
 every chunk's page id is allocated *in chunk order* before any node is
 built.  Nodes are then assembled, their bounding predicates constructed
-in one vectorized :meth:`~repro.gist.extension.GiSTExtension.
-preds_for_nodes` call, and the whole level written through the store's
-batched :meth:`write_many` path.
+as one ``(nodes, numbers)`` row block by a single
+:meth:`~repro.gist.extension.GiSTExtension.preds_for_nodes` call, and
+the whole level written through the store's batched :meth:`write_many`
+path; the level above packs that block's rows.
 
 Page bytes are a pure function of the keys and the seed: the packing
 order and the page ids follow from the keys alone, and randomized
@@ -27,14 +28,13 @@ predicate constructions draw from RNGs keyed to the node's
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amdb.profiler import BuildProfile
 from repro.constants import DEFAULT_PAGE_SIZE
 from repro.bulk.str_pack import chunk_sizes, str_order
-from repro.gist.entry import IndexEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
 from repro.gist.tree import GiST
@@ -133,37 +133,39 @@ def _build(tree: GiST, keys: np.ndarray, rids: np.ndarray, fill: float,
     ordered_keys = np.ascontiguousarray(keys[order])
     ordered_rids = rids[order]
     prof.add("sort", time.perf_counter() - t0)
-    entries = _build_level(
-        tree, 0, None,
+    block, page_ids = _build_level(
+        tree, 0,
         chunk_sizes(len(keys), leaf_target, tree.min_entries(0),
                     tree.leaf_capacity),
-        keys=ordered_keys, rids=ordered_rids, entries=None, prof=prof)
+        ordered_keys, ordered_rids, prof)
 
     # -- upper levels -------------------------------------------------------
     level = 1
     index_target = max(tree.min_entries(1),
                        int(tree.index_capacity * fill))
-    while len(entries) > 1:
+    while len(page_ids) > 1:
         t0 = time.perf_counter()
-        centers = ext.routing_points_multi([e.pred for e in entries])
-        order = order_fn(centers, index_target)
+        order = order_fn(ext.routing_points(block), index_target)
         prof.add("sort", time.perf_counter() - t0)
-        entries = _build_level(
-            tree, level, order,
-            chunk_sizes(len(entries), index_target,
+        block, page_ids = _build_level(
+            tree, level,
+            chunk_sizes(len(page_ids), index_target,
                         tree.min_entries(level), tree.index_capacity),
-            keys=None, rids=None, entries=entries, prof=prof)
+            block[order], page_ids[order], prof)
         level += 1
 
-    root = tree.store.peek(entries[0].child)
+    root = tree.store.peek(int(page_ids[0]))
     tree.adopt(root, height=root.level + 1, size=len(keys))
 
 
-def _build_level(tree: GiST, level: int, order, sizes: List[int],
-                 keys, rids, entries,
-                 prof: BuildProfile) -> List[IndexEntry]:
-    """Assemble, bound and write one whole level; returns the entries
-    (predicate, page id) the level above packs, in chunk order.
+def _build_level(tree: GiST, level: int, sizes: List[int],
+                 rows: np.ndarray, ids: np.ndarray,
+                 prof: BuildProfile) -> Tuple[np.ndarray, np.ndarray]:
+    """Assemble, bound and write one whole level from its packed
+    ``rows`` (keys, or the level below's predicate rows) and ``ids``
+    (rids, or child page ids); returns the level's ``(block,
+    page_ids)``, the predicate rows and page ids the level above packs,
+    in chunk order.
 
     Page ids are allocated here, in chunk order, before any node is
     built, so they follow from the chunk sizes alone.
@@ -175,28 +177,24 @@ def _build_level(tree: GiST, level: int, order, sizes: List[int],
     nodes = []
     start = 0
     for page_id, size in zip(page_ids, sizes):
+        # rows/ids arrive pre-ordered: a node is two array views
         span = slice(start, start + size)
         start += size
-        if level == 0:
-            # keys/rids arrive pre-ordered: a leaf is two array views
-            node = Node.leaf_from_arrays(page_id, keys[span], rids[span])
-        else:
-            # the level's predicates become its block rows here, once
-            node = Node.from_entries(page_id, level,
-                                     [entries[i] for i in order[span]],
-                                     tree.index_codec.pred_codec)
-        nodes.append(node)
+        nodes.append(Node.leaf_from_arrays(page_id, rows[span], ids[span])
+                     if level == 0 else
+                     Node.inner_from_block(page_id, level, rows[span],
+                                           ids[span]))
     prof.add("pack", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    preds = tree.ext.preds_for_nodes(
+    block = tree.ext.preds_for_nodes(
         nodes, [(level, ci) for ci in range(len(nodes))])
     prof.add("bp", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     tree.store.write_many(nodes)
     prof.add("write", time.perf_counter() - t0)
-    return [IndexEntry(p, pid) for p, pid in zip(preds, page_ids)]
+    return block, np.array(page_ids, dtype=np.int64)
 
 
 def insertion_load(ext: GiSTExtension, keys: np.ndarray,

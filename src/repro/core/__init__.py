@@ -19,14 +19,13 @@ access methods over a vector set, run workloads, and produce amdb-style
 loss analyses.
 """
 
-from repro.core.amap import AMapExtension, MapPred
+from repro.core.amap import AMapExtension
 from repro.core.jbtree import JBExtension
 from repro.core.xjb import XJBExtension, select_x
 from repro.core.api import build_index, analyze_workload, compare_methods, EXTENSIONS
 
 __all__ = [
     "AMapExtension",
-    "MapPred",
     "JBExtension",
     "XJBExtension",
     "select_x",

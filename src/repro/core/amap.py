@@ -13,51 +13,16 @@ total covered volume, not overlap minimization.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import AMAP_SAMPLES
-from repro.ams.rtree import RTreeExtension
-from repro.geometry import Rect
+from repro.ams.rtree import RTreeExtension, holds_box
 from repro.geometry.rect import min_dists_to_rects, rects_contain_point
+from repro.gist.extension import Tokens
 from repro.gist.node import Node
 from repro.storage.codecs import DualRectCodec
-
-
-class MapPred:
-    """A MAP bounding predicate: the union of two rectangles."""
-
-    __slots__ = ("r1", "r2")
-
-    def __init__(self, r1: Rect, r2: Rect):
-        self.r1 = r1
-        self.r2 = r2
-
-    def __iter__(self):
-        yield self.r1
-        yield self.r2
-
-    @property
-    def dim(self) -> int:
-        return self.r1.dim
-
-    def mbr(self) -> Rect:
-        return self.r1.union(self.r2)
-
-    def covered_volume(self) -> float:
-        """Total volume, counting the overlapped region once."""
-        return (self.r1.volume() + self.r2.volume()
-                - self.r1.intersection_volume(self.r2))
-
-    def contains_point(self, p) -> bool:
-        return self.r1.contains_point(p) or self.r2.contains_point(p)
-
-    def min_dist(self, q) -> float:
-        return min(self.r1.min_dist(q), self.r2.min_dist(q))
-
-    def __repr__(self) -> str:
-        return f"MapPred({self.r1!r}, {self.r2!r})"
 
 
 #: How far into each sort order :func:`_side_bounds` looks before a
@@ -117,18 +82,29 @@ def _side_bounds(masks: np.ndarray, los: np.ndarray, his: np.ndarray
             bounds[1, :dim].T, bounds[1, dim:].T)
 
 
+def covered_volume(row: np.ndarray) -> float:
+    """Total volume of an aMAP row's two rects, their overlap counted
+    once."""
+    lo1, hi1, lo2, hi2 = np.hsplit(row, 4)
+    edges = np.minimum(hi1, hi2) - np.maximum(lo1, lo2)
+    inter = 0.0 if np.any(edges < 0) else float(np.prod(edges))
+    return (float(np.prod(hi1 - lo1)) + float(np.prod(hi2 - lo2))
+            - inter)
+
+
 def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
-                     rng: np.random.Generator) -> MapPred:
-    """Minimum-total-volume pair of MBRs over random bipartitions.
+                     rng: np.random.Generator) -> np.ndarray:
+    """The aMAP row ``[lo1, hi1, lo2, hi2]``: the minimum-total-volume
+    pair of MBRs over random bipartitions.
 
     ``los``/``his`` give each item's own bounds (equal for points).  The
-    all-in-one split (second rectangle empty) is always a candidate, so
-    aMAP never does worse than the plain MBR on covered volume.
+    all-in-one split (both rectangles the MBR) is always a candidate,
+    so aMAP never does worse than the plain MBR on covered volume.
     """
     n = len(los)
-    whole = Rect(los.min(axis=0), his.max(axis=0))
-    best = MapPred(whole, whole)
-    best_vol = best.covered_volume()
+    whole = np.concatenate((los.min(axis=0), his.max(axis=0)))
+    best = np.concatenate((whole, whole))
+    best_vol = covered_volume(best)
     if n < 2:
         return best
 
@@ -163,14 +139,13 @@ def best_bipartition(los: np.ndarray, his: np.ndarray, samples: int,
 
     i = int(np.argmin(total))
     if total[i] < best_vol:
-        # copies: a row view would pin every candidate's bounds
-        best = MapPred(Rect(lo1[i].copy(), hi1[i].copy()),
-                       Rect(lo2[i].copy(), hi2[i].copy()))
+        best = np.concatenate((lo1[i], hi1[i], lo2[i], hi2[i]))
     return best
 
 
 class AMapExtension(RTreeExtension):
-    """aMAP: R-tree chassis with dual-rectangle bounding predicates.
+    """aMAP: R-tree chassis with dual-rectangle rows
+    ``[lo1, hi1, lo2, hi2]``.
 
     Routing (penalty, split) treats the predicate as its overall MBR; the
     dual rectangles only sharpen the NN distance.
@@ -186,58 +161,26 @@ class AMapExtension(RTreeExtension):
         self._rng = np.random.default_rng(seed)
 
     # -- predicate construction --------------------------------------------
-
-    def pred_for_keys(self, keys: np.ndarray) -> MapPred:
-        keys = np.asarray(keys, dtype=np.float64)
-        return best_bipartition(keys, keys, self.samples, self._rng)
-
-    def pred_for_preds(self, preds: Sequence[MapPred]) -> MapPred:
-        rects = self.footprints(preds)
-        los = np.stack([r.lo for r in rects])
-        his = np.stack([r.hi for r in rects])
-        return best_bipartition(los, his, self.samples, self._rng)
-
-    # -- bulk-load construction hooks ---------------------------------------
     #
     # Bulk builds key the sampling RNG to the node's (level, index)
-    # position instead of the shared insert-path stream, so a node's
-    # predicate depends only on the seed and its place in the tree, not
-    # on what was built before it — the property the golden page-file
-    # digests (tests/storage/test_golden_format.py) rest on.
+    # position, so a node's predicate depends only on the seed and its
+    # place in the tree, not on what was built before it — the property
+    # the golden page-file digests (tests/storage/test_golden_format.py)
+    # rest on.  Insert-time recomputes draw from one shared stream.
 
     def _bulk_rng(self, token: Tuple[int, int]) -> np.random.Generator:
         level, index = token
         return np.random.default_rng((self.seed, level, index))
 
-    def pred_for_keys_at(self, keys: np.ndarray,
-                         token: Tuple[int, int]) -> MapPred:
-        keys = np.asarray(keys, dtype=np.float64)
-        return best_bipartition(keys, keys, self.samples,
-                                self._bulk_rng(token))
-
-    def pred_for_preds_at(self, preds: Sequence[MapPred],
-                          token: Tuple[int, int]) -> MapPred:
-        rects = self.footprints(preds)
-        los = np.stack([r.lo for r in rects])
-        his = np.stack([r.hi for r in rects])
-        return best_bipartition(los, his, self.samples,
-                                self._bulk_rng(token))
-
-    def pred_for_node_at(self, node: Node, token: Tuple[int, int]) -> MapPred:
-        if node.is_leaf:
-            return self.pred_for_keys_at(node.keys_array(), token)
-        # node_bounds stacks the child MBRs exactly as pred_for_preds
-        # does, but memoized under "rect_bounds" so the first queries
-        # inherit the matrices built here.
-        los, his = self.node_bounds(node)
-        return best_bipartition(los, his, self.samples,
-                                self._bulk_rng(token))
-
-    def footprints(self, preds: Sequence[MapPred]) -> List[Rect]:
-        return [p.mbr() for p in preds]
-
-    def footprint(self, pred: MapPred) -> Rect:
-        return pred.mbr()
+    def preds_for_nodes(self, nodes: Sequence[Node],
+                        tokens: Tokens = None) -> np.ndarray:
+        rngs = [self._rng] * len(nodes) if tokens is None \
+            else [self._bulk_rng(token) for token in tokens]
+        # Inner nodes stack their child footprints through the node
+        # cache ("rect_bounds"), so the first queries inherit them.
+        return np.stack([best_bipartition(*self.split_bounds(node),
+                                          self.samples, rng)
+                         for node, rng in zip(nodes, rngs)])
 
     def block_bounds(self, block: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -246,18 +189,14 @@ class AMapExtension(RTreeExtension):
 
     # -- algebra ---------------------------------------------------------------
 
-    def contains(self, pred: MapPred, point) -> bool:
-        return pred.contains_point(point)
-
     def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
         lo1, hi1, lo2, hi2 = self._dual_bounds(node)
         return (rects_contain_point(point, lo1, hi1)
                 | rects_contain_point(point, lo2, hi2))
 
-    def covers_pred(self, parent_pred: MapPred, child_pred: MapPred) -> bool:
-        child = self.footprint(child_pred)
-        return (parent_pred.r1.contains_rect(child)
-                or parent_pred.r2.contains_rect(child))
+    def covers(self, row: np.ndarray, child_row: np.ndarray) -> bool:
+        lo, hi = self.row_bounds(child_row)
+        return holds_box(row, lo, hi) or holds_box(row[2 * self.dim:], lo, hi)
 
     # -- incremental adjust ----------------------------------------------------
     #
@@ -268,30 +207,29 @@ class AMapExtension(RTreeExtension):
     # only ever grow, so everything the old predicate admitted stays
     # admitted.
 
-    def _grown(self, pred: MapPred, g1: Rect, g2: Rect) -> MapPred:
-        cost1 = g1.volume() - pred.r1.volume()
-        cost2 = g2.volume() - pred.r2.volume()
-        if cost1 <= cost2:
-            return MapPred(g1, pred.r2)
-        return MapPred(pred.r1, g2)
+    def _grown(self, row: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+        """``row`` with the rect that grows less widened over
+        ``[lo, hi]`` (the first on a tie)."""
+        r1, r2 = np.hsplit(row, 2)
+        g1, g2 = (np.concatenate((np.minimum(r[:self.dim], lo),
+                                  np.maximum(r[self.dim:], hi)))
+                  for r in (r1, r2))
+        if _volume(g1) - _volume(r1) <= _volume(g2) - _volume(r2):
+            return np.concatenate((g1, r2))
+        return np.concatenate((r1, g2))
 
-    def adjust_pred_insert(self, pred: MapPred, key: np.ndarray):
-        if pred.contains_point(key):
-            return pred
-        return self._grown(pred, pred.r1.union_point(key),
-                           pred.r2.union_point(key))
+    def widen_key(self, row: np.ndarray, key: np.ndarray) -> Any:
+        if self.covers_key(row, key):
+            return row
+        return self._grown(row, key, key)
 
-    def adjust_pred_cover(self, pred: MapPred, child_pred: MapPred):
-        if self.covers_pred(pred, child_pred):
-            return pred
-        child = self.footprint(child_pred)
-        return self._grown(pred, pred.r1.union(child),
-                           pred.r2.union(child))
+    def widen(self, row: np.ndarray, child_row: np.ndarray) -> Any:
+        if self.covers(row, child_row):
+            return row
+        return self._grown(row, *self.row_bounds(child_row))
 
     # -- distances ---------------------------------------------------------------
-
-    def min_dist(self, pred: MapPred, q: np.ndarray) -> float:
-        return pred.min_dist(q)
 
     def _dual_bounds(self, node: Node):
         """``(lo1, hi1, lo2, hi2)`` memoized on the node: the codec's
@@ -306,16 +244,14 @@ class AMapExtension(RTreeExtension):
 
     # -- storage --------------------------------------------------------------------
 
-    def pred_codec(self) -> "_MapPredCodec":
-        return _MapPredCodec(self.dim)
+    def pred_codec(self) -> DualRectCodec:
+        return DualRectCodec(self.dim)
 
     def config(self) -> dict:
         return {"samples": self.samples, "seed": self.seed}
 
 
-class _MapPredCodec(DualRectCodec):
-    """DualRectCodec that decodes into :class:`MapPred` objects."""
-
-    def decode(self, data: bytes) -> MapPred:
-        r1, r2 = super().decode(data)
-        return MapPred(r1, r2)
+def _volume(row: np.ndarray) -> float:
+    """Volume of the rect row ``[lo, hi]``."""
+    lo, hi = np.hsplit(row, 2)
+    return float(np.prod(hi - lo))

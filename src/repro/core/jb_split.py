@@ -11,37 +11,36 @@ split when no usable gap exists.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
 from repro.ams.splits import quadratic_split
-from repro.geometry import Rect
 
 
-def gap_split(entries: List, rects: Sequence[Rect],
-              min_entries: int) -> Tuple[List, List]:
+def gap_split(los: np.ndarray, his: np.ndarray,
+              min_entries: int) -> Tuple[Any, Any]:
     """Split at the largest projection gap across all dimensions.
 
-    For each dimension the entry footprints are ordered by center; the
+    ``los``/``his`` are the ``(n, dim)`` entry footprints (equal for
+    points); the result is two index arrays.  For each dimension the
+    footprints are ordered by center; the
     gap between consecutive footprints (next.lo - prev.hi, clipped at
     zero) is evaluated for every cut position allowed by
     ``min_entries``, and the globally largest gap wins.  Zero best gap
     (everything overlaps everywhere) falls back to Guttman's quadratic
     split.
     """
-    n = len(entries)
+    n = len(los)
     if n < 2:
         raise ValueError("cannot split fewer than two entries")
     min_entries = max(1, min(min_entries, n // 2))
 
-    los = np.stack([r.lo for r in rects])
-    his = np.stack([r.hi for r in rects])
     centers = (los + his) / 2.0
     dim = los.shape[1]
 
     best_gap = 0.0
-    best: Tuple[np.ndarray, int] = None
+    best: Any = None
     for d in range(dim):
         order = np.argsort(centers[:, d], kind="stable")
         sorted_hi = his[order, d]
@@ -57,7 +56,6 @@ def gap_split(entries: List, rects: Sequence[Rect],
                 best = (order, cut)
 
     if best is None:
-        return quadratic_split(entries, list(rects), min_entries)
+        return quadratic_split(los, his, min_entries)
     order, cut = best
-    return ([entries[i] for i in order[:cut]],
-            [entries[i] for i in order[cut:]])
+    return order[:cut], order[cut:]

@@ -15,13 +15,14 @@ bound and the bite-aware distance the lazy refinement (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ams.rtree import RTreeExtension
-from repro.geometry import BittenRect, Rect
-from repro.geometry.bites import DEFAULT_MAX_STEPS
+from repro.ams.rtree import RTreeExtension, holds_box
+from repro.core.jb_split import gap_split
+from repro.geometry.bites import DEFAULT_MAX_STEPS, bitten_rects_multi
+from repro.gist.extension import Tokens
 from repro.gist.node import Node
 from repro.storage.codecs import JBCodec
 
@@ -55,46 +56,18 @@ class JBExtension(RTreeExtension):
 
     # -- predicate construction --------------------------------------------
 
-    def pred_for_keys(self, keys: np.ndarray) -> BittenRect:
-        return BittenRect.from_points(keys, max_bites=self.max_bites,
-                                      max_steps=self.max_steps,
-                                      method=self.bite_method)
-
-    def pred_for_preds(self, preds: Sequence[BittenRect]) -> BittenRect:
-        return BittenRect.from_rects(self.footprints(preds),
-                                     max_bites=self.max_bites,
-                                     max_steps=self.max_steps,
-                                     method=self.bite_method)
-
-    def pred_for_node(self, node: Node) -> BittenRect:
-        # An inner node carves from its bounds matrices, which a
-        # block-backed node slices from its page body: no predicate
-        # object is decoded.
-        return self.pred_for_node_at(node, None)
-
-    # -- bulk-load construction hooks ---------------------------------------
-
-    def pred_for_node_at(self, node: Node, token) -> BittenRect:
-        if node.is_leaf:
-            return self.pred_for_keys_at(node.keys_array(), token)
-        # Carve straight off the node's memoized child-bounds matrices:
-        # no Rect re-stacking, and the cache feeds the first queries.
-        los, his = self.node_bounds(node)
-        return BittenRect.from_rect_bounds(los, his,
-                                           max_bites=self.max_bites,
-                                           max_steps=self.max_steps,
-                                           method=self.bite_method)
-
-    def preds_for_nodes(self, nodes: Sequence[Node], tokens) -> List:
+    def preds_for_nodes(self, nodes: Sequence[Node],
+                        tokens: Tokens = None) -> np.ndarray:
         """Carve whole sibling groups in one sweep kernel.
 
         Nodes with equal entry counts batch into a single
         ``(G, n, dim)`` carve; predicates depend only on each node's own
-        contents, so this grouping yields bit-identical results to
-        carving each node alone.
+        contents, so this grouping yields bit-identical rows to carving
+        each node alone.  An inner node carves off its memoized child
+        bounds, which the first queries then reuse.
         """
-        from repro.geometry.bites import bitten_rects_multi
-        preds: List = [None] * len(nodes)
+        codec = self.pred_codec()
+        rows = np.empty((len(nodes), codec.numbers))
         groups: dict = {}
         for i, node in enumerate(nodes):
             groups.setdefault((node.is_leaf, len(node)), []).append(i)
@@ -110,22 +83,15 @@ class JBExtension(RTreeExtension):
                                        max_steps=self.max_steps,
                                        method=self.bite_method, **data)
             for i, pred in zip(idxs, built):
-                preds[i] = pred
-        return preds
-
-    def footprints(self, preds: Sequence[BittenRect]) -> List[Rect]:
-        return [p.rect for p in preds]
-
-    def footprint(self, pred: BittenRect) -> Rect:
-        return pred.rect
+                rows[i] = codec.write(pred.rect.lo, pred.rect.hi,
+                                      [b.corner_mask for b in pred.bites],
+                                      [b.inner for b in pred.bites])
+        return rows
 
     # -- algebra ---------------------------------------------------------------
 
-    def contains(self, pred: BittenRect, point) -> bool:
-        return pred.contains_point(point)
-
     def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
-        """:meth:`contains` for every entry: inside the MBR and outside
+        """Which entries hold ``point``: inside the MBR and outside
         every half-open bite of the node's :meth:`bite_pack`."""
         inside = super().contains_node(node, point)
         blo, bhi, blow, counts, _ = self.bite_pack(node)
@@ -133,9 +99,18 @@ class JBExtension(RTreeExtension):
         inside[owners[_in_bites(point, blo, bhi, blow)]] = False
         return inside
 
-    def covers_pred(self, parent_pred: BittenRect,
-                    child_pred: BittenRect) -> bool:
-        return parent_pred.contains_rect(self.footprint(child_pred))
+    def covers(self, row: np.ndarray, child_row: np.ndarray) -> bool:
+        """Does the bitten region hold the child's whole closed MBR?"""
+        lo, hi = self.row_bounds(child_row)
+        _, _, blo, bhi, blow = self._row_bites(row)
+        return holds_box(row, lo, hi) \
+            and not _blocks(lo, hi, blo, bhi, blow).any()
+
+    def _row_bites(self, row: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """One row's bites: ``(masks, inners, blo, bhi, low_side)``."""
+        masks, inners, blo, bhi, low, keep = (
+            part[0] for part in self.pred_codec().bite_rows(row[None]))
+        return masks[keep], inners[keep], blo[keep], bhi[keep], low[keep]
 
     # -- incremental adjust ----------------------------------------------------
     #
@@ -149,48 +124,50 @@ class JBExtension(RTreeExtension):
     # respected.  Bites are re-carved from scratch only when the node
     # splits (a full recompute).
 
-    def _surviving_bites(self, pred: BittenRect, rect: Rect):
-        old = pred.rect
-        return [b for b in pred.bites
-                if np.array_equal(rect.corner(b.corner_mask),
-                                  old.corner(b.corner_mask))]
+    def _widened(self, row: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 hit: Any) -> np.ndarray:
+        """``row``'s MBR grown over ``[lo, hi]``, keeping the bites whose
+        corner stayed put and that ``hit(blo, bhi, low_side)`` clears."""
+        d = self.dim
+        old_lo, old_hi = row[:d], row[d:2 * d]
+        new_lo, new_hi = np.minimum(old_lo, lo), np.maximum(old_hi, hi)
+        masks, inners, blo, bhi, low = self._row_bites(row)
+        anchored = np.all(np.where(low, new_lo == old_lo, new_hi == old_hi),
+                          axis=-1)
+        survive = anchored & ~hit(blo, bhi, low)
+        return self.pred_codec().write(new_lo, new_hi, masks[survive],
+                                       inners[survive])
 
-    def adjust_pred_insert(self, pred: BittenRect, key: np.ndarray):
-        if pred.contains_point(key):
-            return pred
-        rect = pred.rect.union_point(key)
-        bites = [b for b in self._surviving_bites(pred, rect)
-                 if not b.removes_point(key)]
-        return BittenRect(rect, bites)
+    def widen_key(self, row: np.ndarray, key: np.ndarray) -> Any:
+        if self.covers_key(row, key):
+            return row
+        return self._widened(row, key, key,
+                             lambda blo, bhi, low: _in_bites(key, blo, bhi,
+                                                             low))
 
-    def adjust_pred_cover(self, pred: BittenRect, child_pred: BittenRect):
-        child = self.footprint(child_pred)
-        if pred.contains_rect(child):
-            return pred
-        rect = pred.rect.union(child)
-        bites = [b for b in self._surviving_bites(pred, rect)
-                 if not b.blocks_rect(child.lo, child.hi)]
-        return BittenRect(rect, bites)
+    def widen(self, row: np.ndarray, child_row: np.ndarray) -> Any:
+        if self.covers(row, child_row):
+            return row
+        lo, hi = self.row_bounds(child_row)
+        return self._widened(row, lo, hi,
+                             lambda blo, bhi, low: _blocks(lo, hi, blo, bhi,
+                                                           low))
 
-    def pick_split(self, entries, level: int, min_entries: int):
+    def pick_split(self, node: Node, min_entries: int) -> Tuple[Any, Any]:
         if self.split_method == "quadratic":
-            return super().pick_split(entries, level, min_entries)
-        from repro.ams.rtree import entry_rect
-        from repro.core.jb_split import gap_split
-        leaf = level == 0
-        rects = [entry_rect(e, leaf, self.footprint) for e in entries]
-        return gap_split(entries, rects, min_entries)
+            return super().pick_split(node, min_entries)
+        return gap_split(*self.split_bounds(node), min_entries)
 
     # -- distances ---------------------------------------------------------------
-
-    def min_dist(self, pred: BittenRect, q: np.ndarray) -> float:
-        return pred.min_dist(q)
 
     # min_dists_node is inherited from RTreeExtension: it uses the cached
     # MBR bounds as the cheap lower bound; refine_dist tightens lazily.
 
-    def refine_dist(self, pred: BittenRect, q: np.ndarray,
+    def refine_dist(self, row: np.ndarray, q: np.ndarray,
                     lower_bound: float) -> float:
+        """The bite-aware distance of :meth:`BittenRect.min_dist`, from
+        the row decoded as one."""
+        pred = self.pred_codec().decode(row.tobytes())
         return max(lower_bound, pred.min_dist(q))
 
     def bite_pack(self, node: Node):
@@ -265,3 +242,11 @@ def _in_bites(p: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
     the last axis."""
     return np.all(np.where(blow, (p >= blo) & (p < bhi),
                            (p > blo) & (p <= bhi)), axis=-1)
+
+
+def _blocks(lo: np.ndarray, hi: np.ndarray, blo: np.ndarray,
+            bhi: np.ndarray, blow: np.ndarray) -> np.ndarray:
+    """Which stacked half-open bites meet the closed box ``[lo, hi]``
+    (``Bite.blocks_rect``'s rule)."""
+    return np.all(np.where(blow, (lo < bhi) & (hi >= blo),
+                           (lo <= bhi) & (hi > blo)), axis=-1)

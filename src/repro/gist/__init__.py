@@ -4,7 +4,10 @@ The GiST generalizes height-balanced multi-way search trees: leaves hold
 ``(key, RID)`` pairs, internal nodes hold ``(bounding predicate, child)``
 pairs, and the tree's behaviour is specialized by an *extension* — the
 set of methods (``union``, ``penalty``, ``pick_split``, distance
-bounds, codecs) an access-method designer supplies.  The one query is
+bounds, codecs) an access-method designer supplies.  A node is its
+page's arrays and a bounding predicate is one row of an inner node's
+predicate block: the tree and its extension exchange those rows, never
+predicate objects.  The one query is
 k nearest neighbors, so the distance bounds stand in for the GiST's
 ``consistent``.
 
@@ -18,7 +21,6 @@ custom designs).
 
 from repro.gist.batch import knn_search_batch
 from repro.gist.degrade import DegradationReport, QuarantinedPage
-from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.node import Node
 from repro.gist.extension import GiSTExtension
 from repro.gist.planner import Plan, QueryPlanner
@@ -26,8 +28,6 @@ from repro.gist.tree import GiST
 from repro.gist.validate import ScrubReport, scrub_file, validate_tree
 
 __all__ = [
-    "IndexEntry",
-    "LeafEntry",
     "Node",
     "GiSTExtension",
     "GiST",

@@ -1,12 +1,14 @@
 """The GiST extension interface.
 
 An access method is defined entirely by a :class:`GiSTExtension`: the
-predicate algebra (``union``-style predicate builders, ``penalty``,
-``pick_split``), distance functions for nearest-neighbor search (the
-one query, so the distance bounds play the GiST's ``consistent``),
-containment tests used for deletion and validation, and the
-binary codec that fixes the predicate's stored size (and therefore the
-tree's fanout — the paper's Table 3 knob).
+predicate algebra over stored predicate rows (``union``: a node's
+bounding row, ``penalty``, ``pick_split``, the widen and cover tests),
+distance functions for nearest-neighbor search (the one query, so the
+distance bounds play the GiST's ``consistent``), containment tests used
+for deletion and validation, and the codec that fixes the predicate's
+row layout and stored size (and therefore the tree's fanout — the
+paper's Table 3 knob).  The tree and its extension exchange nothing
+but those rows: no predicate object crosses the interface.
 
 Two-tier distances
 ------------------
@@ -24,17 +26,34 @@ the tight predicate.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.node import Node
 from repro.storage.codecs import Codec
 
+Tokens = Optional[Sequence[Tuple[int, int]]]
+"""Bulk-load positions ``(level, index)`` of the nodes a construction
+hook bounds, or None for an insert-time recompute."""
+
+
+def row_node(row: np.ndarray) -> Node:
+    """A one-entry inner node holding predicate ``row``: how a row-level
+    hook reuses the node kernels (:meth:`GiSTExtension.contains_node`,
+    :meth:`GiSTExtension.min_dists_node`) on a single predicate."""
+    return Node.inner_from_block(-1, 1, row[None],
+                                 np.zeros(1, dtype=np.int64))
+
 
 class GiSTExtension:
-    """Behaviour bundle specializing the GiST to one access method."""
+    """Behaviour bundle specializing the GiST to one access method.
+
+    Every hook exchanges predicate *rows*: a row is one ``(numbers,)``
+    float64 line in the layout of :meth:`pred_codec`, a block is an
+    ``(n, numbers)`` stack of them — an inner node's
+    :meth:`~repro.gist.node.Node.pred_block`.
+    """
 
     #: short identifier used in reports ("rtree", "xjb", ...)
     name: str = "abstract"
@@ -42,150 +61,96 @@ class GiSTExtension:
     def __init__(self, dim: int) -> None:
         self.dim = dim
 
-    # -- predicate construction --------------------------------------------
-
-    def pred_for_keys(self, keys: np.ndarray) -> Any:
-        """Bounding predicate for a leaf node's ``(n, dim)`` key array."""
-        raise NotImplementedError
-
-    def pred_for_preds(self, preds: Sequence) -> Any:
-        """Bounding predicate covering child predicates (inner nodes)."""
-        raise NotImplementedError
-
-    def pred_for_node(self, node: Node) -> Any:
-        """Recompute a node's bounding predicate from its contents."""
-        if node.is_leaf:
-            return self.pred_for_keys(node.keys_array())
-        return self.pred_for_preds(node.preds())
-
-    # -- bulk-load construction hooks ---------------------------------------
-    #
-    # The bulk loader builds whole levels of nodes at once.  These hooks
-    # exist so that (a) randomized predicate constructions (aMAP) can
-    # key their RNG to the node's position instead of a shared stream —
-    # the predicate of node (level, index) then depends only on the seed
-    # and the node's contents, which keeps page files a pure function of
-    # keys and seed — and (b) vectorizing extensions (JB/XJB) can batch
-    # predicate construction across sibling nodes of a level.
-
-    def pred_for_keys_at(self, keys: np.ndarray, token: Tuple[int, int]) -> Any:
-        """Positioned :meth:`pred_for_keys`; ``token`` is ``(level,
-        index)`` of the node under construction.  Deterministic
-        extensions ignore the token."""
-        return self.pred_for_keys(keys)
-
-    def pred_for_preds_at(self, preds: Sequence, token: Tuple[int, int]) -> Any:
-        """Positioned :meth:`pred_for_preds` (see
-        :meth:`pred_for_keys_at`)."""
-        return self.pred_for_preds(preds)
-
-    def pred_for_node_at(self, node: Node, token: Tuple[int, int]) -> Any:
-        """Positioned :meth:`pred_for_node`.
-
-        Routed through the node's cached stacked views
-        (:meth:`~repro.gist.node.Node.keys_array`, extension geometry
-        caches), so geometry stacked while building the predicate stays
-        memoized on the node for the first queries to reuse.
-        """
-        if node.is_leaf:
-            return self.pred_for_keys_at(node.keys_array(), token)
-        return self.pred_for_preds_at(node.preds(), token)
+    # -- construction ---------------------------------------------------
 
     def preds_for_nodes(self, nodes: Sequence[Node],
-                        tokens: Sequence[Tuple[int, int]]) -> List:
-        """Bounding predicates for one level's worth of nodes.
+                        tokens: Tokens = None) -> np.ndarray:
+        """The ``(len(nodes), numbers)`` block of bounding predicates,
+        one row per node, each bounding its node's keys (a leaf) or its
+        child rows (an inner node).
 
-        The default loops :meth:`pred_for_node_at`; extensions whose
-        construction vectorizes across sibling nodes (JB/XJB corner
-        carving) override this with a batched kernel.  Implementations
-        must return bit-identical predicates for any partition of the
-        node list, so batching never changes a page's bytes.
+        The bulk loader passes a whole level with ``tokens``, each
+        node's ``(level, index)`` position: randomized constructions
+        (aMAP) key their RNG to it, so a page's bytes depend only on
+        the seed and the node's contents, and vectorizing ones (JB/XJB)
+        may batch across the level.  An insert-time recompute passes
+        one node and no tokens.  Rows must not depend on how a level is
+        partitioned into calls.
         """
-        return [self.pred_for_node_at(node, token)
-                for node, token in zip(nodes, tokens)]
-
-    # -- incremental adjust (online insert path) -----------------------------
-    #
-    # A mutable tree (repro.gist.mutable) opts into incremental
-    # predicate maintenance: instead of recomputing a whole node's
-    # predicate from its contents on every insert, ancestors are
-    # *widened* just enough to keep the containment invariants.  Both
-    # hooks may return None — "no incremental rule, recompute" — which
-    # is the default, and must return ``pred`` itself (the identical
-    # object) when it already covers, so the tree can stop adjusting
-    # early.  Widened predicates must never shrink the covered region:
-    # everything the old predicate admitted must stay admitted.
-
-    def adjust_pred_insert(self, pred: Any, key: np.ndarray) -> Any:
-        """``pred`` widened to cover the freshly inserted ``key``.
-
-        Returns ``pred`` unchanged when it already covers the key, a
-        new widened predicate otherwise, or None to force a full
-        recompute (the safe default)."""
-        return None
-
-    def adjust_pred_cover(self, pred: Any, child_pred: Any) -> Any:
-        """``pred`` widened to cover an updated child predicate.
-
-        Same contract as :meth:`adjust_pred_insert`; ``child_pred`` is
-        the predicate just installed one level below."""
-        return None
-
-    # -- predicate algebra -----------------------------------------------------
-
-    def contains(self, pred: Any, point: np.ndarray) -> bool:
-        """Must ``pred`` cover ``point``?  Exact; drives DELETE descent."""
         raise NotImplementedError
 
-    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains` over an inner node's entries.
+    # -- insert descent and adjust ---------------------------------------
 
-        Returns the ``(n,)`` bool mask the DELETE descent follows; it
-        must equal ``[contains(p, point) for p in node.preds()]``.  The
-        default loops; extensions with stacked geometry caches answer
-        from those, building no predicate object.
-        """
-        return np.array([self.contains(p, point) for p in node.preds()],
-                        dtype=bool)
+    def penalties_node(self, node: Node, key: np.ndarray) -> np.ndarray:
+        """Cost of routing ``key`` under each entry of an inner node
+        (INSERT descent follows the smallest)."""
+        raise NotImplementedError
 
-    def covers_pred(self, parent_pred: Any, child_pred: Any) -> bool:
-        """Conservative check that ``parent_pred`` covers ``child_pred``.
+    def covers_key(self, row: np.ndarray, key: np.ndarray) -> bool:
+        """Does predicate ``row`` cover ``key``?  The
+        :meth:`contains_node` rule, so insert and delete agree."""
+        return bool(self.contains_node(row_node(row), key)[0])
+
+    def covers(self, row: np.ndarray, child_row: np.ndarray) -> bool:
+        """Conservative check that predicate ``row`` covers the region
+        of ``child_row``.
 
         Used by validation and by the insert path to skip redundant
         parent updates; ``False`` negatives merely cost an update.
         """
         raise NotImplementedError
 
-    def penalty(self, pred: Any, key: np.ndarray) -> float:
-        """Cost of routing ``key`` under ``pred`` (INSERT descent)."""
+    # A mutable tree (repro.gist.mutable) opts into incremental
+    # predicate maintenance: instead of recomputing a whole node's
+    # predicate from its contents on every insert, ancestors are
+    # *widened* just enough to keep the containment invariants.  Both
+    # hooks may return None — "no incremental rule, recompute" — which
+    # is the default, and must return ``row`` itself (the identical
+    # array) when it already covers, so the tree can stop adjusting
+    # early.  A widened row must never shrink the covered region:
+    # everything the old predicate admitted must stay admitted.
+
+    def widen_key(self, row: np.ndarray, key: np.ndarray) -> Any:
+        """``row`` widened to cover the freshly inserted ``key``: the
+        same array when it already covers, a new row, or None."""
+        return None
+
+    def widen(self, row: np.ndarray, child_row: np.ndarray) -> Any:
+        """``row`` widened to cover ``child_row``, the predicate just
+        installed one level below; the contract of :meth:`widen_key`."""
+        return None
+
+    # -- split, condense and delete --------------------------------------
+
+    def pick_split(self, node: Node,
+                   min_entries: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Partition an overflowing node into two index arrays, each of
+        at least ``min_entries`` entries; the node keeps the first."""
         raise NotImplementedError
 
-    def penalties_node(self, node: Node, key: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`penalty` over an inner node's entries."""
-        return np.array([self.penalty(e.pred, key) for e in node.entries])
+    def routing_points(self, block: np.ndarray) -> np.ndarray:
+        """A representative ``(n, dim)`` point per row (typically its
+        center): orphaned subtrees are reinserted at it during delete
+        condensation, and the bulk loader orders upper levels by it."""
+        raise NotImplementedError
 
-    def pick_split(self, entries: List, level: int,
-                   min_entries: int) -> Tuple[List, List]:
-        """Partition an overflowing node's entries into two groups.
-
-        Both groups must have at least ``min_entries`` entries.
-        """
+    def contains_node(self, node: Node, point: np.ndarray) -> np.ndarray:
+        """The ``(n,)`` bool mask of an inner node's entries whose
+        predicate covers ``point``, exactly; the DELETE descent follows
+        it."""
         raise NotImplementedError
 
     # -- distances -------------------------------------------------------------
 
-    def min_dist(self, pred: Any, q: np.ndarray) -> float:
-        """Lower bound on the distance from ``q`` to data under ``pred``."""
-        raise NotImplementedError
-
     def min_dists_node(self, node: Node, q: np.ndarray) -> np.ndarray:
-        """Vectorized lower bounds for all entries of an inner node.
+        """Lower bounds from ``q`` to the data under each entry of an
+        inner node.
 
-        The default stacks nothing and loops; extensions slice their
-        geometry from :meth:`~repro.gist.node.Node.pred_block` and
-        memoize it with :meth:`~repro.gist.node.Node.cached`.
+        Extensions slice their geometry from
+        :meth:`~repro.gist.node.Node.pred_block` and memoize it with
+        :meth:`~repro.gist.node.Node.cached`.
         """
-        return np.array([self.min_dist(p, q) for p in node.preds()])
+        raise NotImplementedError
 
     def min_dists_node_multi(self, node: Node,
                              queries: np.ndarray) -> np.ndarray:
@@ -201,8 +166,10 @@ class GiSTExtension:
     #: whether :meth:`refine_dist` tightens :meth:`min_dists_node` bounds
     has_refinement: bool = False
 
-    def refine_dist(self, pred: Any, q: np.ndarray, lower_bound: float) -> float:
-        """Tighter lower bound, evaluated lazily at queue-pop time."""
+    def refine_dist(self, row: np.ndarray, q: np.ndarray,
+                    lower_bound: float) -> float:
+        """Tighter lower bound for predicate ``row``, evaluated lazily
+        at queue-pop time."""
         return lower_bound
 
     def refine_dists_node(self, node: Node, queries: np.ndarray,
@@ -218,24 +185,10 @@ class GiSTExtension:
         """
         return np.full(dists.shape, np.nan)
 
-    def routing_point(self, pred: Any) -> np.ndarray:
-        """A representative point for routing an orphaned subtree's entry
-        during delete condensation (typically the predicate's center)."""
-        raise NotImplementedError
-
-    def routing_points_multi(self, preds: Sequence) -> np.ndarray:
-        """Stacked ``(n, dim)`` :meth:`routing_point` matrix.
-
-        The bulk loader orders every upper level by these centers; the
-        default falls back to the per-predicate loop, extensions with
-        array-backed predicates compute the whole matrix in one shot.
-        """
-        return np.stack([self.routing_point(p) for p in preds])
-
     # -- storage -----------------------------------------------------------------
 
     def pred_codec(self) -> Codec:
-        """Fixed-size codec for this AM's predicate (defines fanout)."""
+        """Fixed-size codec for this AM's predicate row (defines fanout)."""
         raise NotImplementedError
 
     def config(self) -> dict:

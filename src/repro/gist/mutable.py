@@ -13,8 +13,9 @@ transactions (the kill-and-recover harness in
 :mod:`repro.workload.crash` proves this for all six AM families).
 
 Predicate maintenance on the insert path uses the extensions'
-incremental ``adjust_pred_*`` hooks (widen, never recompute-unless-
-needed), so online inserts work for every registered family: R/R*-tree
+incremental ``widen``/``widen_key`` row hooks (widen, never
+recompute-unless-needed), so online inserts work for every registered
+family: R/R*-tree
 MBR growth, SS/SR-tree sphere unions, aMAP lesser-growth rectangle
 widening, and JB/XJB bite invalidation (a key landing inside a carved
 bite un-carves it).

@@ -148,7 +148,8 @@ def best_first(tree: Any, q: np.ndarray,
         bound, _, page_id, level, parent, index, tight = heapq.heappop(heap)
         if parent is not None:
             if tight != tight:      # NaN: the screen left it to the scalar
-                tight = ext.refine_dist(parent.pred_at(index), q, bound)
+                tight = ext.refine_dist(parent.pred_block()[index], q,
+                                        bound)
             if tight * shrink > tau:
                 continue
             if first < tight * shrink or (heap and heap[0][0] < tight):

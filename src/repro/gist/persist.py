@@ -89,8 +89,7 @@ def save_tree(tree: GiST, path: str) -> None:
     }
     page0 = superblock_image(header, tree.page_size)
     images = codec.encode_nodes(
-        [_renumbered(node, slot_of, tree.index_codec.pred_codec)
-         for node in nodes])
+        [_renumbered(node, slot_of) for node in nodes])
     try:
         os.remove(default_wal_path(path))
     except FileNotFoundError:
@@ -100,8 +99,7 @@ def save_tree(tree: GiST, path: str) -> None:
         f.write(images)
 
 
-def _renumbered(node: Node, slot_of: Dict[int, int], pred_codec: Any
-                ) -> Node:
+def _renumbered(node: Node, slot_of: Dict[int, int]) -> Node:
     """``node`` moved to its slot, its child ids mapped to theirs."""
     slot = slot_of[node.page_id]
     if node.is_leaf:
@@ -110,7 +108,7 @@ def _renumbered(node: Node, slot_of: Dict[int, int], pred_codec: Any
     children = np.array([slot_of[c] for c in node.children()],
                         dtype=np.int64)
     return Node.inner_from_block(slot, node.level, node.pred_block(),
-                                 children, pred_codec)
+                                 children)
 
 
 def read_superblock(raw: bytes, path: str) -> dict:

@@ -22,12 +22,11 @@ import numpy as np
 
 from repro.constants import DEFAULT_PAGE_SIZE, TARGET_UTILIZATION
 from repro.gist.degrade import DegradationReport
-from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.extension import GiSTExtension
 from repro.gist.node import Node
 from repro.gist.nn import knn_search, nn_cursor
 from repro.storage.buffer import BufferPool
-from repro.storage.codecs import IndexEntryCodec, LeafEntryCodec, NodeCodec
+from repro.storage.codecs import InnerBodyCodec, LeafBodyCodec, NodeCodec
 from repro.storage.errors import PageCorruptError
 from repro.storage.page import entries_per_page, page_payload
 from repro.storage.pagefile import PageStats
@@ -47,6 +46,13 @@ def _finite_key(key: Any) -> np.ndarray:
     return key
 
 
+def _entries(node: Node) -> List[Tuple[int, np.ndarray, int]]:
+    """A node's entries as ``(level, row, id)`` orphans: keys and rids,
+    or predicate rows and child page ids."""
+    return [(node.level, row, ident)
+            for row, ident in zip(node.rows(), node.ids().tolist())]
+
+
 def _key_hits(leaf: Node, key: np.ndarray) -> np.ndarray:
     """Which of a leaf's stored keys equal ``key`` exactly."""
     if not len(leaf):
@@ -64,7 +70,7 @@ class GiST:
 
     def __init__(self, extension: GiSTExtension, store: Any = None,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 leaf_codec: Optional[LeafEntryCodec] = None) -> None:
+                 leaf_codec: Optional[LeafBodyCodec] = None) -> None:
         self.ext = extension
         self.page_size = page_size
         if leaf_codec is None:
@@ -76,9 +82,9 @@ class GiST:
             if store_codec is not None and store_codec.dim == extension.dim:
                 leaf_codec = store_codec
             else:
-                leaf_codec = LeafEntryCodec(extension.dim)
+                leaf_codec = LeafBodyCodec(extension.dim)
         self.leaf_codec = leaf_codec
-        self.index_codec = IndexEntryCodec(extension.pred_codec())
+        self.index_codec = InnerBodyCodec(extension.pred_codec())
         if store is None:
             # a call-time import: diskfile imports repro.gist itself
             from repro.storage.diskfile import FilePageFile
@@ -214,11 +220,17 @@ class GiST:
         inner_fill = max(2, round(TARGET_UTILIZATION * self.index_capacity))
         return leaf_fill * inner_fill ** level
 
-    def _new_node(self, level: int, entries: List) -> Node:
-        node = Node.from_entries(self.store.allocate(), level, entries,
-                                 self.index_codec.pred_codec)
+    def _new_node(self, level: int, rows: np.ndarray,
+                  ids: np.ndarray) -> Node:
+        page_id = self.store.allocate()
+        node = Node.leaf_from_arrays(page_id, rows, ids) if level == 0 \
+            else Node.inner_from_block(page_id, level, rows, ids)
         self.store.write(node)
         return node
+
+    def _bound(self, node: Node) -> np.ndarray:
+        """A recomputed bounding predicate row for ``node``."""
+        return self.ext.preds_for_nodes([node])[0]
 
     # -- queries ------------------------------------------------------------------
 
@@ -255,42 +267,58 @@ class GiST:
 
         A NaN or infinite coordinate raises ValueError before any page
         is touched: no codec can store it, and a key no distance orders
-        would poison every later query.
+        would poison every later query.  So does a quantized tree
+        without ``exact`` keys for ``rid`` (:meth:`_check_exact`).
         """
         key = _finite_key(key)
-        self._insert_entry(LeafEntry(key, rid), target_level=0,
-                           routing_key=key)
+        self._check_exact(rid)
+        self._insert_entry(key, rid, target_level=0, routing_key=key)
         self.size += 1
 
-    def _insert_entry(self, entry: Any, target_level: int,
-                      routing_key: np.ndarray) -> None:
-        """Insert ``entry`` into a node at ``target_level``.
+    def _check_exact(self, rid: int) -> None:
+        """Refuse a write to a quantized tree unless :attr:`exact` holds
+        ``rid``'s original key: its pages are re-encoded, and its
+        predicates fit, from those (:meth:`_peek`), never from
+        reconstructions."""
+        if not self.leaf_codec.lossy:
+            return
+        if self.exact is None or not 0 <= rid < len(self.exact):
+            raise ValueError(
+                f"a quantized tree writes from GiST.exact; attach the "
+                f"(N, dim) keys by rid, covering rid {rid}, before "
+                f"inserting or deleting")
 
-        ``target_level`` 0 inserts a leaf entry; higher levels re-attach
-        orphaned subtrees during delete condensation.
+    def _insert_entry(self, row: np.ndarray, ident: int, target_level: int,
+                      routing_key: np.ndarray) -> None:
+        """Insert the entry ``(row, ident)`` into a node at
+        ``target_level``.
+
+        ``target_level`` 0 inserts a leaf entry (a key and its rid);
+        higher levels re-attach orphaned subtrees (a predicate row and
+        its child page id) during delete condensation.
         """
         if self.root_id is None:
             if target_level != 0:
                 raise ValueError("cannot graft a subtree into an empty tree")
-            root = self._new_node(0, [entry])
+            root = self._new_node(0, np.array(row, dtype=np.float64)[None],
+                                  np.array([ident], dtype=np.int64))
             self.root_id = root.page_id
             self.height = 1
             return
 
         path = self._choose_path(routing_key, target_level)
-        node = path[-1][0] if path else self._peek(self.root_id)
-        node.add_entry(entry)
+        node = path[-1][0]
+        node.append(row, ident)
         # An overflowing node never reaches the store: the split writes
         # both halves (page images cannot hold an oversize node).
         if len(node) > self.capacity(node.level):
-            self._split(node, path[:-1] if path else [])
+            self._split(node, path[:-1])
         elif target_level > 0:
             # Grafting an orphaned subtree (delete condensation): the
             # ancestors must cover the subtree's whole predicate, not
             # just its routing point.
             self.store.write(node)
-            self._adjust_upward(path, routing_key=None,
-                                changed_preds=[entry.pred])
+            self._adjust_upward(path, routing_key=None, changed=[row])
         else:
             self.store.write(node)
             self._adjust_upward(path, routing_key)
@@ -313,106 +341,98 @@ class GiST:
 
     def _split(self, node: Node, ancestors: List[Tuple[Node, int]]) -> None:
         level = node.level
-        left_entries, right_entries = self.ext.pick_split(
-            list(node.entries), level, self.min_entries(level))
-        if not left_entries or not right_entries:
+        left, right = self.ext.pick_split(node, self.min_entries(level))
+        if not len(left) or not len(right):
             raise RuntimeError(
                 f"{self.ext.name} pick_split produced an empty side")
-        node.set_entries(left_entries)
-        sibling = self._new_node(level, right_entries)
+        right = np.asarray(right, dtype=np.intp)
+        sibling = self._new_node(level, node.rows()[right],
+                                 node.ids()[right])
+        node.keep(left)
         self.store.write(node)
 
-        left_pred = self.ext.pred_for_node(node)
-        right_pred = self.ext.pred_for_node(sibling)
+        left_row = self._bound(node)
+        right_row = self._bound(sibling)
 
         if not ancestors:
             # Node was the root: grow the tree by one level.
-            root = self._new_node(level + 1, [
-                IndexEntry(left_pred, node.page_id),
-                IndexEntry(right_pred, sibling.page_id),
-            ])
+            root = self._new_node(
+                level + 1, np.stack((left_row, right_row)),
+                np.array([node.page_id, sibling.page_id], dtype=np.int64))
             self.root_id = root.page_id
             self.height += 1
             return
 
         parent, _ = ancestors[-1]
-        idx = parent.find_child_index(node.page_id)
-        parent.replace_entry(idx, IndexEntry(left_pred, node.page_id))
-        parent.add_entry(IndexEntry(right_pred, sibling.page_id))
+        parent.set_row(parent.find_child_index(node.page_id), left_row)
+        parent.append(right_row, sibling.page_id)
         if len(parent) > self.capacity(parent.level):
             self._split(parent, ancestors[:-1])
         elif self.incremental_adjust:
             # The parent's entries already hold both halves' exact
             # predicates; ancestors only need widening over the two
-            # changed child predicates, no recompute.
+            # changed child rows, no recompute.
             self.store.write(parent)
             self._adjust_upward(ancestors[:-1], routing_key=None,
-                                changed_preds=[left_pred, right_pred])
+                                changed=[left_row, right_row])
         else:
             self.store.write(parent)
             self._adjust_upward(ancestors, routing_key=None)
 
     def _adjust_upward(self, path: List[Tuple[Node, int]],
                        routing_key: Optional[np.ndarray],
-                       changed_preds: Optional[List] = None) -> None:
+                       changed: Optional[List[np.ndarray]] = None) -> None:
         """Restore bounding predicates bottom-up along an insert path.
 
         Stops early once an existing predicate already covers what
         changed below it and nothing beneath was rewritten — ancestors
         then cover it too, by the tree's containment invariant.
 
-        ``changed_preds`` seeds the first adjusted level with the exact
-        predicates newly installed below it (a grafted subtree's
-        predicate, or both halves of a split): the predicate must cover
+        ``changed`` seeds the first adjusted level with the exact
+        predicate rows newly installed below it (a grafted subtree's
+        row, or both halves of a split): the predicate must cover
         those, not merely the routing point.
 
-        With :attr:`incremental_adjust` set, the extension's
-        ``adjust_pred_*`` hooks *widen* predicates instead of
-        recomputing whole nodes; a hook returning the identical
-        predicate object means "already covered", which ends the
-        climb.
+        With :attr:`incremental_adjust` set, the extension's ``widen``
+        hooks *widen* predicates instead of recomputing whole nodes; a
+        hook returning the identical row means "already covered", which
+        ends the climb.
         """
-        child_changed = False
-        child_pred = None
-        changed = list(changed_preds) if changed_preds else None
+        ext = self.ext
+        child_row = None
         for node, child_idx in reversed(path):
             if child_idx < 0:
                 continue
-            # One entry's predicate, not node.entries: most inserts stop
-            # here, and a block-decoded node then builds no other.
-            pred = node.pred_at(child_idx)
-            child_id = int(node.child_array()[child_idx])
-            if not child_changed:
+            row = node.pred_block()[child_idx]
+            if child_row is None:
                 if changed is not None:
-                    if all(self.ext.covers_pred(pred, cp) for cp in changed):
+                    if all(ext.covers(row, c) for c in changed):
                         return
                 elif (routing_key is not None
-                        and self.ext.contains(pred, routing_key)):
+                        and ext.covers_key(row, routing_key)):
                     return
-            new_pred = None
+            new_row = None
             if self.incremental_adjust:
-                if child_changed:
-                    new_pred = self.ext.adjust_pred_cover(pred, child_pred)
+                if child_row is not None:
+                    new_row = ext.widen(row, child_row)
                 elif changed is not None:
-                    new_pred = pred
-                    for cp in changed:
-                        new_pred = self.ext.adjust_pred_cover(new_pred, cp)
-                        if new_pred is None:
+                    new_row = row
+                    for c in changed:
+                        new_row = ext.widen(new_row, c)
+                        if new_row is None:
                             break
                 elif routing_key is not None:
-                    new_pred = self.ext.adjust_pred_insert(pred,
-                                                           routing_key)
-                if new_pred is pred:
+                    new_row = ext.widen_key(row, routing_key)
+                if new_row is row:
                     # Already covers what changed below; by containment,
                     # every ancestor does too.
                     return
-            if new_pred is None:
-                child = self._peek(child_id)
-                new_pred = self.ext.pred_for_node(child)
-            node.replace_entry(child_idx, IndexEntry(new_pred, child_id))
+            if new_row is None:
+                new_row = self._bound(
+                    self._peek(int(node.child_array()[child_idx])))
+            node.set_row(child_idx, new_row)
             self.store.write(node)
-            child_changed = True
-            child_pred = new_pred
+            child_row = new_row
             changed = None
 
     # -- deletion ----------------------------------------------------------------------
@@ -420,29 +440,22 @@ class GiST:
     def delete(self, key: np.ndarray, rid: int) -> bool:
         """Remove one ``(key, RID)`` pair; returns whether it was found.
 
-        On a lossy (quantized) leaf codec the stored key is a
-        reconstruction, so a caller holding the originally inserted
-        floats cannot match it exactly — and for non-rectangular
-        families the reconstruction may even sit outside the predicate
-        that routed the original.  RIDs are unique tree-wide, so when
-        the predicate-guided descent comes up empty a lossy tree falls
-        back to locating the leaf by RID alone.  A non-finite key
-        raises ValueError, as it does for :meth:`insert`.
+        A non-finite key raises ValueError, as it does for
+        :meth:`insert`, and so does a quantized tree without ``exact``
+        keys for ``rid`` (:meth:`_check_exact`): with them, every leaf
+        the descent reads holds the original keys its predicates were
+        fit to, so a lossy tree is searched as an exact one is.
         """
         key = _finite_key(key)
+        self._check_exact(rid)
         if self.root_id is None:
             return False
         path = self._find_leaf(self.root_id, key, rid, [])
-        lossy = self.leaf_codec.lossy
-        if path is None and lossy:
-            path = self._find_leaf_by_rid(self.root_id, rid, [])
         if path is None:
             return False
         leaf = path[-1]
-        hits = leaf.rid_array() == rid
-        if not lossy:
-            hits &= _key_hits(leaf, key)
-        leaf.remove_entry_at(int(hits.argmax()))
+        hits = (leaf.rid_array() == rid) & _key_hits(leaf, key)
+        leaf.remove(int(hits.argmax()))
         self.store.write(leaf)
         self.size -= 1
         self._condense(path)
@@ -465,60 +478,44 @@ class GiST:
                 return found
         return None
 
-    def _find_leaf_by_rid(self, page_id: int, rid: int,
-                          trail: List[Node]) -> Optional[List[Node]]:
-        """Exhaustive descent to the leaf holding ``rid`` (lossy trees)."""
-        node = self._peek(page_id)
-        trail = trail + [node]
-        if node.is_leaf:
-            return trail if (node.rid_array() == rid).any() else None
-        for child in node.child_array().tolist():
-            found = self._find_leaf_by_rid(child, rid, trail)
-            if found is not None:
-                return found
-        return None
-
     def _condense(self, path: List[Node]) -> None:
         """R-tree style CondenseTree: dissolve underfull nodes, reinsert."""
-        orphans: List[Tuple[int, object]] = []   # (level, entry)
+        # (level, row, id): a key and rid, or a predicate row and child
+        orphans: List[Tuple[int, np.ndarray, int]] = []
         for depth in range(len(path) - 1, 0, -1):
             node = path[depth]
             parent = path[depth - 1]
             idx = parent.find_child_index(node.page_id)
             if len(node) < self.min_entries(node.level):
-                parent.remove_entry_at(idx)
+                parent.remove(idx)
                 self.store.write(parent)
-                orphans.extend((node.level, e) for e in node.entries)
+                orphans.extend(_entries(node))
                 self.store.free(node.page_id)
             else:
-                new_pred = self.ext.pred_for_node(node)
-                parent.replace_entry(idx, IndexEntry(new_pred, node.page_id))
+                parent.set_row(idx, self._bound(node))
                 self.store.write(parent)
 
         self._shrink_root()
         # Reinsert highest-level orphans first so the tree regains height
         # before lower orphans are routed through it.
-        for level, entry in sorted(orphans, key=lambda le: -le[0]):
-            if level == 0:
-                self._insert_entry(entry, 0, entry.key)
-                continue
+        for level, row, ident in sorted(orphans, key=lambda o: -o[0]):
             # The entry belongs in a node at `level`; if root shrinkage
             # left the tree shorter than that, flatten the orphan subtree
             # by one level and retry.
-            pending = [(level, entry)]
+            pending = [(level, row, ident)]
             while pending:
-                lvl, e = pending.pop()
+                lvl, row, ident = pending.pop()
                 if lvl == 0:
-                    self._insert_entry(e, 0, e.key)
+                    self._insert_entry(row, ident, 0, row)
                     continue
                 root = self._peek(self.root_id) if self.root_id else None
                 if root is None or root.level < lvl:
-                    child = self._peek(e.child)
-                    pending.extend((lvl - 1, ce) for ce in child.entries)
+                    child = self._peek(ident)
+                    pending.extend(_entries(child))
                     self.store.free(child.page_id)
                     continue
-                routing = self.ext.routing_point(e.pred)
-                self._insert_entry(e, lvl, routing)
+                routing = self.ext.routing_points(row[None])[0]
+                self._insert_entry(row, ident, lvl, routing)
 
     def _shrink_root(self) -> None:
         if self.root_id is None:
@@ -530,7 +527,7 @@ class GiST:
             self.root_id = child
             self.height -= 1
             root = self._peek(self.root_id)
-        if root.is_leaf and not root.entries and self.size == 0:
+        if root.is_leaf and not len(root) and self.size == 0:
             self.store.free(root.page_id)
             self.root_id = None
             self.height = 0
@@ -594,8 +591,8 @@ class GiST:
         parents: Dict[int, int] = {}
         for node in self.iter_nodes():
             if not node.is_leaf:
-                for entry in node.entries:
-                    parents[entry.child] = node.page_id
+                for child in node.children():
+                    parents[child] = node.page_id
         return parents
 
     def root_fanout(self) -> int:

@@ -129,7 +129,7 @@ def scrub_file(path: str) -> ScrubReport:
       node count or is unreachable from the root.
     """
     from repro.gist.persist import header_extension, read_superblock
-    from repro.storage.codecs import (IndexEntryCodec, NodeCodec,
+    from repro.storage.codecs import (InnerBodyCodec, NodeCodec,
                                       make_leaf_codec)
     from repro.storage.errors import PageMissingError, StorageError
 
@@ -159,7 +159,7 @@ def scrub_file(path: str) -> ScrubReport:
     claimed_slots = header["num_slots"]
     codec = NodeCodec(page_size,
                       make_leaf_codec(header["leaf_codec"], extension.dim),
-                      IndexEntryCodec(extension.pred_codec()))
+                      InnerBodyCodec(extension.pred_codec()))
     report.superblock_ok = True
     report.page_size = page_size
     num_slots, leftover = divmod(len(raw) - page_size, page_size)

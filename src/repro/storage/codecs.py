@@ -7,12 +7,13 @@ real serialization path so trees can be persisted and reloaded, and so
 tests can verify that what we account for is what we would actually
 store.
 
-Three layers: a predicate codec encodes one bounding predicate and
-checks a stacked block of them; the leaf and index entry codecs pack a
-whole page body at once; :class:`NodeCodec` is the one page codec.
-Every page image the page files, the WAL and ``save_tree`` write comes
-from :meth:`NodeCodec.encode_nodes`, and every page any of them reads
-back goes through :meth:`NodeCodec.decode_node`.
+Three layers: a predicate codec fixes the row layout of one bounding
+predicate and checks a stacked block of rows; the leaf and inner body
+codecs pack a whole page body at once; :class:`NodeCodec` is the one
+page codec.  Every page image the page files, the WAL and
+``save_tree`` write comes from :meth:`NodeCodec.encode_nodes`, and
+every page any of them reads back goes through
+:meth:`NodeCodec.decode_node`.
 
 All numbers are stored as little-endian ``float64`` / ``int64``
 (``NUMBER_SIZE`` = 8 bytes), matching the paper's "numbers" unit.
@@ -26,7 +27,7 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import NUMBER_SIZE
-from repro.geometry import Bite, BittenRect, Rect, Sphere
+from repro.geometry import Bite, BittenRect, Rect
 from repro.gist.node import Node
 from repro.storage.errors import PageCorruptError, PageMissingError
 from repro.storage.integrity import seal_images, verify_image
@@ -34,29 +35,19 @@ from repro.storage.page import PAGE_HEADER_SIZE
 
 
 class Codec:
-    """Fixed-size binary codec interface."""
+    """A fixed-size predicate row layout: ``size`` bytes, ``numbers``
+    little-endian float64 columns."""
 
     #: encoded size in bytes (fixed for all values)
     size: int
 
-    def encode(self, value: Any, /) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, data: bytes, /) -> Any:
-        """Inverse of :meth:`encode`.  Arrays in the result are
-        read-only views of ``data`` — callers pass an immutable
-        ``bytes`` holding just this value, so there is nothing to copy
-        out of and nothing the views could outlive."""
-        raise NotImplementedError
-
     def block_error(self, block: np.ndarray, /) -> Optional[Tuple[int, str]]:
-        """What :meth:`decode` would reject in a stacked block of values.
+        """What no predicate of this family can be, in a stacked block.
 
-        ``block`` is an ``(n, numbers)`` float64 matrix, one encoded
-        value per row (an inner page body without its child column).
+        ``block`` is an ``(n, numbers)`` float64 matrix, one predicate
+        per row (an inner page body without its child column).
         Returns the first offending ``(row, reason)``, or None when
-        every row decodes — the whole-page form of the checks the
-        value constructors make one object at a time.
+        every row is well formed.
         """
         return None
 
@@ -86,14 +77,6 @@ class RectCodec(Codec):
         self.dim = dim
         self.size = 2 * dim * NUMBER_SIZE
 
-    def encode(self, rect: Rect) -> bytes:
-        return (np.asarray(rect.lo, dtype="<f8").tobytes()
-                + np.asarray(rect.hi, dtype="<f8").tobytes())
-
-    def decode(self, data: bytes) -> Rect:
-        flat = np.frombuffer(data, dtype="<f8", count=2 * self.dim)
-        return Rect(flat[:self.dim], flat[self.dim:])
-
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         return _first_row(
             block[:, :self.dim] > block[:, self.dim:2 * self.dim],
@@ -107,14 +90,6 @@ class SphereCodec(Codec):
         self.dim = dim
         self.size = (dim + 1) * NUMBER_SIZE
 
-    def encode(self, sphere: Sphere) -> bytes:
-        return (np.asarray(sphere.center, dtype="<f8").tobytes()
-                + struct.pack("<d", sphere.radius))
-
-    def decode(self, data: bytes) -> Sphere:
-        flat = np.frombuffer(data, dtype="<f8", count=self.dim + 1)
-        return Sphere(flat[:self.dim], float(flat[self.dim]))
-
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         return _first_row(block[:, self.dim] < 0, "negative radius")
 
@@ -127,15 +102,6 @@ class RectSphereCodec(Codec):
         self._rect = RectCodec(dim)
         self._sphere = SphereCodec(dim)
         self.size = self._rect.size + self._sphere.size
-
-    def encode(self, value: Tuple[Rect, Sphere]) -> bytes:
-        rect, sphere = value
-        return self._rect.encode(rect) + self._sphere.encode(sphere)
-
-    def decode(self, data: bytes) -> Tuple[Rect, Sphere]:
-        rect = self._rect.decode(data[:self._rect.size])
-        sphere = self._sphere.decode(data[self._rect.size:])
-        return rect, sphere
 
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         split = self._rect.numbers
@@ -151,15 +117,6 @@ class DualRectCodec(Codec):
         self._rect = RectCodec(dim)
         self.size = 2 * self._rect.size
 
-    def encode(self, value: Tuple[Rect, Rect]) -> bytes:
-        r1, r2 = value
-        return self._rect.encode(r1) + self._rect.encode(r2)
-
-    def decode(self, data: bytes) -> Tuple[Rect, Rect]:
-        r1 = self._rect.decode(data[:self._rect.size])
-        r2 = self._rect.decode(data[self._rect.size:])
-        return r1, r2
-
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         split = self._rect.numbers
         return _earliest(self._rect.block_error(block[:, :split]),
@@ -169,8 +126,9 @@ class DualRectCodec(Codec):
 class _BittenCodec(Codec):
     """An MBR followed by stored bite slots (the JB and XJB layouts).
 
-    Subclasses say where the slots are (:meth:`bite_slots`); decoding a
-    predicate and stacking a page's bite pack share :meth:`bite_rows`.
+    Subclasses say where the slots are (:meth:`bite_slots`) and write a
+    row from a rect and its bites (:meth:`write`); decoding one row
+    and stacking a page's bite pack share :meth:`bite_rows`.
     """
 
     dim: int
@@ -197,7 +155,15 @@ class _BittenCodec(Codec):
         keep = (masks >= 0) & ~np.any(bhi <= blo, axis=-1)
         return masks, inners, blo, bhi, ~at_hi, keep
 
+    def write(self, lo: np.ndarray, hi: np.ndarray, masks: Sequence[int],
+              inners: Sequence[np.ndarray]) -> np.ndarray:
+        """The row of the rect ``[lo, hi]`` with a bite at each corner
+        mask of ``masks``, reaching to the matching inner point."""
+        raise NotImplementedError
+
     def decode(self, data: bytes) -> BittenRect:
+        """The row in ``data`` as a :class:`BittenRect` (its arrays are
+        read-only views of ``data``)."""
         row = np.frombuffer(data, dtype="<f8", count=self.numbers)
         rect = Rect(row[:self.dim], row[self.dim:2 * self.dim])
         masks, inners, blo, bhi, low, keep = (
@@ -222,15 +188,16 @@ class JBCodec(_BittenCodec):
         self.corners = 1 << dim
         self.size = self._rect.size + self.corners * dim * NUMBER_SIZE
 
-    def encode(self, value: BittenRect) -> bytes:
-        rect = value.rect
-        by_mask = {b.corner_mask: b for b in value.bites}
-        parts = [self._rect.encode(rect)]
-        for mask in range(self.corners):
-            bite = by_mask.get(mask)
-            inner = bite.inner if bite is not None else rect.corner(mask)
-            parts.append(np.asarray(inner, dtype="<f8").tobytes())
-        return b"".join(parts)
+    def write(self, lo: np.ndarray, hi: np.ndarray, masks: Sequence[int],
+              inners: Sequence[np.ndarray]) -> np.ndarray:
+        row = np.empty(self.numbers)
+        row[:self.dim], row[self.dim:2 * self.dim] = lo, hi
+        slots = row[2 * self.dim:].reshape(self.corners, self.dim)
+        at_hi = np.arange(self.corners)[:, None] >> np.arange(self.dim) & 1
+        slots[:] = np.where(at_hi.astype(bool), hi, lo)
+        slots[np.asarray(masks, dtype=np.intp)] = np.reshape(
+            inners, (len(masks), self.dim))
+        return row
 
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         return self._rect.block_error(block)
@@ -265,17 +232,19 @@ class XJBCodec(_BittenCodec):
         self._rect = RectCodec(dim)
         self.size = self._rect.size + (dim + 1) * x * NUMBER_SIZE
 
-    def encode(self, value: BittenRect) -> bytes:
-        if len(value.bites) > self.x:
+    def write(self, lo: np.ndarray, hi: np.ndarray, masks: Sequence[int],
+              inners: Sequence[np.ndarray]) -> np.ndarray:
+        count = len(masks)
+        if count > self.x:
             raise ValueError(
-                f"predicate has {len(value.bites)} bites, codec allows {self.x}")
-        parts = [self._rect.encode(value.rect)]
-        for bite in value.bites:
-            parts.append(struct.pack("<d", float(bite.corner_mask)))
-            parts.append(np.asarray(bite.inner, dtype="<f8").tobytes())
-        empty = struct.pack("<d", -1.0) + b"\x00" * (self.dim * NUMBER_SIZE)
-        parts.extend([empty] * (self.x - len(value.bites)))
-        return b"".join(parts)
+                f"predicate has {count} bites, codec allows {self.x}")
+        row = np.zeros(self.numbers)
+        row[:self.dim], row[self.dim:2 * self.dim] = lo, hi
+        slots = self._slots(row[None])[0]
+        slots[:, 0] = -1.0
+        slots[:count, 0] = masks
+        slots[:count, 1:] = np.reshape(inners, (count, self.dim))
+        return row
 
     def _slots(self, block: np.ndarray) -> np.ndarray:
         """The ``(n, x, 1 + dim)`` (corner id, inner point) slots."""
@@ -298,7 +267,7 @@ class XJBCodec(_BittenCodec):
         return masks, slots[:, :, 1:]
 
 
-class LeafEntryCodec:
+class LeafBodyCodec:
     """A leaf page body: per entry a float64 key vector plus an int64
     record id, packed row after row.
 
@@ -411,7 +380,7 @@ class QuantizedKeys:
         return self.scales * 0.5
 
 
-class QuantizedLeafCodec(LeafEntryCodec):
+class QuantizedLeafCodec(LeafBodyCodec):
     """SQ8 leaf-page body: 8-bit keys + delta-packed RIDs.
 
     Body layout (all little-endian)::
@@ -526,10 +495,10 @@ class QuantizedLeafCodec(LeafEntryCodec):
 
 
 #: leaf codecs by superblock ``leaf_codec`` field value.
-LEAF_CODECS = {"f64": LeafEntryCodec, "sq8": QuantizedLeafCodec}
+LEAF_CODECS = {"f64": LeafBodyCodec, "sq8": QuantizedLeafCodec}
 
 
-def make_leaf_codec(codec_id: str, dim: int) -> LeafEntryCodec:
+def make_leaf_codec(codec_id: str, dim: int) -> LeafBodyCodec:
     """The leaf codec registered under ``codec_id`` (see ``LEAF_CODECS``)."""
     try:
         cls = LEAF_CODECS[codec_id]
@@ -540,7 +509,7 @@ def make_leaf_codec(codec_id: str, dim: int) -> LeafEntryCodec:
     return cls(dim)
 
 
-class IndexEntryCodec:
+class InnerBodyCodec:
     """An inner page body: per entry one encoded predicate plus an
     int64 child page id, packed row after row."""
 
@@ -611,8 +580,8 @@ class NodeCodec:
     image of another format epoch.
     """
 
-    def __init__(self, page_size: int, leaf_codec: LeafEntryCodec,
-                 index_codec: IndexEntryCodec) -> None:
+    def __init__(self, page_size: int, leaf_codec: LeafBodyCodec,
+                 index_codec: InnerBodyCodec) -> None:
         self.page_size = page_size
         self.leaf_codec = leaf_codec
         self.index_codec = index_codec
@@ -689,5 +658,4 @@ class NodeCodec:
         except PageCorruptError as exc:
             raise PageCorruptError(str(exc), path=path,
                                    page_id=page_id) from None
-        return Node.inner_from_block(page_id, level, preds, children,
-                                     codec.pred_codec)
+        return Node.inner_from_block(page_id, level, preds, children)

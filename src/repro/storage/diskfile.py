@@ -53,7 +53,7 @@ class FilePageFile:
     With ``mmap_mode=True`` reads go through a shared read-only memory
     map of the file instead of seek+read syscalls: page images are
     memoryview slices over the map, and leaf bodies decode as zero-copy
-    array views (:meth:`LeafEntryCodec.decode_block` into
+    array views (:meth:`LeafBodyCodec.decode_block` into
     :meth:`Node.leaf_from_arrays`).  Every counted read is one
     :meth:`read` of one page; this store caches nothing, so a caller
     that revisits pages puts a
@@ -94,10 +94,10 @@ class FilePageFile:
     def for_extension(cls, path: Optional[str], extension: Any,
                       page_size: int, leaf_codec: str = "f64",
                       **kwargs: Any) -> "FilePageFile":
-        from repro.storage.codecs import IndexEntryCodec, make_leaf_codec
+        from repro.storage.codecs import InnerBodyCodec, make_leaf_codec
         codec = NodeCodec(page_size, make_leaf_codec(leaf_codec,
                                                      extension.dim),
-                          IndexEntryCodec(extension.pred_codec()))
+                          InnerBodyCodec(extension.pred_codec()))
         return cls(path, codec, **kwargs)
 
     # -- id allocation ------------------------------------------------------

@@ -42,7 +42,7 @@ class TestTreeReport:
         report = tree_report(tree)
         assert report.total_nodes == tree.num_nodes()
         leaf = next(l for l in report.levels if l.level == 0)
-        assert leaf.entries == tree.size
+        assert leaf.num_entries == tree.size
         assert 0.0 < leaf.mean_fill <= 1.0
 
     def test_root_slack(self, tree_and_reports):

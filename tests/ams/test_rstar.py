@@ -14,29 +14,26 @@ class TestSplit:
     def test_partition_properties(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(30, 2))
-        rects = [Rect.point(p) for p in pts]
-        a, b = rstar_split(list(range(30)), rects, 6)
-        assert sorted(a + b) == list(range(30))
+        a, b = rstar_split(pts, pts, 6)
+        assert sorted(a.tolist() + b.tolist()) == list(range(30))
         assert len(a) >= 6 and len(b) >= 6
 
     def test_separated_clusters_split_cleanly(self):
         pts = np.concatenate([np.zeros((6, 2)),
                               np.full((6, 2), 50.0)])
-        rects = [Rect.point(p) for p in pts]
-        a, b = rstar_split(list(range(12)), rects, 2)
-        groups = {tuple(sorted(a)), tuple(sorted(b))}
+        a, b = rstar_split(pts, pts, 2)
+        groups = {tuple(sorted(a.tolist())), tuple(sorted(b.tolist()))}
         assert groups == {tuple(range(6)), tuple(range(6, 12))}
 
     def test_single_entry_rejected(self):
         with pytest.raises(ValueError):
-            rstar_split([0], [Rect.point(np.zeros(2))], 1)
+            rstar_split(np.zeros((1, 2)), np.zeros((1, 2)), 1)
 
     def test_overlap_no_worse_than_quadratic(self):
         """R* picks the minimum-overlap distribution along its axis."""
         from repro.ams.splits import quadratic_split
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(40, 2))
-        rects = [Rect.point(p) for p in pts]
 
         def overlap(split):
             a, b = split
@@ -44,9 +41,8 @@ class TestSplit:
             rb = Rect.from_points(pts[np.array(b)])
             return ra.intersection_volume(rb)
 
-        entries = list(range(40))
-        assert overlap(rstar_split(entries, rects, 8)) \
-            <= overlap(quadratic_split(entries, rects, 8)) + 1e-9
+        assert overlap(rstar_split(pts, pts, 8)) \
+            <= overlap(quadratic_split(pts, pts, 8)) + 1e-9
 
 
 class TestTreeBehaviour:

@@ -21,9 +21,6 @@ from repro.analysis.treecheck import (BITE_NONEMPTY, BP_KEY_ESCAPE,
                                       PAGE_ORPHAN, SIZE_MISMATCH)
 from repro.bulk import bulk_load
 from repro.core.api import make_extension
-from repro.geometry.bites import Bite, BittenRect
-from repro.geometry.rect import Rect
-from repro.gist.entry import IndexEntry
 from repro.gist.node import Node
 from repro.gist.persist import load_tree, save_tree
 from repro.storage.codecs import NodeCodec
@@ -43,11 +40,17 @@ def build_tree(method, n=N_POINTS, seed=7):
     return bulk_load(ext, keys, page_size=PAGE_SIZE)
 
 
+def _shrunk(row):
+    """An MBR row ``[lo, hi]`` with ``lo`` pulled halfway to ``hi``."""
+    lo, hi = np.hsplit(row, 2)
+    return np.concatenate([lo + 0.5 * (hi - lo), hi])
+
+
 def inner_above_leaves(tree):
     """The leftmost level-1 node (its children are leaves)."""
     node = tree._peek(tree.root_id)
     while node.level > 1:
-        node = tree._peek(node.entries[0].child)
+        node = tree._peek(node.children()[0])
     assert node.level == 1, "tree too shallow for corruption tests"
     return node
 
@@ -110,18 +113,16 @@ def test_only_page_damage_drops_the_amdb_summary(monkeypatch):
 def test_shrunk_parent_mbr_is_bp_escape(tmp_path):
     tree = build_tree("rtree")
     node = inner_above_leaves(tree)
-    entry = node.entries[0]
-    rect = entry.pred
+    child = node.children()[0]
     # The MBR's low corner is attained by some stored key in every
     # dimension; pulling it halfway up guarantees an escape.
-    shrunk = Rect(rect.lo + 0.5 * (rect.hi - rect.lo), rect.hi)
-    node.replace_entry(0, IndexEntry(shrunk, entry.child))
+    node.set_row(0, _shrunk(node.pred_block()[0]))
     tree.store.write(node)
 
     report = check_tree(tree)
     assert BP_KEY_ESCAPE in report.codes(), report.format()
     escapes = [v for v in report.violations if v.code == BP_KEY_ESCAPE]
-    assert all(v.page_id == entry.child for v in escapes)
+    assert all(v.page_id == child for v in escapes)
 
     # The same damage survives a save/load round trip into fsck --deep:
     # every page still seals correctly, so only the semantic phase sees it.
@@ -141,21 +142,19 @@ def test_shrunk_parent_mbr_is_bp_escape(tmp_path):
 def test_data_point_in_bite_is_flagged(method, tmp_path):
     tree = build_tree(method)
     node = inner_above_leaves(tree)
-    entry = node.entries[0]
-    pred = entry.pred
-    rect = pred.rect if isinstance(pred, BittenRect) else pred
-    # A bite spanning the whole MBR half-open at the top: every stored
-    # key off the upper boundary now sits inside a bite — exactly the
-    # sloppy predicate that silently drops true nearest neighbors.
-    greedy = Bite(0, rect.lo, rect.hi)
-    bitten = BittenRect(rect, (greedy,))
-    node.replace_entry(0, IndexEntry(bitten, entry.child))
+    child = node.children()[0]
+    lo, hi = np.hsplit(node.pred_block()[0][:2 * DIM], 2)
+    # A bite at the low corner spanning the whole MBR, half-open at the
+    # top: every stored key off the upper boundary now sits inside a
+    # bite — exactly the sloppy predicate that silently drops true
+    # nearest neighbors.
+    node.set_row(0, tree.ext.pred_codec().write(lo, hi, [0], [hi]))
     tree.store.write(node)
 
     report = check_tree(tree)
     assert BITE_NONEMPTY in report.codes(), report.format()
     bites = [v for v in report.violations if v.code == BITE_NONEMPTY]
-    assert all(v.page_id == entry.child for v in bites)
+    assert all(v.page_id == child for v in bites)
 
     path = str(tmp_path / f"{method}-bitten.gist")
     save_tree(tree, path)
@@ -220,11 +219,12 @@ def test_orphaned_leaf_page_is_flagged(tmp_path):
 def test_duplicate_child_reference_is_flagged():
     tree = build_tree("rtree")
     node = inner_above_leaves(tree)
-    assert len(node.entries) >= 2
-    dropped = node.entries[1].child
-    node.replace_entry(1, IndexEntry(node.entries[1].pred,
-                                     node.entries[0].child))
-    tree.store.write(node)
+    assert len(node) >= 2
+    children = node.child_array().copy()
+    dropped = int(children[1])
+    children[1] = children[0]
+    tree.store.write(Node.inner_from_block(node.page_id, node.level,
+                                           node.pred_block(), children))
 
     report = check_tree(tree)
     assert PAGE_DUPLICATE in report.codes(), report.format()
@@ -236,9 +236,9 @@ def test_duplicate_child_reference_is_flagged():
 def test_underfull_leaf_respects_check_fill():
     tree = build_tree("rtree")
     node = inner_above_leaves(tree)
-    leaf = tree._peek(node.entries[0].child)
+    leaf = tree._peek(node.children()[0])
     while len(leaf) > 1:
-        leaf.remove_entry_at(1)
+        leaf.remove(1)
     tree.store.write(leaf)
 
     report = check_tree(tree)
@@ -265,10 +265,7 @@ def test_cli_fsck_deep_verdicts(tmp_path, capsys):
 
     broken = build_tree("rtree")
     node = inner_above_leaves(broken)
-    rect = node.entries[0].pred
-    node.replace_entry(0, IndexEntry(
-        Rect(rect.lo + 0.5 * (rect.hi - rect.lo), rect.hi),
-        node.entries[0].child))
+    node.set_row(0, _shrunk(node.pred_block()[0]))
     broken.store.write(node)
     broken_path = str(tmp_path / "broken.gist")
     save_tree(broken, broken_path)

@@ -20,7 +20,6 @@ from repro.analysis.treecheck import (BP_KEY_ESCAPE, QUANT_BOUND_ESCAPE,
                                       RID_ORDER)
 from repro.bulk import bulk_load
 from repro.core.api import make_extension
-from repro.gist.entry import IndexEntry
 from repro.gist.persist import load_tree, save_tree
 from repro.storage.codecs import make_leaf_codec
 from repro.storage.integrity import seal_image
@@ -62,17 +61,14 @@ def test_fresh_sq8_build_has_zero_violations(method, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_shrunk_parent_over_quantized_leaf_uses_quant_code(tmp_path):
-    from repro.geometry.rect import Rect
-
     path = build_sq8("rtree", tmp_path)
     tree = load_tree(path=path)
     node = inner_above_leaves(tree)
-    entry = node.entries[0]
-    rect = entry.pred
+    child = node.children()[0]
+    lo, hi = np.hsplit(node.pred_block()[0], 2)
     # Far beyond any quantization tolerance: the low corner jumps most
     # of the way to the top.
-    shrunk = Rect(rect.lo + 0.9 * (rect.hi - rect.lo), rect.hi)
-    node.replace_entry(0, IndexEntry(shrunk, entry.child))
+    node.set_row(0, np.concatenate([lo + 0.9 * (hi - lo), hi]))
     tree.store.write(node)
 
     report = check_tree(tree)
@@ -82,7 +78,7 @@ def test_shrunk_parent_over_quantized_leaf_uses_quant_code(tmp_path):
     assert BP_KEY_ESCAPE not in report.codes()
     escapes = [v for v in report.violations
                if v.code == QUANT_BOUND_ESCAPE]
-    assert all(v.page_id == entry.child for v in escapes)
+    assert all(v.page_id == child for v in escapes)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def test_parity_survives_insert_delete(method, corpus, vectors, stream,
 
     deleted = list(range(0, 40))
     added = list(range(base, 560))
-    with MutableTree.open(path) as mt:
+    # a quantized tree writes from its exact keys, the corpus by rid
+    with MutableTree.open(path, exact=vectors) as mt:
         for rid in added:
             mt.insert(vectors[rid], rid)
             f64.insert(vectors[rid], rid)
@@ -157,7 +158,7 @@ def test_parity_survives_crash_recovery(method, corpus, vectors, stream,
 
     injector = CrashInjector(CrashPoint(point="mid-apply", after=6,
                                         torn=0.5))
-    mt = MutableTree.open(path, injector=injector)
+    mt = MutableTree.open(path, injector=injector, exact=vectors)
     with pytest.raises(CrashError):
         for rid in range(base, 600):
             mt.insert(vectors[rid], rid)

@@ -9,8 +9,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import amap as amap_mod
-from repro.core.amap import AMapExtension, MapPred, best_bipartition
+from repro.core.amap import AMapExtension, best_bipartition
 from repro.geometry import Rect
+
+from tests.gist.oracle import (inner_node, object_contains, pred_object,
+                               row_for_keys, row_for_rows)
+
+
+def _covered_volume(row):
+    """The two rects' volume, their overlap counted once."""
+    r1, r2 = pred_object(AMapExtension(len(row) // 4), row)
+    return r1.volume() + r2.volume() - r1.intersection_volume(r2)
+
+
+def _contains(row, point):
+    return object_contains(pred_object(AMapExtension(len(row) // 4), row),
+                           point)
 
 
 @pytest.fixture
@@ -24,27 +38,27 @@ class TestBestBipartition:
         a = rng.normal(size=(20, 2)) * 0.1
         b = rng.normal(size=(20, 2)) * 0.1 + 10.0
         pts = np.concatenate([a, b])
-        pred = best_bipartition(pts, pts, 512, np.random.default_rng(1))
+        row = best_bipartition(pts, pts, 512, np.random.default_rng(1))
         whole = Rect.from_points(pts)
-        assert pred.covered_volume() < 0.2 * whole.volume()
+        assert _covered_volume(row) < 0.2 * whole.volume()
 
     def test_never_worse_than_single_mbr(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             pts = rng.normal(size=(rng.integers(2, 30), 3))
-            pred = best_bipartition(pts, pts, 64, rng)
-            assert pred.covered_volume() \
+            row = best_bipartition(pts, pts, 64, rng)
+            assert _covered_volume(row) \
                 <= Rect.from_points(pts).volume() + 1e-9
 
     def test_single_point(self):
         pts = np.array([[1.0, 2.0]])
-        pred = best_bipartition(pts, pts, 16, np.random.default_rng(0))
-        assert pred.contains_point([1.0, 2.0])
+        row = best_bipartition(pts, pts, 16, np.random.default_rng(0))
+        assert _contains(row, [1.0, 2.0])
 
     def test_covered_volume_counts_overlap_once(self):
-        pred = MapPred(Rect([0.0, 0.0], [2.0, 1.0]),
-                       Rect([1.0, 0.0], [3.0, 1.0]))
-        assert pred.covered_volume() == pytest.approx(3.0)
+        row = np.array([0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 3.0, 1.0])
+        assert amap_mod.covered_volume(row) == pytest.approx(3.0)
+        assert _covered_volume(row) == pytest.approx(3.0)
 
 
 class TestExtension:
@@ -52,43 +66,41 @@ class TestExtension:
         rng = np.random.default_rng(3)
         for _ in range(5):
             keys = rng.normal(size=(40, 2))
-            pred = ext.pred_for_keys(keys)
-            assert all(pred.contains_point(k) for k in keys)
+            row = row_for_keys(ext, keys)
+            assert all(_contains(row, k) for k in keys)
 
     def test_pred_for_preds_covers_children(self, ext):
         rng = np.random.default_rng(4)
-        children = [ext.pred_for_keys(rng.normal(size=(10, 2)) + off)
+        children = [row_for_keys(ext, rng.normal(size=(10, 2)) + off)
                     for off in (0.0, 6.0, 12.0)]
-        parent = ext.pred_for_preds(children)
+        parent = row_for_rows(ext, children)
         for child in children:
-            assert ext.covers_pred(parent, child)
+            assert ext.covers(parent, child)
 
     def test_min_dist_is_min_of_rects(self, ext):
-        pred = MapPred(Rect([0.0, 0.0], [1.0, 1.0]),
-                       Rect([5.0, 0.0], [6.0, 1.0]))
+        node = inner_node([[0.0, 0.0, 1.0, 1.0, 5.0, 0.0, 6.0, 1.0]])
         q = np.array([4.5, 0.5])
-        assert ext.min_dist(pred, q) == pytest.approx(0.5)
+        assert ext.min_dists_node(node, q)[0] == pytest.approx(0.5)
 
     def test_codec_decodes_mappred(self, ext):
-        pred = MapPred(Rect([0.0, 0.0], [1.0, 1.0]),
-                       Rect([2.0, 2.0], [3.0, 3.0]))
-        codec = ext.pred_codec()
-        out = codec.decode(codec.encode(pred))
-        assert isinstance(out, MapPred)
-        assert out.r1 == pred.r1 and out.r2 == pred.r2
+        """A row's layout is ``[lo1, hi1, lo2, hi2]``: its footprint is
+        the union of the two rects."""
+        block = np.array([[0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]])
+        lo, hi = ext.block_bounds(block)
+        assert lo.tolist() == [[0.0, 0.0]] and hi.tolist() == [[3.0, 3.0]]
+        assert ext.pred_codec().numbers == 4 * ext.dim
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 25), st.just(2)),
                       elements=st.floats(-100, 100, width=32)))
     @settings(max_examples=30, deadline=None)
     def test_conservative_on_arbitrary_data(self, keys):
         ext = AMapExtension(2, samples=64, seed=1)
-        pred = ext.pred_for_keys(keys)
-        assert all(pred.contains_point(k) for k in keys)
+        row = row_for_keys(ext, keys)
+        assert all(_contains(row, k) for k in keys)
 
 
 def _map_preds_equal(a, b):
-    return all(np.array_equal(ra.lo, rb.lo) and np.array_equal(ra.hi, rb.hi)
-               for ra, rb in zip(a, b))
+    return a.tobytes() == b.tobytes()
 
 
 def _side_bounds_reduce(masks, los, his):
@@ -137,7 +149,7 @@ class TestBipartitionKernels:
     def test_extension_kernel_choice_does_not_change_preds(self):
         rng = np.random.default_rng(13)
         keys = rng.normal(size=(60, 3))
-        fast = AMapExtension(3, samples=128, seed=5).pred_for_keys(keys)
-        ref = _reference(lambda: AMapExtension(
-            3, samples=128, seed=5).pred_for_keys(keys))
+        fast = row_for_keys(AMapExtension(3, samples=128, seed=5), keys)
+        ref = _reference(lambda: row_for_keys(AMapExtension(
+            3, samples=128, seed=5), keys))
         assert _map_preds_equal(fast, ref)

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.jbtree import JBExtension
-from repro.geometry import BittenRect
 
-from tests.gist.oracle import brute_canonical
+from tests.gist.oracle import (brute_canonical, pred_object, row_for_keys,
+                               row_for_rows)
+
+
+def _pred(ext, keys):
+    """The bitten rect a leaf holding ``keys`` is bounded by, and its
+    row."""
+    row = row_for_keys(ext, keys)
+    return pred_object(ext, row), row
 
 
 @pytest.fixture
@@ -21,29 +28,29 @@ class TestPredicates:
     def test_pred_for_keys_conservative(self, ext):
         rng = np.random.default_rng(0)
         keys = rng.normal(size=(50, 2))
-        pred = ext.pred_for_keys(keys)
+        pred, _ = _pred(ext, keys)
         assert pred.contains_points(keys).all()
 
     def test_diagonal_data_gets_bites(self, ext):
         keys = np.array([[float(i), float(i)] for i in range(20)])
-        pred = ext.pred_for_keys(keys)
+        pred, _ = _pred(ext, keys)
         assert len(pred.bites) >= 2
         assert pred.volume() < 0.6 * pred.rect.volume()
 
     def test_inner_pred_covers_children(self, ext):
         rng = np.random.default_rng(1)
-        children = [ext.pred_for_keys(rng.normal(size=(10, 2)) + off)
+        children = [row_for_keys(ext, rng.normal(size=(10, 2)) + off)
                     for off in (0.0, 5.0, 10.0)]
-        parent = ext.pred_for_preds(children)
+        parent = row_for_rows(ext, children)
         for child in children:
-            assert ext.covers_pred(parent, child)
+            assert ext.covers(parent, child)
 
     def test_refine_dist_tightens(self, ext):
         keys = np.array([[float(i), float(i)] for i in range(20)])
-        pred = ext.pred_for_keys(keys)
+        pred, row = _pred(ext, keys)
         q = np.array([22.0, -3.0])
         cheap = pred.rect.min_dist(q)
-        tight = ext.refine_dist(pred, q, cheap)
+        tight = ext.refine_dist(row, q, cheap)
         assert tight > cheap
         true_min = np.sqrt(((keys - q) ** 2).sum(axis=1)).min()
         assert tight <= true_min + 1e-9
@@ -53,13 +60,13 @@ class TestPredicates:
         keys = rng.normal(size=(60, 3))
         for method in ("nibble", "sweep", "both"):
             ext = JBExtension(3, bite_method=method)
-            pred = ext.pred_for_keys(keys)
+            pred, _ = _pred(ext, keys)
             assert pred.contains_points(keys).all()
 
     def test_unknown_bite_method_rejected(self):
         ext = JBExtension(2, bite_method="bogus")
         with pytest.raises(ValueError):
-            ext.pred_for_keys(np.zeros((3, 2)))
+            row_for_keys(ext, np.zeros((3, 2)))
 
 
 class TestConsistency:
@@ -82,8 +89,8 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_refined_dist_never_exceeds_data_dist(self, keys):
         ext = JBExtension(2)
-        pred = ext.pred_for_keys(keys[1:])
+        pred, row = _pred(ext, keys[1:])
         q = keys[0] * 1.1 + 3.0
-        tight = ext.refine_dist(pred, q, pred.rect.min_dist(q))
+        tight = ext.refine_dist(row, q, pred.rect.min_dist(q))
         true_min = np.sqrt(((keys[1:] - q) ** 2).sum(axis=1)).min()
         assert tight <= true_min + 1e-7

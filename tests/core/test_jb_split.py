@@ -10,12 +10,15 @@ from repro.bulk import insertion_load
 from repro.core.jb_split import gap_split
 from repro.core.jbtree import JBExtension
 from repro.core.xjb import XJBExtension
-from repro.geometry import Rect
 from repro.gist import validate_tree
 
+from tests.gist.oracle import pred_object, row_for_keys
 
-def _point_rects(pts):
-    return [Rect.point(p) for p in pts]
+
+def _split(pts, min_entries):
+    """The gap split of points, each its own box, as index lists."""
+    a, b = gap_split(pts, pts, min_entries)
+    return [int(i) for i in a], [int(i) for i in b]
 
 
 class TestGapSplit:
@@ -23,7 +26,7 @@ class TestGapSplit:
         xs = np.concatenate([np.linspace(0, 1, 8),
                              np.linspace(10, 11, 8)])
         pts = np.stack([xs, np.zeros(16)], axis=1)
-        a, b = gap_split(list(range(16)), _point_rects(pts), 3)
+        a, b = _split(pts, 3)
         groups = {tuple(sorted(a)), tuple(sorted(b))}
         assert groups == {tuple(range(8)), tuple(range(8, 16))}
 
@@ -31,19 +34,19 @@ class TestGapSplit:
         # The biggest gap is after one element; min fill forbids it.
         xs = np.array([0.0, 100.0, 101.0, 102.0, 103.0, 104.0])
         pts = np.stack([xs, np.zeros(6)], axis=1)
-        a, b = gap_split(list(range(6)), _point_rects(pts), 2)
+        a, b = _split(pts, 2)
         assert min(len(a), len(b)) >= 2
 
     def test_falls_back_without_gaps(self):
         # Identical points: no gap anywhere -> quadratic fallback.
         pts = np.zeros((10, 2))
-        a, b = gap_split(list(range(10)), _point_rects(pts), 2)
+        a, b = _split(pts, 2)
         assert sorted(a + b) == list(range(10))
         assert min(len(a), len(b)) >= 2
 
     def test_single_entry_rejected(self):
         with pytest.raises(ValueError):
-            gap_split([0], _point_rects(np.zeros((1, 2))), 1)
+            _split(np.zeros((1, 2)), 1)
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(4, 40),
                                             st.just(3)),
@@ -52,7 +55,7 @@ class TestGapSplit:
     @settings(max_examples=40, deadline=None)
     def test_partition_properties(self, pts, min_entries):
         entries = list(range(len(pts)))
-        a, b = gap_split(entries, _point_rects(pts), min_entries)
+        a, b = _split(pts, min_entries)
         assert sorted(a + b) == entries
         floor = min(min_entries, len(pts) // 2)
         assert len(a) >= floor and len(b) >= floor
@@ -87,7 +90,7 @@ class TestSplitMethodOnTrees:
             ext = JBExtension(2, split_method=split_method)
             tree = insertion_load(ext, pts, page_size=2048,
                                   shuffle_seed=2)
-            fracs = [ext.pred_for_keys(n.keys_array())
+            fracs = [pred_object(ext, row_for_keys(ext, n.keys_array()))
                      .coverage_fraction(samples=500)
                      for n in tree.leaf_nodes() if len(n) > 3]
             return np.mean(fracs)

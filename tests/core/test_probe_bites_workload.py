@@ -12,6 +12,13 @@ from repro.amdb import profile_workload
 from repro.bulk import bulk_load
 from repro.core.jbtree import JBExtension
 
+from tests.gist.oracle import pred_object, row_for_keys
+
+
+def _pred(method, group):
+    ext = JBExtension(5, bite_method=method)
+    return pred_object(ext, row_for_keys(ext, group))
+
 
 @pytest.fixture(scope="module")
 def corpus_vectors():
@@ -25,8 +32,8 @@ class TestProbeVsSweep:
         vectors, _ = corpus_vectors
         rng = np.random.default_rng(0)
         group = vectors[rng.choice(len(vectors), 150, replace=False)]
-        sweep = JBExtension(5, bite_method="sweep").pred_for_keys(group)
-        probe = JBExtension(5, bite_method="probe").pred_for_keys(group)
+        sweep = _pred("sweep", group)
+        probe = _pred("probe", group)
         assert probe.coverage_fraction(1000) \
             <= sweep.coverage_fraction(1000) + 0.05
 
@@ -63,7 +70,7 @@ class TestProbeVsSweep:
             ext = JBExtension(5, bite_method=method)
             t0 = time.time()
             for _ in range(3):
-                ext.pred_for_keys(group)
+                row_for_keys(ext, group)
             return time.time() - t0
 
         # The set-cover construction pays for its quality; this pins

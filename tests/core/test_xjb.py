@@ -7,19 +7,25 @@ from repro.constants import NUMBER_SIZE
 from repro.core.xjb import XJBExtension, select_x
 from repro.storage.page import entries_per_page
 
+from tests.gist.oracle import pred_object, row_for_keys
+
+
+def _pred(ext, keys):
+    return pred_object(ext, row_for_keys(ext, keys))
+
 
 class TestPredicateLimit:
     def test_never_more_than_x_bites(self):
         rng = np.random.default_rng(0)
         ext = XJBExtension(3, x=2)
         for _ in range(10):
-            pred = ext.pred_for_keys(rng.normal(size=(30, 3)))
+            pred = _pred(ext, rng.normal(size=(30, 3)))
             assert len(pred.bites) <= 2
 
     def test_keeps_largest_bites(self):
         keys = np.array([[float(i), float(i)] for i in range(20)])
-        full = XJBExtension(2, x=4).pred_for_keys(keys)
-        limited = XJBExtension(2, x=1).pred_for_keys(keys)
+        full = _pred(XJBExtension(2, x=4), keys)
+        limited = _pred(XJBExtension(2, x=1), keys)
         if limited.bites and len(full.bites) > 1:
             best = max(b.volume() for b in full.bites)
             assert limited.bites[0].volume() == pytest.approx(best)
@@ -28,10 +34,11 @@ class TestPredicateLimit:
         rng = np.random.default_rng(1)
         ext = XJBExtension(2, x=0)
         keys = rng.normal(size=(25, 2))
-        pred = ext.pred_for_keys(keys)
+        row = row_for_keys(ext, keys)
+        pred = pred_object(ext, row)
         assert len(pred.bites) == 0
         q = rng.normal(size=2) * 10
-        assert ext.refine_dist(pred, q, 0.0) == pytest.approx(
+        assert ext.refine_dist(row, q, 0.0) == pytest.approx(
             pred.rect.min_dist(q))
 
     def test_x_out_of_range_rejected(self):
@@ -44,7 +51,7 @@ class TestPredicateLimit:
         rng = np.random.default_rng(2)
         ext = XJBExtension(3, x=4)
         keys = rng.normal(size=(50, 3))
-        assert ext.pred_for_keys(keys).contains_points(keys).all()
+        assert _pred(ext, keys).contains_points(keys).all()
 
 
 class TestSelectX:

@@ -13,7 +13,9 @@ must reproduce its result lists and its counted access order bit for
 bit, and both must equal :func:`brute_canonical`; nothing under
 ``src/`` imports this module.  :func:`stacked_geometry` is the same
 kind of oracle for the geometry the extensions slice from an inner
-node's predicate block.
+node's predicate block, and :func:`pred_object` /
+:func:`object_contains` are the per-predicate objects and containment
+rules the row kernels replaced.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def knn_search(tree: Any, query: np.ndarray, k: int) -> List[Tuple[float, int]]:
         _, _, dist, _, payload, refined = item
         parent, index, page_id, level = payload
         if not refined:
-            tight = ext.refine_dist(parent.pred_at(index), query, dist)
+            tight = ext.refine_dist(parent.pred_block()[index], query,
+                                    dist)
             if tight * shrink > tau:
                 continue
             key = (tight * shrink, _NODE, tight)
@@ -170,11 +173,90 @@ def paged_tree(ext: Any, points: np.ndarray, path: str, page_size: int,
     return tree
 
 
+# -- predicate rows as objects ------------------------------------------------
+
+def leaf_node(keys: np.ndarray, page_id: int = 0) -> Any:
+    """A leaf holding ``keys`` with rids ``0..n-1``."""
+    from repro.gist.node import Node
+    keys = np.asarray(keys, dtype=np.float64)
+    return Node.leaf_from_arrays(page_id, keys,
+                                 np.arange(len(keys), dtype=np.int64))
+
+
+def inner_node(rows: Any, page_id: int = 0, level: int = 1) -> Any:
+    """An inner node holding predicate ``rows`` with children
+    ``100..100+n-1``."""
+    from repro.gist.node import Node
+    block = np.array(rows, dtype=np.float64)
+    return Node.inner_from_block(page_id, level, block,
+                                 100 + np.arange(len(block), dtype=np.int64))
+
+
+def row_for_keys(ext: Any, keys: np.ndarray) -> np.ndarray:
+    """The insert-time bounding row of a leaf holding ``keys``."""
+    return ext.preds_for_nodes([leaf_node(keys)])[0]
+
+
+def row_for_rows(ext: Any, rows: Any) -> np.ndarray:
+    """The insert-time bounding row of an inner node holding ``rows``."""
+    return ext.preds_for_nodes([inner_node(rows)])[0]
+
+
+def pred_object(ext: Any, row: np.ndarray) -> Any:
+    """Predicate ``row`` as the geometry objects it stands for: a
+    ``Rect`` (R/R*-tree), a ``Sphere`` (SS-tree), ``(Rect, Sphere)``
+    (SR-tree), ``(Rect, Rect)`` (aMAP) or a ``BittenRect`` (JB/XJB)."""
+    from repro.ams import SRTreeExtension, SSTreeExtension
+    from repro.core.amap import AMapExtension
+    from repro.core.jbtree import JBExtension
+    from repro.geometry import Rect, Sphere
+
+    row = np.array(row, dtype=np.float64)
+    d = ext.dim
+    if isinstance(ext, JBExtension):
+        return ext.pred_codec().decode(row.tobytes())
+    if isinstance(ext, AMapExtension):
+        return (Rect(row[:d], row[d:2 * d]),
+                Rect(row[2 * d:3 * d], row[3 * d:4 * d]))
+    if isinstance(ext, SRTreeExtension):
+        return (Rect(row[:d], row[d:2 * d]),
+                Sphere(row[2 * d:3 * d], float(row[3 * d])))
+    if isinstance(ext, SSTreeExtension):
+        return Sphere(row[:d], float(row[d]))
+    return Rect(row[:d], row[d:2 * d])
+
+
+def pred_objects(ext: Any, node: Any) -> List[Any]:
+    """:func:`pred_object` of every row of an inner node."""
+    return [pred_object(ext, row) for row in node.pred_block()]
+
+
+def object_contains(pred: Any, point: np.ndarray) -> bool:
+    """The per-predicate containment rule: both parts of an SR-tree
+    pair, either rect of an aMAP pair, else the object's own."""
+    from repro.geometry import Sphere
+    if isinstance(pred, tuple):
+        first, second = pred
+        if isinstance(second, Sphere):
+            return (first.contains_point(point)
+                    and second.contains_point(point))
+        return first.contains_point(point) or second.contains_point(point)
+    return pred.contains_point(point)
+
+
+def footprint(pred: Any) -> Any:
+    """The MBR routing, penalty and split use: an aMAP pair's union, a
+    bitten rect's MBR, or the rect itself."""
+    if isinstance(pred, tuple):
+        return pred[0].union(pred[1])
+    return getattr(pred, "rect", pred)
+
+
 # -- stacked inner-node geometry ------------------------------------------------
 
 def stacked_geometry(ext: Any, preds: List[Any]) -> dict:
     """Every geometry view an extension caches on an inner node, stacked
-    from predicate objects one at a time.
+    from predicate objects (:func:`pred_objects`) one at a time.
 
     This is how the extensions built those views for nodes held as
     entry lists, moved here verbatim when every node came to hold its
@@ -188,14 +270,14 @@ def stacked_geometry(ext: Any, preds: List[Any]) -> dict:
 
     out: dict = {}
     if isinstance(ext, RTreeExtension):
-        rects = ext.footprints(preds)
+        rects = [footprint(p) for p in preds]
         out["rect_bounds"] = (np.stack([r.lo for r in rects]),
                               np.stack([r.hi for r in rects]))
     if isinstance(ext, AMapExtension):
-        out["amap_bounds"] = (np.stack([p.r1.lo for p in preds]),
-                              np.stack([p.r1.hi for p in preds]),
-                              np.stack([p.r2.lo for p in preds]),
-                              np.stack([p.r2.hi for p in preds]))
+        out["amap_bounds"] = (np.stack([p[0].lo for p in preds]),
+                              np.stack([p[0].hi for p in preds]),
+                              np.stack([p[1].lo for p in preds]),
+                              np.stack([p[1].hi for p in preds]))
     if isinstance(ext, JBExtension):
         counts = np.array([len(p.bites) for p in preds], dtype=np.intp)
         offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -214,8 +296,8 @@ def stacked_geometry(ext: Any, preds: List[Any]) -> dict:
         out["sphere_params"] = (np.stack([s.center for s in preds]),
                                 np.array([s.radius for s in preds]))
     if isinstance(ext, SRTreeExtension):
-        out["sr_params"] = (np.stack([p.rect.lo for p in preds]),
-                            np.stack([p.rect.hi for p in preds]),
-                            np.stack([p.sphere.center for p in preds]),
-                            np.array([p.sphere.radius for p in preds]))
+        out["sr_params"] = (np.stack([p[0].lo for p in preds]),
+                            np.stack([p[0].hi for p in preds]),
+                            np.stack([p[1].center for p in preds]),
+                            np.array([p[1].radius for p in preds]))
     return out

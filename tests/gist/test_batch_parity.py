@@ -280,7 +280,6 @@ class TestNodeFormParity:
         assert want[1] == (True, [])
         for mmap_mode in (False, True):
             lazy = self._paged(built, method, mmap_mode, *facts)
-            assert lazy._peek(lazy.root_id)._preds == {}
             assert self._observe(lazy, queries, self.K) == want
             lazy.store.close()
 

@@ -1,11 +1,12 @@
 """``contains_node``: the DELETE descent's one containment kernel.
 
-Hypothesis differential: for every family, on an inner node held as an
-entry list and on the same node decoded from its page image (predicate
-block, no objects), ``contains_node(node, p)`` must equal the per-entry
-``contains`` loop it replaced.  Keys sit on a small integer grid, so
-probes on an MBR face or a bite's closed and open faces are common, and
-every bite's faces are probed outright.
+Hypothesis differential: for every family, on an inner node built from
+predicate rows and on the same node decoded from its page image,
+``contains_node(node, p)`` must equal the per-entry loop it replaced:
+each row decoded into its geometry objects, asked ``contains_point``
+(:func:`tests.gist.oracle.object_contains`).  Keys sit on a small
+integer grid, so probes on an MBR face or a bite's closed and open
+faces are common, and every bite's faces are probed outright.
 
 Plus the point of the kernel: a delete that does not underflow, on a
 block-backed XJB tree, builds no predicate object at all.
@@ -18,19 +19,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import BittenRect
-from repro.gist import IndexEntry, Node
 from repro.gist.tree import GiST
-from repro.storage.codecs import LeafEntryCodec, NodeCodec
+from repro.storage.codecs import LeafBodyCodec, NodeCodec
 from repro.storage.page import PAGE_HEADER_SIZE
 
 from tests.conftest import ALL_METHODS, make_ext
+from tests.gist.oracle import (footprint, inner_node, object_contains,
+                               pred_objects, row_for_keys)
 
 
 def _block_backed(ext, node):
     """``node`` round-tripped through its page image."""
     probe = GiST(ext)
     size = PAGE_HEADER_SIZE + len(node) * probe.index_codec.size
-    codec = NodeCodec(-(-size // 64) * 64, LeafEntryCodec(ext.dim),
+    codec = NodeCodec(-(-size // 64) * 64, LeafBodyCodec(ext.dim),
                       probe.index_codec)
     decoded = codec.decode_node(codec.encode_nodes([node])[0], node.page_id)
     assert decoded.pred_block() is not None
@@ -45,8 +47,8 @@ def _face_probes(ext, preds):
         if isinstance(pred, BittenRect):
             boxes.append((pred.rect.lo, pred.rect.hi))
             boxes.extend((b.lo, b.hi) for b in pred.bites)
-        elif hasattr(ext, "footprint"):
-            rect = ext.footprint(pred)
+        elif hasattr(ext, "block_bounds"):
+            rect = footprint(pred)
             boxes.append((rect.lo, rect.hi))
         for lo, hi in boxes:
             mid = (lo + hi) / 2.0
@@ -66,9 +68,8 @@ def _case(method, dim, seed, entries):
     ext = make_ext(method, dim)
     groups = [rng.integers(0, 4, size=(int(rng.integers(1, 9)), dim))
               .astype(np.float64) for _ in range(entries)]
-    node = Node.from_entries(
-        7, 1, [IndexEntry(ext.pred_for_keys(keys), 100 + i)
-               for i, keys in enumerate(groups)], ext.pred_codec())
+    node = inner_node([row_for_keys(ext, keys) for keys in groups],
+                      page_id=7)
     probes = list(np.concatenate(groups))
     probes += list(rng.integers(-1, 5, size=(8, dim)).astype(np.float64))
     return ext, node, probes
@@ -87,9 +88,10 @@ def nodes(draw):
 def test_contains_node_matches_the_per_entry_loop(case):
     ext, node, probes = case
     decoded = _block_backed(ext, node)
-    probes = probes + _face_probes(ext, node.preds())
+    probes = probes + _face_probes(ext, pred_objects(ext, node))
     for form, point in itertools.product((node, decoded), probes):
-        want = [ext.contains(pred, point) for pred in form.preds()]
+        want = [object_contains(pred, point)
+                for pred in pred_objects(ext, form)]
         got = ext.contains_node(form, point)
         assert got.dtype == bool and got.tolist() == want, (form, point)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.bulk import bulk_load
 from repro.gist import knn_search_batch
-from repro.storage.codecs import IndexEntryCodec
+from repro.storage.codecs import InnerBodyCodec
 from repro.storage.page import page_payload
 
 from tests.conftest import ALL_METHODS, make_ext
@@ -32,7 +32,7 @@ from tests.gist.oracle import paged_tree, traced
 def _page_size(ext) -> int:
     """The smallest page an inner node of ``ext`` fits three entries in,
     so that a hundred points already make a tree several levels deep."""
-    entry = IndexEntryCodec(ext.pred_codec()).size
+    entry = InnerBodyCodec(ext.pred_codec()).size
     size = 256
     while page_payload(size) < 3 * entry:
         size *= 2

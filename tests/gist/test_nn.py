@@ -173,7 +173,9 @@ class TestLazyRefinement:
             has_refinement = False
 
             def min_dists_node(self, node, q):
-                return np.array([p.min_dist(q) for p in node.preds()])
+                codec = self.pred_codec()
+                return np.array([codec.decode(row.tobytes()).min_dist(q)
+                                 for row in node.pred_block()])
 
         eager = bulk_load(EagerJB(3), pts, page_size=4096)
         for q in pts[::211]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
-from repro.gist import LeafEntry, Node
+from repro.gist import Node
 from repro.gist.persist import save_tree
 from repro.gist.validate import scrub_file
 
@@ -88,14 +88,14 @@ class TestDamage:
         raw = open(path, "rb").read()
         num_slots = len(raw) // PAGE - 1
         extra_slot = num_slots + 1
-        from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec,
+        from repro.storage.codecs import (InnerBodyCodec, LeafBodyCodec,
                                           NodeCodec)
         ext = make_ext("rtree", 2)
-        codec = NodeCodec(PAGE, LeafEntryCodec(2),
-                          IndexEntryCodec(ext.pred_codec()))
+        codec = NodeCodec(PAGE, LeafBodyCodec(2),
+                          InnerBodyCodec(ext.pred_codec()))
         stray = codec.encode_nodes(
-            [Node.from_entries(extra_slot, 0,
-                               [LeafEntry(np.zeros(2), 1)])])[0]
+            [Node.leaf_from_arrays(extra_slot, np.zeros((1, 2)),
+                                   np.array([1]))])[0]
         open(path, "wb").write(raw + stray.tobytes())
         report = scrub_file(path)
         orphans = [s.slot for s in report.orphaned_slots]
@@ -106,11 +106,11 @@ class TestDamage:
 
     def test_free_slot_classified(self, saved):
         path, tree = saved
-        from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec,
+        from repro.storage.codecs import (InnerBodyCodec, LeafBodyCodec,
                                           NodeCodec)
         ext = make_ext("rtree", 2)
-        codec = NodeCodec(PAGE, LeafEntryCodec(2),
-                          IndexEntryCodec(ext.pred_codec()))
+        codec = NodeCodec(PAGE, LeafBodyCodec(2),
+                          InnerBodyCodec(ext.pred_codec()))
         raw = bytearray(open(path, "rb").read())
         # Overwrite a leaf slot with a freed marker: it becomes "free",
         # and nothing else breaks structurally (the parent now dangles,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
-from repro.geometry import Rect
-from repro.gist import IndexEntry, LeafEntry, validate_tree
+from repro.gist import validate_tree
 from repro.gist.validate import TreeInvariantError
 
 from tests.conftest import make_ext
@@ -24,9 +23,7 @@ class TestDetection:
     def test_shrunken_bp_detected(self):
         tree, _ = _tree()
         root = tree._peek(tree.root_id)
-        entry = root.entries[0]
-        bad = Rect(entry.pred.lo + 1e6, entry.pred.hi + 1e6)
-        root.replace_entry(0, IndexEntry(bad, entry.child))
+        root.set_row(0, root.pred_block()[0] + 1e6)   # moved far off
         tree.store.write(root)
         with pytest.raises(TreeInvariantError):
             validate_tree(tree)
@@ -34,7 +31,7 @@ class TestDetection:
     def test_duplicate_rid_detected(self):
         tree, pts = _tree()
         leaf = next(tree.leaf_nodes())
-        leaf.add_entry(LeafEntry(leaf.entries[0].key, leaf.entries[0].rid))
+        leaf.append(leaf.keys_array()[0], leaf.rids()[0])
         tree.store.write(leaf)
         tree.size += 1
         with pytest.raises(TreeInvariantError):

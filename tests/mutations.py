@@ -41,8 +41,8 @@ MUTATIONS = [
      "unseeded_rng"),
     # a new node is written beneath the WAL wrapper.
     ("src/repro/gist/tree.py",
-     "self.index_codec.pred_codec)\n        self.store.write(node)",
-     "self.index_codec.pred_codec)\n        self.store.base.write(node)",
+     "level, rows, ids)\n        self.store.write(node)",
+     "level, rows, ids)\n        self.store.base.write(node)",
      "unlogged_write"),
     # remapping swallows every exception, not just the live-view one.
     ("src/repro/storage/diskfile.py",
@@ -94,13 +94,12 @@ MUTATIONS = [
      "tests/gist/test_persist_hostile.py::TestOneDecoderOneVerdict"),
     # a mutated inner node writes through the page it was read from.
     ("src/repro/gist/node.py",
-     "rows = self._matrix().copy()", "rows = self._matrix()",
+     "rows = self.rows().copy()", "rows = self.rows()",
      "tests/storage/test_mmap_diskfile.py::TestLazyInnerNode::"
      "test_mutators_edit_copies_of_the_block_arrays"),
-    # replacing an entry keeps the old row instead of encoding the
-    # installed predicate into it.
+    # setting a row keeps the old one instead of the row installed.
     ("src/repro/gist/node.py",
-     "rows[index] = row[0]", "rows[index] = rows[index]",
+     "rows[index] = row\n", "rows[index] = rows[index]\n",
      "tests/gist/test_persist.py::TestOneRepresentation"),
     # a point on a bite's open inner face counts as bitten away.
     ("src/repro/core/jbtree.py",
@@ -147,6 +146,18 @@ MUTATIONS = [
      "def peek(self, page_id: int, limit: int) -> Node:",
      "tests/conventions/test_conventions.py::"
      "test_page_files_match_the_protocol"),
+    # an insert stops adjusting at the first ancestor on its path, as
+    # if every predicate already covered the new key.
+    ("src/repro/gist/tree.py",
+     "                        and ext.covers_key(row, routing_key)):\n",
+     "                        or ext.covers_key(row, routing_key)):\n",
+     "tests/storage/test_golden_format.py::"
+     "test_every_artefact_is_byte_identical_to_the_parents"),
+    # a quantized tree takes an insert with no exact key for its rid.
+    ("src/repro/gist/tree.py",
+     "        self._check_exact(rid)\n        self._insert_entry(",
+     "        self._insert_entry(",
+     "tests/gist/test_exact_writes.py"),
     # the tree's one counted read returns a node without booking it.
     ("src/repro/gist/tree.py",
      "        self.stats.record_read(node.level)\n", "",

@@ -12,55 +12,48 @@ import struct
 import numpy as np
 import pytest
 
-from repro.gist.entry import IndexEntry, LeafEntry
 from repro.gist.node import Node
-from repro.storage.codecs import (IndexEntryCodec, LeafEntryCodec, NodeCodec,
+from repro.storage.codecs import (InnerBodyCodec, LeafBodyCodec, NodeCodec,
                                   RectCodec)
 from repro.storage.diskfile import FilePageFile
 from repro.storage.integrity import seal_image
 from repro.storage.page import PAGE_HEADER_SIZE
-from repro.geometry import Rect
 
 PAGE_SIZE = 1024
 DIM = 3
 
 
 def _codec():
-    return NodeCodec(PAGE_SIZE, LeafEntryCodec(DIM),
-                     IndexEntryCodec(RectCodec(DIM)))
+    return NodeCodec(PAGE_SIZE, LeafBodyCodec(DIM),
+                     InnerBodyCodec(RectCodec(DIM)))
 
 
 def _leaf_nodes(rng, count, start_id=1, entries_per=10):
     nodes = []
     for i in range(count):
         keys = rng.normal(size=(entries_per, DIM))
-        nodes.append(Node.from_entries(
-            start_id + i, 0,
-            [LeafEntry(k, 1000 * i + j) for j, k in enumerate(keys)]))
+        nodes.append(Node.leaf_from_arrays(
+            start_id + i, keys, 1000 * i + np.arange(entries_per)))
     return nodes
 
 
 def _inner_nodes(rng, count, start_id, entries_per=5):
     nodes = []
     for i in range(count):
-        entries = []
-        for j in range(entries_per):
-            lo = rng.normal(size=DIM)
-            entries.append(IndexEntry(Rect(lo, lo + 1.0), 100 + j))
-        nodes.append(Node.from_entries(start_id + i, 1, entries,
-                                       RectCodec(DIM)))
+        lo = rng.normal(size=(entries_per, DIM))
+        nodes.append(Node.inner_from_block(
+            start_id + i, 1, np.concatenate([lo, lo + 1.0], axis=1),
+            100 + np.arange(entries_per)))
     return nodes
 
 
 def _reference_image(codec, node):
     """One page image built entry by entry: header, packed body,
     zero padding, then the single-image seal."""
-    if node.level == 0:
-        body = b"".join(np.asarray(e.key, dtype="<f8").tobytes()
-                        + struct.pack("<q", e.rid) for e in node.entries)
-    else:
-        body = b"".join(codec.index_codec.pred_codec.encode(e.pred)
-                        + struct.pack("<q", e.child) for e in node.entries)
+    rows, ids = node.rows(), node.ids().tolist()
+    body = b"".join(struct.pack(f"<{len(row)}d", *row)
+                    + struct.pack("<q", ident)
+                    for row, ident in zip(rows, ids))
     image = struct.pack("<qii", node.page_id, node.level, len(node))
     image += b"\x00" * (PAGE_HEADER_SIZE - len(image)) + body
     return seal_image(image + b"\x00" * (PAGE_SIZE - len(image)))
@@ -77,7 +70,7 @@ class TestEncodePages:
 
     def test_encode_block_matches_per_entry_encode(self):
         rng = np.random.default_rng(3)
-        leaf_codec = LeafEntryCodec(DIM)
+        leaf_codec = LeafBodyCodec(DIM)
         keys = rng.normal(size=(12, DIM))
         rids = list(range(100, 112))
         block = leaf_codec.encode_block(keys, rids)
@@ -86,13 +79,13 @@ class TestEncodePages:
                                  for k, r in zip(keys, rids))
 
     def test_empty_block(self):
-        assert LeafEntryCodec(DIM).encode_block(np.empty((0, DIM)), []) \
+        assert LeafBodyCodec(DIM).encode_block(np.empty((0, DIM)), []) \
             == b""
 
     def test_overflow_rejected(self):
         codec = _codec()
         big = _leaf_nodes(np.random.default_rng(5), 1,
-                          entries_per=LeafEntryCodec(DIM).capacity(
+                          entries_per=LeafBodyCodec(DIM).capacity(
                               PAGE_SIZE) + 1)
         with pytest.raises(ValueError, match="overflows page"):
             codec.encode_nodes(big)
@@ -179,7 +172,7 @@ class TestWriteMany:
         store.write_many(nodes)
         for node in nodes:
             got = store.peek(node.page_id)
-            assert len(got.entries) == len(node.entries)
+            assert len(got) == len(node)
             assert got.keys_array().tobytes() == node.keys_array().tobytes()
 
     def test_empty_batch_is_a_no_op(self, tmp_path):
@@ -190,13 +183,14 @@ class TestWriteMany:
 
     def test_lazy_leaf_nodes_write_identically(self, tmp_path):
         """`Node.leaf_from_arrays` leaves (the loader's and the decoder's)
-        encode the same bytes as leaves built from entry objects."""
+        encode the same bytes as leaves built entry by entry."""
         rng = np.random.default_rng(8)
         keys = rng.normal(size=(10, DIM))
         rids = np.arange(10, dtype=np.int64)
         lazy = Node.leaf_from_arrays(1, keys, rids)
-        eager = Node.from_entries(1, 0, [LeafEntry(k, int(r))
-                                         for k, r in zip(keys, rids)])
+        eager = Node(1, 0)
+        for key, rid in zip(keys, rids):
+            eager.append(key, int(rid))
         paths = {tag: str(tmp_path / f"{tag}.pages")
                  for tag in ("lazy", "eager")}
         for tag, node in (("lazy", lazy), ("eager", eager)):

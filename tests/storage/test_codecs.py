@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.constants import NUMBER_SIZE
-from repro.geometry import BittenRect, Rect, Sphere
-from repro.gist import IndexEntry, LeafEntry, Node
+from repro.geometry import BittenRect
+from repro.gist import Node
 from repro.storage.codecs import (
     DualRectCodec,
-    IndexEntryCodec,
+    InnerBodyCodec,
     JBCodec,
-    LeafEntryCodec,
+    LeafBodyCodec,
     NodeCodec,
     RectCodec,
     RectSphereCodec,
@@ -57,41 +57,64 @@ class TestTable3Sizes:
         assert XJBCodec(5, 10).numbers == 70
 
 
+def _through_body(pred_codec, row):
+    """``row`` written into an inner page body and read back."""
+    body = InnerBodyCodec(pred_codec).encode_block(
+        np.asarray(row, dtype=np.float64)[None], np.array([0]))
+    preds, _ = InnerBodyCodec(pred_codec).decode_block(body, 1)
+    return preds[0]
+
+
+def _written(codec, pred):
+    """A bitten rect as its codec's row."""
+    return codec.write(pred.rect.lo, pred.rect.hi,
+                       [b.corner_mask for b in pred.bites],
+                       [b.inner for b in pred.bites])
+
+
 class TestRoundtrips:
+    """Each family's row layout survives an inner page body bit for bit,
+    and the bitten layouts decode back into the region written."""
+
     def test_vector_shape_check(self):
         with pytest.raises(ValueError):
-            LeafEntryCodec(3).encode_block(np.zeros((1, 4)), [0])
+            LeafBodyCodec(3).encode_block(np.zeros((1, 4)), [0])
 
     def test_rect(self):
-        c = RectCodec(3)
-        r = Rect([0.0, -1.0, 2.0], [1.0, 0.0, 3.0])
-        assert c.decode(c.encode(r)) == r
+        row = [0.0, -1.0, 2.0, 1.0, 0.0, 3.0]
+        out = _through_body(RectCodec(3), row)
+        assert out.tolist() == row
+        assert RectCodec(3).block_error(out[None]) is None
 
     def test_sphere(self):
-        c = SphereCodec(3)
-        s = Sphere([1.0, 2.0, 3.0], 4.5)
-        out = c.decode(c.encode(s))
-        assert out == s
+        row = [1.0, 2.0, 3.0, 4.5]
+        out = _through_body(SphereCodec(3), row)
+        assert out.tolist() == row
+        assert SphereCodec(3).block_error(out[None]) is None
+        assert SphereCodec(3).block_error(-out[None]) \
+            == (0, "negative radius")
 
     def test_rect_sphere(self):
-        c = RectSphereCodec(2)
-        r = Rect([0.0, 0.0], [1.0, 1.0])
-        s = Sphere([0.5, 0.5], 0.71)
-        r2, s2 = c.decode(c.encode((r, s)))
-        assert r2 == r and s2 == s
+        row = [0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.71]
+        out = _through_body(RectSphereCodec(2), row)
+        assert out.tolist() == row
+        assert RectSphereCodec(2).block_error(out[None]) is None
 
     def test_dual_rect(self):
-        c = DualRectCodec(2)
-        pair = (Rect([0.0, 0.0], [1.0, 1.0]), Rect([2.0, 2.0], [3.0, 4.0]))
-        r1, r2 = c.decode(c.encode(pair))
-        assert (r1, r2) == pair
+        row = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0]
+        out = _through_body(DualRectCodec(2), row)
+        assert out.tolist() == row
+        bad = out.copy()
+        bad[4] = 9.0                        # second rect: lo past hi
+        assert DualRectCodec(2).block_error(bad[None]) \
+            == (0, "degenerate rect: lo exceeds hi")
 
     def test_jb_roundtrip_preserves_region(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(40, 3))
         br = BittenRect.from_points(pts)
         c = JBCodec(3)
-        out = c.decode(c.encode(br))
+        out = c.decode(_through_body(c, _written(c, br)).tobytes())
         assert out.rect == br.rect
         assert len(out.bites) == len(br.bites)
         probe = rng.normal(size=(200, 3))
@@ -103,7 +126,7 @@ class TestRoundtrips:
         pts = rng.normal(size=(40, 3))
         br = BittenRect.from_points(pts, max_bites=4)
         c = XJBCodec(3, 4)
-        out = c.decode(c.encode(br))
+        out = c.decode(_through_body(c, _written(c, br)).tobytes())
         probe = rng.normal(size=(200, 3))
         assert np.array_equal(out.contains_points(probe),
                               br.contains_points(probe))
@@ -113,10 +136,10 @@ class TestRoundtrips:
         br = BittenRect.from_points(pts)  # up to 4 bites in 2-D
         if len(br.bites) > 1:
             with pytest.raises(ValueError):
-                XJBCodec(2, 1).encode(br)
+                _written(XJBCodec(2, 1), br)
 
     def test_leaf_entry(self):
-        c = LeafEntryCodec(4)
+        c = LeafBodyCodec(4)
         key = np.array([1.0, 2.0, 3.0, 4.0])
         body = c.encode_block(key[None, :], [77])
         assert len(body) == c.size
@@ -124,13 +147,12 @@ class TestRoundtrips:
         assert np.array_equal(keys[0], key) and rids.tolist() == [77]
 
     def test_index_entry(self):
-        c = IndexEntryCodec(RectCodec(2))
-        r = Rect([0.0, 0.0], [1.0, 1.0])
-        block = np.frombuffer(RectCodec(2).encode(r), dtype="<f8")[None, :]
+        c = InnerBodyCodec(RectCodec(2))
+        block = np.array([[0.0, 0.0, 1.0, 1.0]])
         body = c.encode_block(block, np.array([12]))
         assert len(body) == c.size
         preds, children = c.decode_block(body, 1)
-        assert RectCodec(2).decode(preds[0].tobytes()) == r
+        assert preds.tobytes() == block.tobytes()
         assert children.tolist() == [12]
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 20), st.just(3)),
@@ -138,31 +160,30 @@ class TestRoundtrips:
     @settings(max_examples=30, deadline=None)
     def test_jb_roundtrip_property(self, pts):
         br = BittenRect.from_points(pts)
-        out = JBCodec(3).decode(JBCodec(3).encode(br))
+        out = JBCodec(3).decode(_written(JBCodec(3), br).tobytes())
         # Every original point must remain covered after the roundtrip.
         assert out.contains_points(pts).all()
 
 
 class TestNodeCodec:
     def _codec(self, page_size=4096):
-        return NodeCodec(page_size, LeafEntryCodec(2),
-                         IndexEntryCodec(RectCodec(2)))
+        return NodeCodec(page_size, LeafBodyCodec(2),
+                         InnerBodyCodec(RectCodec(2)))
 
     def test_leaf_roundtrip(self):
         c = self._codec()
-        leaf = Node.from_entries(9, 0, [LeafEntry(np.array([1.0, 2.0]), 5),
-                                        LeafEntry(np.array([3.0, 4.0]), 6)])
+        leaf = Node.leaf_from_arrays(9, np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                     np.array([5, 6]))
         out = c.decode_node(c.encode_nodes([leaf])[0], 9)
         assert (out.page_id, out.level) == (9, 0)
-        assert len(out) == 2 and out.entries[1].rid == 6
+        assert len(out) == 2 and out.rids()[1] == 6
 
     def test_index_roundtrip(self):
         c = self._codec()
-        inner = Node.from_entries(
-            1, 2, [IndexEntry(Rect([0.0, 0.0], [1.0, 1.0]), 3)],
-            RectCodec(2))
+        inner = Node.inner_from_block(1, 2, np.array([[0.0, 0.0, 1.0, 1.0]]),
+                                      np.array([3]))
         out = c.decode_node(c.encode_nodes([inner])[0], 1)
-        assert out.level == 2 and out.entries[0].child == 3
+        assert out.level == 2 and out.children() == [3]
 
     def test_page_image_is_fixed_size(self):
         c = self._codec()
@@ -170,7 +191,6 @@ class TestNodeCodec:
 
     def test_overflow_rejected(self):
         c = self._codec(page_size=64)
-        leaf = Node.from_entries(1, 0, [LeafEntry(np.array([0.0, 0.0]), i)
-                                        for i in range(10)])
+        leaf = Node.leaf_from_arrays(1, np.zeros((10, 2)), np.arange(10))
         with pytest.raises(ValueError):
             c.encode_nodes([leaf])

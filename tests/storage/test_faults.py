@@ -139,15 +139,19 @@ class TestBitFlips:
             faulty.read(nodes[0].page_id)
 
 
+def _wide_leaf(page_id):
+    """A 30-entry leaf: its body crosses the middle of a page."""
+    keys = np.stack([np.arange(30.0), np.zeros(30)], axis=1)
+    return Node.leaf_from_arrays(page_id, keys, np.arange(30))
+
+
 class TestWriteFaults:
     def test_torn_write_breaks_seal_on_disk(self, tmp_path):
-        from repro.gist.entry import LeafEntry
         store, nodes = _disk_store(tmp_path)
         faulty = FaultyPageFile(store, FaultPolicy(torn_write_rate=1.0))
         # Payload must cross the page midpoint, or tearing the (all-zero)
         # tail is a no-op and the seal survives — which would be correct.
-        nodes[0].set_entries([LeafEntry(np.array([float(i), 0.0]), i)
-                              for i in range(30)])
+        nodes[0] = _wide_leaf(nodes[0].page_id)
         faulty.write(nodes[0])
         with pytest.raises(PageCorruptError):
             store.read(nodes[0].page_id)
@@ -165,15 +169,11 @@ class TestWriteFaults:
         """Batched writes take the per-node fault path: same seed, same
         torn/dropped sequence and the same injected counts as a loop of
         single writes."""
-        from repro.gist.entry import LeafEntry
-
         def run(batched):
             subdir = tmp_path / ("batched" if batched else "sequential")
             subdir.mkdir()
             store, nodes = _disk_store(subdir, n=6)
-            for node in nodes:
-                node.set_entries([LeafEntry(np.array([float(i), 0.0]), i)
-                                  for i in range(30)])
+            nodes = [_wide_leaf(node.page_id) for node in nodes]
             faulty = FaultyPageFile(store, FaultPolicy(
                 seed=9, torn_write_rate=0.5, drop_write_rate=0.25))
             if batched:

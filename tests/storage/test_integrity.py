@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import DEFAULT_PAGE_SIZE
-from repro.gist import LeafEntry, Node
-from repro.storage.codecs import LeafEntryCodec, IndexEntryCodec, \
+from repro.gist import Node
+from repro.storage.codecs import LeafBodyCodec, InnerBodyCodec, \
     NodeCodec, RectCodec
 from repro.storage.errors import PageCorruptError
 from repro.storage.integrity import (CHECKSUM_OFFSET, FORMAT_EPOCH, crc32,
@@ -50,14 +50,14 @@ def _stored(image):
 
 
 def _codec(page_size=256, dim=2):
-    return NodeCodec(page_size, LeafEntryCodec(dim),
-                     IndexEntryCodec(RectCodec(dim)))
+    return NodeCodec(page_size, LeafBodyCodec(dim),
+                     InnerBodyCodec(RectCodec(dim)))
 
 
 def _leaf_image(codec, dim=2, n=3, page_id=7):
-    leaf = Node.from_entries(
-        page_id, 0, [LeafEntry(np.arange(dim, dtype=float) + i, 100 + i)
-                     for i in range(n)])
+    leaf = Node.leaf_from_arrays(
+        page_id, np.arange(dim, dtype=float) + np.arange(n)[:, None],
+        100 + np.arange(n))
     return codec.encode_nodes([leaf])[0].tobytes()
 
 

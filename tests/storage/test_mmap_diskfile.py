@@ -21,7 +21,7 @@ from repro.storage.diskfile import FilePageFile
 from repro.storage.faults import FaultyPageFile
 
 from tests.conftest import ALL_METHODS, make_ext
-from tests.gist.oracle import stacked_geometry
+from tests.gist.oracle import pred_objects, stacked_geometry
 
 #: JB-family predicates are large; they need roomier pages (see
 #: tests/gist/test_batch_parity.py).
@@ -242,7 +242,7 @@ def _inner_pages(store):
 
 class TestLazyInnerNode:
     """Inner pages decode as one block: geometry is sliced from the page
-    body, predicate objects appear one at a time and only on request."""
+    body, and no predicate object is built."""
 
     @pytest.mark.parametrize("mmap_mode", [False, True])
     @pytest.mark.parametrize("method", ALL_METHODS)
@@ -251,8 +251,7 @@ class TestLazyInnerNode:
         """Every array an extension caches on a node — bounds, sphere
         and dual-rect parameters, the JB bite pack — is bit-identical
         whether sliced out of the block or stacked from decoded
-        predicate objects (:func:`tests.gist.oracle.stacked_geometry`),
-        and the kernels build no predicate object to get it."""
+        predicate objects (:func:`tests.gist.oracle.stacked_geometry`)."""
         path, *facts = _build_file(tmp_path, method, points)
         ext = make_ext(method, 3)
         queries = points[::300]
@@ -265,29 +264,37 @@ class TestLazyInnerNode:
                     cheap = ext.min_dists_node(lazy, q)
                     ext.refine_dists_node(lazy, q[None], cheap[None])
                     ext.penalties_node(lazy, q)
-                assert lazy._preds == {}            # still no objects
-                want = stacked_geometry(ext, store.read(pid).preds())
+                want = stacked_geometry(ext,
+                                        pred_objects(ext, store.read(pid)))
                 assert sorted(lazy.cache) == sorted(want)
                 for key, arrays in want.items():
                     assert len(lazy.cache[key]) == len(arrays), key
                     for a, b in zip(lazy.cache[key], arrays):
                         assert np.array_equal(a, b), key
 
-    def test_predicates_materialize_one_at_a_time(self, tmp_path, points):
+    def test_predicates_materialize_one_at_a_time(self, tmp_path, points,
+                                                   monkeypatch):
+        """A node holds rows only; the one predicate object a search
+        builds is the bitten rect the scalar ``refine_dist`` decodes
+        from the row it refines, one per call."""
+        from repro.storage.codecs import XJBCodec
         path, *facts = _build_file(tmp_path, "xjb", points)
+        ext = make_ext("xjb", 3)
+        decoded = []
+        decode = XJBCodec.decode
+        monkeypatch.setattr(XJBCodec, "decode",
+                            lambda self, data: decoded.append(data)
+                            or decode(self, data))
         with _open(path, "xjb", 3, True) as store:
             node = store.read(_inner_pages(store)[0])
-            reference = store.read(node.page_id).entries
-            assert len(node) == len(reference)
-            pred = node.pred_at(1)
-            assert node.pred_at(1) is pred          # built once
-            assert list(node._preds) == [1]
-            codec = store.codec.index_codec.pred_codec
-            assert codec.encode(pred) == codec.encode(reference[1].pred)
-            assert node.children() == [e.child for e in reference]
-            assert "entries" not in node.cache
-            # walking the entries reuses what pred_at already built
-            assert node.entries[1].pred is pred
+            q = points[0] + 5.0
+            cheap = ext.min_dists_node(node, q)
+            ext.refine_dists_node(node, q[None], cheap[None])
+            assert decoded == []
+            tight = ext.refine_dist(node.pred_block()[1], q, cheap[1])
+            assert decoded == [node.pred_block()[1].tobytes()]
+            assert tight == max(cheap[1], decode(
+                ext.pred_codec(), decoded[0]).min_dist(q))
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_mutation_through_block_backed_inner_nodes_stays_sound(
@@ -306,8 +313,7 @@ class TestLazyInnerNode:
                             page_size=_page_size(method)), path)
         fresh = rng.normal(size=(40, 3)) * 3.0      # widens predicates
         with MutableTree.open(path, extension=make_ext(method, 3)) as mt:
-            root = mt.tree._peek(mt.tree.root_id)
-            assert not root.is_leaf and root._preds == {}
+            assert not mt.tree._peek(mt.tree.root_id).is_leaf
             for i, key in enumerate(fresh):
                 mt.insert(key, 10_000 + i)
             for i in range(0, 40, 2):
@@ -327,36 +333,29 @@ class TestLazyInnerNode:
     def test_mutators_edit_copies_of_the_block_arrays(self, tmp_path,
                                                        points):
         """A mutated page-decoded node holds edited copies of its block:
-        the edited row is the codec's encoding of the installed predicate, which
-        ``pred_at`` returns as is, and the page bytes do not change
-        until the node is written — over pread and mmap images."""
-        from repro.gist.entry import IndexEntry
+        the edited row is the row installed, and the page bytes do not
+        change until the node is written — over pread and mmap images."""
         for method, mmap_mode in itertools.product(("rtree", "xjb"),
                                                    (False, True)):
             path, *facts = _build_file(tmp_path, method, points,
                                        name=f"{method}-{mmap_mode}.bin")
             with _open(path, method, 3, mmap_mode) as store:
                 pid = _inner_pages(store)[0]
-                codec = store.codec.index_codec.pred_codec
-                for mutate, row, edit in (
-                        (lambda n, e: n.replace_entry(0, e), 0,
-                         lambda c: [777] + c[1:]),
-                        (lambda n, e: n.add_entry(e), -1,
+                for mutate, at, edit in (
+                        (lambda n, r: n.set_row(0, r), 0, lambda c: c),
+                        (lambda n, r: n.append(r, 777), -1,
                          lambda c: c + [777]),
-                        (lambda n, e: n.remove_entry_at(0), None,
+                        (lambda n, r: n.remove(0), None,
                          lambda c: c[1:])):
                     node = store.read(pid)
                     image = store._read_raw(pid)
                     children = node.children()
-                    entry = IndexEntry(
-                        store.read(_inner_pages(store)[-1]).pred_at(0), 777)
-                    mutate(node, entry)
+                    row = store.read(_inner_pages(store)[-1]).pred_block()[0]
+                    mutate(node, row)
                     assert node.cache == {}
                     assert node.children() == edit(children)
-                    if row is not None:
-                        assert node.pred_block()[row].tobytes() \
-                            == codec.encode(entry.pred)
-                        assert node.pred_at(row % len(node)) is entry.pred
+                    if at is not None:
+                        assert np.array_equal(node.pred_block()[at], row)
                     assert store._read_raw(pid) == image
                     store.write(node)
                     written = store.read(pid)

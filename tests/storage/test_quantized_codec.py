@@ -11,7 +11,7 @@ of decoding garbage.
 import numpy as np
 import pytest
 
-from repro.storage.codecs import (LeafEntryCodec, QuantizedKeys,
+from repro.storage.codecs import (LeafBodyCodec, QuantizedKeys,
                                   QuantizedLeafCodec, make_leaf_codec)
 from repro.storage.errors import PageCorruptError
 
@@ -84,7 +84,7 @@ class TestRoundTrip:
 
     def test_capacity_vs_float64(self, codec):
         """The acceptance bar: >= 4x the float64 fanout at dim=5."""
-        exact = LeafEntryCodec(DIM)
+        exact = LeafBodyCodec(DIM)
         assert codec.capacity(8192) >= 4 * exact.capacity(8192)
 
     def test_decode_is_lazy_views(self, codec):
@@ -155,7 +155,7 @@ class TestHostileInput:
 # ---------------------------------------------------------------------------
 
 def test_registry_resolves_both_codecs():
-    assert isinstance(make_leaf_codec("f64", 3), LeafEntryCodec)
+    assert isinstance(make_leaf_codec("f64", 3), LeafBodyCodec)
     sq8 = make_leaf_codec("sq8", 3)
     assert isinstance(sq8, QuantizedLeafCodec)
     assert sq8.lossy and not make_leaf_codec("f64", 3).lossy
