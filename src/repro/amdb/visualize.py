@@ -13,7 +13,8 @@ from typing import List
 
 import numpy as np
 
-from repro.geometry import Rect, carve_bites
+from repro.geometry import Rect
+from repro.geometry.bites import bite_volumes, carve_rows
 
 
 @dataclass
@@ -44,15 +45,14 @@ def corner_stats(tree) -> List[CornerStats]:
         pts = node.keys_array()
         if len(pts) < 2:
             continue
-        rect = Rect.from_points(pts)
-        bites = carve_bites(rect, points=pts)
+        lo, hi, keep, inners = carve_rows(pts[None], pts[None])
         stats.append(CornerStats(
             page_id=node.page_id,
             num_points=len(pts),
-            mbr_volume=rect.volume(),
-            bitten_volume=sum(b.volume() for b in bites),
-            bitten_corners=len(bites),
-            num_corners=1 << rect.dim,
+            mbr_volume=Rect(lo[0], hi[0]).volume(),
+            bitten_volume=sum(bite_volumes(lo, hi, inners)[keep].tolist()),
+            bitten_corners=int(keep.sum()),
+            num_corners=keep.shape[1],
         ))
     return stats
 

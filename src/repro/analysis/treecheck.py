@@ -24,7 +24,7 @@ that make search over a tree exact:
   quantization-cell half diagonal; beyond that tolerance — or outside
   the page's own declared cell bounds — it is ``QUANT_BOUND_ESCAPE``,
   and the delta-packed RIDs must come back strictly increasing
-  (``RID_ORDER``).  Bite checks shrink by the per-key cell half widths
+  (``RID_ORDER``).  The bite checks shrink by the per-key cell half widths
   so only *certain* violations are flagged;
 - **shape bounds** — per-level fanout within the AM family's page
   budget (``NODE_OVERFULL`` / ``NODE_UNDERFULL``), consistent levels
@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.geometry.bites import in_bites
 
 #: violation codes, stable identifiers the tests and CI assert on.
 BP_KEY_ESCAPE = "BP_KEY_ESCAPE"
@@ -190,48 +192,46 @@ def check_tree(tree: Any, path: Optional[str] = None,
             report.add(PAGE_MISSING, page_id, str(exc))
             return None
 
-    # JB/XJB rows decode into their BittenRect for the bite audit
+    # JB/XJB rows are audited bite by bite, as the codec reads them
     codec = ext.pred_codec()
     bitten = hasattr(codec, "bite_rows")
 
-    def check_bites(pred: Any, child_keys: np.ndarray,
+    def check_bites(row: np.ndarray, child_keys: np.ndarray,
                     child_halfs: Optional[np.ndarray],
                     child_id: int) -> None:
-        if not pred.bites:
-            return
-        rect = pred.rect
+        masks, _, blos, bhis, lows, keep = (
+            part[0] for part in codec.bite_rows(row[None]))
+        lo, hi = row[:ext.dim], row[ext.dim:2 * ext.dim]
         # Bites are carved with float arithmetic relative to the MBR
         # corners; containment is checked to a relative tolerance so an
         # ulp of carving noise is not reported as damage.
-        tol = 1e-9 * np.maximum(
-            1.0, np.maximum(np.abs(rect.lo), np.abs(rect.hi)))
-        for bite in pred.bites:
+        tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        for mask, blo, bhi, low in zip(masks[keep].tolist(), blos[keep],
+                                       bhis[keep], lows[keep]):
             report.bites_checked += 1
-            if np.any(bite.lo < rect.lo - tol) \
-                    or np.any(bite.hi > rect.hi + tol):
+            if np.any(blo < lo - tol) or np.any(bhi > hi + tol):
                 report.add(
                     BITE_OUTSIDE_MBR, child_id,
-                    f"bite at corner 0b{bite.corner_mask:b} "
-                    f"[{bite.lo.tolist()}, {bite.hi.tolist()}] "
+                    f"bite at corner 0b{mask:b} "
+                    f"[{blo.tolist()}, {bhi.tolist()}] "
                     f"escapes the predicate MBR")
             if len(child_keys):
-                removed = bite.removes_points(child_keys)
+                removed = in_bites(child_keys, blo, bhi, low)
                 if bool(removed.any()) and child_halfs is not None:
                     # Quantized keys are reconstructions: one may drift
                     # into a bite by up to its cell half width without
                     # the original having been inside.  Flag only when
                     # the whole cell box sits inside the bite — a
                     # violation no quantization error can explain.
-                    sure = (np.all(child_keys - child_halfs > bite.lo,
-                                   axis=1)
-                            & np.all(child_keys + child_halfs < bite.hi,
+                    sure = (np.all(child_keys - child_halfs > blo, axis=1)
+                            & np.all(child_keys + child_halfs < bhi,
                                      axis=1))
                     removed = removed & sure
                 if bool(removed.any()):
                     culprit = child_keys[int(np.argmax(removed))]
                     report.add(
                         BITE_NONEMPTY, child_id,
-                        f"bite at corner 0b{bite.corner_mask:b} "
+                        f"bite at corner 0b{mask:b} "
                         f"contains stored point "
                         f"{culprit.tolist()}; the predicate excludes "
                         f"covered data")
@@ -348,8 +348,7 @@ def check_tree(tree: Any, path: Optional[str] = None,
                             f"{grandchild}) is not covered by "
                             f"the predicate parent {page_id} holds")
             if bitten:
-                check_bites(codec.decode(row.tobytes()), child_keys,
-                            child_halfs, child_id)
+                check_bites(row, child_keys, child_halfs, child_id)
         if not parts:
             return empty
         all_keys = np.concatenate(parts)

@@ -205,7 +205,9 @@ def insertion_load(ext: GiSTExtension, keys: np.ndarray,
     """Build a tree by inserting keys one at a time (Table 2's contrast).
 
     ``shuffle_seed`` randomizes insertion order; ``None`` inserts in the
-    given order.  ``exact`` is attached as :func:`bulk_load` does.
+    given order.  ``exact`` is attached as :func:`bulk_load` does; a
+    lossy leaf codec with explicit ``rids`` has none to write from, so
+    it raises ``ValueError`` before the first page is written.
     """
     keys = np.asarray(keys, dtype=np.float64)
     n = len(keys)
@@ -217,7 +219,11 @@ def insertion_load(ext: GiSTExtension, keys: np.ndarray,
 
     tree = GiST(ext, store=store, page_size=page_size,
                 leaf_codec=leaf_codec)
-    if default_rids and tree.leaf_codec.lossy:
+    if tree.leaf_codec.lossy:
+        if not default_rids:
+            raise ValueError(
+                "a quantized tree writes from GiST.exact, which "
+                "insertion_load attaches only for the default rids")
         # attached first: a quantized tree refits its pages to these
         tree.exact = keys
     for i in order:

@@ -1,8 +1,9 @@
 """The JB ("Jagged Bites") access method (paper section 5.2).
 
 A JB predicate is an MBR plus the largest safe rectangular bite at
-*every* corner, constructed with the nibbling heuristic of the paper's
-Figure 13 (:func:`repro.geometry.bites.carve_bites`).  With ``2**D``
+*every* corner, carved as arrays by
+:func:`repro.geometry.bites.carve_rows` (the paper's Figure 13 nibble,
+or the default sweep its footnote 7 anticipates).  With ``2**D``
 corners the predicate costs ``(2 + 2**D) * D`` numbers (Table 3), which
 at D=5 is 8.5x the MBR — the price that pushed the paper's JB tree from
 height 3 to height 6 while driving leaf-level excess coverage to nearly
@@ -21,7 +22,8 @@ import numpy as np
 
 from repro.ams.rtree import RTreeExtension, holds_box
 from repro.core.jb_split import gap_split
-from repro.geometry.bites import DEFAULT_MAX_STEPS, bitten_rects_multi
+from repro.geometry.bites import (BITE_METHODS, DEFAULT_MAX_STEPS,
+                                  bitten_min_dist, carve_rows, in_bites)
 from repro.gist.extension import Tokens
 from repro.gist.node import Node
 from repro.storage.codecs import JBCodec
@@ -41,14 +43,17 @@ class JBExtension(RTreeExtension):
                  bite_method: str = "sweep", split_method: str = "gap"):
         """``bite_method``: ``"sweep"`` (the improved construction the
         paper's footnote 7 reserves for its final version, the default),
-        ``"nibble"`` (the Figure 13 heuristic exactly), ``"both"``, or
-        ``"probe"`` (the section-8 workload-oriented construction).
+        ``"nibble"`` (the Figure 13 heuristic exactly) or ``"probe"``
+        (the section-8 workload-oriented construction).
 
         ``split_method``: ``"gap"`` (the bite-friendly largest-void
         split of :mod:`repro.core.jb_split`, future work #1) or
         ``"quadratic"`` (inherit the R-tree split)."""
         super().__init__(dim)
         self.max_steps = max_steps
+        if bite_method not in BITE_METHODS:
+            raise ValueError(f"unknown bite method {bite_method!r}: use "
+                             f"{', '.join(map(repr, BITE_METHODS))}")
         self.bite_method = bite_method
         if split_method not in ("gap", "quadratic"):
             raise ValueError(f"unknown split method {split_method!r}")
@@ -58,13 +63,14 @@ class JBExtension(RTreeExtension):
 
     def preds_for_nodes(self, nodes: Sequence[Node],
                         tokens: Tokens = None) -> np.ndarray:
-        """Carve whole sibling groups in one sweep kernel.
+        """Carve whole sibling groups in one :func:`carve_rows` call.
 
         Nodes with equal entry counts batch into a single
-        ``(G, n, dim)`` carve; predicates depend only on each node's own
-        contents, so this grouping yields bit-identical rows to carving
-        each node alone.  An inner node carves off its memoized child
-        bounds, which the first queries then reuse.
+        ``(G, n, dim)`` carve, which the codec writes as one block;
+        predicates depend only on each node's own contents, so this
+        grouping yields bit-identical rows to carving each node alone.
+        An inner node carves off its memoized child bounds, which the
+        first queries then reuse.
         """
         codec = self.pred_codec()
         rows = np.empty((len(nodes), codec.numbers))
@@ -73,19 +79,13 @@ class JBExtension(RTreeExtension):
             groups.setdefault((node.is_leaf, len(node)), []).append(i)
         for (leaf, _count), idxs in groups.items():
             if leaf:
-                data = {"points": np.stack(
-                    [nodes[i].keys_array() for i in idxs])}
+                los = his = np.stack([nodes[i].keys_array() for i in idxs])
             else:
                 bounds = [self.node_bounds(nodes[i]) for i in idxs]
-                data = {"rect_los": np.stack([b[0] for b in bounds]),
-                        "rect_his": np.stack([b[1] for b in bounds])}
-            built = bitten_rects_multi(max_bites=self.max_bites,
-                                       max_steps=self.max_steps,
-                                       method=self.bite_method, **data)
-            for i, pred in zip(idxs, built):
-                rows[i] = codec.write(pred.rect.lo, pred.rect.hi,
-                                      [b.corner_mask for b in pred.bites],
-                                      [b.inner for b in pred.bites])
+                los = np.stack([b[0] for b in bounds])
+                his = np.stack([b[1] for b in bounds])
+            rows[idxs] = codec.write(*carve_rows(
+                los, his, self.max_bites, self.max_steps, self.bite_method))
         return rows
 
     # -- algebra ---------------------------------------------------------------
@@ -96,8 +96,16 @@ class JBExtension(RTreeExtension):
         inside = super().contains_node(node, point)
         blo, bhi, blow, counts, _ = self.bite_pack(node)
         owners = np.repeat(np.arange(len(counts)), counts)
-        inside[owners[_in_bites(point, blo, bhi, blow)]] = False
+        inside[owners[in_bites(point, blo, bhi, blow)]] = False
         return inside
+
+    def covers_key(self, row: np.ndarray, key: np.ndarray) -> bool:
+        """:meth:`contains_node`'s rule on one row: inside the MBR and
+        outside every bite."""
+        if not holds_box(row, key, key):
+            return False
+        _, _, blo, bhi, blow = self._row_bites(row)
+        return not in_bites(key, blo, bhi, blow).any()
 
     def covers(self, row: np.ndarray, child_row: np.ndarray) -> bool:
         """Does the bitten region hold the child's whole closed MBR?"""
@@ -117,7 +125,8 @@ class JBExtension(RTreeExtension):
     # Online inserts widen the MBR and *invalidate* bites rather than
     # re-carving: a bite survives only if its anchoring MBR corner did
     # not move (the codec re-anchors bites to the stored rect's corners
-    # on decode, so a moved corner would silently translate the bite)
+    # when it reads a row, so a moved corner would silently translate
+    # the bite)
     # and it still avoids the new key / child rect.  Dropping bites only
     # grows the covered region, so the widened predicate admits
     # everything the old one did — and XJB's bite budget is trivially
@@ -135,15 +144,19 @@ class JBExtension(RTreeExtension):
         anchored = np.all(np.where(low, new_lo == old_lo, new_hi == old_hi),
                           axis=-1)
         survive = anchored & ~hit(blo, bhi, low)
-        return self.pred_codec().write(new_lo, new_hi, masks[survive],
-                                       inners[survive])
+        keep = np.zeros((1, 1 << d), dtype=bool)
+        keep[0, masks[survive]] = True
+        full = np.zeros((1, 1 << d, d))
+        full[0, masks[survive]] = inners[survive]
+        return self.pred_codec().write(new_lo[None], new_hi[None], keep,
+                                       full)[0]
 
     def widen_key(self, row: np.ndarray, key: np.ndarray) -> Any:
         if self.covers_key(row, key):
             return row
         return self._widened(row, key, key,
-                             lambda blo, bhi, low: _in_bites(key, blo, bhi,
-                                                             low))
+                             lambda blo, bhi, low: in_bites(key, blo, bhi,
+                                                            low))
 
     def widen(self, row: np.ndarray, child_row: np.ndarray) -> Any:
         if self.covers(row, child_row):
@@ -165,10 +178,12 @@ class JBExtension(RTreeExtension):
 
     def refine_dist(self, row: np.ndarray, q: np.ndarray,
                     lower_bound: float) -> float:
-        """The bite-aware distance of :meth:`BittenRect.min_dist`, from
-        the row decoded as one."""
-        pred = self.pred_codec().decode(row.tobytes())
-        return max(lower_bound, pred.min_dist(q))
+        """The bite-aware distance: :func:`bitten_min_dist`'s box search
+        over the row's MBR and bites."""
+        d = self.dim
+        _, _, blo, bhi, blow = self._row_bites(row)
+        return max(lower_bound, bitten_min_dist(row[:d], row[d:2 * d], blo,
+                                                bhi, blow, q))
 
     def bite_pack(self, node: Node):
         """All entries' bites stacked flat, memoized on the node.
@@ -178,8 +193,7 @@ class JBExtension(RTreeExtension):
         entry ``i`` owning the slice ``offsets[i]:offsets[i+1]``.  Built
         from the predicate block by the codec's
         :meth:`~repro.storage.codecs.JBCodec.bite_rows`, the arithmetic
-        ``decode`` uses, so it equals the pack stacked from decoded
-        predicates bit for bit, in the same entry-major slot order.
+        :meth:`_row_bites` reads one row with, in entry-major slot order.
         """
         def build():
             _, _, blo, bhi, low, keep = self.pred_codec().bite_rows(
@@ -193,7 +207,7 @@ class JBExtension(RTreeExtension):
                           dists: np.ndarray) -> np.ndarray:
         """Vectorized bite-aware refinement screen for a query block.
 
-        :meth:`BittenRect.min_dist`'s box search terminates on its very
+        :func:`bitten_min_dist`'s box search terminates on its very
         first pop — returning the plain MBR box distance — whenever the
         query's clamp point onto the MBR lies outside every bite.  That
         dominant case is decided here for all ``queries × entries`` at
@@ -214,7 +228,7 @@ class JBExtension(RTreeExtension):
         delta = np.maximum(np.maximum(lo - q, q - hi), 0.0)
         box = np.sqrt((delta * delta).sum(axis=-1))
         ent = np.repeat(np.arange(len(counts)), counts)
-        inside = _in_bites(np.clip(q, lo, hi)[:, ent, :], blo, bhi, blow)
+        inside = in_bites(np.clip(q, lo, hi)[:, ent, :], blo, bhi, blow)
         # offsets[nz] is strictly increasing (zero-count entries add
         # nothing to the cumsum), so each reduceat segment is exactly
         # one bitten entry's slice.
@@ -235,18 +249,9 @@ class JBExtension(RTreeExtension):
                 "split_method": self.split_method}
 
 
-def _in_bites(p: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
-              blow: np.ndarray) -> np.ndarray:
-    """Which stacked half-open bites hold ``p`` (``Bite.removes_point``'s
-    rule: closed on the MBR-corner side, open on the inner face), over
-    the last axis."""
-    return np.all(np.where(blow, (p >= blo) & (p < bhi),
-                           (p > blo) & (p <= bhi)), axis=-1)
-
-
 def _blocks(lo: np.ndarray, hi: np.ndarray, blo: np.ndarray,
             bhi: np.ndarray, blow: np.ndarray) -> np.ndarray:
     """Which stacked half-open bites meet the closed box ``[lo, hi]``
-    (``Bite.blocks_rect``'s rule)."""
+    (closed on the MBR-corner side, open on the inner face)."""
     return np.all(np.where(blow, (lo < bhi) & (hi >= blo),
                            (lo <= bhi) & (hi > blo)), axis=-1)

@@ -6,11 +6,11 @@ dimension-agnostic.  The three primitive families are:
 - :class:`~repro.geometry.rect.Rect` — minimum bounding rectangles;
 - :class:`~repro.geometry.sphere.Sphere` — bounding spheres;
 - :mod:`~repro.geometry.bites` — rectangular corner "bites" removed from a
-  rectangle, the geometry behind the paper's JB and XJB predicates.
+  rectangle, the geometry behind the paper's JB and XJB predicates, held
+  as arrays (:func:`~repro.geometry.bites.carve_rows`).
 """
 
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
-from repro.geometry.bites import Bite, BittenRect, carve_bites
 
-__all__ = ["Rect", "Sphere", "Bite", "BittenRect", "carve_bites"]
+__all__ = ["Rect", "Sphere"]

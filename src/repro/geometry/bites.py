@@ -4,268 +4,56 @@ The paper observes (section 5, Figures 9-12) that nearest-neighbor query
 spheres most often clip the *corners* of minimum bounding rectangles, and
 that those corners are frequently empty of data.  A *bite* is the largest
 rectangular box, anchored at an MBR corner, that contains no data; a
-:class:`BittenRect` is an MBR minus a set of such corner boxes.
+JB/XJB predicate is an MBR minus a set of such corner boxes.
 
-:func:`carve_bites` implements the nibbling heuristic of the paper's
-Figure 13, generalized to corners that are high and low in varying
-dimensions and to two obstacle kinds:
+Bites are arrays throughout.  :func:`carve_rows` carves ``G`` groups at
+once and returns ``(lo, hi, keep, inners)``: each group's MBR, which of
+its ``2**dim`` corners (in corner-mask order) carve a bite, and each
+corner's inner point (the paper's "internal corner").  Bit ``d`` of a
+corner mask set means the corner sits at ``hi[d]``.  The predicate
+codecs write these arrays as rows and read rows back as stacked bite
+bounds (:meth:`repro.storage.codecs.JBCodec.bite_rows`).
 
-- **points** (leaf-level predicates): a bite may not contain any indexed
-  point;
-- **rects** (inner-level predicates): a bite may not intersect any child
-  bounding rectangle.
+Obstacles are ``(los, his)`` bound arrays: child bounding rectangles at
+inner levels, and at the leaf level the keys themselves, passed as both
+bounds (a point is a rect with ``lo == hi``).  A bite may not meet any
+obstacle.
 
-Bite boxes are *half-open*: closed on the faces they share with the MBR
-boundary and open on their inner faces.  Data lying exactly on an inner
-face therefore remains covered, while data on the MBR boundary inside a
-candidate bite's footprint correctly blocks the carve.  This makes every
-BittenRect a conservative bounding predicate — it never excludes covered
-data — which is what keeps nearest-neighbor search over JB/XJB trees exact.
+Bites are *half-open*: boxes closed on the faces they share with the MBR
+boundary and open on their inner faces (:func:`in_bites`).  Data lying
+exactly on an inner face therefore remains covered, while data on the
+MBR boundary inside a candidate bite's footprint correctly blocks the
+carve.  This makes every bitten rect a conservative bounding predicate —
+it never excludes covered data — which is what keeps nearest-neighbor
+search over JB/XJB trees exact.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-from repro.geometry.rect import Rect
 
 #: Default cap on nibbling stops examined per dimension per corner.  The
 #: cap bounds construction cost on pathologically sparse corners; bites are
 #: overwhelmingly blocked within a few stops in practice.
 DEFAULT_MAX_STEPS = 24
 
+#: The carve constructions :func:`carve_rows` runs.
+BITE_METHODS = ("nibble", "sweep", "probe")
 
-class Bite:
-    """A half-open box anchored at MBR corner ``corner_mask``.
 
-    Bit ``d`` of the mask set means the corner sits at ``hi[d]``.
-    ``inner`` is the paper's "internal corner" point: the bite occupies the
-    box between the MBR corner (inclusive) and ``inner`` (exclusive).
+def in_bites(p: np.ndarray, blo: np.ndarray, bhi: np.ndarray,
+             blow: np.ndarray) -> np.ndarray:
+    """Which stacked half-open bites hold ``p``, over the last axis.
+
+    ``blo``/``bhi`` are bite bounds and ``blow`` the per-dimension flags
+    that are True where the bite's corner is on the low face: there the
+    bite is closed at ``blo`` and open at ``bhi``, elsewhere the reverse.
     """
-
-    __slots__ = ("corner_mask", "inner", "lo", "hi", "low_side")
-
-    def __init__(self, corner_mask: int, corner: np.ndarray,
-                 inner: np.ndarray):
-        self.corner_mask = int(corner_mask)
-        self.inner = np.asarray(inner, dtype=np.float64)
-        corner = np.asarray(corner, dtype=np.float64)
-        self.lo = np.minimum(corner, self.inner)
-        self.hi = np.maximum(corner, self.inner)
-        dim = self.inner.shape[0]
-        #: per-dimension flag: True where the corner is on the low face,
-        #: i.e. the bite is closed at ``lo`` and open at ``hi``.
-        self.low_side = np.array(
-            [not (corner_mask >> d & 1) for d in range(dim)], dtype=bool)
-
-    @classmethod
-    def _from_rows(cls, corner_mask: int, inner: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray, low_side: np.ndarray) -> "Bite":
-        """``__init__``'s bite from fields the batched carve holds."""
-        bite = cls.__new__(cls)
-        bite.corner_mask = corner_mask
-        bite.inner, bite.lo, bite.hi = inner, lo, hi
-        bite.low_side = low_side
-        return bite
-
-    @property
-    def dim(self) -> int:
-        return self.inner.shape[0]
-
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
-    def is_empty(self) -> bool:
-        return bool(np.any(self.hi <= self.lo))
-
-    def removes_point(self, p) -> bool:
-        """Is ``p`` inside the half-open bite (hence removed from the BP)?"""
-        p = np.asarray(p, dtype=np.float64)
-        low_ok = (p >= self.lo) & (p < self.hi)
-        high_ok = (p > self.lo) & (p <= self.hi)
-        return bool(np.all(np.where(self.low_side, low_ok, high_ok)))
-
-    def removes_points(self, pts) -> np.ndarray:
-        """Vectorized :meth:`removes_point` for an ``(n, dim)`` array."""
-        pts = np.asarray(pts, dtype=np.float64)
-        low_ok = (pts >= self.lo) & (pts < self.hi)
-        high_ok = (pts > self.lo) & (pts <= self.hi)
-        return np.all(np.where(self.low_side, low_ok, high_ok), axis=1)
-
-    def blocks_rect(self, rlo, rhi) -> bool:
-        """Does the closed box ``[rlo, rhi]`` meet the half-open bite?"""
-        rlo = np.asarray(rlo, dtype=np.float64)
-        rhi = np.asarray(rhi, dtype=np.float64)
-        low_ok = (rlo < self.hi) & (rhi >= self.lo)
-        high_ok = (rlo <= self.hi) & (rhi > self.lo)
-        return bool(np.all(np.where(self.low_side, low_ok, high_ok)))
-
-    def __repr__(self) -> str:
-        return (f"Bite(corner=0b{self.corner_mask:b}, "
-                f"inner={self.inner.tolist()})")
-
-
-class _PointObstacles:
-    """Nibbling obstacles given as an ``(n, dim)`` point array."""
-
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=np.float64)
-        self.points = self.los = self.his = points   # a rect with lo == hi
-
-    def stop_values(self, d: int, low_side: bool, lo_d: float, hi_d: float,
-                    max_steps: int) -> np.ndarray:
-        vals = np.unique(self.points[:, d])
-        if low_side:
-            vals = vals[vals > lo_d]
-            vals = np.append(vals, hi_d)
-            return vals[:max_steps]
-        vals = vals[vals < hi_d][::-1]
-        vals = np.append(vals, lo_d)
-        return vals[:max_steps]
-
-    def blocked(self, bite: Bite) -> bool:
-        return bool(bite.removes_points(self.points).any())
-
-
-class _RectObstacles:
-    """Nibbling obstacles given as child rectangles.
-
-    Accepts either a sequence of :class:`Rect` or a pre-stacked
-    ``(los, his)`` pair of ``(n, dim)`` arrays — callers that already
-    hold stacked bounds (a node's memoized ``rect_bounds`` cache) skip
-    the re-stacking.
-    """
-
-    def __init__(self, rects):
-        if isinstance(rects, tuple):
-            los, his = rects
-            self.los = np.asarray(los, dtype=np.float64)
-            self.his = np.asarray(his, dtype=np.float64)
-        else:
-            self.los = np.stack([r.lo for r in rects])
-            self.his = np.stack([r.hi for r in rects])
-
-    def stop_values(self, d: int, low_side: bool, lo_d: float, hi_d: float,
-                    max_steps: int) -> np.ndarray:
-        if low_side:
-            # A bite from the low corner extending to t in dim d avoids
-            # child r in that dim iff t <= r.lo[d]; stops are child lows.
-            vals = np.unique(self.los[:, d])
-            vals = vals[vals > lo_d]
-            vals = np.append(vals, hi_d)
-            return vals[:max_steps]
-        vals = np.unique(self.his[:, d])
-        vals = vals[vals < hi_d][::-1]
-        vals = np.append(vals, lo_d)
-        return vals[:max_steps]
-
-    def blocked(self, bite: Bite) -> bool:
-        low_ok = (self.los < bite.hi) & (self.his >= bite.lo)
-        high_ok = (self.los <= bite.hi) & (self.his > bite.lo)
-        hit = np.all(np.where(bite.low_side, low_ok, high_ok), axis=1)
-        return bool(hit.any())
-
-
-def _carve_corner(rect: Rect, mask: int, obstacles,
-                  max_steps: int) -> Optional[Bite]:
-    """Nibble the largest safe bite from one corner (paper Figure 13)."""
-    dim = rect.dim
-    corner = rect.corner(mask)
-    stops = []
-    for d in range(dim):
-        low_side = not (mask >> d & 1)
-        stops.append(obstacles.stop_values(d, low_side, rect.lo[d],
-                                           rect.hi[d], max_steps))
-
-    how_far = [0] * dim          # index into stops[d]; 0 = corner itself
-    done = [False] * dim
-
-    def inner_point(indices) -> np.ndarray:
-        out = corner.copy()
-        for d in range(dim):
-            if indices[d] > 0:
-                out[d] = stops[d][indices[d] - 1]
-        return out
-
-    while not all(done):
-        for d in range(dim):
-            if done[d]:
-                continue
-            if how_far[d] >= len(stops[d]):
-                done[d] = True
-                continue
-            how_far[d] += 1
-            trial = Bite(mask, corner, inner_point(how_far))
-            if not trial.is_empty() and obstacles.blocked(trial):
-                how_far[d] -= 1
-                done[d] = True
-
-    bite = Bite(mask, corner, inner_point(how_far))
-    if bite.is_empty():
-        return None
-    return bite
-
-
-def _corner_coords(rect: Rect, mask: int, proxies: np.ndarray) -> tuple:
-    """Obstacle coordinates relative to a corner, as distances inward.
-
-    Returns ``(corner, sign, extent, c)`` where ``c[j, d]`` is obstacle
-    ``j``'s distance from the corner along dimension ``d``.
-    """
-    dim = rect.dim
-    corner = rect.corner(mask)
-    sign = np.array([1.0 if not (mask >> d & 1) else -1.0
-                     for d in range(dim)])
-    extent = rect.hi - rect.lo
-    c = (proxies - corner) * sign
-    return corner, sign, extent, c
-
-
-def _sweep_corner(rect: Rect, mask: int,
-                  proxies: np.ndarray) -> Optional[Bite]:
-    """Best sweep bite at one corner.
-
-    For each sweep dimension ``d``, sort obstacles by distance from the
-    corner along ``d``; cutting after the first ``i`` obstacles yields a
-    candidate bite reaching the ``i``-th obstacle's coordinate in ``d``
-    and, in every other dimension, the prefix minimum of those ``i``
-    obstacles (so none of them falls strictly inside).  The maximum-
-    volume candidate over all dimensions and cuts wins.  Unlike the
-    paper's squarish nibble, this finds deep slab-shaped bites — the
-    "efficient algorithm for constructing a better JB BP" the paper's
-    footnote 7 reserves for the final version.
-    """
-    corner, sign, extent, c = _corner_coords(rect, mask, proxies)
-    dim = rect.dim
-    n = len(c)
-    best_vol = 0.0
-    best_s = None
-    for d in range(dim):
-        order = np.argsort(c[:, d], kind="stable")
-        sorted_c = c[order]
-        # prefix[i] = min over the first i obstacles (prefix[0] = extent)
-        prefix = np.empty((n + 1, dim))
-        prefix[0] = extent
-        np.minimum.accumulate(np.minimum(sorted_c, extent), axis=0,
-                              out=prefix[1:])
-        depth_d = np.empty(n + 1)
-        depth_d[:n] = np.minimum(sorted_c[:, d], extent[d])
-        depth_d[n] = extent[d]
-        s = prefix.copy()
-        s[:, d] = depth_d
-        vols = np.prod(np.clip(s, 0.0, None), axis=1)
-        i = int(np.argmax(vols))
-        if vols[i] > best_vol:
-            best_vol = float(vols[i])
-            best_s = s[i]
-    if best_s is None or best_vol <= 0.0:
-        return None
-    inner = corner + sign * np.clip(best_s, 0.0, extent)
-    bite = Bite(mask, corner, inner)
-    return None if bite.is_empty() else bite
+    return np.all(np.where(blow, (p >= blo) & (p < bhi),
+                           (p > blo) & (p <= bhi)), axis=-1)
 
 
 def _corner_low_table(dim: int) -> np.ndarray:
@@ -277,7 +65,8 @@ def _corner_low_table(dim: int) -> np.ndarray:
 
 def _sweep_corners(a_low: np.ndarray, a_high: np.ndarray,
                    extent: np.ndarray, low: np.ndarray):
-    """:func:`_sweep_corner` for every corner of ``G`` boxes at once.
+    """The sweep of :func:`_batched_sweep_bites` for every corner of
+    ``G`` boxes at once.
 
     ``a_low``/``a_high`` are the ``(G, n, dim)`` inward obstacle
     distances from the low and high faces of each box, ``extent`` the
@@ -363,8 +152,8 @@ def _largest(vols: np.ndarray, valid: np.ndarray,
 
 def _blocked(obs_los: np.ndarray, obs_his: np.ndarray, blo: np.ndarray,
              bhi: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Batched ``obstacles.blocked()``: ``(G, M)``, does any of box g's
-    ``(G, n, dim)`` obstacles meet its half-open corner-m bite?
+    """``(G, M)``: does any of box g's ``(G, n, dim)`` obstacles meet its
+    half-open corner-m bite?
 
     A bite starts on its corner's own faces and no obstacle reaches
     outside the box, so only the bite's inner face can part them: one
@@ -380,17 +169,28 @@ def _blocked(obs_los: np.ndarray, obs_his: np.ndarray, blo: np.ndarray,
 
 
 def _batched_sweep_bites(lo: np.ndarray, hi: np.ndarray,
-                         obs_los: np.ndarray, obs_his: np.ndarray,
-                         max_bites: Optional[int] = None
-                         ) -> List[List[Bite]]:
+                         obs_los: np.ndarray, obs_his: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Best sweep bite at every corner of ``G`` boxes in one kernel.
 
     ``lo``/``hi`` are ``(G, dim)`` box bounds; ``obs_los``/``obs_his``
-    the ``(G, n, dim)`` obstacle bounds (one array twice for points),
-    every obstacle inside its box.  Returns per-box bite lists in
-    corner-mask order, the ``max_bites`` :func:`_largest` of each box;
-    every bite is bit-identical to the scalar ``_sweep_corner`` +
-    ``blocked`` path, so any subset of boxes may be batched.
+    the ``(G, n, dim)`` obstacle bounds, every obstacle inside its box.
+    Returns ``(keep, inners)``: the ``(G, M)`` corners that carve a
+    bite (positive volume, no obstacle met) and the ``(G, M, dim)``
+    inner points.
+
+    For each sweep dimension ``d`` a corner's obstacles are sorted by
+    distance along ``d``; cutting after the first ``i`` of them yields a
+    candidate bite reaching the ``i``-th obstacle's coordinate in ``d``
+    and, in every other dimension, the prefix minimum of those ``i``
+    obstacles (so none of them falls strictly inside).  The maximum-
+    volume candidate over all dimensions and cuts wins.  Unlike the
+    paper's squarish nibble, this finds deep slab-shaped bites — the
+    "efficient algorithm for constructing a better JB BP" the paper's
+    footnote 7 reserves for the final version.  Each box carves alone,
+    bit-identically to the one-corner-at-a-time sweep kept as the oracle
+    in ``tests/geometry/bite_oracle.py``, so any subset of boxes may be
+    batched.
     """
     low = _corner_low_table(obs_los.shape[2])
     extent = hi - lo
@@ -403,19 +203,12 @@ def _batched_sweep_bites(lo: np.ndarray, hi: np.ndarray,
 
     corner = np.where(low[None], lo[:, None, :], hi[:, None, :])
     sign = np.where(low, 1.0, -1.0)
-    inner = corner + sign[None] * np.clip(best_s, 0.0, extent[:, None, :])
-    blo = np.minimum(corner, inner)
-    bhi = np.maximum(corner, inner)
-
+    inners = corner + sign[None] * np.clip(best_s, 0.0, extent[:, None, :])
+    blo = np.minimum(corner, inners)
+    bhi = np.maximum(corner, inners)
     keep = ((best_vol > 0.0) & ~np.any(bhi <= blo, axis=2)
             & ~_blocked(obs_los, obs_his, blo, bhi, low))
-    keep = _largest(np.prod(bhi - blo, axis=2), keep, max_bites)
-
-    masks = np.nonzero(keep)[1]
-    bites = [Bite._from_rows(m, i, lo_m, hi_m, low[m]) for m, i, lo_m, hi_m
-             in zip(masks.tolist(), inner[keep], blo[keep], bhi[keep])]
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [bites[start:end] for start, end in zip([0] + ends, ends)]
+    return keep, inners
 
 
 #: float budget per batched carve kernel (~16 MB of f8); groups larger
@@ -423,68 +216,126 @@ def _batched_sweep_bites(lo: np.ndarray, hi: np.ndarray,
 _BATCH_FLOAT_BUDGET = 2 << 20
 
 
-def bitten_rects_multi(*, points=None, rect_los=None, rect_his=None,
-                       max_bites: Optional[int] = None,
-                       max_steps: int = DEFAULT_MAX_STEPS,
-                       method: str = "sweep") -> List["BittenRect"]:
-    """Batched :class:`BittenRect` construction for same-sized groups.
+def carve_rows(los: np.ndarray, his: np.ndarray,
+               max_bites: Optional[int] = None,
+               max_steps: int = DEFAULT_MAX_STEPS,
+               method: str = "sweep") -> Tuple[np.ndarray, ...]:
+    """The bitten rects bounding ``G`` same-sized obstacle groups.
 
-    Pass either ``points`` — a ``(G, n, dim)`` array of leaf key groups
-    — or ``rect_los``/``rect_his`` — ``(G, n, dim)`` child MBR bounds
-    per group.  The ``"sweep"`` construction (the JB/XJB default) runs
-    as one kernel across all groups and corners; every returned
-    predicate is bit-identical to the scalar
-    :meth:`BittenRect.from_points` / :meth:`BittenRect.from_rects` on
-    the same inputs, so callers may batch arbitrary subsets.  Other
-    methods fall back to
-    the per-group scalar constructions.
+    ``los``/``his`` are ``(G, n, dim)`` obstacle bounds (leaf keys pass
+    one array twice).  Returns ``(lo, hi, keep, inners)``: the ``(G,
+    dim)`` MBRs, the ``(G, 2**dim)`` corners that keep a bite and the
+    ``(G, 2**dim, dim)`` inner points — the arrays the JB/XJB codecs
+    write as a predicate block.  ``method`` is one of
+    :data:`BITE_METHODS`: ``"sweep"`` (the default, one kernel across
+    all groups and corners), ``"nibble"`` (the paper's Figure 13
+    round-robin heuristic, :func:`_nibble`) or ``"probe"`` (the
+    workload-oriented set cover of the paper's future-work objective,
+    :func:`_probe`).  ``max_bites=None`` keeps every corner's bite (the
+    JB predicate); otherwise only the ``max_bites`` largest (XJB,
+    section 5.3).  Every group carves alone, so any subset of groups
+    may be batched.
     """
-    if (points is None) == (rect_los is None):
-        raise ValueError("pass exactly one of points= or rect_los/his=")
-    if points is not None:
-        obs_los = obs_his = np.asarray(points, dtype=np.float64)
+    los = np.asarray(los, dtype=np.float64)
+    his = np.asarray(his, dtype=np.float64)
+    G, n, dim = los.shape
+    lo, hi = los.min(axis=1), his.max(axis=1)
+    if method == "sweep":
+        chunk = max(1, _BATCH_FLOAT_BUDGET // ((1 << dim) * max(n, 1) * dim))
+        parts = [_batched_sweep_bites(lo[g:g + chunk], hi[g:g + chunk],
+                                      los[g:g + chunk], his[g:g + chunk])
+                 for g in range(0, G, chunk)]
     else:
-        obs_los = np.asarray(rect_los, dtype=np.float64)
-        obs_his = np.asarray(rect_his, dtype=np.float64)
-    G, n, dim = obs_los.shape
-    if method != "sweep":
-        if points is not None:
-            return [BittenRect.from_points(p, max_bites, max_steps, method)
-                    for p in obs_los]
-        return [BittenRect.from_rect_bounds(l, h, max_bites, max_steps,
-                                            method)
-                for l, h in zip(obs_los, obs_his)]
-
-    lo = obs_los.min(axis=1)
-    hi = obs_his.max(axis=1)
-    per_group = (1 << dim) * max(n, 1) * dim
-    chunk = max(1, _BATCH_FLOAT_BUDGET // per_group)
-    out: List[BittenRect] = []
-    for g0 in range(0, G, chunk):
-        g1 = min(G, g0 + chunk)
-        bite_lists = _batched_sweep_bites(lo[g0:g1], hi[g0:g1],
-                                          obs_los[g0:g1], obs_his[g0:g1],
-                                          max_bites)
-        out.extend(BittenRect(Rect(lo[g], hi[g]), bites)
-                   for g, bites in zip(range(g0, g1), bite_lists))
-    return out
+        carve = _nibble if method == "nibble" else _probe
+        parts = [tuple(part[None] for part in
+                       carve(lo[g], hi[g], los[g], his[g], max_steps))
+                 for g in range(G)]
+    keep = np.concatenate([part[0] for part in parts])
+    inners = np.concatenate([part[1] for part in parts])
+    keep = _largest(bite_volumes(lo, hi, inners), keep, max_bites)
+    return lo, hi, keep, inners
 
 
-def _corner_proxies(rect: Rect, mask: int, obstacles) -> np.ndarray:
-    """Point proxies for the obstacles, as seen from one corner.
+def bite_volumes(lo: np.ndarray, hi: np.ndarray,
+                 inners: np.ndarray) -> np.ndarray:
+    """``(G, M)`` volumes of the boxes between each corner of the ``(G,
+    dim)`` MBRs and its inner point."""
+    low = _corner_low_table(lo.shape[1])
+    corner = np.where(low[None], lo[:, None, :], hi[:, None, :])
+    return np.prod(np.maximum(corner, inners) - np.minimum(corner, inners),
+                   axis=2)
 
-    A rect obstructs exactly like its corner nearest to the bite corner
-    (the rest of it lies farther inward), so rect obstacles reduce to
-    their near-corner points.
+
+def _meets(corner: np.ndarray, inner: np.ndarray, los: np.ndarray,
+           his: np.ndarray, low: np.ndarray) -> bool:
+    """Does any obstacle meet the half-open bite from ``corner`` (on the
+    faces ``low`` flags) to ``inner``?  :func:`_blocked`'s rule for one
+    bite, spelled apart because the nibble asks it at every trial step,
+    where the batched form's indexing tripled the nibble's build time."""
+    reach = np.where(low, los < np.maximum(corner, inner),
+                     his > np.minimum(corner, inner))
+    return bool(reach.all(axis=1).any())
+
+
+def _nibble(lo: np.ndarray, hi: np.ndarray, los: np.ndarray,
+            his: np.ndarray, max_steps: int
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's Figure 13 at every corner of one box.
+
+    Each dimension in turn steps its inner face one obstacle stop
+    further from the corner (the obstacles' facing bounds, then the far
+    face) until a step would let an obstacle in; at most ``max_steps``
+    stops per dimension.  Returns ``(keep, inners)`` over the corners;
+    a bite whose inner point meets its corner in some dimension is
+    empty.
     """
-    if isinstance(obstacles, _PointObstacles):
-        return obstacles.points
-    low = np.array([not (mask >> d & 1) for d in range(rect.dim)])
-    return np.where(low, obstacles.los, obstacles.his)
+    dim = len(lo)
+    table = _corner_low_table(dim)
+    keep = np.zeros(len(table), dtype=bool)
+    inners = np.empty((len(table), dim))
+    for mask, low in enumerate(table):
+        corner = np.where(low, lo, hi)
+        stops = []
+        for d in range(dim):
+            if low[d]:
+                vals = np.unique(los[:, d])
+                vals = np.append(vals[vals > lo[d]], hi[d])
+            else:
+                vals = np.unique(his[:, d])
+                vals = np.append(vals[vals < hi[d]][::-1], lo[d])
+            stops.append(vals[:max_steps])
+
+        how_far = [0] * dim          # index into stops[d]; 0 = corner itself
+        done = [False] * dim
+
+        def inner_point() -> np.ndarray:
+            out = corner.copy()
+            for d in range(dim):
+                if how_far[d] > 0:
+                    out[d] = stops[d][how_far[d] - 1]
+            return out
+
+        while not all(done):
+            for d in range(dim):
+                if done[d]:
+                    continue
+                if how_far[d] >= len(stops[d]):
+                    done[d] = True
+                    continue
+                how_far[d] += 1
+                trial = inner_point()
+                if not np.any(trial == corner) and _meets(
+                        corner, trial, los, his, low):
+                    how_far[d] -= 1
+                    done[d] = True
+
+        inners[mask] = inner_point()
+        keep[mask] = not np.any(inners[mask] == corner)
+    return keep, inners
 
 
-def _greedy_box(corner: np.ndarray, sign: np.ndarray, extent: np.ndarray,
-                c: np.ndarray, order, init_frac: float) -> np.ndarray:
+def _greedy_box(extent: np.ndarray, c: np.ndarray, order,
+                init_frac: float) -> np.ndarray:
     """Maximal empty corner box for one dimension-priority order.
 
     ``c`` holds obstacle distances from the corner.  Starting from a
@@ -505,9 +356,9 @@ def _greedy_box(corner: np.ndarray, sign: np.ndarray, extent: np.ndarray,
     return s
 
 
-def _probe_cover_bites(rect: Rect, obstacles,
-                       probes_per_face: int = 12,
-                       seed: int = 0) -> List[Bite]:
+def _probe(lo: np.ndarray, hi: np.ndarray, los: np.ndarray,
+           his: np.ndarray, max_steps: int, probes_per_face: int = 12,
+           seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Bites chosen to cover query graze points (paper section 8).
 
     The paper's future-work objective asks for "the rectangle(s) that
@@ -516,313 +367,143 @@ def _probe_cover_bites(rect: Rect, obstacles,
     through its faces, so we scatter probe points over the MBR faces,
     generate many maximal empty corner boxes per corner (greedy
     expansions under different dimension priorities plus the sweep
-    candidates), and greedily set-cover the probes with at most one
-    bite per corner — the JB storage format.
+    candidate) and greedily set-cover the probes with at most one
+    bite per corner — the JB storage format.  Returns ``(keep,
+    inners)`` over the corners.
     """
-    dim = rect.dim
-    extent = rect.hi - rect.lo
+    dim = len(lo)
+    extent = hi - lo
     rng = np.random.default_rng(seed)
 
     probes = []
     for d in range(dim):
         for side in (0, 1):
-            face = rect.lo + rng.random((probes_per_face, dim)) * extent
-            face[:, d] = rect.lo[d] if side == 0 else rect.hi[d]
+            face = lo + rng.random((probes_per_face, dim)) * extent
+            face[:, d] = lo[d] if side == 0 else hi[d]
             probes.append(face)
     probes = np.concatenate(probes)
 
     orders = [np.roll(np.arange(dim), k) for k in range(dim)]
     orders += [rng.permutation(dim) for _ in range(4)]
 
+    sweep_keep, sweep_inners = _batched_sweep_bites(
+        lo[None], hi[None], los[None], his[None])
+    # per corner: (inner, probes removed, volume) of every candidate
     corner_candidates = {}
-    for mask in range(1 << dim):
-        prox = _corner_proxies(rect, mask, obstacles)
-        corner, sign, _, c = _corner_coords(rect, mask, prox)
-        candidates = []
+    for mask, low in enumerate(_corner_low_table(dim)):
+        corner = np.where(low, lo, hi)
+        sign = np.where(low, 1.0, -1.0)
+        c = (np.where(low, los, his) - corner) * sign
+        inners = []
         for order in orders:
             for frac in (0.0, 0.05, 0.25):
-                s = _greedy_box(corner, sign, extent, c, list(order),
-                                frac)
+                s = _greedy_box(extent, c, list(order), frac)
                 if np.any(s <= 0):
                     continue
-                bite = Bite(mask, corner, corner + sign * s)
-                if not bite.is_empty() and not obstacles.blocked(bite):
-                    candidates.append(bite)
-        sweep = _sweep_corner(rect, mask, prox)
-        if sweep is not None and not obstacles.blocked(sweep):
-            candidates.append(sweep)
-        if candidates:
-            corner_candidates[mask] = candidates
+                inner = corner + sign * s
+                if not np.any(inner == corner) and not _meets(
+                        corner, inner, los, his, low):
+                    inners.append(inner)
+        if sweep_keep[0, mask]:
+            inners.append(sweep_inners[0, mask])
+        if inners:
+            corner_candidates[mask] = [
+                (inner, in_bites(probes, np.minimum(corner, inner),
+                                 np.maximum(corner, inner), low),
+                 float(np.prod(np.maximum(corner, inner)
+                               - np.minimum(corner, inner))))
+                for inner in inners]
 
     covered = np.zeros(len(probes), dtype=bool)
-    chosen: List[Bite] = []
+    keep = np.zeros(1 << dim, dtype=bool)
+    chosen = np.zeros((1 << dim, dim))
     while corner_candidates:
-        best_gain, best_mask, best_bite = 0, None, None
+        best_gain, best_mask, best = 0, None, None
         for mask, candidates in corner_candidates.items():
-            for bite in candidates:
-                gain = int((~covered & bite.removes_points(probes)).sum())
+            for cand in candidates:
+                gain = int((~covered & cand[1]).sum())
                 if gain > best_gain or (gain == best_gain
-                                        and best_bite is not None
-                                        and bite.volume()
-                                        > best_bite.volume()):
+                                        and best is not None
+                                        and cand[2] > best[2]):
                     if gain > 0:
-                        best_gain, best_mask, best_bite = gain, mask, bite
-        if best_bite is None:
+                        best_gain, best_mask, best = gain, mask, cand
+        if best is None:
             # Probes exhausted: fall back to max volume for the rest.
             for mask, candidates in corner_candidates.items():
-                chosen.append(max(candidates, key=lambda b: b.volume()))
+                keep[mask] = True
+                chosen[mask] = max(candidates, key=lambda cand: cand[2])[0]
             break
-        chosen.append(best_bite)
-        covered |= best_bite.removes_points(probes)
+        keep[best_mask] = True
+        chosen[best_mask] = best[0]
+        covered |= best[1]
         del corner_candidates[best_mask]
-    chosen.sort(key=lambda b: b.corner_mask)
-    return chosen
+    return keep, chosen
 
 
-def carve_bites(rect: Rect, points=None, rects: Sequence[Rect] = None,
-                max_steps: int = DEFAULT_MAX_STEPS,
-                method: str = "sweep") -> List[Bite]:
-    """Carve the largest safe bite from every corner of ``rect``.
+def bitten_min_dist(lo: np.ndarray, hi: np.ndarray, blo: np.ndarray,
+                    bhi: np.ndarray, blow: np.ndarray, q: np.ndarray,
+                    max_pops: int = 512) -> float:
+    """Euclidean distance from ``q`` to the MBR ``[lo, hi]`` minus the
+    stacked half-open bites ``(blo, bhi, blow)``.
 
-    Exactly one of ``points`` (an ``(n, dim)`` array) or ``rects`` (child
-    bounding rectangles) must be given, all of them inside ``rect`` (it
-    is their bounding box).  ``method`` selects the
-    construction: ``"nibble"`` is the paper's Figure 13 round-robin
-    heuristic, ``"sweep"`` the improved slab construction
-    (:func:`_sweep_corner`), ``"both"`` keeps the larger bite per
-    corner, and ``"probe"`` the workload-oriented set-cover construction
-    of the paper's future-work objective (:func:`_probe_cover_bites`).
-    Returns the non-empty bites in corner-mask order; corners whose bite
-    degenerated to zero volume are omitted.
+    Exact (up to the ``max_pops`` safety cap): a best-first search
+    over sub-boxes of the MBR.  Pop the box with the smallest clamp
+    distance; if its clamp point is outside every half-open bite,
+    that distance is the answer (every other box is at least as far).
+    Otherwise split the box along each dimension past the blocking
+    bite's inner face — the children jointly cover everything of the
+    box outside that bite — and continue.  With no bites this is the
+    plain MBR distance.
+
+    If the pop budget runs out the last popped distance is returned,
+    which is still a valid lower bound, so nearest-neighbor search
+    stays exact regardless.
     """
-    if (points is None) == (rects is None):
-        raise ValueError("pass exactly one of points= or rects=")
-    if method not in ("nibble", "sweep", "both", "probe"):
-        raise ValueError(f"unknown bite method {method!r}")
-    if points is not None:
-        obstacles = _PointObstacles(points)
-    else:
-        obstacles = _RectObstacles(rects)
+    q = np.asarray(q, dtype=np.float64)
+    if not len(blo):
+        return float(np.linalg.norm(np.maximum(np.maximum(lo - q, q - hi),
+                                               0.0)))
 
-    if method == "probe":
-        return _probe_cover_bites(rect, obstacles)
+    def box_dist(lo, hi) -> float:
+        delta = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+        return float(np.sqrt((delta * delta).sum()))
 
-    if method == "sweep":
-        # All corners at once through the batched kernel (G = 1): no
-        # per-corner Python loop on the default construction path.
-        return _batched_sweep_bites(rect.lo[None], rect.hi[None],
-                                    obstacles.los[None],
-                                    obstacles.his[None])[0]
-
-    bites = []
-    for mask in range(1 << rect.dim):
-        candidates = []
-        if method in ("nibble", "both"):
-            nib = _carve_corner(rect, mask, obstacles, max_steps)
-            if nib is not None:
-                candidates.append(nib)
-        if method == "both":
-            prox = _corner_proxies(rect, mask, obstacles)
-            sw = _sweep_corner(rect, mask, prox)
-            if sw is not None and not obstacles.blocked(sw):
-                candidates.append(sw)
-        if candidates:
-            bites.append(max(candidates, key=lambda b: b.volume()))
-    return bites
-
-
-class BittenRect:
-    """An MBR minus a set of half-open corner bites (the JB/XJB predicate).
-
-    The represented region is ``rect \\ union(bites)``; because bites are
-    carved to avoid all covered data, the region contains every key the
-    predicate bounds.
-    """
-
-    __slots__ = ("rect", "bites", "_arrays")
-
-    def __init__(self, rect: Rect, bites: Sequence[Bite] = ()):
-        self.rect = rect
-        self.bites = tuple(bites)
-        self._arrays = None
-
-    def _bite_arrays(self):
-        """Stacked ``(B, dim)`` bite bounds and side flags (cached)."""
-        if self._arrays is None:
-            self._arrays = (np.stack([b.lo for b in self.bites]),
-                            np.stack([b.hi for b in self.bites]),
-                            np.stack([b.low_side for b in self.bites]))
-        return self._arrays
-
-    @property
-    def dim(self) -> int:
-        return self.rect.dim
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_points(cls, points, max_bites: Optional[int] = None,
-                    max_steps: int = DEFAULT_MAX_STEPS,
-                    method: str = "sweep") -> "BittenRect":
-        """Leaf-level predicate: MBR of ``points`` with carved bites.
-
-        ``max_bites=None`` keeps every corner's bite (the JB predicate);
-        otherwise only the ``max_bites`` largest-volume bites are kept
-        (the XJB predicate, section 5.3).
-        """
-        rect = Rect.from_points(points)
-        bites = carve_bites(rect, points=points, max_steps=max_steps,
-                            method=method)
-        return cls(rect, _top_bites(bites, max_bites))
-
-    @classmethod
-    def from_rects(cls, rects: Sequence[Rect],
-                   max_bites: Optional[int] = None,
-                   max_steps: int = DEFAULT_MAX_STEPS,
-                   method: str = "sweep") -> "BittenRect":
-        """Inner-level predicate: bites avoid every child rectangle."""
-        rect = Rect.from_rects(rects)
-        bites = carve_bites(rect, rects=rects, max_steps=max_steps,
-                            method=method)
-        return cls(rect, _top_bites(bites, max_bites))
-
-    @classmethod
-    def from_rect_bounds(cls, los: np.ndarray, his: np.ndarray,
-                         max_bites: Optional[int] = None,
-                         max_steps: int = DEFAULT_MAX_STEPS,
-                         method: str = "sweep") -> "BittenRect":
-        """:meth:`from_rects` from pre-stacked ``(n, dim)`` child bounds.
-
-        Bit-identical to ``from_rects`` on the corresponding rectangles;
-        callers that already hold the stacked matrices (a node's memoized
-        ``rect_bounds`` cache) skip re-stacking them.
-        """
-        los = np.asarray(los, dtype=np.float64)
-        his = np.asarray(his, dtype=np.float64)
-        rect = Rect(np.minimum.reduce(los), np.maximum.reduce(his))
-        bites = carve_bites(rect, rects=(los, his), max_steps=max_steps,
-                            method=method)
-        return cls(rect, _top_bites(bites, max_bites))
-
-    # -- predicates ----------------------------------------------------------
-
-    def contains_point(self, p) -> bool:
-        if not self.rect.contains_point(p):
-            return False
-        return not any(b.removes_point(p) for b in self.bites)
-
-    def contains_points(self, pts) -> np.ndarray:
-        mask = self.rect.contains_points(pts)
-        for b in self.bites:
-            mask &= ~b.removes_points(pts)
-        return mask
-
-    def contains_rect(self, other: Rect) -> bool:
-        """Does the bitten region cover the whole closed box ``other``?"""
-        if not self.rect.contains_rect(other):
-            return False
-        return not any(b.blocks_rect(other.lo, other.hi) for b in self.bites)
-
-    def volume(self) -> float:
-        """Region volume, ignoring (rare) bite-bite overlap."""
-        return max(0.0, self.rect.volume()
-                   - sum(b.volume() for b in self.bites))
-
-    def coverage_fraction(self, samples: int = 2000,
-                          seed: int = 0) -> float:
-        """Monte Carlo estimate of region volume / MBR volume.
-
-        Unlike :meth:`volume`, overlapping bites are counted once, so
-        this is the honest measure of how much of the box the predicate
-        still covers.
-        """
-        if not self.bites:
-            return 1.0
-        rng = np.random.default_rng(seed)
-        pts = self.rect.lo + rng.random((samples, self.dim)) \
-            * (self.rect.hi - self.rect.lo)
-        return float(self.contains_points(pts).mean())
-
-    # -- distance ----------------------------------------------------------
-
-    def min_dist(self, q, max_pops: int = 512) -> float:
-        """Euclidean distance from ``q`` to the bitten region.
-
-        Exact (up to the ``max_pops`` safety cap): a best-first search
-        over sub-boxes of the MBR.  Pop the box with the smallest clamp
-        distance; if its clamp point is outside every half-open bite,
-        that distance is the answer (every other box is at least as far).
-        Otherwise split the box along each dimension past the blocking
-        bite's inner face — the children jointly cover everything of the
-        box outside that bite — and continue.
-
-        If the pop budget runs out the last popped distance is returned,
-        which is still a valid lower bound, so nearest-neighbor search
-        stays exact regardless.
-        """
-        q = np.asarray(q, dtype=np.float64)
-        if not self.bites:
-            return self.rect.min_dist(q)
-        blo, bhi, blow = self._bite_arrays()
-        dim = self.rect.dim
-
-        def box_dist(lo, hi) -> float:
-            delta = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-            return float(np.sqrt((delta * delta).sum()))
-
-        heap: List[Tuple[float, int]] = [
-            (box_dist(self.rect.lo, self.rect.hi), 0)]
-        boxes = [(self.rect.lo, self.rect.hi)]
-        seen = {(self.rect.lo.tobytes(), self.rect.hi.tobytes())}
-        best = 0.0
-        pops = 0
-        while heap:
-            d, idx = heapq.heappop(heap)
-            best = d
-            pops += 1
-            lo, hi = boxes[idx]
-            p = np.clip(q, lo, hi)
-            inside = np.all(np.where(blow, (p >= blo) & (p < bhi),
-                                     (p > blo) & (p <= bhi)), axis=1)
-            hits = np.nonzero(inside)[0]
-            if len(hits) == 0:
-                return d
-            if pops >= max_pops:
-                return d          # valid lower bound; see docstring
-            b = int(hits[0])
-            for dd in range(dim):
-                if blow[b, dd]:
-                    cut = bhi[b, dd]      # bite's open inner face
-                    if cut > hi[dd]:
-                        continue
-                    nlo = lo.copy()
-                    nlo[dd] = max(lo[dd], cut)
-                    nhi = hi
-                else:
-                    cut = blo[b, dd]
-                    if cut < lo[dd]:
-                        continue
-                    nhi = hi.copy()
-                    nhi[dd] = min(hi[dd], cut)
-                    nlo = lo
-                key = (nlo.tobytes(), nhi.tobytes())
-                if key in seen:
+    heap: List[Tuple[float, int]] = [(box_dist(lo, hi), 0)]
+    boxes = [(lo, hi)]
+    seen = {(lo.tobytes(), hi.tobytes())}
+    pops = 0
+    while heap:
+        d, idx = heapq.heappop(heap)
+        pops += 1
+        box_lo, box_hi = boxes[idx]
+        p = np.clip(q, box_lo, box_hi)
+        hits = np.flatnonzero(in_bites(p, blo, bhi, blow))
+        if len(hits) == 0:
+            return d
+        if pops >= max_pops:
+            return d          # valid lower bound; see docstring
+        b = int(hits[0])
+        for dd in range(len(q)):
+            if blow[b, dd]:
+                cut = bhi[b, dd]      # bite's open inner face
+                if cut > box_hi[dd]:
                     continue
-                seen.add(key)
-                boxes.append((nlo, nhi))
-                heapq.heappush(heap, (box_dist(nlo, nhi), len(boxes) - 1))
-        # The whole MBR is bitten away: the predicate covers nothing, so
-        # no distance can ever reach it.
-        return np.inf
-
-    def __repr__(self) -> str:
-        return f"BittenRect({self.rect!r}, bites={len(self.bites)})"
-
-
-def _top_bites(bites: List[Bite], max_bites: Optional[int]) -> List[Bite]:
-    """Keep the ``max_bites`` largest bites (all when ``None``)."""
-    if max_bites is None or len(bites) <= max_bites:
-        return list(bites)
-    vols = np.array([b.volume() for b in bites])
-    keep = _largest(vols, np.ones(len(bites), dtype=bool), max_bites)
-    return [b for b, kept in zip(bites, keep) if kept]
+                nlo = box_lo.copy()
+                nlo[dd] = max(box_lo[dd], cut)
+                nhi = box_hi
+            else:
+                cut = blo[b, dd]
+                if cut < box_lo[dd]:
+                    continue
+                nhi = box_hi.copy()
+                nhi[dd] = min(box_hi[dd], cut)
+                nlo = box_lo
+            key = (nlo.tobytes(), nhi.tobytes())
+            if key in seen:
+                continue
+            seen.add(key)
+            boxes.append((nlo, nhi))
+            heapq.heappush(heap, (box_dist(nlo, nhi), len(boxes) - 1))
+    # The whole MBR is bitten away: the predicate covers nothing, so
+    # no distance can ever reach it.
+    return np.inf

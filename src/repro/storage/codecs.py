@@ -27,7 +27,6 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import NUMBER_SIZE
-from repro.geometry import Bite, BittenRect, Rect
 from repro.gist.node import Node
 from repro.storage.errors import PageCorruptError, PageMissingError
 from repro.storage.integrity import seal_images, verify_image
@@ -127,8 +126,8 @@ class _BittenCodec(Codec):
     """An MBR followed by stored bite slots (the JB and XJB layouts).
 
     Subclasses say where the slots are (:meth:`bite_slots`) and write a
-    row from a rect and its bites (:meth:`write`); decoding one row
-    and stacking a page's bite pack share :meth:`bite_rows`.
+    block from the carve's arrays (:meth:`write`); every reader of a
+    row's bites goes through :meth:`bite_rows`.
     """
 
     dim: int
@@ -155,23 +154,19 @@ class _BittenCodec(Codec):
         keep = (masks >= 0) & ~np.any(bhi <= blo, axis=-1)
         return masks, inners, blo, bhi, ~at_hi, keep
 
-    def write(self, lo: np.ndarray, hi: np.ndarray, masks: Sequence[int],
-              inners: Sequence[np.ndarray]) -> np.ndarray:
-        """The row of the rect ``[lo, hi]`` with a bite at each corner
-        mask of ``masks``, reaching to the matching inner point."""
+    def write(self, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray,
+              inners: np.ndarray) -> np.ndarray:
+        """The ``(n, numbers)`` block of the rects ``[lo, hi]`` (``(n,
+        dim)`` each) with a bite at each corner ``keep`` (``(n,
+        2**dim)``, in corner-mask order) flags, reaching to the matching
+        inner point of ``inners`` (``(n, 2**dim, dim)``)."""
         raise NotImplementedError
 
-    def decode(self, data: bytes) -> BittenRect:
-        """The row in ``data`` as a :class:`BittenRect` (its arrays are
-        read-only views of ``data``)."""
-        row = np.frombuffer(data, dtype="<f8", count=self.numbers)
-        rect = Rect(row[:self.dim], row[self.dim:2 * self.dim])
-        masks, inners, blo, bhi, low, keep = (
-            part[0] for part in self.bite_rows(row[None]))
-        return BittenRect(rect, [
-            Bite._from_rows(*fields) for fields in zip(
-                masks[keep].tolist(), inners[keep], blo[keep], bhi[keep],
-                low[keep])])
+    def _mbr_block(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """A zeroed block holding the rects ``[lo, hi]``."""
+        block = np.zeros((len(lo), self.numbers))
+        block[:, :self.dim], block[:, self.dim:2 * self.dim] = lo, hi
+        return block
 
 
 class JBCodec(_BittenCodec):
@@ -188,16 +183,14 @@ class JBCodec(_BittenCodec):
         self.corners = 1 << dim
         self.size = self._rect.size + self.corners * dim * NUMBER_SIZE
 
-    def write(self, lo: np.ndarray, hi: np.ndarray, masks: Sequence[int],
-              inners: Sequence[np.ndarray]) -> np.ndarray:
-        row = np.empty(self.numbers)
-        row[:self.dim], row[self.dim:2 * self.dim] = lo, hi
-        slots = row[2 * self.dim:].reshape(self.corners, self.dim)
+    def write(self, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray,
+              inners: np.ndarray) -> np.ndarray:
+        block = self._mbr_block(lo, hi)
         at_hi = np.arange(self.corners)[:, None] >> np.arange(self.dim) & 1
-        slots[:] = np.where(at_hi.astype(bool), hi, lo)
-        slots[np.asarray(masks, dtype=np.intp)] = np.reshape(
-            inners, (len(masks), self.dim))
-        return row
+        corners = np.where(at_hi.astype(bool), hi[:, None, :], lo[:, None, :])
+        block[:, 2 * self.dim:] = np.where(
+            keep[:, :, None], inners, corners).reshape(len(lo), -1)
+        return block
 
     def block_error(self, block: np.ndarray) -> Optional[Tuple[int, str]]:
         return self._rect.block_error(block)
@@ -208,7 +201,7 @@ class JBCodec(_BittenCodec):
 
         Returns ``(masks, inners)``: ``(n, slots)`` int64 corner masks
         (-1 marks an unused slot) and the ``(n, slots, dim)`` inner
-        points, slots in the order :meth:`decode` walks them.
+        points, in stored slot order.
         """
         n = len(block)
         masks = np.broadcast_to(np.arange(self.corners), (n, self.corners))
@@ -221,7 +214,8 @@ class XJBCodec(_BittenCodec):
 
     ``2 * dim + (dim + 1) * x`` numbers (Table 3, XJB row): each stored
     bite costs its inner point (``dim`` numbers) plus one number
-    identifying the corner.  Unused slots store a corner id of -1.
+    identifying the corner.  Bites fill the slots in corner-mask order;
+    unused slots store a corner id of -1 and a zero inner point.
     """
 
     def __init__(self, dim: int, x: int) -> None:
@@ -232,19 +226,22 @@ class XJBCodec(_BittenCodec):
         self._rect = RectCodec(dim)
         self.size = self._rect.size + (dim + 1) * x * NUMBER_SIZE
 
-    def write(self, lo: np.ndarray, hi: np.ndarray, masks: Sequence[int],
-              inners: Sequence[np.ndarray]) -> np.ndarray:
-        count = len(masks)
+    def write(self, lo: np.ndarray, hi: np.ndarray, keep: np.ndarray,
+              inners: np.ndarray) -> np.ndarray:
+        count = int(keep.sum(axis=1).max(initial=0))
         if count > self.x:
             raise ValueError(
                 f"predicate has {count} bites, codec allows {self.x}")
-        row = np.zeros(self.numbers)
-        row[:self.dim], row[self.dim:2 * self.dim] = lo, hi
-        slots = self._slots(row[None])[0]
-        slots[:, 0] = -1.0
-        slots[:count, 0] = masks
-        slots[:count, 1:] = np.reshape(inners, (count, self.dim))
-        return row
+        block = self._mbr_block(lo, hi)
+        slots = self._slots(block)
+        # the kept corners first, in mask order
+        masks = np.argsort(~keep, axis=1, kind="stable")[:, :self.x]
+        used = np.take_along_axis(keep, masks, axis=1)
+        slots[:, :, 0] = np.where(used, masks, -1)
+        slots[:, :, 1:] = np.where(
+            used[:, :, None],
+            np.take_along_axis(inners, masks[:, :, None], axis=1), 0.0)
+        return block
 
     def _slots(self, block: np.ndarray) -> np.ndarray:
         """The ``(n, x, 1 + dim)`` (corner id, inner point) slots."""

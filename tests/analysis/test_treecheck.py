@@ -148,7 +148,11 @@ def test_data_point_in_bite_is_flagged(method, tmp_path):
     # top: every stored key off the upper boundary now sits inside a
     # bite — exactly the sloppy predicate that silently drops true
     # nearest neighbors.
-    node.set_row(0, tree.ext.pred_codec().write(lo, hi, [0], [hi]))
+    keep = np.zeros((1, 1 << DIM), dtype=bool)
+    keep[0, 0] = True
+    inners = np.broadcast_to(hi, (1, 1 << DIM, DIM))
+    node.set_row(0, tree.ext.pred_codec().write(lo[None], hi[None], keep,
+                                                inners)[0])
     tree.store.write(node)
 
     report = check_tree(tree)

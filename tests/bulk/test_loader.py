@@ -134,6 +134,23 @@ class TestIngress:
 
 
 class TestInsertionLoad:
+    @pytest.mark.parametrize("n", [50, 0])
+    def test_explicit_rids_on_sq8_refused_before_a_page(self, tmp_path, n):
+        # A quantized tree writes from GiST.exact, which only the
+        # default rids attach: refused up front, even on empty keys.
+        ext = make_ext("xjb", 3)
+        path = tmp_path / "t.pages"
+        store = FilePageFile.for_extension(str(path), ext, page_size=4096,
+                                           leaf_codec="sq8")
+        keys = np.random.default_rng(0).normal(size=(n, 3))
+        with pytest.raises(ValueError, match="GiST.exact"):
+            insertion_load(ext, keys, rids=list(range(n)), page_size=4096,
+                           store=store)
+        store.flush()
+        assert path.stat().st_size == 0
+        assert store.allocate() == 1    # no page id was handed out
+        store.close()
+
     def test_builds_valid_tree(self, clustered_points):
         tree = insertion_load(make_ext("rtree", 3),
                               clustered_points[:600], page_size=4096)

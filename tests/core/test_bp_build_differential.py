@@ -8,8 +8,9 @@ it replaced, kept verbatim here as the oracle:
   width (the constant is also patched to 1, 8 and 10**9);
 - the one-comparison ``_blocked`` against the four-comparison half-open
   intersection test;
-- the array ranking ``_largest`` (behind ``_top_bites`` and the batched
-  carve) against ``sorted(key=volume, reverse=True)``.
+- the array ranking ``_largest`` (behind :func:`carve_rows`'s top-X
+  selection) against ``sorted(key=volume, reverse=True)``, the object
+  oracle's ``_top_bites``.
 
 Points sit on a small integer grid, so duplicate coordinates, equal
 volumes and obstacles that touch a bite's faces are the common case.
@@ -23,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.amap as amap_mod
-from repro.geometry import BittenRect, Rect, carve_bites
-from repro.geometry.bites import (_blocked, _corner_low_table, _top_bites,
-                                  bitten_rects_multi)
+from repro.geometry import Rect
+from repro.geometry.bites import _blocked, _corner_low_table
 
 from tests.core.test_amap import _side_bounds_reduce
-from tests.geometry.test_batched_sweep import _bites_equal
+from tests.geometry.bite_oracle import BittenRect, _top_bites, carve_bites
+from tests.geometry.test_batched_sweep import _bites_equal, carved_rects
 
 
 # -- aMAP: head-of-order scoring -------------------------------------------
@@ -173,15 +174,6 @@ def test_child_rect_touching_the_inner_face_does_not_block():
 
 # -- XJB: which bites are kept ---------------------------------------------
 
-def _top_bites_sorted(bites, max_bites):
-    """The selection rule as it was spelled before the array ranking."""
-    if max_bites is None or len(bites) <= max_bites:
-        return list(bites)
-    ranked = sorted(bites, key=lambda b: b.volume(), reverse=True)
-    kept = set(id(b) for b in ranked[:max_bites])
-    return [b for b in bites if id(b) in kept]
-
-
 def _mirrored(points: np.ndarray, dims, cells: int) -> np.ndarray:
     """``points`` with their mirror images across the grid's middle in
     each of ``dims``: corners that differ only there carve congruent
@@ -212,10 +204,9 @@ def symmetric_points(draw):
 @settings(max_examples=150, deadline=None)
 def test_kept_bites_match_the_sorted_ranking(points, max_bites):
     every = carve_bites(Rect.from_points(points), points=points)
-    want = _top_bites_sorted(every, max_bites)
-    assert _bites_equal(_top_bites(every, max_bites), want)
+    want = _top_bites(every, max_bites)
     scalar = BittenRect.from_points(points, max_bites=max_bites)
-    batched, = bitten_rects_multi(points=points[None], max_bites=max_bites)
+    batched, = carved_rects(points[None], max_bites=max_bites)
     for pred in (scalar, batched):
         assert _bites_equal(pred.bites, want)
         assert all(np.array_equal(b.low_side, w.low_side)
@@ -235,8 +226,8 @@ def test_equal_volumes_at_the_cut_keep_the_first_corners(max_bites):
     assert len(every) == 32
     assert len({b.volume() for b in every}) == 1
     kept = BittenRect.from_points(points, max_bites=max_bites).bites
-    assert _bites_equal(kept, _top_bites_sorted(every, max_bites))
+    assert _bites_equal(kept, _top_bites(every, max_bites))
     assert [b.corner_mask for b in kept] == list(range(min(
         32, 32 if max_bites is None else max_bites)))
-    batched, = bitten_rects_multi(points=points[None], max_bites=max_bites)
+    batched, = carved_rects(points[None], max_bites=max_bites)
     assert _bites_equal(batched.bites, kept)

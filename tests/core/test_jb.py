@@ -58,15 +58,16 @@ class TestPredicates:
     def test_bite_methods_all_conservative(self):
         rng = np.random.default_rng(2)
         keys = rng.normal(size=(60, 3))
-        for method in ("nibble", "sweep", "both"):
+        for method in ("nibble", "sweep", "probe"):
             ext = JBExtension(3, bite_method=method)
             pred, _ = _pred(ext, keys)
             assert pred.contains_points(keys).all()
 
     def test_unknown_bite_method_rejected(self):
-        ext = JBExtension(2, bite_method="bogus")
-        with pytest.raises(ValueError):
-            row_for_keys(ext, np.zeros((3, 2)))
+        for method in ("bogus", "both"):
+            with pytest.raises(ValueError,
+                               match="'nibble', 'sweep', 'probe'"):
+                JBExtension(2, bite_method=method)
 
 
 class TestConsistency:

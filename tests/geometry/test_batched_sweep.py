@@ -5,14 +5,15 @@ Three layers of equivalence, each exact (not approximate):
 - :func:`_sweep_corners` (the factored corner-lattice kernel) against
   :func:`_sweep_rows` (the expanded per-corner kernel it replaced, kept
   below as the oracle) — bit identity;
-- :func:`bitten_rects_multi` against the scalar per-group
-  :meth:`BittenRect.from_points` / :meth:`from_rect_bounds`;
-- the ``"sweep"`` carve method against the per-corner reference loop
-  (:func:`_sweep_scalar` below, over the ``_corner_proxies`` +
-  ``_sweep_corner`` pair that ``"both"`` still runs).
+- :func:`carve_rows` against the object oracle's per-group
+  :meth:`BittenRect.from_points` / :meth:`from_rect_bounds`
+  (``tests/geometry/bite_oracle.py``);
+- the ``"sweep"`` carve method against the oracle's per-corner loop
+  (:func:`_sweep_scalar`, over the ``_corner_proxies`` +
+  ``_sweep_corner`` pair).
 
-Bit identity is what makes the parallel bulk loader's byte-identical
-page files possible: any shard may carve any subset of groups.
+Bit identity is what makes page bytes independent of how a level's
+nodes are grouped: any subset of groups may be carved together.
 """
 
 import numpy as np
@@ -21,15 +22,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.geometry import BittenRect, Rect, carve_bites
-from repro.geometry.bites import (_batched_sweep_bites, _corner_low_table,
-                                  _corner_proxies, _PointObstacles,
-                                  _RectObstacles, _sweep_corner,
-                                  _sweep_corners, bitten_rects_multi)
+from repro.geometry import Rect
+from repro.geometry.bites import _corner_low_table, _sweep_corners, carve_rows
+
+from tests.geometry.bite_oracle import (BittenRect, _PointObstacles,
+                                        _RectObstacles, _sweep_scalar,
+                                        from_carve)
+
+
+def carved_rects(los, his=None, max_bites=None):
+    """:func:`carve_rows` on ``G`` groups as oracle bitten rects."""
+    return from_carve(*carve_rows(los, los if his is None else his,
+                                  max_bites))
 
 
 def _sweep_rows(c: np.ndarray, extent: np.ndarray):
-    """The oracle for :func:`_sweep_corners`: :func:`_sweep_corner`'s core
+    """The oracle for :func:`_sweep_corners`: ``_sweep_corner``'s core
     over ``R`` independent corners, one expanded distance row each.
 
     ``c`` is an ``(R, n, dim)`` array of obstacle distances inward from
@@ -121,7 +129,7 @@ class TestBatchedAgainstScalar:
     def test_points_mode_matches_from_points(self):
         rng = np.random.default_rng(3)
         groups = rng.normal(size=(9, 25, 4))
-        batched = bitten_rects_multi(points=groups)
+        batched = carved_rects(groups)
         for g, pred in enumerate(batched):
             scalar = BittenRect.from_points(groups[g])
             assert np.array_equal(pred.rect.lo, scalar.rect.lo)
@@ -133,7 +141,7 @@ class TestBatchedAgainstScalar:
         centers = rng.normal(size=(6, 10, 3))
         los = centers - rng.uniform(0.1, 0.5, size=centers.shape)
         his = centers + rng.uniform(0.1, 0.5, size=centers.shape)
-        batched = bitten_rects_multi(rect_los=los, rect_his=his)
+        batched = carved_rects(los, his)
         for g, pred in enumerate(batched):
             scalar = BittenRect.from_rect_bounds(los[g], his[g])
             assert _bites_equal(pred.bites, scalar.bites)
@@ -141,7 +149,7 @@ class TestBatchedAgainstScalar:
     def test_max_bites_truncation_matches(self):
         rng = np.random.default_rng(5)
         groups = rng.normal(size=(5, 30, 3))
-        batched = bitten_rects_multi(points=groups, max_bites=2)
+        batched = carved_rects(groups, max_bites=2)
         for g, pred in enumerate(batched):
             scalar = BittenRect.from_points(groups[g], max_bites=2)
             assert _bites_equal(pred.bites, scalar.bites)
@@ -151,11 +159,11 @@ class TestBatchedAgainstScalar:
         import repro.geometry.bites as bites_mod
         rng = np.random.default_rng(6)
         groups = rng.normal(size=(12, 18, 3))
-        whole = bitten_rects_multi(points=groups)
+        whole = carved_rects(groups)
         budget = bites_mod._BATCH_FLOAT_BUDGET
         bites_mod._BATCH_FLOAT_BUDGET = 1  # one group per kernel call
         try:
-            chunked = bitten_rects_multi(points=groups)
+            chunked = carved_rects(groups)
         finally:
             bites_mod._BATCH_FLOAT_BUDGET = budget
         for a, b in zip(whole, chunked):
@@ -166,20 +174,9 @@ class TestBatchedAgainstScalar:
                       elements=st.floats(-50, 50, width=32)))
     @settings(max_examples=40, deadline=None)
     def test_single_group_always_matches_scalar(self, pts):
-        batched, = bitten_rects_multi(points=pts[None])
+        batched, = carved_rects(pts[None])
         scalar = BittenRect.from_points(pts)
         assert _bites_equal(batched.bites, scalar.bites)
-
-
-def _sweep_scalar(rect, obstacles):
-    """The sweep bites carved one corner at a time."""
-    bites = []
-    for mask in range(1 << rect.dim):
-        bite = _sweep_corner(rect, mask,
-                             _corner_proxies(rect, mask, obstacles))
-        if bite is not None and not obstacles.blocked(bite):
-            bites.append(bite)
-    return bites
 
 
 class TestSweepScalarReference:
@@ -188,7 +185,7 @@ class TestSweepScalarReference:
         for n in (2, 7, 40):
             pts = rng.normal(size=(n, 3))
             rect = Rect.from_points(pts)
-            fast = carve_bites(rect, points=pts, method="sweep")
+            fast = carved_rects(pts[None])[0].bites
             ref = _sweep_scalar(rect, _PointObstacles(pts))
             assert _bites_equal(fast, ref)
 
@@ -197,6 +194,8 @@ class TestSweepScalarReference:
         centers = rng.normal(size=(8, 3))
         rects = [Rect(c - 0.3, c + 0.3) for c in centers]
         outer = Rect.from_rects(rects)
-        fast = carve_bites(outer, rects=rects, method="sweep")
+        fast = carved_rects(np.stack([r.lo for r in rects])[None],
+                                  np.stack([r.hi for r in rects])[None]
+                                  )[0].bites
         ref = _sweep_scalar(outer, _RectObstacles(rects))
         assert _bites_equal(fast, ref)

@@ -214,7 +214,8 @@ def pred_object(ext: Any, row: np.ndarray) -> Any:
     row = np.array(row, dtype=np.float64)
     d = ext.dim
     if isinstance(ext, JBExtension):
-        return ext.pred_codec().decode(row.tobytes())
+        from tests.geometry.bite_oracle import decode
+        return decode(ext.pred_codec(), row)
     if isinstance(ext, AMapExtension):
         return (Rect(row[:d], row[d:2 * d]),
                 Rect(row[2 * d:3 * d], row[3 * d:4 * d]))

@@ -18,12 +18,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import BittenRect
 from repro.gist.tree import GiST
 from repro.storage.codecs import LeafBodyCodec, NodeCodec
 from repro.storage.page import PAGE_HEADER_SIZE
 
 from tests.conftest import ALL_METHODS, make_ext
+from tests.geometry.bite_oracle import BittenRect
 from tests.gist.oracle import (footprint, inner_node, object_contains,
                                pred_objects, row_for_keys)
 
@@ -100,18 +100,18 @@ def test_a_non_underflowing_delete_decodes_no_predicate(tmp_path,
                                                         monkeypatch):
     from repro.bulk import bulk_load
     from repro.gist.mutable import MutableTree
+    from repro.core.jbtree import JBExtension
     from repro.gist.persist import save_tree
-    from repro.storage.codecs import XJBCodec
 
     keys = np.random.default_rng(3).random((3000, 3))
     path = str(tmp_path / "x.gist")
     save_tree(bulk_load(make_ext("xjb", 3), keys, page_size=1024,
                         fill=0.8), path)
     decoded = []
-    decode = XJBCodec.decode
-    monkeypatch.setattr(XJBCodec, "decode",
-                        lambda self, data: decoded.append(1)
-                        or decode(self, data))
+    row_bites = JBExtension._row_bites
+    monkeypatch.setattr(JBExtension, "_row_bites",
+                        lambda self, row: decoded.append(1)
+                        or row_bites(self, row))
     with MutableTree.open(path) as mt:
         tree = mt.tree
         assert tree.height >= 3

@@ -15,6 +15,7 @@ from repro.core.jbtree import JBExtension
 from repro.gist.nn import leaf_dists
 
 from tests.conftest import brute_knn, make_ext
+from tests.geometry.bite_oracle import decode
 from tests.gist.oracle import paged_tree
 
 
@@ -174,7 +175,7 @@ class TestLazyRefinement:
 
             def min_dists_node(self, node, q):
                 codec = self.pred_codec()
-                return np.array([codec.decode(row.tobytes()).min_dist(q)
+                return np.array([decode(codec, row).min_dist(q)
                                  for row in node.pred_block()])
 
         eager = bulk_load(EagerJB(3), pts, page_size=4096)

@@ -34,10 +34,9 @@ MUTATIONS = [
     ("src/repro/bulk/loader.py",
      "t_start = time.perf_counter()", "t_start = time.time()",
      "wall_clock"),
-    # a bite-volume estimate draws from an unseeded generator.
+    # the probe carve scatters its face probes from an unseeded generator.
     ("src/repro/geometry/bites.py",
-     "            return 1.0\n        rng = np.random.default_rng(seed)",
-     "            return 1.0\n        rng = np.random.default_rng()",
+     "rng = np.random.default_rng(seed)", "rng = np.random.default_rng()",
      "unseeded_rng"),
     # a new node is written beneath the WAL wrapper.
     ("src/repro/gist/tree.py",
@@ -102,10 +101,22 @@ MUTATIONS = [
      "rows[index] = row\n", "rows[index] = rows[index]\n",
      "tests/gist/test_persist.py::TestOneRepresentation"),
     # a point on a bite's open inner face counts as bitten away.
-    ("src/repro/core/jbtree.py",
+    ("src/repro/geometry/bites.py",
      "(p >= blo) & (p < bhi)", "(p >= blo) & (p <= bhi)",
      "tests/gist/test_contains_node.py::"
      "test_contains_node_matches_the_per_entry_loop"),
+    # the bite-aware box search closes every bite's open inner face, so
+    # a clamp point on one sends the search past the true distance.
+    ("src/repro/geometry/bites.py",
+     "hits = np.flatnonzero(in_bites(p, blo, bhi, blow))",
+     "hits = np.flatnonzero(np.all((p >= blo) & (p <= bhi), axis=-1))",
+     "tests/core/test_jb_rows.py::"
+     "test_refine_dist_matches_the_object_min_dist"),
+    # a JB/XJB row covers every key inside its MBR, bitten or not.
+    ("src/repro/core/jbtree.py",
+     "        return not in_bites(key, blo, bhi, blow).any()\n",
+     "        return True\n",
+     "tests/core/test_jb_rows.py::test_covers_key_matches_contains_node"),
     # a shard tree ranks sq8 leaves with no exact keys attached.
     ("src/repro/serving/worker.py",
      "        tree.exact = reduced\n", "",

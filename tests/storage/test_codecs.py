@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.constants import NUMBER_SIZE
-from repro.geometry import BittenRect
 from repro.gist import Node
 from repro.storage.codecs import (
     DualRectCodec,
@@ -20,6 +19,8 @@ from repro.storage.codecs import (
     SphereCodec,
     XJBCodec,
 )
+
+from tests.geometry.bite_oracle import BittenRect, decode
 
 
 def finite_floats():
@@ -66,10 +67,14 @@ def _through_body(pred_codec, row):
 
 
 def _written(codec, pred):
-    """A bitten rect as its codec's row."""
-    return codec.write(pred.rect.lo, pred.rect.hi,
-                       [b.corner_mask for b in pred.bites],
-                       [b.inner for b in pred.bites])
+    """An oracle bitten rect as its codec's row."""
+    keep = np.zeros((1, 1 << codec.dim), dtype=bool)
+    inners = np.zeros((1, 1 << codec.dim, codec.dim))
+    for b in pred.bites:
+        keep[0, b.corner_mask] = True
+        inners[0, b.corner_mask] = b.inner
+    return codec.write(pred.rect.lo[None], pred.rect.hi[None], keep,
+                       inners)[0]
 
 
 class TestRoundtrips:
@@ -114,7 +119,7 @@ class TestRoundtrips:
         pts = rng.normal(size=(40, 3))
         br = BittenRect.from_points(pts)
         c = JBCodec(3)
-        out = c.decode(_through_body(c, _written(c, br)).tobytes())
+        out = decode(c, _through_body(c, _written(c, br)))
         assert out.rect == br.rect
         assert len(out.bites) == len(br.bites)
         probe = rng.normal(size=(200, 3))
@@ -126,7 +131,7 @@ class TestRoundtrips:
         pts = rng.normal(size=(40, 3))
         br = BittenRect.from_points(pts, max_bites=4)
         c = XJBCodec(3, 4)
-        out = c.decode(_through_body(c, _written(c, br)).tobytes())
+        out = decode(c, _through_body(c, _written(c, br)))
         probe = rng.normal(size=(200, 3))
         assert np.array_equal(out.contains_points(probe),
                               br.contains_points(probe))
@@ -160,7 +165,7 @@ class TestRoundtrips:
     @settings(max_examples=30, deadline=None)
     def test_jb_roundtrip_property(self, pts):
         br = BittenRect.from_points(pts)
-        out = JBCodec(3).decode(_written(JBCodec(3), br).tobytes())
+        out = decode(JBCodec(3), _written(JBCodec(3), br))
         # Every original point must remain covered after the roundtrip.
         assert out.contains_points(pts).all()
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.bulk import bulk_load
-from repro.geometry import BittenRect, Rect
+from repro.geometry import Rect
 from repro.storage.codecs import (
     DualRectCodec,
     JBCodec,
@@ -20,6 +20,7 @@ from repro.storage.codecs import (
 )
 
 from tests.conftest import make_ext
+from tests.geometry.bite_oracle import BittenRect, decode
 from tests.storage.test_codecs import _through_body, _written
 
 FAMILIES = ("rtree", "sstree", "srtree", "jb", "xjb", "amap")
@@ -74,7 +75,7 @@ class TestFuzzRoundtrips:
         """Decoded XJB predicates keep the exact same covered region."""
         br = BittenRect.from_points(pts, max_bites=x)
         c = XJBCodec(3, 8)
-        out = c.decode(_written(c, br).tobytes())
+        out = decode(c, _written(c, br))
         rng = np.random.default_rng(0)
         lo, hi = br.rect.lo - 1.0, br.rect.hi + 1.0
         probes = lo + rng.random((300, 3)) * (hi - lo)
@@ -89,7 +90,7 @@ class TestFuzzRoundtrips:
     def test_jb_min_dist_survives(self, pts):
         """Distance refinement behaves identically after a roundtrip."""
         br = BittenRect.from_points(pts)
-        out = JBCodec(2).decode(_written(JBCodec(2), br).tobytes())
+        out = decode(JBCodec(2), _written(JBCodec(2), br))
         rng = np.random.default_rng(1)
         for q in rng.normal(scale=2e4, size=(5, 2)):
             assert out.min_dist(q) == pytest.approx(br.min_dist(q),

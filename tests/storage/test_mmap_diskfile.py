@@ -274,27 +274,31 @@ class TestLazyInnerNode:
 
     def test_predicates_materialize_one_at_a_time(self, tmp_path, points,
                                                    monkeypatch):
-        """A node holds rows only; the one predicate object a search
-        builds is the bitten rect the scalar ``refine_dist`` decodes
-        from the row it refines, one per call."""
-        from repro.storage.codecs import XJBCodec
+        """A node holds rows only, and a search builds no predicate
+        object: the vectorized screen reads the node's bite pack, and
+        the scalar ``refine_dist`` reads the bites of the one row it
+        refines, one row per call, to the oracle's distance."""
+        from repro.core.jbtree import JBExtension
+
+        from tests.geometry.bite_oracle import decode
         path, *facts = _build_file(tmp_path, "xjb", points)
         ext = make_ext("xjb", 3)
-        decoded = []
-        decode = XJBCodec.decode
-        monkeypatch.setattr(XJBCodec, "decode",
-                            lambda self, data: decoded.append(data)
-                            or decode(self, data))
+        read = []
+        row_bites = JBExtension._row_bites
+        monkeypatch.setattr(JBExtension, "_row_bites",
+                            lambda self, row: read.append(row.tobytes())
+                            or row_bites(self, row))
         with _open(path, "xjb", 3, True) as store:
             node = store.read(_inner_pages(store)[0])
             q = points[0] + 5.0
             cheap = ext.min_dists_node(node, q)
             ext.refine_dists_node(node, q[None], cheap[None])
-            assert decoded == []
-            tight = ext.refine_dist(node.pred_block()[1], q, cheap[1])
-            assert decoded == [node.pred_block()[1].tobytes()]
-            assert tight == max(cheap[1], decode(
-                ext.pred_codec(), decoded[0]).min_dist(q))
+            assert read == []
+            row = node.pred_block()[1]
+            tight = ext.refine_dist(row, q, cheap[1])
+            assert read == [row.tobytes()]
+            assert tight == max(cheap[1], decode(ext.pred_codec(),
+                                                 row).min_dist(q))
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_mutation_through_block_backed_inner_nodes_stays_sound(
