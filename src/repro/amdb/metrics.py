@@ -57,10 +57,6 @@ class LossReport:
         return self.total_leaf_ios + self.total_inner_ios
 
     @property
-    def excess_coverage_total(self) -> float:
-        return self.excess_coverage_leaf + self.excess_coverage_inner
-
-    @property
     def leaf_loss_fractions(self) -> Dict[str, float]:
         """Each leaf-level loss as a fraction of total leaf I/Os
         (the paper's Figure 7 / Figure 14 quantity)."""

@@ -149,9 +149,10 @@ class ShardServeProfile:
     stage wall times (``scatter`` / ``gather`` / ``merge`` / ``rerank``
     / ``aggregation``), one latency sample plus queue
     depth per request block, per-shard busy seconds from the workers'
-    own clocks, worker cache/pool/planner counters, the registry's
-    heartbeat snapshot, and how many requests were answered degraded
-    (at least one shard dead or expired at scatter time).
+    own clocks, worker cache/pool counters, each shard's liveness
+    (live, or dead with its cause) and how many requests were answered
+    degraded (at least one shard dead at scatter time or dying under
+    the request).
     """
 
     method: str = ""
@@ -174,10 +175,11 @@ class ShardServeProfile:
     queue_depths: List[int] = field(default_factory=list)
     #: shard -> seconds the worker spent handling this run's requests
     shard_partial_seconds: Dict[int, float] = field(default_factory=dict)
-    #: shard -> worker-side cache/pool/planner counters
+    #: shard -> worker-side cache/pool counters
     shard_stats: Dict[int, Dict] = field(default_factory=dict)
-    #: registry snapshot (liveness state per shard) at run end
-    heartbeats: Dict[int, Dict] = field(default_factory=dict)
+    #: shard -> ``state`` (live / dead), ``rid_range`` and, once dead,
+    #: ``cause``, at run end (:meth:`ShardedService.liveness`)
+    liveness: Dict[int, Dict] = field(default_factory=dict)
     degraded_requests: int = 0
     #: always 0 — the service does not coalesce requests across
     #: blocks — but still reported, as the spine's ``serving.coalesced``
@@ -240,8 +242,8 @@ class ShardServeProfile:
                 for k, v in sorted(self.shard_partial_seconds.items())},
             "shard_stats": {str(k): v
                             for k, v in sorted(self.shard_stats.items())},
-            "heartbeats": {str(k): v
-                           for k, v in sorted(self.heartbeats.items())},
+            "liveness": {str(k): v
+                         for k, v in sorted(self.liveness.items())},
             "degraded_requests": self.degraded_requests,
             "coalesced": self.coalesced,
             "cache_hits": self.cache_hits,

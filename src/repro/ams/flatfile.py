@@ -103,7 +103,6 @@ class FlatFile:
     """Vectors in sequential pages; every query scans all of them."""
 
     def __init__(self, vectors: np.ndarray,
-                 rids: Optional[List[int]] = None,
                  page_size: int = DEFAULT_PAGE_SIZE):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
@@ -111,11 +110,6 @@ class FlatFile:
         if not np.isfinite(vectors).all():
             raise ValueError("vectors must be finite (no NaN or inf)")
         self.vectors = vectors
-        self.rids = np.asarray(
-            rids if rids is not None else np.arange(len(vectors)),
-            dtype=np.int64)
-        if len(self.rids) != len(vectors):
-            raise ValueError("rids length mismatch")
         self.page_size = page_size
         entry = (vectors.shape[1] + 1) * NUMBER_SIZE
         self.entries_per_page = entries_per_page(page_size, entry)
@@ -145,31 +139,12 @@ class FlatFile:
         grows by ``num_pages`` once: a page file would read each page
         once and hand it to every run of :data:`QUERIES_PER_PASS`
         queries).  Each row lists ``(distance, rid)`` by ascending
-        distance, ties by position in the file.
+        distance, ties by position in the file; a row's rid is its
+        position.
         """
         dists, rids = self._scan(queries, k)
         return [list(zip(d, r))
                 for d, r in zip(dists.tolist(), rids.tolist())]
-
-    def knn_batch_arrays(self, queries,
-                         k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`knn_batch` as padded ``(dists, rids)`` arrays.
-
-        The serving wire format: ``(Q, k)`` float64 distances padded
-        with ``+inf`` and int64 rids padded with ``-1``, row for row
-        the same values and tie order as :meth:`knn_batch` without
-        materializing a tuple per hit — a shard worker answers a
-        scan-routed block straight into its reply buffers.
-        """
-        dists, rids = self._scan(queries, k)
-        found = dists.shape[1]
-        if found == k:
-            return dists, rids
-        out_d = np.full((len(dists), k), np.inf, dtype=np.float64)
-        out_r = np.full((len(dists), k), -1, dtype=np.int64)
-        out_d[:, :found] = dists
-        out_r[:, :found] = rids
-        return out_d, out_r
 
     def _check_queries(self, queries, k: int) -> np.ndarray:
         """The one ingress check: a finite ``(Q, dim)`` float64 block."""
@@ -187,7 +162,7 @@ class FlatFile:
         return queries
 
     def _scan(self, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The scan kernel: ``(Q, min(k, n))`` distances and rids.
+        """The scan kernel: ``(Q, min(k, n))`` distances and positions.
 
         A row depends on its own query only, so the block is served in
         runs of at most :data:`QUERIES_PER_PASS` queries and the runs'
@@ -261,7 +236,7 @@ class FlatFile:
         order = np.lexsort((pool_d, pool_q))
         first = np.searchsorted(pool_q[order], np.arange(num_q))
         best = order[first[:, None] + np.arange(min(k, n))]
-        return pool_d[best], self.rids[pool_pos[best]]
+        return pool_d[best], pool_pos[best]
 
     def scan_time_ms(self, model: Optional[DiskModel] = None) -> float:
         """Modeled wall time of one full scan."""

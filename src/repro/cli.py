@@ -18,7 +18,7 @@ Covers the end-to-end workflow a downstream user needs:
   families (the CI crash-recovery job's entry point);
 - ``serve``   — run the sharded scatter-gather serving daemon over a
   synthetic request stream, reporting tail latency, queue depth, and
-  heartbeat state.
+  each shard's liveness.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ def _cmd_serve(args) -> int:
               f"queue depth max {doc['queue_depth']['max']}")
     print(f"coordinator cache hit rate: {profile.cache_hit_rate:.0%}; "
           f"degraded requests: {profile.degraded_requests}")
-    for shard_id, beat in doc["heartbeats"].items():
-        print(f"  shard {shard_id}: {beat['state']}, "
-              f"rids {beat['rid_range']}, {beat['beats']} beats")
+    for shard_id, shard in doc["liveness"].items():
+        cause = f" ({shard['cause']})" if "cause" in shard else ""
+        print(f"  shard {shard_id}: {shard['state']}{cause}, "
+              f"rids {shard['rid_range']}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)

@@ -72,13 +72,6 @@ class Rect:
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 
-    def margin(self) -> float:
-        """Sum of edge lengths (the R*-tree margin measure)."""
-        return float(np.sum(self.hi - self.lo))
-
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
-
     # -- containment and intersection ---------------------------------------
 
     def contains_point(self, p) -> bool:
@@ -108,22 +101,12 @@ class Rect:
         p = np.asarray(p, dtype=np.float64)
         return Rect(np.minimum(self.lo, p), np.maximum(self.hi, p))
 
-    def enlargement(self, other: "Rect") -> float:
-        """Volume growth needed to absorb ``other`` (Guttman's penalty)."""
-        return self.union(other).volume() - self.volume()
-
     # -- distances -------------------------------------------------------------
 
     def min_dist(self, p) -> float:
         """Euclidean distance from ``p`` to the nearest point of the box."""
         p = np.asarray(p, dtype=np.float64)
         delta = np.maximum(np.maximum(self.lo - p, p - self.hi), 0.0)
-        return float(np.linalg.norm(delta))
-
-    def max_dist(self, p) -> float:
-        """Euclidean distance from ``p`` to the farthest point of the box."""
-        p = np.asarray(p, dtype=np.float64)
-        delta = np.maximum(np.abs(p - self.lo), np.abs(p - self.hi))
         return float(np.linalg.norm(delta))
 
     def clamp(self, p) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -256,7 +256,7 @@ def _load(extension: Any, path: str
     images = np.frombuffer(raw, dtype=np.uint8, count=num_slots * page_size,
                            offset=page_size).reshape(num_slots, page_size)
     root = None
-    live = []
+    live: List[Node] = []
     stored = 0
     for slot, image in enumerate(images, start=1):
         # Mutable files are sparse: freed slots are stamped with page
@@ -268,7 +268,7 @@ def _load(extension: Any, path: str
             node = pages.codec.decode_node(image, slot, path=path)
         except PageMissingError:
             continue
-        live.append(slot)
+        live.append(node)
         if node.is_leaf:
             stored += len(node)
         if slot == header["root_slot"]:
@@ -280,8 +280,10 @@ def _load(extension: Any, path: str
     if num_slots:
         pages._write_raw(1, raw[page_size:(num_slots + 1) * page_size])
     if live:
-        pages.reserve(live[-1])
-    tree.store.pin_pages(live)
+        pages.reserve(live[-1].page_id)
+    # The census decoded every live page already: pin those nodes
+    # rather than decode each again through the store's peek.
+    tree.store.pin_nodes(live)
     if root is not None:
         tree.adopt(root, header["height"], header["size"])
     return tree, header, root, stored

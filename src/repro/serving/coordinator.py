@@ -1,8 +1,8 @@
 """The scatter-gather coordinator over a fleet of shard workers.
 
 :class:`ShardedService` owns the full serving topology: it builds one
-tree + flat-file comparator per contiguous blob range with the existing
-bulk-load pipeline, forks one daemon worker per shard
+tree per contiguous blob range with the existing bulk-load pipeline,
+forks one daemon worker per shard
 (:func:`repro.serving.worker._worker_main`), scatters each query batch
 to every *live* shard, gathers canonical partials, and merges them into
 the global top-k under the ``(distance, rid)`` total order — bit-
@@ -18,11 +18,12 @@ blocks finish strictly in dispatch order.
 :meth:`ShardedService.am_query_batch` is a stream of one block, and a
 window of 1 is the serial case.
 
-Liveness is the registry's job (:mod:`repro.serving.registry`): every
-reply refreshes the shard's heartbeat, a transport failure marks it
-dead, and a shard that stops answering expires.  Dead or expired shards
-do not fail the query — the coordinator answers from the remaining
-partials and records what was given up in a
+A shard is live until a send or receive on its socket fails; then it
+is dead for the rest of the run, with the failure recorded as its cause
+in :attr:`ShardedService.dead`.  No clock is involved: an idle fleet
+stays live however long nothing is asked of it.  A dead shard does not
+fail the query — the coordinator answers from the remaining partials
+and records what was given up in a
 :class:`~repro.gist.degrade.DegradationReport`, the same bookkeeping a
 quarantined tree uses for corrupt subtrees: a missing shard is a pruned
 subtree at fleet scale.
@@ -30,8 +31,8 @@ subtree at fleet scale.
 Where ``fork`` is unavailable the service falls back to in-process
 shards driving the same :class:`~repro.serving.worker.ShardServer`
 request handler through the same request path, so every platform
-exercises the same protocol, planner, cache, and merge code — only the
-process boundary differs.
+exercises the same protocol, cache, and merge code — only the process
+boundary differs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from repro.gist.nn import check_queries
 from repro.serving import worker as worker_mod
 from repro.serving.partials import merge_topk, unpack_hits
 from repro.serving.protocol import FramedChannel, ProtocolError
-from repro.serving.registry import DEAD, LIVE, ShardRegistry
 from repro.serving.worker import ShardServer, _worker_main
 from repro.storage.diskfile import FilePageFile
 from repro.storage.fork import fork_available, shard_bounds
@@ -173,7 +173,6 @@ class ShardedService:
                  method: str, codec: str,
                  cache_size: int = 4096,
                  worker_cache: int = 2048, pool_pages: int = 256,
-                 heartbeat_ttl: float = 30.0, clock: Any = time.monotonic,
                  tmpdir: Any = None) -> None:
         self.corpus = corpus
         self.shards = shards
@@ -185,7 +184,9 @@ class ShardedService:
         self.engine = BlobworldEngine(corpus)
         self.worker_cache = worker_cache
         self.pool_pages = pool_pages
-        self.registry = ShardRegistry(ttl=heartbeat_ttl, clock=clock)
+        #: shard id -> the transport failure that took it down; every
+        #: other shard is live.  Filled only by :meth:`_shard_down`.
+        self.dead: Dict[int, str] = {}
         self.degradation = DegradationReport()
         self.degraded_requests = 0
         self.handles: List[Any] = []
@@ -244,14 +245,11 @@ class ShardedService:
             return self
         self._started = True
         self.inline = not fork_available()
-        for shard in self.shards:
-            self.registry.register(shard["shard_id"], shard["lo"],
-                                   shard["hi"])
+        self.dead = {}
         if self.inline:
             for shard in self.shards:
                 server = ShardServer(
                     shard["shard_id"], shard["tree"], self.reduced,
-                    lo=shard["lo"], hi=shard["hi"],
                     cache_size=self.worker_cache,
                     pool_pages=self.pool_pages)
                 self.handles.append(
@@ -274,8 +272,7 @@ class ShardedService:
                 process = None
                 try:
                     state["shards"][shard["shard_id"]] = {
-                        "tree": shard["tree"], "conn": child_sock,
-                        "lo": shard["lo"], "hi": shard["hi"]}
+                        "tree": shard["tree"], "conn": child_sock}
                     process = ctx.Process(target=_worker_main,
                                           args=(shard["shard_id"],),
                                           daemon=True)
@@ -306,9 +303,10 @@ class ShardedService:
         raise KeyError(f"no shard {shard_id}")
 
     def ping(self) -> Dict[int, bool]:
-        """Heartbeat every non-dead shard; revives expired ones that
-        answer.  Returns shard -> answered."""
-        req = self._dispatch({"op": "ping"}, revive=True)
+        """Probe every live shard.  Returns shard -> answered; a shard
+        whose socket fails under the probe is marked dead like under
+        any request."""
+        req = self._dispatch({"op": "ping"})
         self._collect(req)
         return {handle.shard_id:
                 bool(req.parts.get(handle.shard_id, {}).get("ok"))
@@ -319,7 +317,7 @@ class ShardedService:
         close the sockets.  The built trees stay; :meth:`start` brings
         the fleet back."""
         for handle in self.handles:
-            if self.registry.state(handle.shard_id) != DEAD:
+            if handle.shard_id not in self.dead:
                 try:
                     handle.send({"op": "exit"})
                     handle.recv()
@@ -347,7 +345,7 @@ class ShardedService:
 
     def _shard_down(self, handle: Any, exc: Exception) -> None:
         shard = self.shards[handle.shard_id]
-        self.registry.mark_dead(handle.shard_id, cause=str(exc))
+        self.dead[handle.shard_id] = str(exc)
         self.degradation.record(
             handle.shard_id, level=None,
             error=f"shard {handle.shard_id} down: {exc}",
@@ -356,31 +354,27 @@ class ShardedService:
         # reaped the moment the death is noticed, not at service close.
         handle.retire()
 
-    def _dispatch(self, msg: Dict[str, Any], profile: Any = None,
-                  revive: bool = False) -> _Request:
-        """Send ``msg`` to every live shard (with ``revive``, to every
-        shard not dead, so a ping can wake expired ones).  A shard left
-        out, or one whose socket fails, degrades the request instead of
-        failing it."""
+    def _dispatch(self, msg: Dict[str, Any], profile: Any = None) -> _Request:
+        """Send ``msg`` to every live shard.  A dead shard, or one whose
+        socket fails now, degrades the request instead of failing it."""
         if not self._started:
             raise RuntimeError("service not started")
         req = _Request()
         for handle in self.handles:
-            state = self.registry.state(handle.shard_id)
-            if state == LIVE or (revive and state != DEAD):
-                try:
-                    handle.send(msg)
-                    req.awaiting.append(handle)
-                except (ProtocolError, OSError) as exc:
-                    self._shard_down(handle, exc)
-                    req.degraded = True
-            elif not revive:
+            if handle.shard_id in self.dead:
                 req.degraded = True
                 shard = self.shards[handle.shard_id]
                 self.degradation.record(
                     handle.shard_id, level=None,
-                    error=f"shard {handle.shard_id} {state} at scatter",
+                    error=f"shard {handle.shard_id} dead at scatter",
                     estimated_candidates_lost=shard["hi"] - shard["lo"])
+                continue
+            try:
+                handle.send(msg)
+                req.awaiting.append(handle)
+            except (ProtocolError, OSError) as exc:
+                self._shard_down(handle, exc)
+                req.degraded = True
         if profile is not None:
             profile.add("scatter", time.perf_counter() - req.t0)
         return req
@@ -397,7 +391,7 @@ class ShardedService:
         t0 = time.perf_counter()
         errors: List[str] = []
         for handle in req.awaiting:
-            if self.registry.state(handle.shard_id) == DEAD:
+            if handle.shard_id in self.dead:
                 # It died while an older request was being collected.
                 req.degraded = True
                 continue
@@ -407,7 +401,6 @@ class ShardedService:
                 self._shard_down(handle, exc)
                 req.degraded = True
                 continue
-            self.registry.beat(handle.shard_id)
             if "error" in reply:
                 errors.append(f"shard {handle.shard_id}: {reply['error']}")
                 continue
@@ -575,11 +568,25 @@ class ShardedService:
             profile.queries += len(blobs)
             if self.cache is not None:
                 profile.note_cache(self.cache.stats)
-            profile.heartbeats = self.registry.snapshot()
+            profile.liveness = self.liveness()
             profile.transport_bytes = self.transport_counters()
         return results
 
     # -- introspection -------------------------------------------------------
+
+    def liveness(self) -> Dict[int, Dict[str, Any]]:
+        """Per shard, JSON-ready: ``live`` or ``dead``, its global rid
+        range, and for a dead shard the failure that took it down."""
+        out: Dict[int, Dict[str, Any]] = {}
+        for shard in self.shards:
+            sid = shard["shard_id"]
+            entry: Dict[str, Any] = {
+                "state": "dead" if sid in self.dead else "live",
+                "rid_range": [shard["lo"], shard["hi"]]}
+            if sid in self.dead:
+                entry["cause"] = self.dead[sid]
+            out[sid] = entry
+        return out
 
     def transport_counters(self) -> Dict[str, int]:
         """Coordinator-side transport bytes, summed over shards."""
@@ -591,15 +598,14 @@ class ShardedService:
         return total
 
     def gather_stats(self, profile: Any = None) -> Dict[int, Dict[str, Any]]:
-        """Per-worker cache/pool/planner/transport counters from live
-        shards."""
+        """Per-worker cache/pool/transport counters from live shards."""
         parts = self._gather({"op": "stats"})
         stats = {sid: {key: value for key, value in reply.items()
                        if key != "seconds"}
                  for sid, reply in parts.items()}
         if profile is not None:
             profile.shard_stats = stats
-            profile.heartbeats = self.registry.snapshot()
+            profile.liveness = self.liveness()
             total = self.transport_counters()
             for blob in stats.values():
                 worker_side = blob.get("transport", {}).get("bytes", {})

@@ -10,11 +10,10 @@ and a long-running daemon is exactly the workload that would hit that
 race.
 
 Each worker owns its serving stack outright: a
-:class:`~repro.storage.buffer.BufferPool` over the shard's page file, a
-:class:`~repro.blobworld.cache.QueryResultCache` of finished partials,
-and a :class:`~repro.gist.planner.QueryPlanner` that routes each miss
-batch between the shard tree and a flat scan of the shard's vectors.
-Requests and replies are dicts over a
+:class:`~repro.storage.buffer.BufferPool` over the shard's page file
+and a :class:`~repro.blobworld.cache.QueryResultCache` of finished
+partials; every miss is answered by the shard tree.  Requests and
+replies are dicts over a
 :class:`~repro.serving.protocol.FramedChannel`, answered strictly in
 arrival order.
 """
@@ -34,7 +33,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.fork import reopen_files
 
 #: shared state a forked worker reads back, keyed by the coordinator:
-#: ``shards`` (shard_id -> dict with tree / conn / lo / hi),
+#: ``shards`` (shard_id -> dict with tree / conn),
 #: ``reduced`` (the full reduced vector matrix), ``config`` (cache/pool
 #: sizing).
 _INHERITED: Dict[str, Any] = {}
@@ -49,11 +48,7 @@ class ShardServer:
     """
 
     def __init__(self, shard_id: int, tree: Any, reduced: np.ndarray,
-                 lo: int, hi: int, cache_size: int = 2048,
-                 pool_pages: int = 256, page_size: Optional[int] = None) -> None:
-        from repro.ams.flatfile import FlatFile
-        from repro.gist.planner import QueryPlanner
-
+                 cache_size: int = 2048, pool_pages: int = 256) -> None:
         self.shard_id = shard_id
         # The server's own tree object over the shard's pages: an
         # in-process shard is handed the coordinator's tree, whose store
@@ -66,20 +61,10 @@ class ShardServer:
         #: (maybe another shard's) and what ranks quantized leaves.
         self.reduced = reduced
         tree.exact = reduced
-        self.lo = lo
-        self.hi = hi
-        # The shard's flat-scan comparator carries *global* rids, so
-        # scan-routed partials merge identically to tree-routed ones.
-        self.flat = FlatFile(
-            reduced[lo:hi], rids=np.arange(lo, hi),
-            **({"page_size": page_size} if page_size else {}))
-        self.planner = QueryPlanner(tree, self.flat)
         self.cache = QueryResultCache(cache_size)
         #: daemon loop sets this so stats() can report transport bytes.
         self.channel: Optional[FramedChannel] = None
         self.requests = 0
-        self.plans_tree = 0
-        self.plans_scan = 0
         self.seconds = 0.0
 
     # -- dispatch ------------------------------------------------------------
@@ -135,16 +120,7 @@ class ShardServer:
         rows: List[Tuple[np.ndarray, np.ndarray]] = []
         if block.misses:
             vecs = self.reduced[[blobs[i] for i in block.misses]]
-            plan = self.planner.plan_batch(len(vecs), k)
-            if plan.choice == "scan":
-                self.plans_scan += 1
-                # The flat scan's stable argsort breaks ties by
-                # position — ascending global rid — so its rows are
-                # already canonical.
-                dists, rids = self.flat.knn_batch_arrays(vecs, k)
-            else:
-                self.plans_tree += 1
-                dists, rids = pack_partials(self.tree.knn_batch(vecs, k), k)
+            dists, rids = pack_partials(self.tree.knn_batch(vecs, k), k)
             # Row copies: a cached row must not pin its whole block.
             rows = [(d.copy(), r.copy()) for d, r in zip(dists, rids)]
         results = block.fill(rows)
@@ -154,8 +130,7 @@ class ShardServer:
                                  dtype=np.int64).reshape(-1, k)}
 
     def stats(self) -> Dict[str, Any]:
-        """Cache, buffer-pool, planner, and transport counters,
-        JSON-ready."""
+        """Cache, buffer-pool and transport counters, JSON-ready."""
         cache = self.cache.stats
         out: Dict[str, Any] = {
             "shard": self.shard_id,
@@ -167,7 +142,6 @@ class ShardServer:
                 "evictions": cache.evictions,
                 "hit_rate": round(cache.hit_rate, 4),
             },
-            "plans": {"tree": self.plans_tree, "scan": self.plans_scan},
         }
         pool = getattr(self.tree.store, "stats", None)
         if pool is not None:
@@ -195,7 +169,6 @@ def _worker_main(shard_id: int) -> None:
     reopen_files(shard["tree"].store)
     server = ShardServer(
         shard_id, shard["tree"], _INHERITED["reduced"],
-        lo=shard["lo"], hi=shard["hi"],
         cache_size=config.get("worker_cache", 2048),
         pool_pages=config.get("pool_pages", 256))
     channel = FramedChannel(conn)

@@ -187,11 +187,7 @@ class BufferPool:
         raises instead of lying.
         """
         page_ids = list(page_ids)
-        distinct = len(set(page_ids))
-        if distinct > self.capacity:
-            raise ValueError(
-                f"cannot pin {distinct} pages into {self.capacity} "
-                f"frames; resize() the pool first")
+        self._check_pinnable(page_ids)
         for page_id in page_ids:
             if page_id in self._frames:
                 self._frames.move_to_end(page_id)
@@ -199,3 +195,20 @@ class BufferPool:
             self._install(page_id, call_with_retry(
                 lambda: self.pagefile.peek(page_id), self.retry,
                 sleep=self._sleep))
+
+    def pin_nodes(self, nodes: Iterable[Any]) -> None:
+        """Frame nodes already decoded from this pool's page file,
+        uncounted, as :meth:`pin_pages` would after decoding them again:
+        a loader that decoded every page for its census pins those."""
+        nodes = list(nodes)
+        self._check_pinnable([node.page_id for node in nodes])
+        for node in nodes:
+            self._frames.pop(node.page_id, None)
+            self._install(node.page_id, node)
+
+    def _check_pinnable(self, page_ids: List[int]) -> None:
+        distinct = len(set(page_ids))
+        if distinct > self.capacity:
+            raise ValueError(
+                f"cannot pin {distinct} pages into {self.capacity} "
+                f"frames; resize() the pool first")

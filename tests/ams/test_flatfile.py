@@ -16,34 +16,27 @@ def data():
     return np.random.default_rng(0).normal(size=(3000, 5))
 
 
-def full_matrix_knn(vectors, queries, k, rids=None):
+def full_matrix_knn(vectors, queries, k):
     """The oracle: every distance, then a stable argsort per row.
 
     This is the expression ``FlatFile`` itself shipped before its
     blocked kernel — a ``(Q, n, dim)`` temporary reduced to the full
     ``(Q, n)`` matrix — kept here as the definition of the answer:
     float64 distances as ``sqrt(((v - q) ** 2).sum(-1))`` rounds them,
-    ties in position order.
+    ties in position order, a row's position its rid.
     """
     v = np.ascontiguousarray(vectors, dtype=np.float64)
     q = np.asarray(queries, dtype=np.float64)
-    rids = np.arange(len(v)) if rids is None else np.asarray(rids)
     d = np.sqrt(((v[None, :, :] - q[:, None, :]) ** 2).sum(axis=-1))
     order = np.argsort(d, axis=-1, kind="stable")[:, :k]
-    return [[(float(d[qi, i]), int(rids[i])) for i in row]
+    return [[(float(d[qi, i]), int(i)) for i in row]
             for qi, row in enumerate(order)]
 
 
 def assert_all_spellings_match(flat, queries, k, expected):
-    """knn, knn_batch and knn_batch_arrays all give ``expected``."""
+    """knn and knn_batch both give ``expected``."""
     assert flat.knn_batch(queries, k) == expected
     assert [flat.knn(q, k) for q in queries] == expected
-    dists, rids = flat.knn_batch_arrays(queries, k)
-    assert dists.shape == rids.shape == (len(queries), k)
-    assert dists.dtype == np.float64 and rids.dtype == np.int64
-    for qi, row in enumerate(expected):
-        assert list(zip(dists[qi].tolist(), rids[qi].tolist())) == \
-            row + [(np.inf, -1)] * (k - len(row))
 
 
 class TestKnn:
@@ -53,15 +46,6 @@ class TestKnn:
         res = f.knn(q, 10)
         d = np.sqrt(((data - q) ** 2).sum(axis=1))
         assert [r for _, r in res] == np.argsort(d, kind="stable")[:10].tolist()
-
-    def test_custom_rids(self, data):
-        f = FlatFile(data[:100], rids=list(range(500, 600)))
-        ((_, rid),) = f.knn(data[0], 1)
-        assert rid == 500
-
-    def test_rid_mismatch(self, data):
-        with pytest.raises(ValueError):
-            FlatFile(data, rids=[1, 2])
 
     def test_invalid_k(self, data):
         with pytest.raises(ValueError):
@@ -93,11 +77,6 @@ class TestKnnBatch:
         assert [len(c.args[0]) for c in run.call_args_list] == [
             flatfile.QUERIES_PER_PASS, flatfile.QUERIES_PER_PASS, 5]
         assert got == full_matrix_knn(data, queries, 7)
-
-    def test_custom_rids_flow_through(self, data):
-        f = FlatFile(data[:100], rids=list(range(500, 600)))
-        [(_, rid), *_] = f.knn_batch(data[:1], 3)[0]
-        assert rid == 500
 
     def test_invalid_inputs(self, data):
         f = FlatFile(data)
@@ -133,15 +112,13 @@ class TestKernelMatchesOracle:
            edge=st.integers(-1, 1), dim=st.integers(1, 8),
            num_q=st.integers(0, 5), k_small=st.integers(1, 4),
            k_near_n=st.one_of(st.none(), st.integers(-3, 3)),
-           custom_rids=st.booleans(),
            per_pass=st.sampled_from([1, 3, flatfile.QUERIES_PER_PASS]))
     def test_differential(self, seed, flavor, chunk, chunks, edge, dim,
-                          num_q, k_small, k_near_n, custom_rids, per_pass):
+                          num_q, k_small, k_near_n, per_pass):
         rng = np.random.default_rng(seed)
         n = max(0, chunk * chunks + edge)
         points = make_points(rng, flavor, n, dim)
-        rids = (rng.permutation(n) * 3 + 7).tolist() if custom_rids else None
-        flat = FlatFile(points, rids=rids)
+        flat = FlatFile(points)
         queries = make_points(rng, flavor, num_q, dim)
         if n:  # every other query is a corpus point
             queries[::2] = points[rng.integers(0, n, size=len(queries[::2]))]
@@ -154,7 +131,7 @@ class TestKernelMatchesOracle:
         with mock.patch.object(flatfile, "_WORK_BYTES", work), \
                 mock.patch.object(flatfile, "QUERIES_PER_PASS", per_pass):
             assert_all_spellings_match(
-                flat, queries, k, full_matrix_knn(points, queries, k, rids))
+                flat, queries, k, full_matrix_knn(points, queries, k))
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 4096 + 5])
     @pytest.mark.parametrize("flavor", ["normal", "grid"])
@@ -214,7 +191,7 @@ class TestKernelMatchesOracle:
         queries = rng.normal(size=(32, 5))
         tracemalloc.start()
         try:
-            flat.knn_batch_arrays(queries, 200)
+            flat.knn_batch(queries, 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -222,12 +199,10 @@ class TestKernelMatchesOracle:
 
 
 class TestIngress:
-    """One check in front of all three entry points."""
+    """One check in front of both entry points."""
 
     CALLS = [
         pytest.param(lambda f, q, k: f.knn_batch(q, k), id="knn_batch"),
-        pytest.param(lambda f, q, k: f.knn_batch_arrays(q, k),
-                     id="knn_batch_arrays"),
         pytest.param(lambda f, q, k: f.knn(q[0], k), id="knn")]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -258,11 +233,10 @@ class TestIngress:
 
     def test_rank_is_not_promoted(self, data):
         f = FlatFile(data)
-        for batch in (f.knn_batch, f.knn_batch_arrays):
-            with pytest.raises(ValueError, match="2-D"):
-                batch(data[0], 3)
-            with pytest.raises(ValueError, match="2-D"):
-                batch(data[None, :2], 3)
+        with pytest.raises(ValueError, match="2-D"):
+            f.knn_batch(data[0], 3)
+        with pytest.raises(ValueError, match="2-D"):
+            f.knn_batch(data[None, :2], 3)
         with pytest.raises(ValueError, match="1-D"):
             f.knn(data[:1], 3)
 

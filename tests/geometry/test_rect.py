@@ -58,15 +58,9 @@ class TestConstruction:
 
 
 class TestMeasures:
-    def test_volume_and_margin(self):
+    def test_volume(self):
         r = Rect([0.0, 0.0, 0.0], [2.0, 3.0, 4.0])
         assert r.volume() == 24.0
-        assert r.margin() == 9.0
-
-    def test_enlargement(self):
-        a = Rect([0.0, 0.0], [1.0, 1.0])
-        b = Rect([2.0, 0.0], [3.0, 1.0])
-        assert a.enlargement(b) == pytest.approx(3.0 - 1.0)
 
     def test_intersection_volume_disjoint(self):
         a = Rect([0.0, 0.0], [1.0, 1.0])
@@ -91,10 +85,6 @@ class TestDistances:
     def test_min_dist_corner(self):
         r = Rect([0.0, 0.0], [2.0, 2.0])
         assert r.min_dist([3.0, 3.0]) == pytest.approx(np.sqrt(2.0))
-
-    def test_max_dist(self):
-        r = Rect([0.0, 0.0], [2.0, 2.0])
-        assert r.max_dist([0.0, 0.0]) == pytest.approx(np.sqrt(8.0))
 
     def test_clamp(self):
         r = Rect([0.0, 0.0], [2.0, 2.0])
@@ -169,9 +159,3 @@ class TestProperties:
         c = r.clamp(q)
         assert r.contains_point(c)
         assert np.linalg.norm(q - c) == pytest.approx(r.min_dist(q), abs=1e-9)
-
-    @given(point_arrays())
-    def test_enlargement_nonnegative(self, pts):
-        r = Rect.from_points(pts)
-        other = Rect(r.lo + (r.hi - r.lo) * 0.25, r.hi + 1.0)
-        assert r.enlargement(other) >= -1e-9

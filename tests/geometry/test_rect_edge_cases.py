@@ -11,7 +11,6 @@ class TestDegenerate:
     def test_zero_extent_dimension(self):
         r = Rect([0.0, 1.0], [5.0, 1.0])
         assert r.volume() == 0.0
-        assert r.margin() == 5.0
         assert r.contains_point([2.0, 1.0])
         assert not r.contains_point([2.0, 1.0001])
 
@@ -19,7 +18,6 @@ class TestDegenerate:
         r = Rect.point([3.0, 4.0])
         assert r.volume() == 0.0
         assert r.min_dist([0.0, 0.0]) == pytest.approx(5.0)
-        assert r.max_dist([0.0, 0.0]) == pytest.approx(5.0)
 
     def test_union_with_degenerate(self):
         a = Rect.point([0.0, 0.0])
@@ -51,11 +49,6 @@ class TestPrecision:
         assert r.contains_point([1e15 + 0.5, 1e15 + 0.5])
         assert r.min_dist([1e15 - 1, 1e15]) == pytest.approx(1.0)
 
-    def test_enlargement_with_huge_volumes(self):
-        a = Rect([0.0] * 5, [100.0] * 5)
-        b = Rect([0.0] * 5, [101.0] * 5)
-        assert a.enlargement(b) > 0
-
 
 class TestHighDimensions:
     def test_ten_dimensional_operations(self):
@@ -66,7 +59,6 @@ class TestHighDimensions:
         q = rng.normal(size=10) * 5
         d = np.sqrt(((pts - q) ** 2).sum(axis=1))
         assert r.min_dist(q) <= d.min()
-        assert r.max_dist(q) >= d.max()
 
     def test_corner_mask_width(self):
         r = Rect([0.0] * 6, [1.0] * 6)

@@ -1,11 +1,14 @@
 """Save/load roundtrips through real page images."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.bulk import bulk_load
 from repro.gist import validate_tree
 from repro.gist.persist import load_tree, save_tree
+from repro.storage.codecs import NodeCodec
 
 from tests.conftest import make_ext
 
@@ -39,6 +42,28 @@ class TestRoundtrip:
         for i in range(500, 600):
             reloaded.insert(np.random.default_rng(i).normal(size=2), i)
         validate_tree(reloaded, expected_size=600)
+
+    def test_load_decodes_each_live_page_once(self, tmp_path):
+        """The census decode is the only one: ``load_tree`` pins the
+        nodes it decoded instead of decoding every page again."""
+        pts = np.random.default_rng(3).normal(size=(1500, 3))
+        tree = bulk_load(make_ext("xjb", 3), pts, page_size=4096)
+        path = str(tmp_path / "t.gist")
+        save_tree(tree, path)
+        decode = NodeCodec.decode_node
+        decoded = []
+
+        def counting(codec, image, page_id, **kwargs):
+            decoded.append(page_id)
+            return decode(codec, image, page_id, **kwargs)
+
+        with mock.patch.object(NodeCodec, "decode_node", counting):
+            reloaded = load_tree(path)
+        assert sorted(decoded) == sorted(reloaded.store.page_ids())
+        assert len(decoded) == tree.num_nodes()
+        # every page is framed: a query reads through no decode
+        assert reloaded.knn(pts[0], 12) == tree.knn(pts[0], 12)
+        assert reloaded.store.stats.misses == 0
 
     def test_empty_tree_roundtrip(self, tmp_path):
         tree = bulk_load(make_ext("rtree", 2), np.empty((0, 2)))

@@ -166,4 +166,6 @@ def test_serve(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["queries"] == 1300
     assert doc["latency_ms"]
-    assert sorted(doc["heartbeats"]) == ["0", "1"]
+    assert doc["liveness"] == {
+        "0": {"state": "live", "rid_range": [0, 150]},
+        "1": {"state": "live", "rid_range": [150, 300]}}

@@ -121,6 +121,13 @@ MUTATIONS = [
     ("src/repro/serving/worker.py",
      "        tree.exact = reduced\n", "",
      "tests/serving/test_quantized_shard_differential.py"),
+    # a shard that answers with an error reply is taken for dead.
+    ("src/repro/serving/coordinator.py",
+     '            if "error" in reply:\n',
+     '            if "error" in reply:\n'
+     '                self._shard_down(handle, RuntimeError("error"))\n',
+     "tests/serving/test_daemon.py::TestDegradedMode::"
+     "test_worker_application_error_is_a_bug_not_an_outage"),
     # k-NN keeps its waiting candidates in distance order alone, so
     # equal distances leave in arrival order instead of by rid.
     ("src/repro/gist/nn.py",

@@ -72,8 +72,7 @@ def test_sq8_shard_partials_merge_to_the_f64_canonical_rows(case):
             stores.append(store)
             tree = bulk_load(ext, points[lo:hi], rids=np.arange(lo, hi),
                              page_size=page, store=store)
-            server = ShardServer(sid, tree, points, lo, hi, pool_pages=0,
-                                 page_size=page)
+            server = ShardServer(sid, tree, points, pool_pages=0)
             reply = server.respond({"op": "knn", "queries": queries,
                                     "k": k})
             assert "error" not in reply, reply["error"]

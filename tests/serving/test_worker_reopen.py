@@ -34,8 +34,7 @@ def test_worker_main_reopens_every_file_backed_layer(corpus):
     try:
         FramedChannel(parent_sock).send({"op": "exit"})
         worker._INHERITED = {
-            "shards": {0: {"tree": shard["tree"], "conn": child_sock,
-                           "lo": shard["lo"], "hi": shard["hi"]}},
+            "shards": {0: {"tree": shard["tree"], "conn": child_sock}},
             "reduced": svc.reduced,
         }
         worker._worker_main(0)
