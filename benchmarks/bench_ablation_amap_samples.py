@@ -11,7 +11,6 @@ from repro.amdb import profile_workload
 from repro.bulk import bulk_load
 from repro.core.amap import (AMapExtension, best_bipartition,
                              covered_volume)
-from repro.geometry import Rect
 
 from conftest import emit
 
@@ -35,8 +34,8 @@ def test_amap_sample_sweep(vectors, workload, profile, benchmark):
         for g in groups:
             row = best_bipartition(g, g, samples,
                                    np.random.default_rng(1))
-            ratios.append(covered_volume(row)
-                          / max(Rect.from_points(g).volume(), 1e-12))
+            mbr_volume = float(np.prod(g.max(axis=0) - g.min(axis=0)))
+            ratios.append(covered_volume(row) / max(mbr_volume, 1e-12))
         ratio = float(np.mean(ratios))
 
         ext = AMapExtension(vectors.shape[1], samples=samples, seed=2)

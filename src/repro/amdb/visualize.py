@@ -13,7 +13,6 @@ from typing import List
 
 import numpy as np
 
-from repro.geometry import Rect
 from repro.geometry.bites import bite_volumes, carve_rows
 
 
@@ -49,7 +48,7 @@ def corner_stats(tree) -> List[CornerStats]:
         stats.append(CornerStats(
             page_id=node.page_id,
             num_points=len(pts),
-            mbr_volume=Rect(lo[0], hi[0]).volume(),
+            mbr_volume=float(np.prod(hi[0] - lo[0])),
             bitten_volume=sum(bite_volumes(lo, hi, inners)[keep].tolist()),
             bitten_corners=int(keep.sum()),
             num_corners=keep.shape[1],
@@ -63,12 +62,12 @@ def render_leaf_ascii(points: np.ndarray, width: int = 48,
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[1] != 2:
         raise ValueError("ASCII rendering is 2-D only")
-    rect = Rect.from_points(pts)
-    extent = np.maximum(rect.extents, 1e-12)
+    lo = pts.min(axis=0)
+    extent = np.maximum(pts.max(axis=0) - lo, 1e-12)
     grid = [["."] * width for _ in range(height)]
     for p in pts:
-        x = int((p[0] - rect.lo[0]) / extent[0] * (width - 1))
-        y = int((p[1] - rect.lo[1]) / extent[1] * (height - 1))
+        x = int((p[0] - lo[0]) / extent[0] * (width - 1))
+        y = int((p[1] - lo[1]) / extent[1] * (height - 1))
         grid[height - 1 - y][x] = "*"
     border = "+" + "-" * width + "+"
     body = "\n".join("|" + "".join(row) + "|" for row in grid)

@@ -15,9 +15,8 @@ from typing import Any, Sequence, Tuple
 import numpy as np
 
 from repro.ams.splits import quadratic_split
-from repro.ams.sstree import (covering_sphere, grown_sphere, sphere_bounds,
-                              spheres_contain)
-from repro.geometry import Sphere
+from repro.ams.sstree import (covering_sphere, grown_sphere, points_sphere,
+                              sphere_bounds, spheres_contain)
 from repro.geometry.rect import min_dists_to_rects, rects_contain_point
 from repro.gist.extension import GiSTExtension, Tokens
 from repro.gist.node import Node
@@ -53,13 +52,13 @@ class SRTreeExtension(GiSTExtension):
             if node.is_leaf:
                 keys = node.keys_array()
                 lo, hi = keys.min(axis=0), keys.max(axis=0)
-                raw = Sphere.from_points(keys)
+                center, radius = points_sphere(keys)
             else:
                 los, his, centers, radii = self._sr_params(node)
                 lo = np.minimum.reduce(los)
                 hi = np.maximum.reduce(his)
-                raw = covering_sphere(centers, radii)
-            rows.append(_sr_row(lo, hi, raw.center, raw.radius))
+                center, radius = covering_sphere(centers, radii)
+            rows.append(_sr_row(lo, hi, center, radius))
         return np.stack(rows)
 
     # -- algebra ---------------------------------------------------------------
@@ -113,14 +112,15 @@ class SRTreeExtension(GiSTExtension):
                 and self._reach(row, child_row) <= row[3 * d]:
             return row
         pair = np.stack((row, child_row))
-        raw = covering_sphere(pair[:, 2 * d:3 * d], pair[:, 3 * d])
+        center, radius = covering_sphere(pair[:, 2 * d:3 * d],
+                                         pair[:, 3 * d])
         # Capping by the widened rect keeps covers true: the child's
         # reach from the new center is bounded both by its own sphere
         # (covered by the union ball) and by its rect's farthest
         # corner, which the cap never undercuts.
         return _sr_row(np.minimum(row[:d], child_row[:d]),
                        np.maximum(row[d:2 * d], child_row[d:2 * d]),
-                       raw.center, raw.radius)
+                       center, radius)
 
     def _sr_params(self, node: Node) -> Tuple[np.ndarray, ...]:
         """Stacked ``(lo, hi, centers, radii)``, memoized on the node:

@@ -13,7 +13,6 @@ from typing import Any, Sequence, Tuple
 import numpy as np
 
 from repro.ams.splits import variance_split
-from repro.geometry import Sphere
 from repro.gist.extension import GiSTExtension, Tokens
 from repro.gist.nn import slack
 from repro.gist.node import Node
@@ -32,16 +31,29 @@ def sphere_bounds(q: np.ndarray, centers: np.ndarray,
 def spheres_contain(point: np.ndarray, centers: np.ndarray,
                     radii: np.ndarray) -> np.ndarray:
     """Which stacked spheres hold ``point``, tolerating float rounding
-    at the surface (``Sphere.contains_point``'s rule): a point used to
-    *build* a sphere always tests as contained."""
+    at the surface: a point used to *build* a sphere always tests as
+    contained."""
     gaps = np.sqrt(((np.asarray(point, dtype=np.float64) - centers) ** 2)
                    .sum(axis=1))
     return gaps <= radii * (1 + 1e-12) + 1e-12
 
 
-def covering_sphere(centers: np.ndarray, radii: np.ndarray) -> Sphere:
-    """:meth:`Sphere.from_spheres` of stacked ``(centers, radii)``."""
-    return Sphere.from_spheres([Sphere(c, r) for c, r in zip(centers, radii)])
+def points_sphere(points: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The SS-tree ball of a non-empty ``(n, dim)`` point set, as
+    ``(center, radius)``: centered at the centroid (not the minimum
+    enclosing ball's center), the radius its farthest point."""
+    center = points.mean(axis=0)
+    return center, float(np.sqrt(((points - center) ** 2).sum(axis=1).max()))
+
+
+def covering_sphere(centers: np.ndarray, radii: np.ndarray
+                    ) -> Tuple[np.ndarray, float]:
+    """The ball covering stacked child balls, as ``(center, radius)``:
+    centered at the centroid of their centers, the radius the farthest
+    child surface."""
+    center = centers.mean(axis=0)
+    return center, float(
+        (np.sqrt(((centers - center) ** 2).sum(axis=1)) + radii).max())
 
 
 def grown_sphere(center: np.ndarray, radius: float, key: np.ndarray
@@ -59,11 +71,6 @@ def grown_sphere(center: np.ndarray, radius: float, key: np.ndarray
     return center + (key - center) * ((new_r - radius) / gap), new_r
 
 
-def _row(sphere: Sphere) -> np.ndarray:
-    """A sphere as its row ``[center, radius]``."""
-    return np.append(sphere.center, sphere.radius)
-
-
 class SSTreeExtension(GiSTExtension):
     """SS-tree behaviour on sphere rows ``[center, radius]``."""
 
@@ -74,8 +81,8 @@ class SSTreeExtension(GiSTExtension):
     def preds_for_nodes(self, nodes: Sequence[Node],
                         tokens: Tokens = None) -> np.ndarray:
         return np.stack([
-            _row(Sphere.from_points(node.keys_array()) if node.is_leaf
-                 else covering_sphere(*self._sphere_params(node)))
+            np.append(*(points_sphere(node.keys_array()) if node.is_leaf
+                        else covering_sphere(*self._sphere_params(node))))
             for node in nodes])
 
     # -- algebra ---------------------------------------------------------------
@@ -100,7 +107,8 @@ class SSTreeExtension(GiSTExtension):
         if gap + child_row[self.dim] <= row[self.dim]:
             return row
         pair = np.stack((row, child_row))
-        return _row(covering_sphere(pair[:, :self.dim], pair[:, self.dim]))
+        return np.append(*covering_sphere(pair[:, :self.dim],
+                                          pair[:, self.dim]))
 
     def _sphere_params(self, node: Node) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(centers, radii)``, memoized on the node: column

@@ -1,16 +1,14 @@
-"""Axis-aligned geometric primitives used by bounding predicates.
+"""Axis-aligned geometry kernels behind the bounding predicates.
 
-Everything in this package works on ``numpy`` ``float64`` arrays and is
-dimension-agnostic.  The three primitive families are:
+Everything in this package works on stacked ``numpy`` ``float64`` arrays
+and is dimension-agnostic; a shape is a row of bounds, never an object:
 
-- :class:`~repro.geometry.rect.Rect` — minimum bounding rectangles;
-- :class:`~repro.geometry.sphere.Sphere` — bounding spheres;
+- :mod:`~repro.geometry.rect` — containment and distance against stacked
+  ``(lo, hi)`` rectangle bounds;
 - :mod:`~repro.geometry.bites` — rectangular corner "bites" removed from a
   rectangle, the geometry behind the paper's JB and XJB predicates, held
   as arrays (:func:`~repro.geometry.bites.carve_rows`).
+
+The sphere kernels of the SS- and SR-trees live beside their extension
+in :mod:`repro.ams.sstree`.
 """
-
-from repro.geometry.rect import Rect
-from repro.geometry.sphere import Sphere
-
-__all__ = ["Rect", "Sphere"]

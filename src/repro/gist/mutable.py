@@ -35,7 +35,6 @@ import numpy as np
 from repro.gist.tree import GiST
 from repro.gist.persist import (_MAGIC, header_extension, read_superblock,
                                 save_tree, superblock_image)
-from repro.storage.buffer import BufferPool
 from repro.storage.diskfile import FilePageFile
 from repro.storage.errors import StorageError
 from repro.storage.faults import CrashError, CrashInjector
@@ -77,7 +76,6 @@ class MutableTree:
 
     @classmethod
     def open(cls, path: str, extension: Any = None,
-             buffer_pages: int = 0,
              injector: Optional[CrashInjector] = None,
              wal_path: Optional[str] = None,
              exact: Any = None) -> "MutableTree":
@@ -85,10 +83,9 @@ class MutableTree:
 
         Recovery always runs first: if the previous writer crashed, the
         sidecar log's committed transactions are replayed (and its torn
-        tail truncated) before a single page is read.  ``buffer_pages``
-        optionally interposes a :class:`~repro.storage.BufferPool`;
-        ``injector`` threads a crash-point injector through the commit
-        protocol (tests only).  ``exact``, the ``(N, dim)`` keys by rid,
+        tail truncated) before a single page is read.  ``injector``
+        threads a crash-point injector through the commit protocol
+        (tests only).  ``exact``, the ``(N, dim)`` keys by rid,
         is attached as :attr:`GiST.exact`: a quantized index ranks its
         leaves by it and keeps its predicates fit to it.
         """
@@ -102,11 +99,8 @@ class MutableTree:
         page_size = header["page_size"]
         base = FilePageFile.for_extension(path, extension, page_size,
                                           leaf_codec=header["leaf_codec"])
-        store: Any = base
-        if buffer_pages:
-            store = BufferPool(base, buffer_pages)
         wal = WriteAheadLog(wal_path, page_size, injector=injector)
-        wpf = WALPageFile(store, wal, injector=injector)
+        wpf = WALPageFile(base, wal, injector=injector)
         tree = GiST(extension, store=wpf, page_size=page_size,
                     leaf_codec=base.codec.leaf_codec)
         tree.incremental_adjust = True

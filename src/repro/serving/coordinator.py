@@ -306,10 +306,9 @@ class ShardedService:
         """Probe every live shard.  Returns shard -> answered; a shard
         whose socket fails under the probe is marked dead like under
         any request."""
-        req = self._dispatch({"op": "ping"})
-        self._collect(req)
+        parts = self._control("ping")
         return {handle.shard_id:
-                bool(req.parts.get(handle.shard_id, {}).get("ok"))
+                bool(parts.get(handle.shard_id, {}).get("ok"))
                 for handle in self.handles}
 
     def stop(self) -> None:
@@ -416,8 +415,8 @@ class ShardedService:
 
     def _settle(self, req: _Request,
                 profile: Any = None) -> Dict[int, Dict[str, Any]]:
-        """The partials of a collected request, after booking it as
-        degraded if a shard was missing; only a request no shard
+        """The partials of a collected query request, after booking it
+        as degraded if a shard was missing; only a request no shard
         answered raises."""
         if req.degraded:
             self.degraded_requests += 1
@@ -434,6 +433,14 @@ class ShardedService:
         req = self._dispatch(msg, profile)
         self._collect(req, profile)
         return self._settle(req, profile)
+
+    def _control(self, op: str) -> Dict[int, Dict[str, Any]]:
+        """The replies of the live shards to a control message (``ping``,
+        ``stats``).  It answers no query, so a shard missing from it is
+        never booked as a degraded request."""
+        req = self._dispatch({"op": op})
+        self._collect(req)
+        return req.parts
 
     def _merge(self, parts: Dict[int, Dict[str, Any]], k: int,
                profile: Any = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -599,7 +606,7 @@ class ShardedService:
 
     def gather_stats(self, profile: Any = None) -> Dict[int, Dict[str, Any]]:
         """Per-worker cache/pool/transport counters from live shards."""
-        parts = self._gather({"op": "stats"})
+        parts = self._control("stats")
         stats = {sid: {key: value for key, value in reply.items()
                        if key != "seconds"}
                  for sid, reply in parts.items()}

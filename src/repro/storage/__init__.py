@@ -13,8 +13,9 @@ the paper's random-vs-sequential I/O economics (section 3.2).
 
 Resilience (see DESIGN.md "Storage resilience"): page images carry
 CRC-32 seals (:mod:`repro.storage.integrity`), failures surface through
-the typed hierarchy in :mod:`repro.storage.errors`, transient faults are
-masked by :mod:`repro.storage.retry`, and
+the typed hierarchy in :mod:`repro.storage.errors`, a transient read
+fault is retried once, where it arises — in the page file's slot read,
+by :mod:`repro.storage.retry` — and
 :class:`~repro.storage.faults.FaultyPageFile` injects deterministic
 failures for testing.  Mutation is made atomic and durable by the
 write-ahead log (:mod:`repro.storage.wal`): transactions stage in a

@@ -8,12 +8,9 @@ workload, and read the hit/miss split per level.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
-
-from repro.storage.retry import RetryPolicy, call_with_retry
+from typing import Any, Dict, Iterable, List
 
 
 @dataclass
@@ -52,17 +49,18 @@ class BufferPool:
     pool's ``stats.misses_by_level`` see buffered I/O traffic; the tree
     books every visit.  With ``capacity_pages=math.inf`` no frame is
     ever evicted: that resident pool is an in-memory tree's store.
+
+    The pool retries nothing: a transient read fault is retried once,
+    where it arises, by the page file beneath
+    (:class:`~repro.storage.diskfile.FilePageFile`'s ``retry``), and one
+    that escapes that budget propagates through the pool unchanged.
     """
 
-    def __init__(self, pagefile: Any, capacity_pages: float,
-                 retry: Optional[RetryPolicy] = RetryPolicy(),
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+    def __init__(self, pagefile: Any, capacity_pages: float) -> None:
         if capacity_pages < 1:
             raise ValueError("buffer pool needs at least one frame")
         self.pagefile = pagefile
         self.capacity = capacity_pages
-        self.retry = retry
-        self._sleep = sleep
         self._frames: "OrderedDict[int, Any]" = OrderedDict()
         self.stats = BufferStats()
 
@@ -75,8 +73,7 @@ class BufferPool:
         # A read that raises (corrupt page, exhausted retries) must not
         # disturb the frames: no partial node is cached, LRU order keeps
         # reflecting only successful accesses.
-        node = call_with_retry(lambda: self.pagefile.read(page_id),
-                               self.retry, sleep=self._sleep)
+        node = self.pagefile.read(page_id)
         self.stats.misses += 1
         self.stats.misses_by_level[node.level] = \
             self.stats.misses_by_level.get(node.level, 0) + 1
@@ -135,14 +132,6 @@ class BufferPool:
         self._frames.pop(page_id, None)
         self.pagefile.free(page_id)
 
-    def invalidate(self, page_id: int) -> None:
-        """Drop a frame whose slot was rewritten beneath the pool.
-
-        The WAL apply phase writes raw page images straight into the
-        page file; any resident frame for that slot is stale and must
-        not serve reads."""
-        self._frames.pop(page_id, None)
-
     def allocate(self) -> int:
         return self.pagefile.allocate()
 
@@ -192,9 +181,7 @@ class BufferPool:
             if page_id in self._frames:
                 self._frames.move_to_end(page_id)
                 continue
-            self._install(page_id, call_with_retry(
-                lambda: self.pagefile.peek(page_id), self.retry,
-                sleep=self._sleep))
+            self._install(page_id, self.pagefile.peek(page_id))
 
     def pin_nodes(self, nodes: Iterable[Any]) -> None:
         """Frame nodes already decoded from this pool's page file,

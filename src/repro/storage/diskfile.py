@@ -12,9 +12,12 @@ Resilience: images are sealed with CRC-32 checksums by the codec, so a
 torn write or bit flip surfaces as a typed
 :class:`~repro.storage.errors.PageCorruptError` instead of silently
 decoding garbage; missing or freed slots raise
-:class:`~repro.storage.errors.PageMissingError`; interrupted syscalls
-are wrapped as :class:`~repro.storage.errors.TransientIOError` and
-masked by bounded exponential backoff (:mod:`repro.storage.retry`).
+:class:`~repro.storage.errors.PageMissingError`; an interrupted slot
+read is wrapped as :class:`~repro.storage.errors.TransientIOError` and
+masked here by bounded exponential backoff (:mod:`repro.storage.retry`):
+this is the one place a transient fault arises, so it is the one place
+it is retried, and a :class:`~repro.storage.buffer.BufferPool` in front
+adds no second loop.
 """
 
 from __future__ import annotations

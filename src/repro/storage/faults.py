@@ -8,7 +8,8 @@ mode the resilience layer claims to handle is reproducible in a test:
 
 - **transient read faults** (:class:`TransientIOError`): either
   rate-based or forced per-page counts ("the next n reads of page 7
-  fail"), to exercise retry-with-backoff;
+  fail"), to exercise what a fault that outlived the page file's
+  retry does above it;
 - **bit flips**: when the wrapped store exposes raw slot images
   (``FilePageFile``), one randomly chosen bit of the image is flipped
   *in memory* and the flipped image decoded through the real codec, so
@@ -151,9 +152,10 @@ class FaultyPageFile:
     """A page file that misbehaves on purpose.
 
     Conforms to the page-file interface, so it can sit anywhere a real
-    store does — typically between a :class:`BufferPool` (whose retry
-    masks the transients) and a :class:`FilePageFile` (whose checksums
-    catch the flips).
+    store does — typically over a :class:`FilePageFile` (whose checksums
+    catch the flips).  Nothing above it retries: an injected transient
+    reaches the caller, as a real one does once the page file's own
+    retry budget is spent.
     """
 
     def __init__(self, inner: Any, policy: Optional[FaultPolicy] = None,

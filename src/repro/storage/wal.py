@@ -13,12 +13,13 @@ inconsistent.  This module makes mutation atomic and durable:
   image.  An fsync barrier after the commit record makes the
   transaction durable before any data-file byte changes.
 
-- :class:`WALPageFile` — wraps a :class:`~repro.storage.BufferPool` or
+- :class:`WALPageFile` — wraps the index's
   :class:`~repro.storage.diskfile.FilePageFile` and stages writes in a
   transaction overlay: ``begin()``, tree mutation, then ``commit()``
   encodes the staged nodes once, logs them, fsyncs, and only then
-  applies the images to the data file (invalidating buffer-pool frames
-  as it goes).  Reads during a transaction see the overlay.  Commit is
+  applies the images to the data file.  Nothing caches decoded pages
+  between the two, so no frame can go stale under the apply.  Reads
+  during a transaction see the overlay.  Commit is
   synchronous, so a query run between two mutations reads the last
   committed state; there is no read view pinned across a mutation.
 
@@ -70,6 +71,9 @@ MAX_PAGE_SIZE = CRC32_HD4_BITS // 8 - _RECORD.size
 #: record types.
 REC_PAGE = 1
 REC_COMMIT = 2
+
+#: a commit that leaves the log longer than this checkpoints it.
+CHECKPOINT_BYTES = 4 * 1024 * 1024
 
 
 def default_wal_path(path: str) -> str:
@@ -367,7 +371,7 @@ _FREED = None
 
 
 class WALPageFile:
-    """Log-then-apply transactions over a buffered disk page store.
+    """Log-then-apply transactions over a disk page file.
 
     Satisfies the full page-file protocol so a
     :class:`~repro.gist.tree.GiST` can point straight at it.  Between
@@ -386,14 +390,12 @@ class WALPageFile:
     """
 
     def __init__(self, store: Any, wal: WriteAheadLog,
-                 injector: Optional[CrashInjector] = None,
-                 checkpoint_bytes: int = 4 * 1024 * 1024) -> None:
-        self.store = store
-        #: the raw FilePageFile under any BufferPool wrapper.
-        self.base = getattr(store, "pagefile", store)
+                 injector: Optional[CrashInjector] = None) -> None:
+        #: the data file; ``base`` names the same store, whose raw slot
+        #: access the commit and checkpoint paths use.
+        self.store = self.base = store
         self.wal = wal
         self.injector = injector
-        self.checkpoint_bytes = checkpoint_bytes
         self._in_txn = False
         self._staged: Dict[int, Any] = {}
         self._next_txn = 1
@@ -481,7 +483,7 @@ class WALPageFile:
             raise
         self._staged = {}
         self._in_txn = False
-        if self.wal.size_bytes() > self.checkpoint_bytes:
+        if self.wal.size_bytes() > CHECKPOINT_BYTES:
             self.checkpoint()
         return lsn
 
@@ -497,12 +499,10 @@ class WALPageFile:
                       meta_image: Optional[bytes]) -> None:
         """Redo phase of commit: install logged images in the data file.
 
-        Buffer-pool frames are invalidated per page and the data file
-        is fsynced at the end — a crash mid-apply is repaired by
-        replaying the log.
+        The data file is fsynced at the end — a crash mid-apply is
+        repaired by replaying the log.
         """
         base = self.base
-        invalidate = getattr(self.store, "invalidate", None)
         for pid, image, node in pages:
             if self.injector is not None:
                 self.injector.check(
@@ -510,8 +510,6 @@ class WALPageFile:
                     lambda frac, pid=pid, img=image:
                         self._tear_page(pid, img, frac))
             base._write_raw(pid, image)
-            if invalidate is not None:
-                invalidate(pid)
             if node is _FREED:
                 if pid not in base._free:
                     base._free.append(pid)

@@ -6,8 +6,9 @@ import pytest
 from repro.ams import RStarTreeExtension, RTreeExtension
 from repro.ams.rstar import rstar_split
 from repro.bulk import bulk_load, insertion_load
-from repro.geometry import Rect
 from repro.gist import validate_tree
+
+from tests.geometry.shapes import Rect
 
 
 class TestSplit:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ams import RTreeExtension
-from repro.geometry import Rect
 
+from tests.geometry.shapes import Rect
 from tests.gist.oracle import inner_node, row_for_keys, row_for_rows
 
 

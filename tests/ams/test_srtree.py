@@ -5,8 +5,8 @@ import pytest
 
 from repro.ams import SRTreeExtension
 from repro.bulk import bulk_load
-from repro.geometry import Rect, Sphere
 
+from tests.geometry.shapes import Rect, Sphere
 from tests.gist.oracle import (brute_canonical, inner_node,
                                object_contains, pred_object, row_for_keys,
                                row_for_rows)

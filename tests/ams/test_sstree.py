@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ams import SSTreeExtension
-from repro.geometry import Sphere
 
+from tests.geometry.shapes import Sphere
 from tests.gist.oracle import (inner_node, pred_object, row_for_keys,
                                row_for_rows)
 

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import amap as amap_mod
 from repro.core.amap import AMapExtension, best_bipartition
-from repro.geometry import Rect
 
+from tests.geometry.shapes import Rect
 from tests.gist.oracle import (inner_node, object_contains, pred_object,
                                row_for_keys, row_for_rows)
 

@@ -24,11 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.amap as amap_mod
-from repro.geometry import Rect
 from repro.geometry.bites import _blocked, _corner_low_table
 
 from tests.core.test_amap import _side_bounds_reduce
 from tests.geometry.bite_oracle import BittenRect, _top_bites, carve_bites
+from tests.geometry.shapes import Rect
 from tests.geometry.test_batched_sweep import _bites_equal, carved_rects
 
 

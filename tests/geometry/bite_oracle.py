@@ -23,7 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.rect import Rect
+from tests.geometry.shapes import Rect
+
 
 DEFAULT_MAX_STEPS = 24
 
@@ -74,14 +75,6 @@ class Bite:
         low_ok = (pts >= self.lo) & (pts < self.hi)
         high_ok = (pts > self.lo) & (pts <= self.hi)
         return np.all(np.where(self.low_side, low_ok, high_ok), axis=1)
-
-    def blocks_rect(self, rlo, rhi) -> bool:
-        """Does the closed box ``[rlo, rhi]`` meet the half-open bite?"""
-        rlo = np.asarray(rlo, dtype=np.float64)
-        rhi = np.asarray(rhi, dtype=np.float64)
-        low_ok = (rlo < self.hi) & (rhi >= self.lo)
-        high_ok = (rlo <= self.hi) & (rhi > self.lo)
-        return bool(np.all(np.where(self.low_side, low_ok, high_ok)))
 
     def __repr__(self) -> str:
         return (f"Bite(corner=0b{self.corner_mask:b}, "
@@ -536,12 +529,6 @@ class BittenRect:
         for b in self.bites:
             mask &= ~b.removes_points(pts)
         return mask
-
-    def contains_rect(self, other: Rect) -> bool:
-        """Does the bitten region cover the whole closed box ``other``?"""
-        if not self.rect.contains_rect(other):
-            return False
-        return not any(b.blocks_rect(other.lo, other.hi) for b in self.bites)
 
     def volume(self) -> float:
         """Region volume, ignoring (rare) bite-bite overlap."""

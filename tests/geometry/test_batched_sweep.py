@@ -22,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.geometry import Rect
 from repro.geometry.bites import _corner_low_table, _sweep_corners, carve_rows
 
 from tests.geometry.bite_oracle import (BittenRect, _PointObstacles,
                                         _RectObstacles, _sweep_scalar,
                                         from_carve)
+from tests.geometry.shapes import Rect
 
 
 def carved_rects(los, his=None, max_bites=None):

@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.jbtree import JBExtension, _blocks
 from repro.geometry.bites import bite_volumes, carve_rows
-from repro.geometry.rect import Rect
 
 from tests.geometry import bite_oracle
+from tests.geometry.shapes import Rect
 from tests.geometry.test_batched_sweep import _bites_equal
 from tests.geometry.test_bites import Carved
 

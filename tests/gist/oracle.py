@@ -209,7 +209,7 @@ def pred_object(ext: Any, row: np.ndarray) -> Any:
     from repro.ams import SRTreeExtension, SSTreeExtension
     from repro.core.amap import AMapExtension
     from repro.core.jbtree import JBExtension
-    from repro.geometry import Rect, Sphere
+    from tests.geometry.shapes import Rect, Sphere
 
     row = np.array(row, dtype=np.float64)
     d = ext.dim
@@ -235,7 +235,7 @@ def pred_objects(ext: Any, node: Any) -> List[Any]:
 def object_contains(pred: Any, point: np.ndarray) -> bool:
     """The per-predicate containment rule: both parts of an SR-tree
     pair, either rect of an aMAP pair, else the object's own."""
-    from repro.geometry import Sphere
+    from tests.geometry.shapes import Sphere
     if isinstance(pred, tuple):
         first, second = pred
         if isinstance(second, Sphere):

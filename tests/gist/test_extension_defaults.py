@@ -5,8 +5,8 @@ import pytest
 
 from repro.ams import RTreeExtension, SSTreeExtension
 from repro.gist.extension import GiSTExtension, row_node
-from repro.geometry import Rect, Sphere
 
+from tests.geometry.shapes import Rect, Sphere
 from tests.gist.oracle import inner_node, leaf_node, pred_object
 
 

@@ -90,18 +90,6 @@ class TestRoundTripParity:
         with pytest.raises(ValueError, match="saved by"):
             MutableTree.open(path, extension=make_ext("sstree", DIM))
 
-    def test_buffered_store_round_trips(self, tmp_path):
-        path, pts = _saved(tmp_path, "sstree", n=120)
-        shadow = load_tree(path=path)
-        queries = _points(4, 31)
-        with MutableTree.open(path, buffer_pages=16) as mt:
-            for j, p in enumerate(_points(30, 5)):
-                mt.insert(p, 200 + j)
-                shadow.insert(p, 200 + j)
-            assert _knn(mt.tree, queries, 8) == _knn(shadow, queries, 8)
-        assert _knn(load_tree(path=path), queries, 8) == \
-            _knn(shadow, queries, 8)
-
     def test_checkpoint_trims_the_log(self, tmp_path):
         path, _ = _saved(tmp_path, "rtree", n=50)
         with MutableTree.open(path) as mt:

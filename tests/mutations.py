@@ -128,6 +128,12 @@ MUTATIONS = [
      '                self._shard_down(handle, RuntimeError("error"))\n',
      "tests/serving/test_daemon.py::TestDegradedMode::"
      "test_worker_application_error_is_a_bug_not_an_outage"),
+    # a control message (stats, ping) is booked as a degraded request.
+    ("src/repro/serving/coordinator.py",
+     "        self._collect(req)\n        return req.parts\n",
+     "        self._collect(req)\n        return self._settle(req)\n",
+     "tests/serving/test_daemon.py::TestDegradedMode::"
+     "test_control_messages_are_never_degraded_requests"),
     # k-NN keeps its waiting candidates in distance order alone, so
     # equal distances leave in arrival order instead of by rid.
     ("src/repro/gist/nn.py",

@@ -209,6 +209,18 @@ class TestDegradedMode:
             # the probe reaches the live shards only
             assert svc.ping() == {0: False, 1: True, 2: True}
 
+    def test_control_messages_are_never_degraded_requests(self, corpus):
+        """``stats`` and ``ping`` answer no query, so a dead shard
+        missing from them books nothing: only the cold query counts."""
+        with build_service(corpus, shards=2) as svc:
+            svc.kill_shard(0)
+            svc.am_query_batch([301], CANDIDATES)
+            assert svc.degraded_requests == 1
+            assert list(svc.gather_stats()) == [1]
+            svc.gather_stats()
+            assert svc.ping() == {0: False, 1: True}
+            assert svc.degraded_requests == 1
+
     def test_surviving_shards_answer_their_own_rids_exactly(self, corpus):
         """With shard 0 dead, candidates from the surviving rid ranges
         still merge canonically (the merge just loses shard 0's rows)."""

@@ -24,7 +24,7 @@ class TestReadFailure:
     def test_failed_read_caches_nothing(self):
         store, nodes = _store_with(1)
         faulty = FaultyPageFile(store)
-        pool = BufferPool(faulty, capacity_pages=2, retry=None)
+        pool = BufferPool(faulty, capacity_pages=2)
         faulty.fail_next_reads(nodes[0].page_id, 1)
         with pytest.raises(TransientIOError):
             pool.read(nodes[0].page_id)
@@ -37,7 +37,7 @@ class TestReadFailure:
     def test_eviction_order_survives_mid_read_exception(self):
         store, nodes = _store_with(3)
         faulty = FaultyPageFile(store)
-        pool = BufferPool(faulty, capacity_pages=2, retry=None)
+        pool = BufferPool(faulty, capacity_pages=2)
         a, b, c = (n.page_id for n in nodes)
         pool.read(a)
         pool.read(b)                      # LRU order: a, b
@@ -69,7 +69,7 @@ class TestWriteFailure:
                 return getattr(self.inner, name)
 
         exploding = ExplodingStore(store)
-        pool = BufferPool(exploding, capacity_pages=2, retry=None)
+        pool = BufferPool(exploding, capacity_pages=2)
         pool.read(nodes[0].page_id)
         assert nodes[0].page_id in pool._frames
 
@@ -84,7 +84,7 @@ class TestWriteFailure:
 
     def test_successful_write_still_updates_frame(self):
         store, nodes = _store_with(1)
-        pool = BufferPool(store, capacity_pages=2, retry=None)
+        pool = BufferPool(store, capacity_pages=2)
         pool.read(nodes[0].page_id)
         replacement = Node(nodes[0].page_id, 0)
         pool.write(replacement)
@@ -96,7 +96,7 @@ class TestPinPages:
         """A pin that fails part way leaves the pool counting as before:
         the page it did frame is a counted hit, the next read a miss."""
         store, nodes = _store_with(2)
-        pool = BufferPool(store, capacity_pages=4, retry=None)
+        pool = BufferPool(store, capacity_pages=4)
         with pytest.raises(PageMissingError):
             pool.pin_pages([nodes[0].page_id, 999])
         pool.read(nodes[0].page_id)
@@ -110,7 +110,7 @@ class TestPinPages:
         is counted."""
         store, nodes = _store_with(2)
         faulty = FaultyPageFile(store)
-        pool = BufferPool(faulty, capacity_pages=4, retry=None)
+        pool = BufferPool(faulty, capacity_pages=4)
         faulty.fail_next_reads(nodes[1].page_id, 1)
         pool.pin_pages([n.page_id for n in nodes])
         assert pool.stats.accesses == 0 and store.stats.reads == 0

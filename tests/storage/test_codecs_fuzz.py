@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.bulk import bulk_load
-from repro.geometry import Rect
 from repro.storage.codecs import (
     DualRectCodec,
     JBCodec,
@@ -21,6 +20,7 @@ from repro.storage.codecs import (
 
 from tests.conftest import make_ext
 from tests.geometry.bite_oracle import BittenRect, decode
+from tests.geometry.shapes import Rect
 from tests.storage.test_codecs import _through_body, _written
 
 FAMILIES = ("rtree", "sstree", "srtree", "jb", "xjb", "amap")
